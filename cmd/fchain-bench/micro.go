@@ -282,9 +282,6 @@ func runCheck(baselinePath string, threshold float64) error {
 			len(regressions), len(missing), baselinePath, threshold*100)
 	}
 	fmt.Printf("benchmarks within %.0f%% of %s\n", threshold*100, baselinePath)
-	if err := streamingSpeedupCheck(current); err != nil {
-		return err
-	}
 	if err := slaveAnswerCheck(); err != nil {
 		return err
 	}
@@ -292,44 +289,6 @@ func runCheck(baselinePath string, threshold float64) error {
 		return err
 	}
 	return replOverheadCheck(replOverheadLimit)
-}
-
-// streamingSpeedupRatio is the floor on how much faster the streaming
-// selection path must be than the pre-streaming batch burst.
-const streamingSpeedupRatio = 10.0
-
-// preStreamingBurstNS pins the batch tv-time burst as it was measured before
-// the streaming engine and its precomputed threshold tables landed
-// (BENCH_2026-08-05.json, ModuleSelection on this reference machine). The
-// guard compares against this constant rather than the rolling baseline's
-// ModuleSelection because the rolling batch number now benefits from the
-// same threshold tables — comparing tables-vs-tables would misstate the
-// claim, which is that the burst the streaming engine amortizes is gone.
-const preStreamingBurstNS = 1.465e6
-
-// streamingSpeedupCheck enforces the streaming engine's headline claim: an
-// analysis at the stream head (including the observes that keep the state
-// warm) beats the pre-streaming batch burst by at least
-// streamingSpeedupRatio. Skipped when the streaming benchmark was not
-// measured.
-func streamingSpeedupCheck(current *benchjson.Report) error {
-	var stream *benchjson.Result
-	for i := range current.Results {
-		if current.Results[i].Name == "ModuleSelectionStreaming" {
-			stream = &current.Results[i]
-		}
-	}
-	if stream == nil || stream.NsPerOp <= 0 {
-		return nil
-	}
-	ratio := preStreamingBurstNS / stream.NsPerOp
-	fmt.Printf("streaming selection: %.0f ns/op vs pre-streaming burst %.0f ns/op (%.1fx, floor %.0fx)\n",
-		stream.NsPerOp, preStreamingBurstNS, ratio, streamingSpeedupRatio)
-	if ratio < streamingSpeedupRatio {
-		return fmt.Errorf("streaming selection is only %.1fx faster than the pre-streaming burst (floor %.0fx)",
-			ratio, streamingSpeedupRatio)
-	}
-	return nil
 }
 
 // slaveAnswerLimit caps the 99th-percentile latency of a warm streaming

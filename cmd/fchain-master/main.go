@@ -21,8 +21,8 @@
 // slaves connect empty (fchain-slave -sharded), components are announced
 // with the `register` console command, and a consistent-hash ring with N
 // virtual nodes per slave assigns each component an owner. Membership
-// changes trigger checkpoint-handoff rebalancing (bounded by
-// -handoff-timeout/-handoff-retries, automatic unless -auto-rebalance=false);
+// changes trigger rebalancing that moves each component's model state with
+// it (bounded by -handoff-timeout, automatic unless -auto-rebalance=false);
 // `rebalance` and `assignments` drive and inspect placement manually.
 //
 // Service mode: the master always runs the multi-tenant violation intake
@@ -92,7 +92,6 @@ type config struct {
 
 	vnodes         int
 	handoffTimeout time.Duration
-	handoffRetries int
 	autoRebalance  bool
 	standby        bool
 	replMaxLag     time.Duration
@@ -124,8 +123,7 @@ func main() {
 	flag.BoolVar(&cfg.replay, "replay", false, "replay the journal at startup: restore the verdict cache and history, re-run accepted-but-unserved violations")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight localizations")
 	flag.IntVar(&cfg.vnodes, "vnodes", 0, "enable master-driven component placement over a consistent-hash ring with this many virtual nodes per slave (0 disables sharding; slaves then bring their own component lists)")
-	flag.DurationVar(&cfg.handoffTimeout, "handoff-timeout", 5*time.Second, "per-component checkpoint handoff deadline during a rebalance; an expired handoff cold-starts on the new owner")
-	flag.IntVar(&cfg.handoffRetries, "handoff-retries", 1, "extra attempts a failed checkpoint handoff gets before the new owner cold-starts")
+	flag.DurationVar(&cfg.handoffTimeout, "handoff-timeout", 5*time.Second, "how long a rebalance waits without progress (an assignment ack, one more component's state landing); a stalled component cold-starts on the new owner")
 	flag.BoolVar(&cfg.meshProfile, "mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
 	flag.BoolVar(&cfg.autoRebalance, "auto-rebalance", true, "with -vnodes: rebalance automatically on slave join/leave/eviction (off, placement changes only on the rebalance command)")
 	flag.BoolVar(&cfg.standby, "standby", false, "with -vnodes: assign every component a warm standby slave and promote it in place when the primary dies (pair with the slaves' -repl-interval)")
@@ -166,7 +164,6 @@ func run(cfg config) error {
 		masterOpts = append(masterOpts,
 			fchain.WithSharding(cfg.vnodes),
 			fchain.WithHandoffTimeout(cfg.handoffTimeout),
-			fchain.WithHandoffRetries(cfg.handoffRetries),
 			fchain.WithAutoRebalance(cfg.autoRebalance))
 		if cfg.standby {
 			masterOpts = append(masterOpts,

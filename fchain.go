@@ -367,17 +367,15 @@ type OverloadedError = cluster.OverloadedError
 // registered with RegisterComponents are assigned to slaves by a
 // consistent-hash ring with the given number of virtual nodes per member
 // (<= 0 takes the default 128), ownership is enforced at Observe and
-// Analyze, and membership changes trigger checkpoint-handoff rebalancing.
+// Analyze, and membership changes trigger rebalancing that moves each
+// component's model state with it.
 func WithSharding(vnodes int) MasterOption { return cluster.WithSharding(vnodes) }
 
-// WithHandoffTimeout bounds each per-component checkpoint handoff
-// (export -> restore -> ack) during a rebalance (default 5s); a handoff that
-// cannot finish in time falls back to a cold start on the new owner.
+// WithHandoffTimeout bounds how long a rebalance waits without progress —
+// for an assignment ack, or for one more moving component's state to land on
+// its new owner (default 5s); a component whose transfer stalls falls back to
+// a cold start there.
 func WithHandoffTimeout(d time.Duration) MasterOption { return cluster.WithHandoffTimeout(d) }
-
-// WithHandoffRetries sets how many extra attempts a failed checkpoint
-// handoff gets before the new owner cold-starts (default 1).
-func WithHandoffRetries(n int) MasterOption { return cluster.WithHandoffRetries(n) }
 
 // WithAutoRebalance toggles automatic rebalancing on membership change
 // (default on when sharding is enabled); off, placement changes only when

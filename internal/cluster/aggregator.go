@@ -12,13 +12,10 @@ package cluster
 // a fallback to direct asks.
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fchain/internal/obs"
@@ -37,16 +34,14 @@ type Aggregator struct {
 	backoffMax     time.Duration
 	obs            *obs.Sink
 
-	ln         net.Listener
-	reqCounter atomic.Uint64
+	ln net.Listener
 
-	mu       sync.Mutex
-	slaves   map[string]*slaveConn
-	cancelUp context.CancelFunc
-	upW      *connWriter
-	closed   bool
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	slaves map[string]*slaveConn
+	upW    *connWriter
+	closed bool
+	stop   chan struct{}
+	wg     sync.WaitGroup
 }
 
 // AggregatorOption configures an Aggregator.
@@ -122,7 +117,9 @@ func (a *Aggregator) Start(addr string) error {
 func (a *Aggregator) Serve(ln net.Listener) {
 	a.ln = ln
 	a.wg.Add(1)
-	go a.acceptLoop()
+	go acceptPeers(ln, &a.wg, a.serveSlaveConn, func(r any) {
+		a.obs.Logger().Error("aggregator connection handler panicked", "panic", fmt.Sprint(r))
+	})
 }
 
 // Addr returns the slave-facing listening address, valid after Start.
@@ -135,37 +132,7 @@ func (a *Aggregator) Addr() string {
 
 // Slaves returns the names of the subtree slaves currently registered,
 // sorted.
-func (a *Aggregator) Slaves() []string {
-	a.mu.Lock()
-	out := make([]string, 0, len(a.slaves))
-	for name := range a.slaves {
-		out = append(out, name)
-	}
-	a.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-func (a *Aggregator) acceptLoop() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.ln.Accept()
-		if err != nil {
-			return
-		}
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					a.obs.Logger().Error("aggregator connection handler panicked", "panic", fmt.Sprint(r))
-					_ = conn.Close()
-				}
-			}()
-			a.serveSlaveConn(conn)
-		}()
-	}
-}
+func (a *Aggregator) Slaves() []string { return tierNames(&a.mu, a.slaves) }
 
 // serveSlaveConn handles one subtree slave's connection: register, then
 // route its responses to their pending asks.
@@ -176,21 +143,13 @@ func (a *Aggregator) serveSlaveConn(conn net.Conn) {
 	if err != nil || env.Type != typeRegister || env.Slave == "" {
 		return
 	}
-	sc := &slaveConn{
-		name:    env.Slave,
-		w:       newConnWriter(conn),
-		pending: make(map[uint64]chan *envelope),
-	}
+	sc := newPeer(env.Slave, conn)
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return
 	}
-	if old := a.slaves[sc.name]; old != nil {
-		_ = old.w.conn.Close()
-		defer old.failAll(fmt.Sprintf("slave %s re-registered", sc.name))
-	}
-	a.slaves[sc.name] = sc
+	enroll(a.slaves, sc)
 	a.mu.Unlock()
 	a.obs.Logger().Info("subtree slave registered", "aggregator", a.name, "slave", sc.name)
 	defer func() {
@@ -202,20 +161,7 @@ func (a *Aggregator) serveSlaveConn(conn net.Conn) {
 		a.obs.Logger().Warn("subtree slave disconnected", "aggregator", a.name, "slave", sc.name)
 		sc.failAll(fmt.Sprintf("slave %s disconnected", sc.name))
 	}()
-	for {
-		env, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		switch env.Type {
-		case typeReports, typeError, typePong:
-			if ch, ok := sc.takePending(env.ID); ok {
-				ch <- env
-			}
-		case typePing:
-			_ = sc.w.write(&envelope{Type: typePong, ID: env.ID}, 5*time.Second)
-		}
-	}
+	sc.serveFrames(r, nil)
 }
 
 // Connect dials the master, registers as an aggregator, and serves subtree
@@ -226,19 +172,16 @@ func (a *Aggregator) Connect(masterAddr string) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
-		cancel()
 		w.conn.Close()
 		return fmt.Errorf("cluster: aggregator %s is closed", a.name)
 	}
-	a.cancelUp = cancel
 	a.upW = w
 	a.mu.Unlock()
 	a.wg.Add(1)
-	go a.manageUpstream(ctx, masterAddr, w)
+	go a.manageUpstream(masterAddr, w)
 	return nil
 }
 
@@ -257,8 +200,8 @@ func (a *Aggregator) dialRegister(addr string) (*connWriter, error) {
 }
 
 // manageUpstream serves the master connection and re-dials on failure until
-// ctx is canceled or the aggregator closes.
-func (a *Aggregator) manageUpstream(ctx context.Context, addr string, w *connWriter) {
+// the aggregator closes.
+func (a *Aggregator) manageUpstream(addr string, w *connWriter) {
 	defer a.wg.Done()
 	for {
 		err := a.serveUpstream(w)
@@ -266,37 +209,24 @@ func (a *Aggregator) manageUpstream(ctx context.Context, addr string, w *connWri
 		a.mu.Lock()
 		closed := a.closed
 		a.mu.Unlock()
-		if closed || ctx.Err() != nil {
+		if closed {
 			return
 		}
 		a.obs.Logger().Warn("master connection lost", "aggregator", a.name, "err", err)
-		delay := a.backoffInitial
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-a.stop:
-				return
-			case <-time.After(jitter(delay)):
+		next, ok := redial(a.stop, a.backoffInitial, a.backoffMax, func() (*connWriter, error) {
+			return a.dialRegister(addr)
+		})
+		a.mu.Lock()
+		if !ok || a.closed {
+			a.mu.Unlock()
+			if ok {
+				next.conn.Close()
 			}
-			next, err := a.dialRegister(addr)
-			if err == nil {
-				a.mu.Lock()
-				if a.closed {
-					a.mu.Unlock()
-					next.conn.Close()
-					return
-				}
-				a.upW = next
-				a.mu.Unlock()
-				w = next
-				break
-			}
-			delay *= 2
-			if delay > a.backoffMax {
-				delay = a.backoffMax
-			}
+			return
 		}
+		a.upW = next
+		a.mu.Unlock()
+		w = next
 	}
 }
 
@@ -327,10 +257,11 @@ func (a *Aggregator) serveUpstream(w *connWriter) error {
 
 // handleSubtreeAnalyze fans one analyze request out to the requested subtree
 // slaves and answers with one sub-entry per slave. The subtree quorum (plus
-// the same straggler grace the master uses) bounds how long a slow minority
-// can hold the whole subtree's answer; slaves this aggregator has never seen
-// — or that miss the budget — are answered as per-slave errors so the master
-// can fall back to its direct connections for exactly those members.
+// the straggler grace of the gather it shares with the master) bounds how
+// long a slow minority can hold the whole subtree's answer; slaves this
+// aggregator has never seen — or that miss the budget — are answered as
+// per-slave errors so the master can fall back to its direct connections for
+// exactly those members.
 func (a *Aggregator) handleSubtreeAnalyze(w *connWriter, env *envelope) {
 	defer a.wg.Done()
 	defer func() {
@@ -346,92 +277,26 @@ func (a *Aggregator) handleSubtreeAnalyze(w *connWriter, env *envelope) {
 	}
 	deadline := time.Now().Add(budget)
 
-	a.mu.Lock()
-	conns := make(map[string]*slaveConn, len(env.Subtree))
-	for _, name := range env.Subtree {
-		if sc := a.slaves[name]; sc != nil {
-			conns[name] = sc
-		}
-	}
-	a.mu.Unlock()
-
 	subs := make([]subAnswer, 0, len(env.Subtree))
-	results := make(chan subAnswer, len(conns))
+	names := make([]string, 0, len(env.Subtree))
+	results := make(chan subAnswer, len(env.Subtree))
 	for _, name := range env.Subtree {
-		sc, ok := conns[name]
-		if !ok {
+		a.mu.Lock()
+		sc := a.slaves[name]
+		a.mu.Unlock()
+		if sc == nil {
 			subs = append(subs, subAnswer{Slave: name,
 				Err: fmt.Sprintf("cluster: slave %s not connected to aggregator %s", name, a.name)})
 			continue
 		}
-		go func(sc *slaveConn) {
-			results <- a.askSubtreeSlave(sc, env.TV, env.LookBack, deadline)
-		}(sc)
+		names = append(names, name)
+		go func() { results <- a.askSubtreeSlave(sc, env.TV, env.LookBack, deadline) }()
 	}
-
-	need := 0
-	if a.quorum > 0 && len(conns) > 0 {
-		need = int(math.Ceil(a.quorum * float64(len(conns))))
-		if need < 1 {
-			need = 1
-		}
-		if need > len(conns) {
-			need = len(conns)
-		}
-	}
-	answered := 0
-	got := make(map[string]bool, len(conns))
-	collected := 0
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-collect:
-	for collected < len(conns) {
-		var s subAnswer
-		select {
-		case s = <-results:
-		case <-timer.C:
-			break collect
-		case <-a.stop:
-			break collect
-		}
-		collected++
-		got[s.Slave] = true
-		subs = append(subs, s)
-		if s.Err == "" {
-			answered++
-		}
-		if need > 0 && answered >= need {
-			grace := quorumGraceCap
-			if rem := time.Until(deadline) / 4; rem < grace {
-				grace = rem
-			}
-			if grace <= 0 {
-				break collect
-			}
-			gt := time.NewTimer(grace)
-			for collected < len(conns) {
-				select {
-				case s := <-results:
-					collected++
-					got[s.Slave] = true
-					subs = append(subs, s)
-				case <-gt.C:
-					break collect
-				case <-a.stop:
-					gt.Stop()
-					break collect
-				}
-			}
-			gt.Stop()
-			break collect
-		}
-	}
-	for name := range conns {
-		if !got[name] {
-			subs = append(subs, subAnswer{Slave: name,
-				Err: fmt.Sprintf("cluster: slave %s: deadline exceeded", name)})
-		}
-	}
+	subs = append(subs, gather(results, names, quorumNeed(a.quorum, len(names)),
+		func(s subAnswer) (string, bool) { return s.Slave, s.Err == "" },
+		func(name string) subAnswer {
+			return subAnswer{Slave: name, Err: fmt.Sprintf("cluster: slave %s: deadline exceeded", name)}
+		}, deadline, a.stop)...)
 	sort.Slice(subs, func(i, j int) bool { return subs[i].Slave < subs[j].Slave })
 	a.obs.Registry().Counter("fchain_subtree_analyze_total", "Subtree analyze requests served.").Inc()
 	_ = w.write(&envelope{Type: typeReports, ID: env.ID, Sub: subs}, 30*time.Second)
@@ -445,38 +310,19 @@ func (a *Aggregator) askSubtreeSlave(sc *slaveConn, tv int64, lookBack int, dead
 	if wait <= 0 {
 		return subAnswer{Slave: sc.name, Err: fmt.Sprintf("cluster: slave %s: deadline exceeded", sc.name)}
 	}
-	budgetMS := wait.Milliseconds()
-	if budgetMS < 1 {
-		budgetMS = 1
-	}
-	id := a.reqCounter.Add(1)
-	ch := make(chan *envelope, 1)
-	if !sc.addPending(id, ch) {
-		return subAnswer{Slave: sc.name, Err: fmt.Sprintf("cluster: slave %s disconnected", sc.name)}
-	}
 	start := time.Now()
-	req := &envelope{Type: typeAnalyze, ID: id, TV: tv, LookBack: lookBack, BudgetMS: budgetMS}
-	if err := sc.w.write(req, wait); err != nil {
-		sc.removePending(id)
-		return subAnswer{Slave: sc.name, Err: err.Error()}
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case env := <-ch:
-		if env.Type == typeError {
-			return subAnswer{Slave: sc.name, Err: env.Err, Code: env.Code}
-		}
+	req := &envelope{Type: typeAnalyze, TV: tv, LookBack: lookBack, BudgetMS: max(wait.Milliseconds(), 1)}
+	env, err := sc.request(req, wait, a.stop)
+	switch {
+	case err == nil:
 		// UsedTV passes the slave's clock echo through untouched: the
 		// aggregator's own clock must never enter the master's offset math.
 		return subAnswer{Slave: sc.name, Reports: env.Reports, UsedTV: env.UsedTV,
 			WaitNS: time.Since(start).Nanoseconds()}
-	case <-timer.C:
-		sc.removePending(id)
-		return subAnswer{Slave: sc.name, Err: fmt.Sprintf("cluster: slave %s timed out", sc.name)}
-	case <-a.stop:
-		sc.removePending(id)
-		return subAnswer{Slave: sc.name, Err: "cluster: aggregator closed"}
+	case env != nil:
+		return subAnswer{Slave: sc.name, Err: env.Err, Code: env.Code}
+	default:
+		return subAnswer{Slave: sc.name, Err: err.Error()}
 	}
 }
 
@@ -487,7 +333,6 @@ func (a *Aggregator) Close() error {
 		a.closed = true
 		close(a.stop)
 	}
-	cancel := a.cancelUp
 	// Closing the upstream connection unblocks serveUpstream's pending read;
 	// without it wg.Wait would deadlock against a healthy master link.
 	if a.upW != nil {
@@ -497,9 +342,6 @@ func (a *Aggregator) Close() error {
 		_ = sc.w.conn.Close()
 	}
 	a.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 	var err error
 	if a.ln != nil {
 		err = a.ln.Close()

@@ -113,10 +113,20 @@ func TestSlaveReconnectsAfterDrop(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == total }, "registrations")
 
 	// Partition: kill the db slave's link mid-run.
+	dbConn := func() *slaveConn {
+		master.mu.Lock()
+		defer master.mu.Unlock()
+		return master.slaves["host-"+apps.DB]
+	}
+	severed := dbConn()
 	proxy.Sever()
 	waitFor(t, 2*time.Second, func() bool { return rec.has(StateDisconnected) }, "disconnect detection")
+	// Re-registered means the master serves a new connection for the slave,
+	// not that its name is listed: until the master notices the severed link
+	// the old registration still counts.
 	waitFor(t, 5*time.Second, func() bool {
-		return rec.has(StateReconnecting) && len(master.Slaves()) == total
+		now := dbConn()
+		return rec.has(StateReconnecting) && now != nil && now != severed && len(master.Slaves()) == total
 	}, "reconnect + re-registration")
 
 	res, err := master.Localize(context.Background(), tv)
@@ -368,6 +378,46 @@ func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 	}
 	if h := master.Health(); h["mute"].State != Degraded || !h["mute"].BreakerOpen {
 		t.Errorf("mute health = %+v, want degraded with open breaker", h["mute"])
+	}
+}
+
+// TestBreakerChargedWhenGatherGivesUp pins the breaker ordering: a slave the
+// collection gives up on (quorum met, straggler grace lapsed) is charged a
+// failure before Localize returns, not whenever its abandoned ask wakes up at
+// its own timeout. The second call therefore starts while the first call's
+// ask to the mute slave is still pending, and must already find the circuit
+// open.
+func TestBreakerChargedWhenGatherGivesUp(t *testing.T) {
+	master := NewMaster(core.Config{}, nil,
+		WithLocalizeRetries(0), WithLocalizeTimeout(time.Second),
+		WithQuorum(0.5), WithBreaker(1, time.Minute))
+	if err := master.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	fakeSlave(t, master.Addr(), "mute", []string{"m"})
+	conn, w := fakeSlave(t, master.Addr(), "good", []string{"g"})
+	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 2 }, "registrations")
+	go answerAnalyzes(conn, w, "g")
+
+	start := time.Now()
+	if _, err := master.Localize(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
+	res, err := master.Localize(context.Background(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 800*time.Millisecond {
+		t.Fatalf("two quorum localizations took %v: the first ask has timed out on its own, the test proves nothing", elapsed)
+	}
+	if len(res.Errors) != 1 || !strings.Contains(res.Errors[0], "circuit open") {
+		t.Errorf("errors = %v, want the circuit already open for the slave given up on", res.Errors)
+	}
+	// Once the abandoned ask does time out it must not be charged again.
+	time.Sleep(time.Until(start.Add(1200 * time.Millisecond)))
+	if h := master.Health()["mute"]; !h.BreakerOpen || h.Failures != 1 {
+		t.Errorf("mute health = %+v, want an open breaker charged exactly once", h)
 	}
 }
 

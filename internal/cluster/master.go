@@ -5,8 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,33 +49,35 @@ type Master struct {
 
 	// Sharded mode (shard.go): vnodes > 0 places every known component on a
 	// consistent-hash ring over the registered slaves, and membership
-	// changes trigger incremental rebalancing with checkpoint handoffs.
+	// changes trigger incremental rebalancing that moves state with them.
 	shardVnodes    int
 	handoffTimeout time.Duration
-	handoffRetries int
 	autoRebalance  bool
 
 	rebalanceMu  sync.Mutex    // serializes rebalance passes
 	rebalanceReq chan struct{} // buffered(1) trigger for the auto-rebalance loop
 	handoffHook  atomic.Pointer[func(comp, from, to string)]
 
-	// Warm-standby replication (standbyOn): every component gets a standby
-	// owner next to its primary on the ring, primaries ship state deltas
-	// upstream, and the master relays each to the standby. replSent/replAcked
-	// track the per-component sequence numbers relayed and acked — a
-	// component is warm-promotable only while the two match — and replTickAt
-	// records each slave's last clean replication tick, bounding how stale
-	// its standbys can be (replMaxLag; 0 = no bound). replMu is never held
-	// together with mu.
+	// The replication channel is the one way state moves between slaves: an
+	// owner ships a component's state deltas upstream and the master relays
+	// each to the component's target — its standby (standbyOn gives every
+	// component one next to its primary on the ring) or, while a rebalance
+	// moves it off a live donor, the move's recipient (moveTo). replSent and
+	// replAcked are the per-component sequence numbers received from the
+	// current owner and acked by the target; a component is warm-promotable
+	// only while the two match. replTickAt records each slave's last clean
+	// replication tick, bounding how stale its standbys can be (replMaxLag;
+	// 0 = no bound). replAck is poked on every target ack so a rebalance can
+	// wait for moves to land. replMu may be taken under mu, never the reverse.
 	standbyOn  bool
 	replMaxLag time.Duration
 	replMu     sync.Mutex
 	standbyOf  map[string]string
+	moveTo     map[string]string
 	replSent   map[string]uint64
 	replAcked  map[string]uint64
 	replTickAt map[string]time.Time
-
-	reqCounter atomic.Uint64
+	replAck    chan struct{} // buffered(1)
 
 	mu      sync.Mutex
 	slaves  map[string]*slaveConn
@@ -138,13 +141,9 @@ func WithBreaker(threshold int, cooldown time.Duration) MasterOption {
 	}
 }
 
-// quorumGraceCap bounds how long Localize keeps collecting stragglers after
-// the quorum is met: a quarter of the remaining deadline, at most this.
-const quorumGraceCap = 500 * time.Millisecond
-
 // WithQuorum sets the slave answer quorum as a fraction in (0, 1]: Localize
 // diagnoses once ceil(frac * slaves) slaves have answered plus a short
-// straggler grace (min(remaining/4, quorumGraceCap); see the collect loop),
+// straggler grace (min(remaining/4, quorumGraceCap); see gather),
 // attributing whatever is still missing in Coverage/Degraded, and refuses
 // with ErrQuorumNotMet when fewer answer before the deadline. frac <= 0
 // (the default) disables both behaviors: Localize waits for every slave
@@ -187,7 +186,7 @@ func WithMasterObs(sink *obs.Sink) MasterOption {
 // WithSharding enables sharded placement: every known component is assigned
 // to exactly one slave by a consistent-hash ring with vnodes virtual nodes
 // per member (vnodes <= 0 selects DefaultVnodes), membership changes trigger
-// incremental rebalancing with checkpoint handoffs (see shard.go), and
+// incremental rebalancing that carries model state along (see shard.go), and
 // Localize counts only each component's owner's report.
 func WithSharding(vnodes int) MasterOption {
 	return func(m *Master) {
@@ -198,22 +197,13 @@ func WithSharding(vnodes int) MasterOption {
 	}
 }
 
-// WithHandoffTimeout bounds each step of a model handoff (export, restore,
-// assign ack) during rebalancing (default 5s).
+// WithHandoffTimeout bounds each wait of a rebalance — an assignment ack, a
+// relayed replication frame's ack, and how long a batch of live moves may go
+// without one more component landing on its recipient (default 5s).
 func WithHandoffTimeout(d time.Duration) MasterOption {
 	return func(m *Master) {
 		if d > 0 {
 			m.handoffTimeout = d
-		}
-	}
-}
-
-// WithHandoffRetries sets how many extra attempts a failed handoff gets
-// before the recipient cold-starts the component (default 2).
-func WithHandoffRetries(n int) MasterOption {
-	return func(m *Master) {
-		if n >= 0 {
-			m.handoffRetries = n
 		}
 	}
 }
@@ -223,7 +213,7 @@ func WithHandoffRetries(n int) MasterOption {
 // the ring, slaves replicate state deltas to it through the master (see
 // WithReplication on the slave), and when the primary dies or is evicted the
 // rebalance promotes the standby's shadow monitor in place — no checkpoint
-// read, no handoff round-trip — falling back to the cold-start path only
+// read, no state transfer — falling back to the cold-start path only
 // when the standby is gone, behind on acks, or past the lag bound.
 func WithStandby(on bool) MasterOption {
 	return func(m *Master) { m.standbyOn = on }
@@ -249,138 +239,6 @@ func WithAutoRebalance(on bool) MasterOption {
 	return func(m *Master) { m.autoRebalance = on }
 }
 
-// slaveConn is the master-side state of one registered peer (a slave or an
-// aggregator — both speak the same correlated request/response protocol).
-type slaveConn struct {
-	name       string
-	components []string
-	via        string // aggregator this slave also answers through ("" = direct only)
-	w          *connWriter
-
-	// replQ carries this slave's inbound replicate frames to a dedicated
-	// drainer goroutine: relaying blocks on the standby's ack, so it cannot
-	// run on the reader (pings would starve), and per-frame goroutines would
-	// lose the per-component ordering the delta replay depends on. Nil for
-	// aggregators. The reader is the only sender and closes it on exit.
-	replQ chan *envelope
-
-	mu       sync.Mutex
-	pending  map[uint64]chan *envelope
-	dead     bool // connection gone; no retries will succeed
-	misses   int  // consecutive heartbeat misses
-	failures int  // consecutive analyze failures (breaker input)
-	openedAt time.Time
-	open     bool // breaker open
-	inflight int  // analyze requests currently outstanding to this slave
-}
-
-// acquireSlot claims one of the slave's in-flight analyze slots; max <= 0
-// means unlimited.
-func (sc *slaveConn) acquireSlot(max int) bool {
-	if max <= 0 {
-		return true
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.inflight >= max {
-		return false
-	}
-	sc.inflight++
-	return true
-}
-
-func (sc *slaveConn) releaseSlot(max int) {
-	if max <= 0 {
-		return
-	}
-	sc.mu.Lock()
-	if sc.inflight > 0 {
-		sc.inflight--
-	}
-	sc.mu.Unlock()
-}
-
-// addPending registers a response channel for request id; it returns false
-// if the connection is already dead.
-func (sc *slaveConn) addPending(id uint64, ch chan *envelope) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.dead {
-		return false
-	}
-	sc.pending[id] = ch
-	return true
-}
-
-func (sc *slaveConn) removePending(id uint64) {
-	sc.mu.Lock()
-	delete(sc.pending, id)
-	sc.mu.Unlock()
-}
-
-// takePending resolves a response channel for id, if any.
-func (sc *slaveConn) takePending(id uint64) (chan *envelope, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ch, ok := sc.pending[id]
-	if ok {
-		delete(sc.pending, id)
-	}
-	return ch, ok
-}
-
-// failAll marks the connection dead and fails every in-flight request so
-// waiting Localize goroutines return immediately instead of burning their
-// full timeout.
-func (sc *slaveConn) failAll(reason string) {
-	sc.mu.Lock()
-	pending := sc.pending
-	sc.pending = make(map[uint64]chan *envelope)
-	sc.dead = true
-	sc.mu.Unlock()
-	for _, ch := range pending {
-		ch <- &envelope{Type: typeError, Err: reason}
-	}
-}
-
-// isDead reports whether the connection has been torn down.
-func (sc *slaveConn) isDead() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.dead
-}
-
-// breakerOpen reports whether analyze fan-out should skip this slave; an
-// open breaker half-opens (admits one probe attempt) after cooldown.
-func (sc *slaveConn) breakerOpen(cooldown time.Duration) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if !sc.open {
-		return false
-	}
-	if time.Since(sc.openedAt) >= cooldown {
-		sc.open = false // half-open: let the next attempt probe it
-		return false
-	}
-	return true
-}
-
-// recordResult feeds the breaker with an analyze outcome.
-func (sc *slaveConn) recordResult(ok bool, threshold int) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if ok {
-		sc.failures = 0
-		sc.open = false
-		return
-	}
-	sc.failures++
-	if threshold > 0 && sc.failures >= threshold && !sc.open {
-		sc.open = true
-		sc.openedAt = time.Now()
-	}
-}
-
 // NewMaster creates a master with the given FChain configuration and
 // (possibly empty) dependency graph from offline discovery.
 func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Master {
@@ -395,7 +253,6 @@ func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Mas
 		slaveInflight: 8,
 
 		handoffTimeout: 5 * time.Second,
-		handoffRetries: 2,
 		autoRebalance:  true,
 		rebalanceReq:   make(chan struct{}, 1),
 
@@ -407,6 +264,8 @@ func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Mas
 		stop:    make(chan struct{}),
 
 		standbyOf:  make(map[string]string),
+		moveTo:     make(map[string]string),
+		replAck:    make(chan struct{}, 1),
 		replSent:   make(map[string]uint64),
 		replAcked:  make(map[string]uint64),
 		replTickAt: make(map[string]time.Time),
@@ -433,7 +292,10 @@ func (m *Master) Start(addr string) error {
 func (m *Master) Serve(ln net.Listener) {
 	m.ln = ln
 	m.wg.Add(1)
-	go m.acceptLoop()
+	go acceptPeers(ln, &m.wg, m.serveConn, func(r any) {
+		m.obs.Logger().Error("slave connection handler panicked", "panic", fmt.Sprint(r))
+		m.obs.Registry().Counter("fchain_conn_panics_total", "Recovered connection handler panics.").Inc()
+	})
 	if m.hbInterval > 0 {
 		m.wg.Add(1)
 		go m.heartbeatLoop()
@@ -450,28 +312,6 @@ func (m *Master) Addr() string {
 		return ""
 	}
 	return m.ln.Addr().String()
-}
-
-func (m *Master) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					m.obs.Logger().Error("slave connection handler panicked", "panic", fmt.Sprint(r))
-					m.obs.Registry().Counter("fchain_conn_panics_total", "Recovered connection handler panics.").Inc()
-					_ = conn.Close()
-				}
-			}()
-			m.serveConn(conn)
-		}()
-	}
 }
 
 // serveConn handles one peer connection. A slave opens with a register
@@ -495,45 +335,21 @@ func (m *Master) serveConn(conn net.Conn) {
 		m.serveAggregator(conn, r, env)
 		return
 	}
-	sc := &slaveConn{
-		name:       env.Slave,
-		components: append([]string(nil), env.Components...),
-		via:        env.Via,
-		w:          newConnWriter(conn),
-		pending:    make(map[uint64]chan *envelope),
-		replQ:      make(chan *envelope, replQueueDepth),
-	}
+	sc := newPeer(env.Slave, conn)
+	sc.components = append([]string(nil), env.Components...)
+	sc.via = env.Via
+	sc.replQ = make(chan *envelope, replQueueDepth)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	// A duplicate registration (typically a reconnecting slave whose old
-	// connection has not yet died) replaces the stale connection: close it
-	// and fail its in-flight requests so nothing leaks.
-	if old := m.slaves[sc.name]; old != nil {
-		_ = old.w.conn.Close()
-		defer old.failAll(fmt.Sprintf("slave %s re-registered", sc.name))
-	}
-	m.slaves[sc.name] = sc
+	enroll(m.slaves, sc)
 	delete(m.evicted, sc.name)
 	for _, comp := range sc.components {
 		m.known[comp] = true
 	}
 	registered := len(m.slaves)
-	var owned []string
-	if m.sharded() {
-		// The rejoining slave follows the current placement until the
-		// rebalance triggered below moves anything; pushing its owned set
-		// immediately re-creates its monitors (restoring from shared
-		// checkpoints where available) so it answers the next Localize.
-		for comp, own := range m.owner {
-			if own == sc.name {
-				owned = append(owned, comp)
-			}
-		}
-		sort.Strings(owned)
-	}
 	m.mu.Unlock()
 	m.obs.Logger().Info("slave registered", "slave", sc.name, "components", len(sc.components), "via", sc.via)
 	m.obs.Registry().Gauge("fchain_slaves_registered", "Currently registered slaves.").Set(float64(registered))
@@ -541,27 +357,8 @@ func (m *Master) serveConn(conn net.Conn) {
 	if m.sharded() {
 		m.obs.Registry().Gauge("fchain_cluster_members", "Slaves on the placement ring.").Set(float64(registered))
 		_ = m.obs.EventJournal().Record("member_joined", map[string]any{"slave": sc.name})
-		var shadow []string
-		if m.standbyOn {
-			m.replMu.Lock()
-			for comp, st := range m.standbyOf {
-				if st == sc.name {
-					shadow = append(shadow, comp)
-				}
-			}
-			m.replMu.Unlock()
-			sort.Strings(shadow)
-		}
-		if owned != nil || shadow != nil {
-			m.wg.Add(1)
-			go func() {
-				defer m.wg.Done()
-				// ReplReset covers everything owned: a reconnecting slave may
-				// hold floors from before the outage while its components'
-				// standbys moved, so it re-ships full state once.
-				_, _ = m.call(sc, &envelope{Type: typeAssign, Components: owned, Shadow: shadow, ReplReset: owned}, m.handoffTimeout)
-			}()
-		}
+		m.wg.Add(1)
+		go m.pushPlacement(sc)
 		m.triggerRebalance()
 	}
 	defer func() {
@@ -588,39 +385,60 @@ func (m *Master) serveConn(conn net.Conn) {
 
 	m.wg.Add(1)
 	go m.drainReplicate(sc)
-	m.servePeerFrames(r, sc)
+	sc.serveFrames(r, func(env *envelope) { m.queueReplicate(sc, env) })
 	close(sc.replQ) // the reader above is the only sender
 }
 
-// servePeerFrames routes a registered peer's inbound frames until the
-// connection dies: responses (reports, errors, pongs, handoff state and
-// acks) resolve their pending request; pings are answered in place.
-func (m *Master) servePeerFrames(r *bufio.Reader, sc *slaveConn) {
-	for {
-		env, err := readFrame(r)
-		if err != nil {
-			return
+// pushPlacement tells a (re)joining slave what the current placement says it
+// owns and shadows, so it re-creates those monitors (restoring from shared
+// checkpoints where available) and answers the next Localize without waiting
+// for a rebalance to move anything. ReplReset covers everything owned: a
+// reconnecting slave may hold floors from before the outage while its
+// components' standbys moved, so it re-ships full state once. Holding the
+// rebalance lock keeps the lists current and keeps this authoritative push
+// from landing in the middle of a pass.
+func (m *Master) pushPlacement(sc *slaveConn) {
+	defer m.wg.Done()
+	m.rebalanceMu.Lock()
+	defer m.rebalanceMu.Unlock()
+	var owned, shadow []string
+	m.mu.Lock()
+	for comp, own := range m.owner {
+		if own == sc.name {
+			owned = append(owned, comp)
 		}
-		switch env.Type {
-		case typeReports, typeError, typePong, typeState, typeAck:
-			if ch, ok := sc.takePending(env.ID); ok {
-				ch <- env
-			}
-		case typeReplicate:
-			if sc.replQ == nil {
-				break // aggregators do not replicate
-			}
-			select {
-			case sc.replQ <- env:
-			default:
-				// Overflow: NAK instead of blocking the reader; the primary
-				// recovers with a full resend on a later tick.
-				_ = sc.w.write(&envelope{Type: typeError, ID: env.ID, Component: env.Component,
-					Code: codeReplFull, Err: "cluster: replication relay queue full"}, 5*time.Second)
-			}
-		case typePing:
-			_ = sc.w.write(&envelope{Type: typePong, ID: env.ID}, 5*time.Second)
+	}
+	m.mu.Unlock()
+	m.replMu.Lock()
+	for comp, st := range m.standbyOf {
+		if st == sc.name {
+			shadow = append(shadow, comp)
 		}
+	}
+	m.replMu.Unlock()
+	if owned == nil && shadow == nil {
+		return
+	}
+	sort.Strings(owned)
+	sort.Strings(shadow)
+	_, _ = sc.request(&envelope{Type: typeAssign, Components: owned, Shadow: shadow, ReplReset: owned}, m.handoffTimeout, m.stop)
+}
+
+// queueReplicate takes one replicate frame off a slave's reader: a state
+// frame from the component's current owner is counted as sent, and every
+// frame that is to be relayed waits its turn in the slave's queue. A frame
+// from anyone but the owner is acked and dropped here.
+func (m *Master) queueReplicate(sc *slaveConn, env *envelope) {
+	if env.Component != "" && !m.replFromOwner(sc.name, env.Component, func() { m.replSent[env.Component] = env.Seq }) {
+		replAnswer(sc, env, "")
+		return
+	}
+	select {
+	case sc.replQ <- env:
+	default:
+		// Overflow: NAK instead of blocking the reader; the primary
+		// recovers with a full resend on a later tick.
+		replAnswer(sc, env, "cluster: replication relay queue full")
 	}
 }
 
@@ -639,14 +457,42 @@ func (m *Master) drainReplicate(sc *slaveConn) {
 	}
 }
 
-// relayReplicate forwards one replication frame from its primary to the
-// component's standby and reports the outcome back to the primary: an ack
-// advances the primary's floors (already advanced optimistically) and the
-// master's acked sequence, a codeReplFull error makes the primary resend the
-// full snapshot. A frame with no live standby to receive it is acked without
-// advancing the acked sequence, so the component simply stays cold for
-// promotion purposes until a standby catches up. A clean-tick marker (empty
-// Component) timestamps the slave's replication round for the lag bound.
+// replFromOwner runs fn on the replication books if sender currently owns
+// comp, and reports whether it did. Ownership and the books change together
+// at a rebalance cutover, which restarts the sequences, so the check and the
+// update are one step: a previous owner's frame — late on the wire or still
+// queued for relay — would push the books past anything the new owner sends.
+func (m *Master) replFromOwner(sender, comp string, fn func()) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.owner[comp] != sender {
+		return false
+	}
+	m.replMu.Lock()
+	fn()
+	m.replMu.Unlock()
+	return true
+}
+
+// replAnswer reports a replicate frame's fate to the primary that shipped it:
+// an ack, or with nak set a codeReplFull error that makes it forget the
+// component's floors and resend the full snapshot.
+func replAnswer(primary *slaveConn, env *envelope, nak string) {
+	resp := &envelope{Type: typeAck, ID: env.ID, Component: env.Component, Seq: env.Seq}
+	if nak != "" {
+		resp.Type, resp.Code, resp.Err = typeError, codeReplFull, nak
+	}
+	_ = primary.w.write(resp, 5*time.Second)
+}
+
+// relayReplicate forwards one replication frame from the component's owner to
+// its replication target and answers the owner: an ack advances the acked
+// sequence, a NAK makes the owner resend the full snapshot. A frame whose
+// sender no longer owns the component, or whose component has no target, is
+// acked and dropped; a target that is expected but unreachable is NAKed, so
+// the owner keeps offering the full snapshot — which is what warms a
+// late-assigned or recovered standby when no new samples arrive. A clean-tick
+// marker (empty Component) timestamps the slave's round for the lag bound.
 func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 	if env.Component == "" {
 		now := time.Now()
@@ -663,52 +509,43 @@ func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 			map[string]string{"slave": primary.name}).Set(lag.Seconds())
 		_ = m.obs.EventJournal().Record("repl_tick", map[string]any{
 			"slave": primary.name, "lag_seconds": lag.Seconds()})
-		_ = primary.w.write(&envelope{Type: typeAck, ID: env.ID}, 5*time.Second)
+		replAnswer(primary, env, "")
 		return
 	}
 	comp := env.Component
-	m.replMu.Lock()
-	if env.Seq > m.replSent[comp] {
-		m.replSent[comp] = env.Seq
-	}
-	st := m.standbyOf[comp]
-	m.replMu.Unlock()
-	if !m.standbyOn {
-		// Replication without standby placement configured: ack so the
-		// primary does not resend forever; nothing will ever consume these.
-		_ = primary.w.write(&envelope{Type: typeAck, ID: env.ID, Component: comp, Seq: env.Seq}, 5*time.Second)
+	var target string
+	owns := m.replFromOwner(primary.name, comp, func() {
+		if target = m.moveTo[comp]; target == "" {
+			target = m.standbyOf[comp]
+		}
+	})
+	if !owns || target == "" {
+		replAnswer(primary, env, "")
 		return
 	}
-	var stConn *slaveConn
-	if st != "" && st != primary.name {
-		m.mu.Lock()
-		stConn = m.slaves[st]
-		m.mu.Unlock()
-	}
-	if stConn == nil || stConn.isDead() {
-		// A standby is expected but unreachable (not yet placed, or down).
-		// NAK so the primary keeps offering the full snapshot: that is what
-		// lets a late-assigned or recovered standby warm up even when no new
-		// samples arrive to trigger further deltas.
-		_ = primary.w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
-			Err: fmt.Sprintf("cluster: no live standby for %q", comp)}, 5*time.Second)
+	m.mu.Lock()
+	tConn := m.slaves[target]
+	m.mu.Unlock()
+	if target == primary.name || tConn == nil || tConn.isDead() {
+		replAnswer(primary, env, fmt.Sprintf("cluster: no live replication target for %q", comp))
 		return
 	}
 	m.obs.Registry().Counter("fchain_repl_bytes_total",
 		"Replication delta bytes relayed to standbys.").Add(int64(len(env.State)))
 	_ = m.obs.EventJournal().Record("repl_relay", map[string]any{
-		"component": comp, "from": primary.name, "to": st, "seq": env.Seq, "bytes": len(env.State)})
-	if _, err := m.call(stConn, &envelope{Type: typeReplicate, Component: comp, Seq: env.Seq, State: env.State}, m.handoffTimeout); err != nil {
-		_ = primary.w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
-			Err: fmt.Sprintf("cluster: relay to standby %s: %v", st, err)}, 5*time.Second)
+		"component": comp, "from": primary.name, "to": target, "seq": env.Seq, "bytes": len(env.State)})
+	relay := &envelope{Type: typeReplicate, Component: comp, Seq: env.Seq, State: env.State}
+	if _, err := tConn.request(relay, m.handoffTimeout, m.stop); err != nil {
+		replAnswer(primary, env, fmt.Sprintf("cluster: relay to %s: %v", target, err))
 		return
 	}
-	m.replMu.Lock()
-	if env.Seq > m.replAcked[comp] {
-		m.replAcked[comp] = env.Seq
+	if m.replFromOwner(primary.name, comp, func() { m.replAcked[comp] = env.Seq }) {
+		select {
+		case m.replAck <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 	}
-	m.replMu.Unlock()
-	_ = primary.w.write(&envelope{Type: typeAck, ID: env.ID, Component: comp, Seq: env.Seq}, 5*time.Second)
+	replAnswer(primary, env, "")
 }
 
 // Standby returns the slave currently standing by for comp; ok is false when
@@ -722,8 +559,8 @@ func (m *Master) Standby(comp string) (standby string, ok bool) {
 }
 
 // StandbyCaughtUp reports whether comp's standby has acked every replication
-// frame relayed so far (at least one): the condition under which a dead
-// primary's component is promoted warm.
+// frame its owner has shipped so far (at least one): the condition under
+// which a dead primary's component is promoted warm.
 func (m *Master) StandbyCaughtUp(comp string) bool {
 	m.replMu.Lock()
 	defer m.replMu.Unlock()
@@ -735,21 +572,13 @@ func (m *Master) StandbyCaughtUp(comp string) bool {
 // components and do not count toward quorum) and is served like any other
 // correlated-request peer.
 func (m *Master) serveAggregator(conn net.Conn, r *bufio.Reader, env *envelope) {
-	sc := &slaveConn{
-		name:    env.Slave,
-		w:       newConnWriter(conn),
-		pending: make(map[uint64]chan *envelope),
-	}
+	sc := newPeer(env.Slave, conn)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	if old := m.aggs[sc.name]; old != nil {
-		_ = old.w.conn.Close()
-		defer old.failAll(fmt.Sprintf("aggregator %s re-registered", sc.name))
-	}
-	m.aggs[sc.name] = sc
+	enroll(m.aggs, sc)
 	registered := len(m.aggs)
 	m.mu.Unlock()
 	m.obs.Logger().Info("aggregator registered", "aggregator", sc.name)
@@ -767,7 +596,7 @@ func (m *Master) serveAggregator(conn net.Conn, r *bufio.Reader, env *envelope) 
 		_ = m.obs.EventJournal().Record("aggregator_disconnected", map[string]any{"aggregator": sc.name})
 		sc.failAll(fmt.Sprintf("aggregator %s disconnected", sc.name))
 	}()
-	m.servePeerFrames(r, sc)
+	sc.serveFrames(r, nil)
 }
 
 // heartbeatLoop probes every registered slave each interval and evicts the
@@ -783,21 +612,15 @@ func (m *Master) heartbeatLoop() {
 		case <-ticker.C:
 		}
 		m.mu.Lock()
-		conns := make([]*slaveConn, 0, len(m.slaves)+len(m.aggs))
-		for _, sc := range m.slaves {
-			conns = append(conns, sc)
-		}
-		for _, sc := range m.aggs {
-			conns = append(conns, sc)
-		}
+		conns := slices.AppendSeq(slices.Collect(maps.Values(m.slaves)), maps.Values(m.aggs))
 		m.mu.Unlock()
 		var wg sync.WaitGroup
 		for _, sc := range conns {
 			wg.Add(1)
-			go func(sc *slaveConn) {
+			go func() {
 				defer wg.Done()
 				m.probe(sc)
-			}(sc)
+			}()
 		}
 		wg.Wait()
 	}
@@ -806,26 +629,16 @@ func (m *Master) heartbeatLoop() {
 // probe sends one ping and records a miss if the pong does not arrive within
 // the heartbeat interval; maxMisses consecutive misses evict the slave.
 func (m *Master) probe(sc *slaveConn) {
-	id := m.reqCounter.Add(1)
-	ch := make(chan *envelope, 1)
-	if !sc.addPending(id, ch) {
-		return
-	}
-	if err := sc.w.write(&envelope{Type: typePing, ID: id}, m.hbInterval); err != nil {
-		sc.removePending(id)
-		m.miss(sc)
-		return
-	}
-	select {
-	case <-ch:
+	_, err := sc.request(&envelope{Type: typePing}, m.hbInterval, m.stop)
+	switch {
+	case err == nil:
 		sc.mu.Lock()
 		sc.misses = 0
 		sc.mu.Unlock()
-	case <-time.After(m.hbInterval):
-		sc.removePending(id)
+	case errors.Is(err, errAborted) || sc.isDead():
+		// shutting down, or the connection's own teardown already evicts it
+	default:
 		m.miss(sc)
-	case <-m.stop:
-		sc.removePending(id)
 	}
 }
 
@@ -890,16 +703,7 @@ func (m *Master) Health() map[string]SlaveHealth {
 }
 
 // Slaves returns the names of the registered slaves, sorted.
-func (m *Master) Slaves() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.slaves))
-	for name := range m.slaves {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (m *Master) Slaves() []string { return tierNames(&m.mu, m.slaves) }
 
 // Components returns every component monitored by a registered slave.
 func (m *Master) Components() []string {
@@ -989,7 +793,8 @@ func (m *Master) Localize(ctx context.Context, tv int64) (core.LocalizeResult, e
 
 // localize is Localize tagged with the service-mode tenant and app that
 // triggered it (both empty for ad-hoc calls); the tags flow into the
-// history record and the journal event.
+// history record and the journal event. It runs the stages its trace names:
+// admit, plan, fan out, gather, normalize, diagnose.
 func (m *Master) localize(ctx context.Context, tv int64, tenantName, app string) (core.LocalizeResult, error) {
 	var res core.LocalizeResult
 	if _, ok := ctx.Deadline(); !ok {
@@ -997,187 +802,161 @@ func (m *Master) localize(ctx context.Context, tv int64, tenantName, app string)
 		ctx, cancel = context.WithTimeout(ctx, m.localizeTO)
 		defer cancel()
 	}
-
-	// Admission first: under overload the request waits in the LIFO queue
-	// (bounded by its own deadline) or is shed before any fan-out happens.
-	if err := m.admit.acquire(ctx); err != nil {
-		res.Overloaded = true
-		m.obs.Registry().CounterWith("fchain_localize_total", "Localize calls by outcome.",
-			map[string]string{"outcome": "shed"}).Inc()
-		m.obs.Logger().Warn("localize shed by admission control", "tv", tv, "err", err)
-		_ = m.obs.EventJournal().Record("localize_shed", map[string]any{"tv": tv})
-		if errors.Is(err, ErrOverloaded) {
-			// Retry-After hint: each request already queued ahead is one
-			// quantum of delay; the hint never exceeds the localize deadline
-			// (waiting longer than one full cycle is never necessary).
-			hint := m.admit.retryAfterHint(m.localizeTO)
-			res.RetryAfterMS = hint.Milliseconds()
-			return res, &OverloadedError{RetryAfter: hint}
-		}
+	if err := m.admitLocalize(ctx, tv, &res); err != nil {
 		return res, err
 	}
 	defer m.admit.release()
 
 	tr := obs.NewTrace("localize", tv)
 	root := tr.Start(-1, "localize")
-	m.mu.Lock()
-	if len(m.slaves) == 0 {
-		m.mu.Unlock()
-		m.obs.Registry().CounterWith("fchain_localize_total", "Localize calls by outcome.",
-			map[string]string{"outcome": "no_slaves"}).Inc()
-		return res, ErrNoSlaves
+	p, err := m.planLocalize(ctx, tv, &res)
+	if err != nil {
+		return res, err
 	}
-	conns := make([]*slaveConn, 0, len(m.slaves))
-	for _, sc := range m.slaves {
-		conns = append(conns, sc)
-	}
-	aggConns := make(map[string]*slaveConn, len(m.aggs))
-	for name, sc := range m.aggs {
-		aggConns[name] = sc
-	}
-	// The application's size counts every component ever registered: a
-	// slave that died does not shrink the application, and the
-	// external-factor check must not misread a partial view as "all
-	// components abnormal".
-	res.SlavesTotal = len(conns)
-	res.ComponentsKnown = len(m.known)
-	knownComps := make([]string, 0, len(m.known))
-	for comp := range m.known {
-		knownComps = append(knownComps, comp)
-	}
-	// Sharded mode: the placement at snapshot time decides which slave's
-	// report counts for each component. A component mid-rebalance can be
-	// reported by both its old and new owner for one window; filtering on
-	// the owner map keeps exactly one report per component.
-	var ownerOf map[string]string
-	if m.sharded() && len(m.owner) > 0 {
-		ownerOf = make(map[string]string, len(m.owner))
-		for comp, own := range m.owner {
-			ownerOf[comp] = own
-		}
-	}
-	m.mu.Unlock()
-	sort.Strings(knownComps)
 	tr.AttrInt(root, "slaves", int64(res.SlavesTotal))
 	tr.AttrInt(root, "components", int64(res.ComponentsKnown))
 
 	deadline, _ := ctx.Deadline()
-	attempts := m.retries + 1
-	perAttempt := time.Until(deadline) / time.Duration(attempts)
-	if perAttempt <= 0 {
-		return res, context.DeadlineExceeded
-	}
+	collected := gather(m.fanOut(ctx, p), p.names, p.need,
+		func(a slaveAnswer) (string, bool) { return a.slave, a.err == nil },
+		func(name string) slaveAnswer {
+			return slaveAnswer{slave: name, err: fmt.Errorf("cluster: slave %s: deadline exceeded", name)}
+		}, deadline, ctx.Done())
+	// Sort by slave name: fan-out answers arrive in racy order, and the ask
+	// spans must be deterministic for trace-normalized goldens.
+	sort.Slice(collected, func(i, j int) bool { return collected[i].slave < collected[j].slave })
 
-	lookBack := m.cfg.LookBack
-	if lookBack <= 0 {
-		lookBack = core.DefaultConfig().LookBack
+	reports := m.normalize(p, collected, tr, root, &res)
+	if err := m.checkCoverage(p, len(reports), &res); err != nil {
+		return res, err
 	}
-	// Group the fan-out into subtree units: slaves registered via a live
-	// aggregator are asked through it (one analyze frame per subtree, the
-	// aggregator answers with per-slave sub-entries); everything else — and
-	// every member of a subtree whose aggregator fails mid-localization —
-	// is asked over its always-present direct connection.
-	answers := make(chan slaveAnswer, len(conns))
-	var direct []*slaveConn
+	m.diagnose(reports, tr, root, &res)
+	m.instrumentLocalize(tv, tenantName, app, &res)
+	m.mu.Lock()
+	m.history = append(m.history, DiagnosisRecord{TV: tv, Tenant: tenantName, App: app, Diagnosis: res.Diagnosis, Degraded: res.Degraded})
+	if len(m.history) > historyLimit {
+		m.history = m.history[len(m.history)-historyLimit:]
+	}
+	m.mu.Unlock()
+	return res, nil
+}
+
+// countLocalize counts one Localize call by outcome.
+func (m *Master) countLocalize(outcome string) {
+	m.obs.Registry().CounterWith("fchain_localize_total", "Localize calls by outcome.",
+		map[string]string{"outcome": outcome}).Inc()
+}
+
+// admitLocalize passes the call through admission control: under overload it
+// waits in the LIFO queue (bounded by its own deadline) or is shed before any
+// fan-out happens.
+func (m *Master) admitLocalize(ctx context.Context, tv int64, res *core.LocalizeResult) error {
+	err := m.admit.acquire(ctx)
+	if err == nil {
+		return nil
+	}
+	res.Overloaded = true
+	m.countLocalize("shed")
+	m.obs.Logger().Warn("localize shed by admission control", "tv", tv, "err", err)
+	_ = m.obs.EventJournal().Record("localize_shed", map[string]any{"tv": tv})
+	if errors.Is(err, ErrOverloaded) {
+		// Retry-After hint: each request already queued ahead is one
+		// quantum of delay; the hint never exceeds the localize deadline
+		// (waiting longer than one full cycle is never necessary).
+		hint := m.admit.retryAfterHint(m.localizeTO)
+		res.RetryAfterMS = hint.Milliseconds()
+		return &OverloadedError{RetryAfter: hint}
+	}
+	return err
+}
+
+// localizePlan is what one Localize runs over: the membership and placement
+// as of its start, and how its deadline is split into attempts.
+type localizePlan struct {
+	tv    int64
+	conns map[string]*slaveConn // every registered slave
+	names []string              // conns' keys, sorted
+	aggs  map[string]*slaveConn
+	known []string // every component ever registered, sorted
+	// ownerOf is the sharded placement: it decides which slave's report
+	// counts for each component. A component mid-rebalance can be reported
+	// by both its old and new owner for one window; filtering on the owner
+	// map keeps exactly one report per component.
+	ownerOf    map[string]string
+	lookBack   int
+	attempts   int
+	perAttempt time.Duration
+	need       int // answer quorum; 0 = wait for every slave
+}
+
+// planLocalize snapshots membership and placement and splits the deadline.
+func (m *Master) planLocalize(ctx context.Context, tv int64, res *core.LocalizeResult) (*localizePlan, error) {
+	p := &localizePlan{tv: tv, attempts: m.retries + 1, lookBack: m.cfg.LookBack}
+	if p.lookBack <= 0 {
+		p.lookBack = core.DefaultConfig().LookBack
+	}
+	m.mu.Lock()
+	if len(m.slaves) == 0 {
+		m.mu.Unlock()
+		m.countLocalize("no_slaves")
+		return nil, ErrNoSlaves
+	}
+	p.conns, p.aggs = maps.Clone(m.slaves), maps.Clone(m.aggs)
+	// The application's size counts every component ever registered: a
+	// slave that died does not shrink the application, and the
+	// external-factor check must not misread a partial view as "all
+	// components abnormal".
+	p.known = slices.Sorted(maps.Keys(m.known))
+	if m.sharded() && len(m.owner) > 0 {
+		p.ownerOf = maps.Clone(m.owner)
+	}
+	m.mu.Unlock()
+	p.names = slices.Sorted(maps.Keys(p.conns))
+	res.SlavesTotal = len(p.names)
+	res.ComponentsKnown = len(p.known)
+	p.need = quorumNeed(m.quorum, len(p.names))
+
+	deadline, _ := ctx.Deadline()
+	p.perAttempt = time.Until(deadline) / time.Duration(p.attempts)
+	if p.perAttempt <= 0 {
+		return nil, context.DeadlineExceeded
+	}
+	return p, nil
+}
+
+// fanOut starts one ask per slave and returns the channel their answers
+// arrive on — exactly one slaveAnswer per registered slave. Slaves registered
+// via a live aggregator are asked through it (one analyze frame per subtree,
+// the aggregator answers with per-slave sub-entries); everything else — and
+// every member of a subtree whose aggregator fails mid-localization — is
+// asked over its always-present direct connection.
+func (m *Master) fanOut(ctx context.Context, p *localizePlan) <-chan slaveAnswer {
+	answers := make(chan slaveAnswer, len(p.names))
 	units := make(map[*slaveConn][]*slaveConn)
-	for _, sc := range conns {
-		if sc.via != "" {
-			if agg := aggConns[sc.via]; agg != nil && !agg.isDead() {
-				units[agg] = append(units[agg], sc)
-				continue
-			}
+	for _, name := range p.names {
+		sc := p.conns[name]
+		if agg := p.aggs[sc.via]; agg != nil && !agg.isDead() {
+			units[agg] = append(units[agg], sc)
+			continue
 		}
-		direct = append(direct, sc)
-	}
-	for _, sc := range direct {
-		sc := sc
-		go m.askDirect(ctx, sc, tv, lookBack, attempts, perAttempt, answers)
+		go m.askDirect(ctx, p, sc, p.attempts, answers)
 	}
 	for agg, members := range units {
-		agg, members := agg, members
-		go m.askSubtree(ctx, agg, members, tv, lookBack, attempts, perAttempt, answers)
+		go m.askSubtree(ctx, p, agg, members, answers)
 	}
+	return answers
+}
+
+// normalize folds the gathered answers into the result: coverage and error
+// accounting, one ask span per slave, the breaker charge for every ask that
+// failed or was given up on, and each report filtered to its component's
+// owner and shifted back into the master's clock.
+func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Trace, root int, res *core.LocalizeResult) []core.ComponentReport {
 	// The request fans out to every slave at once, so the pool width is the
 	// slave count; the select histogram records each slave's answer latency
 	// (its remote selection work plus the wire).
-	res.Stats.Workers = len(conns)
-	res.Stats.Tasks = len(conns)
-
-	// Collect answers until every slave responded, the quorum is met, or the
-	// deadline expires. Meeting the quorum does not exit on a hair trigger:
-	// the slowest healthy answer is routinely the faulty component's (an
-	// abnormal series yields more change-point candidates, so its selection
-	// costs the most), and dropping it on every healthy run would defeat the
-	// diagnosis. Stragglers get a bounded grace after quorum; only what is
-	// still missing when it lapses is charged to coverage.
-	need := 0
-	if m.quorum > 0 {
-		need = int(math.Ceil(m.quorum * float64(len(conns))))
-		if need < 1 {
-			need = 1
-		}
-		if need > len(conns) {
-			need = len(conns)
-		}
-	}
-	collected := make([]slaveAnswer, 0, len(conns))
-	answered := 0
-collect:
-	for len(collected) < len(conns) {
-		var a slaveAnswer
-		select {
-		case a = <-answers:
-		case <-ctx.Done():
-			break collect
-		}
-		collected = append(collected, a)
-		if a.err == nil {
-			answered++
-		}
-		if need > 0 && answered >= need {
-			grace := quorumGraceCap
-			if dl, ok := ctx.Deadline(); ok {
-				if rem := time.Until(dl) / 4; rem < grace {
-					grace = rem
-				}
-			}
-			if grace <= 0 {
-				break collect
-			}
-			timer := time.NewTimer(grace)
-			for len(collected) < len(conns) {
-				select {
-				case a := <-answers:
-					collected = append(collected, a)
-					if a.err == nil {
-						answered++
-					}
-				case <-timer.C:
-					break collect
-				case <-ctx.Done():
-					timer.Stop()
-					break collect
-				}
-			}
-			timer.Stop()
-			break collect
-		}
-	}
-	// Slaves whose answers never arrived get a deterministic error entry so
-	// the result (and its trace) does not depend on goroutine timing.
-	got := make(map[string]bool, len(collected))
-	for _, a := range collected {
-		got[a.slave] = true
-	}
-	for _, sc := range conns {
-		if !got[sc.name] {
-			collected = append(collected, slaveAnswer{slave: sc.name, err: fmt.Errorf("cluster: slave %s: deadline exceeded", sc.name)})
-		}
-	}
-	// Sort by slave name: fan-out answers arrive in racy order, and the ask
-	// spans below must be deterministic for trace-normalized goldens.
-	sort.Slice(collected, func(i, j int) bool { return collected[i].slave < collected[j].slave })
-
+	res.Stats.Workers = len(p.names)
+	res.Stats.Tasks = len(p.names)
 	var reports []core.ComponentReport
 	seen := make(map[string]bool)
 	for _, a := range collected {
@@ -1188,6 +967,11 @@ collect:
 			tr.Attr(ask, "via", a.via)
 		}
 		if a.err != nil {
+			// Charged here, before Localize returns, so the next call sees
+			// the breaker's verdict whenever the abandoned ask itself wakes.
+			if !a.skipped {
+				p.conns[a.slave].recordResult(false, m.brThreshold)
+			}
 			tr.Attr(ask, "error", a.err.Error())
 			tr.End(ask)
 			m.obs.Logger().Warn("slave analyze failed", "slave", a.slave, "err", a.err)
@@ -1206,7 +990,7 @@ collect:
 		// diagnosis or a skewed slave's component shifts within the chain.
 		offset := int64(0)
 		if a.usedTV != 0 {
-			offset = a.usedTV - tv
+			offset = a.usedTV - p.tv
 		}
 		if offset != 0 {
 			if res.ClockOffsets == nil {
@@ -1215,7 +999,7 @@ collect:
 			res.ClockOffsets[a.slave] = offset
 		}
 		for _, rep := range a.reports {
-			if own, placed := ownerOf[rep.Component]; placed && own != a.slave {
+			if own, placed := p.ownerOf[rep.Component]; placed && own != a.slave {
 				continue // stale owner mid-rebalance; the current owner's report counts
 			}
 			seen[rep.Component] = true
@@ -1246,28 +1030,38 @@ collect:
 	}
 	res.ComponentsReported = len(seen)
 	res.Degraded = res.SlavesAnswered < res.SlavesTotal || res.ComponentsReported < res.ComponentsKnown
-	for _, comp := range knownComps {
+	for _, comp := range p.known {
 		if !seen[comp] {
 			res.MissingComponents = append(res.MissingComponents, comp)
 		}
 	}
-	if need > 0 && res.SlavesAnswered < need {
-		m.obs.Registry().CounterWith("fchain_localize_total", "Localize calls by outcome.",
-			map[string]string{"outcome": "quorum"}).Inc()
-		m.obs.Logger().Error("localize refused: quorum not met", "tv", tv,
-			"answered", res.SlavesAnswered, "need", need, "total", res.SlavesTotal)
+	return reports
+}
+
+// checkCoverage refuses to diagnose over too little: fewer answers than the
+// quorum, or no report at all.
+func (m *Master) checkCoverage(p *localizePlan, reports int, res *core.LocalizeResult) error {
+	if p.need > 0 && res.SlavesAnswered < p.need {
+		m.countLocalize("quorum")
+		m.obs.Logger().Error("localize refused: quorum not met", "tv", p.tv,
+			"answered", res.SlavesAnswered, "need", p.need, "total", res.SlavesTotal)
 		_ = m.obs.EventJournal().Record("localize_quorum_not_met", map[string]any{
-			"tv": tv, "answered": res.SlavesAnswered, "need": need, "total": res.SlavesTotal})
-		return res, fmt.Errorf("%w: %d/%d slaves answered, need %d",
-			ErrQuorumNotMet, res.SlavesAnswered, res.SlavesTotal, need)
+			"tv": p.tv, "answered": res.SlavesAnswered, "need": p.need, "total": res.SlavesTotal})
+		return fmt.Errorf("%w: %d/%d slaves answered, need %d",
+			ErrQuorumNotMet, res.SlavesAnswered, res.SlavesTotal, p.need)
 	}
-	if len(reports) == 0 && len(res.Errors) > 0 {
-		m.obs.Registry().CounterWith("fchain_localize_total", "Localize calls by outcome.",
-			map[string]string{"outcome": "error"}).Inc()
-		m.obs.Logger().Error("localize failed: no slave answered", "tv", tv, "first_err", res.Errors[0])
-		_ = m.obs.EventJournal().Record("localize_failed", map[string]any{"tv": tv, "errors": res.Errors})
-		return res, fmt.Errorf("cluster: all slaves failed: %s", res.Errors[0])
+	if reports == 0 && len(res.Errors) > 0 {
+		m.countLocalize("error")
+		m.obs.Logger().Error("localize failed: no slave answered", "tv", p.tv, "first_err", res.Errors[0])
+		_ = m.obs.EventJournal().Record("localize_failed", map[string]any{"tv": p.tv, "errors": res.Errors})
+		return fmt.Errorf("cluster: all slaves failed: %s", res.Errors[0])
 	}
+	return nil
+}
+
+// diagnose runs the integrated diagnosis over the normalized reports and
+// closes the trace.
+func (m *Master) diagnose(reports []core.ComponentReport, tr *obs.Trace, root int, res *core.LocalizeResult) {
 	dg := tr.Start(root, "diagnose")
 	diagStart := time.Now()
 	res.Diagnosis = core.Diagnose(reports, res.ComponentsKnown, m.deps, m.cfg)
@@ -1284,14 +1078,6 @@ collect:
 	tr.End(root)
 	res.Trace = tr
 	m.obs.TraceRing().Add(tr)
-	m.instrumentLocalize(tv, tenantName, app, &res)
-	m.mu.Lock()
-	m.history = append(m.history, DiagnosisRecord{TV: tv, Tenant: tenantName, App: app, Diagnosis: res.Diagnosis, Degraded: res.Degraded})
-	if len(m.history) > historyLimit {
-		m.history = m.history[len(m.history)-historyLimit:]
-	}
-	m.mu.Unlock()
-	return res, nil
 }
 
 // instrumentLocalize records one completed localization in the sink's
@@ -1301,8 +1087,7 @@ func (m *Master) instrumentLocalize(tv int64, tenantName, app string, res *core.
 		return
 	}
 	reg := m.obs.Registry()
-	reg.CounterWith("fchain_localize_total", "Localize calls by outcome.",
-		map[string]string{"outcome": "ok"}).Inc()
+	m.countLocalize("ok")
 	reg.Counter("fchain_diagnose_total", "Integrated diagnosis passes.").Inc()
 	if res.Degraded {
 		reg.Counter("fchain_localize_degraded_total", "Localizations over a partial view.").Inc()
@@ -1335,7 +1120,8 @@ func (m *Master) instrumentLocalize(tv int64, tenantName, app string, res *core.
 
 // slaveAnswer is one slave's outcome inside a Localize fan-out, whether it
 // arrived directly or through an aggregator (via names the aggregator then).
-// Exactly one slaveAnswer per registered slave reaches the collect loop.
+// skipped marks an ask refused on this side (in-flight cap, open breaker):
+// it never reached the slave, so it says nothing about the slave's health.
 type slaveAnswer struct {
 	slave   string
 	via     string
@@ -1343,28 +1129,35 @@ type slaveAnswer struct {
 	usedTV  int64
 	retries int
 	waitNS  int64
+	skipped bool
 	err     error
 }
 
 // askDirect runs one slave's direct ask — in-flight cap, circuit breaker,
-// retries — and delivers exactly one slaveAnswer.
-func (m *Master) askDirect(ctx context.Context, sc *slaveConn, tv int64, lookBack, attempts int, perAttempt time.Duration, answers chan<- slaveAnswer) {
+// retries — and delivers exactly one slaveAnswer. A success closes the
+// breaker here, whenever it arrives; failures are charged by normalize, once
+// per Localize, so an ask abandoned at the deadline is never charged twice.
+func (m *Master) askDirect(ctx context.Context, p *localizePlan, sc *slaveConn, attempts int, answers chan<- slaveAnswer) {
 	// The per-slave in-flight cap fails fast rather than queueing:
 	// a slave already saturated by overlapping Localize calls would
 	// only answer after this call's budget is gone anyway.
 	if !sc.acquireSlot(m.slaveInflight) {
-		answers <- slaveAnswer{slave: sc.name, err: fmt.Errorf("cluster: slave %s at in-flight cap", sc.name)}
+		answers <- slaveAnswer{slave: sc.name, skipped: true, err: fmt.Errorf("cluster: slave %s at in-flight cap", sc.name)}
 		return
 	}
 	defer sc.releaseSlot(m.slaveInflight)
 	if m.brThreshold > 0 && sc.breakerOpen(m.brCooldown) {
-		answers <- slaveAnswer{slave: sc.name, err: fmt.Errorf("cluster: circuit open for slave %s", sc.name)}
+		answers <- slaveAnswer{slave: sc.name, skipped: true, err: fmt.Errorf("cluster: circuit open for slave %s", sc.name)}
 		return
 	}
 	start := time.Now()
-	a := m.askSlave(ctx, sc, tv, lookBack, attempts, perAttempt, nil)
-	sc.recordResult(a.err == nil, m.brThreshold)
-	answers <- slaveAnswer{slave: sc.name, reports: a.reports, usedTV: a.usedTV, retries: a.retries, waitNS: time.Since(start).Nanoseconds(), err: a.err}
+	env, retries, err := m.askSlave(ctx, p, sc, attempts, nil)
+	a := slaveAnswer{slave: sc.name, retries: retries, waitNS: time.Since(start).Nanoseconds(), err: err}
+	if err == nil {
+		sc.recordResult(true, m.brThreshold)
+		a.reports, a.usedTV = env.Reports, env.UsedTV
+	}
+	answers <- a
 }
 
 // askSubtree asks one aggregator for its whole subtree and fans the merged
@@ -1373,19 +1166,18 @@ func (m *Master) askDirect(ctx context.Context, sc *slaveConn, tv int64, lookBac
 // mid-localization — falls back to a direct ask on the member's own
 // connection, so a dead aggregator degrades the tree to the flat topology
 // instead of blinding a whole subtree.
-func (m *Master) askSubtree(ctx context.Context, agg *slaveConn, members []*slaveConn, tv int64, lookBack, attempts int, perAttempt time.Duration, answers chan<- slaveAnswer) {
+func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn, members []*slaveConn, answers chan<- slaveAnswer) {
 	names := make([]string, len(members))
 	for i, sc := range members {
 		names[i] = sc.name
 	}
 	sort.Strings(names)
 	start := time.Now()
-	a := m.askSlave(ctx, agg, tv, lookBack, attempts, perAttempt, names)
-	agg.recordResult(a.err == nil, m.brThreshold)
+	env, retries, err := m.askSlave(ctx, p, agg, p.attempts, names)
 	elapsed := time.Since(start).Nanoseconds()
-	covered := make(map[string]subAnswer, len(a.sub))
-	if a.err == nil {
-		for _, s := range a.sub {
+	covered := make(map[string]subAnswer, len(names))
+	if err == nil {
+		for _, s := range env.Sub {
 			if s.Err == "" {
 				covered[s.Slave] = s
 			}
@@ -1395,7 +1187,7 @@ func (m *Master) askSubtree(ctx context.Context, agg *slaveConn, members []*slav
 		s, ok := covered[sc.name]
 		if !ok {
 			// Fallback budget: whatever remains of the deadline, one shot.
-			go m.askDirect(ctx, sc, tv, lookBack, 1, perAttempt, answers)
+			go m.askDirect(ctx, p, sc, 1, answers)
 			m.obs.Registry().Counter("fchain_aggregator_fallbacks_total",
 				"Subtree members re-asked directly after an aggregator failure.").Inc()
 			continue
@@ -1404,84 +1196,50 @@ func (m *Master) askSubtree(ctx context.Context, agg *slaveConn, members []*slav
 		if wait <= 0 {
 			wait = elapsed
 		}
-		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, usedTV: s.UsedTV, retries: a.retries, waitNS: wait}
+		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, usedTV: s.UsedTV, retries: retries, waitNS: wait}
 	}
 }
 
-// askResult is one peer's analyze outcome after retries.
-type askResult struct {
-	reports []core.ComponentReport
-	sub     []subAnswer // aggregator answers: one entry per subtree slave
-	usedTV  int64       // tv in the slave's clock, 0 when the slave did not echo it
-	retries int
-	err     error
-}
-
-// askSlave sends the analyze request and waits for the reports, retrying
-// with a fresh request ID on timeout or error until the attempt budget or
-// the context runs out. A dead connection stops retrying immediately. A
+// askSlave sends the analyze request and waits for the reports frame,
+// retrying with a fresh request on timeout or error until the attempt budget
+// or the context runs out. A dead connection stops retrying immediately. A
 // non-nil subtree turns the request into an aggregator ask covering those
 // slave names.
-func (m *Master) askSlave(ctx context.Context, sc *slaveConn, tv int64, lookBack, attempts int, perAttempt time.Duration, subtree []string) askResult {
-	var lastErr error
-	used := 0
+func (m *Master) askSlave(ctx context.Context, p *localizePlan, sc *slaveConn, attempts int, subtree []string) (reply *envelope, retries int, err error) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 && (sc.isDead() || ctx.Err() != nil) {
 			break
 		}
-		used = attempt
+		retries = attempt
 		// Each attempt's wait is its share of the deadline, clamped to the
 		// budget actually left on the context; the slave receives that wait
 		// as its analysis budget (BudgetMS) so remote selection degrades
 		// instead of overshooting the master's patience.
-		wait := perAttempt
+		wait := p.perAttempt
 		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem < wait {
-				wait = rem
-			}
+			wait = min(wait, time.Until(dl))
 		}
 		if wait <= 0 {
-			return askResult{retries: attempt, err: fmt.Errorf("cluster: slave %s: %w", sc.name, context.DeadlineExceeded)}
+			return nil, attempt, fmt.Errorf("cluster: slave %s: %w", sc.name, context.DeadlineExceeded)
 		}
-		budgetMS := wait.Milliseconds()
-		if budgetMS < 1 {
-			budgetMS = 1 // omitempty would drop 0, reading as "no deadline"
-		}
-		id := m.reqCounter.Add(1)
-		ch := make(chan *envelope, 1)
-		if !sc.addPending(id, ch) {
-			lastErr = fmt.Errorf("cluster: slave %s disconnected", sc.name)
-			break
-		}
-		req := &envelope{Type: typeAnalyze, ID: id, TV: tv, LookBack: lookBack, BudgetMS: budgetMS, Subtree: subtree}
-		if err := sc.w.write(req, wait); err != nil {
-			sc.removePending(id)
-			lastErr = err
-			continue
-		}
-		select {
-		case env := <-ch:
-			if env.Type == typeError {
-				lastErr = errors.New(env.Err)
-				if env.Code == codeOverloaded {
-					m.obs.Registry().Counter("fchain_slave_overloaded_total",
-						"Analyze requests shed by slave admission control.").Inc()
-				}
-				continue
-			}
-			return askResult{reports: env.Reports, sub: env.Sub, usedTV: env.UsedTV, retries: attempt}
-		case <-time.After(wait):
-			sc.removePending(id)
-			lastErr = fmt.Errorf("cluster: slave %s timed out", sc.name)
-		case <-ctx.Done():
-			sc.removePending(id)
-			return askResult{retries: attempt, err: fmt.Errorf("cluster: slave %s: %w", sc.name, ctx.Err())}
+		// omitempty would drop a 0 budget, reading as "no deadline".
+		req := &envelope{Type: typeAnalyze, TV: p.tv, LookBack: p.lookBack,
+			BudgetMS: max(wait.Milliseconds(), 1), Subtree: subtree}
+		reply, err = sc.request(req, wait, ctx.Done())
+		switch {
+		case err == nil:
+			return reply, attempt, nil
+		case errors.Is(err, errAborted):
+			return nil, attempt, fmt.Errorf("cluster: slave %s: %w", sc.name, ctx.Err())
+		case reply != nil && reply.Code == codeOverloaded:
+			m.obs.Registry().Counter("fchain_slave_overloaded_total",
+				"Analyze requests shed by slave admission control.").Inc()
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cluster: slave %s unavailable", sc.name)
+	if err == nil {
+		err = fmt.Errorf("cluster: slave %s unavailable", sc.name)
 	}
-	return askResult{retries: used, err: lastErr}
+	return nil, retries, err
 }
 
 // Close shuts the master down and waits for its goroutines.

@@ -4,9 +4,9 @@
 // the slaves when a performance anomaly is detected, gathers their
 // per-component reports, and runs the integrated fault diagnosis.
 //
-// The wire protocol is newline-delimited JSON over TCP: a slave dials the
-// master, registers the components it monitors, and then answers analyze
-// requests. The paper relies on NTP to keep host clocks within a few
+// The wire protocol is newline-delimited JSON over TCP, 11 frame types in
+// all: a slave dials the master, registers the components it monitors, and
+// then answers analyze requests. The paper relies on NTP to keep host clocks within a few
 // milliseconds; the slave supports an explicit clock-skew offset so tests
 // can verify FChain tolerates small skews (§II-B fn. 2).
 package cluster
@@ -36,23 +36,18 @@ const (
 	typeViolate = "violate"
 	typeVerdict = "verdict"
 	// Sharded-mode frames. The master pushes each slave its authoritative
-	// owned-component set with an assign frame (acked); a rebalance moves a
-	// component's model state with an export (donor answers with a state
-	// frame carrying its MonitorSnapshot) followed by a restore on the new
-	// owner (acked) — export → transfer → restore → ack → cutover.
-	typeAssign  = "assign"
-	typeExport  = "export"
-	typeState   = "state"
-	typeRestore = "restore"
-	typeAck     = "ack"
-	// Warm-standby replication frame. A primary slave ships one component's
-	// state delta (a core.ReplDelta in State, sequenced by Seq) upstream; the
-	// master relays it to the component's standby over the standby's own
-	// connection and echoes the standby's ack (or a codeReplFull error asking
-	// for a full resend) back to the primary. A replicate frame with an empty
-	// Component is the primary's clean-tick marker: every delta of this
-	// replication round precedes it, so the master can track per-slave
-	// replication lag from marker arrivals.
+	// owned and shadowed component sets with an assign frame (acked).
+	typeAssign = "assign"
+	typeAck    = "ack"
+	// Replication frame, the one carrier of model state between slaves. An
+	// owner ships one component's state delta (a core.ReplDelta in State,
+	// sequenced by Seq) upstream; the master relays it to the component's
+	// replication target — its warm standby, or the recipient a rebalance is
+	// moving it to — over the target's own connection and echoes the target's
+	// ack (or a codeReplFull error asking for a full resend) back to the
+	// owner. A replicate frame with an empty Component is the owner's
+	// clean-tick marker: every delta of this replication round precedes it,
+	// so the master can track per-slave replication lag from marker arrivals.
 	typeReplicate = "replicate"
 )
 
@@ -92,12 +87,10 @@ type envelope struct {
 	Subtree []string    `json:"subtree,omitempty"`
 	Sub     []subAnswer `json:"sub,omitempty"`
 
-	// Handoff fields: Component names the model being moved, State carries
-	// its exported core.MonitorSnapshot (export response and restore
-	// request). Replicate frames reuse both — State then carries a
-	// core.ReplDelta — plus Seq, the primary's per-component replication
-	// sequence number, which the master records as sent on relay and acked on
-	// the standby's response; a component is warm-promotable only while the
+	// Replicate fields: Component names the model, State carries its
+	// core.ReplDelta, and Seq is the owner's per-component replication
+	// sequence number, which the master records as sent on arrival and acked
+	// on the target's response; a component is warm-promotable only while the
 	// two match.
 	Component string          `json:"component,omitempty"`
 	State     json.RawMessage `json:"state,omitempty"`
@@ -109,7 +102,10 @@ type envelope struct {
 	// authoritative. ReplReset lists owned components whose standby changed
 	// in this placement: the owner forgets its shipped floors so the next
 	// replication tick re-ships the full snapshot — without it, a quiet
-	// component (no new samples) would never warm its new standby.
+	// component (no new samples) would never warm its new standby. A frame
+	// with a ReplReset list and nothing else is not a placement but a ship
+	// request for components a rebalance is moving to a new owner: the owner
+	// ships their full snapshots at once, tick or no tick, and then acks.
 	Shadow    []string `json:"shadow,omitempty"`
 	ReplReset []string `json:"repl_reset,omitempty"`
 
@@ -157,13 +153,13 @@ type subAnswer struct {
 
 // Error frame classification codes.
 const (
-	codeOverloaded    = "overloaded"
-	codePanic         = "panic"
+	codeOverloaded = "overloaded"
+	codePanic      = "panic"
 	// codeReplFull asks the replication primary for a full-snapshot resend:
 	// the standby's shadow is missing (or its Base precondition failed), or
 	// the relay could not reach it coherently. The primary reacts by
 	// forgetting its shipped floors for the component.
-	codeReplFull = "repl_full"
+	codeReplFull      = "repl_full"
 	codeUnknownTenant = "unknown_tenant"
 	codeQuota         = "quota"
 	codeDraining      = "draining"

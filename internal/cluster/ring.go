@@ -25,7 +25,7 @@ const ringSeed uint64 = 0xfc4a1e6b97d203c5
 // is owned by the member whose point follows the component's hash clockwise.
 // Adding or removing a member therefore moves only the components whose
 // owning arc changed — about 1/n of them — which is what keeps rebalancing
-// (and the checkpoint handoffs it triggers) incremental.
+// (and the state transfers it triggers) incremental.
 //
 // Ring is not safe for concurrent use; the master guards it with its own
 // lock.

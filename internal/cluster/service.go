@@ -689,12 +689,7 @@ func (m *Master) handleViolate(w *connWriter, env *envelope) {
 // detector dials the master once and streams violate frames; responses are
 // correlated by request ID, so Violate is safe to call concurrently.
 type ServiceClient struct {
-	w *connWriter
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *envelope
-	closed  bool
+	peer *slaveConn
 }
 
 // DialService connects a violation client to a master.
@@ -703,35 +698,12 @@ func DialService(addr string) (*ServiceClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial service: %w", err)
 	}
-	c := &ServiceClient{w: newConnWriter(conn), pending: make(map[uint64]chan *envelope)}
-	go c.readLoop(newReader(conn))
+	c := &ServiceClient{peer: newPeer("service "+addr, conn)}
+	go func() {
+		c.peer.serveFrames(newReader(conn), nil)
+		c.peer.failAll("cluster: service connection lost")
+	}()
 	return c, nil
-}
-
-func (c *ServiceClient) readLoop(r *bufio.Reader) {
-	for {
-		env, err := readFrame(r)
-		if err != nil {
-			c.mu.Lock()
-			pending := c.pending
-			c.pending = make(map[uint64]chan *envelope)
-			c.closed = true
-			c.mu.Unlock()
-			for _, ch := range pending {
-				ch <- &envelope{Type: typeError, Err: "cluster: service connection lost"}
-			}
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[env.ID]
-		if ok {
-			delete(c.pending, env.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- env
-		}
-	}
 }
 
 // Violate submits one SLO violation and waits for its verdict. The caller's
@@ -739,47 +711,26 @@ func (c *ServiceClient) readLoop(r *bufio.Reader) {
 // budget. Structured error frames map back to the service sentinels:
 // tenant.ErrUnknown, tenant.ErrQuota, ErrDraining, ErrOverloaded.
 func (c *ServiceClient) Violate(ctx context.Context, tenantName, app string, tv int64) (*Verdict, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("cluster: service client closed")
-	}
-	c.nextID++
-	id := c.nextID
-	ch := make(chan *envelope, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	budgetMS := int64(0)
+	req := &envelope{Type: typeViolate, Tenant: tenantName, App: app, TV: tv}
 	if dl, ok := ctx.Deadline(); ok {
-		budgetMS = time.Until(dl).Milliseconds()
-		if budgetMS < 1 {
-			budgetMS = 1
-		}
+		req.BudgetMS = max(time.Until(dl).Milliseconds(), 1)
 	}
-	req := &envelope{Type: typeViolate, ID: id, Tenant: tenantName, App: app, TV: tv, BudgetMS: budgetMS}
-	if err := c.w.write(req, 10*time.Second); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+	// No timeout of its own: the master answers every violate frame, with a
+	// verdict or an error, for as long as the connection lives.
+	env, err := c.peer.request(req, 0, ctx.Done())
+	switch {
+	case errors.Is(err, errAborted):
+		return nil, ctx.Err()
+	case env != nil && env.Type == typeError:
+		return nil, errorForCode(env.Code, env.Err, env.RetryAfterMS)
+	case err != nil:
 		return nil, err
 	}
-	select {
-	case env := <-ch:
-		if env.Type == typeError {
-			return nil, errorForCode(env.Code, env.Err, env.RetryAfterMS)
-		}
-		var v Verdict
-		if err := json.Unmarshal(env.Verdict, &v); err != nil {
-			return nil, fmt.Errorf("cluster: malformed verdict: %w", err)
-		}
-		return &v, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, ctx.Err()
+	var v Verdict
+	if err := json.Unmarshal(env.Verdict, &v); err != nil {
+		return nil, fmt.Errorf("cluster: malformed verdict: %w", err)
 	}
+	return &v, nil
 }
 
 // errorForCode maps a structured error frame back to a sentinel the caller
@@ -805,9 +756,4 @@ func errorForCode(code, msg string, retryAfterMS int64) error {
 }
 
 // Close tears the client connection down; in-flight Violate calls fail.
-func (c *ServiceClient) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	return c.w.conn.Close()
-}
+func (c *ServiceClient) Close() error { return c.peer.w.conn.Close() }

@@ -4,15 +4,16 @@ package cluster
 // the master owns the component → slave placement: every known component is
 // assigned to exactly one registered slave by a consistent-hash ring
 // (ring.go), and membership changes move only the components whose owner
-// changed. A move carries the component's model state with it — export the
-// donor's MonitorSnapshot, restore it on the recipient, then cut the owner
-// map over and push each slave its authoritative owned set — so a freshly
-// moved component keeps its learned normal-fluctuation model instead of
-// restarting the paper's training window from scratch.
+// changed. A move carries the component's model state with it — the donor
+// ships it to the recipient over the replication channel, then the owner map
+// is cut over and each slave is pushed its authoritative owned set — so a
+// freshly moved component keeps its learned normal-fluctuation model instead
+// of restarting the paper's training window from scratch.
 
 import (
 	"errors"
-	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,7 +112,7 @@ func (m *Master) rebalanceLoop() {
 // Rebalance recomputes the placement over the currently registered slaves
 // and moves every component whose owner changed, handing each moved
 // component's model state from donor to recipient (cold-starting it on the
-// recipient when the donor is dead or the transfer keeps failing). It
+// recipient when the donor is dead or the transfer stalls). It
 // returns how many components moved. Passes are serialized; concurrent
 // callers run one after another, each over fresh membership.
 func (m *Master) Rebalance() (moved int, err error) {
@@ -134,126 +135,38 @@ func (m *Master) rebalanceOnce() (int, error) {
 		m.mu.Unlock()
 		return 0, errors.New("cluster: master closed")
 	}
-	members := make([]string, 0, len(m.slaves))
-	conns := make(map[string]*slaveConn, len(m.slaves))
-	for name, sc := range m.slaves {
-		members = append(members, name)
-		conns[name] = sc
-	}
-	comps := make([]string, 0, len(m.known))
-	for comp := range m.known {
-		comps = append(comps, comp)
-	}
-	oldOwner := make(map[string]string, len(m.owner))
-	for comp, own := range m.owner {
-		oldOwner[comp] = own
-	}
+	conns, oldOwner := maps.Clone(m.slaves), maps.Clone(m.owner)
+	comps := slices.Sorted(maps.Keys(m.known))
 	m.mu.Unlock()
+	members := slices.Sorted(maps.Keys(conns))
 	if len(members) == 0 || len(comps) == 0 {
 		// Total-eviction window (or nothing to place yet): keep the last
 		// placement so the next joining slave restores it from checkpoints.
 		return 0, nil
 	}
-	sort.Strings(members)
-	sort.Strings(comps)
+	live := func(name string) bool {
+		sc := conns[name]
+		return sc != nil && !sc.isDead()
+	}
 
 	ring := NewRing(m.shardVnodes)
 	for _, name := range members {
 		ring.Add(name)
 	}
 	want := ring.AssignBounded(comps, BalanceBound)
+	promoted := m.promoteStandbys(comps, oldOwner, want, live)
 
-	// Warm-standby failover: a component leaving a dead donor is promoted in
-	// place on its caught-up standby instead of moving to the ring's choice.
-	// The standby's shadow monitor already holds the donor's replicated state,
-	// so phase 1 has nothing to transfer and the slave's handleAssign adopts
-	// the shadow without touching the checkpoint directory. A missing, dead,
-	// or lagging standby falls back to the existing cold path.
-	promoted := make(map[string]bool)
-	if m.standbyOn {
-		m.replMu.Lock()
-		standbyOf := make(map[string]string, len(m.standbyOf))
-		for comp, st := range m.standbyOf {
-			standbyOf[comp] = st
-		}
-		replSent := make(map[string]uint64, len(m.replSent))
-		for comp, seq := range m.replSent {
-			replSent[comp] = seq
-		}
-		replAcked := make(map[string]uint64, len(m.replAcked))
-		for comp, seq := range m.replAcked {
-			replAcked[comp] = seq
-		}
-		replTickAt := make(map[string]time.Time, len(m.replTickAt))
-		for slave, at := range m.replTickAt {
-			replTickAt[slave] = at
-		}
-		m.replMu.Unlock()
-		now := time.Now()
-		for _, comp := range comps {
-			from := oldOwner[comp]
-			if from == "" || from == want[comp] {
-				continue
-			}
-			if donor := conns[from]; donor != nil && !donor.isDead() {
-				continue // live donor: a plain move, phase 1 carries the state
-			}
-			st := standbyOf[comp]
-			stConn := conns[st]
-			stLive := st != "" && stConn != nil && !stConn.isDead()
-			caughtUp := replSent[comp] > 0 && replAcked[comp] == replSent[comp]
-			fresh := m.replMaxLag <= 0 || now.Sub(replTickAt[from]) <= m.replMaxLag
-			if stLive && caughtUp && fresh {
-				want[comp] = st
-				promoted[comp] = true
-				m.obs.Registry().CounterWith("fchain_failover_total",
-					"Dead-owner failovers by recovery mode.", map[string]string{"mode": "warm"}).Inc()
-				_ = m.obs.EventJournal().Record("failover", map[string]any{
-					"component": comp, "from": from, "to": st, "mode": "warm"})
-				continue
-			}
-			if stLive && caughtUp && !fresh {
-				_ = m.obs.EventJournal().Record("replica_lagging", map[string]any{
-					"component": comp, "standby": st, "primary": from,
-					"lag_seconds": now.Sub(replTickAt[from]).Seconds()})
-			}
-			m.obs.Registry().CounterWith("fchain_failover_total",
-				"Dead-owner failovers by recovery mode.", map[string]string{"mode": "cold"}).Inc()
-			_ = m.obs.EventJournal().Record("failover", map[string]any{
-				"component": comp, "from": from, "to": want[comp], "mode": "cold"})
-		}
-	}
-
-	// Recompute standby placement over the post-failover primaries, and the
-	// per-slave shadow lists phase 2 will push. A promoted component's shadow
-	// was consumed by its promotion, and a moved primary restarts its
-	// replication sequence, so both cases reset the sent/acked bookkeeping —
-	// the warm gate must not trust acks addressed to a previous placement.
-	var newStandby map[string]string
-	shadowOf := make(map[string][]string)
-	resetComps := make(map[string]bool)
-	standbyChanged := false
+	// Recompute standby placement over the post-failover primaries.
+	newStandby := map[string]string{}
 	if m.standbyOn {
 		newStandby = ring.AssignStandby(comps, want, BalanceBound)
-		for comp, st := range newStandby {
-			shadowOf[st] = append(shadowOf[st], comp)
-		}
-		for _, comps := range shadowOf {
-			sort.Strings(comps)
-		}
-		m.replMu.Lock()
-		if len(newStandby) != len(m.standbyOf) {
-			standbyChanged = true
-		} else {
-			for comp, st := range newStandby {
-				if m.standbyOf[comp] != st {
-					standbyChanged = true
-					break
-				}
-			}
-		}
-		m.replMu.Unlock()
 	}
+	m.replMu.Lock()
+	standbyChanged := len(newStandby) != len(m.standbyOf)
+	for comp, st := range newStandby {
+		standbyChanged = standbyChanged || m.standbyOf[comp] != st
+	}
+	m.replMu.Unlock()
 
 	var moves []rebalanceMove
 	for _, comp := range comps {
@@ -269,82 +182,57 @@ func (m *Master) rebalanceOnce() (int, error) {
 		"members": len(members), "moves": len(moves)})
 	m.obs.Logger().Info("rebalance started", "members", len(members), "moves", len(moves))
 
-	// Phase 1 — state transfer, before any ownership changes: donors still
-	// own (and keep feeding) their components while copies move, so a
-	// localization racing the rebalance still sees every component answered
-	// by its pre-move owner.
-	handoffs := 0
-	for _, mv := range moves {
-		if promoted[mv.comp] {
-			continue // the standby's shadow is the state; nothing to transfer
-		}
-		if m.handoff(mv, conns) {
-			handoffs++
-		}
-	}
+	handoffs := m.moveLive(moves, promoted, conns, live)
 
-	// Phase 2 — batch cutover: flip the owner map in one critical section,
-	// then push every slave its authoritative owned set. handleAssign keeps
-	// a monitor restored by phase 1 (or falls back to the shared-checkpoint
-	// copy when the donor died before exporting) and drops what moved away.
-	if m.standbyOn {
-		// Reset replication bookkeeping before the cutover so acks addressed
-		// to the old placement can never satisfy the warm gate: any component
-		// whose primary or standby changed starts from sequence zero and must
-		// be re-warmed by its (new) primary's next full ship. The same set
-		// rides the assign pushes as ReplReset so quiet owners (no new
-		// samples) forget their floors and actually re-ship.
-		m.replMu.Lock()
-		for comp := range m.replSent {
-			if _, ok := newStandby[comp]; !ok {
-				delete(m.replSent, comp)
-				delete(m.replAcked, comp)
-			}
-		}
-		for comp, st := range newStandby {
-			if m.standbyOf[comp] != st || oldOwner[comp] != want[comp] {
-				resetComps[comp] = true
-				delete(m.replSent, comp)
-				delete(m.replAcked, comp)
-			}
-		}
-		m.standbyOf = newStandby
-		m.replMu.Unlock()
-	}
+	// Phase 2 — batch cutover: flip the owner map and reset the replication
+	// books in one critical section, then push every slave its authoritative
+	// owned and shadow sets. handleAssign promotes a shadow that phase 1 (or
+	// standing replication) filled, falls back to the shared-checkpoint copy
+	// otherwise, and drops what moved away. Any component whose primary or
+	// standby changed restarts from sequence zero — acks addressed to the old
+	// placement can never satisfy the warm gate — and rides the pushes as
+	// ReplReset, so even a quiet owner (no new samples) ships its new standby
+	// the full state at its next tick.
+	resetComps := make(map[string]bool)
 	m.mu.Lock()
+	m.replMu.Lock()
+	clear(m.moveTo)
+	for comp := range m.replSent {
+		if _, ok := newStandby[comp]; !ok {
+			delete(m.replSent, comp)
+			delete(m.replAcked, comp)
+		}
+	}
+	for comp, st := range newStandby {
+		if m.standbyOf[comp] != st || oldOwner[comp] != want[comp] {
+			resetComps[comp] = true
+			delete(m.replSent, comp)
+			delete(m.replAcked, comp)
+		}
+	}
+	m.standbyOf = newStandby
+	m.replMu.Unlock()
 	for comp, to := range want {
 		m.owner[comp] = to
 	}
-	assign := make(map[string][]string, len(m.slaves))
-	replReset := make(map[string][]string)
-	push := make(map[string]*slaveConn, len(m.slaves))
+	push := make(map[string]*envelope, len(m.slaves))
 	for name, sc := range m.slaves {
-		assign[name] = nil // a slave owning nothing still needs the empty push
-		push[name] = sc
+		push[name] = &envelope{Type: typeAssign} // a slave owning nothing still needs the empty push
+		conns[name] = sc                         // including one that joined since the pass began
 	}
-	for comp, own := range m.owner {
-		if _, ok := push[own]; ok {
-			assign[own] = append(assign[own], comp)
+	for _, comp := range comps { // in sorted order, so every pushed list is sorted
+		if env := push[m.owner[comp]]; env != nil {
+			env.Components = append(env.Components, comp)
 			if resetComps[comp] {
-				replReset[own] = append(replReset[own], comp)
+				env.ReplReset = append(env.ReplReset, comp)
 			}
+		}
+		if env := push[newStandby[comp]]; env != nil {
+			env.Shadow = append(env.Shadow, comp)
 		}
 	}
 	m.mu.Unlock()
-	var wg sync.WaitGroup
-	for name, sc := range push {
-		owned := assign[name]
-		sort.Strings(owned)
-		sort.Strings(replReset[name])
-		wg.Add(1)
-		go func(sc *slaveConn, owned, shadow, reset []string) {
-			defer wg.Done()
-			if _, err := m.call(sc, &envelope{Type: typeAssign, Components: owned, Shadow: shadow, ReplReset: reset}, m.handoffTimeout); err != nil {
-				m.obs.Logger().Warn("assignment push failed", "slave", sc.name, "err", err)
-			}
-		}(sc, owned, shadowOf[name], replReset[name])
-	}
-	wg.Wait()
+	m.pushAssign(push, conns)
 
 	m.obs.Registry().Counter("fchain_rebalance_components_total",
 		"Components moved to a new owner by rebalancing.").Add(int64(len(moves)))
@@ -354,76 +242,198 @@ func (m *Master) rebalanceOnce() (int, error) {
 	return len(moves), nil
 }
 
-// handoff moves one component's model state from donor to recipient with
-// bounded retries, reporting whether the warm transfer landed. Any failure
-// path leaves the recipient to cold-start (or restore the shared checkpoint)
-// when its assignment push arrives — the rebalance never wedges on a dead
-// donor.
-func (m *Master) handoff(mv rebalanceMove, conns map[string]*slaveConn) bool {
-	if hook := m.handoffHook.Load(); hook != nil {
-		(*hook)(mv.comp, mv.from, mv.to) // chaos tests kill peers mid-handoff here
+// pushAssign sends each named slave its assign frame, waits for the acks, and
+// returns the names whose push failed.
+func (m *Master) pushAssign(push map[string]*envelope, conns map[string]*slaveConn) map[string]bool {
+	failed := make(map[string]bool)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for name, env := range push {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := conns[name].request(env, m.handoffTimeout, m.stop); err != nil {
+				m.obs.Logger().Warn("assignment push failed", "slave", name, "err", err)
+				mu.Lock()
+				failed[name] = true
+				mu.Unlock()
+			}
+		}()
 	}
-	recip := conns[mv.to]
-	if recip == nil || recip.isDead() {
-		return false
-	}
-	donor := conns[mv.from]
-	if mv.from == "" || donor == nil || donor.isDead() {
-		_ = m.obs.EventJournal().Record("handoff_cold", map[string]any{
-			"component": mv.comp, "from": mv.from, "to": mv.to})
-		return false
-	}
-	var lastErr error
-	for attempt := 0; attempt <= m.handoffRetries; attempt++ {
-		if donor.isDead() || recip.isDead() {
-			break
-		}
-		state, err := m.call(donor, &envelope{Type: typeExport, Component: mv.comp}, m.handoffTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if _, err := m.call(recip, &envelope{Type: typeRestore, Component: mv.comp, State: state.State}, m.handoffTimeout); err != nil {
-			lastErr = err
-			continue
-		}
-		_ = m.obs.EventJournal().Record("handoff", map[string]any{
-			"component": mv.comp, "from": mv.from, "to": mv.to, "attempt": attempt})
-		return true
-	}
-	m.obs.Logger().Warn("handoff failed; recipient will cold-start",
-		"component", mv.comp, "from", mv.from, "to", mv.to, "err", lastErr)
-	_ = m.obs.EventJournal().Record("handoff_cold", map[string]any{
-		"component": mv.comp, "from": mv.from, "to": mv.to})
-	return false
+	wg.Wait()
+	return failed
 }
 
-// call sends one correlated request to a peer and waits for its response
-// (ack, state, or error) within timeout.
-func (m *Master) call(sc *slaveConn, req *envelope, timeout time.Duration) (*envelope, error) {
-	id := m.reqCounter.Add(1)
-	req.ID = id
-	ch := make(chan *envelope, 1)
-	if !sc.addPending(id, ch) {
-		return nil, fmt.Errorf("cluster: %s disconnected", sc.name)
+// promoteStandbys is warm-standby failover: a component leaving a dead donor
+// is promoted in place on its caught-up standby instead of moving to the
+// ring's choice — want is edited accordingly. The standby's shadow monitor
+// already holds the donor's replicated state, so phase 1 has nothing to
+// transfer and the slave's handleAssign adopts the shadow without touching
+// the checkpoint directory. A missing, dead, or lagging standby falls back to
+// the cold path.
+func (m *Master) promoteStandbys(comps []string, oldOwner, want map[string]string, live func(string) bool) (promoted map[string]bool) {
+	promoted = make(map[string]bool)
+	if !m.standbyOn {
+		return promoted
 	}
-	if err := sc.w.write(req, timeout); err != nil {
-		sc.removePending(id)
-		return nil, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case env := <-ch:
-		if env.Type == typeError {
-			return env, fmt.Errorf("cluster: %s: %s", sc.name, env.Err)
+	now := time.Now()
+	for _, comp := range comps {
+		from := oldOwner[comp]
+		if from == "" || from == want[comp] || live(from) {
+			continue // placed already, or a live donor: a plain move, phase 1 carries the state
 		}
-		return env, nil
-	case <-timer.C:
-		sc.removePending(id)
-		return nil, fmt.Errorf("cluster: %s: %s timed out", sc.name, req.Type)
-	case <-m.stop:
-		sc.removePending(id)
-		return nil, errors.New("cluster: master closed")
+		m.replMu.Lock()
+		st := m.standbyOf[comp]
+		caughtUp := m.replSent[comp] > 0 && m.replAcked[comp] == m.replSent[comp]
+		lag := now.Sub(m.replTickAt[from])
+		m.replMu.Unlock()
+		warm := live(st) && caughtUp
+		mode := "cold"
+		switch {
+		case warm && (m.replMaxLag <= 0 || lag <= m.replMaxLag):
+			want[comp], promoted[comp], mode = st, true, "warm"
+		case warm:
+			_ = m.obs.EventJournal().Record("replica_lagging", map[string]any{
+				"component": comp, "standby": st, "primary": from, "lag_seconds": lag.Seconds()})
+		}
+		m.obs.Registry().CounterWith("fchain_failover_total",
+			"Dead-owner failovers by recovery mode.", map[string]string{"mode": mode}).Inc()
+		_ = m.obs.EventJournal().Record("failover", map[string]any{
+			"component": comp, "from": from, "to": want[comp], "mode": mode})
+	}
+	return promoted
+}
+
+// moveChunk is how many components one donor ships per push. A full state is
+// hundreds of kilobytes: the chunk bounds what sits in the master's relay
+// queue, and since each chunk must land before the next is asked for, the
+// handoff timeout measures lack of progress rather than capping a batch.
+const moveChunk = 32
+
+// moveLive is phase 1 — state transfer, before any ownership changes: donors
+// still own (and keep feeding) their components while copies move, so a
+// localization racing the rebalance still sees every component answered by
+// its pre-move owner. State moves the one way it ever moves between slaves:
+// each moving component's replication is pointed at its recipient, its live
+// donor is asked to ship the full state now (an assign frame that lists the
+// component as ReplReset and nothing else), and the pass waits until the
+// recipient has acked everything the donor shipped. Phase 2's assign then
+// promotes the recipient's shadow exactly like a warm failover. A component
+// whose donor is dead, or whose transfer makes no progress for the handoff
+// timeout, is left to cold-start on its recipient (or restore the shared
+// checkpoint) — the rebalance never wedges. It returns how many landed warm.
+func (m *Master) moveLive(moves []rebalanceMove, promoted map[string]bool,
+	conns map[string]*slaveConn, live func(string) bool) (landed int) {
+	cold := func(mv rebalanceMove) {
+		_ = m.obs.EventJournal().Record("handoff_cold", map[string]any{
+			"component": mv.comp, "from": mv.from, "to": mv.to})
+	}
+	queue := make(map[string][]rebalanceMove) // live donor → its moves still to ship
+	for _, mv := range moves {
+		if promoted[mv.comp] {
+			continue // the standby's shadow is the state; nothing to transfer
+		}
+		if hook := m.handoffHook.Load(); hook != nil {
+			(*hook)(mv.comp, mv.from, mv.to) // chaos tests kill peers mid-transfer here
+		}
+		switch {
+		case !live(mv.to):
+		case mv.from == "" || !live(mv.from):
+			cold(mv)
+		default:
+			queue[mv.from] = append(queue[mv.from], mv)
+		}
+	}
+	giveUp := func(donor string) {
+		for _, mv := range queue[donor] {
+			cold(mv)
+		}
+		delete(queue, donor)
+	}
+	for len(queue) > 0 {
+		// One round: every donor with moves left is asked to ship its next
+		// chunk — an assign frame carrying nothing but the ReplReset list.
+		waiting := make(map[string]rebalanceMove)
+		push := make(map[string]*envelope, len(queue))
+		m.replMu.Lock()
+		for donor, mvs := range queue {
+			n := min(len(mvs), moveChunk)
+			push[donor] = &envelope{Type: typeAssign}
+			for _, mv := range mvs[:n] {
+				waiting[mv.comp] = mv
+				push[donor].ReplReset = append(push[donor].ReplReset, mv.comp)
+				m.moveTo[mv.comp] = mv.to
+				delete(m.replSent, mv.comp)
+				delete(m.replAcked, mv.comp)
+			}
+			if queue[donor] = mvs[n:]; n == len(mvs) {
+				delete(queue, donor)
+			}
+		}
+		m.replMu.Unlock()
+		// A donor ships before it acks a ship request, so once the push returns
+		// every frame it shipped has been counted as sent: the gate is exact.
+		failed := m.pushAssign(push, conns)
+		gone := func(mv rebalanceMove) bool { return failed[mv.from] || !live(mv.from) }
+		n, stalled := m.awaitLanded(waiting, func(mv rebalanceMove) bool { return gone(mv) || !live(mv.to) })
+		landed += n
+		for _, mv := range waiting {
+			cold(mv)
+			if gone(mv) {
+				giveUp(mv.from)
+			}
+		}
+		if stalled {
+			m.obs.Logger().Warn("state transfer stalled; what has not landed will cold-start", "components", len(waiting))
+			break // a channel that stopped moving will not carry the rest either
+		}
+	}
+	for donor := range queue {
+		giveUp(donor)
+	}
+	return landed
+}
+
+// awaitLanded waits for the waiting moves to land — the recipient has acked
+// everything the donor shipped — deleting each from waiting as it does. It
+// returns once every move left has lost a peer, or with stalled set when
+// nothing landed for the handoff timeout (or the master is closing).
+func (m *Master) awaitLanded(waiting map[string]rebalanceMove, lost func(rebalanceMove) bool) (landed int, stalled bool) {
+	timer := time.NewTimer(m.handoffTimeout)
+	defer timer.Stop()
+	for {
+		var done []rebalanceMove
+		m.replMu.Lock()
+		for comp, mv := range waiting {
+			if seq := m.replSent[comp]; seq > 0 && m.replAcked[comp] == seq {
+				done = append(done, mv)
+			}
+		}
+		m.replMu.Unlock()
+		for _, mv := range done {
+			delete(waiting, mv.comp)
+			_ = m.obs.EventJournal().Record("handoff", map[string]any{
+				"component": mv.comp, "from": mv.from, "to": mv.to})
+		}
+		landed += len(done)
+		open := 0
+		for _, mv := range waiting {
+			if !lost(mv) {
+				open++
+			}
+		}
+		if open == 0 {
+			return landed, false
+		}
+		if len(done) > 0 {
+			timer.Reset(m.handoffTimeout)
+		}
+		select {
+		case <-m.replAck:
+		case <-timer.C:
+			return landed, true
+		case <-m.stop:
+			return landed, true
+		}
 	}
 }

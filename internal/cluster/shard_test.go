@@ -167,9 +167,10 @@ func diagnosisJSON(t *testing.T, res core.LocalizeResult) []byte {
 }
 
 // TestShardedLocalizeAndWarmHandoff runs the scenario over a sharded cluster,
-// then grows the membership: the join's rebalance must move state warm
-// (export → restore) so the diagnosis after the move is byte-identical to the
-// one before it.
+// then grows the membership: the join's rebalance must move state warm (the
+// donors ship it over the replication channel, though no slave here has a
+// replication interval) so the diagnosis after the move is byte-identical to
+// the one before it.
 func TestShardedLocalizeAndWarmHandoff(t *testing.T) {
 	master, _, tv := shardedScenarioCluster(t, 1, 2, nil)
 	want, err := master.Localize(context.Background(), tv)
@@ -183,7 +184,7 @@ func TestShardedLocalizeAndWarmHandoff(t *testing.T) {
 		t.Fatalf("sharded coverage = %v, want 1", want.Coverage())
 	}
 
-	// Grow the membership; the moved components' models ride the handoff.
+	// Grow the membership; the moved components' models ride along.
 	joiner := NewSlave("shard-join", nil, core.Config{})
 	if err := joiner.Connect(master.Addr()); err != nil {
 		t.Fatal(err)
@@ -270,13 +271,13 @@ func TestKillAndRebalanceRestoresOnsetExactly(t *testing.T) {
 	}
 }
 
-// TestKillSlaveMidHandoff kills the donor inside the handoff protocol (via
-// the chaos hook that runs right before each move's export): the rebalance
-// must complete without wedging, and a follow-up pass must land every
-// component on a live owner.
+// TestKillSlaveMidHandoff kills the donor inside the state transfer (via the
+// chaos hook that runs for each move right before its donor is asked to
+// ship): the rebalance must complete without wedging, and a follow-up pass
+// must land every component on a live owner.
 func TestKillSlaveMidHandoff(t *testing.T) {
 	master := NewMaster(core.Config{}, nil, WithSharding(0), WithAutoRebalance(false),
-		WithHandoffTimeout(time.Second), WithHandoffRetries(1))
+		WithHandoffTimeout(time.Second))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestKillSlaveMidHandoff(t *testing.T) {
 	t.Cleanup(func() { joiner.Close() })
 	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 3 }, "joiner to register")
 
-	// The first handoff toward the joiner kills its donor mid-protocol.
+	// The first move toward the joiner kills its donor mid-transfer.
 	var once sync.Once
 	var killed string
 	hook := func(comp, from, to string) {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,9 +54,7 @@ func (s ConnState) String() string {
 	}
 }
 
-// Default reconnect backoff bounds: first retry after ~backoffInitial,
-// doubling per failure up to backoffMax, each delay jittered ±50% so a
-// recovering master is not hit by synchronized re-registration storms.
+// Default reconnect backoff bounds (see redial).
 const (
 	defaultBackoffInitial = 500 * time.Millisecond
 	defaultBackoffMax     = 15 * time.Second
@@ -105,24 +105,28 @@ type Slave struct {
 	checkpointDir      string
 	checkpointInterval time.Duration
 	restored           []string // components restored from checkpoints
-	stopCkpt           chan struct{}
 
 	// Monitor state needs no slave-level lock: core.Monitor shards its
 	// state per metric, so collection (Observe/Ingest), analysis, and
 	// checkpoint snapshots running on different goroutines synchronize on
 	// the shard mutexes and contend only per metric touched.
 
-	// Warm-standby replication (primary side): with replInterval > 0 the
-	// slave ships every owned component's state delta upstream each tick; the
-	// master relays each frame to the component's standby. replFloors holds,
-	// per component, the last-shipped timestamp per metric (the incremental
-	// delta extraction floor; a missing component entry forces a full
-	// snapshot), and replSeq the per-component frame sequence. Floors advance
-	// optimistically on send — a NAK (codeReplFull) from the relay deletes
-	// the component's floors so the next tick resends the full snapshot.
+	// Replication (owner side): the slave ships an owned component's state
+	// delta upstream — every owned component each tick with replInterval > 0,
+	// the components an assign push names as ReplReset right away — and the
+	// master relays each frame to the component's replication target.
+	// replFloors holds, per component, the last-shipped timestamp per metric
+	// (the incremental extraction floor; no entry forces a full snapshot) and
+	// replSeq the per-component frame sequence. Floors advance optimistically
+	// on send; a NAK (codeReplFull) deletes them so the next ship is full.
+	// shipMu serializes ships (a tick and a push must not number the same
+	// component's frames concurrently) and guards replBuf, the extraction
+	// buffer reused so steady-state replication allocates only its frames.
 	replInterval time.Duration
-	stopRepl     chan struct{}
+	stop         chan struct{} // closed by Close; ends the checkpoint and replication loops
 	replID       atomic.Uint64 // frame IDs for slave-originated replicate frames
+	shipMu       sync.Mutex
+	replBuf      core.ReplDelta
 	replMu       sync.Mutex
 	replFloors   map[string]map[string]int64
 	replSeq      map[string]uint64
@@ -142,13 +146,9 @@ type Slave struct {
 	// from the checkpoint dir (the primary owns that file), and promoted to
 	// live monitors in place when an assign push hands the component over.
 	shadows map[string]*core.Monitor
-	ups      []*upstream // every Connect call adds one managed upstream
-	closed   bool
-	wg       sync.WaitGroup
-
-	pingMu      sync.Mutex
-	pingCounter uint64
-	pingWaiters map[uint64]chan struct{}
+	ups     []*upstream // every Connect call adds one managed upstream
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // upstream is one managed connection (to the master, or in tree mode also to
@@ -158,7 +158,7 @@ type Slave struct {
 type upstream struct {
 	addr   string
 	cancel context.CancelFunc
-	w      *connWriter // guarded by the slave's mu; nil while disconnected
+	peer   *slaveConn // the current connection; guarded by the slave's mu, nil while disconnected
 }
 
 // SlaveOption configures a Slave.
@@ -286,11 +286,9 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		reconnect:      true,
 		monitors:       make(map[string]*core.Monitor, len(components)),
 		shadows:        make(map[string]*core.Monitor),
-		pingWaiters:    make(map[uint64]chan struct{}),
 
 		checkpointInterval: 30 * time.Second,
-		stopCkpt:           make(chan struct{}),
-		stopRepl:           make(chan struct{}),
+		stop:               make(chan struct{}),
 		replFloors:         make(map[string]map[string]int64),
 		replSeq:            make(map[string]uint64),
 	}
@@ -356,23 +354,36 @@ func (s *Slave) CheckpointNow() error {
 	if err := os.MkdirAll(s.checkpointDir, 0o755); err != nil {
 		return fmt.Errorf("cluster: checkpoint dir: %w", err)
 	}
-	s.mu.Lock()
-	monitors := make(map[string]*core.Monitor, len(s.monitors))
-	for comp, mon := range s.monitors {
-		monitors[comp] = mon
-	}
-	s.mu.Unlock()
-	snaps := make(map[string]*core.MonitorSnapshot, len(monitors))
-	for comp, mon := range monitors {
-		snaps[comp] = mon.Snapshot()
-	}
 	var firstErr error
-	for comp, snap := range snaps {
-		if err := core.SaveCheckpoint(s.checkpointPath(comp), snap); err != nil && firstErr == nil {
+	_, monitors := s.owned()
+	for comp, mon := range monitors {
+		if err := core.SaveCheckpoint(s.checkpointPath(comp), mon.Snapshot()); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// owned returns the owned components, sorted, and their monitors — copied so
+// callers can walk them without holding the slave's lock across snapshots,
+// analysis, or I/O.
+func (s *Slave) owned() ([]string, map[string]*core.Monitor) {
+	s.mu.Lock()
+	monitors := maps.Clone(s.monitors)
+	s.mu.Unlock()
+	return slices.Sorted(maps.Keys(monitors)), monitors
+}
+
+// livePeer returns the first upstream currently connected, or nil.
+func (s *Slave) livePeer() *slaveConn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, up := range s.ups {
+		if up.peer != nil {
+			return up.peer
+		}
+	}
+	return nil
 }
 
 // checkpointLoop re-checkpoints the models periodically until Close.
@@ -382,7 +393,7 @@ func (s *Slave) checkpointLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stopCkpt:
+		case <-s.stop:
 			return
 		case <-ticker.C:
 			_ = s.CheckpointNow()
@@ -390,48 +401,31 @@ func (s *Slave) checkpointLoop() {
 	}
 }
 
-// replLoop ships replication deltas for every owned component each interval
-// until Close. The extraction buffer is reused across ticks so steady-state
-// replication allocates only the frames it actually sends.
+// replLoop runs a replication tick each interval until Close.
 func (s *Slave) replLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.replInterval)
 	defer ticker.Stop()
-	var buf core.ReplDelta
 	for {
 		select {
-		case <-s.stopRepl:
+		case <-s.stop:
 			return
 		case <-ticker.C:
-			s.replicateOnce(&buf)
+			s.replicateOnce()
 		}
 	}
 }
 
-// replicateOnce runs one replication tick: for each owned component it ships
-// either an incremental delta (samples since the shipped floors) or a full
-// snapshot (first ship, or after a gap/NAK), then a clean-tick marker frame
-// so the master can bound this slave's replication lag. Floors advance
-// optimistically after each successful write; the master's per-frame
-// response only matters when it is a codeReplFull NAK, which serveLoop
-// answers by deleting the component's floors.
-func (s *Slave) replicateOnce(buf *core.ReplDelta) {
-	s.mu.Lock()
-	var w *connWriter
-	for _, up := range s.ups {
-		if up.w != nil {
-			w = up.w
-			break
-		}
-	}
-	monitors := make(map[string]*core.Monitor, len(s.monitors))
-	for comp, mon := range s.monitors {
-		monitors[comp] = mon
-	}
-	s.mu.Unlock()
-	if w == nil {
+// replicateOnce runs one replication tick: it ships every owned component,
+// then a clean-tick marker frame so the master can bound this slave's
+// replication lag.
+func (s *Slave) replicateOnce() {
+	peer := s.livePeer()
+	if peer == nil {
 		return
 	}
+	w := peer.w
+	names, monitors := s.owned()
 	// Forget floors for components that moved away since the last tick.
 	s.replMu.Lock()
 	for comp := range s.replFloors {
@@ -441,13 +435,27 @@ func (s *Slave) replicateOnce(buf *core.ReplDelta) {
 		}
 	}
 	s.replMu.Unlock()
-	names := make([]string, 0, len(monitors))
-	for comp := range monitors {
-		names = append(names, comp)
+	if s.ship(w, names, monitors) {
+		_ = w.write(&envelope{Type: typeReplicate, ID: s.replID.Add(1), Slave: s.name}, 10*time.Second)
 	}
-	sort.Strings(names)
+}
+
+// ship sends one replication frame for each named component that has
+// anything to say: an incremental delta (samples since the shipped floors),
+// or a full snapshot (first ship, or after a gap, NAK or ReplReset). Floors
+// advance optimistically after each successful write; the master's per-frame
+// response only matters when it is a codeReplFull NAK, which serveLoop
+// answers by deleting the component's floors. It reports false when the
+// connection failed mid-way; the next ship retries on whatever link is up.
+func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Monitor) bool {
+	s.shipMu.Lock()
+	defer s.shipMu.Unlock()
+	buf := &s.replBuf
 	for _, comp := range names {
 		mon := monitors[comp]
+		if mon == nil {
+			continue
+		}
 		s.replMu.Lock()
 		floors := s.replFloors[comp]
 		seq := s.replSeq[comp] + 1
@@ -460,7 +468,7 @@ func (s *Slave) replicateOnce(buf *core.ReplDelta) {
 		changed, incremental := mon.DeltaInto(buf, floors)
 		switch {
 		case incremental && !changed:
-			continue // nothing new this tick
+			continue // nothing new to ship
 		case incremental:
 			payload, err = json.Marshal(buf)
 		default:
@@ -475,7 +483,7 @@ func (s *Slave) replicateOnce(buf *core.ReplDelta) {
 		frame := &envelope{Type: typeReplicate, ID: s.replID.Add(1), Slave: s.name,
 			Component: comp, Seq: seq, State: payload}
 		if err := w.write(frame, 10*time.Second); err != nil {
-			return // connection trouble; next tick retries on whatever link is up
+			return false
 		}
 		s.replMu.Lock()
 		s.replSeq[comp] = seq
@@ -490,46 +498,46 @@ func (s *Slave) replicateOnce(buf *core.ReplDelta) {
 		}
 		s.replMu.Unlock()
 	}
-	_ = w.write(&envelope{Type: typeReplicate, ID: s.replID.Add(1), Slave: s.name}, 10*time.Second)
+	return true
 }
 
 // handleReplicate applies one relayed replication delta to this slave's
-// shadow monitor for the component (standby side). A delta for a component
+// shadow monitor for the component (receiving side). A delta for a component
 // without a shadow needs a Full frame to bootstrap one; an incremental frame
 // whose Base precondition fails — missing samples between primary and shadow
 // — is refused with codeReplFull so the relay NAKs the primary into a full
-// resend. Called inline from serveLoop: per-connection ordering is what
-// keeps one component's deltas applying in ship order.
+// resend. So is a frame for a component this slave still owns: the sender's
+// placement is ahead of ours (our own assign push is still in flight), and an
+// ack would tell the master a shadow exists that does not. Called inline from
+// serveLoop: per-connection ordering is what keeps one component's deltas
+// applying in ship order.
 func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
+	comp := env.Component
+	refuse := func(why any) {
+		_ = w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
+			Err: fmt.Sprintf("slave %s: replicate %q: %v", s.name, comp, why)}, 10*time.Second)
+	}
 	var delta core.ReplDelta
 	if err := json.Unmarshal(env.State, &delta); err != nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID, Component: env.Component, Code: codeReplFull,
-			Err: fmt.Sprintf("slave %s: replicate %q: %v", s.name, env.Component, err)}, 10*time.Second)
+		refuse(err)
 		return
 	}
-	comp := env.Component
 	s.mu.Lock()
 	_, owned := s.monitors[comp]
 	mon := s.shadows[comp]
 	s.mu.Unlock()
-	if owned {
-		// A stale relay from a placement we already own; drop it quietly (the
-		// ack keeps the primary from resending, and the next rebalance stops
-		// pointing its replication at us).
-		_ = w.write(&envelope{Type: typeAck, ID: env.ID, Component: comp, Seq: env.Seq}, 10*time.Second)
+	switch {
+	case owned:
+		refuse("still owned here")
 		return
-	}
-	if mon == nil {
-		if delta.Full == nil {
-			_ = w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
-				Err: fmt.Sprintf("slave %s: no shadow for %q", s.name, comp)}, 10*time.Second)
-			return
-		}
+	case mon == nil && delta.Full == nil:
+		refuse("no shadow")
+		return
+	case mon == nil:
 		mon = core.NewMonitor(comp, s.cfg)
 	}
 	if err := mon.ApplyDelta(&delta); err != nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID, Component: comp, Code: codeReplFull,
-			Err: fmt.Sprintf("slave %s: replicate %q: %v", s.name, comp, err)}, 10*time.Second)
+		refuse(err)
 		return
 	}
 	s.mu.Lock()
@@ -544,13 +552,8 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 // shadow monitors for, sorted.
 func (s *Slave) Shadowed() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.shadows))
-	for comp := range s.shadows {
-		out = append(out, comp)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
+	defer s.mu.Unlock()
+	return slices.Sorted(maps.Keys(s.shadows))
 }
 
 // Name returns the slave's registration name.
@@ -559,14 +562,8 @@ func (s *Slave) Name() string { return s.name }
 // Monitored returns the components this slave currently monitors, sorted.
 // In sharded mode the set follows the master's assignment pushes.
 func (s *Slave) Monitored() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.monitors))
-	for comp := range s.monitors {
-		out = append(out, comp)
-	}
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
+	names, _ := s.owned()
+	return names
 }
 
 // Observe feeds one metric sample into the slave's models through the
@@ -575,19 +572,7 @@ func (s *Slave) Monitored() []string {
 // connections; collection is local and continuous, so models keep learning
 // through master outages.
 func (s *Slave) Observe(component string, t int64, k metric.Kind, v float64) error {
-	s.mu.Lock()
-	mon, ok := s.monitors[component]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: slave %s does not monitor %q", s.name, component)
-	}
-	err := mon.Observe(t+s.skew, k, v)
-	if err != nil {
-		s.ingestErrors.Inc()
-	} else {
-		s.ingestSamples.Inc()
-	}
-	return err
+	return s.feed(component, func(mon *core.Monitor) error { return mon.Observe(t+s.skew, k, v) })
 }
 
 // Ingest feeds one possibly-dirty metric sample through the component's
@@ -595,13 +580,18 @@ func (s *Slave) Observe(component string, t int64, k metric.Kind, v float64) err
 // out-of-order arrival reordered, short gaps interpolated, and the damage
 // accounted in the quality counters carried by every report.
 func (s *Slave) Ingest(component string, t int64, k metric.Kind, v float64) error {
+	return s.feed(component, func(mon *core.Monitor) error { return mon.Ingest(t+s.skew, k, v) })
+}
+
+// feed hands the owned component's monitor to put and counts the outcome.
+func (s *Slave) feed(component string, put func(*core.Monitor) error) error {
 	s.mu.Lock()
 	mon, ok := s.monitors[component]
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("cluster: slave %s does not monitor %q", s.name, component)
 	}
-	err := mon.Ingest(t+s.skew, k, v)
+	err := put(mon)
 	if err != nil {
 		s.ingestErrors.Inc()
 	} else {
@@ -613,12 +603,7 @@ func (s *Slave) Ingest(component string, t int64, k metric.Kind, v float64) erro
 // Quality reports per-component data quality accumulated by the sanitizing
 // ingest path (components fed only through Observe score 1).
 func (s *Slave) Quality() map[string]core.DataQuality {
-	s.mu.Lock()
-	monitors := make(map[string]*core.Monitor, len(s.monitors))
-	for comp, mon := range s.monitors {
-		monitors[comp] = mon
-	}
-	s.mu.Unlock()
+	_, monitors := s.owned()
 	out := make(map[string]core.DataQuality, len(monitors))
 	for comp, mon := range monitors {
 		st := mon.Quality()
@@ -631,21 +616,12 @@ func (s *Slave) Quality() map[string]core.DataQuality {
 // component (exported for in-process use and tests; the master normally
 // triggers it over the wire).
 func (s *Slave) Analyze(tv int64) []core.ComponentReport {
-	return s.analyzeWithWindow(tv, 0)
+	return s.analyzeBudget(tv, 0, time.Time{})
 }
 
 // Connected reports whether the slave currently holds at least one live
 // registered upstream connection.
-func (s *Slave) Connected() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, up := range s.ups {
-		if up.w != nil {
-			return true
-		}
-	}
-	return false
-}
+func (s *Slave) Connected() bool { return s.livePeer() != nil }
 
 // Connect dials an upstream (the master — or, in a tree topology, also an
 // aggregator: each Connect call adds an independently managed link, and the
@@ -662,46 +638,41 @@ func (s *Slave) Connect(addr string) error {
 // exactly like Close, while leaving local collection and other upstreams
 // running.
 func (s *Slave) ConnectContext(ctx context.Context, addr string) error {
-	w, err := s.dialRegister(addr)
+	peer, err := s.dialRegister(addr)
 	if err != nil {
 		return err
 	}
 	cctx, cancel := context.WithCancel(ctx)
-	up := &upstream{addr: addr, cancel: cancel, w: w}
+	up := &upstream{addr: addr, cancel: cancel, peer: peer}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		cancel()
-		w.conn.Close()
+		peer.w.conn.Close()
 		return fmt.Errorf("cluster: slave %s is closed", s.name)
 	}
 	s.ups = append(s.ups, up)
 	s.mu.Unlock()
 	s.notify(StateConnected, nil)
 	s.wg.Add(1)
-	go s.manageConn(cctx, up, w)
+	go s.manageConn(cctx, up, peer)
 	return nil
 }
 
 // dialRegister performs one dial + register handshake.
-func (s *Slave) dialRegister(addr string) (*connWriter, error) {
+func (s *Slave) dialRegister(addr string) (*slaveConn, error) {
 	conn, err := s.dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: slave dial: %w", err)
 	}
-	s.mu.Lock()
-	components := make([]string, 0, len(s.monitors))
-	for c := range s.monitors {
-		components = append(components, c)
-	}
-	s.mu.Unlock()
-	w := newConnWriter(conn)
+	components, _ := s.owned()
+	peer := newPeer(addr, conn)
 	reg := &envelope{Type: typeRegister, Slave: s.name, Components: components, Via: s.via}
-	if err := w.write(reg, 10*time.Second); err != nil {
+	if err := peer.w.write(reg, 10*time.Second); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return w, nil
+	return peer, nil
 }
 
 func (s *Slave) notify(state ConnState, err error) {
@@ -724,14 +695,15 @@ func (s *Slave) notify(state ConnState, err error) {
 // manageConn serves one upstream's current connection and, when it drops,
 // re-dials with capped exponential backoff and ±50% jitter until ctx is
 // canceled or Close is called.
-func (s *Slave) manageConn(ctx context.Context, up *upstream, w *connWriter) {
+func (s *Slave) manageConn(ctx context.Context, up *upstream, peer *slaveConn) {
 	defer s.wg.Done()
 	for {
-		err := s.serveLoop(w)
-		w.conn.Close()
+		err := s.serveLoop(peer)
+		peer.w.conn.Close()
+		peer.failAll("cluster: upstream " + up.addr + " disconnected")
 		s.mu.Lock()
-		if up.w == w {
-			up.w = nil
+		if up.peer == peer {
+			up.peer = nil
 		}
 		closed := s.closed
 		s.mu.Unlock()
@@ -743,7 +715,14 @@ func (s *Slave) manageConn(ctx context.Context, up *upstream, w *connWriter) {
 		if !s.reconnect {
 			return
 		}
-		next, ok := s.redial(ctx, up.addr)
+		next, ok := redial(ctx.Done(), s.backoffInitial, s.backoffMax, func() (*slaveConn, error) {
+			s.notify(StateReconnecting, nil)
+			next, err := s.dialRegister(up.addr)
+			if err != nil {
+				s.notify(StateDisconnected, err)
+			}
+			return next, err
+		})
 		if !ok {
 			s.notify(StateClosed, nil)
 			return
@@ -751,41 +730,31 @@ func (s *Slave) manageConn(ctx context.Context, up *upstream, w *connWriter) {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			next.conn.Close()
+			next.w.conn.Close()
 			s.notify(StateClosed, nil)
 			return
 		}
-		up.w = next
+		up.peer = next
 		s.mu.Unlock()
-		w = next
+		peer = next
 		s.notify(StateConnected, nil)
 	}
 }
 
-// redial retries dial+register with backoff until success or cancellation.
-func (s *Slave) redial(ctx context.Context, addr string) (*connWriter, bool) {
-	delay := s.backoffInitial
-	for {
-		s.notify(StateReconnecting, nil)
+// redial retries attempt until it succeeds, first waiting a delay that
+// doubles per failure from initial up to max, each jittered ±50% so a
+// recovering upstream is not hit by synchronized re-registration storms. It
+// gives up when done closes.
+func redial[T any](done <-chan struct{}, initial, max time.Duration, attempt func() (T, error)) (T, bool) {
+	for delay := initial; ; delay = min(2*delay, max) {
 		select {
-		case <-ctx.Done():
-			return nil, false
+		case <-done:
+			var none T
+			return none, false
 		case <-time.After(jitter(delay)):
 		}
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, false
-		}
-		w, err := s.dialRegister(addr)
-		if err == nil {
-			return w, true
-		}
-		s.notify(StateDisconnected, err)
-		delay *= 2
-		if delay > s.backoffMax {
-			delay = s.backoffMax
+		if next, err := attempt(); err == nil {
+			return next, true
 		}
 	}
 }
@@ -800,7 +769,8 @@ func jitter(d time.Duration) time.Duration {
 
 // serveLoop answers the master's requests until the connection fails; it
 // returns the read error that ended it.
-func (s *Slave) serveLoop(w *connWriter) error {
+func (s *Slave) serveLoop(peer *slaveConn) error {
+	w := peer.w
 	r := newReader(w.conn)
 	for {
 		env, err := readFrame(r)
@@ -819,12 +789,6 @@ func (s *Slave) serveLoop(w *connWriter) error {
 		case typeAssign:
 			s.wg.Add(1)
 			go s.handleAssign(w, env)
-		case typeExport:
-			s.wg.Add(1)
-			go s.handleExport(w, env)
-		case typeRestore:
-			s.wg.Add(1)
-			go s.handleRestore(w, env)
 		case typeReplicate:
 			// Inline, not a goroutine: per-connection ordering is the only
 			// thing serializing one component's deltas, and applying a few
@@ -838,9 +802,7 @@ func (s *Slave) serveLoop(w *connWriter) error {
 			// frames; a codeReplFull response means the standby needs a full
 			// resend, which forgetting the floors arranges next tick.
 			if env.Code == codeReplFull && env.Component != "" {
-				s.replMu.Lock()
-				delete(s.replFloors, env.Component)
-				s.replMu.Unlock()
+				s.forgetFloors([]string{env.Component})
 			}
 		case typePing:
 			// Master-initiated liveness probe.
@@ -848,12 +810,7 @@ func (s *Slave) serveLoop(w *connWriter) error {
 				return err
 			}
 		case typePong:
-			s.pingMu.Lock()
-			if ch, ok := s.pingWaiters[env.ID]; ok {
-				delete(s.pingWaiters, env.ID)
-				close(ch)
-			}
-			s.pingMu.Unlock()
+			peer.resolve(env)
 		default:
 			resp := &envelope{Type: typeError, ID: env.ID, Err: fmt.Sprintf("unknown request %q", env.Type)}
 			if err := w.write(resp, 10*time.Second); err != nil {
@@ -869,14 +826,30 @@ func (s *Slave) serveLoop(w *connWriter) error {
 // that moved away, which is what enforces per-slave ownership at Observe
 // (feeding an unowned component errors with "does not monitor").
 //
-// A newly assigned component cold-starts unless state arrives first: a live
-// handoff restore (typeRestore precedes the assign on this connection) wins,
-// and otherwise the slave tries the component's checkpoint file — checkpoint
-// names are per-component, not per-slave, so on shared checkpoint storage a
-// dead donor's last checkpoint still follows its components to the new
-// owner (the cold-start fallback of the handoff protocol).
+// A newly assigned component goes live on the shadow monitor replication has
+// filled for it — standing by for a dead owner, or receiving a live donor's
+// state during this rebalance, it is the same promotion. Without a shadow the
+// slave tries the component's checkpoint file — checkpoint names are
+// per-component, not per-slave, so on shared checkpoint storage a dead
+// donor's last checkpoint still follows its components to the new owner —
+// and cold-starts otherwise. An assign frame that carries only a ReplReset
+// list assigns nothing: it asks for those components to be shipped now.
 func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 	defer s.wg.Done()
+	ack := &envelope{Type: typeAck, ID: env.ID}
+	if len(env.ReplReset) > 0 && len(env.Components) == 0 && len(env.Shadow) == 0 {
+		// A ship request, not a placement (which never resets what it does
+		// not also assign): a rebalance is moving these components away and
+		// waits for their state to reach the recipient, so ship the full
+		// snapshots now, with or without a periodic tick configured. Shipping
+		// before the ack is what tells the master that every frame this
+		// request caused has reached it once the ack has.
+		s.forgetFloors(env.ReplReset)
+		_, monitors := s.owned()
+		s.ship(w, env.ReplReset, monitors)
+		_ = w.write(ack, 10*time.Second)
+		return
+	}
 	desired := make(map[string]bool, len(env.Components))
 	for _, comp := range env.Components {
 		desired[comp] = true
@@ -888,9 +861,9 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 		_, have := s.monitors[comp]
 		shadow := s.shadows[comp]
 		if !have && shadow != nil {
-			// Warm promotion: the shadow monitor already holds the dead
+			// Warm promotion: the shadow monitor already holds the previous
 			// owner's replicated state, so the component goes live in place —
-			// no checkpoint read, no handoff round-trip.
+			// no checkpoint read.
 			delete(s.shadows, comp)
 		}
 		s.mu.Unlock()
@@ -918,13 +891,7 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 		shadowSet[comp] = true
 	}
 	s.mu.Lock()
-	for comp, mon := range adopt {
-		// A handoff restore that raced ahead of us holds fresher state than
-		// the checkpoint fallback; keep it.
-		if _, have := s.monitors[comp]; !have {
-			s.monitors[comp] = mon
-		}
-	}
+	maps.Copy(s.monitors, adopt)
 	for comp := range s.monitors {
 		if !desired[comp] {
 			delete(s.monitors, comp)
@@ -942,17 +909,6 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 	}
 	total := len(s.monitors)
 	s.mu.Unlock()
-	if len(env.ReplReset) > 0 {
-		// These components' standbys changed (or we just reconnected):
-		// forgetting the floors makes the next replication tick re-ship a
-		// full snapshot even when no new samples have arrived, which is the
-		// only way a quiet component's new standby ever warms up.
-		s.replMu.Lock()
-		for _, comp := range env.ReplReset {
-			delete(s.replFloors, comp)
-		}
-		s.replMu.Unlock()
-	}
 	sort.Strings(added)
 	sort.Strings(removed)
 	sort.Strings(promoted)
@@ -970,58 +926,21 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 		_ = s.obs.EventJournal().Record("assign", map[string]any{
 			"slave": s.name, "added": added, "removed": removed, "total": total})
 	}
-	_ = w.write(&envelope{Type: typeAck, ID: env.ID}, 10*time.Second)
+	// These components' standbys changed (or we just reconnected): forgetting
+	// the floors makes the next replication tick re-ship a full snapshot even
+	// when no new samples have arrived, which is the only way a quiet
+	// component's new standby ever warms up.
+	s.forgetFloors(env.ReplReset)
+	_ = w.write(ack, 10*time.Second)
 }
 
-// handleExport answers a handoff export: the donor side of a rebalance
-// snapshots the component's full model state (Markov matrices, ring tails,
-// quality counters — the same MonitorSnapshot the checkpoint files hold) for
-// the master to restore on the new owner.
-func (s *Slave) handleExport(w *connWriter, env *envelope) {
-	defer s.wg.Done()
-	s.mu.Lock()
-	mon := s.monitors[env.Component]
-	s.mu.Unlock()
-	if mon == nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID,
-			Err: fmt.Sprintf("slave %s does not monitor %q", s.name, env.Component)}, 10*time.Second)
-		return
+// forgetFloors makes the next ship of each named component a full snapshot.
+func (s *Slave) forgetFloors(comps []string) {
+	s.replMu.Lock()
+	for _, comp := range comps {
+		delete(s.replFloors, comp)
 	}
-	data, err := json.Marshal(mon.Snapshot())
-	if err != nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID,
-			Err: fmt.Sprintf("slave %s: export %q: %v", s.name, env.Component, err)}, 10*time.Second)
-		return
-	}
-	_ = s.obs.EventJournal().Record("handoff_export", map[string]any{
-		"slave": s.name, "component": env.Component, "bytes": len(data)})
-	_ = w.write(&envelope{Type: typeState, ID: env.ID, Component: env.Component, State: data}, 30*time.Second)
-}
-
-// handleRestore installs an exported snapshot as this slave's monitor for the
-// component — the recipient side of a handoff. An invalid snapshot is
-// refused (the master falls back to cold start); a duplicate restore simply
-// overwrites, so master-side retries are idempotent.
-func (s *Slave) handleRestore(w *connWriter, env *envelope) {
-	defer s.wg.Done()
-	var snap core.MonitorSnapshot
-	if err := json.Unmarshal(env.State, &snap); err != nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID,
-			Err: fmt.Sprintf("slave %s: restore %q: %v", s.name, env.Component, err)}, 10*time.Second)
-		return
-	}
-	mon := core.NewMonitor(env.Component, s.cfg)
-	if err := mon.Restore(&snap); err != nil {
-		_ = w.write(&envelope{Type: typeError, ID: env.ID,
-			Err: fmt.Sprintf("slave %s: restore %q: %v", s.name, env.Component, err)}, 10*time.Second)
-		return
-	}
-	s.mu.Lock()
-	s.monitors[env.Component] = mon
-	s.mu.Unlock()
-	_ = s.obs.EventJournal().Record("handoff_restore", map[string]any{
-		"slave": s.name, "component": env.Component})
-	_ = w.write(&envelope{Type: typeAck, ID: env.ID, Component: env.Component}, 10*time.Second)
+	s.replMu.Unlock()
 }
 
 // slaveAnalyzeHook, when set, runs inside handleAnalyze after admission and
@@ -1083,32 +1002,22 @@ func (s *Slave) handleAnalyze(w *connWriter, env *envelope) {
 	_ = w.write(resp, 30*time.Second)
 }
 
-// analyzeWithWindow honors the master's per-request look-back override: the
-// monitors retain RingCapacity samples, so any window up to that bound can
-// be analyzed regardless of the slave's configured default. The per-metric
-// selection tasks of all local components run on one bounded worker pool
+// analyzeBudget analyzes every owned component's window ending at tv. A
+// non-zero lookBack is the master's per-request override: the monitors retain
+// RingCapacity samples, so any window up to that bound can be analyzed
+// regardless of the slave's configured default. The per-metric selection
+// tasks of all local components run on one bounded worker pool
 // (cfg.Parallelism; collection keeps flowing meanwhile — analysis only
-// briefly locks each metric shard while copying its history).
-func (s *Slave) analyzeWithWindow(tv int64, lookBack int) []core.ComponentReport {
-	return s.analyzeBudget(tv, lookBack, time.Time{})
-}
-
-// analyzeBudget is analyzeWithWindow under a wall-clock deadline: selection
-// degrades full → reduced-window → trend-only → skipped as the budget runs
-// out (zero deadline disables budgeting), and the degradation is accounted
-// in the obs sink.
+// briefly locks each metric shard while copying its history). Under a
+// wall-clock deadline selection degrades full → reduced-window → trend-only →
+// skipped as the budget runs out (zero deadline disables budgeting), and the
+// degradation is accounted in the obs sink.
 func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core.ComponentReport {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.monitors))
-	for name := range s.monitors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names, byName := s.owned()
 	monitors := make([]*core.Monitor, len(names))
 	for i, name := range names {
-		monitors[i] = s.monitors[name]
+		monitors[i] = byName[name]
 	}
-	s.mu.Unlock()
 	var (
 		reports []core.ComponentReport
 		stats   core.PoolStats
@@ -1193,39 +1102,14 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 // Ping verifies the master connection is alive: it sends a heartbeat and
 // waits up to timeout for the response.
 func (s *Slave) Ping(timeout time.Duration) error {
-	s.mu.Lock()
-	var w *connWriter
-	for _, up := range s.ups {
-		if up.w != nil {
-			w = up.w
-			break
-		}
-	}
-	s.mu.Unlock()
-	if w == nil {
+	peer := s.livePeer()
+	if peer == nil {
 		return fmt.Errorf("cluster: slave %s is not connected", s.name)
 	}
-	s.pingMu.Lock()
-	s.pingCounter++
-	id := s.pingCounter
-	ch := make(chan struct{})
-	s.pingWaiters[id] = ch
-	s.pingMu.Unlock()
-	if err := w.write(&envelope{Type: typePing, ID: id}, timeout); err != nil {
-		s.pingMu.Lock()
-		delete(s.pingWaiters, id)
-		s.pingMu.Unlock()
-		return err
+	if _, err := peer.request(&envelope{Type: typePing}, timeout, nil); err != nil {
+		return fmt.Errorf("cluster: ping to master: %w", err)
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-time.After(timeout):
-		s.pingMu.Lock()
-		delete(s.pingWaiters, id)
-		s.pingMu.Unlock()
-		return fmt.Errorf("cluster: ping to master timed out after %v", timeout)
-	}
+	return nil
 }
 
 // Close terminates the slave's connection, stops reconnection and the
@@ -1235,28 +1119,17 @@ func (s *Slave) Close() error {
 	s.mu.Lock()
 	alreadyClosed := s.closed
 	s.closed = true
-	var cancels []context.CancelFunc
-	var writers []*connWriter
 	for _, up := range s.ups {
-		if up.cancel != nil {
-			cancels = append(cancels, up.cancel)
-		}
-		if up.w != nil {
-			writers = append(writers, up.w)
-			up.w = nil
+		up.cancel()
+		if up.peer != nil {
+			_ = up.peer.w.conn.Close()
+			up.peer = nil
 		}
 	}
 	s.ups = nil
 	s.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
-	for _, w := range writers {
-		_ = w.conn.Close()
-	}
 	if !alreadyClosed {
-		close(s.stopCkpt)
-		close(s.stopRepl)
+		close(s.stop)
 		if s.checkpointDir != "" {
 			_ = s.CheckpointNow()
 		}

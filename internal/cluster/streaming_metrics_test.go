@@ -41,7 +41,7 @@ func TestSlaveStreamingMetrics(t *testing.T) {
 	feed(1, 400)
 	sl.Analyze(400)
 	// A historical analysis is a guaranteed cold fallback per warm stream.
-	sl.analyzeWithWindow(300, 0)
+	sl.Analyze(300)
 	feed(401, 450)
 	sl.Analyze(450)
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fchain/internal/ingest"
 	"fchain/internal/metric"
 )
 
@@ -43,12 +44,15 @@ type ReplSample struct {
 // recovery after a gap), or Base+Samples carry an incremental sample replay.
 // Base records, per metric name, the primary's last-shipped timestamp — the
 // precondition the standby's shadow must match before replaying Samples;
-// metrics the primary has never observed are absent from Base.
+// metrics the primary has never observed are absent from Base. Sanitizers
+// carries the primary's sanitizer state as of the same instant: replay goes
+// through Observe, which never feeds the shadow's own sanitizers.
 type ReplDelta struct {
-	Component string                  `json:"component"`
-	Full      *MonitorSnapshot        `json:"full,omitempty"`
-	Base      map[string]int64        `json:"base,omitempty"`
-	Samples   map[string][]ReplSample `json:"samples,omitempty"`
+	Component  string                  `json:"component"`
+	Full       *MonitorSnapshot        `json:"full,omitempty"`
+	Base       map[string]int64        `json:"base,omitempty"`
+	Samples    map[string][]ReplSample `json:"samples,omitempty"`
+	Sanitizers map[string]ingest.State `json:"sanitizers,omitempty"`
 }
 
 // DeltaInto fills d with the samples observed since floors (metric name →
@@ -79,6 +83,14 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		name := k.String()
 		sh := &m.shards[k]
 		sh.mu.Lock()
+		if st := sh.sanitizer.State(); st != (ingest.State{}) {
+			if d.Sanitizers == nil {
+				d.Sanitizers = make(map[string]ingest.State, metric.NumKinds)
+			}
+			d.Sanitizers[name] = st
+		} else {
+			delete(d.Sanitizers, name)
+		}
 		floor, haveFloor := floors[name]
 		if !sh.hasLast {
 			sh.mu.Unlock()
@@ -169,11 +181,16 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 		}
 	}
 	for _, k := range metric.Kinds {
-		for _, s := range d.Samples[k.String()] {
+		name := k.String()
+		for _, s := range d.Samples[name] {
 			if err := m.Observe(s.T, k, s.V); err != nil {
 				return fmt.Errorf("%w: replay %s: %v", ErrReplGap, k, err)
 			}
 		}
+		sh := &m.shards[k]
+		sh.mu.Lock()
+		sh.sanitizer.SetState(d.Sanitizers[name])
+		sh.mu.Unlock()
 	}
 	return nil
 }

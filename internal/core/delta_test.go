@@ -245,3 +245,80 @@ func TestReplDeltaSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state DeltaInto allocates %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestSanitizerStateTravels pins that a stream's new owner treats the next
+// sample as the old one would have, whichever way the state reached it: the
+// clamp's running statistics, the gap-repair anchor and the quality counters
+// ride every snapshot and every replication frame. With the default clamp on,
+// a far outlier ingested after the move must leave the moved monitor and a
+// never-moved twin byte-identical.
+func TestSanitizerStateTravels(t *testing.T) {
+	ingestAll := func(m *Monitor, ts int64) {
+		for _, k := range metric.Kinds {
+			v := float64((ts*int64(k)*7)%13) + 0.25*float64(int(k))
+			if err := m.Ingest(ts, k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.FlushIngest(ts)
+	}
+	wire := func(d *ReplDelta) *ReplDelta {
+		raw, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ReplDelta
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	twin := NewMonitor("c", Config{})
+	for ts := int64(1); ts <= 100; ts++ {
+		ingestAll(twin, ts)
+	}
+	full := wire(&ReplDelta{Component: "c", Full: twin.Snapshot()})
+
+	restored := NewMonitor("c", Config{})
+	if err := restored.Restore(full.Full); err != nil {
+		t.Fatal(err)
+	}
+	shadow := NewMonitor("c", Config{})
+	if err := shadow.ApplyDelta(full); err != nil {
+		t.Fatal(err)
+	}
+	floors := make(map[string]int64)
+	for name, last := range full.Full.LastT {
+		floors[name] = last
+	}
+	for ts := int64(101); ts <= 120; ts++ {
+		ingestAll(twin, ts)
+		ingestAll(restored, ts)
+	}
+	var d ReplDelta
+	if changed, ok := twin.DeltaInto(&d, floors); !changed || !ok {
+		t.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
+	}
+	if err := shadow.ApplyDelta(wire(&d)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, m := range []*Monitor{twin, restored, shadow} {
+		if err := m.Ingest(121, metric.CPU, 1e12); err != nil {
+			t.Fatal(err)
+		}
+		m.FlushIngest(121)
+	}
+	if q := twin.Quality(); q.Clamped != 1 {
+		t.Fatalf("twin clamped %d samples, want the outlier clamped once", q.Clamped)
+	}
+	want := monitorJSON(t, twin)
+	for name, m := range map[string]*Monitor{"restored": restored, "shadow": shadow} {
+		if got := monitorJSON(t, m); !bytes.Equal(got, want) {
+			t.Errorf("%s monitor differs from its never-moved twin after a clamped outlier", name)
+		}
+		if got, want := m.Quality(), twin.Quality(); got != want {
+			t.Errorf("%s quality = %+v, twin has %+v", name, got, want)
+		}
+	}
+}

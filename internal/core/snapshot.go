@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fchain/internal/ingest"
 	"fchain/internal/markov"
 	"fchain/internal/metric"
 	"fchain/internal/timeseries"
@@ -10,18 +11,22 @@ import (
 
 // MonitorSnapshot is the complete serializable state of a Monitor: the
 // learned prediction model, the retained sample and prediction-error tails,
-// and the last accepted timestamp per metric. A slave checkpoints these so
-// a crashed-and-restarted daemon resumes localization-ready instead of
-// spending the whole self-calibration history relearning normal fluctuation.
+// the last accepted timestamp per metric, and the ingest sanitizers' running
+// state. A slave checkpoints these so a crashed-and-restarted daemon resumes
+// localization-ready instead of spending the whole self-calibration history
+// relearning normal fluctuation.
 //
 // Maps are keyed by metric.Kind.String() so checkpoints stay readable and
-// stable across reorderings of the Kind constants.
+// stable across reorderings of the Kind constants. Sanitizers lists only
+// streams that were ever fed through Ingest; a checkpoint written before the
+// field existed restores with fresh sanitizers.
 type MonitorSnapshot struct {
-	Component string                             `json:"component"`
-	Models    map[string]*markov.Snapshot        `json:"models"`
-	Samples   map[string]timeseries.RingSnapshot `json:"samples"`
-	Errs      map[string]timeseries.RingSnapshot `json:"errs"`
-	LastT     map[string]int64                   `json:"last_t,omitempty"`
+	Component  string                             `json:"component"`
+	Models     map[string]*markov.Snapshot        `json:"models"`
+	Samples    map[string]timeseries.RingSnapshot `json:"samples"`
+	Errs       map[string]timeseries.RingSnapshot `json:"errs"`
+	LastT      map[string]int64                   `json:"last_t,omitempty"`
+	Sanitizers map[string]ingest.State            `json:"sanitizers,omitempty"`
 }
 
 // Snapshot captures the monitor's current state. The snapshot shares no
@@ -43,6 +48,12 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 		s.Errs[name] = sh.errs.Snapshot()
 		if sh.hasLast {
 			s.LastT[name] = sh.lastT
+		}
+		if st := sh.sanitizer.State(); st != (ingest.State{}) {
+			if s.Sanitizers == nil {
+				s.Sanitizers = make(map[string]ingest.State, metric.NumKinds)
+			}
+			s.Sanitizers[name] = st
 		}
 		sh.mu.Unlock()
 	}
@@ -109,6 +120,9 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 		sh := &m.shards[k]
 		sh.mu.Lock()
 		sh.model = p
+		// The sanitizer follows its model: a stream absent from Sanitizers was
+		// never ingested (or predates the field) and restarts fresh.
+		sh.sanitizer.SetState(s.Sanitizers[k.String()])
 		sh.mu.Unlock()
 	}
 	for k, r := range samples {

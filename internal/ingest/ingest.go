@@ -203,6 +203,36 @@ func NewSanitizer(cfg Config) *Sanitizer {
 // Stats returns the cumulative data-quality counters.
 func (s *Sanitizer) Stats() Stats { return s.stats }
 
+// State is the part of a sanitizer that outlives the samples it has already
+// released: the running statistics the clamp judges the next value against,
+// the last released sample that gap repair measures the next one from, and
+// the quality counters. It travels with the model (checkpoint, replication)
+// so a stream's new owner treats the next sample exactly as the old one
+// would have. The reorder buffer is not part of it: samples still waiting
+// there have not reached the model either.
+type State struct {
+	N       uint64  `json:"n,omitempty"`
+	Mean    float64 `json:"mean,omitempty"`
+	M2      float64 `json:"m2,omitempty"`
+	LastOut int64   `json:"last_out,omitempty"`
+	LastVal float64 `json:"last_val,omitempty"`
+	HasOut  bool    `json:"has_out,omitempty"`
+	Stats   Stats   `json:"stats,omitzero"`
+}
+
+// State returns the sanitizer's transferable state.
+func (s *Sanitizer) State() State {
+	return State{N: s.n, Mean: s.mean, M2: s.m2,
+		LastOut: s.lastOut, LastVal: s.lastVal, HasOut: s.hasOut, Stats: s.stats}
+}
+
+// SetState replaces the sanitizer's transferable state with st.
+func (s *Sanitizer) SetState(st State) {
+	s.n, s.mean, s.m2 = st.N, st.Mean, st.M2
+	s.lastOut, s.lastVal, s.hasOut = st.LastOut, st.LastVal, st.HasOut
+	s.stats = st.Stats
+}
+
 // Pending returns how many samples are buffered awaiting release.
 func (s *Sanitizer) Pending() int { return len(s.pending) }
 

@@ -394,7 +394,7 @@ func (p *Predictor) Validate() error {
 			}
 			sum += c
 		}
-		if math.Abs(sum-p.rowSum[i]) > 1e-6*(1+sum) {
+		if !(math.Abs(sum-p.rowSum[i]) <= 1e-6*(1+sum)) { // negated so a NaN total fails too
 			return fmt.Errorf("markov: row %d sum mismatch: %v vs cached %v", i, sum, p.rowSum[i])
 		}
 	}

@@ -12,16 +12,22 @@ import (
 // through the self-calibration period — without the model, every change
 // after the restart is "never seen before" and would be flagged abnormal.
 type Snapshot struct {
-	Bins         int         `json:"bins"`
-	Decay        float64     `json:"decay"`
-	Lo           float64     `json:"lo"`
-	Hi           float64     `json:"hi"`
-	RangeSet     bool        `json:"range_set"`
-	Counts       [][]float64 `json:"counts,omitempty"`
-	LastBin      int         `json:"last_bin"`
-	HasLast      bool        `json:"has_last"`
-	IncWeight    float64     `json:"inc_weight"`
-	Observations int         `json:"observations"`
+	Bins     int         `json:"bins"`
+	Decay    float64     `json:"decay"`
+	Lo       float64     `json:"lo"`
+	Hi       float64     `json:"hi"`
+	RangeSet bool        `json:"range_set"`
+	Counts   [][]float64 `json:"counts,omitempty"`
+	// RowSums carries the running row totals the predictor divides by. They
+	// are accumulated one transition at a time, so re-adding a row's counts
+	// left to right lands a last bit away and every later prediction error
+	// with it; a restored model must predict exactly as the one it was taken
+	// from. Absent (older checkpoints) the totals are re-added as before.
+	RowSums      []float64 `json:"row_sums,omitempty"`
+	LastBin      int       `json:"last_bin"`
+	HasLast      bool      `json:"has_last"`
+	IncWeight    float64   `json:"inc_weight"`
+	Observations int       `json:"observations"`
 	// Drift state behind TrendHint. Omitted when zero so checkpoints
 	// written before these fields existed restore cleanly: the trend then
 	// re-warms from post-restore samples.
@@ -56,6 +62,7 @@ func (p *Predictor) Snapshot() *Snapshot {
 		}
 		s.Counts[i] = append([]float64(nil), row...)
 	}
+	s.RowSums = append([]float64(nil), p.rowSum...)
 	return s
 }
 
@@ -86,6 +93,9 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	}
 	if len(s.Counts) > s.Bins {
 		return nil, fmt.Errorf("markov: snapshot has %d rows for %d bins", len(s.Counts), s.Bins)
+	}
+	if s.RowSums != nil && len(s.RowSums) != s.Bins {
+		return nil, fmt.Errorf("markov: snapshot has %d row sums for %d bins", len(s.RowSums), s.Bins)
 	}
 	for _, f := range [...]struct {
 		name string
@@ -125,6 +135,9 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 			sum += c
 		}
 		p.rowSum[i] = sum
+	}
+	if s.RowSums != nil {
+		copy(p.rowSum, s.RowSums) // Validate holds them to the counts just loaded
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

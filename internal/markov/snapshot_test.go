@@ -115,3 +115,38 @@ func TestBreakSeversChainNotKnowledge(t *testing.T) {
 		t.Error("second observation after Break should predict again")
 	}
 }
+
+// TestSnapshotRestoresPredictionsExactly pins that a restored predictor is
+// the one it was taken from, not a last bit away: the running row totals
+// travel with the counts, so every later prediction error is bit-identical.
+func TestSnapshotRestoresPredictionsExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	live := NewDefault()
+	for i := 0; i < 500; i++ {
+		live.Observe(60 + rng.NormFloat64())
+	}
+	raw, err := json.Marshal(live.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := FromSnapshot(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		v := 60 + rng.NormFloat64()
+		a, _ := live.Observe(v)
+		b, _ := restored.Observe(v)
+		if a != b {
+			t.Fatalf("step %d: live prediction error %v, restored %v", i, a, b)
+		}
+	}
+	snap.RowSums[0] = math.NaN()
+	if _, err := FromSnapshot(&snap); err == nil {
+		t.Error("FromSnapshot accepted a NaN row total")
+	}
+}
