@@ -106,6 +106,24 @@ func moduleBenchmarks() []benchjson.Result {
 		}
 	}))
 
+	// The same pass on a signal with something to judge: every metric has a
+	// detected step inside the look-back window, so each stream pays for the
+	// context order statistics, the FFT burst extraction and the filter too.
+	// ModuleSelection above stops after CUSUM finds nothing.
+	noisyLoc := fchain.NewLocalizer(fchain.DefaultConfig(), []string{"c"})
+	for _, k := range kinds {
+		for t, v := range benchjson.NoisyStepSignal(int64(k)+1, 2000) {
+			if err := noisyLoc.Observe("c", int64(t), k, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	out = append(out, measure("ModuleSelectionNoisy", func(n int) {
+		for i := 0; i < n; i++ {
+			reports = noisyLoc.AnalyzeInto(reports, 1999)
+		}
+	}))
+
 	// Streaming selection in its operating mode: every iteration observes
 	// one fresh second and analyzes at the new stream head, so the memoized
 	// verdict never answers and the measurement is the honest incremental

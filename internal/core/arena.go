@@ -24,7 +24,7 @@ type arena struct {
 	smooth  []float64 // smoothed window
 	detrend []float64 // detrended FFT input
 	diffs   []float64 // sample-to-sample differences (adaptive smoothing)
-	pctile  []float64 // percentile sort buffer
+	pctile  []float64 // percentile selection buffer
 
 	cp changepoint.Scratch
 }

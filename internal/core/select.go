@@ -465,36 +465,12 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		tr.End(det)
 	}
 
-	// Self-calibration: all retained history before the look-back window
-	// characterizes how predictable this metric was before the anomaly
-	// manifested. A metric whose model already erred badly (inherently
-	// hard to predict, or subject to recurring workload bursts) gets a
-	// proportionally higher selection bar: an error within the ceiling the
-	// model has already exhibited corresponds to fluctuation seen before.
-	var contextFloor, contextValueStd float64
-	ctxP99 := math.Inf(1)
-	ctxP1 := math.Inf(-1)
-	cvSeries := sv.ViewRange(sv.Start(), lookbackStart)
-	if cv := cvSeries.ValuesView(); len(cv) >= 8 {
-		contextValueStd = timeseries.Std(cv)
-		if facts.fast {
-			// O(1) from the sorted multiset: same multiset, same
-			// interpolation, same bits as the sort below.
-			ctxP99, ctxP1 = facts.p99, facts.p1
-		} else {
-			if p99, err := timeseries.PercentileScratch(cv, 99, &a.pctile); err == nil {
-				ctxP99 = p99
-			}
-			if p1, err := timeseries.PercentileScratch(cv, 1, &a.pctile); err == nil {
-				ctxP1 = p1
-			}
-		}
-	}
 	// Relative-magnitude floor (opt-in, MinRelMagnitude > 0): a mean shift
 	// smaller than a fixed fraction of the metric's normal operating level
 	// is operationally meaningless even when it is statistically
 	// significant, and at mesh scale (hundreds of monitored components)
 	// such shifts otherwise pollute every propagation chain.
+	cvSeries := sv.ViewRange(sv.Start(), lookbackStart)
 	relFloor := 0.0
 	if cfg.MinRelMagnitude > 0 {
 		level := meanAbs(cvSeries.ValuesView())
@@ -502,34 +478,6 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 			level = meanAbs(smoothed)
 		}
 		relFloor = cfg.MinRelMagnitude * level
-	}
-	// Range escape: how long has the metric been dwelling beyond the levels
-	// it historically visited only 1% of the time?
-	dwellHigh, dwellLow := 0, 0
-	for i := len(smoothed) - 1; i >= 0 && smoothed[i] > ctxP99; i-- {
-		dwellHigh++
-	}
-	for i := len(smoothed) - 1; i >= 0 && smoothed[i] < ctxP1; i-- {
-		dwellLow++
-	}
-	ctxSeries := se.ViewRange(se.Start(), lookbackStart)
-	if ctx := ctxSeries.ValuesView(); len(ctx) >= 8 {
-		if facts.fast {
-			contextFloor = cfg.SelfCalibration * facts.p90
-			if f := cfg.ContextMaxFactor * facts.maxE; f > contextFloor {
-				contextFloor = f
-			}
-		} else {
-			p90, err := timeseries.PercentileScratch(ctx, 90, &a.pctile)
-			if err == nil {
-				contextFloor = cfg.SelfCalibration * p90
-			}
-			if _, hi, err := timeseries.MinMax(ctx); err == nil {
-				if f := cfg.ContextMaxFactor * hi; f > contextFloor {
-					contextFloor = f
-				}
-			}
-		}
 	}
 
 	flt := -1
@@ -541,6 +489,8 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		selectedIdx = -1
 		predErr     float64
 		expected    float64
+		ctx         contextStats
+		haveCtx     bool
 	)
 	for _, p := range outliers {
 		t := vals.TimeAt(p.Index)
@@ -552,6 +502,15 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 				tr.Attr(flt, "cand:"+strconv.FormatInt(t, 10), "sub-floor")
 			}
 			continue // below the relative-magnitude floor
+		}
+		// Only the candidates that get this far are judged against the
+		// context, and most windows of a healthy stream have change points
+		// but no such candidate: the passes over the context are paid for by
+		// the first one that needs them.
+		if !haveCtx {
+			ctxSeries := se.ViewRange(se.Start(), lookbackStart)
+			ctx = contextStatsOf(cvSeries.ValuesView(), ctxSeries.ValuesView(), smoothed, &facts, cfg, a)
+			haveCtx = true
 		}
 		pe := predictionErrorNear(&errsSeries, p.Index)
 		var exp, fftExp float64
@@ -568,8 +527,8 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 				continue
 			}
 			exp, fftExp = e, e
-			if contextFloor > exp {
-				exp = contextFloor
+			if ctx.floor > exp {
+				exp = ctx.floor
 			}
 		}
 		// Abnormal when the per-step prediction error clearly exceeds the
@@ -581,12 +540,12 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		persists := shiftPersists(smoothed, p, cfg.PersistFraction)
 		bypass := persists &&
 			p.Magnitude > cfg.MagnitudeFactor*fftExp &&
-			p.Magnitude > cfg.ValueStdFactor*contextValueStd
+			p.Magnitude > cfg.ValueStdFactor*ctx.valueStd
 		// Range escape: the change pinned the metric beyond its historical
 		// 1st/99th percentile for far longer than any workload burst.
 		escaped := persists &&
-			((dwellHigh >= cfg.EscapeDwell && p.After > ctxP99 && p.Index >= len(smoothed)-dwellHigh-5) ||
-				(dwellLow >= cfg.EscapeDwell && p.After < ctxP1 && p.Index >= len(smoothed)-dwellLow-5))
+			((ctx.dwellHigh >= cfg.EscapeDwell && p.After > ctx.p99 && p.Index >= len(smoothed)-ctx.dwellHigh-5) ||
+				(ctx.dwellLow >= cfg.EscapeDwell && p.After < ctx.p1 && p.Index >= len(smoothed)-ctx.dwellLow-5))
 		if cfg.FixedThreshold > 0 {
 			// The Fixed-Filtering baseline is *only* the fixed prediction
 			// error comparison — no adaptive paths.
@@ -672,6 +631,65 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		Magnitude: selected.Magnitude,
 		Direction: dir,
 	}, true
+}
+
+// contextStats is what the retained history before the look-back window says
+// about a metric; the filter judges every candidate against it.
+type contextStats struct {
+	floor     float64 // self-calibrated bar under the expected prediction error
+	valueStd  float64
+	p1, p99   float64 // levels the values went beyond only 1% of the time
+	dwellLow  int     // trailing smoothed samples below p1
+	dwellHigh int     // trailing smoothed samples above p99
+}
+
+// contextStatsOf computes them from the context values cv, the context
+// prediction errors errs and the smoothed analysis window. With warm
+// streaming facts the percentiles are O(1) reads of the sorted multisets:
+// same multiset, same interpolation, same bits as the selection.
+func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, cfg Config, a *arena) contextStats {
+	// Self-calibration: all retained history before the look-back window
+	// characterizes how predictable this metric was before the anomaly
+	// manifested. A metric whose model already erred badly (inherently
+	// hard to predict, or subject to recurring workload bursts) gets a
+	// proportionally higher selection bar: an error within the ceiling the
+	// model has already exhibited corresponds to fluctuation seen before.
+	cs := contextStats{p1: math.Inf(-1), p99: math.Inf(1)}
+	if len(cv) >= 8 {
+		cs.valueStd = timeseries.Std(cv)
+		if facts.fast {
+			cs.p99, cs.p1 = facts.p99, facts.p1
+		} else if p1, p99, err := timeseries.PercentilePairScratch(cv, 1, 99, &a.pctile); err == nil {
+			cs.p1, cs.p99 = p1, p99
+		}
+	}
+	// Range escape: how long has the metric been dwelling beyond the levels
+	// it historically visited only 1% of the time?
+	for i := len(smoothed) - 1; i >= 0 && smoothed[i] > cs.p99; i-- {
+		cs.dwellHigh++
+	}
+	for i := len(smoothed) - 1; i >= 0 && smoothed[i] < cs.p1; i-- {
+		cs.dwellLow++
+	}
+	if len(errs) >= 8 {
+		if facts.fast {
+			cs.floor = cfg.SelfCalibration * facts.p90
+			if f := cfg.ContextMaxFactor * facts.maxE; f > cs.floor {
+				cs.floor = f
+			}
+		} else {
+			p90, err := timeseries.PercentileScratch(errs, 90, &a.pctile)
+			if err == nil {
+				cs.floor = cfg.SelfCalibration * p90
+			}
+			if _, hi, err := timeseries.MinMax(errs); err == nil {
+				if f := cfg.ContextMaxFactor * hi; f > cs.floor {
+					cs.floor = f
+				}
+			}
+		}
+	}
+	return cs
 }
 
 // adaptiveSmoothWidth picks a smoothing width from the metric's noise

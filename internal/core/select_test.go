@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"fchain/internal/benchjson"
 	"fchain/internal/metric"
 	"fchain/internal/timeseries"
 )
@@ -374,5 +376,49 @@ func TestAdaptiveSmoothingSelectionStillWorks(t *testing.T) {
 	report := m.Analyze(899)
 	if !report.Abnormal() {
 		t.Fatal("step not detected with adaptive smoothing")
+	}
+}
+
+// TestAnalyzeIntoSteadyStateAllocs guards the claim that a warmed-up batch
+// analysis allocates nothing, on a signal that takes every metric through
+// the whole kernel: change points detected, the context statistics selected,
+// the FFT burst extraction run, and the candidate then dismissed in the
+// filter stage (a selected change would append to the report, which is the
+// caller's allocation, not the kernel's).
+func TestAnalyzeIntoSteadyStateAllocs(t *testing.T) {
+	const horizon = 2000
+	loc := NewLocalizer(DefaultConfig(), []string{"c"})
+	for _, k := range metric.Kinds {
+		for ts, v := range benchjson.NoisyStepSignal(int64(k)+1, horizon) {
+			if err := loc.Observe("c", int64(ts), k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, _, tr := loc.LocalizeTraced(horizon-1, nil)
+	filters := tr.FindAll("filter")
+	if len(filters) != metric.NumKinds {
+		t.Fatalf("%d of %d metrics reached the filter stage", len(filters), metric.NumKinds)
+	}
+	for _, f := range filters {
+		judged := false
+		for _, a := range f.Attrs {
+			judged = judged || (strings.HasPrefix(a.Key, "cand:") && a.Val == "predictable")
+		}
+		if !judged {
+			t.Fatalf("filter span judged no candidate predictable: %v", f.Attrs)
+		}
+	}
+	reports := loc.AnalyzeInto(nil, horizon-1) // warm the arena and the report buffer
+	if reports[0].Abnormal() {
+		t.Fatalf("signal selected a change: %+v", reports[0].Changes)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		reports = loc.AnalyzeInto(reports, horizon-1)
+	}); allocs != 0 {
+		t.Fatalf("steady-state AnalyzeInto allocates %v objects per call, want 0", allocs)
 	}
 }

@@ -7,18 +7,18 @@ import (
 )
 
 // Streaming selection (Config.Streaming): instead of paying the whole
-// selection burst at tv — percentile sorts over ~1.3k context samples and a
-// per-candidate FFT, per metric, per Localize — the shard folds a constant
-// slice of that work into every Observe and the tv-time kernel assembles
-// cached pieces:
+// selection burst at tv — percentile selections over ~1.3k context samples
+// and a per-candidate FFT, per metric, per Localize — the shard folds a
+// constant slice of that work into every Observe and the tv-time kernel
+// assembles cached pieces:
 //
 //   - sorted context multisets: the values and prediction errors of the ring
 //     positions before the look-back window are kept as incrementally
 //     maintained sorted multisets, so the kernel's context percentiles
 //     (p1/p99 of values, p90/max of errors) are O(1) lookups instead of
-//     O(n log n) sorts. Percentile interpolation over a sorted multiset is
-//     arithmetic-identical to the batch sort-then-interpolate, so the fast
-//     path changes no output bit;
+//     O(n) selections. Percentile interpolation over a sorted multiset is
+//     the batch select-then-interpolate arithmetic (one shared helper in
+//     timeseries), so the fast path changes no output bit;
 //   - an FFT memo: ExpectedError keyed by the burst window's absolute
 //     position and the spectral knobs. Ring content for retained positions
 //     is immutable, so a hit replays the exact float the batch path would
@@ -32,8 +32,8 @@ import (
 //     verdict bits never come from it (see changepoint.Stream).
 //
 // Cold fallback: the fast path is used only when the multisets provably
-// cover exactly the context region the batch kernel would sort — the counts
-// derived from (tv, LookBack, ring) must match the cursors. Any mismatch
+// cover exactly the context region the batch kernel would select over — the
+// counts derived from (tv, LookBack, ring) must match the cursors. Any mismatch
 // (analysis at a historical tv, an overridden look-back window, a reduced
 // tier, state freshly reset by a collection gap, Restore, or Predictor.Break)
 // silently takes the batch path and bumps the cold counter. Correctness
@@ -75,7 +75,7 @@ type streamState struct {
 	lookBack int
 
 	// Sorted multisets over ring positions [0, cursor) — exactly the
-	// context region [ring start, lastT−LookBack) the batch kernel sorts.
+	// context region [ring start, lastT−LookBack) the batch kernel reads.
 	ctxVals timeseries.SortedWindow
 	ctxErrs timeseries.SortedWindow
 	cursor  int // sample-ring positions folded into ctxVals
@@ -253,7 +253,7 @@ func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, tier An
 		facts.memoOK = st.memo.ok
 		return sv, se, facts
 	}
-	// The multisets cover ring positions [0, cursor); the batch kernel sorts
+	// The multisets cover ring positions [0, cursor); the batch kernel reads
 	// positions [0, (tv−LookBack)−start). Equality of the counts is
 	// sufficient: whenever they agree, the multiset holds exactly the batch
 	// context multiset, whichever (tv, LookBack) maintained it.

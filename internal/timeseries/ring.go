@@ -82,10 +82,18 @@ func (r *Ring) Series() *Series {
 		return &Series{}
 	}
 	vals := make([]float64, r.size)
-	for i := 0; i < r.size; i++ {
-		vals[i] = r.vals[(r.head+i)%len(r.vals)]
-	}
+	unwrap(vals, r.vals, r.head)
 	return &Series{start: r.times[r.head], vals: vals}
+}
+
+// unwrap copies a ring's retained elements, oldest first, out of its backing
+// array into dst, whose length is the ring's size: the run from head to the
+// end of the array, then the wrapped-around run before head. A ring that is
+// not yet full has head 0 and its elements in buf[:len(dst)], which the
+// first copy alone covers.
+func unwrap[T any](dst, buf []T, head int) {
+	n := copy(dst, buf[head:])
+	copy(dst[n:], buf[:head])
 }
 
 // SeriesInto materializes the retained samples like Series but reuses dst's
@@ -106,9 +114,7 @@ func (r *Ring) SeriesInto(dst *Series) *Series {
 		dst.vals = make([]float64, r.size)
 	}
 	dst.vals = dst.vals[:r.size]
-	for i := 0; i < r.size; i++ {
-		dst.vals[i] = r.vals[(r.head+i)%len(r.vals)]
-	}
+	unwrap(dst.vals, r.vals, r.head)
 	dst.start = r.times[r.head]
 	return dst
 }
@@ -146,11 +152,8 @@ func (r *Ring) Snapshot() RingSnapshot {
 	}
 	s.Times = make([]int64, r.size)
 	s.Vals = make([]float64, r.size)
-	for i := 0; i < r.size; i++ {
-		idx := (r.head + i) % len(r.vals)
-		s.Times[i] = r.times[idx]
-		s.Vals[i] = r.vals[idx]
-	}
+	unwrap(s.Times, r.times, r.head)
+	unwrap(s.Vals, r.vals, r.head)
 	return s
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty series.
@@ -195,40 +194,6 @@ func Std(vals []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(vals)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of the values using
-// nearest-rank interpolation. It returns ErrEmpty for empty input.
-func Percentile(vals []float64, p float64) (float64, error) {
-	var scratch []float64
-	return PercentileScratch(vals, p, &scratch)
-}
-
-// PercentileScratch is Percentile with a caller-owned sort buffer: vals is
-// copied into *scratch (grown as needed and written back), so a reused
-// scratch makes repeated percentile queries allocation-free. The input is
-// never mutated.
-func PercentileScratch(vals []float64, p float64, scratch *[]float64) (float64, error) {
-	if len(vals) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := append((*scratch)[:0], vals...)
-	*scratch = sorted
-	sort.Float64s(sorted)
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // MinMax returns the smallest and largest values. It returns ErrEmpty for

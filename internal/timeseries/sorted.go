@@ -4,10 +4,10 @@ import "sort"
 
 // SortedWindow is an incrementally maintained multiset of float64 samples
 // kept in ascending order. It exists for streaming selection: the context
-// percentiles that batch analysis obtains by sorting a fresh copy of the
-// look-back context on every query are instead maintained sample-by-sample
-// on the ingest path, so a query only interpolates into an already-sorted
-// slice.
+// percentiles that batch analysis obtains by selecting on a fresh copy of
+// the look-back context on every query are instead maintained
+// sample-by-sample on the ingest path, so a query only interpolates into an
+// already-sorted slice.
 //
 // The bit-equality contract with the batch path is structural: a sorted
 // sequence is fully determined by the multiset of values it holds, so as
@@ -15,7 +15,8 @@ import "sort"
 // context region, Percentile returns the same bits PercentileScratch would
 // have produced from scratch. Inserting into a dense slice costs a binary
 // search plus a memmove — a few hundred nanoseconds at the window sizes
-// FChain retains (~1.4k samples), far below one per-query sort.
+// FChain retains (~1.4k samples), paid on every sample where the batch path
+// pays one O(n) selection per query.
 //
 // The zero value is ready to use. Not safe for concurrent use; callers
 // guard it with the owning shard's lock. Values must not be NaN (both the
@@ -78,24 +79,13 @@ func (w *SortedWindow) Max() (float64, bool) {
 func (w *SortedWindow) Bytes() int64 { return int64(cap(w.vals)) * 8 }
 
 // SortedPercentile interpolates the p-th percentile of an ascending-sorted
-// slice — PercentileScratch minus the sort. It is the query half of the
-// SortedWindow contract and must stay arithmetic-identical to
-// PercentileScratch's interpolation.
+// slice — PercentileScratch minus the selection. It is the query half of the
+// SortedWindow contract and shares closestRank/interpolate with
+// PercentileScratch, so the two cannot drift apart.
 func SortedPercentile(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if frac == 0 {
-		return sorted[lo], nil
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
+	lo, frac := closestRank(len(sorted), p)
+	return interpolate(sorted, lo, frac), nil
 }
