@@ -13,6 +13,9 @@ package fchain_test
 // measurements on the real pipeline primitives.
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"fchain"
@@ -301,6 +304,55 @@ func BenchmarkModuleSeriesInto(b *testing.B) {
 			b.Fatal("bad materialization")
 		}
 	}
+}
+
+// BenchmarkIngestTimeMajor measures the collection path the way a slave
+// daemon runs it: each virtual second, one sample for every metric of 128
+// components through Slave.Ingest, with every ring full and every model
+// warm. Walking 768 streams per second is what the per-stream layer
+// benchmarks (BenchmarkModuleMonitoring replays one component with its
+// state in L1) do not see. An op is one virtual second; ns/sample is the
+// number to compare, and steady state allocates nothing.
+func BenchmarkIngestTimeMajor(b *testing.B) {
+	const components = 128
+	cfg := fchain.DefaultConfig()
+	names := make([]string, components)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%03d", i)
+	}
+	slave := fchain.NewSlave("bench", names, cfg)
+	defer slave.Close()
+	kinds := fchain.Kinds()
+	// A periodic workload plus seeded noise per stream, precomputed so the
+	// loop times Ingest, not the signal.
+	const period = 60
+	rng := rand.New(rand.NewSource(1))
+	signal := make([][period]float64, components*len(kinds))
+	for i := range signal {
+		level, amp := 20+60*rng.Float64(), 2+8*rng.Float64()
+		for t := range signal[i] {
+			signal[i][t] = level + amp*math.Sin(2*math.Pi*float64(t)/period) + rng.NormFloat64()
+		}
+	}
+	second := func(t int64) {
+		for c, name := range names {
+			for ki, k := range kinds {
+				if err := slave.Ingest(name, t, k, signal[c*len(kinds)+ki][t%period]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	warm := int64(cfg.RingCapacity) + period
+	for t := int64(0); t < warm; t++ {
+		second(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		second(warm + int64(i))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*components*len(kinds)), "ns/sample")
 }
 
 // BenchmarkSimulationSecond measures one simulated second of the RUBiS

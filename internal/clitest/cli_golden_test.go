@@ -119,8 +119,8 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var masterErr strings.Builder
-	master.Stderr = &masterErr
+	masterErr := &syncLog{}
+	master.Stderr = masterErr
 	if err := master.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,10 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slaves []*exec.Cmd
+	var (
+		slaves    []*exec.Cmd
+		slaveLogs []*syncLog
+	)
 	for _, comp := range []string{"web", "app1", "app2", "db"} {
 		var lines []string
 		for _, line := range strings.Split(string(data), "\n") {
@@ -161,10 +164,13 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 		slave := exec.Command(slaveBin, "-name", "host-"+comp, "-components", comp, "-master", addr,
 			"-parallel", "1")
 		slave.Stdin = strings.NewReader(strings.Join(lines, "\n"))
+		slaveLog := &syncLog{}
+		slave.Stdout = slaveLog
 		if err := slave.Start(); err != nil {
 			t.Fatal(err)
 		}
 		slaves = append(slaves, slave)
+		slaveLogs = append(slaveLogs, slaveLog)
 	}
 	defer func() {
 		for _, s := range slaves {
@@ -184,6 +190,7 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 	if registered < 4 {
 		t.Fatalf("only %d slaves registered", registered)
 	}
+	waitFeedsDrained(t, slaveLogs)
 
 	health := consoleBlock(t, masterIn, reader, "health", "sync-health")
 	localize := consoleBlock(t, masterIn, reader, "localize "+tv, "sync-localize")
@@ -269,8 +276,8 @@ func TestCLIGoldenMeshMasterConsole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var masterErr strings.Builder
-	master.Stderr = &masterErr
+	masterErr := &syncLog{}
+	master.Stderr = masterErr
 	if err := master.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,45 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// syncLog is an output sink a child process writes from exec's copying
+// goroutine while the test reads it.
+type syncLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// waitFeedsDrained returns once every slave log reports that its stdin feed
+// has reached the models. A slave registers before it reads its feed, so
+// under load it can still be ingesting when the master asks.
+func waitFeedsDrained(t *testing.T, logs []*syncLog) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, l := range logs {
+		for !strings.Contains(l.String(), "sample feed drained") {
+			if time.Now().After(deadline) {
+				t.Fatalf("slave feed never drained; log:\n%s", l.String())
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+}
 
 // buildBinaries compiles the three commands once per test run.
 func buildBinaries(t *testing.T) (simBin, masterBin, slaveBin string) {
@@ -101,7 +137,10 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// 3. One slave per component, each fed its share of the capture.
-	var slaves []*exec.Cmd
+	var (
+		slaves    []*exec.Cmd
+		slaveLogs []*syncLog
+	)
 	for _, comp := range []string{"web", "app1", "app2", "db"} {
 		data, err := os.ReadFile(csvPath)
 		if err != nil {
@@ -115,13 +154,14 @@ func TestCLIPipeline(t *testing.T) {
 		}
 		slave := exec.Command(slaveBin, "-name", "host-"+comp, "-components", comp, "-master", addr)
 		slave.Stdin = strings.NewReader(strings.Join(lines, "\n"))
-		var slaveLog strings.Builder
-		slave.Stdout = &slaveLog
-		slave.Stderr = &slaveLog
+		slaveLog := &syncLog{}
+		slave.Stdout = slaveLog
+		slave.Stderr = slaveLog
 		if err := slave.Start(); err != nil {
 			t.Fatal(err)
 		}
 		slaves = append(slaves, slave)
+		slaveLogs = append(slaveLogs, slaveLog)
 	}
 	// Poll the master until every slave has registered (they keep serving
 	// after their stdin feed drains).
@@ -150,6 +190,7 @@ func TestCLIPipeline(t *testing.T) {
 	if registered < 4 {
 		t.Fatalf("only %d slaves registered", registered)
 	}
+	waitFeedsDrained(t, slaveLogs)
 
 	// 4. Trigger localization at tv and check the culprit.
 	fmt.Fprintln(masterIn, "localize "+tv)

@@ -27,7 +27,7 @@ import (
 func shadowMatches(t *testing.T, owner, standby *Slave, comp string) bool {
 	t.Helper()
 	owner.mu.Lock()
-	pm := owner.monitors[comp]
+	pm := owner.monitors.Load().byName[comp]
 	owner.mu.Unlock()
 	standby.mu.Lock()
 	sm := standby.shadows[comp]

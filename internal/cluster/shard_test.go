@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +119,65 @@ func TestShardedAssignmentEnforcement(t *testing.T) {
 	// A stable membership re-rebalance is a no-op.
 	if moved, err := master.Rebalance(); err != nil || moved != 0 {
 		t.Errorf("steady-state rebalance moved %d (err %v), want 0", moved, err)
+	}
+}
+
+// TestFeedRacesAssign drives the owned set's copy-on-write publication from
+// both sides at once: a feeder ingests every component while assign frames
+// swap which of them the slave owns and readers walk the set. Under -race
+// this is the check that the feed needs no slave lock; afterwards the slave
+// owns exactly the last assignment and refuses what it gave away.
+func TestFeedRacesAssign(t *testing.T) {
+	sl := NewSlave("s", []string{"a", "b"}, core.Config{})
+	t.Cleanup(func() { sl.Close() })
+	conn, peer := net.Pipe()
+	t.Cleanup(func() { conn.Close(); peer.Close() })
+	go io.Copy(io.Discard, peer) // the acks
+	w := newConnWriter(conn)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for ts := int64(0); ; ts++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, comp := range []string{"a", "b", "c"} {
+				_ = sl.Ingest(comp, ts, metric.CPU, float64(ts%7)) // unowned components error
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sl.Quality()
+			if names := sl.Monitored(); len(names) != 2 {
+				t.Errorf("slave monitors %v mid-assign, want two components", names)
+			}
+		}
+	}()
+	sets := [][]string{{"b", "c"}, {"a", "c"}, {"a", "b"}}
+	for i := 0; i < 300; i++ {
+		sl.wg.Add(1)
+		sl.handleAssign(w, &envelope{Type: typeAssign, ID: uint64(i + 1), Components: sets[i%len(sets)]})
+	}
+	close(stop)
+	wg.Wait()
+
+	if got := sl.Monitored(); fmt.Sprint(got) != fmt.Sprint(sets[299%len(sets)]) {
+		t.Fatalf("slave monitors %v after the last assign, want %v", got, sets[299%len(sets)])
+	}
+	if err := sl.Ingest("c", 1e6, metric.CPU, 1); err == nil {
+		t.Error("slave accepted a component it was assigned away from")
 	}
 }
 

@@ -139,8 +139,12 @@ type Slave struct {
 	// aggregator's subtree while keeping the direct link for fallback asks.
 	via string
 
-	mu       sync.Mutex
-	monitors map[string]*core.Monitor
+	// monitors is the owned component → monitor set, published
+	// copy-on-write: it is replaced, never mutated, and only under mu, so the
+	// per-sample feed and every reader load it without taking mu.
+	monitors atomic.Pointer[monitorSet]
+
+	mu sync.Mutex
 	// shadows are the warm-standby monitors this slave keeps for components
 	// owned elsewhere: built purely from relayed replication deltas, never
 	// from the checkpoint dir (the primary owns that file), and promoted to
@@ -149,6 +153,18 @@ type Slave struct {
 	ups     []*upstream // every Connect call adds one managed upstream
 	closed  bool
 	wg      sync.WaitGroup
+}
+
+// monitorSet is one immutable publication of a slave's owned monitors.
+type monitorSet struct {
+	names  []string // sorted
+	byName map[string]*core.Monitor
+}
+
+// publish makes byName the slave's owned set. The caller holds s.mu, or is
+// the constructor, and hands over byName, which nobody mutates afterwards.
+func (s *Slave) publish(byName map[string]*core.Monitor) {
+	s.monitors.Store(&monitorSet{names: slices.Sorted(maps.Keys(byName)), byName: byName})
 }
 
 // upstream is one managed connection (to the master, or in tree mode also to
@@ -284,7 +300,6 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		backoffInitial: defaultBackoffInitial,
 		backoffMax:     defaultBackoffMax,
 		reconnect:      true,
-		monitors:       make(map[string]*core.Monitor, len(components)),
 		shadows:        make(map[string]*core.Monitor),
 
 		checkpointInterval: 30 * time.Second,
@@ -292,9 +307,11 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		replFloors:         make(map[string]map[string]int64),
 		replSeq:            make(map[string]uint64),
 	}
+	monitors := make(map[string]*core.Monitor, len(components))
 	for _, c := range components {
-		s.monitors[c] = core.NewMonitor(c, cfg)
+		monitors[c] = core.NewMonitor(c, cfg)
 	}
+	s.publish(monitors)
 	for _, o := range opts {
 		o.apply(s)
 	}
@@ -326,7 +343,7 @@ func (s *Slave) checkpointPath(component string) string {
 // design, because a slave that refuses to start over a stale checkpoint is
 // worse than one that relearns.
 func (s *Slave) restoreCheckpoints() {
-	for comp, mon := range s.monitors {
+	for comp, mon := range s.monitors.Load().byName {
 		var snap core.MonitorSnapshot
 		if err := core.LoadCheckpoint(s.checkpointPath(comp), &snap); err != nil {
 			continue
@@ -364,14 +381,12 @@ func (s *Slave) CheckpointNow() error {
 	return firstErr
 }
 
-// owned returns the owned components, sorted, and their monitors — copied so
-// callers can walk them without holding the slave's lock across snapshots,
-// analysis, or I/O.
+// owned returns the owned components, sorted, and their monitors: the
+// current publication itself, which callers walk without holding the
+// slave's lock across snapshots, analysis, or I/O, and must not modify.
 func (s *Slave) owned() ([]string, map[string]*core.Monitor) {
-	s.mu.Lock()
-	monitors := maps.Clone(s.monitors)
-	s.mu.Unlock()
-	return slices.Sorted(maps.Keys(monitors)), monitors
+	set := s.monitors.Load()
+	return set.names, set.byName
 }
 
 // livePeer returns the first upstream currently connected, or nil.
@@ -523,7 +538,7 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 		return
 	}
 	s.mu.Lock()
-	_, owned := s.monitors[comp]
+	_, owned := s.monitors.Load().byName[comp]
 	mon := s.shadows[comp]
 	s.mu.Unlock()
 	switch {
@@ -541,7 +556,7 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 		return
 	}
 	s.mu.Lock()
-	if _, nowOwned := s.monitors[comp]; !nowOwned {
+	if _, nowOwned := s.monitors.Load().byName[comp]; !nowOwned {
 		s.shadows[comp] = mon
 	}
 	s.mu.Unlock()
@@ -563,7 +578,7 @@ func (s *Slave) Name() string { return s.name }
 // In sharded mode the set follows the master's assignment pushes.
 func (s *Slave) Monitored() []string {
 	names, _ := s.owned()
-	return names
+	return slices.Clone(names)
 }
 
 // Observe feeds one metric sample into the slave's models through the
@@ -585,9 +600,7 @@ func (s *Slave) Ingest(component string, t int64, k metric.Kind, v float64) erro
 
 // feed hands the owned component's monitor to put and counts the outcome.
 func (s *Slave) feed(component string, put func(*core.Monitor) error) error {
-	s.mu.Lock()
-	mon, ok := s.monitors[component]
-	s.mu.Unlock()
+	mon, ok := s.monitors.Load().byName[component]
 	if !ok {
 		return fmt.Errorf("cluster: slave %s does not monitor %q", s.name, component)
 	}
@@ -858,7 +871,7 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 	adopt := make(map[string]*core.Monitor)
 	for comp := range desired {
 		s.mu.Lock()
-		_, have := s.monitors[comp]
+		_, have := s.monitors.Load().byName[comp]
 		shadow := s.shadows[comp]
 		if !have && shadow != nil {
 			// Warm promotion: the shadow monitor already holds the previous
@@ -891,13 +904,15 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 		shadowSet[comp] = true
 	}
 	s.mu.Lock()
-	maps.Copy(s.monitors, adopt)
-	for comp := range s.monitors {
+	monitors := maps.Clone(s.monitors.Load().byName)
+	maps.Copy(monitors, adopt)
+	for comp := range monitors {
 		if !desired[comp] {
-			delete(s.monitors, comp)
+			delete(monitors, comp)
 			removed = append(removed, comp)
 		}
 	}
+	s.publish(monitors)
 	// The shadow list is as authoritative as the owned list: shadows for
 	// components we no longer stand by for — or now own — are dropped. New
 	// shadow components need no monitor yet; the first relayed full snapshot
@@ -907,7 +922,7 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 			delete(s.shadows, comp)
 		}
 	}
-	total := len(s.monitors)
+	total := len(monitors)
 	s.mu.Unlock()
 	sort.Strings(added)
 	sort.Strings(removed)

@@ -152,7 +152,7 @@ func mustJSON(t *testing.T, v any) []byte {
 func ownedMonitor(t *testing.T, sl *Slave, comp string) *core.Monitor {
 	t.Helper()
 	sl.mu.Lock()
-	mon := sl.monitors[comp]
+	mon := sl.monitors.Load().byName[comp]
 	sl.mu.Unlock()
 	if mon == nil {
 		t.Fatalf("slave %s does not monitor %s after the move", sl.Name(), comp)

@@ -40,8 +40,11 @@ type metricShard struct {
 	samples   *timeseries.Ring
 	errs      *timeseries.Ring
 	sanitizer *ingest.Sanitizer
-	lastT     int64
-	hasLast   bool
+	// released is the sanitizer's output buffer, reused by every Ingest and
+	// FlushIngest on the shard so releasing a sample allocates nothing.
+	released []ingest.Sample
+	lastT    int64
+	hasLast  bool
 
 	// stream is the per-metric streaming-selection state (stream.go), nil
 	// unless Config.Streaming is on.
@@ -183,7 +186,8 @@ func (m *Monitor) Ingest(t int64, k metric.Kind, v float64) error {
 		return fmt.Errorf("core: invalid metric kind %v", k)
 	}
 	sh.mu.Lock()
-	for _, s := range sh.sanitizer.Push(t, v) {
+	sh.released = sh.sanitizer.AppendPush(sh.released[:0], t, v)
+	for _, s := range sh.released {
 		sh.apply(s)
 	}
 	sh.mu.Unlock()
@@ -207,7 +211,8 @@ func (m *Monitor) FlushIngest(upTo int64) {
 	for _, k := range metric.Kinds {
 		sh := &m.shards[k]
 		sh.mu.Lock()
-		for _, s := range sh.sanitizer.Flush(upTo) {
+		sh.released = sh.sanitizer.AppendFlush(sh.released[:0], upTo)
+		for _, s := range sh.released {
 			sh.apply(s)
 		}
 		sh.mu.Unlock()

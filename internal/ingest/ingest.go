@@ -238,11 +238,19 @@ func (s *Sanitizer) Pending() int { return len(s.pending) }
 
 // Push feeds one raw sample and returns the samples it releases, oldest
 // first: every buffered sample older than the reorder window behind the
-// newest timestamp seen, with short gaps filled and long gaps marked.
+// newest timestamp seen, with short gaps filled and long gaps marked. It
+// allocates the slice it returns; AppendPush reuses the caller's.
 func (s *Sanitizer) Push(t int64, v float64) []Sample {
+	return s.AppendPush(nil, t, v)
+}
+
+// AppendPush is Push appending the released samples to dst, in the manner
+// of strconv.AppendInt: dst[:len(dst)] is left as it was, and a caller that
+// passes the previous result resliced to zero releases without allocating.
+func (s *Sanitizer) AppendPush(dst []Sample, t int64, v float64) []Sample {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		s.stats.DroppedInvalid++
-		return nil
+		return dst
 	}
 	if s.hasOut && t <= s.lastOut {
 		// The stream has already been released past this timestamp.
@@ -251,11 +259,11 @@ func (s *Sanitizer) Push(t int64, v float64) []Sample {
 		} else {
 			s.stats.DroppedLate++
 		}
-		return nil
+		return dst
 	}
 	v = s.clamp(v)
 	if !s.insert(t, v) {
-		return nil
+		return dst
 	}
 	s.observeValue(v)
 	s.stats.Accepted++
@@ -265,14 +273,30 @@ func (s *Sanitizer) Push(t int64, v float64) []Sample {
 	if !s.hasSeen || t > s.maxSeen {
 		s.maxSeen, s.hasSeen = t, true
 	}
-	return s.release(s.maxSeen - int64(s.cfg.ReorderWindow))
+	return s.AppendFlush(dst, s.maxSeen-int64(s.cfg.ReorderWindow))
 }
 
 // Flush releases every buffered sample with timestamp ≤ upTo regardless of
 // the reorder window; FChain calls it with the violation time tv before
 // analyzing, so the look-back window sees everything collected.
 func (s *Sanitizer) Flush(upTo int64) []Sample {
-	return s.release(upTo)
+	return s.AppendFlush(nil, upTo)
+}
+
+// AppendFlush is Flush appending the released samples to dst, as
+// AppendPush does: it pops every pending sample with timestamp ≤ upTo,
+// repairing or marking the gaps between consecutive released samples.
+func (s *Sanitizer) AppendFlush(dst []Sample, upTo int64) []Sample {
+	n := 0
+	for n < len(s.pending) && s.pending[n].T <= upTo {
+		n++
+	}
+	for _, smp := range s.pending[:n] {
+		dst = s.emit(dst, smp)
+	}
+	copy(s.pending, s.pending[n:])
+	s.pending = s.pending[:len(s.pending)-n]
+	return dst
 }
 
 // clamp bounds v to the plausible range learned from the stream.
@@ -317,25 +341,6 @@ func (s *Sanitizer) insert(t int64, v float64) bool {
 	copy(s.pending[i+1:], s.pending[i:])
 	s.pending[i] = Sample{T: t, V: v}
 	return true
-}
-
-// release pops every pending sample with timestamp ≤ upTo, repairing or
-// marking the gaps between consecutive released samples.
-func (s *Sanitizer) release(upTo int64) []Sample {
-	n := 0
-	for n < len(s.pending) && s.pending[n].T <= upTo {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Sample, 0, n)
-	for _, smp := range s.pending[:n] {
-		out = s.emit(out, smp)
-	}
-	copy(s.pending, s.pending[n:])
-	s.pending = s.pending[:len(s.pending)-n]
-	return out
 }
 
 // emit appends smp to out, preceded by gap repair or a gap marker.

@@ -261,3 +261,56 @@ func TestCorruptedStreamSanitizes(t *testing.T) {
 		t.Errorf("score = %v, want degraded but reasonable", sc)
 	}
 }
+
+// TestAppendPushKeepsDst pins the append contract: released samples land
+// after whatever dst already holds, which is never overwritten, and a
+// stream fed through AppendPush/AppendFlush releases exactly what
+// Push/Flush release.
+func TestAppendPushKeepsDst(t *testing.T) {
+	in := seq(0, 200, func(i int) float64 { return float64(i % 13) })
+	corrupted := Corrupt(in, CorruptConfig{Seed: 9, DropRate: 0.1, DupRate: 0.05, NaNRate: 0.02, JitterMax: 3})
+	ref := NewSanitizer(Config{})
+	want := drain(ref, corrupted, 300)
+
+	s := NewSanitizer(Config{})
+	sentinel := Sample{T: -1, V: -1, GapBefore: -1}
+	got := []Sample{sentinel}
+	for _, smp := range corrupted {
+		got = s.AppendPush(got, smp.T, smp.V)
+		if got[0] != sentinel {
+			t.Fatalf("AppendPush overwrote dst[0]: %+v", got[0])
+		}
+	}
+	got = s.AppendFlush(got, 300)
+	if got[0] != sentinel {
+		t.Fatalf("AppendFlush overwrote dst[0]: %+v", got[0])
+	}
+	if len(got)-1 != len(want) {
+		t.Fatalf("appended %d samples, Push/Flush released %d", len(got)-1, len(want))
+	}
+	for i, smp := range got[1:] {
+		if smp != want[i] {
+			t.Fatalf("sample %d = %+v, Push/Flush released %+v", i, smp, want[i])
+		}
+	}
+	if s.Stats() != ref.Stats() {
+		t.Errorf("stats %v, Push/Flush stats %v", s.Stats(), ref.Stats())
+	}
+
+	// A reused buffer is appended to in place, past its length.
+	buf := make([]Sample, 1, 64)
+	buf[0] = sentinel
+	s2 := NewSanitizer(Config{ReorderWindow: 1})
+	s2.Push(0, 1)
+	out := s2.AppendPush(buf, 5, 2) // releases t=0
+	if &out[0] != &buf[0] || out[0] != sentinel || len(out) != 2 || out[1].T != 0 {
+		t.Fatalf("AppendPush into spare capacity = %+v", out)
+	}
+	out = s2.AppendFlush(out[:1], 10) // t=1..4 filled, then t=5
+	if &out[0] != &buf[0] || out[0] != sentinel || len(out) != 1+5 || !out[1].Filled || out[5].T != 5 {
+		t.Fatalf("AppendFlush into spare capacity = %+v", out)
+	}
+	if got := s2.AppendPush(buf, 5, 3); len(got) != 1 {
+		t.Fatalf("duplicate released %+v", got[1:])
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Default model parameters. 40 bins balances resolution against the amount
@@ -24,6 +25,12 @@ const (
 	DefaultBins  = 40
 	DefaultDecay = 0.999
 )
+
+// MaxBins is the finest discretization a predictor takes: New clamps to it
+// and FromSnapshot refuses more, so a corrupted snapshot cannot demand a
+// bins² matrix the size of the address space. At 256 bins one stream's
+// matrix is already half a megabyte.
+const MaxBins = 256
 
 // Predictor is an online Markov chain model over a single metric stream.
 // It is not safe for concurrent use; FChain runs one predictor per
@@ -35,8 +42,14 @@ type Predictor struct {
 	lo, hi   float64 // current discretization range
 	rangeSet bool
 
-	counts  [][]float64 // decayed transition counts [from][to]
+	// counts holds the decayed transition counts row-major, [from*bins+to].
+	// mask has words uint64s per row: bit to of row from is set once a count
+	// has been added at [from][to], so a row's non-zero counts are a subset
+	// of its set bits and Predict visits only those.
+	counts  []float64
 	rowSum  []float64
+	mask    []uint64
+	words   int // ceil(bins/64)
 	lastBin int
 	hasLast bool
 
@@ -59,26 +72,30 @@ type Predictor struct {
 	absEMA    float64
 	trendHint int8
 
-	// Remap scratch: the previous transition matrix and a bin-center
-	// buffer, recycled so growing the discretization range of a warm
-	// predictor allocates nothing. spare is always dimensionally identical
-	// to counts (bins never changes after New) and never aliases it.
-	spare         [][]float64
+	// Remap scratch: the previous transition matrix, its row sums and mask,
+	// and a bin-center buffer, recycled so growing the discretization range
+	// of a warm predictor allocates nothing. The spare is always
+	// dimensionally identical to the live matrix (bins never changes after
+	// New) and never aliases it.
+	spare         []float64
 	spareSum      []float64
+	spareMask     []uint64
 	centerScratch []float64
 }
 
 // New returns a predictor with the given number of value bins and decay
 // factor applied to historical transition counts at every observation.
-// bins < 2 and out-of-range decay fall back to the defaults.
+// bins < 2 and out-of-range decay fall back to the defaults; bins above
+// MaxBins are clamped to it.
 func New(bins int, decay float64) *Predictor {
 	if bins < 2 {
 		bins = DefaultBins
 	}
+	bins = min(bins, MaxBins)
 	if decay <= 0 || decay > 1 {
 		decay = DefaultDecay
 	}
-	p := &Predictor{bins: bins, decay: decay}
+	p := &Predictor{bins: bins, decay: decay, words: (bins + 63) / 64}
 	p.reset()
 	return p
 }
@@ -87,30 +104,35 @@ func New(bins int, decay float64) *Predictor {
 func NewDefault() *Predictor { return New(DefaultBins, DefaultDecay) }
 
 func (p *Predictor) reset() {
-	old, oldSum := p.counts, p.rowSum
-	if len(p.spare) == p.bins {
-		p.counts, p.rowSum = p.spare, p.spareSum
-		for i := range p.counts {
-			clear(p.counts[i])
-		}
+	old, oldSum, oldMask := p.counts, p.rowSum, p.mask
+	if p.spare != nil {
+		p.counts, p.rowSum, p.mask = p.spare, p.spareSum, p.spareMask
+		clear(p.counts)
 		clear(p.rowSum)
+		clear(p.mask)
 	} else {
-		// One flat backing array for the whole matrix: 2 allocations instead
-		// of bins+1, and the rows stay cache-adjacent. Full capacity slices
-		// keep an append on one row from bleeding into the next.
-		p.counts = make([][]float64, p.bins)
-		flat := make([]float64, p.bins*p.bins)
-		for i := range p.counts {
-			p.counts[i] = flat[i*p.bins : (i+1)*p.bins : (i+1)*p.bins]
-		}
+		p.counts = make([]float64, p.bins*p.bins)
 		p.rowSum = make([]float64, p.bins)
+		p.mask = make([]uint64, p.bins*p.words)
 	}
 	// The matrix just replaced becomes the next reset's scratch; remapRange
 	// still reads it through its own reference after this returns, which is
 	// safe because the spare is only cleared at the next reset.
-	p.spare, p.spareSum = old, oldSum
+	p.spare, p.spareSum, p.spareMask = old, oldSum, oldMask
 	p.hasLast = false
 	p.incWeight = 1
+}
+
+// add adds c to the count of transition i -> j and marks it occupied.
+func (p *Predictor) add(i, j int, c float64) {
+	p.counts[i*p.bins+j] += c
+	p.rowSum[i] += c
+	p.mask[i*p.words+j>>6] |= 1 << (j & 63)
+}
+
+// row returns the counts of transitions out of bin i.
+func (p *Predictor) row(i int) []float64 {
+	return p.counts[i*p.bins : (i+1)*p.bins]
 }
 
 // Observations returns the number of samples the model has consumed.
@@ -162,13 +184,16 @@ func (p *Predictor) ensureRange(v float64) {
 	}
 	newLo, newHi := p.lo, p.hi
 	span := p.hi - p.lo
-	// Grow generously to avoid frequent remaps under a trending metric.
+	// Grow generously to avoid frequent remaps under a trending metric. Each
+	// step moves the edge by at least one ulp: a range narrower than half
+	// an ulp of its edge (only a crafted snapshot has one) would otherwise
+	// round every step back onto the same edge and never cover v.
 	for v < newLo {
-		newLo -= span
+		newLo = min(newLo-span, math.Nextafter(newLo, math.Inf(-1)))
 		span = newHi - newLo
 	}
 	for v > newHi {
-		newHi += span
+		newHi = max(newHi+span, math.Nextafter(newHi, math.Inf(1)))
 		span = newHi - newLo
 	}
 	p.remapRange(newLo, newHi)
@@ -193,16 +218,12 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 	}
 	p.lo, p.hi = newLo, newHi
 	p.reset()
-	for i := range old {
-		for j, c := range old[i] {
-			if c == 0 {
-				continue
-			}
-			ni := p.binOf(centers[i])
-			nj := p.binOf(centers[j])
-			p.counts[ni][nj] += c
-			p.rowSum[ni] += c
+	for ij, c := range old {
+		if c == 0 {
+			continue
 		}
+		i, j := ij/oldBins, ij%oldBins
+		p.add(p.binOf(centers[i]), p.binOf(centers[j]), c)
 	}
 	// Restore the chain position under the new discretization — but only if
 	// the chain had one going in. A position severed by Break must stay
@@ -222,15 +243,22 @@ func (p *Predictor) Predict() (v float64, ok bool) {
 	if !p.hasLast {
 		return 0, false
 	}
-	row := p.counts[p.lastBin]
 	sum := p.rowSum[p.lastBin]
 	if sum <= 0 {
 		return 0, false
 	}
+	// Only columns whose bit is set can hold a count, and the bits are
+	// visited in ascending column order, so this sums exactly the terms a
+	// walk over the whole row would, in the same order, without loading the
+	// empty columns.
+	row := p.row(p.lastBin)
 	var acc float64
-	for j, c := range row {
-		if c > 0 {
-			acc += c / sum * p.binCenter(j)
+	for w, m := range p.mask[p.lastBin*p.words : (p.lastBin+1)*p.words] {
+		for ; m != 0; m &= m - 1 {
+			j := w<<6 + bits.TrailingZeros64(m)
+			if c := row[j]; c > 0 {
+				acc += c / sum * p.binCenter(j)
+			}
 		}
 	}
 	return acc, true
@@ -266,8 +294,7 @@ func (p *Predictor) Observe(v float64) (predErr float64, predicted bool) {
 				p.renormalize()
 			}
 		}
-		p.counts[p.lastBin][cur] += p.incWeight
-		p.rowSum[p.lastBin] += p.incWeight
+		p.add(p.lastBin, cur, p.incWeight)
 		// Refresh the drift state. A severed chain (Break, gap) reaches
 		// here with hadPrev=false, so no phantom cross-gap delta is ever
 		// charged to the trend.
@@ -325,14 +352,15 @@ func (p *Predictor) Break() {
 // preserving every ratio.
 func (p *Predictor) renormalize() {
 	inv := 1 / p.incWeight
-	for i := range p.counts {
+	for i := range p.rowSum {
 		if p.rowSum[i] == 0 {
 			continue
 		}
 		p.rowSum[i] = 0
-		for j := range p.counts[i] {
-			p.counts[i][j] *= inv
-			p.rowSum[i] += p.counts[i][j]
+		row := p.row(i)
+		for j := range row {
+			row[j] *= inv
+			p.rowSum[i] += row[j]
 		}
 	}
 	p.incWeight = 1
@@ -364,7 +392,7 @@ func (p *Predictor) TransitionProb(a, b float64) float64 {
 	if p.rowSum[i] <= 0 {
 		return 0
 	}
-	return p.counts[i][j] / p.rowSum[i]
+	return p.counts[i*p.bins+j] / p.rowSum[i]
 }
 
 // RowDistribution returns the transition distribution out of the bin
@@ -378,7 +406,7 @@ func (p *Predictor) RowDistribution(v float64) []float64 {
 		return nil
 	}
 	out := make([]float64, p.bins)
-	for j, c := range p.counts[i] {
+	for j, c := range p.row(i) {
 		out[j] = c / p.rowSum[i]
 	}
 	return out
@@ -386,9 +414,9 @@ func (p *Predictor) RowDistribution(v float64) []float64 {
 
 // Validate checks internal invariants; it is used by property tests.
 func (p *Predictor) Validate() error {
-	for i := range p.counts {
+	for i := range p.rowSum {
 		var sum float64
-		for _, c := range p.counts[i] {
+		for _, c := range p.row(i) {
 			if c < 0 {
 				return fmt.Errorf("markov: negative count in row %d", i)
 			}

@@ -56,11 +56,11 @@ func (p *Predictor) Snapshot() *Snapshot {
 	// Only non-empty rows are stored; a 40×40 matrix of zeros would bloat
 	// every checkpoint for cold metrics. nil rows restore as zero rows.
 	s.Counts = make([][]float64, p.bins)
-	for i, row := range p.counts {
+	for i := range s.Counts {
 		if p.rowSum[i] == 0 {
 			continue
 		}
-		s.Counts[i] = append([]float64(nil), row...)
+		s.Counts[i] = append([]float64(nil), p.row(i)...)
 	}
 	s.RowSums = append([]float64(nil), p.rowSum...)
 	return s
@@ -73,8 +73,8 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	if s == nil {
 		return nil, errors.New("markov: nil snapshot")
 	}
-	if s.Bins < 2 {
-		return nil, fmt.Errorf("markov: snapshot bins %d < 2", s.Bins)
+	if s.Bins < 2 || s.Bins > MaxBins {
+		return nil, fmt.Errorf("markov: snapshot bins %d out of [2,%d]", s.Bins, MaxBins)
 	}
 	if s.Decay <= 0 || s.Decay > 1 || math.IsNaN(s.Decay) {
 		return nil, fmt.Errorf("markov: snapshot decay %v out of (0,1]", s.Decay)
@@ -126,15 +126,20 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 		if len(row) != s.Bins {
 			return nil, fmt.Errorf("markov: snapshot row %d has %d columns for %d bins", i, len(row), s.Bins)
 		}
-		var sum float64
 		for j, c := range row {
 			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
 				return nil, fmt.Errorf("markov: snapshot count [%d][%d]=%v invalid", i, j, c)
 			}
-			p.counts[i][j] = c
-			sum += c
+			if c > 0 {
+				p.add(i, j, c)
+			}
 		}
-		p.rowSum[i] = sum
+		// Snapshot omits a row whose total is zero, so a row holding counts
+		// under a zero total would not survive the next snapshot; a predictor
+		// never produces one.
+		if s.RowSums != nil && s.RowSums[i] == 0 && p.rowSum[i] != 0 {
+			return nil, fmt.Errorf("markov: snapshot row %d holds counts but sums to 0", i)
+		}
 	}
 	if s.RowSums != nil {
 		copy(p.rowSum, s.RowSums) // Validate holds them to the counts just loaded

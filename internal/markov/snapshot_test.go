@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func trainedPredictor(seed int64, n int) *Predictor {
@@ -76,6 +77,8 @@ func TestFromSnapshotRejectsCorruption(t *testing.T) {
 		"negative count":      func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = -1 },
 		"nan count":           func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = math.NaN() },
 		"bins too small":      func(s *Snapshot) { s.Bins = 1 },
+		"bins too large":      func(s *Snapshot) { s.Bins = MaxBins + 1 },
+		"counts, zero total":  func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = 1e-9; s.RowSums[0] = 0 },
 		"bad decay":           func(s *Snapshot) { s.Decay = 1.5 },
 		"inverted range":      func(s *Snapshot) { s.Lo, s.Hi = s.Hi, s.Lo },
 		"last bin range":      func(s *Snapshot) { s.LastBin = s.Bins },
@@ -148,5 +151,33 @@ func TestSnapshotRestoresPredictionsExactly(t *testing.T) {
 	snap.RowSums[0] = math.NaN()
 	if _, err := FromSnapshot(&snap); err == nil {
 		t.Error("FromSnapshot accepted a NaN row total")
+	}
+}
+
+// TestNarrowRangeGrows pins range growth on a range narrower than half an
+// ulp of its edge, which a crafted snapshot can carry: stepping the edge
+// by the span rounded back onto the same edge, so covering a value outside
+// the range never finished.
+func TestNarrowRangeGrows(t *testing.T) {
+	p, err := FromSnapshot(&Snapshot{Bins: 4, Decay: 1, Lo: -2, Hi: -2 + math.Ldexp(1, -52), RangeSet: true, IncWeight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Observe(-3)
+		p.Observe(3)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("range growth did not terminate")
+	}
+	if lo, hi := p.Range(); lo > -3 || hi < 3 {
+		t.Errorf("range [%v, %v] does not cover the observed values", lo, hi)
+	}
+	if err := p.Validate(); err != nil {
+		t.Error(err)
 	}
 }

@@ -69,9 +69,9 @@ func TestResultsMatrixArtifact(t *testing.T) {
 	golden.Assert(t, "results_matrix.txt", []byte(res.Render()))
 }
 
-// smokeMatrixConfig is the reduced 2×3 matrix CI's matrix-smoke job runs
-// under -race: two small topologies against a gray failure, a cascade, and a
-// false-alarm trap.
+// smokeMatrixConfig is the reduced 2×3 matrix TestMatrixSmoke runs serial
+// and parallel (under -race in CI's test job): two small topologies against
+// a gray failure, a cascade, and a false-alarm trap.
 func smokeMatrixConfig(workers int) eval.MatrixConfig {
 	cfg := eval.MatrixConfig{
 		Meshes: []eval.MeshCase{
