@@ -396,9 +396,6 @@ func printResult(res fchain.LocalizeResult) {
 	if mq := res.MinQuality(); mq < 1 {
 		fmt.Printf("  min quality confidence: %.3f\n", mq)
 	}
-	for _, slave := range sortedKeys(res.ClockOffsets) {
-		fmt.Printf("  clock offset %s: %+ds\n", slave, res.ClockOffsets[slave])
-	}
 	if len(res.MissingComponents) > 0 {
 		fmt.Printf("  missing components: %s\n", strings.Join(res.MissingComponents, ", "))
 	}

@@ -58,7 +58,6 @@ func main() {
 		name        = flag.String("name", "", "slave name (default: hostname)")
 		components  = flag.String("components", "", "comma-separated component names monitored by this host")
 		master      = flag.String("master", "127.0.0.1:7070", "master address")
-		skew        = flag.Int64("skew", 0, "simulated clock skew in seconds (testing)")
 		backoff     = flag.Duration("backoff", 500*time.Millisecond, "initial reconnect backoff after a dropped master connection")
 		backoffMax  = flag.Duration("backoff-max", 15*time.Second, "reconnect backoff cap")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-safe model checkpoints (empty disables)")
@@ -79,13 +78,13 @@ func main() {
 		meshProfile = flag.Bool("mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
 	)
 	flag.Parse()
-	if err := run(*name, *components, *master, *skew, *backoff, *backoffMax, *ckptDir, *ckptEvery, *reorder, *parallel, *inflight, *admitQ, *quarCool, *debugAddr, *journal, *logLevel, *sharded, *via, *aggAddr, *streaming, *meshProfile, *replEvery); err != nil {
+	if err := run(*name, *components, *master, *backoff, *backoffMax, *ckptDir, *ckptEvery, *reorder, *parallel, *inflight, *admitQ, *quarCool, *debugAddr, *journal, *logLevel, *sharded, *via, *aggAddr, *streaming, *meshProfile, *replEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-slave:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name, components, master string, skew int64, backoff, backoffMax time.Duration, ckptDir string, ckptEvery time.Duration, reorder, parallel, inflight, admitQ int, quarCool time.Duration, debugAddr, journalPath, logLevel string, sharded bool, via, aggAddr string, streaming, meshProfile bool, replEvery time.Duration) error {
+func run(name, components, master string, backoff, backoffMax time.Duration, ckptDir string, ckptEvery time.Duration, reorder, parallel, inflight, admitQ int, quarCool time.Duration, debugAddr, journalPath, logLevel string, sharded bool, via, aggAddr string, streaming, meshProfile bool, replEvery time.Duration) error {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -117,9 +116,6 @@ func run(name, components, master string, skew int64, backoff, backoffMax time.D
 	opts := []fchain.SlaveOption{
 		fchain.WithBackoff(backoff, backoffMax),
 		fchain.WithSlaveObs(sink),
-	}
-	if skew != 0 {
-		opts = append(opts, fchain.WithClockSkew(skew))
 	}
 	if ckptDir != "" {
 		opts = append(opts,

@@ -47,16 +47,10 @@ func run() error {
 	defer master.Close()
 	fmt.Println("master listening on", master.Addr())
 
-	// One slave per host (here: one component per host), each with a small
-	// simulated clock skew to show FChain's NTP-tolerance.
-	skews := map[string]int64{"web": 1, "app2": -1}
+	// One slave per host (here: one component per host).
 	var slaves []*fchain.Slave
 	for _, comp := range sys.Components() {
-		var opts []fchain.SlaveOption
-		if skew := skews[comp]; skew != 0 {
-			opts = append(opts, fchain.WithClockSkew(skew))
-		}
-		slave := fchain.NewSlave("host-"+comp, []string{comp}, fchain.DefaultConfig(), opts...)
+		slave := fchain.NewSlave("host-"+comp, []string{comp}, fchain.DefaultConfig())
 		// Feed the host's collected metrics (in production: libvirt stats).
 		for _, kind := range fchain.Kinds() {
 			series, err := sys.Series(comp, kind)

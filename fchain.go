@@ -466,10 +466,6 @@ type Slave = cluster.Slave
 // SlaveOption configures a Slave.
 type SlaveOption = cluster.SlaveOption
 
-// WithClockSkew simulates a clock offset (seconds) on the slave's samples,
-// for testing FChain's tolerance to imperfect time synchronization.
-func WithClockSkew(seconds int64) SlaveOption { return cluster.WithClockSkew(seconds) }
-
 // WithBackoff overrides the slave's reconnect backoff bounds (first retry
 // ~initial, doubling to max, jittered ±50%).
 func WithBackoff(initial, max time.Duration) SlaveOption { return cluster.WithBackoff(initial, max) }

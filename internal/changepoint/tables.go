@@ -30,9 +30,9 @@ import (
 // possible at all: the legacy bootstrap reseeded per (component, metric,
 // tv), so no per-query work could ever be hoisted to ingest time.
 //
-// The resample count stays in the key so a deadline-reduced tier (a lighter
-// table) and the full tier never share quantiles, and so confidence retains
-// the same 1/k granularity the bootstrap had.
+// The resample count stays in the key so configurations with different
+// Bootstraps never share quantiles, and so confidence retains the same 1/k
+// granularity the bootstrap had.
 
 type tableKey struct {
 	n int // segment length

@@ -315,10 +315,7 @@ func (a *Aggregator) askSubtreeSlave(sc *slaveConn, tv int64, lookBack int, dead
 	env, err := sc.request(req, wait, a.stop)
 	switch {
 	case err == nil:
-		// UsedTV passes the slave's clock echo through untouched: the
-		// aggregator's own clock must never enter the master's offset math.
-		return subAnswer{Slave: sc.name, Reports: env.Reports, UsedTV: env.UsedTV,
-			WaitNS: time.Since(start).Nanoseconds()}
+		return subAnswer{Slave: sc.name, Reports: env.Reports, WaitNS: time.Since(start).Nanoseconds()}
 	case env != nil:
 		return subAnswer{Slave: sc.name, Err: env.Err, Code: env.Code}
 	default:

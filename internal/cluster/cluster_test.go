@@ -19,7 +19,7 @@ import (
 
 // startCluster boots a master plus one slave per component of the given
 // simulation and feeds all recorded samples up to tv.
-func startCluster(t *testing.T, sim *cloudsim.Sim, tv int64, deps *depgraph.Graph, skews map[string]int64) (*Master, []*Slave) {
+func startCluster(t *testing.T, sim *cloudsim.Sim, tv int64, deps *depgraph.Graph) (*Master, []*Slave) {
 	t.Helper()
 	master := NewMaster(core.Config{}, deps)
 	if err := master.Start("127.0.0.1:0"); err != nil {
@@ -28,11 +28,7 @@ func startCluster(t *testing.T, sim *cloudsim.Sim, tv int64, deps *depgraph.Grap
 	t.Cleanup(func() { master.Close() })
 	var slaves []*Slave
 	for _, comp := range sim.Components() {
-		var opts []SlaveOption
-		if skew, ok := skews[comp]; ok {
-			opts = append(opts, WithClockSkew(skew))
-		}
-		sl := NewSlave("host-"+comp, []string{comp}, core.Config{}, opts...)
+		sl := NewSlave("host-"+comp, []string{comp}, core.Config{})
 		for _, k := range metric.Kinds {
 			series, err := sim.Series(comp, k)
 			if err != nil {
@@ -83,7 +79,7 @@ func faultScenario(t *testing.T, seed int64) (*cloudsim.Sim, int64, *depgraph.Gr
 
 func TestDistributedLocalization(t *testing.T) {
 	sim, tv, deps := faultScenario(t, 1)
-	master, _ := startCluster(t, sim, tv, deps, nil)
+	master, _ := startCluster(t, sim, tv, deps)
 	res, err := master.Localize(context.Background(), tv)
 	if err != nil {
 		t.Fatal(err)
@@ -91,22 +87,6 @@ func TestDistributedLocalization(t *testing.T) {
 	names := res.Diagnosis.CulpritNames()
 	if len(names) != 1 || names[0] != apps.DB {
 		t.Errorf("distributed diagnosis = %v, want [db]", names)
-	}
-}
-
-func TestDistributedToleratesClockSkew(t *testing.T) {
-	// Shift one slave's clock by ±1s: the paper's claim is that FChain
-	// tolerates small skews because propagation delays are several seconds.
-	sim, tv, deps := faultScenario(t, 2)
-	skews := map[string]int64{apps.Web: 1, apps.App1: -1}
-	master, _ := startCluster(t, sim, tv, deps, skews)
-	res, err := master.Localize(context.Background(), tv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := res.Diagnosis.CulpritNames()
-	if len(names) != 1 || names[0] != apps.DB {
-		t.Errorf("skewed diagnosis = %v, want [db]", names)
 	}
 }
 
@@ -123,7 +103,7 @@ func TestLocalizeNoSlaves(t *testing.T) {
 
 func TestSlaveDropDuringLocalize(t *testing.T) {
 	sim, tv, deps := faultScenario(t, 1)
-	master, slaves := startCluster(t, sim, tv, deps, nil)
+	master, slaves := startCluster(t, sim, tv, deps)
 	// Kill the slave monitoring app2; the master must still localize from
 	// the remaining reports.
 	for _, sl := range slaves {
@@ -294,7 +274,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 
 func TestMasterHistory(t *testing.T) {
 	sim, tv, deps := faultScenario(t, 1)
-	master, _ := startCluster(t, sim, tv, deps, nil)
+	master, _ := startCluster(t, sim, tv, deps)
 	if len(master.History()) != 0 {
 		t.Fatal("fresh master should have empty history")
 	}

@@ -89,7 +89,6 @@ func runOverloadGoldenScenario(t *testing.T, parallelism int) []byte {
 			}
 			rep := core.ComponentReport{
 				Component:   "cache",
-				Tier:        core.TierSkipped,
 				Truncated:   true,
 				Quarantined: []string{"cpu"},
 			}

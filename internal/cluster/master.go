@@ -950,7 +950,7 @@ func (m *Master) fanOut(ctx context.Context, p *localizePlan) <-chan slaveAnswer
 // normalize folds the gathered answers into the result: coverage and error
 // accounting, one ask span per slave, the breaker charge for every ask that
 // failed or was given up on, and each report filtered to its component's
-// owner and shifted back into the master's clock.
+// owner.
 func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Trace, root int, res *core.LocalizeResult) []core.ComponentReport {
 	// The request fans out to every slave at once, so the pool width is the
 	// slave count; the select histogram records each slave's answer latency
@@ -984,32 +984,11 @@ func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Tra
 		res.Stats.Select.Observe(a.waitNS)
 		m.obs.Registry().Histogram("fchain_slave_answer_latency_ns",
 			"Per-slave analyze answer latency (remote selection plus the wire).").Observe(a.waitNS)
-		// Clock-offset normalization: the slave echoed which clock its
-		// onsets are in. The propagation chain orders components by onset
-		// across slaves, so per-slave offsets must be removed before
-		// diagnosis or a skewed slave's component shifts within the chain.
-		offset := int64(0)
-		if a.usedTV != 0 {
-			offset = a.usedTV - p.tv
-		}
-		if offset != 0 {
-			if res.ClockOffsets == nil {
-				res.ClockOffsets = make(map[string]int64)
-			}
-			res.ClockOffsets[a.slave] = offset
-		}
 		for _, rep := range a.reports {
 			if own, placed := p.ownerOf[rep.Component]; placed && own != a.slave {
 				continue // stale owner mid-rebalance; the current owner's report counts
 			}
 			seen[rep.Component] = true
-			if offset != 0 {
-				rep.Onset -= offset
-				for i := range rep.Changes {
-					rep.Changes[i].Onset -= offset
-					rep.Changes[i].ChangeAt -= offset
-				}
-			}
 			if rep.Quality != (core.DataQuality{}) {
 				if res.Quality == nil {
 					res.Quality = make(map[string]core.DataQuality)
@@ -1126,7 +1105,6 @@ type slaveAnswer struct {
 	slave   string
 	via     string
 	reports []core.ComponentReport
-	usedTV  int64
 	retries int
 	waitNS  int64
 	skipped bool
@@ -1155,7 +1133,7 @@ func (m *Master) askDirect(ctx context.Context, p *localizePlan, sc *slaveConn, 
 	a := slaveAnswer{slave: sc.name, retries: retries, waitNS: time.Since(start).Nanoseconds(), err: err}
 	if err == nil {
 		sc.recordResult(true, m.brThreshold)
-		a.reports, a.usedTV = env.Reports, env.UsedTV
+		a.reports = env.Reports
 	}
 	answers <- a
 }
@@ -1196,7 +1174,7 @@ func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn
 		if wait <= 0 {
 			wait = elapsed
 		}
-		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, usedTV: s.UsedTV, retries: retries, waitNS: wait}
+		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, retries: retries, waitNS: wait}
 	}
 }
 
@@ -1213,8 +1191,9 @@ func (m *Master) askSlave(ctx context.Context, p *localizePlan, sc *slaveConn, a
 		retries = attempt
 		// Each attempt's wait is its share of the deadline, clamped to the
 		// budget actually left on the context; the slave receives that wait
-		// as its analysis budget (BudgetMS) so remote selection degrades
-		// instead of overshooting the master's patience.
+		// as its analysis budget (BudgetMS) so remote selection skips what
+		// it cannot start in time instead of overshooting the master's
+		// patience.
 		wait := p.perAttempt
 		if dl, ok := ctx.Deadline(); ok {
 			wait = min(wait, time.Until(dl))

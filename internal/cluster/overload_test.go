@@ -530,8 +530,8 @@ func TestBudgetTruncatesSlaveAnalysis(t *testing.T) {
 		t.Fatalf("got %d reports, want 2 (a truncated answer, not nothing)", len(resp.Reports))
 	}
 	for _, rep := range resp.Reports {
-		if !rep.Truncated || rep.Tier != core.TierSkipped {
-			t.Errorf("component %s: Tier=%q Truncated=%v, want skipped+truncated", rep.Component, rep.Tier, rep.Truncated)
+		if !rep.Truncated {
+			t.Errorf("component %s: Truncated=false, want a deadline-truncated report", rep.Component)
 		}
 		if len(rep.Changes) != 0 {
 			t.Errorf("component %s reported changes from a skipped analysis", rep.Component)
@@ -561,7 +561,6 @@ func TestMasterPropagatesTruncationAndQuarantine(t *testing.T) {
 			}
 			rep := core.ComponentReport{
 				Component:   "qc",
-				Tier:        core.TierTrend,
 				Truncated:   true,
 				Quarantined: []string{"cpu", "memory"},
 			}

@@ -6,9 +6,9 @@
 //
 // The wire protocol is newline-delimited JSON over TCP, 11 frame types in
 // all: a slave dials the master, registers the components it monitors, and
-// then answers analyze requests. The paper relies on NTP to keep host clocks within a few
-// milliseconds; the slave supports an explicit clock-skew offset so tests
-// can verify FChain tolerates small skews (§II-B fn. 2).
+// then answers analyze requests. The paper relies on NTP to keep host
+// clocks within a few milliseconds (§II-B fn. 2); collector clocks are not
+// corrected here.
 package cluster
 
 import (
@@ -109,13 +109,8 @@ type envelope struct {
 	Shadow    []string `json:"shadow,omitempty"`
 	ReplReset []string `json:"repl_reset,omitempty"`
 
-	// Reports fields. UsedTV echoes the violation time in the slave's own
-	// clock (the requested tv plus the slave's skew): the master subtracts
-	// the two to estimate the slave's clock offset and normalize every
-	// reported onset back to its own clock before building the propagation
-	// chain.
+	// Reports fields.
 	Reports []core.ComponentReport `json:"reports,omitempty"`
-	UsedTV  int64                  `json:"used_tv,omitempty"`
 
 	// Violate fields. A violate frame reports one SLO violation for App,
 	// owned by Tenant, detected at TV; BudgetMS (above) optionally bounds
@@ -138,14 +133,12 @@ type envelope struct {
 }
 
 // subAnswer is one subtree slave's outcome inside an aggregator's merged
-// reports frame. Exactly one of Reports or Err is meaningful; UsedTV echoes
-// the slave's clock (not the aggregator's) so the master's per-slave offset
-// normalization is unchanged by the tree, and WaitNS carries the answer
-// latency the aggregator measured for the master's latency histogram.
+// reports frame. Exactly one of Reports or Err is meaningful; WaitNS carries
+// the answer latency the aggregator measured for the master's latency
+// histogram.
 type subAnswer struct {
 	Slave   string                 `json:"slave"`
 	Reports []core.ComponentReport `json:"reports,omitempty"`
-	UsedTV  int64                  `json:"used_tv,omitempty"`
 	WaitNS  int64                  `json:"wait_ns,omitempty"`
 	Err     string                 `json:"err,omitempty"`
 	Code    string                 `json:"code,omitempty"`

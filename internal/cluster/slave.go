@@ -75,12 +75,6 @@ type Slave struct {
 	name string
 	cfg  core.Config
 
-	// skew simulates this host's clock error relative to the master: every
-	// recorded sample timestamp is shifted by skew seconds. The paper
-	// relies on NTP (sub-5 ms error) and notes FChain tolerates small
-	// skews because propagation delays between components are seconds.
-	skew int64
-
 	dial           func(addr string) (net.Conn, error)
 	backoffInitial time.Duration
 	backoffMax     time.Duration
@@ -185,12 +179,6 @@ type SlaveOption interface {
 type slaveOptionFunc func(*Slave)
 
 func (f slaveOptionFunc) apply(s *Slave) { f(s) }
-
-// WithClockSkew sets a simulated clock skew (in seconds) for the slave's
-// sample timestamps.
-func WithClockSkew(seconds int64) SlaveOption {
-	return slaveOptionFunc(func(s *Slave) { s.skew = seconds })
-}
 
 // WithBackoff overrides the reconnect backoff bounds: the first retry waits
 // ~initial (jittered), doubling per consecutive failure up to max.
@@ -587,7 +575,7 @@ func (s *Slave) Monitored() []string {
 // connections; collection is local and continuous, so models keep learning
 // through master outages.
 func (s *Slave) Observe(component string, t int64, k metric.Kind, v float64) error {
-	return s.feed(component, func(mon *core.Monitor) error { return mon.Observe(t+s.skew, k, v) })
+	return s.feed(component, func(mon *core.Monitor) error { return mon.Observe(t, k, v) })
 }
 
 // Ingest feeds one possibly-dirty metric sample through the component's
@@ -595,7 +583,7 @@ func (s *Slave) Observe(component string, t int64, k metric.Kind, v float64) err
 // out-of-order arrival reordered, short gaps interpolated, and the damage
 // accounted in the quality counters carried by every report.
 func (s *Slave) Ingest(component string, t int64, k metric.Kind, v float64) error {
-	return s.feed(component, func(mon *core.Monitor) error { return mon.Ingest(t+s.skew, k, v) })
+	return s.feed(component, func(mon *core.Monitor) error { return mon.Ingest(t, k, v) })
 }
 
 // feed hands the owned component's monitor to put and counts the outcome.
@@ -1011,10 +999,7 @@ func (s *Slave) handleAnalyze(w *connWriter, env *envelope) {
 		(*hook)(s.name, env.TV)
 	}
 	reports := s.analyzeBudget(env.TV, env.LookBack, deadline)
-	// UsedTV tells the master which clock the reported onsets are in, so it
-	// can normalize them back to its own.
-	resp := &envelope{Type: typeReports, ID: env.ID, Reports: reports, UsedTV: env.TV + s.skew}
-	_ = w.write(resp, 30*time.Second)
+	_ = w.write(&envelope{Type: typeReports, ID: env.ID, Reports: reports}, 30*time.Second)
 }
 
 // analyzeBudget analyzes every owned component's window ending at tv. A
@@ -1024,9 +1009,9 @@ func (s *Slave) handleAnalyze(w *connWriter, env *envelope) {
 // tasks of all local components run on one bounded worker pool
 // (cfg.Parallelism; collection keeps flowing meanwhile — analysis only
 // briefly locks each metric shard while copying its history). Under a
-// wall-clock deadline selection degrades full → reduced-window → trend-only →
-// skipped as the budget runs out (zero deadline disables budgeting), and the
-// degradation is accounted in the obs sink.
+// wall-clock deadline a selection task that starts after it is skipped and
+// its report marked Truncated (zero deadline disables budgeting), and the
+// truncation is accounted in the obs sink.
 func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core.ComponentReport {
 	names, byName := s.owned()
 	monitors := make([]*core.Monitor, len(names))
@@ -1039,10 +1024,10 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 	)
 	if s.obs.TraceRing() != nil {
 		var tr *obs.Trace
-		reports, stats, tr = core.AnalyzeMonitorsDeadlineTraced(monitors, tv+s.skew, lookBack, s.cfg.Parallelism, deadline)
+		reports, stats, tr = core.AnalyzeMonitorsDeadlineTraced(monitors, tv, lookBack, s.cfg.Parallelism, deadline)
 		s.obs.TraceRing().Add(tr)
 	} else {
-		reports, stats = core.AnalyzeMonitorsDeadline(monitors, tv+s.skew, lookBack, s.cfg.Parallelism, deadline)
+		reports, stats = core.AnalyzeMonitorsDeadline(monitors, tv, lookBack, s.cfg.Parallelism, deadline)
 	}
 	truncated := 0
 	for _, rep := range reports {

@@ -90,7 +90,7 @@ func aggName(i int) string { return "agg-" + string(rune('a'+i)) }
 func TestTreeTopologyMatchesFlatDiagnosis(t *testing.T) {
 	sim, tv, deps := faultScenario(t, 1)
 
-	flatMaster, _ := startCluster(t, sim, tv, deps, nil)
+	flatMaster, _ := startCluster(t, sim, tv, deps)
 	flat, err := flatMaster.Localize(context.Background(), tv)
 	if err != nil {
 		t.Fatal(err)

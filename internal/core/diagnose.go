@@ -311,7 +311,7 @@ func (l *Localizer) analyzeAll(dst []ComponentReport, tv int64, cfg Config, tr *
 		monitors[i] = l.monitors[name]
 		cfgs[i] = cfg
 	}
-	dst = analyzeMonitors(dst, monitors, cfgs, tv, workers, &stats, tr, an, nil)
+	dst = analyzeMonitors(dst, monitors, cfgs, tv, workers, &stats, tr, an, time.Time{})
 	tr.End(an)
 	return dst, stats
 }

@@ -30,10 +30,10 @@ import (
 
 // analyzeSerial analyzes the monitors in order on one shared arena,
 // appending to dst.
-func analyzeSerial(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, stats *PoolStats, tr *obs.Trace, parent int, bd *budgeter) []ComponentReport {
+func analyzeSerial(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) []ComponentReport {
 	a := getArena()
 	for i, mon := range monitors {
-		dst = append(dst, mon.analyzeBudgeted(tv, cfgs[i], a, stats, tr, parent, bd))
+		dst = append(dst, mon.analyzeBudgeted(tv, cfgs[i], a, stats, tr, parent, deadline))
 	}
 	putArena(a)
 	return dst
@@ -43,10 +43,10 @@ func analyzeSerial(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv
 // tv under its matching config (cfgs[i] for monitors[i]), appending one
 // report per monitor to dst in monitor order. workers <= 1, a single
 // monitor, or no monitors run serially. With a non-nil trace, component and
-// selection spans are recorded under parent. bd, when non-nil, budgets each
-// task against a deadline (see overload.go); with bd == nil the output is
-// deterministic and bit-identical at any worker count.
-func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, workers int, stats *PoolStats, tr *obs.Trace, parent int, bd *budgeter) []ComponentReport {
+// selection spans are recorded under parent. A non-zero deadline skips every
+// task that starts after it (see overload.go); with a zero deadline the output
+// is deterministic and bit-identical at any worker count.
+func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, workers int, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) []ComponentReport {
 	numTasks := len(monitors) * metric.NumKinds
 	stats.Tasks += numTasks
 	if workers > numTasks {
@@ -56,7 +56,7 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 		stats.Workers = 1
 	}
 	if workers <= 1 || len(monitors) <= 1 {
-		return analyzeSerial(dst, monitors, cfgs, tv, stats, tr, parent, bd)
+		return analyzeSerial(dst, monitors, cfgs, tv, stats, tr, parent, deadline)
 	}
 	if workers > stats.Workers {
 		stats.Workers = workers
@@ -71,11 +71,11 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 	}
 
 	type taskResult struct {
-		ch   AbnormalChange
-		ok   bool
-		st   metricStatus
-		tier AnalysisTier
-		sub  *obs.Trace // per-task sub-trace, grafted at assembly
+		ch      AbnormalChange
+		ok      bool
+		st      metricStatus
+		skipped bool
+		sub     *obs.Trace // per-task sub-trace, grafted at assembly
 	}
 	results := make([]taskResult, numTasks)
 	tasks := make(chan int)
@@ -97,13 +97,11 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 				if tr != nil {
 					sub = obs.NewTrace("task", tv)
 				}
-				tier := bd.tier()
 				t0 := time.Now()
-				ch, ok, st := mon.analyzeMetric(tv, k, cfgs[idx/metric.NumKinds], a, sub, -1, tier)
-				ns := time.Since(t0).Nanoseconds()
-				bd.observe(ns, tier)
-				hist.Observe(ns)
-				results[idx] = taskResult{ch: ch, ok: ok, st: st, tier: tier, sub: sub}
+				skipped := pastDeadline(deadline, t0)
+				ch, ok, st := mon.analyzeMetric(tv, k, cfgs[idx/metric.NumKinds], a, sub, -1, skipped)
+				hist.Observe(time.Since(t0).Nanoseconds())
+				results[idx] = taskResult{ch: ch, ok: ok, st: st, skipped: skipped, sub: sub}
 			}
 			statsMu.Lock()
 			stats.Select.Merge(hist)
@@ -130,7 +128,7 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 			if tr != nil {
 				tr.Graft(comp, r.sub)
 			}
-			accumulateMetric(&rep, r.ch, r.ok, r.st, r.tier, metric.Kinds[ki], stats)
+			accumulateMetric(&rep, r.ch, r.ok, r.st, r.skipped, metric.Kinds[ki], stats)
 		}
 		finishReport(&rep)
 		if tr != nil {
@@ -163,9 +161,9 @@ func AnalyzeMonitorsTraced(monitors []*Monitor, tv int64, lookBack, workers int)
 }
 
 // AnalyzeMonitorsDeadline is AnalyzeMonitors budgeting the selection work
-// against a wall-clock deadline: tasks degrade full → reduced-window →
-// model-trend-only → skipped as the budget tightens (see overload.go), and
-// degraded reports carry Tier/Truncated markers. A zero deadline disables
+// against a wall-clock deadline: a task that starts before the deadline runs
+// in full, one that starts after it is skipped (see overload.go), and a
+// report with a skipped metric is marked Truncated. A zero deadline disables
 // budgeting entirely.
 func AnalyzeMonitorsDeadline(monitors []*Monitor, tv int64, lookBack, workers int, deadline time.Time) ([]ComponentReport, PoolStats) {
 	reports, stats, _ := analyzeMonitorsOpts(monitors, tv, lookBack, workers, false, deadline)
@@ -199,8 +197,7 @@ func analyzeMonitorsOpts(monitors []*Monitor, tv int64, lookBack, workers int, t
 		root = tr.Start(-1, "analyze")
 		tr.AttrInt(root, "tasks", int64(len(monitors)*metric.NumKinds))
 	}
-	bd := newBudgeter(deadline, len(monitors)*metric.NumKinds)
-	reports := analyzeMonitors(make([]ComponentReport, 0, len(monitors)), monitors, cfgs, tv, workers, &stats, tr, root, bd)
+	reports := analyzeMonitors(make([]ComponentReport, 0, len(monitors)), monitors, cfgs, tv, workers, &stats, tr, root, deadline)
 	tr.End(root)
 	return reports, stats, tr
 }

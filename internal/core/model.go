@@ -244,25 +244,6 @@ func (m *Monitor) ObserveVector(t int64, vec *metric.Vector) error {
 	return nil
 }
 
-// TrendHints reports each metric model's precomputed short-horizon drift
-// tier (markov.Predictor.TrendHint): metric name → +1 rising / -1 falling,
-// with flat metrics omitted. It is O(metrics) — the models refresh the hint
-// on every Observe — so status endpoints can poll it freely between
-// localizations.
-func (m *Monitor) TrendHints() map[string]int {
-	out := make(map[string]int, metric.NumKinds)
-	for _, k := range metric.Kinds {
-		sh := &m.shards[k]
-		sh.mu.Lock()
-		h := sh.model.TrendHint()
-		sh.mu.Unlock()
-		if h != 0 {
-			out[k.String()] = h
-		}
-	}
-	return out
-}
-
 // materialize snapshots metric k's retained samples and prediction errors
 // into the arena's series under the shard lock, returning both. All window
 // and context queries of one analysis pass take zero-copy views of these;

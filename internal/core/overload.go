@@ -9,18 +9,17 @@ import (
 )
 
 // This file implements the engine's overload model: deadline-budgeted
-// degradation tiers for the selection tasks and panic quarantine for
-// poisoned metric streams.
+// selection tasks and panic quarantine for poisoned metric streams.
 //
 // Deadline budgeting: a master under a tight Localize deadline forwards the
 // remaining budget to each slave, and the slave analyzes against it instead
-// of blowing through it. Each (component, metric) task picks a tier from the
-// time left and the observed cost of the tasks before it: the full pipeline
-// while the budget is comfortable, a reduced look-back window when it gets
-// tight, a model-trend-only heuristic when it is nearly gone, and a skip
-// once it is spent. A degraded report marked Truncated still feeds the
-// diagnosis — the paper's online goal is a verdict seconds after the
-// violation, and a partial answer on time beats a complete one too late.
+// of blowing through it. One rule decides each (component, metric) task: it
+// runs in full unless the deadline has already passed when it starts, and
+// then it is skipped. Nothing is calibrated: a task costs microseconds, so
+// there is no cheaper kernel worth falling back to. A report with a skipped
+// metric is marked Truncated and still feeds the diagnosis: the paper's
+// online goal is a verdict seconds after the violation, and a partial answer
+// on time beats a complete one too late.
 //
 // Panic quarantine: every selection kernel runs under recover(). A stream
 // whose kernel panics (corrupted history, pathological input) is
@@ -29,122 +28,10 @@ import (
 // quarantine. One poisoned series therefore costs its own stream, never the
 // daemon.
 
-// AnalysisTier labels how much of the selection pipeline a task ran under
-// deadline budgeting. The zero value (TierFull) is the full pipeline and is
-// omitted from serialized reports.
-type AnalysisTier string
-
-const (
-	// TierFull: the complete selection pipeline over the configured window.
-	TierFull AnalysisTier = ""
-	// TierReduced: a halved look-back window and a lighter bootstrap.
-	TierReduced AnalysisTier = "reduced"
-	// TierTrend: the model-trend-only heuristic — a sustained level shift
-	// check against the pre-window context, no change point detection.
-	TierTrend AnalysisTier = "trend"
-	// TierSkipped: the budget was spent before the task ran; no analysis.
-	TierSkipped AnalysisTier = "skipped"
-)
-
-// rank orders tiers from full (0) to skipped (3) so reports can carry the
-// weakest tier their metrics were analyzed at.
-func (t AnalysisTier) rank() int {
-	switch t {
-	case TierReduced:
-		return 1
-	case TierTrend:
-		return 2
-	case TierSkipped:
-		return 3
-	default:
-		return 0
-	}
-}
-
-// budgeter assigns each remaining selection task a degradation tier from
-// the time left until the deadline and the observed cost of the full-tier
-// tasks already finished. It is shared by the serial path and the parallel
-// workers; all state is atomic. A nil budgeter (no deadline) always yields
-// TierFull at zero cost.
-type budgeter struct {
-	deadline  time.Time
-	tasksLeft atomic.Int64
-	fullNS    atomic.Int64 // total cost of completed full-tier tasks
-	fullN     atomic.Int64
-}
-
-// newBudgeter returns a budgeter for n tasks, or nil when there is no
-// deadline to budget against.
-func newBudgeter(deadline time.Time, n int) *budgeter {
-	if deadline.IsZero() {
-		return nil
-	}
-	b := &budgeter{deadline: deadline}
-	b.tasksLeft.Store(int64(n))
-	return b
-}
-
-// tier claims the next task and picks its tier: the per-task share of the
-// remaining budget against the mean cost of the full-tier tasks so far.
-// The first task has no estimate and runs full — optimistically, since a
-// deadline generous enough for zero tasks is indistinguishable from one
-// generous enough for all of them until something has been measured.
-func (b *budgeter) tier() AnalysisTier {
-	if b == nil {
-		return TierFull
-	}
-	left := b.tasksLeft.Add(-1) + 1 // include the task being claimed
-	if left < 1 {
-		left = 1
-	}
-	rem := time.Until(b.deadline)
-	if rem <= 0 {
-		return TierSkipped
-	}
-	n := b.fullN.Load()
-	if n == 0 {
-		return TierFull
-	}
-	mean := b.fullNS.Load() / n
-	if mean <= 0 {
-		return TierFull
-	}
-	perTask := rem.Nanoseconds() / left
-	switch {
-	case perTask >= 2*mean: // 2x headroom: no reason to degrade
-		return TierFull
-	case perTask >= mean/2: // a halved window roughly halves the cost
-		return TierReduced
-	default:
-		return TierTrend
-	}
-}
-
-// observe feeds a completed task's cost into the estimate; only full-tier
-// samples calibrate the full-tier cost.
-func (b *budgeter) observe(ns int64, tier AnalysisTier) {
-	if b == nil || tier != TierFull {
-		return
-	}
-	b.fullNS.Add(ns)
-	b.fullN.Add(1)
-}
-
-// reducedCfg derives the TierReduced configuration: half the look-back
-// window (floored so smoothing still has material to work with) and a
-// lighter bootstrap, which dominates the kernel's cost.
-func reducedCfg(cfg Config) Config {
-	w := cfg.LookBack / 2
-	if floor := 3*cfg.SmoothWindow + 8; w < floor {
-		w = floor
-	}
-	if w < cfg.LookBack {
-		cfg.LookBack = w
-	}
-	if cfg.Bootstraps > 50 {
-		cfg.Bootstraps = 50
-	}
-	return cfg
+// pastDeadline reports whether a task starting at t0 is skipped: a non-zero
+// deadline has already passed. A zero deadline never skips.
+func pastDeadline(deadline, t0 time.Time) bool {
+	return !deadline.IsZero() && !t0.Before(deadline)
 }
 
 // defaultQuarantineCooldown is how long a panicked stream stays quarantined

@@ -2,67 +2,58 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fchain/internal/metric"
 )
 
-// TestBudgeterTiers exercises the tier ladder directly: no budgeter means
-// full, an expired deadline means skipped, and a tightening budget walks
-// full → reduced → trend as the per-task share shrinks below the measured
-// full-tier cost.
+// TestBudgeterTiers exercises the run-or-skip rule directly: a zero deadline
+// never skips, a task that starts before the deadline runs, and one that
+// starts at or after it is skipped.
 func TestBudgeterTiers(t *testing.T) {
-	var nilBD *budgeter
-	if got := nilBD.tier(); got != TierFull {
-		t.Errorf("nil budgeter tier = %q, want full", got)
+	now := time.Now()
+	if pastDeadline(time.Time{}, now) {
+		t.Error("zero deadline skipped a task; it must disable budgeting")
 	}
-	if bd := newBudgeter(time.Time{}, 10); bd != nil {
-		t.Error("zero deadline should disable budgeting")
+	if pastDeadline(now.Add(time.Nanosecond), now) {
+		t.Error("task starting before the deadline was skipped")
 	}
-
-	expired := newBudgeter(time.Now().Add(-time.Second), 10)
-	if got := expired.tier(); got != TierSkipped {
-		t.Errorf("expired deadline tier = %q, want skipped", got)
+	if !pastDeadline(now, now) {
+		t.Error("task starting exactly at the deadline ran")
 	}
-
-	bd := newBudgeter(time.Now().Add(time.Hour), 4)
-	if got := bd.tier(); got != TierFull {
-		t.Errorf("first task tier = %q, want full (no estimate yet)", got)
-	}
-	// Report an absurd full-tier cost: an hour of budget across 3 remaining
-	// tasks is far below half the mean, so the ladder drops to trend.
-	bd.observe((10 * time.Hour).Nanoseconds(), TierFull)
-	if got := bd.tier(); got != TierTrend {
-		t.Errorf("starved budget tier = %q, want trend", got)
-	}
-
-	// A mean comfortably below the per-task share keeps the full tier.
-	rich := newBudgeter(time.Now().Add(time.Hour), 4)
-	rich.tier()
-	rich.observe(int64(time.Millisecond), TierFull)
-	if got := rich.tier(); got != TierFull {
-		t.Errorf("rich budget tier = %q, want full", got)
+	if !pastDeadline(now.Add(-time.Second), now) {
+		t.Error("task starting after the deadline ran")
 	}
 }
 
-func TestReducedCfg(t *testing.T) {
-	cfg := DefaultConfig()
-	r := reducedCfg(cfg)
-	if r.LookBack >= cfg.LookBack {
-		t.Errorf("reduced LookBack = %d, want < %d", r.LookBack, cfg.LookBack)
+// TestSlowFirstTaskDoesNotDegradeTheRest is the regression test for the
+// removed budget calibration, which learned a task's cost from the first
+// finished task: one descheduled task made a comfortable deadline look tight
+// and pushed every later task onto a cheaper kernel. Here only the first task
+// stalls (~50 ms), the other eleven fit the 200 ms deadline many times over,
+// so every report must be untruncated and identical to the no-deadline run.
+func TestSlowFirstTaskDoesNotDegradeTheRest(t *testing.T) {
+	const horizon = 600
+	monitors, _ := feedMonitors(t, 2, horizon)
+	plain, _ := AnalyzeMonitors(monitors, horizon-1, 0, 1)
+
+	var first atomic.Bool
+	SetAnalyzeHook(func(string, metric.Kind) {
+		if first.CompareAndSwap(false, true) {
+			time.Sleep(50 * time.Millisecond)
+		}
+	})
+	defer SetAnalyzeHook(nil)
+	budgeted, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, time.Now().Add(200*time.Millisecond))
+	for _, rep := range budgeted {
+		if rep.Truncated {
+			t.Errorf("component %s truncated although only the first task was slow", rep.Component)
+		}
 	}
-	if floor := 3*cfg.SmoothWindow + 8; r.LookBack < floor {
-		t.Errorf("reduced LookBack = %d, below floor %d", r.LookBack, floor)
-	}
-	if r.Bootstraps > 50 {
-		t.Errorf("reduced Bootstraps = %d, want <= 50", r.Bootstraps)
-	}
-	// A window already at the floor must not grow.
-	tiny := cfg
-	tiny.LookBack = 10
-	if r := reducedCfg(tiny); r.LookBack != 10 {
-		t.Errorf("reduced tiny LookBack = %d, want unchanged 10", r.LookBack)
+	if !reflect.DeepEqual(plain, budgeted) {
+		t.Errorf("a slow first task changed the analysis:\n got %+v\nwant %+v", budgeted, plain)
 	}
 }
 
@@ -76,8 +67,8 @@ func TestExpiredDeadlineDeterministic(t *testing.T) {
 	deadline := time.Now().Add(-time.Second)
 	serial, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, deadline)
 	for _, rep := range serial {
-		if !rep.Truncated || rep.Tier != TierSkipped {
-			t.Fatalf("component %s: Tier=%q Truncated=%v, want skipped+truncated", rep.Component, rep.Tier, rep.Truncated)
+		if !rep.Truncated {
+			t.Fatalf("component %s: Truncated=false, want a fully skipped, truncated report", rep.Component)
 		}
 		if len(rep.Changes) != 0 {
 			t.Fatalf("component %s: %d changes from a skipped analysis", rep.Component, len(rep.Changes))
@@ -212,38 +203,5 @@ func TestQuarantineReTrip(t *testing.T) {
 	}
 	if len(mon.QuarantinedMetrics()) != 1 {
 		t.Errorf("stream not re-quarantined after failing probe: %v", mon.QuarantinedMetrics())
-	}
-}
-
-// TestTrendMetricDetectsShift checks the TierTrend kernel end to end through
-// analyzeMetric: a clear level shift is reported with a plausible onset, and
-// the report is marked as trend-tier output by the caller.
-func TestTrendMetricDetectsShift(t *testing.T) {
-	cfg := Config{LookBack: 100}
-	mon := NewMonitor("c0", cfg)
-	const horizon = 600
-	for ts := int64(0); ts < horizon; ts++ {
-		v := 40 + float64(ts%7) // low-variance baseline
-		if ts >= horizon-30 {
-			v += 200 // unmistakable shift inside the look-back window
-		}
-		if err := mon.Observe(ts, metric.CPU, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := getArena()
-	defer putArena(a)
-	ch, ok, st := mon.analyzeMetric(horizon-1, metric.CPU, mon.cfg, a, nil, -1, TierTrend)
-	if st != metricOK {
-		t.Fatalf("status = %d, want ok", st)
-	}
-	if !ok {
-		t.Fatal("trend kernel missed a 200-point level shift")
-	}
-	if ch.Onset < horizon-40 || ch.Onset > horizon {
-		t.Errorf("trend onset = %d, want near %d", ch.Onset, horizon-30)
-	}
-	if ch.Magnitude <= 0 || ch.Expected <= 0 {
-		t.Errorf("trend change missing magnitude/band: %+v", ch)
 	}
 }

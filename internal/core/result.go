@@ -45,7 +45,7 @@ type LocalizeResult struct {
 	MissingComponents []string `json:"missing_components,omitempty"`
 
 	// Truncated is set when any component's analysis was cut short by the
-	// deadline budget (its report carries a non-full Tier).
+	// deadline budget (at least one of its metrics was skipped).
 	Truncated bool `json:"truncated,omitempty"`
 
 	// Overloaded is set when the request was shed by admission control
@@ -67,11 +67,6 @@ type LocalizeResult struct {
 	// from pristine data apart from the same verdict derived from a stream
 	// that lost half its samples.
 	Quality map[string]DataQuality `json:"quality,omitempty"`
-
-	// ClockOffsets records the estimated clock offset (seconds, slave
-	// clock minus master clock) of each slave whose reports needed onset
-	// normalization; slaves in sync with the master are absent.
-	ClockOffsets map[string]int64 `json:"clock_offsets,omitempty"`
 
 	// Stats carries the analysis engine's timing counters for this call:
 	// in-process localizers report per-metric selection task latencies,

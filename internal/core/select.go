@@ -40,13 +40,10 @@ type ComponentReport struct {
 	// Quality summarizes how clean the metric streams behind this report
 	// were; the master folds it into per-culprit confidence.
 	Quality DataQuality `json:"quality,omitzero"`
-	// Tier is the weakest degradation tier deadline budgeting applied to
-	// any of this component's metrics (empty = the full pipeline ran for
-	// all of them); see AnalysisTier.
-	Tier AnalysisTier `json:"tier,omitempty"`
 	// Truncated marks a report produced under deadline pressure: at least
-	// one metric was analyzed below the full tier (or skipped outright),
-	// so an absent change is weaker evidence of normality than usual.
+	// one metric was skipped because the deadline had passed when its task
+	// started, so an absent change is weaker evidence of normality than
+	// usual.
 	Truncated bool `json:"truncated,omitempty"`
 	// Quarantined lists metrics skipped under panic quarantine, in metric
 	// order: their selection kernel panicked (now or within the cooldown)
@@ -151,14 +148,13 @@ func (m *Monitor) analyzeWith(tv int64, cfg Config) ComponentReport {
 // under parent; the span tree it builds is identical to what the parallel
 // engine assembles from per-task sub-traces.
 func (m *Monitor) analyzeArena(tv int64, cfg Config, a *arena, stats *PoolStats, tr *obs.Trace, parent int) ComponentReport {
-	return m.analyzeBudgeted(tv, cfg, a, stats, tr, parent, nil)
+	return m.analyzeBudgeted(tv, cfg, a, stats, tr, parent, time.Time{})
 }
 
-// analyzeBudgeted is analyzeArena under an optional deadline budgeter: each
-// metric task claims a degradation tier before it runs (see overload.go).
-// With bd == nil every task runs the full tier and the output is exactly
-// the historical analyzeArena behavior.
-func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolStats, tr *obs.Trace, parent int, bd *budgeter) ComponentReport {
+// analyzeBudgeted is analyzeArena under an optional deadline: a metric task
+// that starts after it is skipped (see overload.go). With a zero deadline
+// every task runs and the output is exactly the analyzeArena behavior.
+func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) ComponentReport {
 	// Never analyze behind samples the reorder buffers are still holding.
 	m.FlushIngest(tv)
 	comp := -1
@@ -166,22 +162,18 @@ func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolSta
 		comp = tr.Start(parent, "component:"+m.component)
 	}
 	report := ComponentReport{Component: m.component, Quality: qualityOf(m.Quality())}
-	timed := stats != nil || bd != nil
+	timed := stats != nil || !deadline.IsZero()
 	for _, k := range metric.Kinds {
-		tier := bd.tier()
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
-		ch, ok, st := m.analyzeMetric(tv, k, cfg, a, tr, comp, tier)
-		if timed {
-			ns := time.Since(t0).Nanoseconds()
-			bd.observe(ns, tier)
-			if stats != nil {
-				stats.Select.Observe(ns)
-			}
+		skipped := pastDeadline(deadline, t0)
+		ch, ok, st := m.analyzeMetric(tv, k, cfg, a, tr, comp, skipped)
+		if stats != nil {
+			stats.Select.Observe(time.Since(t0).Nanoseconds())
 		}
-		accumulateMetric(&report, ch, ok, st, tier, k, stats)
+		accumulateMetric(&report, ch, ok, st, skipped, k, stats)
 	}
 	finishReport(&report)
 	if tr != nil {
@@ -194,7 +186,7 @@ func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolSta
 // accumulateMetric folds one metric task's outcome into the component
 // report; the serial path and the parallel engine's canonical assembly both
 // use it so reports stay bit-identical across worker counts.
-func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, tier AnalysisTier, k metric.Kind, stats *PoolStats) {
+func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, skipped bool, k metric.Kind, stats *PoolStats) {
 	if ok {
 		report.Changes = append(report.Changes, ch)
 	}
@@ -204,8 +196,7 @@ func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st me
 			stats.Panics++
 		}
 	}
-	if tier.rank() > report.Tier.rank() {
-		report.Tier = tier
+	if skipped {
 		report.Truncated = true
 	}
 }
@@ -232,7 +223,7 @@ func annotateComponentSpan(tr *obs.Trace, comp int, report ComponentReport) {
 		tr.AttrInt(comp, "onset", report.Onset)
 	}
 	if report.Truncated {
-		tr.Attr(comp, "tier", string(report.Tier))
+		tr.AttrBool(comp, "truncated", true)
 	}
 	if len(report.Quarantined) > 0 {
 		tr.Attr(comp, "quarantined", strings.Join(report.Quarantined, ","))
@@ -254,12 +245,11 @@ const (
 // false when the metric exhibits none. With a non-nil trace it opens a
 // select:<metric> span under parent, with detect/filter/rollback child spans
 // recording candidate change points and filter decisions; with tr == nil the
-// instrumented path costs only pointer tests. tier degrades the kernel under
-// deadline pressure (TierFull runs the normal pipeline); a quarantined
-// stream is skipped regardless of tier, and a panicking kernel quarantines
-// its stream instead of unwinding past this frame.
-func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, parent int, tier AnalysisTier) (AbnormalChange, bool, metricStatus) {
-	if tier == TierSkipped {
+// instrumented path costs only pointer tests. skipped (the deadline had
+// passed) runs nothing; a quarantined stream is skipped too, and a panicking
+// kernel quarantines its stream instead of unwinding past this frame.
+func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, parent int, skipped bool) (AbnormalChange, bool, metricStatus) {
+	if skipped {
 		if tr != nil {
 			sel := tr.Start(parent, "select:"+k.String())
 			tr.Attr(sel, "skipped", "deadline")
@@ -275,17 +265,11 @@ func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, t
 		}
 		return AbnormalChange{}, false, metricQuarantined
 	}
-	if tier == TierReduced {
-		cfg = reducedCfg(cfg)
-	}
 	if tr == nil {
-		return m.runKernel(tv, k, cfg, a, nil, -1, tier)
+		return m.runKernel(tv, k, cfg, a, nil, -1)
 	}
 	sel := tr.Start(parent, "select:"+k.String())
-	if tier != TierFull {
-		tr.Attr(sel, "tier", string(tier))
-	}
-	ch, ok, st := m.runKernel(tv, k, cfg, a, tr, sel, tier)
+	ch, ok, st := m.runKernel(tv, k, cfg, a, tr, sel)
 	if st == metricPanicked {
 		tr.Attr(sel, "skipped", "panic")
 	}
@@ -298,11 +282,10 @@ func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, t
 	return ch, ok, st
 }
 
-// runKernel dispatches to the tier's selection kernel under panic
-// protection: a panic trips the stream's quarantine, discards the possibly
-// inconsistent arena scratch, and surfaces as metricPanicked instead of
-// unwinding the worker.
-func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int, tier AnalysisTier) (ch AbnormalChange, ok bool, st metricStatus) {
+// runKernel runs the selection kernel under panic protection: a panic trips
+// the stream's quarantine, discards the possibly inconsistent arena scratch,
+// and surfaces as metricPanicked instead of unwinding the worker.
+func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, ok bool, st metricStatus) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.tripQuarantine(k, fmt.Sprint(r))
@@ -313,76 +296,8 @@ func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *o
 	if hook := analyzeHook.Load(); hook != nil {
 		(*hook)(m.component, k)
 	}
-	if tier == TierTrend {
-		ch, ok = m.trendMetric(tv, k, cfg, a)
-	} else {
-		ch, ok = m.selectMetric(tv, k, cfg, a, tr, sel, tier)
-	}
+	ch, ok = m.selectMetric(tv, k, cfg, a, tr, sel)
 	return ch, ok, metricOK
-}
-
-// trendMetric is the TierTrend kernel: a cheap O(W) sustained level shift
-// check — has the recent mean escaped a 3σ band around the pre-window
-// context — with the first escaping sample as the onset. It fabricates no
-// change-point precision it does not have (PredErr/Expected carry the shift
-// against the band), but still lets a budget-starved component contribute
-// "something moved here, around then" to the propagation chain.
-func (m *Monitor) trendMetric(tv int64, k metric.Kind, cfg Config, a *arena) (AbnormalChange, bool) {
-	sv, _ := m.materialize(k, a)
-	window := sv.ViewRange(tv-int64(cfg.LookBack)+1, tv+1)
-	ctx := sv.ViewRange(sv.Start(), tv-int64(cfg.LookBack))
-	wv, cv := window.ValuesView(), ctx.ValuesView()
-	if len(wv) < 8 || len(cv) < 8 {
-		return AbnormalChange{}, false
-	}
-	var ctxMean float64
-	for _, v := range cv {
-		ctxMean += v
-	}
-	ctxMean /= float64(len(cv))
-	ctxStd := timeseries.Std(cv)
-	if ctxStd <= 0 {
-		return AbnormalChange{}, false
-	}
-	tail := len(wv) / 4
-	if tail < 4 {
-		tail = 4
-	}
-	if tail > 10 {
-		tail = 10
-	}
-	var recent float64
-	for _, v := range wv[len(wv)-tail:] {
-		recent += v
-	}
-	recent /= float64(tail)
-	shift := recent - ctxMean
-	band := 3 * ctxStd
-	if math.Abs(shift) <= band {
-		return AbnormalChange{}, false
-	}
-	onsetIdx := len(wv) - tail
-	for i, v := range wv {
-		if math.Abs(v-ctxMean) > band {
-			onsetIdx = i
-			break
-		}
-	}
-	t := window.TimeAt(onsetIdx)
-	dir := timeseries.TrendUp
-	if shift < 0 {
-		dir = timeseries.TrendDown
-	}
-	return AbnormalChange{
-		Component: m.component,
-		Metric:    k,
-		ChangeAt:  t,
-		Onset:     t,
-		PredErr:   math.Abs(shift),
-		Expected:  band,
-		Magnitude: math.Abs(shift),
-		Direction: dir,
-	}, true
 }
 
 // selectMetric is the abnormal change point selection kernel behind
@@ -397,14 +312,14 @@ func (m *Monitor) trendMetric(tv int64, k metric.Kind, cfg Config, a *arena) (Ab
 // multisets. Both substitutions are bit-identical to the batch arithmetic,
 // so streaming changes timings, never outputs. Traced runs and active
 // fault-injection hooks always execute the real kernel.
-func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int, tier AnalysisTier) (ch AbnormalChange, abnormal bool) {
+func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, abnormal bool) {
 	memoEligible := tr == nil && analyzeHook.Load() == nil
-	sv, se, facts := m.materializeStream(tv, k, cfg, tier, a, memoEligible)
+	sv, se, facts := m.materializeStream(tv, k, cfg, a, memoEligible)
 	if facts.memoHit {
 		return facts.memoCh, facts.memoOK
 	}
 	if memoEligible {
-		defer func() { m.storeMemo(k, facts, tv, tier, cfg, ch, abnormal) }()
+		defer func() { m.storeMemo(k, facts, tv, cfg, ch, abnormal) }()
 	}
 	span := cfg.LookBack + cfg.BurstWindow
 	vals := sv.ViewRange(tv-int64(span)+1, tv+1)

@@ -24,7 +24,7 @@ import (
 //     is immutable, so a hit replays the exact float the batch path would
 //     recompute;
 //   - a kernel memo: the full per-metric verdict keyed by the ring mutation
-//     sequence numbers (timeseries.Ring.Seq), tv, tier, and config, so
+//     sequence numbers (timeseries.Ring.Seq), tv, and config, so
 //     re-localizing an unchanged stream skips the kernel outright;
 //   - a changepoint.Stream accumulator per metric: the O(1) incremental
 //     CUSUM/Welford counterpart of the batch detector. It powers the
@@ -34,8 +34,8 @@ import (
 // Cold fallback: the fast path is used only when the multisets provably
 // cover exactly the context region the batch kernel would select over — the
 // counts derived from (tv, LookBack, ring) must match the cursors. Any mismatch
-// (analysis at a historical tv, an overridden look-back window, a reduced
-// tier, state freshly reset by a collection gap, Restore, or Predictor.Break)
+// (analysis at a historical tv, an overridden look-back window, state
+// freshly reset by a collection gap, Restore, or Predictor.Break)
 // silently takes the batch path and bumps the cold counter. Correctness
 // never depends on the state being warm.
 
@@ -57,13 +57,12 @@ const maxFFTMemo = 32
 
 // selMemo caches one metric's full kernel verdict. Valid only while both
 // rings' sequence numbers still match — any Push or Clear invalidates it —
-// and only for the exact (tv, tier, cfg) that produced it.
+// and only for the exact (tv, cfg) that produced it.
 type selMemo struct {
 	valid bool
 	seq   uint64
 	eseq  uint64
 	tv    int64
-	tier  AnalysisTier
 	cfg   Config
 	ch    AbnormalChange
 	ok    bool
@@ -232,7 +231,7 @@ type streamFacts struct {
 // degrades to a plain materialize; misses of a warm state count as colds.
 // memoEligible is false for traced runs and active fault-injection hooks —
 // both must execute the real kernel.
-func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, tier AnalysisTier, a *arena, memoEligible bool) (sv, se *timeseries.Series, facts streamFacts) {
+func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, a *arena, memoEligible bool) (sv, se *timeseries.Series, facts streamFacts) {
 	sh := &m.shards[k]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -246,7 +245,7 @@ func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, tier An
 	facts.eseq = sh.errs.Seq()
 	if memoEligible && st.memo.valid &&
 		st.memo.seq == facts.seq && st.memo.eseq == facts.eseq &&
-		st.memo.tv == tv && st.memo.tier == tier && st.memo.cfg == cfg {
+		st.memo.tv == tv && st.memo.cfg == cfg {
 		st.memoHits++
 		facts.memoHit = true
 		facts.memoCh = st.memo.ch
@@ -297,14 +296,14 @@ func contextLen(s *timeseries.Series, lookbackStart int64) int {
 
 // storeMemo records a finished kernel verdict for the exact ring state it
 // was computed from.
-func (m *Monitor) storeMemo(k metric.Kind, facts streamFacts, tv int64, tier AnalysisTier, cfg Config, ch AbnormalChange, ok bool) {
+func (m *Monitor) storeMemo(k metric.Kind, facts streamFacts, tv int64, cfg Config, ch AbnormalChange, ok bool) {
 	sh := &m.shards[k]
 	sh.mu.Lock()
 	if st := sh.stream; st != nil {
 		st.memo = selMemo{
 			valid: true,
 			seq:   facts.seq, eseq: facts.eseq,
-			tv: tv, tier: tier, cfg: cfg,
+			tv: tv, cfg: cfg,
 			ch: ch, ok: ok,
 		}
 	}
@@ -355,8 +354,7 @@ type StreamingStats struct {
 	// Bytes approximates the heap retained by all streaming state.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Colds counts analyses that found the fast path unusable (cold state,
-	// historical tv, overridden window, reduced tier) and fell back to the
-	// batch kernel.
+	// historical tv, overridden window) and fell back to the batch kernel.
 	Colds uint64 `json:"colds,omitempty"`
 	// Resets counts full state resets: collection gaps, model breaks,
 	// checkpoint restores.

@@ -62,16 +62,6 @@ type Predictor struct {
 
 	observations int
 
-	// Short-horizon drift state, refreshed on every Observe: exponential
-	// moving averages of the signed sample-to-sample delta and its
-	// magnitude, plus the precomputed classification the two imply. They
-	// cost three multiply-adds per sample and give monitors an O(1)
-	// "is this metric drifting" answer without touching the ring history.
-	lastVal   float64
-	trendEMA  float64
-	absEMA    float64
-	trendHint int8
-
 	// Remap scratch: the previous transition matrix, its row sums and mask,
 	// and a bin-center buffer, recycled so growing the discretization range
 	// of a warm predictor allocates nothing. The spare is always
@@ -227,8 +217,8 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 	}
 	// Restore the chain position under the new discretization — but only if
 	// the chain had one going in. A position severed by Break must stay
-	// severed: resurrecting it here would charge a phantom transition (and a
-	// phantom trend delta) across the very gap Break was called for.
+	// severed: resurrecting it here would charge a phantom transition across
+	// the very gap Break was called for.
 	if hadLast {
 		p.lastBin = p.binOf(lastCenter)
 	}
@@ -295,48 +285,12 @@ func (p *Predictor) Observe(v float64) (predErr float64, predicted bool) {
 			}
 		}
 		p.add(p.lastBin, cur, p.incWeight)
-		// Refresh the drift state. A severed chain (Break, gap) reaches
-		// here with hadPrev=false, so no phantom cross-gap delta is ever
-		// charged to the trend.
-		d := v - p.lastVal
-		p.trendEMA = trendAlpha*d + (1-trendAlpha)*p.trendEMA
-		p.absEMA = trendAlpha*math.Abs(d) + (1-trendAlpha)*p.absEMA
 	}
-	p.lastVal = v
-	p.refreshTrendHint()
 	p.lastBin = cur
 	p.hasLast = true
 	p.observations++
 	return predErr, predicted
 }
-
-// trendAlpha is the EMA weight of the newest delta in the drift state: an
-// effective horizon of ~10 samples, short enough to flip within a look-back
-// window, long enough to shrug off single-sample noise.
-const trendAlpha = 0.1
-
-// refreshTrendHint reclassifies the drift state; Observe calls it so
-// TrendHint itself is a plain field read.
-func (p *Predictor) refreshTrendHint() {
-	p.trendHint = 0
-	if p.observations < 8 || p.absEMA <= 0 {
-		return
-	}
-	switch r := p.trendEMA / p.absEMA; {
-	case r > 0.3:
-		p.trendHint = 1
-	case r < -0.3:
-		p.trendHint = -1
-	}
-}
-
-// TrendHint reports the model's precomputed short-horizon drift tier: +1
-// when the metric is persistently rising, -1 falling, 0 flat relative to
-// its own step-to-step noise. It is telemetry — a cheap always-fresh "which
-// way is this stream moving" signal for dashboards and stream triage — and
-// never feeds the selection kernel, whose verdicts stay a pure function of
-// the retained history.
-func (p *Predictor) TrendHint() int { return int(p.trendHint) }
 
 // Break severs the chain position without discarding learned transitions.
 // The slave calls it after a long collection gap: the pre-gap "previous

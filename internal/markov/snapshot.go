@@ -28,12 +28,6 @@ type Snapshot struct {
 	HasLast      bool      `json:"has_last"`
 	IncWeight    float64   `json:"inc_weight"`
 	Observations int       `json:"observations"`
-	// Drift state behind TrendHint. Omitted when zero so checkpoints
-	// written before these fields existed restore cleanly: the trend then
-	// re-warms from post-restore samples.
-	LastVal  float64 `json:"last_val,omitempty"`
-	TrendEMA float64 `json:"trend_ema,omitempty"`
-	AbsEMA   float64 `json:"abs_ema,omitempty"`
 }
 
 // Snapshot captures the predictor's current state. The returned snapshot
@@ -49,9 +43,6 @@ func (p *Predictor) Snapshot() *Snapshot {
 		HasLast:      p.hasLast,
 		IncWeight:    p.incWeight,
 		Observations: p.observations,
-		LastVal:      p.lastVal,
-		TrendEMA:     p.trendEMA,
-		AbsEMA:       p.absEMA,
 	}
 	// Only non-empty rows are stored; a 40×40 matrix of zeros would bloat
 	// every checkpoint for cold metrics. nil rows restore as zero rows.
@@ -97,17 +88,6 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	if s.RowSums != nil && len(s.RowSums) != s.Bins {
 		return nil, fmt.Errorf("markov: snapshot has %d row sums for %d bins", len(s.RowSums), s.Bins)
 	}
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{{"last_val", s.LastVal}, {"trend_ema", s.TrendEMA}, {"abs_ema", s.AbsEMA}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return nil, fmt.Errorf("markov: snapshot %s %v invalid", f.name, f.v)
-		}
-	}
-	if s.AbsEMA < 0 {
-		return nil, fmt.Errorf("markov: snapshot abs_ema %v negative", s.AbsEMA)
-	}
 	p := New(s.Bins, s.Decay)
 	p.lo, p.hi = s.Lo, s.Hi
 	p.rangeSet = s.RangeSet
@@ -115,10 +95,6 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	p.hasLast = s.HasLast
 	p.incWeight = s.IncWeight
 	p.observations = s.Observations
-	p.lastVal = s.LastVal
-	p.trendEMA = s.TrendEMA
-	p.absEMA = s.AbsEMA
-	p.refreshTrendHint()
 	for i, row := range s.Counts {
 		if row == nil {
 			continue

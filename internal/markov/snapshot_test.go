@@ -1,6 +1,7 @@
 package markov
 
 import (
+	_ "embed"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -179,5 +180,76 @@ func TestNarrowRangeGrows(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Error(err)
+	}
+}
+
+// legacyDriftSnapshot is a checkpointed predictor in the format written
+// before the drift state behind the retired trend hint was removed: beside
+// the model it carries three drift fields the current format no longer
+// writes.
+//
+//go:embed legacy_drift_snapshot.json
+var legacyDriftSnapshot []byte
+
+// TestSnapshotWithoutDriftFields: old checkpoints still load. A snapshot
+// carrying the retired drift fields restores and then predicts bit for bit
+// like the same snapshot with those keys removed, so the fields were never
+// part of the model.
+func TestSnapshotWithoutDriftFields(t *testing.T) {
+	restore := func(raw []byte) *Predictor {
+		t.Helper()
+		var s Snapshot
+		if err := json.Unmarshal(raw, &s); err != nil {
+			t.Fatal(err)
+		}
+		p, err := FromSnapshot(&s)
+		if err != nil {
+			t.Fatalf("FromSnapshot: %v", err)
+		}
+		return p
+	}
+	legacy := restore(legacyDriftSnapshot)
+
+	// Strip every key the current format does not write: exactly the three
+	// drift fields.
+	var fields, known map[string]json.RawMessage
+	if err := json.Unmarshal(legacyDriftSnapshot, &fields); err != nil {
+		t.Fatal(err)
+	}
+	current, err := json.Marshal(legacy.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(current, &known); err != nil {
+		t.Fatal(err)
+	}
+	var dropped []string
+	for k := range fields {
+		if _, ok := known[k]; !ok {
+			delete(fields, k)
+			dropped = append(dropped, k)
+		}
+	}
+	if len(dropped) != 3 {
+		t.Fatalf("legacy snapshot has retired fields %v, want the three drift fields", dropped)
+	}
+	stripped, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := restore(stripped)
+
+	for i := 0; i < 20; i++ {
+		pl, okl := legacy.Predict()
+		pp, okp := plain.Predict()
+		if okl != okp || math.Float64bits(pl) != math.Float64bits(pp) {
+			t.Fatalf("step %d: legacy predicts (%v, %v), stripped (%v, %v)", i, pl, okl, pp, okp)
+		}
+		v := 12 + float64(i%4)*2.5 + float64(i)*0.3
+		el, _ := legacy.Observe(v)
+		ep, _ := plain.Observe(v)
+		if math.Float64bits(el) != math.Float64bits(ep) {
+			t.Fatalf("step %d: legacy error %v, stripped %v", i, el, ep)
+		}
 	}
 }

@@ -266,8 +266,8 @@ func Generate(p Params) (*Mesh, error) {
 	// component with exactly one parent (shuffled round-robin, so each
 	// parent gets at most ceil(next/cur) ≤ FanOut coverage edges), then top
 	// parents up with extra random edges to a drawn degree ≤ FanOut.
-	edges := make(map[string][]string)            // forward adjacency, construction order
-	hasEdge := make(map[string]map[string]bool)   // dedupe
+	edges := make(map[string][]string)          // forward adjacency, construction order
+	hasEdge := make(map[string]map[string]bool) // dedupe
 	addEdge := func(from, to string) {
 		m := hasEdge[from]
 		if m == nil {
