@@ -115,11 +115,7 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		}
 		ring := sh.samples
 		n := ring.Len()
-		oldest := int64(0)
-		if n > 0 {
-			oldest, _ = ring.At(0)
-		}
-		if n == 0 || oldest > floor {
+		if n == 0 || ring.First() > floor {
 			// Eviction or a gap sever dropped samples past the floor; the
 			// replay sequence is broken.
 			sh.mu.Unlock()

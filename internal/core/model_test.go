@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fchain/internal/metric"
@@ -32,5 +33,55 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
 		t.Fatalf("steady-state Ingest allocates %v objects per %d samples, want 0", allocs, metric.NumKinds)
+	}
+}
+
+// TestMonitorResidentBytes bounds what a monitor keeps resident once its
+// rings are full and every model has remapped its range at least once: the
+// heap a slave needs per component is what limits how many one host can
+// monitor. Rings store 8 bytes per sample and a predictor keeps one
+// transition matrix, so a DefaultConfig monitor holds about 240 KB.
+func TestMonitorResidentBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the heap")
+	}
+	const monitors = 64
+	const limit = 260 << 10
+	cfg := DefaultConfig()
+	feed := func(m *Monitor, ts int64) {
+		for _, k := range metric.Kinds {
+			// A rising ramp keeps leaving the model's range, so every
+			// predictor remaps repeatedly.
+			v := 20 + float64(ts)/8 + 5*math.Sin(float64(ts)/7) + float64(k)
+			if err := m.Ingest(ts, k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mons := make([]*Monitor, monitors)
+	for i := range mons {
+		mons[i] = NewMonitor("c", cfg)
+		feed(mons[i], 0)
+	}
+	_, hi0 := mons[0].shards[metric.CPU].model.Range()
+	for ts := int64(1); ts < int64(cfg.RingCapacity)+100; ts++ {
+		for _, m := range mons {
+			feed(m, ts)
+		}
+	}
+	if _, hi := mons[0].shards[metric.CPU].model.Range(); hi == hi0 {
+		t.Fatal("the signal never grew a model's range")
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(mons)
+	perMonitor := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / monitors
+	t.Logf("%d bytes resident per monitor", perMonitor)
+	if perMonitor > limit {
+		t.Fatalf("%d bytes resident per monitor, want <= %d", perMonitor, limit)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fchain/internal/metric"
@@ -163,5 +164,57 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	// Missing file surfaces an error for the caller's cold-start fallback.
 	if err := LoadCheckpoint(filepath.Join(dir, "absent.ckpt"), &snap); err == nil {
 		t.Error("missing checkpoint accepted")
+	}
+}
+
+// TestCheckpointFormatPinned restores a checkpoint written when every ring
+// slot stored its own timestamp and requires the restored monitor to write
+// it back byte for byte, and to replicate across a gap exactly what that
+// layout did. The fixture (RingCapacity 16) holds a metric with a time gap
+// (cpu), a wrapped ring (memory), a wrapped ring that still spans a gap
+// (disk_read), a sanitized stream (net_in) and two metrics that were never
+// observed.
+func TestCheckpointFormatPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "two_column_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap MonitorSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.RingCapacity = 16
+	m := NewMonitor("db", cfg)
+	if err := m.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, raw) {
+		t.Fatalf("restored snapshot re-encodes differently:\ngot  %s\nwant %s", got, raw)
+	}
+
+	floors := map[string]int64{"cpu": 103, "memory": 135, "disk_read": 127, "net_in": 117}
+	var d ReplDelta
+	if changed, ok := m.DeltaInto(&d, floors); !changed || !ok {
+		t.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
+	}
+	want := map[string][]ReplSample{
+		"cpu":    {{104, 40}, {105, 40.5}, {110, 42.5}, {111, 42}, {112, 42.25}, {113, 42.5}, {114, 42}, {115, 42.25}},
+		"memory": {{136, 61.5}, {137, 63}, {138, 64.5}, {139, 66}},
+		"net_in": {{118, 12}, {119, 13}},
+		"disk_read": {{128, 7}, {129, 8}, {140, 7}, {141, 8}, {142, 9}, {143, 10},
+			{144, 5}, {145, 6}, {146, 7}, {147, 8}, {148, 9}, {149, 10}},
+		"net_out":    nil,
+		"disk_write": nil,
+	}
+	if !reflect.DeepEqual(d.Samples, want) {
+		t.Errorf("DeltaInto samples = %v, want %v", d.Samples, want)
+	}
+	if !reflect.DeepEqual(d.Base, floors) {
+		t.Errorf("DeltaInto base = %v, want %v", d.Base, floors)
 	}
 }

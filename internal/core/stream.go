@@ -116,13 +116,11 @@ func (st *streamState) resetState() {
 // multisets while the ring still holds them. Caller holds the shard lock.
 func (st *streamState) beforePush(sh *metricShard) {
 	if sh.samples.Len() == sh.samples.Cap() && st.cursor > 0 {
-		_, v := sh.samples.At(0)
-		st.ctxVals.Remove(v)
+		st.ctxVals.Remove(sh.samples.Value(0))
 		st.cursor--
 	}
 	if sh.errs.Len() == sh.errs.Cap() && st.cursorE > 0 {
-		_, e := sh.errs.At(0)
-		st.ctxErrs.Remove(e)
+		st.ctxErrs.Remove(sh.errs.Value(0))
 		st.cursorE--
 	}
 }
@@ -154,8 +152,7 @@ func syncOne(r *timeseries.Ring, w *timeseries.SortedWindow, cursor int, lastT i
 	if r.Len() == 0 {
 		return 0
 	}
-	first, _ := r.At(0)
-	want64 := lastT - int64(lookBack) - first
+	want64 := lastT - int64(lookBack) - r.First()
 	want := 0
 	if want64 > 0 {
 		want = int(want64)
@@ -165,12 +162,10 @@ func syncOne(r *timeseries.Ring, w *timeseries.SortedWindow, cursor int, lastT i
 	}
 	for cursor > want {
 		cursor--
-		_, v := r.At(cursor)
-		w.Remove(v)
+		w.Remove(r.Value(cursor))
 	}
 	for cursor < want {
-		_, v := r.At(cursor)
-		w.Insert(v)
+		w.Insert(r.Value(cursor))
 		cursor++
 	}
 	return cursor

@@ -533,10 +533,10 @@ func Table2() (string, error) {
 	// (ValidationObserve simulated seconds per component).
 	fmt.Fprintf(&sb, "  online validation (per component):                 %d simulated seconds\n", cfg.ValidationObserve)
 
-	// Slave memory footprint (paper: ~3 MB per daemon): two float64+int64
-	// rings of RingCapacity entries plus a bins×bins transition matrix, per
-	// metric per monitored component.
-	perMetric := cfg.RingCapacity*16*2 + cfg.MarkovBins*cfg.MarkovBins*8
+	// Slave memory footprint (paper: ~3 MB per daemon): two rings of
+	// RingCapacity float64 values (timestamps are kept as runs, not per slot)
+	// plus a bins×bins transition matrix, per metric per monitored component.
+	perMetric := cfg.RingCapacity*8*2 + cfg.MarkovBins*cfg.MarkovBins*8
 	perComponent := perMetric * metric.NumKinds
 	fmt.Fprintf(&sb, "  slave state (per monitored component):             ~%d KB\n", perComponent/1024)
 	return sb.String(), nil

@@ -22,8 +22,9 @@ func TestObserveAllocFree(t *testing.T) {
 }
 
 // TestRemapRangeAllocFree guards the scratch reuse in reset/remapRange: after
-// the first remap has populated the spare matrix and the bin-center buffer,
-// growing the discretization range of a warm predictor must be alloc-free.
+// the first remap has populated the pooled count copy and the bin-center
+// buffer, growing the discretization range of a warm predictor must be
+// alloc-free.
 // Trending metrics (a ramping memory leak, a filling disk) remap repeatedly,
 // and before the scratch existed each remap rebuilt the full bins×bins matrix
 // on the heap.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Default model parameters. 40 bins balances resolution against the amount
@@ -61,17 +62,14 @@ type Predictor struct {
 	incWeight float64
 
 	observations int
-
-	// Remap scratch: the previous transition matrix, its row sums and mask,
-	// and a bin-center buffer, recycled so growing the discretization range
-	// of a warm predictor allocates nothing. The spare is always
-	// dimensionally identical to the live matrix (bins never changes after
-	// New) and never aliases it.
-	spare         []float64
-	spareSum      []float64
-	spareMask     []uint64
-	centerScratch []float64
 }
+
+// remapPool lends remapRange the scratch it copies the counts and the old
+// bin centers into before clearing the matrix. A remap is rare once a
+// predictor's range has settled, so predictors share these buffers instead
+// of each keeping a spare matrix resident, and a warm remap allocates
+// nothing. It holds *[]float64 so Put does not box a slice header.
+var remapPool sync.Pool
 
 // New returns a predictor with the given number of value bins and decay
 // factor applied to historical transition counts at every observation.
@@ -94,21 +92,15 @@ func New(bins int, decay float64) *Predictor {
 func NewDefault() *Predictor { return New(DefaultBins, DefaultDecay) }
 
 func (p *Predictor) reset() {
-	old, oldSum, oldMask := p.counts, p.rowSum, p.mask
-	if p.spare != nil {
-		p.counts, p.rowSum, p.mask = p.spare, p.spareSum, p.spareMask
-		clear(p.counts)
-		clear(p.rowSum)
-		clear(p.mask)
-	} else {
+	if p.counts == nil {
 		p.counts = make([]float64, p.bins*p.bins)
 		p.rowSum = make([]float64, p.bins)
 		p.mask = make([]uint64, p.bins*p.words)
+	} else {
+		clear(p.counts)
+		clear(p.rowSum)
+		clear(p.mask)
 	}
-	// The matrix just replaced becomes the next reset's scratch; remapRange
-	// still reads it through its own reference after this returns, which is
-	// safe because the spare is only cleared at the next reset.
-	p.spare, p.spareSum, p.spareMask = old, oldSum, oldMask
 	p.hasLast = false
 	p.incWeight = 1
 }
@@ -189,18 +181,22 @@ func (p *Predictor) ensureRange(v float64) {
 	p.remapRange(newLo, newHi)
 }
 
+// remapRange moves the learned counts onto the range [newLo, newHi]: it
+// copies them and the old bin centers aside, clears the matrix in place, and
+// re-adds each non-zero count at the bins of its old bin centers, in
+// ascending [from][to] order.
 func (p *Predictor) remapRange(newLo, newHi float64) {
-	old := p.counts
-	oldLo, oldHi := p.lo, p.hi
+	buf, _ := remapPool.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
+	}
+	scratch := append((*buf)[:0], p.counts...)
 	oldBins := p.bins
-	if cap(p.centerScratch) < oldBins {
-		p.centerScratch = make([]float64, oldBins)
+	w := (p.hi - p.lo) / float64(oldBins)
+	for i := range oldBins {
+		scratch = append(scratch, p.lo+(float64(i)+0.5)*w)
 	}
-	centers := p.centerScratch[:oldBins]
-	w := (oldHi - oldLo) / float64(oldBins)
-	for i := range centers {
-		centers[i] = oldLo + (float64(i)+0.5)*w
-	}
+	old, centers := scratch[:len(p.counts)], scratch[len(p.counts):]
 	hadLast := p.hasLast
 	var lastCenter float64
 	if hadLast {
@@ -223,6 +219,8 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 		p.lastBin = p.binOf(lastCenter)
 	}
 	p.hasLast = hadLast
+	*buf = scratch
+	remapPool.Put(buf)
 }
 
 // Predict returns the model's prediction for the *next* value given the

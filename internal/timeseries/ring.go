@@ -5,16 +5,27 @@ import "errors"
 // Ring is a fixed-capacity ring buffer of timestamped samples used by the
 // FChain slave daemon to retain a bounded history of each metric. The slave
 // only ever needs the look-back window [tv-W, tv] plus the burst-extraction
-// margin, so a small ring bounds memory to a few kilobytes per metric
-// (paper §III-G reports ~3 MB per host for all VMs and metrics).
+// margin, so the ring is bounded (paper §III-G reports ~3 MB per host for
+// all VMs and metrics), and it stores 8 bytes per retained sample: the
+// values in a circular array, the timestamps as runs of consecutive
+// seconds. Every sample the slave retains arrives through the ingest
+// sanitizer, which fills short gaps and severs long ones with Clear, so a
+// slave's ring holds one run; a gap pushed through the strict path opens
+// another.
 //
 // The zero value is not usable; construct with NewRing.
 type Ring struct {
-	vals  []float64
-	times []int64
-	head  int // index of oldest element
-	size  int
-	seq   uint64 // bumped on every mutation; see Seq
+	vals []float64
+	runs []run // retained timestamps, oldest run first
+	head int   // index of oldest element
+	size int
+	seq  uint64 // bumped on every mutation; see Seq
+}
+
+// run is n retained samples with consecutive timestamps t0, t0+1, ….
+type run struct {
+	t0 int64
+	n  int
 }
 
 // NewRing returns a ring holding at most capacity samples. Capacities < 1
@@ -23,10 +34,7 @@ func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{
-		vals:  make([]float64, capacity),
-		times: make([]int64, capacity),
-	}
+	return &Ring{vals: make([]float64, capacity)}
 }
 
 // Cap returns the ring's capacity.
@@ -42,26 +50,73 @@ func (r *Ring) Len() int { return r.size }
 func (r *Ring) Seq() uint64 { return r.seq }
 
 // At returns the i-th retained sample, oldest first. It panics if i is out
-// of [0, Len()), matching slice-indexing semantics.
+// of [0, Len()), matching slice-indexing semantics. Finding the timestamp
+// walks the runs; callers that need only the value use Value.
 func (r *Ring) At(i int) (t int64, v float64) {
+	v = r.Value(i)
+	for _, ru := range r.runs {
+		if i < ru.n {
+			return ru.t0 + int64(i), v
+		}
+		i -= ru.n
+	}
+	panic("timeseries: ring runs do not cover its samples")
+}
+
+// Value returns the value of the i-th retained sample, oldest first, with
+// At's bounds contract.
+func (r *Ring) Value(i int) float64 {
 	if i < 0 || i >= r.size {
 		panic("timeseries: ring index out of range")
 	}
-	idx := (r.head + i) % len(r.vals)
-	return r.times[idx], r.vals[idx]
+	return r.vals[r.slot(i)]
 }
 
-// Push appends a sample, evicting the oldest when full.
+// slot returns the backing index of the i-th value, oldest first, for
+// 0 ≤ i ≤ Len(); head+i stays below twice the capacity.
+func (r *Ring) slot(i int) int {
+	if i += r.head; i >= len(r.vals) {
+		i -= len(r.vals)
+	}
+	return i
+}
+
+// First returns the oldest retained timestamp. It panics on an empty ring,
+// as At(0) does.
+func (r *Ring) First() int64 {
+	if r.size == 0 {
+		panic("timeseries: ring index out of range")
+	}
+	return r.runs[0].t0
+}
+
+// Push appends a sample, evicting the oldest when full. A timestamp one past
+// the newest extends the newest run; any other opens a new one.
 func (r *Ring) Push(t int64, v float64) {
 	r.seq++
-	idx := (r.head + r.size) % len(r.vals)
-	r.vals[idx] = v
-	r.times[idx] = t
-	if r.size < len(r.vals) {
-		r.size++
+	if r.size == len(r.vals) {
+		r.evict()
+	}
+	r.vals[r.slot(r.size)] = v
+	r.size++
+	if last := len(r.runs) - 1; last >= 0 && t == r.runs[last].t0+int64(r.runs[last].n) {
+		r.runs[last].n++
 		return
 	}
-	r.head = (r.head + 1) % len(r.vals)
+	r.runs = append(r.runs, run{t0: t, n: 1})
+}
+
+// evict drops the oldest sample, shrinking the oldest run and removing it
+// once empty. The copy keeps the runs at the front of their backing array,
+// so a ring whose run count stays bounded stops allocating.
+func (r *Ring) evict() {
+	r.head = r.slot(1)
+	r.size--
+	oldest := &r.runs[0]
+	oldest.t0++
+	if oldest.n--; oldest.n == 0 {
+		r.runs = append(r.runs[:0], r.runs[1:]...)
+	}
 }
 
 // Last returns the most recent sample, or ok=false when empty.
@@ -69,8 +124,8 @@ func (r *Ring) Last() (t int64, v float64, ok bool) {
 	if r.size == 0 {
 		return 0, 0, false
 	}
-	idx := (r.head + r.size - 1) % len(r.vals)
-	return r.times[idx], r.vals[idx], true
+	newest := r.runs[len(r.runs)-1]
+	return newest.t0 + int64(newest.n-1), r.Value(r.size - 1), true
 }
 
 // Series materializes the retained samples, oldest first, as a Series
@@ -83,15 +138,15 @@ func (r *Ring) Series() *Series {
 	}
 	vals := make([]float64, r.size)
 	unwrap(vals, r.vals, r.head)
-	return &Series{start: r.times[r.head], vals: vals}
+	return &Series{start: r.First(), vals: vals}
 }
 
-// unwrap copies a ring's retained elements, oldest first, out of its backing
+// unwrap copies a ring's retained values, oldest first, out of its backing
 // array into dst, whose length is the ring's size: the run from head to the
 // end of the array, then the wrapped-around run before head. A ring that is
-// not yet full has head 0 and its elements in buf[:len(dst)], which the
-// first copy alone covers.
-func unwrap[T any](dst, buf []T, head int) {
+// not yet full has head 0 and its values in buf[:len(dst)], which the first
+// copy alone covers.
+func unwrap(dst, buf []float64, head int) {
 	n := copy(dst, buf[head:])
 	copy(dst[n:], buf[:head])
 }
@@ -115,7 +170,7 @@ func (r *Ring) SeriesInto(dst *Series) *Series {
 	}
 	dst.vals = dst.vals[:r.size]
 	unwrap(dst.vals, r.vals, r.head)
-	dst.start = r.times[r.head]
+	dst.start = r.First()
 	return dst
 }
 
@@ -132,6 +187,7 @@ func (r *Ring) WindowBefore(end int64, w int) *Series {
 // otherwise be misaligned with the post-gap dense indexing.
 func (r *Ring) Clear() {
 	r.seq++
+	r.runs = r.runs[:0]
 	r.head = 0
 	r.size = 0
 }
@@ -150,15 +206,20 @@ func (r *Ring) Snapshot() RingSnapshot {
 	if r.size == 0 {
 		return s
 	}
-	s.Times = make([]int64, r.size)
+	s.Times = make([]int64, 0, r.size)
+	for _, ru := range r.runs {
+		for t := range int64(ru.n) {
+			s.Times = append(s.Times, ru.t0+t)
+		}
+	}
 	s.Vals = make([]float64, r.size)
-	unwrap(s.Times, r.times, r.head)
 	unwrap(s.Vals, r.vals, r.head)
 	return s
 }
 
 // RingFromSnapshot rebuilds a ring from a snapshot, validating its shape.
-// A snapshot holding more samples than its capacity keeps only the newest.
+// A snapshot holding more samples than its capacity keeps only the newest;
+// times that do not step by one second become one run each.
 func RingFromSnapshot(s RingSnapshot) (*Ring, error) {
 	if len(s.Times) != len(s.Vals) {
 		return nil, errors.New("timeseries: ring snapshot times/vals length mismatch")

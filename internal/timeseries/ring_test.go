@@ -1,0 +1,251 @@
+package timeseries
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// twoColumnRing is the reference ring: every slot stores its timestamp next
+// to its value, so it returns whatever was pushed by construction. Ring must
+// be indistinguishable from it through every read.
+type twoColumnRing struct {
+	vals  []float64
+	times []int64
+	head  int
+	size  int
+	seq   uint64
+}
+
+func newTwoColumnRing(capacity int) *twoColumnRing {
+	capacity = max(capacity, 1)
+	return &twoColumnRing{vals: make([]float64, capacity), times: make([]int64, capacity)}
+}
+
+func (r *twoColumnRing) at(i int) (int64, float64) {
+	idx := (r.head + i) % len(r.vals)
+	return r.times[idx], r.vals[idx]
+}
+
+func (r *twoColumnRing) push(t int64, v float64) {
+	r.seq++
+	idx := (r.head + r.size) % len(r.vals)
+	r.vals[idx] = v
+	r.times[idx] = t
+	if r.size < len(r.vals) {
+		r.size++
+		return
+	}
+	r.head = (r.head + 1) % len(r.vals)
+}
+
+func (r *twoColumnRing) clear() {
+	r.seq++
+	r.head, r.size = 0, 0
+}
+
+func (r *twoColumnRing) snapshot() RingSnapshot {
+	s := RingSnapshot{Cap: len(r.vals)}
+	if r.size == 0 {
+		return s
+	}
+	for i := 0; i < r.size; i++ {
+		t, v := r.at(i)
+		s.Times = append(s.Times, t)
+		s.Vals = append(s.Vals, v)
+	}
+	return s
+}
+
+func twoColumnFromSnapshot(s RingSnapshot) (*twoColumnRing, error) {
+	if len(s.Times) != len(s.Vals) {
+		return nil, errors.New("length mismatch")
+	}
+	r := newTwoColumnRing(s.Cap)
+	for i := range s.Vals {
+		r.push(s.Times[i], s.Vals[i])
+	}
+	return r, nil
+}
+
+// ringPair drives a Ring and the reference through the same operations and
+// compares every read after each one.
+type ringPair struct {
+	tb    testing.TB
+	r     *Ring
+	ref   *twoColumnRing
+	t     int64
+	dst   Series
+	nops  int
+	label string
+}
+
+func newRingPair(tb testing.TB, capacity int) *ringPair {
+	return &ringPair{tb: tb, r: NewRing(capacity), ref: newTwoColumnRing(capacity), t: 1000}
+}
+
+// apply performs one operation chosen by op, with arg as its parameter:
+// mostly one-second steps, some forward gaps, some arbitrary steps
+// (including backwards and repeated times), Clear, a snapshot round trip,
+// and a crafted snapshot whose times need not increase.
+func (p *ringPair) apply(op, arg byte) {
+	p.nops++
+	switch op % 16 {
+	default:
+		p.push(1, arg)
+	case 11:
+		p.push(2+int64(arg%50), arg)
+	case 12:
+		p.push(int64(int8(arg)), arg)
+	case 13:
+		p.label = "clear"
+		p.r.Clear()
+		p.ref.clear()
+	case 14:
+		p.label = "snapshot round trip"
+		p.restore(p.ref.snapshot())
+	case 15:
+		p.label = "crafted snapshot"
+		s := RingSnapshot{Cap: p.r.Cap()}
+		x := uint32(arg)*2654435761 + 1
+		for i := 0; i < int(arg)%(p.r.Cap()+3); i++ {
+			x = x*1103515245 + 12345
+			p.t += int64(x>>16)%5 - 2
+			s.Times = append(s.Times, p.t)
+			s.Vals = append(s.Vals, float64(x>>8)*0.125)
+		}
+		p.restore(s)
+	}
+	p.check()
+}
+
+func (p *ringPair) push(step int64, arg byte) {
+	p.label = "push"
+	p.t += step
+	v := float64(p.t)*0.5 + float64(arg)
+	p.r.Push(p.t, v)
+	p.ref.push(p.t, v)
+}
+
+func (p *ringPair) restore(s RingSnapshot) {
+	r, err := RingFromSnapshot(s)
+	if err != nil {
+		p.tb.Fatal(err)
+	}
+	ref, err := twoColumnFromSnapshot(s)
+	if err != nil {
+		p.tb.Fatal(err)
+	}
+	p.r, p.ref = r, ref
+}
+
+func (p *ringPair) check() {
+	p.tb.Helper()
+	fail := func(format string, args ...any) {
+		p.tb.Helper()
+		p.tb.Fatalf("cap %d, op %d (%s): "+format, append([]any{p.r.Cap(), p.nops, p.label}, args...)...)
+	}
+	r, ref := p.r, p.ref
+	if r.Len() != ref.size || r.Seq() != ref.seq || r.Cap() != len(ref.vals) {
+		fail("len/seq/cap %d/%d/%d, want %d/%d/%d", r.Len(), r.Seq(), r.Cap(), ref.size, ref.seq, len(ref.vals))
+	}
+	for i := 0; i < ref.size; i++ {
+		wt, wv := ref.at(i)
+		if t, v := r.At(i); t != wt || math.Float64bits(v) != math.Float64bits(wv) {
+			fail("At(%d) = (%d, %v), want (%d, %v)", i, t, v, wt, wv)
+		}
+		if v := r.Value(i); math.Float64bits(v) != math.Float64bits(wv) {
+			fail("Value(%d) = %v, want %v", i, v, wv)
+		}
+	}
+	t, v, ok := r.Last()
+	if ok != (ref.size > 0) {
+		fail("Last ok = %v with %d samples", ok, ref.size)
+	}
+	if ok {
+		wt, wv := ref.at(ref.size - 1)
+		if t != wt || math.Float64bits(v) != math.Float64bits(wv) {
+			fail("Last = (%d, %v), want (%d, %v)", t, v, wt, wv)
+		}
+		if first, _ := ref.at(0); r.First() != first {
+			fail("First = %d, want %d", r.First(), first)
+		}
+	}
+	snap := ref.snapshot()
+	if got := r.Snapshot(); got.Cap != snap.Cap || !slices.Equal(got.Times, snap.Times) ||
+		!slices.EqualFunc(got.Vals, snap.Vals, sameBits) || (got.Times == nil) != (snap.Times == nil) {
+		fail("Snapshot = %+v, want %+v", got, snap)
+	}
+	var start int64
+	if ref.size > 0 {
+		start = snap.Times[0]
+	}
+	for _, s := range []*Series{r.Series(), r.SeriesInto(&p.dst)} {
+		if s.Start() != start || !slices.EqualFunc(s.Values(), snap.Vals, sameBits) {
+			fail("series start %d vals %v, want %d %v", s.Start(), s.Values(), start, snap.Vals)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestRingMatchesTwoColumnReference drives random operation sequences
+// through Ring and the reference at capacities from 1 to a slave's default.
+func TestRingMatchesTwoColumnReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 7, 1440} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		p := newRingPair(t, capacity)
+		ops := 400 + 3*capacity
+		for i := 0; i < ops; i++ {
+			op := byte(0) // a one-second step
+			switch x := rng.Intn(100); {
+			case x < 6:
+				op = 11
+			case x < 8:
+				op = 12
+			case x < 9:
+				op = 13
+			case x < 10:
+				op = byte(14 + rng.Intn(2))
+			}
+			p.apply(op, byte(rng.Intn(256)))
+		}
+	}
+}
+
+// FuzzRing decodes bytes into a capacity and an operation sequence and
+// compares Ring with the reference after every operation.
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0, 1, 0, 2, 11, 7, 0, 3, 12, 200, 0, 4, 14, 0, 0, 5})
+	f.Add([]byte{2, 15, 9, 0, 1, 13, 0, 12, 0, 12, 255, 15, 40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		caps := []int{1, 2, 3, 7, 1440}
+		p := newRingPair(t, caps[int(data[0])%len(caps)])
+		for i := 1; i+1 < len(data); i += 2 {
+			p.apply(data[i], data[i+1])
+		}
+	})
+}
+
+// TestRingPushAllocFree guards the collection path: pushing one-second steps
+// into a full ring moves its single run forward and allocates nothing.
+func TestRingPushAllocFree(t *testing.T) {
+	r := NewRing(1440)
+	ts := int64(0)
+	for ; ts < 2000; ts++ {
+		r.Push(ts, float64(ts))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Push(ts, float64(ts))
+		ts++
+	})
+	if allocs != 0 {
+		t.Fatalf("Push on a full dense ring allocates %.1f per call; want 0", allocs)
+	}
+}
