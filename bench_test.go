@@ -10,7 +10,10 @@ package fchain_test
 // regenerating that artifact (bench runs use a reduced run count per fault;
 // use cmd/fchain-bench -runs 30 for paper-scale campaigns). The
 // BenchmarkModule* group mirrors Table II's per-module overhead
-// measurements on the real pipeline primitives.
+// measurements on the real pipeline primitives; with
+// BenchmarkModuleSelectionNoisy in internal/core they are the whole set:
+//
+//	go test -run '^$' -bench '^BenchmarkModule' -benchmem . ./internal/core
 
 import (
 	"fmt"
@@ -19,7 +22,6 @@ import (
 	"testing"
 
 	"fchain"
-	"fchain/internal/benchjson"
 	"fchain/internal/timeseries"
 	"fchain/scenario"
 )
@@ -133,7 +135,7 @@ func BenchmarkModuleModeling1000(b *testing.B) {
 // 100 samples") on a noise-free periodic signal: change point detection
 // finds nothing, so the kernel stops after smoothing and CUSUM. It is the
 // floor of a Localize on a quiet component; BenchmarkModuleSelectionNoisy
-// is the cost when there is something to judge.
+// in internal/core is the cost when there is something to judge.
 func BenchmarkModuleSelection(b *testing.B) {
 	loc := fchain.NewLocalizer(fchain.DefaultConfig(), []string{"c"})
 	kinds := fchain.Kinds()
@@ -146,30 +148,6 @@ func BenchmarkModuleSelection(b *testing.B) {
 	}
 	// Steady state: a long-running daemon reuses the report buffer.
 	var reports []fchain.ComponentReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reports = loc.AnalyzeInto(reports, 1999)
-	}
-}
-
-// BenchmarkModuleSelectionNoisy is BenchmarkModuleSelection on
-// benchjson.NoisyStepSignal: every metric has a detected step inside the
-// look-back window, so each of the six streams pays for the whole kernel —
-// smoothing, CUSUM, the context order statistics, FFT burst extraction and
-// the filter — which is what a stream costs on the mesh traces of the
-// repository benchmark. The pass allocates nothing
-// (core.TestAnalyzeIntoSteadyStateAllocs guards it).
-func BenchmarkModuleSelectionNoisy(b *testing.B) {
-	loc := fchain.NewLocalizer(fchain.DefaultConfig(), []string{"c"})
-	for _, k := range fchain.Kinds() {
-		for t, v := range benchjson.NoisyStepSignal(int64(k)+1, 2000) {
-			if err := loc.Observe("c", int64(t), k, v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var reports []fchain.ComponentReport
-	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reports = loc.AnalyzeInto(reports, 1999)

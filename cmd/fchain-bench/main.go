@@ -1,8 +1,5 @@
 // Command fchain-bench regenerates the tables and figures of the FChain
-// paper's evaluation (ICDCS 2013, §III) on the simulated testbed, and
-// doubles as the performance-regression harness: it measures the Table II
-// module micro-benchmarks, emits machine-readable BENCH_<date>.json
-// reports, and checks a fresh run against a committed baseline.
+// paper's evaluation (ICDCS 2013, §III) on the simulated testbed.
 //
 // Usage:
 //
@@ -10,8 +7,6 @@
 //	fchain-bench -exp fig6 -runs 30   # one experiment, 30 runs per fault
 //	fchain-bench -exp fig6 -parallel 4 # four campaign workers (same output)
 //	fchain-bench -list                # list experiment identifiers
-//	fchain-bench -bench -json BENCH_2026-08-05.json  # measure + save report
-//	fchain-bench -check BENCH_2026-08-05.json        # fail on >30% regression
 //
 // Beyond the paper, -exp matrix runs the (topology × fault) accuracy matrix
 // over generated microservice meshes; `-exp matrix -runs 2 -omit-timing`
@@ -20,6 +15,10 @@
 // The paper uses 30-40 runs per fault; the shapes stabilize from ~10.
 // Campaign runs are independently seeded and reassembled in seed order, so
 // -parallel never changes a report, only how fast it is produced.
+//
+// It measures no performance: `go test -bench '^BenchmarkModule' .
+// ./internal/core` times Table II's per-module kernels, and benchmark/
+// drives the distributed system end to end.
 package main
 
 import (
@@ -39,27 +38,17 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment identifiers")
 		parallel   = flag.Int("parallel", 0, "campaign workers (0 = all cores, 1 = serial; output is identical)")
 		omitTiming = flag.Bool("omit-timing", false, "drop wall-clock lines so reports diff cleanly across machines")
-		bench      = flag.Bool("bench", false, "run the module micro-benchmarks and scenario timing suite")
-		jsonOut    = flag.String("json", "", "with -bench: write the machine-readable report to this file")
-		benchRuns  = flag.Int("bench-runs", 4, "with -bench: runs per fault for the scenario speedup timings")
-		check      = flag.String("check", "", "re-measure module benchmarks and fail on regression vs this baseline JSON")
-		threshold  = flag.Float64("threshold", 0.30, "with -check: fractional ns/op slowdown tolerated")
 	)
 	flag.Parse()
 	opts := scenario.RunOptions{Workers: *parallel, OmitTiming: *omitTiming}
-	if err := run(*exp, *runs, *all, *list, opts, *bench, *jsonOut, *benchRuns, *check, *threshold); err != nil {
+	if err := run(*exp, *runs, *all, *list, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, runs int, all, list bool, opts scenario.RunOptions, bench bool, jsonOut string, benchRuns int, check string, threshold float64) error {
+func run(exp string, runs int, all, list bool, opts scenario.RunOptions) error {
 	switch {
-	case check != "":
-		return runCheck(check, threshold)
-	case bench:
-		_, err := runBench(jsonOut, benchRuns, true)
-		return err
 	case list:
 		for _, id := range scenario.Experiments() {
 			fmt.Println(id)
@@ -75,7 +64,7 @@ func run(exp string, runs int, all, list bool, opts scenario.RunOptions, bench b
 	case exp != "":
 		return runOne(exp, runs, opts)
 	default:
-		return fmt.Errorf("nothing to do: pass -exp <id>, -all, -bench, -check <baseline>, or -list")
+		return fmt.Errorf("nothing to do: pass -exp <id>, -all, or -list")
 	}
 }
 

@@ -237,8 +237,8 @@ func WithCheckpointInterval(d time.Duration) SlaveOption {
 // ships each owned component's state delta upstream (a full snapshot first,
 // incremental sample replays after), and the master relays each frame to the
 // component's standby. Replication reads monitor state only at tick time —
-// the per-sample Observe/Ingest hot path is untouched (the fchain-bench
-// -check replication guard holds it to ≤5% overhead). d <= 0 (the default)
+// the per-sample Observe/Ingest hot path is untouched (benchmark/'s
+// failover-churn workload measures Ingest racing it). d <= 0 (the default)
 // disables replication.
 func WithReplication(interval time.Duration) SlaveOption {
 	return slaveOptionFunc(func(s *Slave) {

@@ -9,30 +9,41 @@ import (
 )
 
 // TestIngestSteadyStateAllocs guards the collection hot path: once a
-// monitor's rings are full and its models warm, feeding a sample through
-// the sanitizing Ingest must not allocate. The slave calls it for every
-// (component, metric, second).
+// monitor's rings are full and its models warm, feeding a sample must not
+// allocate, neither through the sanitizing Ingest the slave calls for every
+// (component, metric, second) nor through the strict Observe an in-process
+// Localizer calls (BenchmarkModuleMonitoring's path).
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	m := NewMonitor("c", cfg)
-	ts := int64(0)
-	tick := func() {
-		for _, k := range metric.Kinds {
-			v := 50 + 10*math.Sin(float64(ts)/9) + float64(int64(k)) + float64(ts*7919%13)/4
-			if err := m.Ingest(ts, k, v); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		feed func(m *Monitor, t int64, k metric.Kind, v float64) error
+	}{
+		{"Ingest", (*Monitor).Ingest},
+		{"Observe", (*Monitor).Observe},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMonitor("c", cfg)
+			ts := int64(0)
+			tick := func() {
+				for _, k := range metric.Kinds {
+					v := 50 + 10*math.Sin(float64(ts)/9) + float64(int64(k)) + float64(ts*7919%13)/4
+					if err := tc.feed(m, ts, k, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ts++
 			}
-		}
-		ts++
-	}
-	for ts < int64(cfg.RingCapacity)+100 {
-		tick()
-	}
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
-		t.Fatalf("steady-state Ingest allocates %v objects per %d samples, want 0", allocs, metric.NumKinds)
+			for ts < int64(cfg.RingCapacity)+100 {
+				tick()
+			}
+			if raceEnabled {
+				t.Skip("allocation counts are not meaningful under the race detector")
+			}
+			if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+				t.Fatalf("steady-state %s allocates %v objects per %d samples, want 0", tc.name, allocs, metric.NumKinds)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"fchain/internal/benchjson"
 	"fchain/internal/metric"
 	"fchain/internal/timeseries"
 )
@@ -379,46 +378,107 @@ func TestAdaptiveSmoothingSelectionStillWorks(t *testing.T) {
 	}
 }
 
+// noisyStepSignal is the input of BenchmarkModuleSelectionNoisy and of
+// TestAnalyzeIntoSteadyStateAllocs: a slow cycle under seeded Gaussian
+// noise, with a 50-sample plateau every 400 samples. With n = 2000 the last
+// plateau starts 50 samples before the end — a step inside the default
+// look-back window that change point detection reports — while the earlier
+// plateaus sit in the context, so the kernel runs its context statistics and
+// the FFT burst extraction before it dismisses the step as a fluctuation the
+// model has already seen.
+func noisyStepSignal(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	for t := range out {
+		out[t] = 40 + 6*math.Sin(2*math.Pi*float64(t)/300) + 2*rng.NormFloat64()
+		if t%400 >= 350 {
+			out[t] += 15
+		}
+	}
+	return out
+}
+
 // TestAnalyzeIntoSteadyStateAllocs guards the claim that a warmed-up batch
-// analysis allocates nothing, on a signal that takes every metric through
-// the whole kernel: change points detected, the context statistics selected,
-// the FFT burst extraction run, and the candidate then dismissed in the
-// filter stage (a selected change would append to the report, which is the
-// caller's allocation, not the kernel's).
+// analysis allocates nothing, on the two inputs of the selection
+// benchmarks. BenchmarkModuleSelection's noise-free periodic signal stops
+// every metric after CUSUM finds nothing. noisyStepSignal takes every metric
+// through the whole kernel: change points detected, the context statistics
+// selected, the FFT burst extraction run, and the candidate then dismissed
+// in the filter stage (a selected change would append to the report, which
+// is the caller's allocation, not the kernel's).
 func TestAnalyzeIntoSteadyStateAllocs(t *testing.T) {
 	const horizon = 2000
+	periodic := make([]float64, horizon)
+	for ts := range periodic {
+		periodic[ts] = float64(40+ts%23) + float64(ts%7)
+	}
+	for _, tc := range []struct {
+		name    string
+		signal  func(k metric.Kind) []float64
+		filters int // metrics whose selection reaches the filter stage
+	}{
+		{"periodic", func(metric.Kind) []float64 { return periodic }, 0},
+		{"noisy-step", func(k metric.Kind) []float64 { return noisyStepSignal(int64(k)+1, horizon) }, metric.NumKinds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loc := NewLocalizer(DefaultConfig(), []string{"c"})
+			for _, k := range metric.Kinds {
+				for ts, v := range tc.signal(k) {
+					if err := loc.Observe("c", int64(ts), k, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			_, _, tr := loc.LocalizeTraced(horizon-1, nil)
+			filters := tr.FindAll("filter")
+			if len(filters) != tc.filters {
+				t.Fatalf("%d metrics reached the filter stage, want %d", len(filters), tc.filters)
+			}
+			for _, f := range filters {
+				judged := false
+				for _, a := range f.Attrs {
+					judged = judged || (strings.HasPrefix(a.Key, "cand:") && a.Val == "predictable")
+				}
+				if !judged {
+					t.Fatalf("filter span judged no candidate predictable: %v", f.Attrs)
+				}
+			}
+			reports := loc.AnalyzeInto(nil, horizon-1) // warm the arena and the report buffer
+			if reports[0].Abnormal() {
+				t.Fatalf("signal selected a change: %+v", reports[0].Changes)
+			}
+			if raceEnabled {
+				t.Skip("allocation counts are not meaningful under the race detector")
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				reports = loc.AnalyzeInto(reports, horizon-1)
+			}); allocs != 0 {
+				t.Fatalf("steady-state AnalyzeInto allocates %v objects per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkModuleSelectionNoisy is the root package's
+// BenchmarkModuleSelection on noisyStepSignal: every metric has a detected
+// step inside the look-back window, so each of the six streams pays for the
+// whole kernel — smoothing, CUSUM, the context order statistics, FFT burst
+// extraction and the filter — which is what a stream costs on the mesh
+// traces of the repository benchmark. The pass allocates nothing
+// (TestAnalyzeIntoSteadyStateAllocs guards it).
+func BenchmarkModuleSelectionNoisy(b *testing.B) {
 	loc := NewLocalizer(DefaultConfig(), []string{"c"})
 	for _, k := range metric.Kinds {
-		for ts, v := range benchjson.NoisyStepSignal(int64(k)+1, horizon) {
-			if err := loc.Observe("c", int64(ts), k, v); err != nil {
-				t.Fatal(err)
+		for t, v := range noisyStepSignal(int64(k)+1, 2000) {
+			if err := loc.Observe("c", int64(t), k, v); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	_, _, tr := loc.LocalizeTraced(horizon-1, nil)
-	filters := tr.FindAll("filter")
-	if len(filters) != metric.NumKinds {
-		t.Fatalf("%d of %d metrics reached the filter stage", len(filters), metric.NumKinds)
-	}
-	for _, f := range filters {
-		judged := false
-		for _, a := range f.Attrs {
-			judged = judged || (strings.HasPrefix(a.Key, "cand:") && a.Val == "predictable")
-		}
-		if !judged {
-			t.Fatalf("filter span judged no candidate predictable: %v", f.Attrs)
-		}
-	}
-	reports := loc.AnalyzeInto(nil, horizon-1) // warm the arena and the report buffer
-	if reports[0].Abnormal() {
-		t.Fatalf("signal selected a change: %+v", reports[0].Changes)
-	}
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		reports = loc.AnalyzeInto(reports, horizon-1)
-	}); allocs != 0 {
-		t.Fatalf("steady-state AnalyzeInto allocates %v objects per call, want 0", allocs)
+	var reports []ComponentReport
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reports = loc.AnalyzeInto(reports, 1999)
 	}
 }
