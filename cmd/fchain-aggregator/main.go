@@ -31,20 +31,19 @@ func main() {
 		name       = flag.String("name", "", "aggregator name; slaves reference it with -via (default: hostname)")
 		listen     = flag.String("listen", "127.0.0.1:7071", "listen address for subtree slaves")
 		master     = flag.String("master", "127.0.0.1:7070", "master address")
-		quorum     = flag.Float64("subtree-quorum", 0, "subtree answer quorum as a fraction in (0,1]: answer upstream once met, charging stragglers as errors (0 waits for every requested slave)")
 		backoff    = flag.Duration("backoff", 500*time.Millisecond, "initial reconnect backoff after a dropped master connection")
 		backoffMax = flag.Duration("backoff-max", 15*time.Second, "reconnect backoff cap")
 		debugAddr  = flag.String("debug-addr", "", "HTTP debug server address serving /metrics, /healthz and pprof (empty disables)")
 		logLevel   = flag.String("log-level", "info", "stderr log level: debug, info, warn, error")
 	)
 	flag.Parse()
-	if err := run(*name, *listen, *master, *quorum, *backoff, *backoffMax, *debugAddr, *logLevel); err != nil {
+	if err := run(*name, *listen, *master, *backoff, *backoffMax, *debugAddr, *logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-aggregator:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name, listen, master string, quorum float64, backoff, backoffMax time.Duration, debugAddr, logLevel string) error {
+func run(name, listen, master string, backoff, backoffMax time.Duration, debugAddr, logLevel string) error {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -59,7 +58,6 @@ func run(name, listen, master string, quorum float64, backoff, backoffMax time.D
 	log := sink.Logger()
 
 	agg := fchain.NewAggregator(name,
-		fchain.WithSubtreeQuorum(quorum),
 		fchain.WithAggregatorBackoff(backoff, backoffMax),
 		fchain.WithAggregatorObs(sink))
 	if err := agg.Start(listen); err != nil {

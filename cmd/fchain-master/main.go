@@ -67,7 +67,6 @@ import (
 type config struct {
 	listen    string
 	timeout   time.Duration
-	retries   int
 	heartbeat time.Duration
 	hbMisses  int
 	quorum    float64
@@ -102,7 +101,6 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7070", "listen address")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "overall per-localization deadline")
-	flag.IntVar(&cfg.retries, "retries", 1, "extra analyze attempts per unanswered slave within the deadline")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 10*time.Second, "slave liveness probe interval (0 disables)")
 	flag.IntVar(&cfg.hbMisses, "heartbeat-misses", 3, "consecutive missed heartbeats before a slave is evicted")
 	flag.Float64Var(&cfg.quorum, "quorum", 0, "slave answer quorum as a fraction in (0,1]: diagnose once met, refuse below it (0 waits for all, best-effort)")
@@ -154,7 +152,6 @@ func run(cfg config) error {
 	}
 	masterOpts := []fchain.MasterOption{
 		fchain.WithHeartbeat(cfg.heartbeat, cfg.hbMisses),
-		fchain.WithLocalizeRetries(cfg.retries),
 		fchain.WithLocalizeTimeout(cfg.timeout),
 		fchain.WithQuorum(cfg.quorum),
 		fchain.WithAdmission(cfg.inflight, cfg.admitQ),

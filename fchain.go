@@ -302,8 +302,8 @@ func ApplyValidation(diag Diagnosis, results []ValidationResult) Diagnosis {
 // Master is the distributed master daemon (paper Fig. 1): it accepts slave
 // registrations and runs the integrated diagnosis over their reports. It is
 // built for degraded conditions: heartbeat probing evicts dead slaves, a
-// per-slave circuit breaker skips repeat offenders, and Localize retries
-// unanswered slaves within its deadline before reporting coverage.
+// per-slave circuit breaker skips repeat offenders, and Localize asks each
+// slave once with its whole deadline before reporting coverage.
 type Master = cluster.Master
 
 // MasterOption configures a Master.
@@ -314,10 +314,6 @@ type MasterOption = cluster.MasterOption
 func WithHeartbeat(interval time.Duration, maxMisses int) MasterOption {
 	return cluster.WithHeartbeat(interval, maxMisses)
 }
-
-// WithLocalizeRetries sets how many extra attempts Localize spends per
-// unanswered slave inside its deadline (default 1).
-func WithLocalizeRetries(n int) MasterOption { return cluster.WithLocalizeRetries(n) }
 
 // WithLocalizeTimeout sets the overall Localize deadline used when the
 // caller's context has none (default 30s).
@@ -341,10 +337,6 @@ func WithQuorum(frac float64) MasterOption { return cluster.WithQuorum(frac) }
 // limit run at once, at most queue more wait (LIFO, newest first; overflow
 // sheds the oldest waiter). Shed calls fail fast with ErrOverloaded.
 func WithAdmission(limit, queue int) MasterOption { return cluster.WithAdmission(limit, queue) }
-
-// WithSlaveInflight caps concurrent analyze requests outstanding to any one
-// slave across overlapping Localize calls (default 8; <= 0 removes the cap).
-func WithSlaveInflight(n int) MasterOption { return cluster.WithSlaveInflight(n) }
 
 // Sentinel errors surfaced by the overload-resilient control plane. Use
 // errors.Is to test for them.
@@ -403,11 +395,6 @@ type Aggregator = cluster.Aggregator
 
 // AggregatorOption configures an Aggregator.
 type AggregatorOption = cluster.AggregatorOption
-
-// WithSubtreeQuorum sets the aggregator's subtree answer quorum as a
-// fraction in (0, 1]; <= 0 (the default) waits for every requested slave
-// within the budget.
-func WithSubtreeQuorum(frac float64) AggregatorOption { return cluster.WithSubtreeQuorum(frac) }
 
 // WithAggregatorBackoff overrides the aggregator's master-reconnect backoff
 // bounds.

@@ -5,11 +5,10 @@ package cluster
 // subtree of slaves, and answers the master's subtree analyze requests by
 // fanning out to those slaves and merging their reports into per-slave
 // sub-answers. The merge is lossless — each sub-answer carries the slave's
-// own reports, clock echo, and answer latency — so the master's per-slave
-// accounting (quorum, clock-offset normalization, coverage, latency
-// histograms) is unchanged by the tree. Slaves keep a direct master
-// connection too; an aggregator dying mid-localization only costs the master
-// a fallback to direct asks.
+// own reports and answer latency — so the master's per-slave accounting
+// (quorum, coverage, latency histograms) is unchanged by the tree. Slaves
+// keep a direct master connection too; an aggregator dying mid-localization
+// only costs the master a fallback to direct asks.
 
 import (
 	"fmt"
@@ -26,8 +25,7 @@ import (
 // a subtree analyze to it for every slave whose register frame carried
 // Via=name.
 type Aggregator struct {
-	name   string
-	quorum float64 // subtree answer quorum fraction; <= 0 waits for all
+	name string
 
 	dial           func(addr string) (net.Conn, error)
 	backoffInitial time.Duration
@@ -46,20 +44,6 @@ type Aggregator struct {
 
 // AggregatorOption configures an Aggregator.
 type AggregatorOption func(*Aggregator)
-
-// WithSubtreeQuorum sets the aggregator's subtree quorum as a fraction in
-// (0, 1]: a subtree analyze answers upstream once that share of the
-// requested slaves responded plus a short straggler grace, charging the rest
-// as per-slave errors. frac <= 0 (the default) waits for every requested
-// slave within the budget.
-func WithSubtreeQuorum(frac float64) AggregatorOption {
-	return func(a *Aggregator) {
-		if frac > 1 {
-			frac = 1
-		}
-		a.quorum = frac
-	}
-}
 
 // WithAggregatorDialer overrides how the aggregator dials the master; chaos
 // tests inject fault-wrapped connections through this.
@@ -256,12 +240,10 @@ func (a *Aggregator) serveUpstream(w *connWriter) error {
 }
 
 // handleSubtreeAnalyze fans one analyze request out to the requested subtree
-// slaves and answers with one sub-entry per slave. The subtree quorum (plus
-// the straggler grace of the gather it shares with the master) bounds how
-// long a slow minority can hold the whole subtree's answer; slaves this
-// aggregator has never seen — or that miss the budget — are answered as
-// per-slave errors so the master can fall back to its direct connections for
-// exactly those members.
+// slaves and answers with one sub-entry per slave, once every one has
+// answered or the budget has ended. Slaves this aggregator has never seen —
+// or that miss the budget — are answered as per-slave errors so the master
+// can fall back to its direct connections for exactly those members.
 func (a *Aggregator) handleSubtreeAnalyze(w *connWriter, env *envelope) {
 	defer a.wg.Done()
 	defer func() {
@@ -292,7 +274,7 @@ func (a *Aggregator) handleSubtreeAnalyze(w *connWriter, env *envelope) {
 		names = append(names, name)
 		go func() { results <- a.askSubtreeSlave(sc, env.TV, env.LookBack, deadline) }()
 	}
-	subs = append(subs, gather(results, names, quorumNeed(a.quorum, len(names)),
+	subs = append(subs, gather(results, names, 0,
 		func(s subAnswer) (string, bool) { return s.Slave, s.Err == "" },
 		func(name string) subAnswer {
 			return subAnswer{Slave: name, Err: fmt.Sprintf("cluster: slave %s: deadline exceeded", name)}

@@ -248,21 +248,24 @@ func TestHeartbeatKeepsLiveSlave(t *testing.T) {
 	}
 }
 
-// TestLocalizeRetrySucceeds exercises the per-slave retry budget: the slave
-// ignores the first analyze request and answers the second.
-func TestLocalizeRetrySucceeds(t *testing.T) {
-	master := NewMaster(core.Config{}, nil,
-		WithLocalizeRetries(1), WithLocalizeTimeout(4*time.Second))
+// TestLocalizeAsksEachSlaveOnce: a slave that needs most of the deadline to
+// answer receives exactly one analyze frame, budgeted with the whole
+// deadline, and its late answer counts.
+func TestLocalizeAsksEachSlaveOnce(t *testing.T) {
+	const deadline = time.Second
+	master := NewMaster(core.Config{}, nil, WithLocalizeTimeout(deadline))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	conn, w := fakeSlave(t, master.Addr(), "flaky", []string{"a"})
+	conn, w := fakeSlave(t, master.Addr(), "slow", []string{"s"})
 	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 1 }, "registration")
 
+	var budgets []int64
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		r := newReader(conn)
-		analyzes := 0
 		for {
 			env, err := readFrame(r)
 			if err != nil {
@@ -271,35 +274,39 @@ func TestLocalizeRetrySucceeds(t *testing.T) {
 			if env.Type != typeAnalyze {
 				continue
 			}
-			analyzes++
-			if analyzes == 1 {
-				continue // swallow the first request: force a retry
-			}
-			resp := &envelope{Type: typeReports, ID: env.ID,
-				Reports: []core.ComponentReport{{Component: "a"}}}
-			if err := w.write(resp, 2*time.Second); err != nil {
-				return
-			}
+			budgets = append(budgets, env.BudgetMS)
+			go func(id uint64) {
+				time.Sleep(deadline * 6 / 10)
+				_ = w.write(&envelope{Type: typeReports, ID: id,
+					Reports: []core.ComponentReport{{Component: "s"}}}, 2*time.Second)
+			}(env.ID)
 		}
 	}()
 
 	res, err := master.Localize(context.Background(), 100)
 	if err != nil {
-		t.Fatalf("localize with retry budget failed: %v", err)
-	}
-	if res.Retries < 1 {
-		t.Errorf("retries = %d, want >= 1", res.Retries)
+		t.Fatalf("localize against a slave answering at 0.6x the deadline: %v", err)
 	}
 	if res.SlavesAnswered != 1 || res.Degraded {
-		t.Errorf("retry result = %+v, want full coverage", res)
+		t.Errorf("result = %+v, want full coverage", res)
+	}
+	// Closing the master ends the connection, so the reader has seen every
+	// frame the master ever sent once it drains.
+	master.Close()
+	<-drained
+	if len(budgets) != 1 {
+		t.Fatalf("slave received %d analyze frames, want exactly 1", len(budgets))
+	}
+	if floor := (deadline * 9 / 10).Milliseconds(); budgets[0] < floor {
+		t.Errorf("analyze BudgetMS = %d, want >= %d (the whole deadline)", budgets[0], floor)
 	}
 }
 
 // TestLocalizeFailureReportsPartialCoverage: a slave that never answers
-// exhausts its retries and the result carries the miss.
+// uses up the deadline and the result carries the miss.
 func TestLocalizeFailureReportsPartialCoverage(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithLocalizeRetries(1), WithLocalizeTimeout(time.Second), WithBreaker(0, 0))
+		WithLocalizeTimeout(time.Second), WithBreaker(0, 0))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +356,7 @@ func answerAnalyzes(conn net.Conn, w *connWriter, component string) {
 // without burning their deadline on it.
 func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithLocalizeRetries(0), WithLocalizeTimeout(300*time.Millisecond),
+		WithLocalizeTimeout(300*time.Millisecond),
 		WithBreaker(1, time.Minute))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -389,7 +396,7 @@ func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 // open.
 func TestBreakerChargedWhenGatherGivesUp(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithLocalizeRetries(0), WithLocalizeTimeout(time.Second),
+		WithLocalizeTimeout(time.Second),
 		WithQuorum(0.5), WithBreaker(1, time.Minute))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -495,7 +502,7 @@ func TestConcurrentWritesSurvivePartialWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, nil)
 	master.Serve(faultnet.WrapListener(ln, chunky))
 	defer master.Close()
 
@@ -547,7 +554,7 @@ func TestConcurrentWritesSurvivePartialWrites(t *testing.T) {
 // TestLocalizeHonorsContextCancel: canceling the context aborts the fan-out
 // promptly.
 func TestLocalizeHonorsContextCancel(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(3), WithLocalizeTimeout(time.Minute))
+	master := NewMaster(core.Config{}, nil, WithLocalizeTimeout(time.Minute))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

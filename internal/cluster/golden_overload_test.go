@@ -44,7 +44,7 @@ func runOverloadGoldenScenario(t *testing.T, parallelism int) []byte {
 	t.Helper()
 	sim, tv, deps := faultScenario(t, 1)
 	master := NewMaster(core.Config{}, deps,
-		WithQuorum(0.75), WithLocalizeRetries(0), WithLocalizeTimeout(2*time.Second))
+		WithQuorum(0.75), WithLocalizeTimeout(2*time.Second))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func runOverloadGoldenScenario(t *testing.T, parallelism int) []byte {
 
 	// Quorum: ceil(0.75 * 5) = 4 of 5 — exactly the answering set, so the
 	// call returns as soon as the four answers are in, never waiting out the
-	// stalled slave's share of the deadline.
+	// deadline on the stalled slave.
 	res, err := master.Localize(context.Background(), tv)
 	if err != nil {
 		t.Fatalf("golden scenario localize: %v", err)

@@ -27,7 +27,7 @@ import (
 // registered slaves with periodic heartbeats and evicts dead connections, a
 // per-slave circuit breaker stops analyze fan-out from burning its deadline
 // on slaves that keep failing, duplicate registrations replace (and close)
-// the stale connection, and Localize retries unanswered slaves within its
+// the stale connection, and Localize asks each slave once with its whole
 // deadline before reporting how much of the application its diagnosis saw.
 type Master struct {
 	cfg  core.Config
@@ -38,14 +38,12 @@ type Master struct {
 
 	hbInterval  time.Duration
 	hbMaxMisses int
-	retries     int
 	localizeTO  time.Duration
 	brThreshold int
 	brCooldown  time.Duration
 
-	quorum        float64
-	admit         *gate
-	slaveInflight int
+	quorum float64
+	admit  *gate
 
 	// Sharded mode (shard.go): vnodes > 0 places every known component on a
 	// consistent-hash ring over the registered slaves, and membership
@@ -109,16 +107,6 @@ func WithHeartbeat(interval time.Duration, maxMisses int) MasterOption {
 	}
 }
 
-// WithLocalizeRetries sets how many extra attempts Localize spends per
-// unanswered slave inside its deadline (default 1).
-func WithLocalizeRetries(n int) MasterOption {
-	return func(m *Master) {
-		if n >= 0 {
-			m.retries = n
-		}
-	}
-}
-
 // WithLocalizeTimeout sets the overall Localize deadline applied when the
 // caller's context has none (default 30s).
 func WithLocalizeTimeout(d time.Duration) MasterOption {
@@ -164,14 +152,6 @@ func WithQuorum(frac float64) MasterOption {
 // (the default) admits everything.
 func WithAdmission(limit, queue int) MasterOption {
 	return func(m *Master) { m.admit = newGate(limit, queue) }
-}
-
-// WithSlaveInflight caps concurrent analyze requests outstanding to any one
-// slave across overlapping Localize calls (default 8). A slave at its cap
-// fails fast for the extra caller instead of queueing blind. n <= 0 removes
-// the cap.
-func WithSlaveInflight(n int) MasterOption {
-	return func(m *Master) { m.slaveInflight = n }
 }
 
 // WithMasterObs attaches an observability sink: every Localize records a
@@ -243,14 +223,12 @@ func WithAutoRebalance(on bool) MasterOption {
 // (possibly empty) dependency graph from offline discovery.
 func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Master {
 	m := &Master{
-		cfg:           cfg,
-		deps:          deps,
-		hbMaxMisses:   3,
-		retries:       1,
-		localizeTO:    30 * time.Second,
-		brThreshold:   3,
-		brCooldown:    10 * time.Second,
-		slaveInflight: 8,
+		cfg:         cfg,
+		deps:        deps,
+		hbMaxMisses: 3,
+		localizeTO:  30 * time.Second,
+		brThreshold: 3,
+		brCooldown:  10 * time.Second,
 
 		handoffTimeout: 5 * time.Second,
 		autoRebalance:  true,
@@ -355,7 +333,6 @@ func (m *Master) serveConn(conn net.Conn) {
 	m.obs.Registry().Gauge("fchain_slaves_registered", "Currently registered slaves.").Set(float64(registered))
 	_ = m.obs.EventJournal().Record("slave_registered", map[string]any{"slave": sc.name, "components": sc.components})
 	if m.sharded() {
-		m.obs.Registry().Gauge("fchain_cluster_members", "Slaves on the placement ring.").Set(float64(registered))
 		_ = m.obs.EventJournal().Record("member_joined", map[string]any{"slave": sc.name})
 		m.wg.Add(1)
 		go m.pushPlacement(sc)
@@ -376,7 +353,6 @@ func (m *Master) serveConn(conn net.Conn) {
 		m.obs.Registry().Gauge("fchain_slaves_registered", "Currently registered slaves.").Set(float64(remaining))
 		_ = m.obs.EventJournal().Record("slave_disconnected", map[string]any{"slave": sc.name})
 		if m.sharded() && !closed {
-			m.obs.Registry().Gauge("fchain_cluster_members", "Slaves on the placement ring.").Set(float64(remaining))
 			_ = m.obs.EventJournal().Record("member_evicted", map[string]any{"slave": sc.name})
 			m.triggerRebalance()
 		}
@@ -780,9 +756,9 @@ var ErrNoSlaves = errors.New("cluster: no slaves registered")
 
 // Localize triggers the fault localization pipeline: every registered slave
 // analyzes its look-back window ending at tv and the master diagnoses the
-// combined reports. Each unanswered slave is retried (fresh request, fresh
-// ID) within the overall deadline — taken from ctx, or the configured
-// default when ctx has none. Slaves that still fail are skipped: their
+// combined reports. Each slave is asked once, and the ask may take the whole
+// deadline — taken from ctx, or the configured default when ctx has none.
+// Slaves that fail or do not answer in time are skipped: their
 // components stay in the application size for the external-factor check
 // (known from registration), and the returned LocalizeResult carries the
 // resulting coverage so callers can tell a confident localization from a
@@ -871,7 +847,7 @@ func (m *Master) admitLocalize(ctx context.Context, tv int64, res *core.Localize
 }
 
 // localizePlan is what one Localize runs over: the membership and placement
-// as of its start, and how its deadline is split into attempts.
+// as of its start.
 type localizePlan struct {
 	tv    int64
 	conns map[string]*slaveConn // every registered slave
@@ -882,16 +858,14 @@ type localizePlan struct {
 	// counts for each component. A component mid-rebalance can be reported
 	// by both its old and new owner for one window; filtering on the owner
 	// map keeps exactly one report per component.
-	ownerOf    map[string]string
-	lookBack   int
-	attempts   int
-	perAttempt time.Duration
-	need       int // answer quorum; 0 = wait for every slave
+	ownerOf  map[string]string
+	lookBack int
+	need     int // answer quorum; 0 = wait for every slave
 }
 
-// planLocalize snapshots membership and placement and splits the deadline.
+// planLocalize snapshots membership and placement.
 func (m *Master) planLocalize(ctx context.Context, tv int64, res *core.LocalizeResult) (*localizePlan, error) {
-	p := &localizePlan{tv: tv, attempts: m.retries + 1, lookBack: m.cfg.LookBack}
+	p := &localizePlan{tv: tv, lookBack: m.cfg.LookBack}
 	if p.lookBack <= 0 {
 		p.lookBack = core.DefaultConfig().LookBack
 	}
@@ -915,10 +889,7 @@ func (m *Master) planLocalize(ctx context.Context, tv int64, res *core.LocalizeR
 	res.SlavesTotal = len(p.names)
 	res.ComponentsKnown = len(p.known)
 	p.need = quorumNeed(m.quorum, len(p.names))
-
-	deadline, _ := ctx.Deadline()
-	p.perAttempt = time.Until(deadline) / time.Duration(p.attempts)
-	if p.perAttempt <= 0 {
+	if deadline, _ := ctx.Deadline(); time.Until(deadline) <= 0 {
 		return nil, context.DeadlineExceeded
 	}
 	return p, nil
@@ -939,7 +910,7 @@ func (m *Master) fanOut(ctx context.Context, p *localizePlan) <-chan slaveAnswer
 			units[agg] = append(units[agg], sc)
 			continue
 		}
-		go m.askDirect(ctx, p, sc, p.attempts, answers)
+		go m.askDirect(ctx, p, sc, answers)
 	}
 	for agg, members := range units {
 		go m.askSubtree(ctx, p, agg, members, answers)
@@ -960,9 +931,7 @@ func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Tra
 	var reports []core.ComponentReport
 	seen := make(map[string]bool)
 	for _, a := range collected {
-		res.Retries += a.retries
 		ask := tr.Start(root, "ask:"+a.slave)
-		tr.AttrInt(ask, "retries", int64(a.retries))
 		if a.via != "" {
 			tr.Attr(ask, "via", a.via)
 		}
@@ -1099,38 +1068,29 @@ func (m *Master) instrumentLocalize(tv int64, tenantName, app string, res *core.
 
 // slaveAnswer is one slave's outcome inside a Localize fan-out, whether it
 // arrived directly or through an aggregator (via names the aggregator then).
-// skipped marks an ask refused on this side (in-flight cap, open breaker):
-// it never reached the slave, so it says nothing about the slave's health.
+// skipped marks an ask refused on this side (open breaker): it never
+// reached the slave, so it says nothing about the slave's health.
 type slaveAnswer struct {
 	slave   string
 	via     string
 	reports []core.ComponentReport
-	retries int
 	waitNS  int64
 	skipped bool
 	err     error
 }
 
-// askDirect runs one slave's direct ask — in-flight cap, circuit breaker,
-// retries — and delivers exactly one slaveAnswer. A success closes the
-// breaker here, whenever it arrives; failures are charged by normalize, once
-// per Localize, so an ask abandoned at the deadline is never charged twice.
-func (m *Master) askDirect(ctx context.Context, p *localizePlan, sc *slaveConn, attempts int, answers chan<- slaveAnswer) {
-	// The per-slave in-flight cap fails fast rather than queueing:
-	// a slave already saturated by overlapping Localize calls would
-	// only answer after this call's budget is gone anyway.
-	if !sc.acquireSlot(m.slaveInflight) {
-		answers <- slaveAnswer{slave: sc.name, skipped: true, err: fmt.Errorf("cluster: slave %s at in-flight cap", sc.name)}
-		return
-	}
-	defer sc.releaseSlot(m.slaveInflight)
+// askDirect runs one slave's direct ask behind its circuit breaker and
+// delivers exactly one slaveAnswer. A success closes the breaker here,
+// whenever it arrives; failures are charged by normalize, once per Localize,
+// so an ask abandoned at the deadline is never charged twice.
+func (m *Master) askDirect(ctx context.Context, p *localizePlan, sc *slaveConn, answers chan<- slaveAnswer) {
 	if m.brThreshold > 0 && sc.breakerOpen(m.brCooldown) {
 		answers <- slaveAnswer{slave: sc.name, skipped: true, err: fmt.Errorf("cluster: circuit open for slave %s", sc.name)}
 		return
 	}
 	start := time.Now()
-	env, retries, err := m.askSlave(ctx, p, sc, attempts, nil)
-	a := slaveAnswer{slave: sc.name, retries: retries, waitNS: time.Since(start).Nanoseconds(), err: err}
+	env, err := m.askSlave(ctx, p, sc, nil)
+	a := slaveAnswer{slave: sc.name, waitNS: time.Since(start).Nanoseconds(), err: err}
 	if err == nil {
 		sc.recordResult(true, m.brThreshold)
 		a.reports = env.Reports
@@ -1151,7 +1111,7 @@ func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn
 	}
 	sort.Strings(names)
 	start := time.Now()
-	env, retries, err := m.askSlave(ctx, p, agg, p.attempts, names)
+	env, err := m.askSlave(ctx, p, agg, names)
 	elapsed := time.Since(start).Nanoseconds()
 	covered := make(map[string]subAnswer, len(names))
 	if err == nil {
@@ -1164,8 +1124,8 @@ func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn
 	for _, sc := range members {
 		s, ok := covered[sc.name]
 		if !ok {
-			// Fallback budget: whatever remains of the deadline, one shot.
-			go m.askDirect(ctx, p, sc, 1, answers)
+			// Fallback budget: whatever remains of the deadline.
+			go m.askDirect(ctx, p, sc, answers)
 			m.obs.Registry().Counter("fchain_aggregator_fallbacks_total",
 				"Subtree members re-asked directly after an aggregator failure.").Inc()
 			continue
@@ -1174,51 +1134,36 @@ func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn
 		if wait <= 0 {
 			wait = elapsed
 		}
-		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, retries: retries, waitNS: wait}
+		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, waitNS: wait}
 	}
 }
 
-// askSlave sends the analyze request and waits for the reports frame,
-// retrying with a fresh request on timeout or error until the attempt budget
-// or the context runs out. A dead connection stops retrying immediately. A
+// askSlave sends the one analyze request and waits for the reports frame.
+// Its wait is whatever remains of the deadline, and the slave receives that
+// wait as its analysis budget (BudgetMS) so remote selection skips what it
+// cannot start in time instead of overshooting the master's patience. A
 // non-nil subtree turns the request into an aggregator ask covering those
 // slave names.
-func (m *Master) askSlave(ctx context.Context, p *localizePlan, sc *slaveConn, attempts int, subtree []string) (reply *envelope, retries int, err error) {
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 && (sc.isDead() || ctx.Err() != nil) {
-			break
-		}
-		retries = attempt
-		// Each attempt's wait is its share of the deadline, clamped to the
-		// budget actually left on the context; the slave receives that wait
-		// as its analysis budget (BudgetMS) so remote selection skips what
-		// it cannot start in time instead of overshooting the master's
-		// patience.
-		wait := p.perAttempt
-		if dl, ok := ctx.Deadline(); ok {
-			wait = min(wait, time.Until(dl))
-		}
-		if wait <= 0 {
-			return nil, attempt, fmt.Errorf("cluster: slave %s: %w", sc.name, context.DeadlineExceeded)
-		}
-		// omitempty would drop a 0 budget, reading as "no deadline".
-		req := &envelope{Type: typeAnalyze, TV: p.tv, LookBack: p.lookBack,
-			BudgetMS: max(wait.Milliseconds(), 1), Subtree: subtree}
-		reply, err = sc.request(req, wait, ctx.Done())
-		switch {
-		case err == nil:
-			return reply, attempt, nil
-		case errors.Is(err, errAborted):
-			return nil, attempt, fmt.Errorf("cluster: slave %s: %w", sc.name, ctx.Err())
-		case reply != nil && reply.Code == codeOverloaded:
-			m.obs.Registry().Counter("fchain_slave_overloaded_total",
-				"Analyze requests shed by slave admission control.").Inc()
-		}
+func (m *Master) askSlave(ctx context.Context, p *localizePlan, sc *slaveConn, subtree []string) (*envelope, error) {
+	dl, _ := ctx.Deadline()
+	wait := time.Until(dl)
+	if wait <= 0 {
+		return nil, fmt.Errorf("cluster: slave %s: %w", sc.name, context.DeadlineExceeded)
 	}
-	if err == nil {
-		err = fmt.Errorf("cluster: slave %s unavailable", sc.name)
+	// omitempty would drop a 0 budget, reading as "no deadline".
+	req := &envelope{Type: typeAnalyze, TV: p.tv, LookBack: p.lookBack,
+		BudgetMS: max(wait.Milliseconds(), 1), Subtree: subtree}
+	reply, err := sc.request(req, wait, ctx.Done())
+	switch {
+	case err == nil:
+		return reply, nil
+	case errors.Is(err, errAborted):
+		return nil, fmt.Errorf("cluster: slave %s: %w", sc.name, ctx.Err())
+	case reply != nil && reply.Code == codeOverloaded:
+		m.obs.Registry().Counter("fchain_slave_overloaded_total",
+			"Analyze requests shed by slave admission control.").Inc()
 	}
-	return nil, retries, err
+	return nil, err
 }
 
 // Close shuts the master down and waits for its goroutines.

@@ -65,7 +65,7 @@ func overloadCluster(t *testing.T, master *Master, exclude map[string]bool) (tv 
 // Localize must return well within its deadline, flag the partial view, name
 // the missing component, and still produce the right culprit.
 func TestQuorumDegradedWithinDeadline(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithQuorum(0.75), WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, nil, WithQuorum(0.75))
 	tv := overloadCluster(t, master, map[string]bool{apps.App2: true})
 	// app2's slave registers and then goes mute: it stalls, it does not die.
 	fakeSlave(t, master.Addr(), "host-"+apps.App2, []string{apps.App2})
@@ -107,7 +107,7 @@ func TestQuorumDegradedWithinDeadline(t *testing.T) {
 // inside the 2 s budget. Quorum must release the call on the fast slaves.
 func TestQuorumSlowSlaveFaultnet(t *testing.T) {
 	sim, tv, deps := faultScenario(t, 1)
-	master := NewMaster(core.Config{}, deps, WithQuorum(0.75), WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, deps, WithQuorum(0.75))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestQuorumSlowSlaveFaultnet(t *testing.T) {
 // instead of shipping a verdict from too thin a view.
 func TestQuorumNotMetRefuses(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithQuorum(1.0), WithLocalizeRetries(0), WithLocalizeTimeout(700*time.Millisecond))
+		WithQuorum(1.0), WithLocalizeTimeout(700*time.Millisecond))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestQuorumNotMetRefuses(t *testing.T) {
 // calls are fast-rejected with ErrOverloaded and a flagged result.
 func TestMasterAdmissionSheds(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithAdmission(1, 0), WithLocalizeRetries(0))
+		WithAdmission(1, 0))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestMasterAdmissionSheds(t *testing.T) {
 // requests with a structured overloaded error frame the master counts.
 func TestSlaveAdmissionSheds(t *testing.T) {
 	sink := &obs.Sink{Log: obs.NewLogger(io.Discard, obs.LevelError), Metrics: obs.NewRegistry()}
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(0), WithMasterObs(sink))
+	master := NewMaster(core.Config{}, nil, WithMasterObs(sink))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -309,70 +309,12 @@ func TestSlaveAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestSlaveInflightCapFailsFast: a slave already at the master's per-slave
-// in-flight cap fails the extra caller immediately instead of queueing it
-// behind a saturated peer.
-func TestSlaveInflightCapFailsFast(t *testing.T) {
-	master := NewMaster(core.Config{}, nil,
-		WithSlaveInflight(1), WithLocalizeRetries(0))
-	if err := master.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	conn, w := fakeSlave(t, master.Addr(), "busy", []string{"b"})
-	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 1 }, "registration")
-	go func() {
-		r := newReader(conn)
-		for {
-			env, err := readFrame(r)
-			if err != nil {
-				return
-			}
-			if env.Type != typeAnalyze {
-				continue
-			}
-			go func(id uint64) {
-				time.Sleep(300 * time.Millisecond)
-				_ = w.write(&envelope{Type: typeReports, ID: id,
-					Reports: []core.ComponentReport{{Component: "b"}}}, 2*time.Second)
-			}(env.ID)
-		}
-	}()
-
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := master.Localize(context.Background(), 100)
-			errs <- err
-		}()
-	}
-	var ok, capped int
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		err := <-errs
-		switch {
-		case err == nil:
-			ok++
-		case strings.Contains(err.Error(), "in-flight cap"):
-			capped++
-		default:
-			t.Errorf("unexpected Localize error: %v", err)
-		}
-	}
-	if ok != 1 || capped != 1 {
-		t.Errorf("outcomes ok=%d capped=%d, want 1/1", ok, capped)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("capped call took %v, want fail-fast", elapsed)
-	}
-}
-
 // TestSlaveAnalyzePanicRecovery: a panic inside the analyze handler is
 // recovered into a structured error frame; the daemon and its connection
 // survive, and the next request (fault cleared) succeeds.
 func TestSlaveAnalyzePanicRecovery(t *testing.T) {
 	sink := &obs.Sink{Log: obs.NewLogger(io.Discard, obs.LevelError), Metrics: obs.NewRegistry()}
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, nil)
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +364,7 @@ func TestSlaveAnalyzePanicRecovery(t *testing.T) {
 // own stream (flagged in the LocalizeResult), the daemon stays up, and after
 // the cooldown the stream is re-admitted.
 func TestClusterPanicQuarantineReAdmission(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, nil)
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +484,7 @@ func TestBudgetTruncatesSlaveAnalysis(t *testing.T) {
 // TestMasterPropagatesTruncationAndQuarantine: the degradation markers a
 // slave reports must surface on the LocalizeResult (and its String).
 func TestMasterPropagatesTruncationAndQuarantine(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithLocalizeRetries(0))
+	master := NewMaster(core.Config{}, nil)
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +531,7 @@ func TestMasterPropagatesTruncationAndQuarantine(t *testing.T) {
 // not a leaked slot).
 func TestLocalizeShedsWhileQueuedDeadlineExpires(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithAdmission(1, 2), WithLocalizeRetries(0))
+		WithAdmission(1, 2))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

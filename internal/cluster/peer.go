@@ -38,7 +38,6 @@ type slaveConn struct {
 	failures int  // consecutive analyze failures (breaker input)
 	openedAt time.Time
 	open     bool // breaker open
-	inflight int  // analyze requests currently outstanding to this slave
 }
 
 // newPeer wraps an established connection.
@@ -195,32 +194,6 @@ func (sc *slaveConn) isDead() bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.dead
-}
-
-// acquireSlot claims one of the slave's in-flight analyze slots; max <= 0
-// means unlimited.
-func (sc *slaveConn) acquireSlot(max int) bool {
-	if max <= 0 {
-		return true
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.inflight >= max {
-		return false
-	}
-	sc.inflight++
-	return true
-}
-
-func (sc *slaveConn) releaseSlot(max int) {
-	if max <= 0 {
-		return
-	}
-	sc.mu.Lock()
-	if sc.inflight > 0 {
-		sc.inflight--
-	}
-	sc.mu.Unlock()
 }
 
 // breakerOpen reports whether analyze fan-out should skip this slave; an

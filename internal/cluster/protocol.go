@@ -14,6 +14,7 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -82,8 +83,8 @@ type envelope struct {
 
 	// Subtree lists, on an analyze frame sent to an aggregator, the slave
 	// names the aggregator must cover; it answers with one Sub entry per
-	// requested slave (reports, echoed clock, or a per-slave error) so the
-	// master keeps exact per-slave coverage accounting through the tree.
+	// requested slave (its reports or a per-slave error) so the master keeps
+	// exact per-slave coverage accounting through the tree.
 	Subtree []string    `json:"subtree,omitempty"`
 	Sub     []subAnswer `json:"sub,omitempty"`
 
@@ -160,7 +161,13 @@ const (
 )
 
 // frameLimit bounds a single frame to keep a misbehaving peer from forcing
-// unbounded allocation.
+// unbounded allocation; readFrame ends the connection past it. The largest
+// frames measured: 336,420 bytes for an aggregator's merged reports frame in
+// TestScaleTenThousandComponents (5,000 components per subtree; its
+// full-snapshot replicate frames are 1,602 bytes, the monitors hold no
+// history), and 459,484 bytes for a full-snapshot replicate frame of a
+// default-config component with a full ring (the benchmark's failover-churn
+// workload). The limit keeps more than 8x headroom over both.
 const frameLimit = 4 << 20
 
 // connWriter serializes frame writes to a shared net.Conn. Both daemons
@@ -202,9 +209,29 @@ func writeFrame(conn net.Conn, env *envelope, timeout time.Duration) error {
 	return nil
 }
 
-// readFrame reads one newline-terminated JSON frame.
+// errFrameTooLarge ends a connection whose peer sent a line longer than
+// frameLimit.
+var errFrameTooLarge = fmt.Errorf("cluster: frame exceeds %d bytes", frameLimit)
+
+// readFrame reads one newline-terminated JSON frame of at most frameLimit
+// bytes. A line that fits the reader's buffer is decoded in place (the
+// decoded envelope keeps no reference to it: json.Unmarshal copies strings
+// and RawMessages); a longer one is collected, and a peer that keeps sending
+// past the limit without a newline gets errFrameTooLarge instead of
+// unbounded buffering.
 func readFrame(r *bufio.Reader) (*envelope, error) {
-	line, err := r.ReadBytes('\n')
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		long := append([]byte(nil), line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = r.ReadSlice('\n')
+			if len(long)+len(line) > frameLimit {
+				return nil, errFrameTooLarge
+			}
+			long = append(long, line...)
+		}
+		line = long
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func TestScaleTenThousandComponents(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	master := NewMaster(cfg, nil,
-		WithSharding(0), WithAutoRebalance(false), WithLocalizeRetries(0),
+		WithSharding(0), WithAutoRebalance(false),
 		WithHandoffTimeout(500*time.Millisecond),
 		WithStandby(true), WithMasterObs(&obs.Sink{Metrics: reg}))
 	if err := master.Start("127.0.0.1:0"); err != nil {

@@ -225,8 +225,7 @@ func TestAdmissionShedSoak(t *testing.T) {
 	}
 	master := NewMaster(core.Config{}, nil,
 		WithMasterObs(sink),
-		WithAdmission(2, 2),
-		WithLocalizeRetries(0))
+		WithAdmission(2, 2))
 	tv := overloadCluster(t, master, nil)
 	waitFor(t, 5*time.Second, func() bool { return len(master.Slaves()) == 4 }, "registrations")
 

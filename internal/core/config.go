@@ -67,9 +67,6 @@ type Config struct {
 	// already seen — it must span several workload burst cycles or a burst
 	// after a calm stretch reads as abnormal).
 	RingCapacity int
-	// TrendNoiseFrac controls external-factor trend classification
-	// (default 0.5 standard deviations).
-	TrendNoiseFrac float64
 	// SelfCalibration scales the recent-history prediction-error
 	// percentile that augments the FFT expected error: a metric whose
 	// model was already erring badly before the look-back window gets a
@@ -266,9 +263,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = c.LookBack + 2*c.BurstWindow + 1300
-	}
-	if c.TrendNoiseFrac <= 0 {
-		c.TrendNoiseFrac = 0.5
 	}
 	if c.SelfCalibration <= 0 {
 		c.SelfCalibration = 2.0

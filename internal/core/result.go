@@ -28,10 +28,6 @@ type LocalizeResult struct {
 	ComponentsReported int `json:"components_reported"`
 	ComponentsKnown    int `json:"components_known"`
 
-	// Retries is the number of extra per-slave attempts spent beyond the
-	// first round.
-	Retries int `json:"retries,omitempty"`
-
 	// Degraded is set when any slave or component was missing from the
 	// view the diagnosis ran over.
 	Degraded bool `json:"degraded"`
