@@ -28,12 +28,13 @@
 // Service mode: the master always runs the multi-tenant violation intake
 // (violate frames over the listener, `violate` on the console). -tenants
 // closes the namespace, -tenant-quota/-tenant-burst set per-tenant token
-// buckets, -coalesce-window merges concurrent same-app violations into one
-// localization, and -verdict-cache/-verdict-ttl bound the result cache.
+// buckets. Each violation is localized at its own tv; only identical
+// concurrent violations (same tenant, app and tv) share one localization.
 // With -journal set, accepted violations and served verdicts are write-ahead
-// journaled; -replay restores them on the next start (verdicts re-served
-// byte-identically, accepted-but-unserved violations re-run). -journal-max-bytes
-// and -journal-keep rotate the journal so it cannot grow without bound.
+// journaled; -replay reads them back on the next start (served verdicts
+// rebuild the history, accepted-but-unserved violations re-run).
+// -journal-max-bytes and -journal-keep rotate the journal so it cannot grow
+// without bound.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the service stops
 // admitting violations, in-flight localizations drain under -drain, the
@@ -80,14 +81,11 @@ type config struct {
 	journalMaxBytes int64
 	journalKeep     int
 
-	tenants        string
-	tenantQuota    float64
-	tenantBurst    float64
-	coalesceWindow int64
-	verdictCache   int
-	verdictTTL     time.Duration
-	replay         bool
-	drain          time.Duration
+	tenants     string
+	tenantQuota float64
+	tenantBurst float64
+	replay      bool
+	drain       time.Duration
 
 	vnodes         int
 	handoffTimeout time.Duration
@@ -115,10 +113,7 @@ func main() {
 	flag.StringVar(&cfg.tenants, "tenants", "", "comma-separated tenant namespace for service mode (empty admits any tenant name)")
 	flag.Float64Var(&cfg.tenantQuota, "tenant-quota", 0, "per-tenant violation quota, violations/minute token bucket (0 = unlimited)")
 	flag.Float64Var(&cfg.tenantBurst, "tenant-burst", 0, "per-tenant violation burst capacity (0 = same as -tenant-quota)")
-	flag.Int64Var(&cfg.coalesceWindow, "coalesce-window", 30, "tv window (seconds) within which concurrent same-app violations share one localization")
-	flag.IntVar(&cfg.verdictCache, "verdict-cache", 256, "verdict LRU cache entries (negative disables caching)")
-	flag.DurationVar(&cfg.verdictTTL, "verdict-ttl", 5*time.Minute, "how long a cached verdict stays servable")
-	flag.BoolVar(&cfg.replay, "replay", false, "replay the journal at startup: restore the verdict cache and history, re-run accepted-but-unserved violations")
+	flag.BoolVar(&cfg.replay, "replay", false, "replay the journal at startup: restore the history from served verdicts, re-run accepted-but-unserved violations")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight localizations")
 	flag.IntVar(&cfg.vnodes, "vnodes", 0, "enable master-driven component placement over a consistent-hash ring with this many virtual nodes per slave (0 disables sharding; slaves then bring their own component lists)")
 	flag.DurationVar(&cfg.handoffTimeout, "handoff-timeout", 5*time.Second, "how long a rebalance waits without progress (an assignment ack, one more component's state landing); a stalled component cold-starts on the new owner")
@@ -185,9 +180,6 @@ func run(cfg config) error {
 		Tenants:        tenants,
 		QuotaPerMinute: cfg.tenantQuota,
 		QuotaBurst:     cfg.tenantBurst,
-		CoalesceWindow: cfg.coalesceWindow,
-		CacheSize:      cfg.verdictCache,
-		CacheTTL:       cfg.verdictTTL,
 	})
 	if err := master.Start(cfg.listen); err != nil {
 		return err
@@ -200,8 +192,8 @@ func run(cfg config) error {
 		if err != nil {
 			log.Warn("journal replay failed", "err", err)
 		} else {
-			fmt.Printf("replayed journal: %d events, %d verdicts cached, %d history records, %d re-run (%d failed)\n",
-				stats.Events, stats.CacheRestored, stats.HistoryRestored, stats.Rerun, stats.RerunFailed)
+			fmt.Printf("replayed journal: %d events, %d history records, %d re-run (%d failed)\n",
+				stats.Events, stats.HistoryRestored, stats.Rerun, stats.RerunFailed)
 		}
 	}
 	if cfg.debugAddr != "" {
@@ -320,8 +312,8 @@ func run(cfg config) error {
 				fmt.Println("replay failed:", err)
 				continue
 			}
-			fmt.Printf("  replayed %d events: %d verdicts cached, %d history records, %d re-run (%d failed)\n",
-				stats.Events, stats.CacheRestored, stats.HistoryRestored, stats.Rerun, stats.RerunFailed)
+			fmt.Printf("  replayed %d events: %d history records, %d re-run (%d failed)\n",
+				stats.Events, stats.HistoryRestored, stats.Rerun, stats.RerunFailed)
 		case "history":
 			for _, rec := range master.History() {
 				tag := ""

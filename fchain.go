@@ -531,20 +531,19 @@ type DiagnosisRecord = cluster.DiagnosisRecord
 // Service is the durable multi-tenant violation intake over a Master: it
 // accepts a stream of SLO-violation events tagged (tenant, app, tv) — over
 // the wire via violate frames or in process via Submit — applies per-tenant
-// namespaces and token-bucket quotas, coalesces concurrent same-app
-// violations into one localization, re-serves recent verdicts from an LRU
-// cache, and write-ahead journals every accepted violation so Replay can
-// recover after a crash: served verdicts are re-served byte-identically and
-// accepted-but-unserved violations are re-run.
+// namespaces and token-bucket quotas, localizes each violation at its own
+// tv (only identical concurrent violations share one localization), and
+// write-ahead journals every accepted violation so Replay can recover after
+// a crash: served verdicts rebuild the history and accepted-but-unserved
+// violations are re-run.
 type Service = cluster.Service
 
-// ServiceConfig tunes a Service (tenant namespace, quotas, coalesce window,
-// verdict cache); zero values take the documented defaults.
+// ServiceConfig tunes a Service (tenant namespace and quotas); zero values
+// take the documented defaults.
 type ServiceConfig = cluster.ServiceConfig
 
-// Verdict is one served localization verdict; its Diagnosis field is the
-// canonical JSON kept raw so cached and replayed verdicts are byte-identical
-// to the original.
+// Verdict is one served localization verdict for the violation's own tv;
+// its Diagnosis field is the canonical JSON kept raw, exactly as journaled.
 type Verdict = cluster.Verdict
 
 // ReplayStats summarizes one Service.Replay pass over the journal.

@@ -56,19 +56,19 @@ func waitFeedsDrained(t *testing.T, logs []*syncLog) {
 func buildBinaries(t *testing.T) (simBin, masterBin, slaveBin string) {
 	t.Helper()
 	dir := t.TempDir()
-	for _, c := range []struct{ name, pkg string }{
-		{"fchain-sim", "fchain/cmd/fchain-sim"},
-		{"fchain-master", "fchain/cmd/fchain-master"},
-		{"fchain-slave", "fchain/cmd/fchain-slave"},
-	} {
-		bin := filepath.Join(dir, c.name)
-		cmd := exec.Command("go", "build", "-o", bin, c.pkg)
-		cmd.Dir = repoRoot(t)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", c.name, err, out)
-		}
+	return buildCommand(t, dir, "fchain-sim"), buildCommand(t, dir, "fchain-master"), buildCommand(t, dir, "fchain-slave")
+}
+
+// buildCommand compiles cmd/<name> into dir and returns the binary's path.
+func buildCommand(t *testing.T, dir, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", bin, "fchain/cmd/"+name)
+	cmd.Dir = repoRoot(t)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", name, err, out)
 	}
-	return filepath.Join(dir, "fchain-sim"), filepath.Join(dir, "fchain-master"), filepath.Join(dir, "fchain-slave")
+	return bin
 }
 
 func repoRoot(t *testing.T) string {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,10 +80,12 @@ func journalVerdictDiagnoses(t *testing.T, path string) map[string][]string {
 
 // TestServiceKillAndRestart proves the durability story end to end with the
 // real binaries: a master serves a violation verdict, dies on SIGTERM
-// mid-stream (exit 0, graceful), and a restarted master with -replay
-// re-serves the verdict byte-identically and re-runs a violation that was
-// accepted but never served. A slave sent SIGTERM exits 0 after writing a
-// final model checkpoint.
+// mid-stream (exit 0, graceful), and a restarted master on the same address
+// replays the journal. At boot no slave has re-registered, so the violation
+// that was accepted but never served fails to re-run and stays pending; once
+// the running slaves re-register, a console `replay` re-runs it, and its
+// diagnosis is byte-identical to the live one. A slave sent SIGTERM exits 0
+// after writing a final model checkpoint.
 func TestServiceKillAndRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -136,8 +139,7 @@ func TestServiceKillAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var slaves []*exec.Cmd
-	var dbSlave *exec.Cmd
-	var dbOut strings.Builder
+	var logs []*syncLog
 	for _, comp := range []string{"web", "app1", "app2", "db"} {
 		var lines []string
 		for _, l := range strings.Split(string(data), "\n") {
@@ -145,24 +147,24 @@ func TestServiceKillAndRestart(t *testing.T) {
 				lines = append(lines, l)
 			}
 		}
-		args := []string{"-name", "host-" + comp, "-components", comp, "-master", addr}
+		// A short reconnect backoff lets the slaves find the restarted
+		// master quickly.
+		args := []string{"-name", "host-" + comp, "-components", comp, "-master", addr,
+			"-backoff", "100ms", "-backoff-max", "500ms"}
 		if comp == "db" {
 			args = append(args, "-checkpoint-dir", ckptDir)
 		}
 		slave := exec.Command(slaveBin, args...)
 		slave.Stdin = strings.NewReader(strings.Join(lines, "\n"))
-		if comp == "db" {
-			slave.Stdout = &dbOut
-			slave.Stderr = &dbOut
-		}
+		log := &syncLog{}
+		slave.Stdout, slave.Stderr = log, log
 		if err := slave.Start(); err != nil {
 			t.Fatal(err)
 		}
 		slaves = append(slaves, slave)
-		if comp == "db" {
-			dbSlave = slave
-		}
+		logs = append(logs, log)
 	}
+	dbSlave, dbOut := slaves[3], logs[3]
 	defer func() {
 		for _, s := range slaves {
 			if s.ProcessState == nil {
@@ -171,18 +173,9 @@ func TestServiceKillAndRestart(t *testing.T) {
 			}
 		}
 	}()
-	registered := 0
-	deadline := time.Now().Add(30 * time.Second)
-	for registered < 4 && time.Now().Before(deadline) {
-		block := consoleBlock(t, masterIn, reader, "slaves", "sync-slaves")
-		registered = strings.Count(block, "host-")
-		if registered < 4 {
-			time.Sleep(300 * time.Millisecond)
-		}
-	}
-	if registered < 4 {
-		t.Fatalf("only %d slaves registered", registered)
-	}
+	waitRegistered(t, masterIn, reader)
+	// The live and the replayed verdict must see the same models.
+	waitFeedsDrained(t, logs)
 
 	// Serve one violation live, then SIGTERM the master mid-stream.
 	fmt.Fprintln(masterIn, "violate t1 shop "+tv)
@@ -197,6 +190,9 @@ func TestServiceKillAndRestart(t *testing.T) {
 	if err := master.Wait(); err != nil {
 		t.Fatalf("master did not exit 0 on SIGTERM: %v\nstderr:\n%s", err, masterErr.String())
 	}
+	// Freeze the slaves until master 2's boot replay has run, so none can
+	// re-register in the moment between its Start and its Replay.
+	signalAll(t, slaves, syscall.SIGSTOP)
 
 	// Simulate a violation accepted right before the crash but never
 	// served: append its write-ahead record by hand.
@@ -224,10 +220,10 @@ func TestServiceKillAndRestart(t *testing.T) {
 	}
 	f.Close()
 
-	// Second master life: -replay restores the verdict cache and history
-	// and re-runs the pending violation (served from the restored cache —
-	// no slaves have re-registered yet).
-	master2 := exec.Command(masterBin, "-listen", "127.0.0.1:0", "-deps", depsPath,
+	// Second master life on the same address: -replay restores history at
+	// boot, but the pending violation cannot re-run yet because no slave
+	// has re-registered.
+	master2 := exec.Command(masterBin, "-listen", addr, "-deps", depsPath,
 		"-journal", journalPath, "-tenants", "t1,t2", "-replay")
 	master2In, err := master2.StdinPipe()
 	if err != nil {
@@ -250,20 +246,20 @@ func TestServiceKillAndRestart(t *testing.T) {
 	}()
 	reader2 := bufio.NewReader(master2Out)
 	replayLine := readUntil(t, reader2, "replayed journal:", 15*time.Second)
-	if !strings.Contains(replayLine, "1 re-run (0 failed)") {
-		t.Errorf("replay did not re-run the pending violation: %s", replayLine)
+	if !strings.Contains(replayLine, "1 history records, 0 re-run (1 failed)") {
+		t.Errorf("boot replay: %s, want the history restored and the re-run failed", replayLine)
 	}
-	if !strings.Contains(replayLine, "1 verdicts cached") {
-		t.Errorf("replay did not restore the served verdict: %s", replayLine)
-	}
+	signalAll(t, slaves, syscall.SIGCONT)
 	readUntil(t, reader2, "listening on ", 10*time.Second)
 
-	// The pre-crash verdict re-serves from cache, and history carries the
-	// restored tenant/app-tagged record.
-	fmt.Fprintln(master2In, "violate t1 shop "+tv)
-	cachedLine := readUntil(t, reader2, "verdict t1/shop", 15*time.Second)
-	if !strings.Contains(cachedLine, "[cache]") {
-		t.Errorf("restarted master did not serve from restored cache: %s", cachedLine)
+	// The running slaves re-register; a console replay now re-runs the
+	// pending violation, and history carries the restored tenant/app-tagged
+	// record.
+	waitRegistered(t, master2In, reader2)
+	fmt.Fprintln(master2In, "replay")
+	replayLine = readUntil(t, reader2, "replayed ", 60*time.Second)
+	if !strings.Contains(replayLine, "1 re-run (0 failed)") {
+		t.Errorf("console replay did not re-run the pending violation: %s", replayLine)
 	}
 	histBlock := consoleBlock(t, master2In, reader2, "history", "sync-history")
 	if !strings.Contains(histBlock, "[t1/shop]") {
@@ -274,18 +270,14 @@ func TestServiceKillAndRestart(t *testing.T) {
 		t.Fatalf("restarted master exit: %v\nstderr:\n%s", err, master2Err.String())
 	}
 
-	// Byte-identical re-serving: every verdict_served record for the
-	// violation — live, replay, cache — carries the same diagnosis bytes.
+	// The re-run localized the same tv over the same drained models, so
+	// its diagnosis is byte-identical to the live one.
 	diags := journalVerdictDiagnoses(t, journalPath)
-	if len(diags["live"]) != 1 || len(diags["replay"]) != 1 || len(diags["cache"]) != 1 {
-		t.Fatalf("verdict_served events by source = live:%d replay:%d cache:%d, want 1 each",
-			len(diags["live"]), len(diags["replay"]), len(diags["cache"]))
+	if len(diags) != 2 || len(diags["live"]) != 1 || len(diags["replay"]) != 1 {
+		t.Fatalf("verdict_served events by source = %v, want one live and one replay", diags)
 	}
-	for _, source := range []string{"replay", "cache"} {
-		if diags[source][0] != diags["live"][0] {
-			t.Errorf("%s verdict not byte-identical to live:\n%s\n%s",
-				source, diags["live"][0], diags[source][0])
-		}
+	if diags["replay"][0] != diags["live"][0] {
+		t.Errorf("replay verdict not byte-identical to live:\n%s\n%s", diags["live"][0], diags["replay"][0])
 	}
 
 	// Slave graceful shutdown: SIGTERM exits 0 after a final checkpoint.
@@ -304,5 +296,33 @@ func TestServiceKillAndRestart(t *testing.T) {
 	}
 	if len(entries) == 0 {
 		t.Error("no checkpoint written by SIGTERM shutdown")
+	}
+}
+
+// waitRegistered polls the master console until all four slaves are
+// registered.
+func waitRegistered(t *testing.T, in io.Writer, r *bufio.Reader) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		block := consoleBlock(t, in, r, "slaves", "sync-slaves")
+		registered := strings.Count(block, "host-")
+		if registered == 4 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d slaves registered:\n%s", registered, block)
+		}
+		time.Sleep(300 * time.Millisecond)
+	}
+}
+
+// signalAll sends sig to every process in cmds.
+func signalAll(t *testing.T, cmds []*exec.Cmd, sig syscall.Signal) {
+	t.Helper()
+	for _, c := range cmds {
+		if err := c.Process.Signal(sig); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

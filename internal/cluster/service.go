@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,39 +20,31 @@ import (
 // Master: instead of one ad-hoc Localize call per operator command, it
 // accepts a continuous stream of SLO-violation events tagged (tenant, app,
 // tv) — over the wire (violate frames) or in process (Submit) — and turns
-// them into localizations durably and frugally:
+// each into a localization of its own look-back window [tv-W, tv]:
 //
 //   - Per-tenant namespaces and token-bucket quotas (internal/tenant) shed a
 //     flooding tenant's excess before any slave budget is spent, so a noisy
 //     tenant cannot starve a quiet one. This layers on the PR 5 LIFO
 //     admission gates, which still bound the master's total concurrency.
-//   - Concurrent violations for the same (tenant, app) whose tv falls within
-//     the coalesce window of an in-flight localization join it as waiters:
-//     one cluster fan-out serves them all, and the verdict fans back out.
-//   - Served verdicts land in an LRU cache keyed (tenant, app, tv-bucket)
-//     with a TTL, so repeat violations re-serve the cached verdict without
-//     re-asking the slaves.
+//   - A violation identical to an in-flight one — same tenant, app and tv —
+//     joins it as a waiter: one cluster fan-out serves them all, and the
+//     verdict fans back out. Any other violation leads its own
+//     localization, so every verdict answers its own tv.
 //   - Every accepted violation is write-ahead recorded in the obs journal
 //     (violation_accepted), and every served verdict carries the sequence
 //     numbers it covered (verdict_served). Replay reads the journal back
-//     after a restart: recent verdicts are re-served byte-identically from
-//     the rebuilt cache, and accepted-but-unserved violations are re-run.
+//     after a restart: served verdicts rebuild the master's history, and
+//     accepted-but-unserved violations are re-run.
 type Service struct {
 	m       *Master
 	tenants *tenant.Registry
-
-	coalesceWindow int64
-	cacheTTL       time.Duration
-
-	clock func() time.Time
 
 	// localizeFn runs one cluster localization; tests override it to pin
 	// timing and outcomes without a live slave fleet.
 	localizeFn func(ctx context.Context, tv int64, tenantName, app string) (core.LocalizeResult, error)
 
 	mu       sync.Mutex
-	flights  map[string]*flight // key: tenant + "\x00" + app
-	cache    *verdictCache
+	flights  map[flightKey]*flight
 	draining bool
 	inflight int  // flights currently running (drain waits for zero)
 	restored bool // history already rebuilt by a Replay this process
@@ -70,24 +61,7 @@ type ServiceConfig struct {
 	// QuotaBurst is the bucket capacity (back-to-back violations after an
 	// idle stretch); <= 0 defaults to QuotaPerMinute.
 	QuotaBurst float64
-	// CoalesceWindow is the tv-space span (seconds) within which concurrent
-	// violations for the same (tenant, app) share one localization, and the
-	// bucket size of the verdict cache key; <= 0 defaults to 30.
-	CoalesceWindow int64
-	// CacheSize bounds the verdict LRU cache (entries); 0 defaults to 256,
-	// negative disables caching.
-	CacheSize int
-	// CacheTTL is how long a cached verdict stays servable; <= 0 defaults
-	// to 5 minutes.
-	CacheTTL time.Duration
 }
-
-// Service-mode defaults.
-const (
-	defaultCoalesceWindow = int64(30)
-	defaultCacheSize      = 256
-	defaultCacheTTL       = 5 * time.Minute
-)
 
 // Sentinel errors surfaced by the service-mode intake. Use errors.Is; the
 // tenant-layer sentinels (tenant.ErrUnknown, tenant.ErrQuota) pass through
@@ -106,58 +80,40 @@ var (
 // master's observability sink supplies the journal (write-ahead record),
 // metrics registry (per-tenant counters), and logger.
 func NewService(m *Master, cfg ServiceConfig) *Service {
-	if cfg.CoalesceWindow <= 0 {
-		cfg.CoalesceWindow = defaultCoalesceWindow
-	}
-	if cfg.CacheSize == 0 {
-		cfg.CacheSize = defaultCacheSize
-	}
-	if cfg.CacheTTL <= 0 {
-		cfg.CacheTTL = defaultCacheTTL
-	}
 	s := &Service{
-		m:              m,
-		tenants:        tenant.NewRegistry(cfg.Tenants, tenant.Quota{PerMinute: cfg.QuotaPerMinute, Burst: cfg.QuotaBurst}),
-		coalesceWindow: cfg.CoalesceWindow,
-		cacheTTL:       cfg.CacheTTL,
-		clock:          time.Now,
-		flights:        make(map[string]*flight),
-		cache:          newVerdictCache(cfg.CacheSize),
+		m:       m,
+		tenants: tenant.NewRegistry(cfg.Tenants, tenant.Quota{PerMinute: cfg.QuotaPerMinute, Burst: cfg.QuotaBurst}),
+		flights: make(map[flightKey]*flight),
 	}
 	s.localizeFn = s.m.localize
 	m.attachService(s)
 	return s
 }
 
-// SetClock overrides the service's time source (cache TTL and quota refill);
-// tests pin it. It also pins the tenant registry's clock.
+// SetClock overrides the tenant registry's time source (quota refill); tests
+// pin it.
 func (s *Service) SetClock(clock func() time.Time) {
 	if clock == nil {
 		return
 	}
-	s.mu.Lock()
-	s.clock = clock
-	s.mu.Unlock()
 	s.tenants.SetClock(clock)
 }
 
 // Verdict is one served localization verdict. Diagnosis is the canonical
-// JSON encoding of the core.Diagnosis — kept raw so a verdict re-served from
-// the cache or from journal replay is byte-identical to the original.
+// JSON encoding of the core.Diagnosis — kept raw so the journal holds the
+// exact bytes served.
 type Verdict struct {
 	Tenant string `json:"tenant"`
 	App    string `json:"app"`
-	// TV is the violation time actually localized: for coalesced and cached
-	// verdicts this is the leader's tv, which may differ from the submitted
-	// tv by up to the coalesce window.
-	TV     int64 `json:"tv"`
-	Bucket int64 `json:"bucket"`
+	// TV is the violation time localized: always the submitted violation's
+	// own tv.
+	TV int64 `json:"tv"`
 	// Seq is the journal sequence number of the verdict_served record.
 	Seq int64 `json:"seq,omitempty"`
 	// Source tells how the verdict was produced: "live" (a fresh cluster
-	// localization led by this violation), "coalesced" (joined another
-	// violation's in-flight localization), "cache" (re-served from the LRU
-	// cache), or "replay" (served during journal replay after a restart).
+	// localization led by this violation), "coalesced" (joined an identical
+	// violation's in-flight localization), or "replay" (served during
+	// journal replay after a restart).
 	Source    string          `json:"source"`
 	Degraded  bool            `json:"degraded,omitempty"`
 	Diagnosis json.RawMessage `json:"diagnosis"`
@@ -183,24 +139,23 @@ func (v *Verdict) String() string {
 	return fmt.Sprintf("verdict %s/%s tv=%d [%s] %s%s", v.Tenant, v.App, v.TV, v.Source, d.String(), mark)
 }
 
-// flight is one in-progress localization that concurrent violations for the
-// same (tenant, app) can join.
+// flight is one in-progress localization that identical violations can join.
 type flight struct {
-	tv      int64
 	accepts []int64 // journal seqs of every violation this flight serves
 	done    chan struct{}
 	verdict *Verdict // set before done closes
 	err     error
 }
 
-// flightKey namespaces in-flight localizations per (tenant, app).
-func flightKey(tenantName, app string) string { return tenantName + "\x00" + app }
-
-// bucketOf maps a violation time to its cache bucket.
-func (s *Service) bucketOf(tv int64) int64 { return tv / s.coalesceWindow }
+// flightKey identifies a violation: only identical violations share a
+// flight.
+type flightKey struct {
+	tenant, app string
+	tv          int64
+}
 
 // counter returns the per-tenant outcome counter; outcomes: accepted,
-// coalesced, cached, shed, replayed.
+// coalesced, shed, replayed.
 func (s *Service) counter(tenantName, outcome string) *obs.Counter {
 	return s.m.obs.Registry().CounterWith("fchain_service_violations_total",
 		"Service-mode violations by tenant and outcome.",
@@ -208,11 +163,11 @@ func (s *Service) counter(tenantName, outcome string) *obs.Counter {
 }
 
 // Submit feeds one SLO-violation event through the service: tenant admission
-// (namespace + quota), write-ahead journaling, verdict cache, coalescing,
-// and — when this violation leads — a cluster localization. It blocks until
-// the verdict is available or ctx expires. A canceled waiter returns
-// ctx.Err() while the localization it joined keeps running (and still serves
-// its journal record).
+// (namespace + quota), write-ahead journaling, joining an identical
+// in-flight violation, and — when this violation leads — a cluster
+// localization at its tv. It blocks until the verdict is available or ctx
+// expires. A canceled waiter returns ctx.Err() while the localization it
+// joined keeps running (and still serves its journal record).
 func (s *Service) Submit(ctx context.Context, tenantName, app string, tv int64) (*Verdict, error) {
 	if app == "" {
 		return nil, fmt.Errorf("cluster: violation needs an app name")
@@ -243,20 +198,20 @@ func (s *Service) Submit(ctx context.Context, tenantName, app string, tv int64) 
 		return nil, fmt.Errorf("cluster: journal violation: %w", err)
 	}
 	s.counter(tenantName, "accepted").Inc()
+	return s.serve(ctx, flightKey{tenantName, app, tv}, seq, "live")
+}
 
-	bucket := s.bucketOf(tv)
-	key := flightKey(tenantName, app)
+// serve answers one accepted violation: it joins the in-flight localization
+// of an identical violation, or leads a fresh one whose verdict is journaled
+// with the given source.
+func (s *Service) serve(ctx context.Context, key flightKey, seq int64, source string) (*Verdict, error) {
 	s.mu.Lock()
-	if ent, ok := s.cache.get(cacheKey(tenantName, app, bucket), s.clock()); ok {
-		s.mu.Unlock()
-		return s.serveFromCache(tenantName, app, tv, seq, ent, "cache")
-	}
-	if f, ok := s.flights[key]; ok && absDiff(tv, f.tv) <= s.coalesceWindow {
+	if f, ok := s.flights[key]; ok {
 		f.accepts = append(f.accepts, seq)
 		s.mu.Unlock()
-		s.counter(tenantName, "coalesced").Inc()
+		s.counter(key.tenant, "coalesced").Inc()
 		_ = s.m.obs.EventJournal().Record("violation_coalesced",
-			map[string]any{"tenant": tenantName, "app": app, "tv": tv, "leader_tv": f.tv, "seq": seq})
+			map[string]any{"tenant": key.tenant, "app": key.app, "tv": key.tv, "seq": seq})
 		select {
 		case <-f.done:
 			if f.err != nil {
@@ -270,22 +225,21 @@ func (s *Service) Submit(ctx context.Context, tenantName, app string, tv int64) 
 		}
 	}
 	// This violation leads a fresh localization.
-	f := &flight{tv: tv, accepts: []int64{seq}, done: make(chan struct{})}
+	f := &flight{accepts: []int64{seq}, done: make(chan struct{})}
 	s.flights[key] = f
 	s.inflight++
 	s.mu.Unlock()
-	return s.lead(ctx, f, tenantName, app, tv, bucket, "live")
+	return s.lead(ctx, key, f, source)
 }
 
 // lead runs the localization for a flight and fans the outcome out: to the
-// flight's waiters, the verdict cache, the journal, and the caller.
-func (s *Service) lead(ctx context.Context, f *flight, tenantName, app string, tv, bucket int64, source string) (*Verdict, error) {
+// flight's waiters, the journal, and the caller.
+func (s *Service) lead(ctx context.Context, key flightKey, f *flight, source string) (*Verdict, error) {
+	tenantName, app, tv := key.tenant, key.app, key.tv
 	res, err := s.localizeFn(ctx, tv, tenantName, app)
 
 	s.mu.Lock()
-	if s.flights[flightKey(tenantName, app)] == f {
-		delete(s.flights, flightKey(tenantName, app))
-	}
+	delete(s.flights, key)
 	s.inflight--
 	accepts := append([]int64(nil), f.accepts...)
 	s.mu.Unlock()
@@ -307,44 +261,19 @@ func (s *Service) lead(ctx context.Context, f *flight, tenantName, app string, t
 		return nil, fmt.Errorf("cluster: marshal diagnosis: %w", merr)
 	}
 	served, jerr := s.m.obs.EventJournal().RecordSeq("verdict_served", map[string]any{
-		"tenant": tenantName, "app": app, "tv": tv, "bucket": bucket,
+		"tenant": tenantName, "app": app, "tv": tv,
 		"source": source, "degraded": res.Degraded, "accept_seqs": accepts,
 		"diagnosis": json.RawMessage(raw)})
 	if jerr != nil {
 		s.m.obs.Logger().Error("service verdict not journaled", "tenant", tenantName, "app", app, "err", jerr)
 	}
 	v := &Verdict{
-		Tenant: tenantName, App: app, TV: tv, Bucket: bucket, Seq: served,
+		Tenant: tenantName, App: app, TV: tv, Seq: served,
 		Source: source, Degraded: res.Degraded, Diagnosis: raw,
 	}
-	s.mu.Lock()
-	s.cache.put(cacheKey(tenantName, app, bucket), &cacheEntry{
-		tv: tv, seq: served, degraded: res.Degraded, raw: raw,
-		expires: s.clock().Add(s.cacheTTL),
-	})
-	s.mu.Unlock()
 	f.verdict = v
 	close(f.done)
 	return v, nil
-}
-
-// serveFromCache re-serves a cached verdict for one accepted violation,
-// journaling a fresh verdict_served record (source "cache" or "replay") so
-// accounting and replay stay exact.
-func (s *Service) serveFromCache(tenantName, app string, tv, seq int64, ent *cacheEntry, source string) (*Verdict, error) {
-	outcome := "cached"
-	if source == "replay" {
-		outcome = "replayed"
-	}
-	s.counter(tenantName, outcome).Inc()
-	served, _ := s.m.obs.EventJournal().RecordSeq("verdict_served", map[string]any{
-		"tenant": tenantName, "app": app, "tv": ent.tv, "bucket": s.bucketOf(ent.tv),
-		"source": source, "degraded": ent.degraded, "accept_seqs": []int64{seq},
-		"diagnosis": json.RawMessage(ent.raw)})
-	return &Verdict{
-		Tenant: tenantName, App: app, TV: ent.tv, Bucket: s.bucketOf(ent.tv), Seq: served,
-		Source: source, Degraded: ent.degraded, Diagnosis: ent.raw,
-	}, nil
 }
 
 // shed records one rejected violation (quota, unknown tenant, or draining).
@@ -381,9 +310,6 @@ func (s *Service) Tenants() []string { return s.tenants.Tenants() }
 type ReplayStats struct {
 	// Events is how many journal events were scanned.
 	Events int
-	// CacheRestored counts verdicts whose TTL had not lapsed and that were
-	// put back in the cache, ready to re-serve byte-identically.
-	CacheRestored int
 	// HistoryRestored counts DiagnosisRecords rebuilt into Master.History.
 	HistoryRestored int
 	// Rerun counts accepted-but-unserved violations localized again.
@@ -398,7 +324,6 @@ type servedRecord struct {
 	Tenant     string          `json:"tenant"`
 	App        string          `json:"app"`
 	TV         int64           `json:"tv"`
-	Bucket     int64           `json:"bucket"`
 	Source     string          `json:"source"`
 	Degraded   bool            `json:"degraded"`
 	AcceptSeqs []int64         `json:"accept_seqs"`
@@ -413,11 +338,10 @@ type acceptedRecord struct {
 }
 
 // Replay rebuilds service state from the journal after a restart: verdicts
-// served before the crash repopulate the cache (TTL honored against their
-// journal timestamps) and the master's history; violations that were
-// accepted but never served are re-run now, under ctx, in acceptance order.
-// Re-runs need registered slaves — a re-run that fails stays pending and is
-// retried by the next replay.
+// served before the crash rebuild the master's history, and violations that
+// were accepted but never served are re-run now, under ctx, in acceptance
+// order. Re-runs need registered slaves — a re-run that fails stays pending
+// and is retried by the next replay.
 func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 	var stats ReplayStats
 	j := s.m.obs.EventJournal()
@@ -435,9 +359,8 @@ func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 		acceptedRecord
 	}
 	var pending []pendingViolation
-	pendingIdx := make(map[int64]int) // seq -> pending index (-1 once served)
+	served := make(map[int64]bool) // accepted seqs some verdict covered
 	var history []DiagnosisRecord
-	now := s.clock()
 	for _, ev := range events {
 		switch ev.Type {
 		case "violation_accepted":
@@ -445,7 +368,6 @@ func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 			if json.Unmarshal(ev.Data, &rec) != nil {
 				continue
 			}
-			pendingIdx[ev.Seq] = len(pending)
 			pending = append(pending, pendingViolation{seq: ev.Seq, acceptedRecord: rec})
 		case "verdict_served":
 			var rec servedRecord
@@ -453,9 +375,7 @@ func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 				continue
 			}
 			for _, seq := range rec.AcceptSeqs {
-				if i, ok := pendingIdx[seq]; ok && i >= 0 {
-					pendingIdx[seq] = -1
-				}
+				served[seq] = true
 			}
 			var diag core.Diagnosis
 			if json.Unmarshal(rec.Diagnosis, &diag) == nil {
@@ -463,16 +383,6 @@ func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 					TV: rec.TV, Tenant: rec.Tenant, App: rec.App,
 					Diagnosis: diag, Degraded: rec.Degraded,
 				})
-			}
-			expires := time.Unix(0, ev.TS).Add(s.cacheTTL)
-			if expires.After(now) {
-				s.mu.Lock()
-				s.cache.put(cacheKey(rec.Tenant, rec.App, rec.Bucket), &cacheEntry{
-					tv: rec.TV, seq: ev.Seq, degraded: rec.Degraded,
-					raw: rec.Diagnosis, expires: expires,
-				})
-				s.mu.Unlock()
-				stats.CacheRestored++
 			}
 		}
 	}
@@ -490,129 +400,27 @@ func (s *Service) Replay(ctx context.Context) (ReplayStats, error) {
 		stats.HistoryRestored = len(history)
 	}
 
-	// Re-run what was accepted but never served, oldest first. Each re-run
-	// first checks the cache: an entry restored above (or produced by an
-	// earlier re-run) may already cover the violation's bucket.
+	// Re-run what was accepted but never served, oldest first.
 	for _, p := range pending {
-		if pendingIdx[p.seq] < 0 {
+		if served[p.seq] {
 			continue
 		}
 		if ctx.Err() != nil {
 			break
 		}
-		bucket := s.bucketOf(p.TV)
-		s.mu.Lock()
-		ent, ok := s.cache.get(cacheKey(p.Tenant, p.App, bucket), s.clock())
-		s.mu.Unlock()
-		if ok {
-			if _, err := s.serveFromCache(p.Tenant, p.App, p.TV, p.seq, ent, "replay"); err == nil {
-				stats.Rerun++
-				continue
-			}
-		}
-		s.mu.Lock()
-		f := &flight{tv: p.TV, accepts: []int64{p.seq}, done: make(chan struct{})}
-		s.flights[flightKey(p.Tenant, p.App)] = f
-		s.inflight++
-		s.mu.Unlock()
-		if _, err := s.lead(ctx, f, p.Tenant, p.App, p.TV, bucket, "replay"); err != nil {
+		v, err := s.serve(ctx, flightKey{p.Tenant, p.App, p.TV}, p.seq, "replay")
+		if err != nil {
 			stats.RerunFailed++
 			continue
 		}
-		s.counter(p.Tenant, "replayed").Inc()
+		if v.Source == "replay" {
+			s.counter(p.Tenant, "replayed").Inc()
+		}
 		stats.Rerun++
 	}
-	s.m.obs.Logger().Info("service replay complete",
-		"events", stats.Events, "cache_restored", stats.CacheRestored,
+	s.m.obs.Logger().Info("service replay complete", "events", stats.Events,
 		"history_restored", stats.HistoryRestored, "rerun", stats.Rerun, "rerun_failed", stats.RerunFailed)
 	return stats, nil
-}
-
-// absDiff is |a-b| without overflow drama for realistic tvs.
-func absDiff(a, b int64) int64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// cacheKey renders the LRU key for (tenant, app, tv-bucket).
-func cacheKey(tenantName, app string, bucket int64) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", tenantName, app, bucket)
-}
-
-// cacheEntry is one cached verdict.
-type cacheEntry struct {
-	tv       int64
-	seq      int64
-	degraded bool
-	raw      json.RawMessage
-	expires  time.Time
-}
-
-// verdictCache is a TTL'd LRU of served verdicts. Callers synchronize (the
-// service guards it with its own mutex).
-type verdictCache struct {
-	cap     int
-	order   *list.List // front = most recent
-	entries map[string]*list.Element
-}
-
-type cacheItem struct {
-	key string
-	ent *cacheEntry
-}
-
-// newVerdictCache returns a cache holding up to cap entries; cap < 0
-// disables caching (every get misses, every put is dropped).
-func newVerdictCache(cap int) *verdictCache {
-	if cap < 0 {
-		return &verdictCache{cap: -1}
-	}
-	return &verdictCache{cap: cap, order: list.New(), entries: make(map[string]*list.Element)}
-}
-
-func (c *verdictCache) get(key string, now time.Time) (*cacheEntry, bool) {
-	if c.cap < 0 {
-		return nil, false
-	}
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	item := el.Value.(*cacheItem)
-	if !item.ent.expires.After(now) {
-		c.order.Remove(el)
-		delete(c.entries, key)
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return item.ent, true
-}
-
-func (c *verdictCache) put(key string, ent *cacheEntry) {
-	if c.cap < 0 {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheItem).ent = ent
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheItem{key: key, ent: ent})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheItem).key)
-	}
-}
-
-// len reports live entries (expired ones count until evicted by get).
-func (c *verdictCache) len() int {
-	if c.cap < 0 {
-		return 0
-	}
-	return c.order.Len()
 }
 
 // serveViolationConn serves one violation-client connection: the peer opened

@@ -306,14 +306,15 @@ func ReadJournalFile(path string) ([]Event, error) {
 		if raw[i] != '\n' {
 			continue
 		}
-		line := raw[start:i]
+		lineStart := start
+		line := raw[lineStart:i]
 		start = i + 1
 		if len(line) == 0 {
 			continue
 		}
 		var ev Event
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return events, fmt.Errorf("obs: journal %s: malformed event at byte %d: %w", path, start, err)
+			return events, fmt.Errorf("obs: journal %s: malformed event at byte %d: %w", path, lineStart, err)
 		}
 		events = append(events, ev)
 	}
