@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"fchain/internal/cloudsim"
+	"fchain/internal/meshgen"
 	"fchain/internal/metric"
 )
 
@@ -48,23 +50,65 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMonitorResidentBytes bounds what a monitor keeps resident once its
-// rings are full and every model has remapped its range at least once: the
-// heap a slave needs per component is what limits how many one host can
-// monitor. Rings store 8 bytes per sample and a predictor keeps one
-// transition matrix, so a DefaultConfig monitor holds about 240 KB.
+// rings are full: the heap a slave needs per component is what limits how
+// many one host can monitor. Rings store 8 bytes per sample, and a predictor
+// stores only the rows of its transition matrix that a transition has left,
+// so the bytes depend on how many value bins a signal visits.
 func TestMonitorResidentBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory inflates the heap")
 	}
-	const monitors = 64
-	const limit = 260 << 10
 	cfg := DefaultConfig()
-	feed := func(m *Monitor, ts int64) {
+	t.Run("ramp", func(t *testing.T) {
+		// A rising ramp keeps leaving the model's range, so every predictor
+		// remaps repeatedly and visits many rows: this layout's worst case.
+		ramp := func(_ int, ts int64, k metric.Kind) float64 {
+			return 20 + float64(ts)/8 + 5*math.Sin(float64(ts)/7) + float64(k)
+		}
+		horizon := int64(cfg.RingCapacity) + 100
+		mons := checkResidentBytes(t, cfg, 64, horizon, ramp, 231_300*105/100) // measured + 5 %
+		// The first sample's range ends at 1.5× its value.
+		if _, hi := mons[0].shards[metric.CPU].model.Range(); hi <= 1.5*ramp(0, 0, metric.CPU) {
+			t.Fatal("the signal never grew a model's range")
+		}
+	})
+	t.Run("diurnal", func(t *testing.T) {
+		// A healthy mesh: meshgen's diurnal and short-cycle workload with
+		// AR(1) noise, run through cloudsim past one diurnal period.
+		const until = 2100
+		mesh, err := meshgen.Generate(meshgen.Params{Components: 64, FanOut: 4, Depth: 5, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := cloudsim.New(mesh.SpecWithTrace(1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.RunUntil(until)
+		comps := sim.Components()
+		cols := make([][metric.NumKinds + 1][]float64, len(comps))
+		for i, c := range comps {
+			for _, k := range metric.Kinds {
+				s, err := sim.Series(c, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := s.Values()
+				cols[i][k] = v[len(v)-until:]
+			}
+		}
+		healthy := func(i int, ts int64, k metric.Kind) float64 { return cols[i][k][ts] }
+		checkResidentBytes(t, cfg, len(comps), until, healthy, 185_000)
+	})
+}
+
+// checkResidentBytes feeds monitors value(monitor, ts, kind) for ts in
+// [0, horizon), fails if the heap each keeps exceeds limit, and returns them.
+func checkResidentBytes(t *testing.T, cfg Config, monitors int, horizon int64, value func(int, int64, metric.Kind) float64, limit int64) []*Monitor {
+	t.Helper()
+	feed := func(i int, m *Monitor, ts int64) {
 		for _, k := range metric.Kinds {
-			// A rising ramp keeps leaving the model's range, so every
-			// predictor remaps repeatedly.
-			v := 20 + float64(ts)/8 + 5*math.Sin(float64(ts)/7) + float64(k)
-			if err := m.Ingest(ts, k, v); err != nil {
+			if err := m.Ingest(ts, k, value(i, ts, k)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -75,24 +119,22 @@ func TestMonitorResidentBytes(t *testing.T) {
 	mons := make([]*Monitor, monitors)
 	for i := range mons {
 		mons[i] = NewMonitor("c", cfg)
-		feed(mons[i], 0)
+		feed(i, mons[i], 0)
 	}
-	_, hi0 := mons[0].shards[metric.CPU].model.Range()
-	for ts := int64(1); ts < int64(cfg.RingCapacity)+100; ts++ {
-		for _, m := range mons {
-			feed(m, ts)
+	for ts := int64(1); ts < horizon; ts++ {
+		for i, m := range mons {
+			feed(i, m, ts)
 		}
-	}
-	if _, hi := mons[0].shards[metric.CPU].model.Range(); hi == hi0 {
-		t.Fatal("the signal never grew a model's range")
 	}
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(mons)
-	perMonitor := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / monitors
+	runtime.KeepAlive(value)
+	perMonitor := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(monitors)
 	t.Logf("%d bytes resident per monitor", perMonitor)
 	if perMonitor > limit {
 		t.Fatalf("%d bytes resident per monitor, want <= %d", perMonitor, limit)
 	}
+	return mons
 }

@@ -535,7 +535,9 @@ func Table2() (string, error) {
 
 	// Slave memory footprint (paper: ~3 MB per daemon): two rings of
 	// RingCapacity float64 values (timestamps are kept as runs, not per slot)
-	// plus a bins×bins transition matrix, per metric per monitored component.
+	// plus at most a bins×bins transition matrix, per metric per monitored
+	// component. A predictor stores only the rows a transition has left, so
+	// the matrix term is the every-row-occupied upper bound.
 	perMetric := cfg.RingCapacity*8*2 + cfg.MarkovBins*cfg.MarkovBins*8
 	perComponent := perMetric * metric.NumKinds
 	fmt.Fprintf(&sb, "  slave state (per monitored component):             ~%d KB\n", perComponent/1024)

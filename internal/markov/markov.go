@@ -30,7 +30,7 @@ const (
 // MaxBins is the finest discretization a predictor takes: New clamps to it
 // and FromSnapshot refuses more, so a corrupted snapshot cannot demand a
 // bins² matrix the size of the address space. At 256 bins one stream's
-// matrix is already half a megabyte.
+// matrix reaches half a megabyte once every row is occupied.
 const MaxBins = 256
 
 // Predictor is an online Markov chain model over a single metric stream.
@@ -43,11 +43,17 @@ type Predictor struct {
 	lo, hi   float64 // current discretization range
 	rangeSet bool
 
-	// counts holds the decayed transition counts row-major, [from*bins+to].
-	// mask has words uint64s per row: bit to of row from is set once a count
-	// has been added at [from][to], so a row's non-zero counts are a subset
-	// of its set bits and Predict visits only those.
+	// counts holds the decayed transition counts of the occupied rows only,
+	// bins per row, in the order the rows were first touched: most of a
+	// stream's bins are never the source of a transition, so a dense
+	// bins×bins matrix would be mostly zeros. slot[from] is one plus the
+	// position of row from in counts, counted in rows, and 0 while the row
+	// is empty; a byte could not number MaxBins rows. rowSum and mask stay
+	// dense. mask has words uint64s per row: bit to of row from is set once
+	// a count has been added at [from][to], so a row's non-zero counts are a
+	// subset of its set bits and Predict visits only those.
 	counts  []float64
+	slot    []uint16
 	rowSum  []float64
 	mask    []uint64
 	words   int // ceil(bins/64)
@@ -64,11 +70,16 @@ type Predictor struct {
 	observations int
 }
 
-// remapPool lends remapRange the scratch it copies the counts and the old
-// bin centers into before clearing the matrix. A remap is rare once a
-// predictor's range has settled, so predictors share these buffers instead
-// of each keeping a spare matrix resident, and a warm remap allocates
-// nothing. It holds *[]float64 so Put does not box a slice header.
+// zeroRow is what row returns for a bin no transition has left yet. It is
+// shared by every predictor and must never be written.
+var zeroRow [MaxBins]float64
+
+// remapPool lends remapRange the scratch it copies the occupied rows, the
+// old bin centers and the row slots into before clearing the matrix. A
+// remap is rare once a predictor's range has settled, so predictors share
+// these buffers instead of each keeping a spare matrix resident, and a warm
+// remap allocates nothing. It holds *[]float64 so Put does not box a slice
+// header.
 var remapPool sync.Pool
 
 // New returns a predictor with the given number of value bins and decay
@@ -91,30 +102,60 @@ func New(bins int, decay float64) *Predictor {
 // NewDefault returns a predictor with default parameters.
 func NewDefault() *Predictor { return New(DefaultBins, DefaultDecay) }
 
+// reset empties the matrix. counts keeps its capacity, so the rows a remap
+// re-adds reuse it.
 func (p *Predictor) reset() {
-	if p.counts == nil {
-		p.counts = make([]float64, p.bins*p.bins)
+	if p.rowSum == nil {
+		p.slot = make([]uint16, p.bins)
 		p.rowSum = make([]float64, p.bins)
 		p.mask = make([]uint64, p.bins*p.words)
 	} else {
-		clear(p.counts)
+		clear(p.slot)
 		clear(p.rowSum)
 		clear(p.mask)
 	}
+	p.counts = p.counts[:0]
 	p.hasLast = false
 	p.incWeight = 1
 }
 
-// add adds c to the count of transition i -> j and marks it occupied.
+// add adds c to the count of transition i -> j and marks it occupied,
+// giving row i a place in counts the first time a transition leaves it.
 func (p *Predictor) add(i, j int, c float64) {
-	p.counts[i*p.bins+j] += c
+	s := int(p.slot[i])
+	if s == 0 {
+		s = p.grow()
+		p.slot[i] = uint16(s)
+	}
+	p.counts[(s-1)*p.bins+j] += c
 	p.rowSum[i] += c
 	p.mask[i*p.words+j>>6] |= 1 << (j & 63)
 }
 
-// row returns the counts of transitions out of bin i.
+// grow appends one zero row to counts and returns its slot. Past the
+// capacity it reallocates to exactly one more row rather than letting
+// append double it: the point of storing only occupied rows is that the
+// heap holds no more than them.
+func (p *Predictor) grow() int {
+	n := len(p.counts)
+	if n+p.bins > cap(p.counts) {
+		counts := make([]float64, n, n+p.bins)
+		copy(counts, p.counts)
+		p.counts = counts
+	}
+	p.counts = p.counts[:n+p.bins]
+	clear(p.counts[n:])
+	return len(p.counts) / p.bins
+}
+
+// row returns the counts of transitions out of bin i, or a shared zero row
+// when none has left it. The result is read-only.
 func (p *Predictor) row(i int) []float64 {
-	return p.counts[i*p.bins : (i+1)*p.bins]
+	s := int(p.slot[i])
+	if s == 0 {
+		return zeroRow[:p.bins:p.bins]
+	}
+	return p.counts[(s-1)*p.bins : s*p.bins]
 }
 
 // Observations returns the number of samples the model has consumed.
@@ -182,9 +223,10 @@ func (p *Predictor) ensureRange(v float64) {
 }
 
 // remapRange moves the learned counts onto the range [newLo, newHi]: it
-// copies them and the old bin centers aside, clears the matrix in place, and
-// re-adds each non-zero count at the bins of its old bin centers, in
-// ascending [from][to] order.
+// copies the occupied rows, their slots and the old bin centers aside,
+// clears the matrix in place, and re-adds each non-zero count at the bins of
+// its old bin centers, in ascending [from][to] order whatever order the rows
+// were first touched in.
 func (p *Predictor) remapRange(newLo, newHi float64) {
 	buf, _ := remapPool.Get().(*[]float64)
 	if buf == nil {
@@ -196,7 +238,11 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 	for i := range oldBins {
 		scratch = append(scratch, p.lo+(float64(i)+0.5)*w)
 	}
-	old, centers := scratch[:len(p.counts)], scratch[len(p.counts):]
+	for _, s := range p.slot {
+		scratch = append(scratch, float64(s)) // exact: a slot is at most MaxBins
+	}
+	n := len(p.counts)
+	old, centers, slot := scratch[:n], scratch[n:n+oldBins], scratch[n+oldBins:]
 	hadLast := p.hasLast
 	var lastCenter float64
 	if hadLast {
@@ -204,12 +250,16 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 	}
 	p.lo, p.hi = newLo, newHi
 	p.reset()
-	for ij, c := range old {
-		if c == 0 {
+	for i, s := range slot {
+		if s == 0 {
 			continue
 		}
-		i, j := ij/oldBins, ij%oldBins
-		p.add(p.binOf(centers[i]), p.binOf(centers[j]), c)
+		to := p.binOf(centers[i])
+		for j, c := range old[(int(s)-1)*oldBins : int(s)*oldBins] {
+			if c != 0 {
+				p.add(to, p.binOf(centers[j]), c)
+			}
+		}
 	}
 	// Restore the chain position under the new discretization — but only if
 	// the chain had one going in. A position severed by Break must stay
@@ -304,12 +354,17 @@ func (p *Predictor) Break() {
 // preserving every ratio.
 func (p *Predictor) renormalize() {
 	inv := 1 / p.incWeight
-	for i := range p.rowSum {
+	for i, s := range p.slot {
 		if p.rowSum[i] == 0 {
 			continue
 		}
 		p.rowSum[i] = 0
-		row := p.row(i)
+		if s == 0 {
+			// A restored total with no counts under it (within Validate's
+			// tolerance) has nothing to scale.
+			continue
+		}
+		row := p.counts[(int(s)-1)*p.bins : int(s)*p.bins]
 		for j := range row {
 			row[j] *= inv
 			p.rowSum[i] += row[j]
@@ -344,7 +399,7 @@ func (p *Predictor) TransitionProb(a, b float64) float64 {
 	if p.rowSum[i] <= 0 {
 		return 0
 	}
-	return p.counts[i*p.bins+j] / p.rowSum[i]
+	return p.row(i)[j] / p.rowSum[i]
 }
 
 // RowDistribution returns the transition distribution out of the bin

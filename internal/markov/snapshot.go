@@ -44,8 +44,9 @@ func (p *Predictor) Snapshot() *Snapshot {
 		IncWeight:    p.incWeight,
 		Observations: p.observations,
 	}
-	// Only non-empty rows are stored; a 40×40 matrix of zeros would bloat
-	// every checkpoint for cold metrics. nil rows restore as zero rows.
+	// Only non-empty rows are stored, as the predictor itself stores them: a
+	// full 40×40 matrix, the every-row-occupied upper bound, would bloat every
+	// checkpoint with zeros. nil rows restore as empty rows.
 	s.Counts = make([][]float64, p.bins)
 	for i := range s.Counts {
 		if p.rowSum[i] == 0 {
