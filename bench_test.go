@@ -222,12 +222,11 @@ func BenchmarkModuleValidation(b *testing.B) {
 	diag := fchain.Diagnosis{Culprits: []fchain.Culprit{{
 		Component: "db", Metrics: []fchain.Kind{fchain.CPU},
 	}}}
-	cfg := fchain.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fchain.Validate(func() (fchain.Adjuster, error) {
 			return sys.Clone(), nil
-		}, diag, cfg); err != nil {
+		}, diag); err != nil {
 			b.Fatal(err)
 		}
 	}

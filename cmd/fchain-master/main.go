@@ -21,20 +21,20 @@
 // slaves connect empty (fchain-slave -sharded), components are announced
 // with the `register` console command, and a consistent-hash ring with N
 // virtual nodes per slave assigns each component an owner. Membership
-// changes trigger rebalancing that moves each component's model state with
-// it (bounded by -handoff-timeout, automatic unless -auto-rebalance=false);
-// `rebalance` and `assignments` drive and inspect placement manually.
+// changes trigger automatic rebalancing that moves each component's model
+// state with it; `rebalance` and `assignments` drive and inspect placement
+// manually.
 //
 // Service mode: the master always runs the multi-tenant violation intake
 // (violate frames over the listener, `violate` on the console). -tenants
-// closes the namespace, -tenant-quota/-tenant-burst set per-tenant token
-// buckets. Each violation is localized at its own tv; only identical
-// concurrent violations (same tenant, app and tv) share one localization.
+// closes the namespace, -tenant-quota sets per-tenant token buckets. Each
+// violation is localized at its own tv; only identical concurrent
+// violations (same tenant, app and tv) share one localization.
 // With -journal set, accepted violations and served verdicts are write-ahead
 // journaled; -replay reads them back on the next start (served verdicts
 // rebuild the history, accepted-but-unserved violations re-run).
-// -journal-max-bytes and -journal-keep rotate the journal so it cannot grow
-// without bound.
+// -journal-max-bytes rotates the journal (three generations kept) so it
+// cannot grow without bound.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the service stops
 // admitting violations, in-flight localizations drain under -drain, the
@@ -69,58 +69,48 @@ type config struct {
 	listen    string
 	timeout   time.Duration
 	heartbeat time.Duration
-	hbMisses  int
 	quorum    float64
 	inflight  int
-	admitQ    int
 	depsPath  string
 	debugAddr string
 	logLevel  string
 
 	journalPath     string
 	journalMaxBytes int64
-	journalKeep     int
 
 	tenants     string
 	tenantQuota float64
-	tenantBurst float64
 	replay      bool
 	drain       time.Duration
 
-	vnodes         int
-	handoffTimeout time.Duration
-	autoRebalance  bool
-	standby        bool
-	replMaxLag     time.Duration
-	meshProfile    bool
+	vnodes      int
+	standby     bool
+	meshProfile bool
 }
+
+// journalKeep is how many rotated journal generations -journal-max-bytes
+// retains; replay stitches across them.
+const journalKeep = 3
 
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.listen, "listen", "127.0.0.1:7070", "listen address")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "overall per-localization deadline")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", 10*time.Second, "slave liveness probe interval (0 disables)")
-	flag.IntVar(&cfg.hbMisses, "heartbeat-misses", 3, "consecutive missed heartbeats before a slave is evicted")
 	flag.Float64Var(&cfg.quorum, "quorum", 0, "slave answer quorum as a fraction in (0,1]: diagnose once met, refuse below it (0 waits for all, best-effort)")
-	flag.IntVar(&cfg.inflight, "max-inflight", 0, "max concurrent localizations (0 = unlimited)")
-	flag.IntVar(&cfg.admitQ, "admit-queue", 0, "localize admission queue depth beyond -max-inflight (LIFO; overflow sheds the oldest waiter)")
+	flag.IntVar(&cfg.inflight, "max-inflight", 0, "max concurrent localizations; excess calls are shed (0 = unlimited)")
 	flag.StringVar(&cfg.depsPath, "deps", "", "dependency graph file from offline discovery (optional)")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug server address serving /metrics, /healthz, /history, /trace/last and pprof (empty disables)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "stderr log level: debug, info, warn, error")
 	flag.StringVar(&cfg.journalPath, "journal", "", "append machine-readable JSONL pipeline events to this file (empty disables; required for -replay durability)")
 	flag.Int64Var(&cfg.journalMaxBytes, "journal-max-bytes", 0, "rotate the journal once it exceeds this many bytes (0 = never)")
-	flag.IntVar(&cfg.journalKeep, "journal-keep", 3, "rotated journal generations retained")
 	flag.StringVar(&cfg.tenants, "tenants", "", "comma-separated tenant namespace for service mode (empty admits any tenant name)")
 	flag.Float64Var(&cfg.tenantQuota, "tenant-quota", 0, "per-tenant violation quota, violations/minute token bucket (0 = unlimited)")
-	flag.Float64Var(&cfg.tenantBurst, "tenant-burst", 0, "per-tenant violation burst capacity (0 = same as -tenant-quota)")
-	flag.BoolVar(&cfg.replay, "replay", false, "replay the journal at startup: restore the history from served verdicts, re-run accepted-but-unserved violations")
+	flag.BoolVar(&cfg.replay, "replay", false, "with -journal: replay the journal at startup: restore the history from served verdicts, re-run accepted-but-unserved violations")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight localizations")
 	flag.IntVar(&cfg.vnodes, "vnodes", 0, "enable master-driven component placement over a consistent-hash ring with this many virtual nodes per slave (0 disables sharding; slaves then bring their own component lists)")
-	flag.DurationVar(&cfg.handoffTimeout, "handoff-timeout", 5*time.Second, "how long a rebalance waits without progress (an assignment ack, one more component's state landing); a stalled component cold-starts on the new owner")
 	flag.BoolVar(&cfg.meshProfile, "mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
-	flag.BoolVar(&cfg.autoRebalance, "auto-rebalance", true, "with -vnodes: rebalance automatically on slave join/leave/eviction (off, placement changes only on the rebalance command)")
 	flag.BoolVar(&cfg.standby, "standby", false, "with -vnodes: assign every component a warm standby slave and promote it in place when the primary dies (pair with the slaves' -repl-interval)")
-	flag.DurationVar(&cfg.replMaxLag, "repl-max-lag", 0, "with -standby: maximum standby replication lag still promotable warm; a staler standby cold-starts instead (0 = no bound)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-master:", err)
@@ -129,7 +119,13 @@ func main() {
 }
 
 func run(cfg config) error {
-	sink, err := obs.NewSinkRotating(os.Stderr, cfg.logLevel, cfg.journalPath, cfg.journalMaxBytes, cfg.journalKeep)
+	if cfg.standby && cfg.vnodes <= 0 {
+		return fmt.Errorf("-standby requires -vnodes: standbys exist only under sharded placement")
+	}
+	if cfg.replay && cfg.journalPath == "" {
+		return fmt.Errorf("-replay requires -journal: there is no journal to replay")
+	}
+	sink, err := obs.NewSinkRotating(os.Stderr, cfg.logLevel, cfg.journalPath, cfg.journalMaxBytes, journalKeep)
 	if err != nil {
 		return err
 	}
@@ -146,22 +142,14 @@ func run(cfg config) error {
 		fmt.Printf("loaded dependency graph: %s\n", deps)
 	}
 	masterOpts := []fchain.MasterOption{
-		fchain.WithHeartbeat(cfg.heartbeat, cfg.hbMisses),
+		fchain.WithHeartbeat(cfg.heartbeat),
 		fchain.WithLocalizeTimeout(cfg.timeout),
 		fchain.WithQuorum(cfg.quorum),
-		fchain.WithAdmission(cfg.inflight, cfg.admitQ),
+		fchain.WithAdmission(cfg.inflight, 0),
 		fchain.WithMasterObs(sink),
 	}
 	if cfg.vnodes > 0 {
-		masterOpts = append(masterOpts,
-			fchain.WithSharding(cfg.vnodes),
-			fchain.WithHandoffTimeout(cfg.handoffTimeout),
-			fchain.WithAutoRebalance(cfg.autoRebalance))
-		if cfg.standby {
-			masterOpts = append(masterOpts,
-				fchain.WithStandby(true),
-				fchain.WithReplMaxLag(cfg.replMaxLag))
-		}
+		masterOpts = append(masterOpts, fchain.WithSharding(cfg.vnodes), fchain.WithStandby(cfg.standby))
 	}
 	coreCfg := fchain.DefaultConfig()
 	if cfg.meshProfile {
@@ -179,7 +167,6 @@ func run(cfg config) error {
 	svc := fchain.NewService(master, fchain.ServiceConfig{
 		Tenants:        tenants,
 		QuotaPerMinute: cfg.tenantQuota,
-		QuotaBurst:     cfg.tenantBurst,
 	})
 	if err := master.Start(cfg.listen); err != nil {
 		return err

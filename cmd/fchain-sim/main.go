@@ -251,7 +251,7 @@ func run(app, mesh, faultName, target string, seed, inject int64, validate bool,
 	if validate && len(diag.Culprits) > 0 {
 		results, err := fchain.Validate(func() (fchain.Adjuster, error) {
 			return sys.Clone(), nil
-		}, diag, loc.Config())
+		}, diag)
 		if err != nil {
 			return err
 		}

@@ -53,38 +53,59 @@ import (
 	"fchain/internal/obs"
 )
 
+// config bundles every flag so run stays callable without a parameter
+// avalanche.
+type config struct {
+	name       string
+	components string
+	master     string
+	backoff    time.Duration
+	backoffMax time.Duration
+	ckptDir    string
+	reorder    int
+	parallel   int
+	inflight   int
+	debugAddr  string
+	journal    string
+	logLevel   string
+
+	sharded     bool
+	via         string
+	aggAddr     string
+	streaming   bool
+	replEvery   time.Duration
+	meshProfile bool
+}
+
 func main() {
-	var (
-		name        = flag.String("name", "", "slave name (default: hostname)")
-		components  = flag.String("components", "", "comma-separated component names monitored by this host")
-		master      = flag.String("master", "127.0.0.1:7070", "master address")
-		backoff     = flag.Duration("backoff", 500*time.Millisecond, "initial reconnect backoff after a dropped master connection")
-		backoffMax  = flag.Duration("backoff-max", 15*time.Second, "reconnect backoff cap")
-		ckptDir     = flag.String("checkpoint-dir", "", "directory for crash-safe model checkpoints (empty disables)")
-		ckptEvery   = flag.Duration("checkpoint-interval", 30*time.Second, "periodic checkpoint interval")
-		reorder     = flag.Int("reorder-window", 5, "seconds a sample may arrive out of order before it is dropped (-1 disables reordering)")
-		parallel    = flag.Int("parallel", 0, "analysis workers per analyze request (0 = all cores, 1 = serial)")
-		inflight    = flag.Int("max-inflight", 0, "max concurrent analyze requests (0 = unlimited)")
-		admitQ      = flag.Int("admit-queue", 0, "analyze admission queue depth beyond -max-inflight (LIFO; overflow sheds the oldest waiter)")
-		quarCool    = flag.Duration("quarantine-cooldown", 30*time.Second, "how long a panicked metric stream stays quarantined before one probe re-admission")
-		debugAddr   = flag.String("debug-addr", "", "HTTP debug server address serving /metrics, /healthz, /trace/last and pprof (empty disables)")
-		journal     = flag.String("journal", "", "append machine-readable JSONL events to this file (empty disables)")
-		logLevel    = flag.String("log-level", "info", "stderr log level: debug, info, warn, error")
-		sharded     = flag.Bool("sharded", false, "start with no components of your own: the master assigns them over its consistent-hash ring (requires a master started with -vnodes)")
-		via         = flag.String("via", "", "aggregator name this slave reports through (tree topology)")
-		aggAddr     = flag.String("aggregator", "", "aggregator address to also connect to (required with -via)")
-		streaming   = flag.Bool("streaming", false, "maintain streaming selection state on every sample so analyze answers in ~O(diagnose); falls back to the batch kernel (bit-identically) whenever the state is cold")
-		replEvery   = flag.Duration("repl-interval", 0, "ship owned components' state deltas to their warm standbys every interval (0 disables; requires a master started with -standby)")
-		meshProfile = flag.Bool("mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
-	)
+	var cfg config
+	flag.StringVar(&cfg.name, "name", "", "slave name (default: hostname)")
+	flag.StringVar(&cfg.components, "components", "", "comma-separated component names monitored by this host")
+	flag.StringVar(&cfg.master, "master", "127.0.0.1:7070", "master address")
+	flag.DurationVar(&cfg.backoff, "backoff", 500*time.Millisecond, "initial reconnect backoff after a dropped master connection")
+	flag.DurationVar(&cfg.backoffMax, "backoff-max", 15*time.Second, "reconnect backoff cap")
+	flag.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "directory for crash-safe model checkpoints, written every 30s and on shutdown (empty disables)")
+	flag.IntVar(&cfg.reorder, "reorder-window", 5, "seconds a sample may arrive out of order before it is dropped (-1 disables reordering)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "analysis workers per analyze request (0 = all cores, 1 = serial)")
+	flag.IntVar(&cfg.inflight, "max-inflight", 0, "max concurrent analyze requests; excess requests are shed (0 = unlimited)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug server address serving /metrics, /healthz, /trace/last and pprof (empty disables)")
+	flag.StringVar(&cfg.journal, "journal", "", "append machine-readable JSONL events to this file (empty disables)")
+	flag.StringVar(&cfg.logLevel, "log-level", "info", "stderr log level: debug, info, warn, error")
+	flag.BoolVar(&cfg.sharded, "sharded", false, "start with no components of your own: the master assigns them over its consistent-hash ring (requires a master started with -vnodes)")
+	flag.StringVar(&cfg.via, "via", "", "aggregator name this slave reports through (tree topology)")
+	flag.StringVar(&cfg.aggAddr, "aggregator", "", "aggregator address to also connect to (required with -via)")
+	flag.BoolVar(&cfg.streaming, "streaming", false, "maintain streaming selection state on every sample so analyze answers in ~O(diagnose); falls back to the batch kernel (bit-identically) whenever the state is cold")
+	flag.DurationVar(&cfg.replEvery, "repl-interval", 0, "ship owned components' state deltas to their warm standbys every interval (0 disables; requires a master started with -standby)")
+	flag.BoolVar(&cfg.meshProfile, "mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
 	flag.Parse()
-	if err := run(*name, *components, *master, *backoff, *backoffMax, *ckptDir, *ckptEvery, *reorder, *parallel, *inflight, *admitQ, *quarCool, *debugAddr, *journal, *logLevel, *sharded, *via, *aggAddr, *streaming, *meshProfile, *replEvery); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-slave:", err)
 		os.Exit(1)
 	}
 }
 
-func run(name, components, master string, backoff, backoffMax time.Duration, ckptDir string, ckptEvery time.Duration, reorder, parallel, inflight, admitQ int, quarCool time.Duration, debugAddr, journalPath, logLevel string, sharded bool, via, aggAddr string, streaming, meshProfile bool, replEvery time.Duration) error {
+func run(cfg config) error {
+	name := cfg.name
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -93,19 +114,19 @@ func run(name, components, master string, backoff, backoffMax time.Duration, ckp
 		name = host
 	}
 	var comps []string
-	if components != "" {
-		comps = strings.Split(components, ",")
+	if cfg.components != "" {
+		comps = strings.Split(cfg.components, ",")
 	}
-	if len(comps) == 0 && !sharded {
+	if len(comps) == 0 && !cfg.sharded {
 		return fmt.Errorf("-components is required (or pass -sharded to let the master assign them)")
 	}
-	if len(comps) > 0 && sharded {
+	if len(comps) > 0 && cfg.sharded {
 		return fmt.Errorf("-sharded and -components are mutually exclusive: the master owns placement")
 	}
-	if (via == "") != (aggAddr == "") {
+	if (cfg.via == "") != (cfg.aggAddr == "") {
 		return fmt.Errorf("-via and -aggregator must be set together")
 	}
-	sink, err := obs.NewSink(os.Stderr, logLevel, journalPath)
+	sink, err := obs.NewSink(os.Stderr, cfg.logLevel, cfg.journal)
 	if err != nil {
 		return err
 	}
@@ -114,48 +135,45 @@ func run(name, components, master string, backoff, backoffMax time.Duration, ckp
 	// Collection is local, so master outages only cost their own duration;
 	// the sink's logger records every link-state transition.
 	opts := []fchain.SlaveOption{
-		fchain.WithBackoff(backoff, backoffMax),
+		fchain.WithBackoff(cfg.backoff, cfg.backoffMax),
 		fchain.WithSlaveObs(sink),
 	}
-	if ckptDir != "" {
-		opts = append(opts,
-			fchain.WithCheckpointDir(ckptDir),
-			fchain.WithCheckpointInterval(ckptEvery))
+	if cfg.ckptDir != "" {
+		opts = append(opts, fchain.WithCheckpointDir(cfg.ckptDir))
 	}
-	if inflight > 0 {
-		opts = append(opts, fchain.WithSlaveAdmission(inflight, admitQ))
+	if cfg.inflight > 0 {
+		opts = append(opts, fchain.WithSlaveAdmission(cfg.inflight, 0))
 	}
-	if via != "" {
-		opts = append(opts, fchain.WithVia(via))
+	if cfg.via != "" {
+		opts = append(opts, fchain.WithVia(cfg.via))
 	}
-	if replEvery > 0 {
-		opts = append(opts, fchain.WithReplication(replEvery))
+	if cfg.replEvery > 0 {
+		opts = append(opts, fchain.WithReplication(cfg.replEvery))
 	}
-	cfg := fchain.DefaultConfig()
-	if meshProfile {
-		cfg = fchain.MeshConfig()
+	coreCfg := fchain.DefaultConfig()
+	if cfg.meshProfile {
+		coreCfg = fchain.MeshConfig()
 	}
-	cfg.ReorderWindow = reorder
-	cfg.Parallelism = parallel
-	cfg.QuarantineCooldown = quarCool
-	cfg.Streaming = streaming
-	slave := fchain.NewSlave(name, comps, cfg, opts...)
+	coreCfg.ReorderWindow = cfg.reorder
+	coreCfg.Parallelism = cfg.parallel
+	coreCfg.Streaming = cfg.streaming
+	slave := fchain.NewSlave(name, comps, coreCfg, opts...)
 	if restored := slave.RestoredComponents(); len(restored) > 0 {
 		fmt.Printf("restored checkpointed models for %v\n", restored)
 	}
-	if err := slave.Connect(master); err != nil {
+	if err := slave.Connect(cfg.master); err != nil {
 		return err
 	}
 	defer slave.Close()
-	if aggAddr != "" {
+	if cfg.aggAddr != "" {
 		// Second registration: the subtree connection the aggregator fans
 		// analyze requests out over (the master routes via the -via name).
-		if err := slave.Connect(aggAddr); err != nil {
+		if err := slave.Connect(cfg.aggAddr); err != nil {
 			return err
 		}
 	}
-	if debugAddr != "" {
-		dbg, err := obs.StartDebug(debugAddr, obs.DebugConfig{
+	if cfg.debugAddr != "" {
+		dbg, err := obs.StartDebug(cfg.debugAddr, obs.DebugConfig{
 			Registry: sink.Registry(),
 			Traces:   sink.TraceRing(),
 		})
@@ -165,7 +183,7 @@ func run(name, components, master string, backoff, backoffMax time.Duration, ckp
 		defer dbg.Close()
 		log.Info("debug server listening", "addr", dbg.Addr())
 	}
-	fmt.Printf("fchain-slave %s registered with %s, monitoring %v\n", name, master, comps)
+	fmt.Printf("fchain-slave %s registered with %s, monitoring %v\n", name, cfg.master, comps)
 
 	// The sample feed runs on its own goroutine so SIGINT/SIGTERM can
 	// interrupt a blocked stdin read: on a signal the daemon exits 0 through

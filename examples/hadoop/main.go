@@ -63,7 +63,7 @@ func run() error {
 	// false alarms don't.
 	results, err := fchain.Validate(func() (fchain.Adjuster, error) {
 		return sys.Clone(), nil
-	}, diag, loc.Config())
+	}, diag)
 	if err != nil {
 		return err
 	}

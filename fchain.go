@@ -290,8 +290,8 @@ type ValidationResult = core.ValidationResult
 // Validate runs online pinpointing validation on every culprit: mk must
 // return a fresh trial system (in simulation, a clone; in production, the
 // live system with later rollback).
-func Validate(mk func() (Adjuster, error), diag Diagnosis, cfg Config) ([]ValidationResult, error) {
-	return core.Validate(mk, diag, cfg)
+func Validate(mk func() (Adjuster, error), diag Diagnosis) ([]ValidationResult, error) {
+	return core.Validate(mk, diag)
 }
 
 // ApplyValidation retains only confirmed culprits (FChain+VAL, Fig. 11).
@@ -310,10 +310,8 @@ type Master = cluster.Master
 type MasterOption = cluster.MasterOption
 
 // WithHeartbeat enables periodic slave liveness probing: a slave missing
-// maxMisses consecutive pongs is evicted.
-func WithHeartbeat(interval time.Duration, maxMisses int) MasterOption {
-	return cluster.WithHeartbeat(interval, maxMisses)
-}
+// three consecutive pongs is evicted.
+func WithHeartbeat(interval time.Duration) MasterOption { return cluster.WithHeartbeat(interval) }
 
 // WithLocalizeTimeout sets the overall Localize deadline used when the
 // caller's context has none (default 30s).
@@ -470,16 +468,10 @@ func WithReplication(interval time.Duration) SlaveOption {
 }
 
 // WithCheckpointDir enables crash-safe persistence: the slave checkpoints
-// every component's models and ring tails to dir (periodically and on
-// Close) and restores whatever usable checkpoints the directory holds when
-// it is constructed, so a restarted slave resumes with warm models.
+// every component's models and ring tails to dir (every 30s and on Close)
+// and restores whatever usable checkpoints the directory holds when it is
+// constructed, so a restarted slave resumes with warm models.
 func WithCheckpointDir(dir string) SlaveOption { return cluster.WithCheckpointDir(dir) }
-
-// WithCheckpointInterval sets the periodic checkpoint cadence used with
-// WithCheckpointDir (default 30s).
-func WithCheckpointInterval(d time.Duration) SlaveOption {
-	return cluster.WithCheckpointInterval(d)
-}
 
 // ConnState describes the slave's link to the master.
 type ConnState = cluster.ConnState

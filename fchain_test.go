@@ -71,7 +71,7 @@ func TestPublicValidation(t *testing.T) {
 	}
 	results, err := fchain.Validate(func() (fchain.Adjuster, error) {
 		return sys.Clone(), nil
-	}, diag, loc.Config())
+	}, diag)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func (f *FChain) Diagnose(tr *Trial) (core.Diagnosis, error) {
 	}
 	results, err := core.Validate(func() (core.Adjuster, error) {
 		return tr.Sim.Clone(), nil
-	}, diag, loc.Config())
+	}, diag)
 	if err != nil {
 		return core.Diagnosis{}, fmt.Errorf("baseline: validation: %w", err)
 	}

@@ -5,6 +5,7 @@ package clitest
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -218,5 +219,37 @@ func TestCLIPipeline(t *testing.T) {
 	for _, s := range slaves {
 		s.Process.Kill()
 		s.Wait()
+	}
+}
+
+// TestMasterRefusesInertFlags: a master flag that would silently do nothing
+// without its prerequisite fails at startup with exit status 1, naming the
+// missing flag, instead of starting a master that ignores it.
+func TestMasterRefusesInertFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	masterBin := buildCommand(t, t.TempDir(), "fchain-master")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-standby"}, "-standby requires -vnodes"},
+		{[]string{"-replay"}, "-replay requires -journal"},
+	} {
+		cmd := exec.Command(masterBin, append([]string{"-listen", "127.0.0.1:0"}, tc.args...)...)
+		cmd.Stdin = strings.NewReader("quit\n")
+		out, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Errorf("fchain-master %v: err = %v, want exit status 1\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("fchain-master %v output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+		if strings.Contains(string(out), "listening on") {
+			t.Errorf("fchain-master %v started before refusing:\n%s", tc.args, out)
+		}
 	}
 }

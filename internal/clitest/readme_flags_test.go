@@ -9,9 +9,11 @@ import (
 	"testing"
 )
 
-// TestREADMEFlagsExist checks every flag in the first column of README's
-// fchain-master, fchain-slave and topology flag tables against the named
-// binary's -h output, so a deleted flag cannot linger in the docs.
+// TestREADMEFlagsExist checks README's fchain-master, fchain-slave and
+// topology flag tables against each named binary's -h output in both
+// directions: every flag in a row's first column must exist, so a deleted
+// flag cannot linger in the docs, and every flag the binary lists must
+// have a row, so a new flag cannot go undocumented.
 func TestREADMEFlagsExist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -35,6 +37,7 @@ func TestREADMEFlagsExist(t *testing.T) {
 	flagRe := regexp.MustCompile("`(-[a-z][a-z0-9-]*)`")
 	daemon := "" // set by the line introducing a per-daemon table
 	checked := 0
+	documented := make(map[string]map[string]bool) // daemon -> flag -> has a row
 	for _, line := range strings.Split(string(raw), "\n") {
 		switch {
 		case strings.HasPrefix(line, "`fchain-master`"):
@@ -59,6 +62,10 @@ func TestREADMEFlagsExist(t *testing.T) {
 		}
 		for _, m := range flagRe.FindAllStringSubmatch(cells[1], -1) {
 			checked++
+			if documented[d] == nil {
+				documented[d] = make(map[string]bool)
+			}
+			documented[d][m[1]] = true
 			if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(m[1]) + `( |$)`).MatchString(usage) {
 				t.Errorf("README documents %s for fchain-%s, which its -h does not list", m[1], d)
 			}
@@ -66,5 +73,14 @@ func TestREADMEFlagsExist(t *testing.T) {
 	}
 	if checked < 25 {
 		t.Errorf("only %d README flags checked; did the flag tables move?", checked)
+	}
+
+	helpFlagRe := regexp.MustCompile(`(?m)^  (-[a-z][a-z0-9-]*)( |$)`)
+	for daemon, usage := range help {
+		for _, m := range helpFlagRe.FindAllStringSubmatch(usage, -1) {
+			if !documented[daemon][m[1]] {
+				t.Errorf("fchain-%s -h lists %s, which has no row in README's flag tables", daemon, m[1])
+			}
+		}
 	}
 }

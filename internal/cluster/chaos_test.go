@@ -211,7 +211,7 @@ func TestPermanentSlaveLossDegradesCoverage(t *testing.T) {
 // TestHeartbeatEvictsDeadSlave registers a peer that never answers pings and
 // checks the heartbeat loop evicts it.
 func TestHeartbeatEvictsDeadSlave(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithHeartbeat(25*time.Millisecond, 2))
+	master := NewMaster(core.Config{}, nil, WithHeartbeat(25*time.Millisecond))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestHeartbeatEvictsDeadSlave(t *testing.T) {
 // TestHeartbeatKeepsLiveSlave verifies a real slave answers master pings and
 // stays registered and healthy.
 func TestHeartbeatKeepsLiveSlave(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithHeartbeat(20*time.Millisecond, 2))
+	master := NewMaster(core.Config{}, nil, WithHeartbeat(20*time.Millisecond))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -364,7 +364,7 @@ func TestDoubleFailureFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestLaggingStandbyFallsBackCold pins the -repl-max-lag gate: a standby that
+// TestLaggingStandbyFallsBackCold pins the WithReplMaxLag gate: a standby that
 // is otherwise caught up but whose primary's last clean replication tick is
 // older than the bound must NOT be promoted — the master journals
 // replica_lagging and takes the cold path instead, which the shared

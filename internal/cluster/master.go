@@ -37,7 +37,6 @@ type Master struct {
 	ln net.Listener
 
 	hbInterval  time.Duration
-	hbMaxMisses int
 	localizeTO  time.Duration
 	brThreshold int
 	brCooldown  time.Duration
@@ -95,17 +94,16 @@ type Master struct {
 type MasterOption func(*Master)
 
 // WithHeartbeat enables periodic liveness probing: every interval the master
-// pings each registered slave; a slave missing maxMisses consecutive pongs
-// is evicted (its connection closed, pending requests failed). interval <= 0
-// disables probing.
-func WithHeartbeat(interval time.Duration, maxMisses int) MasterOption {
-	return func(m *Master) {
-		m.hbInterval = interval
-		if maxMisses > 0 {
-			m.hbMaxMisses = maxMisses
-		}
-	}
+// pings each registered slave; a slave missing heartbeatMisses consecutive
+// pongs is evicted (its connection closed, pending requests failed).
+// interval <= 0 disables probing.
+func WithHeartbeat(interval time.Duration) MasterOption {
+	return func(m *Master) { m.hbInterval = interval }
 }
+
+// heartbeatMisses is how many consecutive missed pongs evict a slave, so a
+// single late pong never does.
+const heartbeatMisses = 3
 
 // WithLocalizeTimeout sets the overall Localize deadline applied when the
 // caller's context has none (default 30s).
@@ -225,7 +223,6 @@ func NewMaster(cfg core.Config, deps *depgraph.Graph, opts ...MasterOption) *Mas
 	m := &Master{
 		cfg:         cfg,
 		deps:        deps,
-		hbMaxMisses: 3,
 		localizeTO:  30 * time.Second,
 		brThreshold: 3,
 		brCooldown:  10 * time.Second,
@@ -603,7 +600,7 @@ func (m *Master) heartbeatLoop() {
 }
 
 // probe sends one ping and records a miss if the pong does not arrive within
-// the heartbeat interval; maxMisses consecutive misses evict the slave.
+// the heartbeat interval; heartbeatMisses consecutive misses evict the slave.
 func (m *Master) probe(sc *slaveConn) {
 	_, err := sc.request(&envelope{Type: typePing}, m.hbInterval, m.stop)
 	switch {
@@ -622,7 +619,7 @@ func (m *Master) miss(sc *slaveConn) {
 	sc.mu.Lock()
 	sc.misses++
 	misses := sc.misses
-	evict := sc.misses >= m.hbMaxMisses
+	evict := sc.misses >= heartbeatMisses
 	sc.mu.Unlock()
 	m.obs.Logger().Debug("heartbeat miss", "slave", sc.name, "misses", misses)
 	if evict {

@@ -60,6 +60,11 @@ const (
 	defaultBackoffMax     = 15 * time.Second
 )
 
+// checkpointInterval is how often a slave with a checkpoint directory
+// re-checkpoints its models; Close always writes a final checkpoint, so a
+// clean shutdown loses nothing and a crash loses at most this much.
+const checkpointInterval = 30 * time.Second
+
 // Slave is the FChain slave daemon for one host: it runs the normal
 // fluctuation models for the components (guest VMs) on that host and
 // answers the master's analyze requests with abnormal change point reports
@@ -96,9 +101,8 @@ type Slave struct {
 	// Crash-safe model persistence: with a checkpoint directory set, the
 	// slave restores each monitor from its last checkpoint at construction
 	// and re-checkpoints every checkpointInterval until Close.
-	checkpointDir      string
-	checkpointInterval time.Duration
-	restored           []string // components restored from checkpoints
+	checkpointDir string
+	restored      []string // components restored from checkpoints
 
 	// Monitor state needs no slave-level lock: core.Monitor shards its
 	// state per metric, so collection (Observe/Ingest), analysis, and
@@ -223,16 +227,6 @@ func WithCheckpointDir(dir string) SlaveOption {
 	return slaveOptionFunc(func(s *Slave) { s.checkpointDir = dir })
 }
 
-// WithCheckpointInterval overrides how often the periodic checkpoint runs
-// (default 30s; meaningful only together with WithCheckpointDir).
-func WithCheckpointInterval(d time.Duration) SlaveOption {
-	return slaveOptionFunc(func(s *Slave) {
-		if d > 0 {
-			s.checkpointInterval = d
-		}
-	})
-}
-
 // WithReplication enables warm-standby replication: every interval the slave
 // ships each owned component's state delta upstream (a full snapshot first,
 // incremental sample replays after), and the master relays each frame to the
@@ -290,10 +284,9 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		reconnect:      true,
 		shadows:        make(map[string]*core.Monitor),
 
-		checkpointInterval: 30 * time.Second,
-		stop:               make(chan struct{}),
-		replFloors:         make(map[string]map[string]int64),
-		replSeq:            make(map[string]uint64),
+		stop:       make(chan struct{}),
+		replFloors: make(map[string]map[string]int64),
+		replSeq:    make(map[string]uint64),
 	}
 	monitors := make(map[string]*core.Monitor, len(components))
 	for _, c := range components {
@@ -392,7 +385,7 @@ func (s *Slave) livePeer() *slaveConn {
 // checkpointLoop re-checkpoints the models periodically until Close.
 func (s *Slave) checkpointLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.checkpointInterval)
+	ticker := time.NewTicker(checkpointInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -37,22 +37,9 @@ type Config struct {
 	// BurstWindow is Q, the half-window in seconds around a change point
 	// used for FFT burst extraction (default 20).
 	BurstWindow int
-	// TopFreqFrac is the fraction of the frequency spectrum treated as
-	// high frequencies when synthesizing the burst signal (default 0.9).
-	TopFreqFrac float64
-	// BurstPercentile is the percentile of the burst magnitude used as the
-	// expected prediction error (default 90).
-	BurstPercentile float64
-	// TangentTol is the relative tangent difference below which adjacent
-	// change points are considered part of the same manifestation during
-	// rollback (default 0.1).
-	TangentTol float64
 	// SmoothWindow is the moving-average width applied before change point
 	// detection (default 5).
 	SmoothWindow int
-	// OutlierSigma is the magnitude-outlier threshold in standard
-	// deviations for PAL-style filtering (default 1.5).
-	OutlierSigma float64
 	// Bootstraps and CPConfidence configure CUSUM+bootstrap change point
 	// detection (defaults 200 and 0.95).
 	Bootstraps   int
@@ -67,47 +54,6 @@ type Config struct {
 	// already seen — it must span several workload burst cycles or a burst
 	// after a calm stretch reads as abnormal).
 	RingCapacity int
-	// SelfCalibration scales the recent-history prediction-error
-	// percentile that augments the FFT expected error: a metric whose
-	// model was already erring badly before the look-back window gets a
-	// proportionally higher selection bar (default 2.0).
-	SelfCalibration float64
-	// ContextMaxFactor scales the largest prediction error seen in the
-	// pre-window context into a selection floor: a change whose error
-	// stays below the error ceiling the model already exhibited on this
-	// metric matches fluctuation that was "seen before" (the paper's
-	// predictability intuition) and is not abnormal (default 1.05).
-	ContextMaxFactor float64
-	// SelectionMargin is the factor by which the prediction error must
-	// exceed the expected error for a change point to be selected; it
-	// suppresses threshold-kissing selections on ordinary workload
-	// fluctuations (default 1.3).
-	SelectionMargin float64
-	// MagnitudeFactor admits a change point whose mean-shift magnitude
-	// exceeds MagnitudeFactor × the FFT expected error even when its
-	// per-step prediction error does not, provided the shift persists to
-	// the end of the window: gradual manifestations (memory leaks,
-	// bottleneck queue growth) move the metric far beyond anything the
-	// model predicted while keeping each one-second step small, whereas a
-	// transient workload burst has reverted by the time the anomaly is
-	// analyzed (default 2.5).
-	MagnitudeFactor float64
-	// PersistFraction is the fraction of the mean shift that must remain
-	// at the window's final sample for the magnitude bypass to apply
-	// (default 0.8).
-	PersistFraction float64
-	// EscapeDwell is the number of trailing seconds the (smoothed) metric
-	// must dwell above its historical 99th percentile for the range-escape
-	// selection path to fire. Workload bursts visit extreme levels only
-	// briefly; a fault that pins a metric at a level the model almost
-	// never saw, for several times any burst duration, is abnormal even
-	// when each one-second step looks unremarkable (default 10).
-	EscapeDwell int
-	// ValueStdFactor additionally requires the bypassing shift to exceed
-	// ValueStdFactor × the metric's historical value variability, so that
-	// ordinary periodic swings (whose low-frequency energy the burst
-	// signal deliberately excludes) never qualify (default 1.4).
-	ValueStdFactor float64
 
 	// MinRelMagnitude, when positive, discards candidate change points whose
 	// mean-shift magnitude is below MinRelMagnitude × the metric's mean
@@ -153,22 +99,8 @@ type Config struct {
 	// yields no abnormal component at all despite a confirmed SLO
 	// violation, the manifestation is slower than the window (the Hadoop
 	// DiskHog case) and the analysis retries with progressively longer
-	// windows up to MaxLookBack.
+	// windows up to maxLookBack.
 	AdaptiveLookBack bool
-	// MaxLookBack bounds the adaptive growth (default 500, the paper's
-	// largest evaluated window).
-	MaxLookBack int
-
-	// ValidationScale is the resource scale-up factor applied during
-	// online validation (default 3).
-	ValidationScale float64
-	// ValidationObserve is how long (seconds) validation watches the SLO
-	// after scaling (default 30, matching Table II's ~30 s per component).
-	ValidationObserve int
-	// ValidationSignificance is the minimum relative improvement of the
-	// SLO metric (vs the unscaled control trial) that scaling a culprit
-	// alone must achieve for the culprit to be confirmed (default 0.25).
-	ValidationSignificance float64
 
 	// ReorderWindow is how many seconds the ingest sanitizer buffers
 	// samples to reabsorb out-of-order delivery before releasing them to
@@ -186,9 +118,6 @@ type Config struct {
 	// The default is deliberately generous: genuine fault signatures are a
 	// few sigma and must pass untouched.
 	ClampSigma float64
-	// ClampMinSamples is how many samples the clamp needs before engaging
-	// (default 64).
-	ClampMinSamples int
 
 	// QuarantineCooldown is how long a metric stream whose selection
 	// kernel panicked stays quarantined (skipped with a quality flag)
@@ -234,20 +163,8 @@ func (c Config) withDefaults() Config {
 	if c.BurstWindow <= 0 {
 		c.BurstWindow = 20
 	}
-	if c.TopFreqFrac <= 0 || c.TopFreqFrac > 1 {
-		c.TopFreqFrac = 0.9
-	}
-	if c.BurstPercentile <= 0 || c.BurstPercentile > 100 {
-		c.BurstPercentile = 90
-	}
-	if c.TangentTol <= 0 {
-		c.TangentTol = 0.1
-	}
 	if c.SmoothWindow <= 0 {
 		c.SmoothWindow = 5
-	}
-	if c.OutlierSigma <= 0 {
-		c.OutlierSigma = 1.5
 	}
 	if c.Bootstraps <= 0 {
 		c.Bootstraps = 200
@@ -264,44 +181,8 @@ func (c Config) withDefaults() Config {
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = c.LookBack + 2*c.BurstWindow + 1300
 	}
-	if c.SelfCalibration <= 0 {
-		c.SelfCalibration = 2.0
-	}
-	if c.ContextMaxFactor <= 0 {
-		c.ContextMaxFactor = 1.05
-	}
-	if c.SelectionMargin <= 0 {
-		c.SelectionMargin = 1.3
-	}
-	if c.MagnitudeFactor <= 0 {
-		c.MagnitudeFactor = 2.5
-	}
-	if c.PersistFraction <= 0 {
-		c.PersistFraction = 0.8
-	}
-	if c.ValueStdFactor <= 0 {
-		c.ValueStdFactor = 1.4
-	}
-	if c.EscapeDwell <= 0 {
-		c.EscapeDwell = 10
-	}
 	if c.ExternalSpread <= 0 {
 		c.ExternalSpread = 6
-	}
-	if c.MaxLookBack <= 0 {
-		c.MaxLookBack = 500
-	}
-	if c.MaxLookBack < c.LookBack {
-		c.MaxLookBack = c.LookBack
-	}
-	if c.ValidationScale <= 0 {
-		c.ValidationScale = 3
-	}
-	if c.ValidationObserve <= 0 {
-		c.ValidationObserve = 30
-	}
-	if c.ValidationSignificance <= 0 {
-		c.ValidationSignificance = 0.25
 	}
 	if c.ReorderWindow == 0 {
 		c.ReorderWindow = ingest.DefaultReorderWindow
@@ -311,9 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClampSigma == 0 {
 		c.ClampSigma = ingest.DefaultClampSigma
-	}
-	if c.ClampMinSamples == 0 {
-		c.ClampMinSamples = ingest.DefaultClampMinSamples
 	}
 	if c.QuarantineCooldown <= 0 {
 		c.QuarantineCooldown = defaultQuarantineCooldown
@@ -336,9 +214,8 @@ func (c Config) workers() int {
 // ingestConfig maps the data-quality knobs onto the sanitizer's own config.
 func (c Config) ingestConfig() ingest.Config {
 	return ingest.Config{
-		ReorderWindow:   c.ReorderWindow,
-		MaxFillGap:      c.MaxFillGap,
-		ClampSigma:      c.ClampSigma,
-		ClampMinSamples: c.ClampMinSamples,
+		ReorderWindow: c.ReorderWindow,
+		MaxFillGap:    c.MaxFillGap,
+		ClampSigma:    c.ClampSigma,
 	}
 }

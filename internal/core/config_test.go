@@ -14,17 +14,17 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.BurstWindow != 20 {
 		t.Errorf("BurstWindow = %d, want 20", cfg.BurstWindow)
 	}
-	if cfg.TopFreqFrac != 0.9 {
-		t.Errorf("TopFreqFrac = %v, want 0.9", cfg.TopFreqFrac)
+	if topFreqFrac != 0.9 {
+		t.Errorf("topFreqFrac = %v, want 0.9", topFreqFrac)
 	}
-	if cfg.BurstPercentile != 90 {
-		t.Errorf("BurstPercentile = %v, want 90", cfg.BurstPercentile)
+	if burstPercentile != 90 {
+		t.Errorf("burstPercentile = %v, want 90", burstPercentile)
 	}
-	if cfg.TangentTol != 0.1 {
-		t.Errorf("TangentTol = %v, want 0.1", cfg.TangentTol)
+	if tangentTol != 0.1 {
+		t.Errorf("tangentTol = %v, want 0.1", tangentTol)
 	}
-	if cfg.ValidationObserve != 30 {
-		t.Errorf("ValidationObserve = %d, want 30 (Table II)", cfg.ValidationObserve)
+	if ValidationObserve != 30 {
+		t.Errorf("ValidationObserve = %d, want 30 (Table II)", ValidationObserve)
 	}
 }
 
@@ -50,9 +50,6 @@ func TestConfigOverridesPreserved(t *testing.T) {
 	if cfg.FixedThreshold != 2.5 || !cfg.AdaptiveLookBack || !cfg.DisableRollback {
 		t.Error("feature flags overwritten by defaults")
 	}
-	if cfg.MaxLookBack < cfg.LookBack {
-		t.Errorf("MaxLookBack %d < LookBack %d", cfg.MaxLookBack, cfg.LookBack)
-	}
 	if cfg.RingCapacity < cfg.LookBack+2*cfg.BurstWindow {
 		t.Errorf("RingCapacity %d cannot cover the look-back window", cfg.RingCapacity)
 	}
@@ -62,7 +59,7 @@ func TestRingCapacityCoversMaxLookBack(t *testing.T) {
 	// With the adaptive scheme enabled, the slave must retain enough
 	// history for the widest retry window.
 	cfg := Config{AdaptiveLookBack: true}.withDefaults()
-	if cfg.RingCapacity < cfg.MaxLookBack+2*cfg.BurstWindow {
-		t.Errorf("RingCapacity %d cannot cover MaxLookBack %d", cfg.RingCapacity, cfg.MaxLookBack)
+	if maxLookBack := max(500, cfg.LookBack); cfg.RingCapacity < maxLookBack+2*cfg.BurstWindow {
+		t.Errorf("RingCapacity %d cannot cover the widest retry window %d", cfg.RingCapacity, maxLookBack)
 	}
 }

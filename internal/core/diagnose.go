@@ -321,7 +321,7 @@ func (l *Localizer) analyzeAll(dst []ComponentReport, tv int64, cfg Config, tr *
 // graph (which may be nil).
 //
 // With cfg.AdaptiveLookBack set and an empty first-pass chain, the analysis
-// retries with progressively longer windows (up to cfg.MaxLookBack): a
+// retries with progressively longer windows (up to 500 s): a
 // confirmed SLO violation with no abnormal change inside the window means
 // the manifestation is slower than the window covers — the paper's Hadoop
 // DiskHog situation, for which it manually switches from W=100 to W=500
@@ -362,11 +362,11 @@ func (l *Localizer) localize(tv int64, deps *depgraph.Graph, tr *obs.Trace, pare
 	if !l.cfg.AdaptiveLookBack || len(diag.Chain) > 0 {
 		return diag, stats
 	}
-	for w := l.cfg.LookBack * 3; w <= l.cfg.MaxLookBack*3; w *= 3 {
-		window := w
-		if window > l.cfg.MaxLookBack {
-			window = l.cfg.MaxLookBack
-		}
+	// The adaptive growth stops at 500 s, the paper's largest evaluated
+	// window, or at the configured window when that is already longer.
+	maxLookBack := max(500, l.cfg.LookBack)
+	for w := l.cfg.LookBack * 3; w <= maxLookBack*3; w *= 3 {
+		window := min(w, maxLookBack)
 		wide := l.cfg
 		wide.LookBack = window
 		// Ring capacity stays as provisioned; monitors retain
@@ -375,7 +375,7 @@ func (l *Localizer) localize(tv int64, deps *depgraph.Graph, tr *obs.Trace, pare
 		reports, st := l.analyzeAll(nil, tv, wide, tr, parent)
 		stats.Merge(st)
 		diag = l.diagnoseTraced(reports, deps, wide, &stats, tr, parent)
-		if len(diag.Chain) > 0 || window == l.cfg.MaxLookBack {
+		if len(diag.Chain) > 0 || window == maxLookBack {
 			return diag, stats
 		}
 	}

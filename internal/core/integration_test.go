@@ -241,7 +241,7 @@ func TestEndToEndValidationRemovesFalseAlarm(t *testing.T) {
 		Metrics:   []metric.Kind{metric.CPU},
 		Reason:    "concurrent",
 	})
-	results, err := Validate(func() (Adjuster, error) { return sim.Clone(), nil }, diag, DefaultConfig())
+	results, err := Validate(func() (Adjuster, error) { return sim.Clone(), nil }, diag)
 	if err != nil {
 		t.Fatal(err)
 	}

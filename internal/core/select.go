@@ -111,7 +111,7 @@ func (r ComponentReport) AbnormalMetrics() []metric.Kind {
 //  3. keep magnitude outliers (PAL-style filter);
 //  4. keep only outliers whose online prediction error exceeds the
 //     burstiness-adaptive expected error (FFT burst extraction around the
-//     point with window Q, top TopFreqFrac frequencies, BurstPercentile of
+//     point with window Q, top topFreqFrac frequencies, burstPercentile of
 //     the burst magnitude);
 //  5. roll the selected point back to the manifestation onset by comparing
 //     tangents of adjacent change points.
@@ -300,6 +300,63 @@ func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *o
 	return ch, ok, metricOK
 }
 
+// Selection constants (paper §III-A and the filters layered on it).
+const (
+	// topFreqFrac is the fraction of the frequency spectrum treated as
+	// high frequencies when synthesizing the burst signal.
+	topFreqFrac = 0.9
+	// burstPercentile is the percentile of the burst magnitude used as the
+	// expected prediction error.
+	burstPercentile = 90
+	// tangentTol is the relative tangent difference below which adjacent
+	// change points are considered part of the same manifestation during
+	// rollback.
+	tangentTol = 0.1
+	// outlierSigma is the magnitude-outlier threshold in standard
+	// deviations for PAL-style filtering.
+	outlierSigma = 1.5
+	// selfCalibration scales the recent-history prediction-error
+	// percentile that augments the FFT expected error: a metric whose
+	// model was already erring badly before the look-back window gets a
+	// proportionally higher selection bar.
+	selfCalibration = 2.0
+	// contextMaxFactor scales the largest prediction error seen in the
+	// pre-window context into a selection floor: a change whose error
+	// stays below the error ceiling the model already exhibited on this
+	// metric matches fluctuation that was "seen before" (the paper's
+	// predictability intuition) and is not abnormal.
+	contextMaxFactor = 1.05
+	// selectionMargin is the factor by which the prediction error must
+	// exceed the expected error for a change point to be selected; it
+	// suppresses threshold-kissing selections on ordinary workload
+	// fluctuations.
+	selectionMargin = 1.3
+	// magnitudeFactor admits a change point whose mean-shift magnitude
+	// exceeds magnitudeFactor × the FFT expected error even when its
+	// per-step prediction error does not, provided the shift persists to
+	// the end of the window: gradual manifestations (memory leaks,
+	// bottleneck queue growth) move the metric far beyond anything the
+	// model predicted while keeping each one-second step small, whereas a
+	// transient workload burst has reverted by the time the anomaly is
+	// analyzed.
+	magnitudeFactor = 2.5
+	// persistFraction is the fraction of the mean shift that must remain
+	// at the window's final sample for the magnitude bypass to apply.
+	persistFraction = 0.8
+	// escapeDwell is the number of trailing seconds the (smoothed) metric
+	// must dwell above its historical 99th percentile for the range-escape
+	// selection path to fire. Workload bursts visit extreme levels only
+	// briefly; a fault that pins a metric at a level the model almost
+	// never saw, for several times any burst duration, is abnormal even
+	// when each one-second step looks unremarkable.
+	escapeDwell = 10
+	// valueStdFactor additionally requires the bypassing shift to exceed
+	// valueStdFactor × the metric's historical value variability, so that
+	// ordinary periodic swings (whose low-frequency energy the burst
+	// signal deliberately excludes) never qualify.
+	valueStdFactor = 1.4
+)
+
 // selectMetric is the abnormal change point selection kernel behind
 // analyzeMetric. All working memory comes from the caller's arena, so a
 // warmed-up analysis allocates nothing; the monitor's shard lock is held only
@@ -363,7 +420,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		}
 		return AbnormalChange{}, false
 	}
-	outliers := a.cp.SelectOutliers(points, cfg.OutlierSigma)
+	outliers := a.cp.SelectOutliers(points, outlierSigma)
 	if tr != nil {
 		tr.AttrInt(det, "points", int64(len(points)))
 		tr.AttrInt(det, "outliers", int64(len(outliers)))
@@ -424,7 +481,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		// the first one that needs them.
 		if !haveCtx {
 			ctxSeries := se.ViewRange(se.Start(), lookbackStart)
-			ctx = contextStatsOf(cvSeries.ValuesView(), ctxSeries.ValuesView(), smoothed, &facts, cfg, a)
+			ctx = contextStatsOf(cvSeries.ValuesView(), ctxSeries.ValuesView(), smoothed, &facts, a)
 			haveCtx = true
 		}
 		pe := predictionErrorNear(&errsSeries, p.Index)
@@ -452,21 +509,21 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		// (gradual manifestations: leaks, queue growth). Transient bursts
 		// fail the persistence check — they have reverted by analysis
 		// time.
-		persists := shiftPersists(smoothed, p, cfg.PersistFraction)
+		persists := shiftPersists(smoothed, p, persistFraction)
 		bypass := persists &&
-			p.Magnitude > cfg.MagnitudeFactor*fftExp &&
-			p.Magnitude > cfg.ValueStdFactor*ctx.valueStd
+			p.Magnitude > magnitudeFactor*fftExp &&
+			p.Magnitude > valueStdFactor*ctx.valueStd
 		// Range escape: the change pinned the metric beyond its historical
 		// 1st/99th percentile for far longer than any workload burst.
 		escaped := persists &&
-			((ctx.dwellHigh >= cfg.EscapeDwell && p.After > ctx.p99 && p.Index >= len(smoothed)-ctx.dwellHigh-5) ||
-				(ctx.dwellLow >= cfg.EscapeDwell && p.After < ctx.p1 && p.Index >= len(smoothed)-ctx.dwellLow-5))
+			((ctx.dwellHigh >= escapeDwell && p.After > ctx.p99 && p.Index >= len(smoothed)-ctx.dwellHigh-5) ||
+				(ctx.dwellLow >= escapeDwell && p.After < ctx.p1 && p.Index >= len(smoothed)-ctx.dwellLow-5))
 		if cfg.FixedThreshold > 0 {
 			// The Fixed-Filtering baseline is *only* the fixed prediction
 			// error comparison — no adaptive paths.
 			bypass, escaped = false, false
 		}
-		if pe <= cfg.SelectionMargin*exp && !bypass && !escaped {
+		if pe <= selectionMargin*exp && !bypass && !escaped {
 			if tr != nil {
 				tr.Attr(flt, "cand:"+strconv.FormatInt(t, 10), "predictable")
 			}
@@ -474,7 +531,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		}
 		if tr != nil {
 			reason := "pred-err"
-			if pe <= cfg.SelectionMargin*exp {
+			if pe <= selectionMargin*exp {
 				if bypass {
 					reason = "bypass"
 				} else {
@@ -518,7 +575,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 	}
 	onsetIdx := selected.Index
 	if !cfg.DisableRollback {
-		onsetIdx = changepoint.RollbackOnset(smoothed, points, abnormalPos, cfg.TangentTol)
+		onsetIdx = changepoint.RollbackOnset(smoothed, points, abnormalPos, tangentTol)
 		onsetIdx = refineSharpOnset(raw, onsetIdx, selected.Index, selected.Magnitude, smoothWindow)
 	}
 	onset := vals.TimeAt(onsetIdx)
@@ -562,7 +619,7 @@ type contextStats struct {
 // prediction errors errs and the smoothed analysis window. With warm
 // streaming facts the percentiles are O(1) reads of the sorted multisets:
 // same multiset, same interpolation, same bits as the selection.
-func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, cfg Config, a *arena) contextStats {
+func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, a *arena) contextStats {
 	// Self-calibration: all retained history before the look-back window
 	// characterizes how predictable this metric was before the anomaly
 	// manifested. A metric whose model already erred badly (inherently
@@ -588,17 +645,17 @@ func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, cfg Config
 	}
 	if len(errs) >= 8 {
 		if facts.fast {
-			cs.floor = cfg.SelfCalibration * facts.p90
-			if f := cfg.ContextMaxFactor * facts.maxE; f > cs.floor {
+			cs.floor = selfCalibration * facts.p90
+			if f := contextMaxFactor * facts.maxE; f > cs.floor {
 				cs.floor = f
 			}
 		} else {
 			p90, err := timeseries.PercentileScratch(errs, 90, &a.pctile)
 			if err == nil {
-				cs.floor = cfg.SelfCalibration * p90
+				cs.floor = selfCalibration * p90
 			}
 			if _, hi, err := timeseries.MinMax(errs); err == nil {
-				if f := cfg.ContextMaxFactor * hi; f > cs.floor {
+				if f := contextMaxFactor * hi; f > cs.floor {
 					cs.floor = f
 				}
 			}
@@ -727,7 +784,7 @@ func predictionErrorNear(errs *timeseries.Series, idx int) float64 {
 func expectedErrorAt(raw []float64, idx int, cfg Config, a *arena) (float64, error) {
 	lo, hi := burstBounds(idx, len(raw), cfg)
 	a.detrend = detrendInto(a.detrend, raw[lo:hi])
-	return fftpkg.ExpectedError(a.detrend, cfg.TopFreqFrac, cfg.BurstPercentile)
+	return fftpkg.ExpectedError(a.detrend, topFreqFrac, burstPercentile)
 }
 
 // burstBounds returns the [lo, hi) slice of the raw window that
@@ -792,10 +849,10 @@ func detrendInto(dst, vals []float64) []float64 {
 
 // ExpectedErrorForWindow exposes the burstiness-adaptive expected
 // prediction error computation for a standalone window — the quantity
-// plotted in the paper's Fig. 4.
-func ExpectedErrorForWindow(window []float64, cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
-	return fftpkg.ExpectedError(detrend(window), cfg.TopFreqFrac, cfg.BurstPercentile)
+// plotted in the paper's Fig. 4. Its spectral parameters are the package
+// constants topFreqFrac and burstPercentile, so no Config field affects it.
+func ExpectedErrorForWindow(window []float64, _ Config) (float64, error) {
+	return fftpkg.ExpectedError(detrend(window), topFreqFrac, burstPercentile)
 }
 
 // meanAbs is the mean absolute value of vals (0 for an empty slice) — the

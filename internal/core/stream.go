@@ -40,14 +40,11 @@ import (
 // never depends on the state being warm.
 
 // fftKey identifies one burst-window ExpectedError computation: the window's
-// absolute start time and length plus the spectral parameters. Positions map
-// stably to times only while the ring is dense; streamState.dense gates the
-// memo accordingly.
+// absolute start time and length. Positions map stably to times only while
+// the ring is dense; streamState.dense gates the memo accordingly.
 type fftKey struct {
 	start int64
 	n     int
-	frac  float64
-	pct   float64
 }
 
 // maxFFTMemo bounds the per-metric FFT memo; at 10k components × 6 metrics a
@@ -318,7 +315,7 @@ func (m *Monitor) expectedErrorCached(k metric.Kind, raw []float64, idx int, bas
 		return expectedErrorAt(raw, idx, cfg, a)
 	}
 	lo, hi := burstBounds(idx, len(raw), cfg)
-	key := fftKey{start: baseTime + int64(lo), n: hi - lo, frac: cfg.TopFreqFrac, pct: cfg.BurstPercentile}
+	key := fftKey{start: baseTime + int64(lo), n: hi - lo}
 	if v, ok := st.fft[key]; ok {
 		sh.mu.Unlock()
 		return v, nil

@@ -38,6 +38,20 @@ type ValidationResult struct {
 	Inconclusive bool `json:"inconclusive,omitempty"`
 }
 
+const (
+	// validationScale is the resource scale-up factor applied during online
+	// validation.
+	validationScale = 3
+	// validationSignificance is the minimum relative improvement of the SLO
+	// metric (vs the unscaled control trial) that scaling a culprit alone
+	// must achieve for the culprit to be confirmed.
+	validationSignificance = 0.25
+)
+
+// ValidationObserve is how long (seconds) each validation trial watches the
+// SLO after scaling, matching Table II's ~30 s per validated component.
+const ValidationObserve = 30
+
 // Validate runs online pinpointing validation on the diagnosis, following
 // the paper's recipe ("adjust those metrics on the faulty components ...
 // observing the resource adjustment impact to the application's SLO
@@ -51,12 +65,12 @@ type ValidationResult struct {
 //  1. Control trial (nothing scaled) and full trial (every pinpointed
 //     culprit scaled) bracket the achievable SLO range.
 //  2. Solo trials: scale only one culprit. A culprit whose solo relief
-//     improves the SLO by at least cfg.ValidationSignificance relative to
+//     improves the SLO by at least validationSignificance relative to
 //     the control is confirmed (parallel concurrent faults each improve
 //     the SLO partially on their own).
 //  3. Leave-one-out trials: scale every culprit but one. When the full
 //     trial improves the SLO, a culprit whose omission gives back at least
-//     cfg.ValidationSignificance of that improvement is confirmed (serial
+//     validationSignificance of that improvement is confirmed (serial
 //     concurrent faults on one path improve nothing solo, but their
 //     omission breaks the joint recovery).
 //
@@ -67,10 +81,9 @@ type ValidationResult struct {
 //
 // Each trial needs a fresh system from mk (in simulation, a clone; in
 // production, the live system with later rollback) and costs
-// cfg.ValidationObserve observed seconds, matching the paper's ~30 s per
+// ValidationObserve observed seconds, matching the paper's ~30 s per
 // validated component (Table II).
-func Validate(mk func() (Adjuster, error), diag Diagnosis, cfg Config) ([]ValidationResult, error) {
-	cfg = cfg.withDefaults()
+func Validate(mk func() (Adjuster, error), diag Diagnosis) ([]ValidationResult, error) {
 	if len(diag.Culprits) == 0 {
 		return nil, nil
 	}
@@ -90,17 +103,17 @@ func Validate(mk func() (Adjuster, error), diag Diagnosis, cfg Config) ([]Valida
 			// strongest intervention the trial can make. (NetOut and
 			// DiskWrite share hardware with NetIn and DiskRead.)
 			for _, k := range []metric.Kind{metric.CPU, metric.Memory, metric.NetIn, metric.DiskRead} {
-				if err := sys.ScaleResource(c.Component, k, cfg.ValidationScale); err != nil {
+				if err := sys.ScaleResource(c.Component, k, validationScale); err != nil {
 					return 0, fmt.Errorf("core: scale %s/%s: %w", c.Component, k, err)
 				}
 			}
 		}
 		start := sys.Now()
-		end := start + int64(cfg.ValidationObserve)
+		end := start + int64(ValidationObserve)
 		sys.RunUntil(end)
 		// Allow a settling margin: queues built before scaling take a few
 		// seconds to react even when the right component is relieved.
-		settle := start + int64(cfg.ValidationObserve)/3
+		settle := start + int64(ValidationObserve)/3
 		return sys.SLOMetric(settle, end), nil
 	}
 
@@ -123,19 +136,19 @@ func Validate(mk func() (Adjuster, error), diag Diagnosis, cfg Config) ([]Valida
 		return nil, err
 	}
 	fullGain := control - full
-	fullImproves := fullGain/control >= cfg.ValidationSignificance
+	fullImproves := fullGain/control >= validationSignificance
 	for i, c := range diag.Culprits {
 		solo, err := trial(func(j int) bool { return j == i })
 		if err != nil {
 			return nil, err
 		}
-		confirmed := (control-solo)/control >= cfg.ValidationSignificance
+		confirmed := (control-solo)/control >= validationSignificance
 		if !confirmed && fullImproves && len(diag.Culprits) > 1 {
 			loo, err := trial(func(j int) bool { return j != i })
 			if err != nil {
 				return nil, err
 			}
-			confirmed = (loo - full) >= cfg.ValidationSignificance*fullGain
+			confirmed = (loo - full) >= validationSignificance*fullGain
 		}
 		results = append(results, ValidationResult{
 			Culprit:   c,

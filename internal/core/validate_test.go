@@ -65,7 +65,7 @@ func TestValidateConfirmsTrueRejectsFalse(t *testing.T) {
 		Culprit{Component: "db", Metrics: []metric.Kind{metric.CPU}},
 		Culprit{Component: "web", Metrics: []metric.Kind{metric.CPU}},
 	)
-	results, err := Validate(mkFactory("db"), diag, DefaultConfig())
+	results, err := Validate(mkFactory("db"), diag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestValidateConcurrentCulprits(t *testing.T) {
 	// the violation, but each yields a measurable partial improvement over
 	// the control, so both confirm.
 	diag := diagWith(Culprit{Component: "pe3"}, Culprit{Component: "pe5"})
-	results, err := Validate(mkFactory("pe3", "pe5"), diag, DefaultConfig())
+	results, err := Validate(mkFactory("pe3", "pe5"), diag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestValidateSubstitutionErrorRemoved(t *testing.T) {
 	// such a trial is already zero — validation cannot repair it, only
 	// clean up the false alarms (paper §III-D).
 	diag := diagWith(Culprit{Component: "web"}, Culprit{Component: "app1"})
-	results, err := Validate(mkFactory("db"), diag, DefaultConfig())
+	results, err := Validate(mkFactory("db"), diag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestValidateInconclusiveWithoutViolationPressure(t *testing.T) {
 	// No true culprits at all: the control trial measures no violation
 	// pressure, so validation keeps everything rather than judging noise.
 	diag := diagWith(Culprit{Component: "web"})
-	results, err := Validate(mkFactory(), diag, DefaultConfig())
+	results, err := Validate(mkFactory(), diag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +145,16 @@ func TestValidatePropagatesErrors(t *testing.T) {
 	fa := newFakeAdjuster("db")
 	fa.scaleErr = errors.New("hypervisor unavailable")
 	diag := diagWith(Culprit{Component: "db", Metrics: []metric.Kind{metric.CPU}})
-	if _, err := Validate(func() (Adjuster, error) { return fa, nil }, diag, DefaultConfig()); err == nil {
+	if _, err := Validate(func() (Adjuster, error) { return fa, nil }, diag); err == nil {
 		t.Error("scale errors must surface")
 	}
-	if _, err := Validate(func() (Adjuster, error) { return nil, errors.New("no clone") }, diag, DefaultConfig()); err == nil {
+	if _, err := Validate(func() (Adjuster, error) { return nil, errors.New("no clone") }, diag); err == nil {
 		t.Error("trial factory errors must surface")
 	}
 }
 
 func TestValidateEmptyDiagnosis(t *testing.T) {
-	results, err := Validate(mkFactory("x"), Diagnosis{}, DefaultConfig())
+	results, err := Validate(mkFactory("x"), Diagnosis{})
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty diagnosis: results=%v err=%v", results, err)
 	}

@@ -530,8 +530,8 @@ func Table2() (string, error) {
 	fmt.Fprintf(&sb, "  integrated fault diagnosis (per invocation):       %v\n", diagnosis)
 
 	// Online validation: dominated by the SLO observation window
-	// (ValidationObserve simulated seconds per component).
-	fmt.Fprintf(&sb, "  online validation (per component):                 %d simulated seconds\n", cfg.ValidationObserve)
+	// (core.ValidationObserve simulated seconds per component).
+	fmt.Fprintf(&sb, "  online validation (per component):                 %d simulated seconds\n", core.ValidationObserve)
 
 	// Slave memory footprint (paper: ~3 MB per daemon): two rings of
 	// RingCapacity float64 values (timestamps are kept as runs, not per slot)
