@@ -19,8 +19,10 @@ import (
 
 // TestKnobInventory pins the configuration surface in testdata/knobs.txt:
 // every flag each binary under cmd/ declares, every exported With* option
-// of internal/cluster, and every exported field of core.Config and
-// cluster.ServiceConfig, followed by per-kind totals. Adding or removing a
+// of internal/cluster and of the fchain facade (which mirrors cluster's by
+// hand, so the two lists side by side show any drift), and every exported
+// field of core.Config and cluster.ServiceConfig, followed by per-kind
+// totals. Adding or removing a
 // knob fails the test until `go test . -run TestKnobInventory -update`
 // regenerates the file, so the file's history is the surface's history.
 func TestKnobInventory(t *testing.T) {
@@ -87,19 +89,20 @@ func TestKnobInventory(t *testing.T) {
 	}
 
 	type decls struct {
-		dir     string
-		options bool     // list exported With* functions
-		structs []string // list these types' exported fields
+		dir, pkg string
+		options  bool     // list exported With* functions
+		structs  []string // list these types' exported fields
 	}
 	for _, d := range []decls{
-		{dir: "internal/core", structs: []string{"Config"}},
-		{dir: "internal/cluster", options: true, structs: []string{"ServiceConfig"}},
+		{dir: ".", pkg: "fchain", options: true},
+		{dir: "internal/core", pkg: "core", structs: []string{"Config"}},
+		{dir: "internal/cluster", pkg: "cluster", options: true, structs: []string{"ServiceConfig"}},
 	} {
 		files, err := filepath.Glob(filepath.Join(d.dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg := filepath.Base(d.dir)
+		pkg := d.pkg
 		for _, path := range files {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
