@@ -190,12 +190,6 @@ func (l *Localizer) AnalyzeInto(dst []ComponentReport, tv int64) []ComponentRepo
 	return l.inner.AnalyzeInto(dst, tv)
 }
 
-// AnalyzeStats is Analyze also returning the analysis engine's worker-pool
-// shape and per-phase latency histograms.
-func (l *Localizer) AnalyzeStats(tv int64) ([]ComponentReport, PoolStats) {
-	return l.inner.AnalyzeStats(tv)
-}
-
 // StreamingStats is the aggregated telemetry of the streaming selection
 // engine (Config.Streaming): live stream count, resident state bytes, warm
 // streams whose accumulator already sees a confident change, and the cold
@@ -214,12 +208,6 @@ func (l *Localizer) Localize(tv int64, deps *DependencyGraph) Diagnosis {
 	return l.inner.Localize(tv, deps)
 }
 
-// LocalizeStats is Localize also returning the analysis engine's timing
-// counters (selection task latencies plus per-pass diagnosis latency).
-func (l *Localizer) LocalizeStats(tv int64, deps *DependencyGraph) (Diagnosis, PoolStats) {
-	return l.inner.LocalizeStats(tv, deps)
-}
-
 // Trace is the span tree recorded for one traced localization: per-phase
 // spans (analyze, diagnose) over per-component spans over per-metric
 // selection spans, each carrying the evidence behind the verdict (candidate
@@ -230,10 +218,12 @@ type Trace = obs.Trace
 // Span is one timed operation inside a Trace.
 type Span = obs.Span
 
-// LocalizeTraced is LocalizeStats also recording the full evidence trace:
-// why each (component, metric) pair was or was not selected, and how the
-// propagation chain was assembled. The span tree is deterministic — it is
-// bit-identical (after Normalize) at any Config.Parallelism.
+// LocalizeTraced is Localize also returning the analysis engine's timing
+// counters (selection task latencies plus per-pass diagnosis latency) and
+// recording the full evidence trace: why each (component, metric) pair was
+// or was not selected, and how the propagation chain was assembled. The
+// span tree is deterministic — it is bit-identical (after Normalize) at any
+// Config.Parallelism.
 func (l *Localizer) LocalizeTraced(tv int64, deps *DependencyGraph) (Diagnosis, PoolStats, *Trace) {
 	return l.inner.LocalizeTraced(tv, deps)
 }
@@ -361,28 +351,12 @@ type OverloadedError = cluster.OverloadedError
 // component's model state with it.
 func WithSharding(vnodes int) MasterOption { return cluster.WithSharding(vnodes) }
 
-// WithHandoffTimeout bounds how long a rebalance waits without progress —
-// for an assignment ack, or for one more moving component's state to land on
-// its new owner (default 5s); a component whose transfer stalls falls back to
-// a cold start there.
-func WithHandoffTimeout(d time.Duration) MasterOption { return cluster.WithHandoffTimeout(d) }
-
-// WithAutoRebalance toggles automatic rebalancing on membership change
-// (default on when sharding is enabled); off, placement changes only when
-// Rebalance is called.
-func WithAutoRebalance(on bool) MasterOption { return cluster.WithAutoRebalance(on) }
-
 // WithStandby gives every placed component a warm standby owner (sharded
 // mode only): the ring assigns a second, distinct slave per component,
 // primaries stream state deltas to it (enable WithReplication on the
 // slaves), and when a primary dies rebalancing promotes the caught-up
 // standby in place — no checkpoint read, no handoff round-trip.
 func WithStandby(on bool) MasterOption { return cluster.WithStandby(on) }
-
-// WithReplMaxLag bounds how stale a standby may be and still be promoted
-// warm: a standby whose last clean replication tick is older than d falls
-// back to a cold start instead (<= 0, the default, disables the bound).
-func WithReplMaxLag(d time.Duration) MasterOption { return cluster.WithReplMaxLag(d) }
 
 // Aggregator is the optional middle tier of the master/slave topology: it
 // registers with the master as the upstream of a slave subtree, fans the

@@ -9,7 +9,6 @@ import (
 	"net"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -916,7 +915,8 @@ func (m *Master) fanOut(ctx context.Context, p *localizePlan) <-chan slaveAnswer
 }
 
 // normalize folds the gathered answers into the result: coverage and error
-// accounting, one ask span per slave, the breaker charge for every ask that
+// accounting, one ask span per slave (an answered one timed from its
+// fan-out to its answer), the breaker charge for every ask that
 // failed or was given up on, and each report filtered to its component's
 // owner.
 func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Trace, root int, res *core.LocalizeResult) []core.ComponentReport {
@@ -945,7 +945,9 @@ func (m *Master) normalize(p *localizePlan, collected []slaveAnswer, tr *obs.Tra
 			continue
 		}
 		tr.AttrInt(ask, "reports", int64(len(a.reports)))
-		tr.End(ask)
+		// The span is opened only now, after gather; it covers the ask's
+		// own measured interval instead.
+		tr.SetInterval(ask, a.start, time.Duration(a.waitNS))
 		res.SlavesAnswered++
 		res.Stats.Select.Observe(a.waitNS)
 		m.obs.Registry().Histogram("fchain_slave_answer_latency_ns",
@@ -1007,14 +1009,7 @@ func (m *Master) checkCoverage(p *localizePlan, reports int, res *core.LocalizeR
 // diagnose runs the integrated diagnosis over the normalized reports and
 // closes the trace.
 func (m *Master) diagnose(reports []core.ComponentReport, tr *obs.Trace, root int, res *core.LocalizeResult) {
-	dg := tr.Start(root, "diagnose")
-	diagStart := time.Now()
-	res.Diagnosis = core.Diagnose(reports, res.ComponentsKnown, m.deps, m.cfg)
-	res.Stats.Diagnose.Observe(time.Since(diagStart).Nanoseconds())
-	tr.AttrInt(dg, "chain", int64(len(res.Diagnosis.Chain)))
-	tr.Attr(dg, "culprits", strings.Join(res.Diagnosis.CulpritNames(), ","))
-	tr.AttrBool(dg, "external", res.Diagnosis.ExternalFactor)
-	tr.End(dg)
+	res.Diagnosis = core.DiagnosePass(reports, res.ComponentsKnown, m.deps, m.cfg, &res.Stats, tr, root)
 	tr.Attr(root, "verdict", res.Diagnosis.String())
 	tr.AttrBool(root, "degraded", res.Degraded)
 	if res.Truncated {
@@ -1065,12 +1060,14 @@ func (m *Master) instrumentLocalize(tv int64, tenantName, app string, res *core.
 
 // slaveAnswer is one slave's outcome inside a Localize fan-out, whether it
 // arrived directly or through an aggregator (via names the aggregator then).
-// skipped marks an ask refused on this side (open breaker): it never
-// reached the slave, so it says nothing about the slave's health.
+// An answered ask ran from start for waitNS. skipped marks an ask refused on
+// this side (open breaker): it never reached the slave, so it says nothing
+// about the slave's health.
 type slaveAnswer struct {
 	slave   string
 	via     string
 	reports []core.ComponentReport
+	start   time.Time
 	waitNS  int64
 	skipped bool
 	err     error
@@ -1087,7 +1084,7 @@ func (m *Master) askDirect(ctx context.Context, p *localizePlan, sc *slaveConn, 
 	}
 	start := time.Now()
 	env, err := m.askSlave(ctx, p, sc, nil)
-	a := slaveAnswer{slave: sc.name, waitNS: time.Since(start).Nanoseconds(), err: err}
+	a := slaveAnswer{slave: sc.name, start: start, waitNS: time.Since(start).Nanoseconds(), err: err}
 	if err == nil {
 		sc.recordResult(true, m.brThreshold)
 		a.reports = env.Reports
@@ -1131,7 +1128,7 @@ func (m *Master) askSubtree(ctx context.Context, p *localizePlan, agg *slaveConn
 		if wait <= 0 {
 			wait = elapsed
 		}
-		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, waitNS: wait}
+		answers <- slaveAnswer{slave: sc.name, via: agg.name, reports: s.Reports, start: start, waitNS: wait}
 	}
 }
 

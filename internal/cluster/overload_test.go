@@ -166,6 +166,39 @@ func TestQuorumSlowSlaveFaultnet(t *testing.T) {
 	}
 }
 
+// TestAskSpanTimesTheAsk: an answered ask:<slave> span covers the interval
+// the master measured for that ask, from its fan-out to the answer, so a
+// slave that takes 60 ms to answer shows a span at least that long, inside
+// the localize root span.
+func TestAskSpanTimesTheAsk(t *testing.T) {
+	master := NewMaster(core.Config{}, nil)
+	tv := overloadCluster(t, master, nil)
+	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 4 }, "registrations")
+	const slow, delay = "host-" + apps.DB, 60 * time.Millisecond
+	setSlaveAnalyzeHook(func(slave string, _ int64) {
+		if slave == slow {
+			time.Sleep(delay)
+		}
+	})
+	defer setSlaveAnalyzeHook(nil)
+
+	res, err := master.Localize(context.Background(), tv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, ask := res.Trace.Find("localize"), res.Trace.Find("ask:"+slow)
+	if root == nil || ask == nil {
+		t.Fatalf("trace lacks the localize or ask:%s span: %s", slow, res.Trace)
+	}
+	if ask.DurNS < delay.Nanoseconds() {
+		t.Errorf("ask:%s lasted %v, want >= %v (the slave's own delay)", slow, time.Duration(ask.DurNS), delay)
+	}
+	if ask.StartNS < root.StartNS || ask.StartNS+ask.DurNS > root.StartNS+root.DurNS {
+		t.Errorf("ask:%s [%d, +%d] lies outside localize [%d, +%d]",
+			slow, ask.StartNS, ask.DurNS, root.StartNS, root.DurNS)
+	}
+}
+
 // TestQuorumNotMetRefuses: below quorum the master refuses to diagnose
 // instead of shipping a verdict from too thin a view.
 func TestQuorumNotMetRefuses(t *testing.T) {

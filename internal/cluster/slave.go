@@ -1011,17 +1011,8 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 	for i, name := range names {
 		monitors[i] = byName[name]
 	}
-	var (
-		reports []core.ComponentReport
-		stats   core.PoolStats
-	)
-	if s.obs.TraceRing() != nil {
-		var tr *obs.Trace
-		reports, stats, tr = core.AnalyzeMonitorsDeadlineTraced(monitors, tv, lookBack, s.cfg.Parallelism, deadline)
-		s.obs.TraceRing().Add(tr)
-	} else {
-		reports, stats = core.AnalyzeMonitorsDeadline(monitors, tv, lookBack, s.cfg.Parallelism, deadline)
-	}
+	reports, stats, tr := core.AnalyzeMonitorsDeadline(monitors, tv, lookBack, s.cfg.Parallelism, deadline, s.obs.TraceRing() != nil)
+	s.obs.TraceRing().Add(tr)
 	truncated := 0
 	for _, rep := range reports {
 		if rep.Truncated {

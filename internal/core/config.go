@@ -199,16 +199,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// workers resolves the Parallelism knob against the machine: 0 means
+// workerCount resolves a Parallelism value against the machine: 0 means
 // GOMAXPROCS, anything below 1 is clamped to the serial path.
-func (c Config) workers() int {
-	if c.Parallelism == 0 {
+func workerCount(parallelism int) int {
+	if parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if c.Parallelism < 1 {
-		return 1
-	}
-	return c.Parallelism
+	return max(parallelism, 1)
 }
 
 // ingestConfig maps the data-quality knobs onto the sanitizer's own config.

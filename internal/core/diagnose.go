@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -174,24 +175,47 @@ func culpritFrom(r ComponentReport, reason string) Culprit {
 	}
 }
 
+// DiagnosePass runs one integrated-diagnosis pass as a pipeline stage: it
+// times Diagnose into stats.Diagnose and, with a non-nil trace, records a
+// diagnose span under parent carrying the chain length, the culprits and the
+// external-factor verdict. The Localizer and the distributed master both
+// diagnose through it.
+func DiagnosePass(reports []ComponentReport, totalComponents int, deps *depgraph.Graph, cfg Config, stats *PoolStats, tr *obs.Trace, parent int) Diagnosis {
+	dg := -1
+	if tr != nil {
+		dg = tr.Start(parent, "diagnose")
+	}
+	t0 := time.Now()
+	diag := Diagnose(reports, totalComponents, deps, cfg)
+	stats.Diagnose.Observe(time.Since(t0).Nanoseconds())
+	if tr != nil {
+		tr.AttrInt(dg, "chain", int64(len(diag.Chain)))
+		tr.Attr(dg, "culprits", strings.Join(diag.CulpritNames(), ","))
+		tr.AttrBool(dg, "external", diag.ExternalFactor)
+		tr.End(dg)
+	}
+	return diag
+}
+
 // Localizer bundles per-component monitors with the master-side diagnosis,
 // providing the whole FChain pipeline behind two calls: Observe for every
 // sample, Localize when a performance anomaly is detected.
 type Localizer struct {
 	cfg      Config
-	monitors map[string]*Monitor
-	names    []string
+	monitors []*Monitor // sorted by component name: the analysis order
+	byName   map[string]*Monitor
 }
 
 // NewLocalizer creates a localizer monitoring the given components.
 func NewLocalizer(cfg Config, components []string) *Localizer {
 	cfg = cfg.withDefaults()
-	l := &Localizer{cfg: cfg, monitors: make(map[string]*Monitor, len(components))}
+	l := &Localizer{cfg: cfg, byName: make(map[string]*Monitor, len(components))}
 	for _, c := range components {
-		l.monitors[c] = NewMonitor(c, cfg)
-		l.names = append(l.names, c)
+		l.byName[c] = NewMonitor(c, cfg)
 	}
-	sort.Strings(l.names)
+	for _, c := range slices.Sorted(slices.Values(components)) {
+		l.monitors = append(l.monitors, l.byName[c])
+	}
 	return l
 }
 
@@ -200,20 +224,22 @@ func (l *Localizer) Config() Config { return l.cfg }
 
 // Components returns the monitored component names, sorted.
 func (l *Localizer) Components() []string {
-	out := make([]string, len(l.names))
-	copy(out, l.names)
+	out := make([]string, len(l.monitors))
+	for i, m := range l.monitors {
+		out[i] = m.component
+	}
 	return out
 }
 
 // Monitor returns the monitor for one component.
 func (l *Localizer) Monitor(component string) (*Monitor, bool) {
-	m, ok := l.monitors[component]
+	m, ok := l.byName[component]
 	return m, ok
 }
 
 // Observe feeds one sample.
 func (l *Localizer) Observe(component string, t int64, k metric.Kind, v float64) error {
-	m, ok := l.monitors[component]
+	m, ok := l.byName[component]
 	if !ok {
 		return fmt.Errorf("core: unknown component %q", component)
 	}
@@ -223,7 +249,7 @@ func (l *Localizer) Observe(component string, t int64, k metric.Kind, v float64)
 // Ingest feeds one possibly-dirty sample through the component's sanitizing
 // path (see Monitor.Ingest).
 func (l *Localizer) Ingest(component string, t int64, k metric.Kind, v float64) error {
-	m, ok := l.monitors[component]
+	m, ok := l.byName[component]
 	if !ok {
 		return fmt.Errorf("core: unknown component %q", component)
 	}
@@ -233,9 +259,9 @@ func (l *Localizer) Ingest(component string, t int64, k metric.Kind, v float64) 
 // Quality reports the per-component data quality accumulated by the
 // sanitizing ingest path.
 func (l *Localizer) Quality() map[string]DataQuality {
-	out := make(map[string]DataQuality, len(l.names))
-	for _, name := range l.names {
-		out[name] = qualityOf(l.monitors[name].Quality())
+	out := make(map[string]DataQuality, len(l.monitors))
+	for _, m := range l.monitors {
+		out[m.component] = qualityOf(m.Quality())
 	}
 	return out
 }
@@ -244,8 +270,8 @@ func (l *Localizer) Quality() map[string]DataQuality {
 // monitored component. All counters are zero when Config.Streaming is off.
 func (l *Localizer) StreamingStats() StreamingStats {
 	var st StreamingStats
-	for _, name := range l.names {
-		st.Merge(l.monitors[name].StreamingStats())
+	for _, m := range l.monitors {
+		st.Merge(m.StreamingStats())
 	}
 	return st
 }
@@ -255,65 +281,15 @@ func (l *Localizer) StreamingStats() StreamingStats {
 // tasks run on a bounded worker pool; the reports are bit-identical to the
 // serial order either way.
 func (l *Localizer) Analyze(tv int64) []ComponentReport {
-	reports, _ := l.analyzeAll(nil, tv, l.cfg, nil, -1)
-	return reports
+	return l.AnalyzeInto(nil, tv)
 }
 
 // AnalyzeInto is Analyze appending into dst (reset to length 0 first): a
 // caller reusing the slice across calls makes the steady-state analysis
 // path allocation-free.
 func (l *Localizer) AnalyzeInto(dst []ComponentReport, tv int64) []ComponentReport {
-	reports, _ := l.analyzeAll(dst, tv, l.cfg, nil, -1)
+	reports, _ := analyze(dst, l.monitors, tv, l.cfg.LookBack, l.cfg.Parallelism, nil, -1, time.Time{})
 	return reports
-}
-
-// AnalyzeStats is Analyze also returning the engine's timing counters.
-func (l *Localizer) AnalyzeStats(tv int64) ([]ComponentReport, PoolStats) {
-	return l.analyzeAll(nil, tv, l.cfg, nil, -1)
-}
-
-// analyzeAll runs the analysis engine over every monitor under cfg. With a
-// non-nil trace it opens an analyze span under parent and records the
-// per-component span tree beneath it.
-func (l *Localizer) analyzeAll(dst []ComponentReport, tv int64, cfg Config, tr *obs.Trace, parent int) ([]ComponentReport, PoolStats) {
-	an := -1
-	if tr != nil {
-		an = tr.Start(parent, "analyze")
-		tr.AttrInt(an, "tasks", int64(len(l.names)*metric.NumKinds))
-		tr.AttrInt(an, "lookback", int64(cfg.LookBack))
-	}
-	if cap(dst) >= len(l.names) {
-		dst = dst[:0]
-	} else {
-		dst = make([]ComponentReport, 0, len(l.names))
-	}
-	workers := cfg.workers()
-	if workers <= 1 || len(l.names) <= 1 {
-		// Serial fast path. serialStats is a separate variable from the
-		// parallel branch's stats on purpose: the parallel engine leaks its
-		// stats pointer into worker goroutines, and sharing one variable
-		// would heap-allocate it on this allocation-free path too.
-		var serialStats PoolStats
-		serialStats.Workers = 1
-		serialStats.Tasks = len(l.names) * metric.NumKinds
-		a := getArena()
-		for _, name := range l.names {
-			dst = append(dst, l.monitors[name].analyzeArena(tv, cfg, a, &serialStats, tr, an))
-		}
-		putArena(a)
-		tr.End(an)
-		return dst, serialStats
-	}
-	var stats PoolStats
-	monitors := make([]*Monitor, len(l.names))
-	cfgs := make([]Config, len(l.names))
-	for i, name := range l.names {
-		monitors[i] = l.monitors[name]
-		cfgs[i] = cfg
-	}
-	dst = analyzeMonitors(dst, monitors, cfgs, tv, workers, &stats, tr, an, time.Time{})
-	tr.End(an)
-	return dst, stats
 }
 
 // Localize runs the full pipeline: per-component abnormal change point
@@ -327,18 +303,13 @@ func (l *Localizer) analyzeAll(dst []ComponentReport, tv int64, cfg Config, tr *
 // DiskHog situation, for which it manually switches from W=100 to W=500
 // (§III-A, §III-F).
 func (l *Localizer) Localize(tv int64, deps *depgraph.Graph) Diagnosis {
-	diag, _ := l.LocalizeStats(tv, deps)
+	diag, _ := l.localize(tv, deps, nil, -1)
 	return diag
 }
 
-// LocalizeStats is Localize also returning the engine's per-phase timing:
-// selection task latencies plus one diagnosis observation per pass
-// (adaptive look-back retries accumulate).
-func (l *Localizer) LocalizeStats(tv int64, deps *depgraph.Graph) (Diagnosis, PoolStats) {
-	return l.localize(tv, deps, nil, -1)
-}
-
-// LocalizeTraced is LocalizeStats also recording a pipeline trace: a
+// LocalizeTraced is Localize also returning the engine's per-phase timing —
+// selection task latencies plus one diagnosis observation per pass (adaptive
+// look-back retries accumulate) — and recording a pipeline trace: a
 // localize root span with analyze and diagnose children per pass (adaptive
 // look-back retries add a pass each), component:<name> spans per monitor,
 // and select:<metric> spans with detect/filter/rollback beneath. The span
@@ -347,7 +318,7 @@ func (l *Localizer) LocalizeStats(tv int64, deps *depgraph.Graph) (Diagnosis, Po
 func (l *Localizer) LocalizeTraced(tv int64, deps *depgraph.Graph) (Diagnosis, PoolStats, *obs.Trace) {
 	tr := obs.NewTrace("localize", tv)
 	root := tr.Start(-1, "localize")
-	tr.AttrInt(root, "components", int64(len(l.names)))
+	tr.AttrInt(root, "components", int64(len(l.monitors)))
 	diag, stats := l.localize(tv, deps, tr, root)
 	tr.Attr(root, "verdict", diag.String())
 	tr.End(root)
@@ -357,8 +328,8 @@ func (l *Localizer) LocalizeTraced(tv int64, deps *depgraph.Graph) (Diagnosis, P
 // localize runs the localization passes, optionally recording spans under
 // parent.
 func (l *Localizer) localize(tv int64, deps *depgraph.Graph, tr *obs.Trace, parent int) (Diagnosis, PoolStats) {
-	reports, stats := l.analyzeAll(nil, tv, l.cfg, tr, parent)
-	diag := l.diagnoseTraced(reports, deps, l.cfg, &stats, tr, parent)
+	reports, stats := analyze(nil, l.monitors, tv, l.cfg.LookBack, l.cfg.Parallelism, tr, parent, time.Time{})
+	diag := DiagnosePass(reports, len(l.monitors), deps, l.cfg, &stats, tr, parent)
 	if !l.cfg.AdaptiveLookBack || len(diag.Chain) > 0 {
 		return diag, stats
 	}
@@ -367,36 +338,15 @@ func (l *Localizer) localize(tv int64, deps *depgraph.Graph, tr *obs.Trace, pare
 	maxLookBack := max(500, l.cfg.LookBack)
 	for w := l.cfg.LookBack * 3; w <= maxLookBack*3; w *= 3 {
 		window := min(w, maxLookBack)
-		wide := l.cfg
-		wide.LookBack = window
 		// Ring capacity stays as provisioned; monitors retain
 		// RingCapacity samples, so the widened analysis sees as much of
 		// the longer window as the slave kept.
-		reports, st := l.analyzeAll(nil, tv, wide, tr, parent)
+		reports, st := analyze(nil, l.monitors, tv, window, l.cfg.Parallelism, tr, parent, time.Time{})
 		stats.Merge(st)
-		diag = l.diagnoseTraced(reports, deps, wide, &stats, tr, parent)
+		diag = DiagnosePass(reports, len(l.monitors), deps, l.cfg, &stats, tr, parent)
 		if len(diag.Chain) > 0 || window == maxLookBack {
 			return diag, stats
 		}
 	}
 	return diag, stats
-}
-
-// diagnoseTraced runs one Diagnose pass, timing it into stats and recording
-// a diagnose span with the chain and verdict when tracing.
-func (l *Localizer) diagnoseTraced(reports []ComponentReport, deps *depgraph.Graph, cfg Config, stats *PoolStats, tr *obs.Trace, parent int) Diagnosis {
-	dg := -1
-	if tr != nil {
-		dg = tr.Start(parent, "diagnose")
-	}
-	t0 := time.Now()
-	diag := Diagnose(reports, len(l.names), deps, cfg)
-	stats.Diagnose.Observe(time.Since(t0).Nanoseconds())
-	if tr != nil {
-		tr.AttrInt(dg, "chain", int64(len(diag.Chain)))
-		tr.Attr(dg, "culprits", strings.Join(diag.CulpritNames(), ","))
-		tr.AttrBool(dg, "external", diag.ExternalFactor)
-		tr.End(dg)
-	}
-	return diag
 }

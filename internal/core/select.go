@@ -118,61 +118,42 @@ func (r ComponentReport) AbnormalMetrics() []metric.Kind {
 //
 // The component's onset is the earliest abnormal onset across its metrics.
 func (m *Monitor) Analyze(tv int64) ComponentReport {
-	return m.analyzeWith(tv, m.cfg)
+	reports, _ := analyze(nil, []*Monitor{m}, tv, 0, 1, nil, -1, time.Time{})
+	return reports[0]
 }
 
-// AnalyzeWindow runs the analysis with an overridden look-back window; the
-// master uses it to push per-fault window overrides (e.g. W=500 for slow
-// manifestations) to slaves that were configured with the default.
-func (m *Monitor) AnalyzeWindow(tv int64, lookBack int) ComponentReport {
+// config returns the monitor's configuration, with lookBack > 0 overriding
+// its look-back window: the master pushes per-request windows (e.g. W=500
+// for slow manifestations) and the Localizer widens its window on adaptive
+// retries, while the monitors retain RingCapacity samples regardless.
+func (m *Monitor) config(lookBack int) Config {
 	cfg := m.cfg
 	if lookBack > 0 {
 		cfg.LookBack = lookBack
 	}
-	return m.analyzeWith(tv, cfg)
+	return cfg
 }
 
-// analyzeWith runs the analysis under an alternative configuration (used by
-// the adaptive look-back retries, which widen the window), borrowing a
-// pooled arena for the pass.
-func (m *Monitor) analyzeWith(tv int64, cfg Config) ComponentReport {
-	a := getArena()
-	report := m.analyzeArena(tv, cfg, a, nil, nil, -1)
-	putArena(a)
-	return report
-}
-
-// analyzeArena runs the full per-component analysis on the caller's arena;
-// stats, when non-nil, receives one latency observation per metric task plus
-// the panic count. With a non-nil trace it opens a component:<name> span
-// under parent; the span tree it builds is identical to what the parallel
-// engine assembles from per-task sub-traces.
-func (m *Monitor) analyzeArena(tv int64, cfg Config, a *arena, stats *PoolStats, tr *obs.Trace, parent int) ComponentReport {
-	return m.analyzeBudgeted(tv, cfg, a, stats, tr, parent, time.Time{})
-}
-
-// analyzeBudgeted is analyzeArena under an optional deadline: a metric task
-// that starts after it is skipped (see overload.go). With a zero deadline
-// every task runs and the output is exactly the analyzeArena behavior.
-func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) ComponentReport {
+// analyzeComponent is the engine's per-monitor pass on the caller's arena:
+// stats receives one latency observation per metric task plus the panic
+// count, and a metric task that starts after a non-zero deadline is skipped
+// (see overload.go). With a non-nil trace it opens a component:<name> span
+// under parent; the span tree it builds is identical to what the worker
+// pool assembles from per-task sub-traces.
+func (m *Monitor) analyzeComponent(tv int64, lookBack int, a *arena, stats *PoolStats, tr *obs.Trace, parent int, deadline time.Time) ComponentReport {
 	// Never analyze behind samples the reorder buffers are still holding.
 	m.FlushIngest(tv)
+	cfg := m.config(lookBack)
 	comp := -1
 	if tr != nil {
 		comp = tr.Start(parent, "component:"+m.component)
 	}
 	report := ComponentReport{Component: m.component, Quality: qualityOf(m.Quality())}
-	timed := stats != nil || !deadline.IsZero()
 	for _, k := range metric.Kinds {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		skipped := pastDeadline(deadline, t0)
 		ch, ok, st := m.analyzeMetric(tv, k, cfg, a, tr, comp, skipped)
-		if stats != nil {
-			stats.Select.Observe(time.Since(t0).Nanoseconds())
-		}
+		stats.Select.Observe(time.Since(t0).Nanoseconds())
 		accumulateMetric(&report, ch, ok, st, skipped, k, stats)
 	}
 	finishReport(&report)
@@ -184,7 +165,7 @@ func (m *Monitor) analyzeBudgeted(tv int64, cfg Config, a *arena, stats *PoolSta
 }
 
 // accumulateMetric folds one metric task's outcome into the component
-// report; the serial path and the parallel engine's canonical assembly both
+// report; the serial path and the worker pool's canonical assembly both
 // use it so reports stay bit-identical across worker counts.
 func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, skipped bool, k metric.Kind, stats *PoolStats) {
 	if ok {
@@ -192,7 +173,7 @@ func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st me
 	}
 	if st != metricOK {
 		report.Quarantined = append(report.Quarantined, k.String())
-		if st == metricPanicked && stats != nil {
+		if st == metricPanicked {
 			stats.Panics++
 		}
 	}
@@ -215,7 +196,7 @@ func finishReport(report *ComponentReport) {
 }
 
 // annotateComponentSpan records a component span's summary attributes; the
-// serial path and the parallel engine's canonical assembly both use it so
+// serial path and the worker pool's canonical assembly both use it so
 // traces stay bit-identical across worker counts.
 func annotateComponentSpan(tr *obs.Trace, comp int, report ComponentReport) {
 	tr.AttrInt(comp, "changes", int64(len(report.Changes)))

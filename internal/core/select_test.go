@@ -405,27 +405,33 @@ func noisyStepSignal(seed int64, n int) []float64 {
 // through the whole kernel: change points detected, the context statistics
 // selected, the FFT burst extraction run, and the candidate then dismissed
 // in the filter stage (a selected change would append to the report, which
-// is the caller's allocation, not the kernel's).
+// is the caller's allocation, not the kernel's). The three-component row
+// runs the engine's serial loop over several monitors on one arena.
 func TestAnalyzeIntoSteadyStateAllocs(t *testing.T) {
 	const horizon = 2000
 	periodic := make([]float64, horizon)
 	for ts := range periodic {
 		periodic[ts] = float64(40+ts%23) + float64(ts%7)
 	}
+	noisy := func(k metric.Kind) []float64 { return noisyStepSignal(int64(k)+1, horizon) }
 	for _, tc := range []struct {
-		name    string
-		signal  func(k metric.Kind) []float64
-		filters int // metrics whose selection reaches the filter stage
+		name       string
+		components []string
+		signal     func(k metric.Kind) []float64
+		filters    int // metrics whose selection reaches the filter stage
 	}{
-		{"periodic", func(metric.Kind) []float64 { return periodic }, 0},
-		{"noisy-step", func(k metric.Kind) []float64 { return noisyStepSignal(int64(k)+1, horizon) }, metric.NumKinds},
+		{"periodic", []string{"c"}, func(metric.Kind) []float64 { return periodic }, 0},
+		{"noisy-step", []string{"c"}, noisy, metric.NumKinds},
+		{"noisy-step-3-serial", []string{"a", "b", "c"}, noisy, 3 * metric.NumKinds},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			loc := NewLocalizer(DefaultConfig(), []string{"c"})
-			for _, k := range metric.Kinds {
-				for ts, v := range tc.signal(k) {
-					if err := loc.Observe("c", int64(ts), k, v); err != nil {
-						t.Fatal(err)
+			loc := NewLocalizer(Config{Parallelism: 1}, tc.components)
+			for _, c := range tc.components {
+				for _, k := range metric.Kinds {
+					for ts, v := range tc.signal(k) {
+						if err := loc.Observe(c, int64(ts), k, v); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 			}
@@ -444,8 +450,10 @@ func TestAnalyzeIntoSteadyStateAllocs(t *testing.T) {
 				}
 			}
 			reports := loc.AnalyzeInto(nil, horizon-1) // warm the arena and the report buffer
-			if reports[0].Abnormal() {
-				t.Fatalf("signal selected a change: %+v", reports[0].Changes)
+			for _, rep := range reports {
+				if rep.Abnormal() {
+					t.Fatalf("signal selected a change in %s: %+v", rep.Component, rep.Changes)
+				}
 			}
 			if raceEnabled {
 				t.Skip("allocation counts are not meaningful under the race detector")

@@ -118,8 +118,8 @@ func TestStreamingColdFallbacks(t *testing.T) {
 	before := p.stream.StreamingStats().Colds
 
 	// Historical tv: the multisets track the stream head, not tv=450.
-	rs := p.stream.AnalyzeWindow(450, 0)
-	rb := p.batch.AnalyzeWindow(450, 0)
+	rs, _ := AnalyzeMonitors([]*Monitor{p.stream}, 450, 0, 1)
+	rb, _ := AnalyzeMonitors([]*Monitor{p.batch}, 450, 0, 1)
 	js, _ := json.Marshal(rs)
 	jb, _ := json.Marshal(rb)
 	if string(js) != string(jb) {
@@ -127,8 +127,8 @@ func TestStreamingColdFallbacks(t *testing.T) {
 	}
 
 	// Overridden look-back: boundary arithmetic no longer matches the state.
-	rs = p.stream.AnalyzeWindow(500, cfg.LookBack*2)
-	rb = p.batch.AnalyzeWindow(500, cfg.LookBack*2)
+	rs, _ = AnalyzeMonitors([]*Monitor{p.stream}, 500, cfg.LookBack*2, 1)
+	rb, _ = AnalyzeMonitors([]*Monitor{p.batch}, 500, cfg.LookBack*2, 1)
 	js, _ = json.Marshal(rs)
 	jb, _ = json.Marshal(rb)
 	if string(js) != string(jb) {

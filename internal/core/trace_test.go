@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fchain/internal/metric"
-	"fchain/internal/obs"
 )
 
 // tracedLocalizer builds a warmed-up multi-component localizer with an
@@ -115,34 +114,5 @@ func TestLocalizeTracedDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: normalized trace differs from serial\nserial:   %s\nparallel: %s",
 				workers, serialJSON, parJSON)
 		}
-	}
-}
-
-// TestAnalyzeMonitorsTracedMatchesUntraced checks that tracing does not
-// perturb results and that the slave-side traced entry point records the
-// same structure.
-func TestAnalyzeMonitorsTracedMatchesUntraced(t *testing.T) {
-	const horizon = 600
-	monitors, _ := feedMonitors(t, 4, horizon)
-	plain, _ := AnalyzeMonitors(monitors, horizon-1, 0, 1)
-	traced, _, tr := AnalyzeMonitorsTraced(monitors, horizon-1, 0, 4)
-	if len(plain) != len(traced) {
-		t.Fatalf("report counts differ: %d vs %d", len(plain), len(traced))
-	}
-	for i := range plain {
-		if plain[i].Component != traced[i].Component || plain[i].Onset != traced[i].Onset ||
-			len(plain[i].Changes) != len(traced[i].Changes) {
-			t.Errorf("report %d differs: %+v vs %+v", i, plain[i], traced[i])
-		}
-	}
-	if tr == nil || tr.Find("analyze") == nil {
-		t.Fatalf("traced analyze missing root span: %s", tr)
-	}
-	if got := len(tr.FindAll("component:c0")); got != 1 {
-		t.Errorf("component:c0 spans = %d, want 1", got)
-	}
-	var nilTr *obs.Trace
-	if nilTr.SpanCount() != 0 {
-		t.Error("nil trace sanity check failed")
 	}
 }

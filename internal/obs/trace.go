@@ -96,6 +96,17 @@ func (t *Trace) End(id int) {
 	t.Spans[id].DurNS = time.Since(t.start).Nanoseconds() - t.Spans[id].StartNS
 }
 
+// SetInterval gives span id an interval measured elsewhere — on another
+// goroutine, or across the wire — in place of the one its Start and End
+// calls would record.
+func (t *Trace) SetInterval(id int, start time.Time, dur time.Duration) {
+	if t == nil || id < 0 || id >= len(t.Spans) {
+		return
+	}
+	t.Spans[id].StartNS = start.Sub(t.start).Nanoseconds()
+	t.Spans[id].DurNS = dur.Nanoseconds()
+}
+
 // Attr annotates span id with a string value.
 func (t *Trace) Attr(id int, key, val string) {
 	if t == nil || id < 0 || id >= len(t.Spans) {
