@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 
 	"fchain"
+	"fchain/internal/faultlib"
 	"fchain/internal/obs"
 	"fchain/scenario"
 )
@@ -154,8 +155,7 @@ func run(app, mesh, faultName, target string, seed, inject int64, validate bool,
 		// deep topologies, a relative-magnitude selection floor against
 		// per-component false positives at scale, and the template's
 		// declared look-back window.
-		cfg.ExternalSpread = scenario.MeshExternalSpread
-		cfg.MinRelMagnitude = scenario.MeshMinRelMagnitude
+		cfg = faultlib.MeshProfile(cfg)
 		if lb := scenario.MeshFaultLookBack(faultName); lb > 0 {
 			cfg.LookBack = lb
 		}

@@ -93,10 +93,7 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // operationally meaningless shifts). Use it when monitoring scenario-factory
 // meshes; the paper applications keep DefaultConfig.
 func MeshConfig() Config {
-	cfg := core.DefaultConfig()
-	cfg.ExternalSpread = faultlib.MeshExternalSpread
-	cfg.MinRelMagnitude = faultlib.MeshMinRelMagnitude
-	return cfg
+	return faultlib.MeshProfile(core.DefaultConfig())
 }
 
 // Diagnosis is the output of fault localization: the pinpointed culprits,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fchain"
+	"fchain/internal/faultlib"
 	"fchain/internal/golden"
 	"fchain/scenario"
 )
@@ -129,8 +130,7 @@ func runGoldenScenario(t *testing.T, sc goldenScenario, parallelism int, streami
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ExternalSpread = scenario.MeshExternalSpread
-		cfg.MinRelMagnitude = scenario.MeshMinRelMagnitude
+		cfg = faultlib.MeshProfile(cfg)
 		if lb := scenario.MeshFaultLookBack(sc.faultTpl); lb > 0 {
 			cfg.LookBack = lb
 		}

@@ -207,14 +207,6 @@ func (s *Stream) Std() float64 {
 // WindowLen returns how many samples currently sit in the window.
 func (s *Stream) WindowLen() int { return s.n }
 
-// WindowMean returns the mean over the current window contents.
-func (s *Stream) WindowMean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.winSum / float64(s.n)
-}
-
 // WindowStd returns the population standard deviation over the window.
 func (s *Stream) WindowStd() float64 {
 	if s.n == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,4 +123,29 @@ func TestCorruptCheckpointColdStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	second.Analyze(100)
+}
+
+// TestRestoredComponentsSorted requires construction-time restores to be
+// reported sorted and once each, whatever order (or repetition) the
+// component list arrives in; a component with no checkpoint is absent.
+func TestRestoredComponentsSorted(t *testing.T) {
+	dir := t.TempDir()
+	comps := []string{"web", "db", "app2", "app1"}
+	first := NewSlave("h", comps, core.Config{}, WithCheckpointDir(dir))
+	for _, comp := range comps {
+		if err := first.Observe(comp, 1, metric.CPU, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(first.checkpointPath("app2")); err != nil {
+		t.Fatal(err)
+	}
+	second := NewSlave("h", append(comps, "db"), core.Config{}, WithCheckpointDir(dir))
+	defer second.Close()
+	if got, want := second.RestoredComponents(), []string{"app1", "db", "web"}; !slices.Equal(got, want) {
+		t.Errorf("RestoredComponents = %v, want %v", got, want)
+	}
 }

@@ -105,16 +105,6 @@ func (r *Ring) Remove(member string) bool {
 // Has reports whether member is on the ring.
 func (r *Ring) Has(member string) bool { return r.members[member] }
 
-// Members returns the ring's members, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int { return len(r.members) }
 
@@ -132,36 +122,10 @@ func (r *Ring) Owner(key string) (owner string, ok bool) {
 	return r.points[i].member, true
 }
 
-// Assign maps every key to its owner, returning owner → sorted keys. Keys on
-// an empty ring are absent from the result.
-func (r *Ring) Assign(keys []string) map[string][]string {
-	out := make(map[string][]string, len(r.members))
-	for _, key := range keys {
-		if owner, ok := r.Owner(key); ok {
-			out[owner] = append(out[owner], key)
-		}
-	}
-	for _, comps := range out {
-		sort.Strings(comps)
-	}
-	return out
-}
-
 // BalanceBound is the load factor enforced by AssignBounded: no member owns
 // more than ceil(BalanceBound × keys/members) keys.
 const BalanceBound = 1.25
 
-// AssignBounded maps every key to a member using consistent hashing with
-// bounded loads: each key goes to the first member at or clockwise after its
-// hash whose load is still under ceil(bound × mean). Plain arc ownership at
-// 128 vnodes leaves ~9% load stddev, so the worst member can exceed the mean
-// by 30%+ on unlucky member sets; walking the overflow clockwise caps every
-// member at the bound by construction while still moving only ~1/n keys per
-// membership change (an overflowing key's fallback member is itself a
-// consistent function of the ring). Keys are placed in hash order so the
-// result is a pure function of (members, keys, vnodes) — deterministic
-// across processes. bound <= 1 selects BalanceBound. The result maps every
-// key; it is empty only when the ring is.
 // AssignStandby maps every key to a warm-standby member: the first member at
 // or clockwise after the key's hash that is distinct from the key's primary
 // owner and whose standby load is still under ceil(bound × keys/members).
@@ -229,6 +193,17 @@ func (r *Ring) AssignStandby(keys []string, primary map[string]string, bound flo
 	return out
 }
 
+// AssignBounded maps every key to a member using consistent hashing with
+// bounded loads: each key goes to the first member at or clockwise after its
+// hash whose load is still under ceil(bound × mean). Plain arc ownership at
+// 128 vnodes leaves ~9% load stddev, so the worst member can exceed the mean
+// by 30%+ on unlucky member sets; walking the overflow clockwise caps every
+// member at the bound by construction while still moving only ~1/n keys per
+// membership change (an overflowing key's fallback member is itself a
+// consistent function of the ring). Keys are placed in hash order so the
+// result is a pure function of (members, keys, vnodes) — deterministic
+// across processes. bound <= 1 selects BalanceBound. The result maps every
+// key; it is empty only when the ring is.
 func (r *Ring) AssignBounded(keys []string, bound float64) map[string]string {
 	if len(r.points) == 0 || len(keys) == 0 {
 		return map[string]string{}

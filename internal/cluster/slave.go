@@ -98,11 +98,11 @@ type Slave struct {
 	// delta into the registry counter.
 	streamColds atomic.Uint64
 
-	// Crash-safe model persistence: with a checkpoint directory set, the
-	// slave restores each monitor from its last checkpoint at construction
-	// and re-checkpoints every checkpointInterval until Close.
+	// Crash-safe model persistence: with a checkpoint directory set, every
+	// coldStart restores the monitor from its last checkpoint, and the slave
+	// re-checkpoints every checkpointInterval until Close.
 	checkpointDir string
-	restored      []string // components restored from checkpoints
+	restored      []string // components restored at construction, sorted
 
 	// Monitor state needs no slave-level lock: core.Monitor shards its
 	// state per metric, so collection (Observe/Ingest), analysis, and
@@ -288,20 +288,27 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		replFloors: make(map[string]map[string]int64),
 		replSeq:    make(map[string]uint64),
 	}
-	monitors := make(map[string]*core.Monitor, len(components))
-	for _, c := range components {
-		monitors[c] = core.NewMonitor(c, cfg)
-	}
-	s.publish(monitors)
 	for _, o := range opts {
 		o.apply(s)
 	}
+	monitors := make(map[string]*core.Monitor, len(components))
+	for _, c := range components {
+		if _, dup := monitors[c]; dup {
+			continue
+		}
+		mon, restored := s.coldStart(c)
+		monitors[c] = mon
+		if restored {
+			s.restored = append(s.restored, c)
+		}
+	}
+	sort.Strings(s.restored)
+	s.publish(monitors)
 	s.ingestSamples = s.obs.Registry().Counter("fchain_ingest_samples_total",
 		"Metric samples fed into the slave's models.")
 	s.ingestErrors = s.obs.Registry().Counter("fchain_ingest_errors_total",
 		"Samples rejected by the ingest path.")
 	if s.checkpointDir != "" {
-		s.restoreCheckpoints()
 		s.wg.Add(1)
 		go s.checkpointLoop()
 	}
@@ -318,26 +325,28 @@ func (s *Slave) checkpointPath(component string) string {
 	return filepath.Join(s.checkpointDir, url.PathEscape(component)+".ckpt")
 }
 
-// restoreCheckpoints loads whatever usable checkpoints the directory holds.
-// Any per-component failure (missing file, bad checksum, wrong version,
-// invalid state) cold-starts that component; restore is best-effort by
-// design, because a slave that refuses to start over a stale checkpoint is
-// worse than one that relearns.
-func (s *Slave) restoreCheckpoints() {
-	for comp, mon := range s.monitors.Load().byName {
-		var snap core.MonitorSnapshot
-		if err := core.LoadCheckpoint(s.checkpointPath(comp), &snap); err != nil {
-			continue
-		}
-		if err := mon.Restore(&snap); err != nil {
-			continue
-		}
-		s.restored = append(s.restored, comp)
+// coldStart returns a new monitor for component, restored from the
+// component's checkpoint file when the slave has a checkpoint directory,
+// and reports whether the restore happened. Every way a component arrives
+// without replicated state — construction, or an assign with no shadow to
+// promote — goes through here. Restore is best-effort by design: a missing
+// file, bad checksum, wrong version or invalid state leaves the monitor
+// fresh (Restore changes nothing it rejects), because a slave that refuses
+// to start over a stale checkpoint is worse than one that relearns.
+func (s *Slave) coldStart(component string) (*core.Monitor, bool) {
+	mon := core.NewMonitor(component, s.cfg)
+	if s.checkpointDir == "" {
+		return mon, false
 	}
+	snap, err := core.LoadCheckpoint(s.checkpointPath(component))
+	if err != nil {
+		return mon, false
+	}
+	return mon, mon.Restore(snap) == nil
 }
 
 // RestoredComponents returns the components whose state was successfully
-// restored from checkpoints at construction.
+// restored from checkpoints at construction, sorted.
 func (s *Slave) RestoredComponents() []string {
 	return append([]string(nil), s.restored...)
 }
@@ -542,14 +551,6 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 	}
 	s.mu.Unlock()
 	_ = w.write(&envelope{Type: typeAck, ID: env.ID, Component: comp, Seq: env.Seq}, 10*time.Second)
-}
-
-// Shadowed returns the components this slave currently keeps warm-standby
-// shadow monitors for, sorted.
-func (s *Slave) Shadowed() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Sorted(maps.Keys(s.shadows))
 }
 
 // Name returns the slave's registration name.
@@ -823,11 +824,12 @@ func (s *Slave) serveLoop(peer *slaveConn) error {
 // A newly assigned component goes live on the shadow monitor replication has
 // filled for it — standing by for a dead owner, or receiving a live donor's
 // state during this rebalance, it is the same promotion. Without a shadow the
-// slave tries the component's checkpoint file — checkpoint names are
+// slave cold-starts it through coldStart, the same path construction takes,
+// which tries the component's checkpoint file — checkpoint names are
 // per-component, not per-slave, so on shared checkpoint storage a dead
-// donor's last checkpoint still follows its components to the new owner —
-// and cold-starts otherwise. An assign frame that carries only a ReplReset
-// list assigns nothing: it asks for those components to be shipped now.
+// donor's last checkpoint still follows its components to the new owner.
+// An assign frame that carries only a ReplReset list assigns nothing: it
+// asks for those components to be shipped now.
 func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 	defer s.wg.Done()
 	ack := &envelope{Type: typeAck, ID: env.ID}
@@ -870,14 +872,7 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 			promoted = append(promoted, comp)
 			continue
 		}
-		mon := core.NewMonitor(comp, s.cfg)
-		if s.checkpointDir != "" {
-			var snap core.MonitorSnapshot
-			if err := core.LoadCheckpoint(s.checkpointPath(comp), &snap); err == nil {
-				_ = mon.Restore(&snap) // best-effort; a bad checkpoint cold-starts
-			}
-		}
-		adopt[comp] = mon
+		adopt[comp], _ = s.coldStart(comp)
 		added = append(added, comp)
 	}
 	shadowSet := make(map[string]bool, len(env.Shadow))

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"time"
+
+	"fchain/internal/obs"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Load rejects
@@ -24,12 +25,11 @@ type checkpointFile struct {
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// SaveCheckpoint atomically writes v as a versioned, checksummed checkpoint
-// at path: the file is written to a temporary name in the same directory,
-// synced, then renamed over the destination, so a crash mid-write leaves
-// either the previous checkpoint or none — never a torn one.
-func SaveCheckpoint(path string, v any) error {
-	payload, err := json.Marshal(v)
+// SaveCheckpoint writes snap as a versioned, checksummed checkpoint at path
+// through obs.WriteFileAtomic, so a crash mid-write leaves either the
+// previous checkpoint or none — never a torn one.
+func SaveCheckpoint(path string, snap *MonitorSnapshot) error {
+	payload, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("core: marshal checkpoint: %w", err)
 	}
@@ -42,48 +42,30 @@ func SaveCheckpoint(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("core: marshal checkpoint envelope: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(raw); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint %s: %w", path, err)
-	}
-	return nil
+	return obs.WriteFileAtomic(path, raw)
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint into v,
-// verifying the format version and the payload checksum first. Callers
-// should treat any error as "no usable checkpoint" and cold-start.
-func LoadCheckpoint(path string, v any) error {
+// LoadCheckpoint reads a checkpoint written by SaveCheckpoint, verifying the
+// format version and the payload checksum first. Callers should treat any
+// error as "no usable checkpoint" and cold-start.
+func LoadCheckpoint(path string) (*MonitorSnapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var f checkpointFile
 	if err := json.Unmarshal(raw, &f); err != nil {
-		return fmt.Errorf("core: parse checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("core: parse checkpoint %s: %w", path, err)
 	}
 	if f.Version != CheckpointVersion {
-		return fmt.Errorf("core: checkpoint %s has version %d, want %d", path, f.Version, CheckpointVersion)
+		return nil, fmt.Errorf("core: checkpoint %s has version %d, want %d", path, f.Version, CheckpointVersion)
 	}
 	if sum := crc32.ChecksumIEEE(f.Payload); sum != f.Checksum {
-		return fmt.Errorf("core: checkpoint %s checksum mismatch: payload %08x, recorded %08x", path, sum, f.Checksum)
+		return nil, fmt.Errorf("core: checkpoint %s checksum mismatch: payload %08x, recorded %08x", path, sum, f.Checksum)
 	}
-	if err := json.Unmarshal(f.Payload, v); err != nil {
-		return fmt.Errorf("core: decode checkpoint %s payload: %w", path, err)
+	snap := new(MonitorSnapshot)
+	if err := json.Unmarshal(f.Payload, snap); err != nil {
+		return nil, fmt.Errorf("core: decode checkpoint %s payload: %w", path, err)
 	}
-	return nil
+	return snap, nil
 }

@@ -11,7 +11,7 @@ import (
 
 // feedAll observes one sample per metric kind at time t, derived
 // deterministically from (t, kind) so different feeds agree.
-func feedAll(t *testing.T, m *Monitor, ts int64) {
+func feedAll(t testing.TB, m *Monitor, ts int64) {
 	t.Helper()
 	for _, k := range metric.Kinds {
 		v := float64((ts*int64(k)*7)%13) + 0.25*float64(int(k))

@@ -1,0 +1,92 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"fchain/internal/metric"
+	"fchain/internal/timeseries"
+)
+
+// FuzzApplyDelta decodes arbitrary bytes as a replication frame and applies
+// it to a trained shadow. Whatever the frame, ApplyDelta must not panic, and
+// a frame it accepts must leave a history Observe could have built: the
+// next second is accepted on every observed metric, every ring is strictly
+// ascending after it, and the Snapshot restores into a fresh monitor and
+// snapshots back to the same bytes.
+func FuzzApplyDelta(f *testing.F) {
+	cfg := Config{RingCapacity: 24}
+	primary := NewMonitor("db", cfg)
+	ts := int64(1)
+	for ; ts <= 30; ts++ {
+		feedAll(f, primary, ts)
+	}
+	base := primary.Snapshot()
+	floors := make(map[string]int64, len(base.LastT))
+	for name, t := range base.LastT {
+		floors[name] = t
+	}
+	for ; ts <= 34; ts++ {
+		feedAll(f, primary, ts)
+	}
+	var inc ReplDelta
+	if changed, ok := primary.DeltaInto(&inc, floors); !changed || !ok {
+		f.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
+	}
+	for _, d := range []*ReplDelta{{Component: "db", Full: primary.Snapshot()}, &inc} {
+		raw, err := json.Marshal(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d ReplDelta
+		if json.Unmarshal(data, &d) != nil {
+			return
+		}
+		shadow := NewMonitor("db", cfg)
+		if err := shadow.Restore(base); err != nil {
+			t.Fatal(err)
+		}
+		if shadow.ApplyDelta(&d) != nil {
+			return
+		}
+		for name, last := range shadow.Snapshot().LastT {
+			k, err := metric.ParseKind(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last == math.MaxInt64 {
+				continue // no later second exists
+			}
+			if err := shadow.Observe(last+1, k, 1); err != nil {
+				t.Fatalf("Observe after last_t %d: %v", last, err)
+			}
+		}
+		snap := shadow.Snapshot()
+		for _, rings := range []map[string]timeseries.RingSnapshot{snap.Samples, snap.Errs} {
+			for name, r := range rings {
+				for i := 1; i < len(r.Times); i++ {
+					if r.Times[i] <= r.Times[i-1] {
+						t.Fatalf("%s ring times %v do not ascend", name, r.Times)
+					}
+				}
+			}
+		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewMonitor("db", cfg)
+		if err := fresh.Restore(snap); err != nil {
+			t.Fatalf("accepted state does not restore: %v", err)
+		}
+		if got := monitorJSON(t, fresh); !bytes.Equal(got, want) {
+			t.Fatalf("Snapshot → Restore → Snapshot differs:\ngot  %s\nwant %s", got, want)
+		}
+	})
+}

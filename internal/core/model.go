@@ -194,16 +194,6 @@ func (m *Monitor) Ingest(t int64, k metric.Kind, v float64) error {
 	return nil
 }
 
-// IngestVector feeds a full possibly-dirty metric vector at time t.
-func (m *Monitor) IngestVector(t int64, vec *metric.Vector) error {
-	for _, k := range metric.Kinds {
-		if err := m.Ingest(t, k, vec.Get(k)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FlushIngest releases every sample still buffered in the reorder windows
 // with timestamp <= upTo. Analyze calls it with tv so an analysis never runs
 // behind samples the sanitizer is still holding.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fchain/internal/ingest"
 	"fchain/internal/markov"
@@ -62,15 +63,22 @@ func (m *Monitor) Snapshot() *MonitorSnapshot {
 
 // Restore replaces the monitor's per-metric state with the snapshot's,
 // validating every piece; on error the monitor is left unchanged. Metrics
-// absent from the snapshot keep their fresh state. Ring capacities follow
-// the monitor's current configuration, not the snapshot's: a restart with a
-// smaller RingCapacity keeps only the newest retained samples.
+// absent from the snapshot keep their fresh state. Restore is the one way
+// state from a peer or from disk enters a monitor, so it also refuses any
+// history Observe could not have built (see checkHistory). Ring capacities
+// follow the monitor's current configuration, not the snapshot's: a restart
+// with a smaller RingCapacity keeps only the newest retained samples.
 func (m *Monitor) Restore(s *MonitorSnapshot) error {
 	if s == nil {
 		return fmt.Errorf("core: nil monitor snapshot")
 	}
 	if s.Component != m.component {
 		return fmt.Errorf("core: snapshot is for component %q, monitor is %q", s.Component, m.component)
+	}
+	for _, k := range metric.Kinds {
+		if err := s.checkHistory(k.String()); err != nil {
+			return err
+		}
 	}
 	models := make(map[metric.Kind]*markov.Predictor, len(s.Models))
 	for name, snap := range s.Models {
@@ -155,6 +163,38 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 			sh.stream.rebuild(sh)
 		}
 		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// checkHistory enforces, for metric name, the ordering Observe maintains and
+// DeltaInto's binary search relies on: the sample ring's times strictly
+// ascend, the error ring holds exactly the same times, and last_t is present
+// and equals the newest time whenever the ring is non-empty. Without it a
+// restored monitor could accept a sample older than its newest. A metric the
+// snapshot names at all must carry both rings, or the monitor would keep a
+// ring of its own beside the snapshot's last_t.
+func (s *MonitorSnapshot) checkHistory(name string) error {
+	samples, haveSamples := s.Samples[name]
+	errs, haveErrs := s.Errs[name]
+	last, haveLast := s.LastT[name]
+	if !haveSamples && !haveErrs && !haveLast {
+		return nil
+	}
+	if !haveSamples || !haveErrs {
+		return fmt.Errorf("core: snapshot %s lacks its sample or error ring", name)
+	}
+	times := samples.Times
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
+			return fmt.Errorf("core: snapshot %s sample times do not ascend at t=%d", name, times[i])
+		}
+	}
+	if !slices.Equal(errs.Times, times) {
+		return fmt.Errorf("core: snapshot %s error ring times differ from its sample times", name)
+	}
+	if n := len(times); n > 0 && (!haveLast || last != times[n-1]) {
+		return fmt.Errorf("core: snapshot %s last_t does not match its newest sample t=%d", name, times[n-1])
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"fchain/internal/metric"
@@ -77,12 +78,12 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	if err := SaveCheckpoint(path, m.Snapshot()); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
 	}
-	var snap MonitorSnapshot
-	if err := LoadCheckpoint(path, &snap); err != nil {
+	snap, err := LoadCheckpoint(path)
+	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
 	}
 	fresh := NewMonitor("db", DefaultConfig())
-	if err := fresh.Restore(&snap); err != nil {
+	if err := fresh.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
 	if !fresh.Analyze(899).Abnormal() {
@@ -131,8 +132,7 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var snap MonitorSnapshot
-	if err := LoadCheckpoint(path, &snap); err == nil {
+	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("corrupted checkpoint accepted")
 	}
 
@@ -140,7 +140,7 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(path, &snap); err == nil {
+	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
 
@@ -157,12 +157,12 @@ func TestLoadCheckpointDetectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, bumped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(path, &snap); err == nil {
+	if _, err := LoadCheckpoint(path); err == nil {
 		t.Error("future-version checkpoint accepted")
 	}
 
 	// Missing file surfaces an error for the caller's cold-start fallback.
-	if err := LoadCheckpoint(filepath.Join(dir, "absent.ckpt"), &snap); err == nil {
+	if _, err := LoadCheckpoint(filepath.Join(dir, "absent.ckpt")); err == nil {
 		t.Error("missing checkpoint accepted")
 	}
 }
@@ -216,5 +216,90 @@ func TestCheckpointFormatPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.Base, floors) {
 		t.Errorf("DeltaInto base = %v, want %v", d.Base, floors)
+	}
+}
+
+// assertRestoreRejects mutates a trained monitor's snapshot and requires
+// Restore to refuse it without touching the target monitor.
+func assertRestoreRejects(t *testing.T, mutate func(s *MonitorSnapshot)) {
+	t.Helper()
+	snap := trainedMonitor(t, -1).Snapshot()
+	mutate(snap)
+	target := NewMonitor("db", DefaultConfig())
+	before, err := json.Marshal(target.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := target.Restore(snap); err == nil {
+		t.Fatal("Restore accepted a history Observe could not have built")
+	}
+	after, err := json.Marshal(target.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("rejected Restore changed the monitor")
+	}
+}
+
+func TestRestoreRejectsUnorderedSampleTimes(t *testing.T) {
+	assertRestoreRejects(t, func(s *MonitorSnapshot) {
+		cpu := metric.CPU.String()
+		times := s.Samples[cpu].Times
+		n := len(times)
+		times[n-2], times[n-1] = times[n-1], times[n-2]
+		copy(s.Errs[cpu].Times, times)
+		s.LastT[cpu] = times[n-1]
+	})
+}
+
+func TestRestoreRejectsMisalignedErrorTimes(t *testing.T) {
+	assertRestoreRejects(t, func(s *MonitorSnapshot) {
+		s.Errs[metric.CPU.String()].Times[0]--
+	})
+}
+
+func TestRestoreRejectsStaleLastT(t *testing.T) {
+	assertRestoreRejects(t, func(s *MonitorSnapshot) {
+		s.LastT[metric.CPU.String()] -= 100
+	})
+}
+
+func TestRestoreRejectsMissingLastT(t *testing.T) {
+	assertRestoreRejects(t, func(s *MonitorSnapshot) {
+		delete(s.LastT, metric.CPU.String())
+	})
+}
+
+// TestCheckpointEnvelopePinned loads a checkpoint file written by an earlier
+// build (version 1 envelope around the two_column_snapshot payload, ring
+// capacity 16) and requires a re-save of the restored monitor to reproduce
+// the file byte for byte, except for the informational saved_at stamp.
+func TestCheckpointEnvelopePinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadCheckpoint(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.RingCapacity = 16
+	m := NewMonitor("db", cfg)
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.ckpt")
+	if err := SaveCheckpoint(path, m.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	savedAt := regexp.MustCompile(`"saved_at":\d+`)
+	if g, w := savedAt.ReplaceAll(got, nil), savedAt.ReplaceAll(want, nil); !bytes.Equal(g, w) {
+		t.Fatalf("re-saved checkpoint differs from the pinned file:\ngot  %s\nwant %s", g, w)
 	}
 }

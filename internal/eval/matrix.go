@@ -218,10 +218,7 @@ func runMatrixCell(meshName string, m *meshgen.Mesh, tpl faultlib.Template, runs
 		Trials:   len(trials),
 		Skipped:  skipped,
 	}
-	scheme := &baseline.FChain{Config: core.Config{
-		ExternalSpread:  faultlib.MeshExternalSpread,
-		MinRelMagnitude: faultlib.MeshMinRelMagnitude,
-	}}
+	scheme := &baseline.FChain{Config: faultlib.MeshProfile(core.Config{})}
 	for _, tb := range trials {
 		diag, err := scheme.Diagnose(tb.Trial)
 		if err != nil {

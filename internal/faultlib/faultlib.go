@@ -30,6 +30,7 @@ import (
 
 	"fchain/internal/apps"
 	"fchain/internal/cloudsim"
+	"fchain/internal/core"
 	"fchain/internal/meshgen"
 )
 
@@ -52,6 +53,16 @@ const MeshExternalSpread = 12
 // level, far above this floor; the paper's small benchmark apps keep the
 // floor off (zero) to preserve the published configuration.
 const MeshMinRelMagnitude = 0.12
+
+// MeshProfile returns base with the generated-mesh monitoring profile
+// applied: ExternalSpread widened to MeshExternalSpread and the
+// MinRelMagnitude selection floor set to MeshMinRelMagnitude. Every other
+// field keeps the caller's value.
+func MeshProfile(base core.Config) core.Config {
+	base.ExternalSpread = MeshExternalSpread
+	base.MinRelMagnitude = MeshMinRelMagnitude
+	return base
+}
 
 // Template is one injectable fault pattern, scaled to a mesh at Make time.
 type Template struct {

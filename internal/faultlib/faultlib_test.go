@@ -144,7 +144,7 @@ func validateTemplate(t *testing.T, m *meshgen.Mesh, tpl faultlib.Template, seed
 	if lookBack <= 0 {
 		lookBack = 100
 	}
-	cfg := core.Config{LookBack: lookBack, ExternalSpread: faultlib.MeshExternalSpread, MinRelMagnitude: faultlib.MeshMinRelMagnitude}
+	cfg := faultlib.MeshProfile(core.Config{LookBack: lookBack})
 	loc := core.NewLocalizer(cfg, sim.Components())
 	for _, comp := range sim.Components() {
 		for _, k := range metric.Kinds {

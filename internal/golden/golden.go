@@ -16,6 +16,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fchain/internal/obs"
 )
 
 // update is registered at package init; read it through Update().
@@ -50,30 +52,11 @@ func Assert(t *testing.T, path string, got []byte) {
 	}
 }
 
-// write creates the golden file via the same temp-and-rename pattern the
-// checkpoint and journal writers use.
+// write creates the golden file's directory and writes the file through
+// obs.WriteFileAtomic, the same temp-and-rename writer checkpoints use.
 func write(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("golden: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("golden: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("golden: write %s: %w", path, err)
-	}
-	return nil
+	return obs.WriteFileAtomic(path, data)
 }

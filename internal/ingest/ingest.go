@@ -233,9 +233,6 @@ func (s *Sanitizer) SetState(st State) {
 	s.stats = st.Stats
 }
 
-// Pending returns how many samples are buffered awaiting release.
-func (s *Sanitizer) Pending() int { return len(s.pending) }
-
 // Push feeds one raw sample and returns the samples it releases, oldest
 // first: every buffered sample older than the reorder window behind the
 // newest timestamp seen, with short gaps filled and long gaps marked. It

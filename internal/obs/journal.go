@@ -322,10 +322,10 @@ func ReadJournalFile(path string) ([]Event, error) {
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file, fsync,
-// and rename — the checkpoint pattern — so readers never observe a torn
-// file. The debug server's persisted traces and the golden-file updater use
-// it for the same reason checkpoints do: a crash mid-write must leave
-// either the old content or the new, never a mix.
+// and rename, so readers never observe a torn file. It is the one atomic
+// writer: model checkpoints, the debug server's persisted traces and the
+// golden-file updater all go through it, because a crash mid-write must
+// leave either the old content or the new, never a mix.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

@@ -50,13 +50,6 @@ func (w *SortedWindow) Remove(v float64) bool {
 // Reset discards all values, keeping the backing storage.
 func (w *SortedWindow) Reset() { w.vals = w.vals[:0] }
 
-// AppendTo appends the sorted values to dst and returns it. Callers on the
-// analysis path copy the window out under the shard lock this way, so the
-// kernel never reads state the ingest goroutine is still mutating.
-func (w *SortedWindow) AppendTo(dst []float64) []float64 {
-	return append(dst, w.vals...)
-}
-
 // Percentile returns the p-th percentile of the retained values using the
 // same linear interpolation as PercentileScratch; given the same multiset
 // of values the two are bit-identical. It returns ErrEmpty when no values

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fchain"
+	"fchain/internal/faultlib"
 	"fchain/internal/golden"
 	"fchain/internal/obs"
 	"fchain/scenario"
@@ -37,8 +38,7 @@ func buildScenario(t *testing.T, sc goldenScenario) (*scenario.System, int64, *f
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ExternalSpread = scenario.MeshExternalSpread
-		cfg.MinRelMagnitude = scenario.MeshMinRelMagnitude
+		cfg = faultlib.MeshProfile(cfg)
 		if lb := scenario.MeshFaultLookBack(sc.faultTpl); lb > 0 {
 			cfg.LookBack = lb
 		}
