@@ -72,17 +72,22 @@ func (c Config) withDefaults() Config {
 }
 
 // Scratch holds the reusable working memory of one detection caller: the
-// bootstrap shuffle buffer and the detected/filtered point slices. A zero
-// Scratch is ready to use; after the first few calls warm its buffers,
-// detection and outlier filtering allocate nothing. A Scratch is owned by
-// one goroutine at a time — the parallel analysis engine keeps one per
-// worker. Slices returned by the scratch-based methods alias the scratch
-// and are invalidated by its next use.
+// bootstrap shuffle buffer, the detected/filtered point slices, and the null
+// tables it has already looked up. A zero Scratch is ready to use; after the
+// first few calls warm its buffers, detection and outlier filtering allocate
+// nothing. A Scratch is owned by one goroutine at a time — the parallel
+// analysis engine keeps one per worker. Slices returned by the scratch-based
+// methods alias the scratch and are invalidated by its next use.
 type Scratch struct {
 	shuffled []float64
 	points   []Point
 	outliers []Point
 	mags     []float64
+
+	// tables[n] is nullTable(n, tablesK), filled on first use: a slice
+	// index in front of the process-wide cache's interface-keyed load.
+	tables  [][]float64
+	tablesK int
 }
 
 // Detect finds change points in vals using CUSUM + bootstrap with recursive
@@ -101,7 +106,9 @@ func (sc *Scratch) Detect(vals []float64, cfg Config) []Point {
 		sc.shuffled = make([]float64, len(vals))
 	}
 	sc.points = sc.points[:0]
-	sc.detectSegment(vals, 0, cfg)
+	if len(vals) >= cfg.MinSegment {
+		sc.detectSegment(vals, 0, timeseries.Mean(vals), cfg)
+	}
 	out := sc.points
 	// Insertion sort: point counts are small, indices are unique (segments
 	// are disjoint), and sort.Slice would box its argument — the only
@@ -114,24 +121,31 @@ func (sc *Scratch) Detect(vals []float64, cfg Config) []Point {
 	return out
 }
 
-func (sc *Scratch) detectSegment(vals []float64, offset int, cfg Config) {
+// detectSegment searches vals, whose mean m the caller has already computed
+// (timeseries.Mean's summation, bit for bit), and recurses into both sides
+// of an accepted change point. One walk per segment yields everything the
+// test needs; only an accepted point costs a second pass, over the after
+// side, whose mean is the right child's m.
+func (sc *Scratch) detectSegment(vals []float64, offset int, m float64, cfg Config) {
 	if len(vals) < cfg.MinSegment {
 		return
 	}
-	idx, sdiff := cusumPeak(vals)
+	w := cusumWalk(vals, m)
+	idx := w.peak
 	if idx <= 0 || idx >= len(vals)-1 {
 		return
 	}
 	var conf float64
 	if cfg.Thresholds > 0 {
-		conf = tableConfidence(vals, sdiff, cfg.Thresholds)
+		sd := math.Sqrt(w.sumSq / float64(len(vals)))
+		conf = rankConfidence(w.sdiff, sd, len(vals), sc.nullTable(len(vals), cfg.Thresholds))
 	} else {
-		conf = bootstrapConfidence(vals, sdiff, cfg, sc.shuffled[:len(vals)])
+		conf = bootstrapConfidence(vals, w.sdiff, cfg, sc.shuffled[:len(vals)])
 	}
 	if conf < cfg.Confidence {
 		return
 	}
-	before := timeseries.Mean(vals[:idx])
+	before := w.sumToPeak / float64(idx)
 	after := timeseries.Mean(vals[idx:])
 	sc.points = append(sc.points, Point{
 		Index:      offset + idx,
@@ -140,35 +154,83 @@ func (sc *Scratch) detectSegment(vals []float64, offset int, cfg Config) {
 		Before:     before,
 		After:      after,
 	})
-	sc.detectSegment(vals[:idx], offset, cfg)
-	sc.detectSegment(vals[idx:], offset+idx, cfg)
+	sc.detectSegment(vals[:idx], offset, before, cfg)
+	sc.detectSegment(vals[idx:], offset+idx, after, cfg)
+}
+
+// nullTable is the package-level nullTable read through the scratch's
+// per-length slice.
+func (sc *Scratch) nullTable(n, k int) []float64 {
+	if k != sc.tablesK {
+		clear(sc.tables)
+		sc.tablesK = k
+	}
+	if n >= len(sc.tables) {
+		sc.tables = append(sc.tables, make([][]float64, n+1-len(sc.tables))...)
+	}
+	tbl := sc.tables[n]
+	if tbl == nil {
+		tbl = nullTable(n, k)
+		sc.tables[n] = tbl
+	}
+	return tbl
+}
+
+// walk is what one CUSUM pass over a segment learns.
+type walk struct {
+	peak      int     // index of the maximum |CUSUM|: the change follows sample peak-1
+	sdiff     float64 // CUSUM range (max − min), the statistic tested for significance
+	sumSq     float64 // Σ(v − m)², timeseries.Std's sum of squares
+	sumToPeak float64 // Σ vals[:peak] in index order, timeseries.Mean's numerator
+}
+
+// cusumWalk walks the CUSUM of vals around their mean m once. Every sum is
+// accumulated in index order from zero, exactly as timeseries.Mean and
+// timeseries.Std do, so the standard deviation and the before-mean it
+// yields carry the same bits as those functions would return.
+//
+// The peak is the first index at which |CUSUM| reaches its maximum. That
+// maximum is either the largest CUSUM value or the negated smallest, so
+// the walk records where each extreme was first reached and picks between
+// them at the end (the earlier one on a tie) instead of testing |CUSUM|
+// at every sample. A CUSUM that never leaves zero has no peak.
+func cusumWalk(vals []float64, m float64) walk {
+	var (
+		w                  walk
+		s, sum             float64
+		maxS               = math.Inf(-1)
+		minS               = math.Inf(1)
+		maxAt, minAt       int
+		sumAtMax, sumAtMin float64
+	)
+	for i, v := range vals {
+		d := v - m
+		s += d
+		w.sumSq += d * d
+		sum += v
+		if s > maxS {
+			maxS, maxAt, sumAtMax = s, i+1, sum // change occurs after sample i
+		}
+		if s < minS {
+			minS, minAt, sumAtMin = s, i+1, sum
+		}
+	}
+	w.sdiff = maxS - minS
+	// Either test for the maximum implies it is positive: maxS ≥ minS, and
+	// on a tie the minimum moved after the first sample.
+	if hi, lo := maxS, -minS; hi > lo || (hi == lo && maxAt < minAt) {
+		w.peak, w.sumToPeak = maxAt, sumAtMax
+	} else if lo > 0 {
+		w.peak, w.sumToPeak = minAt, sumAtMin
+	}
+	return w
 }
 
 // cusumPeak returns the index of the maximum |CUSUM| and the CUSUM range
 // (max − min), the statistic bootstrapped for significance.
 func cusumPeak(vals []float64) (idx int, sdiff float64) {
-	m := timeseries.Mean(vals)
-	var (
-		s        float64
-		maxS     = math.Inf(-1)
-		minS     = math.Inf(1)
-		maxAbs   float64
-		maxAbsAt int
-	)
-	for i, v := range vals {
-		s += v - m
-		if s > maxS {
-			maxS = s
-		}
-		if s < minS {
-			minS = s
-		}
-		if a := math.Abs(s); a > maxAbs {
-			maxAbs = a
-			maxAbsAt = i + 1 // change occurs after sample i
-		}
-	}
-	return maxAbsAt, maxS - minS
+	w := cusumWalk(vals, timeseries.Mean(vals))
+	return w.peak, w.sdiff
 }
 
 // bootstrapConfidence estimates the fraction of random reorderings of vals

@@ -22,8 +22,9 @@ func fuzzSeries(data []byte, max int) []float64 {
 
 // FuzzDetect runs the whole change-point pipeline — Detect, SelectOutliers,
 // RollbackOnset — on adversarial series and parameters. The contract under
-// garbage input is: no panic, indices in range, output sorted, and the
-// rollback result a valid sample index at or before its change point.
+// garbage input is: no panic, indices in range, output sorted, the rollback
+// result a valid sample index at or before its change point, and Detect in
+// both modes bit-identical to the reference detector (reference_test.go).
 func FuzzDetect(f *testing.F) {
 	f.Add([]byte{}, 1.5, 0.1)
 	step := make([]byte, 0, 60*8)
@@ -43,10 +44,17 @@ func FuzzDetect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, sigma, tol float64) {
 		vals := fuzzSeries(data, 256)
 		pts := Detect(vals, Config{Bootstraps: 25})
+		if diff := samePoints(pts, refDetect(vals, Config{Bootstraps: 25})); diff != "" {
+			t.Fatalf("bootstrap mode: %s from the reference detector", diff)
+		}
+		table := Detect(vals, Config{Thresholds: 25})
+		if diff := samePoints(table, refDetect(vals, Config{Thresholds: 25})); diff != "" {
+			t.Fatalf("table mode: %s from the reference detector", diff)
+		}
 
 		// Table mode shares the pipeline contract: same index/ordering
 		// invariants, no panic, confidence in range, on arbitrary input.
-		for _, p := range Detect(vals, Config{Thresholds: 25}) {
+		for _, p := range table {
 			if p.Index <= 0 || p.Index >= len(vals) {
 				t.Fatalf("table-mode index %d out of range (n=%d)", p.Index, len(vals))
 			}

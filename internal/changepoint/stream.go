@@ -1,9 +1,6 @@
 package changepoint
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Stream maintains change-point statistics over a metric stream with O(1)
 // amortized work per sample — the Hunter-style incremental counterpart of
@@ -251,14 +248,7 @@ func (s *Stream) Confidence(k int) (float64, bool) {
 	if !ok || s.n < s.window || k <= 0 {
 		return 0, false
 	}
-	sd := s.WindowStd()
-	if sd == 0 || r == 0 {
-		return 0, true
-	}
-	x := r / (sd * math.Sqrt(float64(s.n)))
-	tbl := nullTable(s.n, k)
-	below := sort.SearchFloat64s(tbl, x)
-	return float64(below) / float64(len(tbl)), true
+	return rankConfidence(r, s.WindowStd(), s.n, nullTable(s.n, k)), true
 }
 
 // Bytes reports the approximate heap memory retained by the stream.

@@ -76,20 +76,32 @@ func nullTable(n, k int) []float64 {
 	return stored.([]float64)
 }
 
-// tableConfidence is the table-driven counterpart of bootstrapConfidence:
-// the fraction of null samples whose normalized CUSUM range falls below the
-// observed one. Degenerate segments (zero range or zero variance) report
-// zero confidence, matching the bootstrap's observed==0 short-circuit.
+// tableConfidence is the table-driven counterpart of bootstrapConfidence
+// for a whole segment whose CUSUM range is sdiff.
 func tableConfidence(vals []float64, sdiff float64, k int) float64 {
-	if sdiff == 0 {
+	return rankConfidence(sdiff, timeseries.Std(vals), len(vals), nullTable(len(vals), k))
+}
+
+// rankConfidence is the fraction of the null samples tbl (for segments of
+// length n) whose normalized CUSUM range falls below the observed one, sdiff
+// over a segment with standard deviation sd. Degenerate segments (zero range
+// or zero variance) report zero confidence, matching the bootstrap's
+// observed==0 short-circuit.
+func rankConfidence(sdiff, sd float64, n int, tbl []float64) float64 {
+	if sdiff == 0 || sd == 0 {
 		return 0
 	}
-	sd := timeseries.Std(vals)
-	if sd == 0 {
-		return 0
+	x := sdiff / (sd * math.Sqrt(float64(n)))
+	// sort.SearchFloat64s(tbl, x), the entries strictly below x, without
+	// its per-step closure call.
+	below, hi := 0, len(tbl)
+	for below < hi {
+		h := int(uint(below+hi) >> 1)
+		if tbl[h] >= x {
+			hi = h
+		} else {
+			below = h + 1
+		}
 	}
-	x := sdiff / (sd * math.Sqrt(float64(len(vals))))
-	tbl := nullTable(len(vals), k)
-	below := sort.SearchFloat64s(tbl, x) // entries strictly below x
 	return float64(below) / float64(len(tbl))
 }

@@ -138,21 +138,28 @@ func Diagnose(reports []ComponentReport, totalComponents int, deps *depgraph.Gra
 	}
 
 	// Dependency-based filtering of spurious propagation paths.
+	// Reachability is an equivalence relation, so "some pinned component
+	// reaches r" is "r's connected component holds a pinned one". A
+	// component the graph does not know reaches nothing.
 	if deps != nil && !deps.Empty() {
+		conn := deps.Connectivity()
+		pinnedLabels := make(map[string]bool, len(pinned))
+		for p := range pinned {
+			if l, ok := conn[p]; ok {
+				pinnedLabels[l] = true
+			}
+		}
 		for _, r := range chain {
 			if pinned[r.Component] {
 				continue
 			}
-			reachable := false
-			for p := range pinned {
-				if deps.HasPath(p, r.Component) {
-					reachable = true
-					break
-				}
+			if l, ok := conn[r.Component]; ok && pinnedLabels[l] {
+				continue
 			}
-			if !reachable {
-				pinned[r.Component] = true
-				diag.Culprits = append(diag.Culprits, culpritFrom(r, "independent"))
+			pinned[r.Component] = true
+			diag.Culprits = append(diag.Culprits, culpritFrom(r, "independent"))
+			if l, ok := conn[r.Component]; ok {
+				pinnedLabels[l] = true
 			}
 		}
 	}

@@ -422,16 +422,12 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 	// smaller than a fixed fraction of the metric's normal operating level
 	// is operationally meaningless even when it is statistically
 	// significant, and at mesh scale (hundreds of monitored components)
-	// such shifts otherwise pollute every propagation chain.
+	// such shifts otherwise pollute every propagation chain. Like the
+	// context statistics below, the floor's pass over the context is paid
+	// for by the first candidate inside the look-back window.
 	cvSeries := sv.ViewRange(sv.Start(), lookbackStart)
 	relFloor := 0.0
-	if cfg.MinRelMagnitude > 0 {
-		level := meanAbs(cvSeries.ValuesView())
-		if level == 0 {
-			level = meanAbs(smoothed)
-		}
-		relFloor = cfg.MinRelMagnitude * level
-	}
+	haveFloor := cfg.MinRelMagnitude <= 0
 
 	flt := -1
 	if tr != nil {
@@ -449,6 +445,14 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		t := vals.TimeAt(p.Index)
 		if t < lookbackStart {
 			continue // context region, not the look-back window
+		}
+		if !haveFloor {
+			level := meanAbs(cvSeries.ValuesView())
+			if level == 0 {
+				level = meanAbs(smoothed)
+			}
+			relFloor = cfg.MinRelMagnitude * level
+			haveFloor = true
 		}
 		if relFloor > 0 && math.Abs(p.Magnitude) < relFloor {
 			if tr != nil {

@@ -109,39 +109,56 @@ func (g *Graph) Successors(n string) []string {
 // uses paths to decide whether an anomaly *could* have propagated between
 // two components: propagation travels downstream via requests and upstream
 // via back-pressure, so any chain of interaction edges suffices
-// (paper §II-C).
+// (paper §II-C). Callers asking many such questions of one graph label it
+// once with Connectivity instead.
 func (g *Graph) HasPath(from, to string) bool {
-	if from == to {
+	return g.Connectivity().Connected(from, to)
+}
+
+// Connectivity labels every node with its connected component in the
+// undirected interaction graph: two nodes share a label exactly when
+// HasPath holds between them. Labelling costs O(V+E) once; every query
+// after it is two map reads.
+type Connectivity map[string]string
+
+// Connectivity labels g's nodes by union-find over its edges; a node's
+// label is the name of its component's root.
+func (g *Graph) Connectivity() Connectivity {
+	parent := make(map[string]string, len(g.nodes))
+	for n := range g.nodes {
+		parent[n] = n
+	}
+	find := func(n string) string {
+		for parent[n] != n {
+			parent[n] = parent[parent[n]] // path halving
+			n = parent[n]
+		}
+		return n
+	}
+	for from, m := range g.edges {
+		for to := range m {
+			if a, b := find(from), find(to); a != b {
+				parent[a] = b
+			}
+		}
+	}
+	labels := make(Connectivity, len(parent))
+	for n := range parent {
+		labels[n] = find(n)
+	}
+	return labels
+}
+
+// Connected reports whether a path of interaction edges joins a and b.
+// Every node is connected to itself, including one the graph does not
+// hold; such a node is connected to nothing else.
+func (c Connectivity) Connected(a, b string) bool {
+	if a == b {
 		return true
 	}
-	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for next := range g.edges[cur] {
-			if next == to {
-				return true
-			}
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-		// Interaction is bidirectional for propagation purposes.
-		for src, m := range g.edges {
-			if _, ok := m[cur]; ok {
-				if src == to {
-					return true
-				}
-				if !seen[src] {
-					seen[src] = true
-					stack = append(stack, src)
-				}
-			}
-		}
-	}
-	return false
+	la, okA := c[a]
+	lb, okB := c[b]
+	return okA && okB && la == lb
 }
 
 // HasDirectedPath reports whether to is reachable from from following edge

@@ -33,18 +33,38 @@ func PercentileScratch(vals []float64, p float64, scratch *[]float64) (float64, 
 }
 
 // PercentilePairScratch returns the pLow-th and pHigh-th percentiles
-// (pLow <= pHigh) of vals from a single copy: once the high rank is in
-// place everything left of it is no larger, so the low rank is selected
-// inside that part alone. Each result is bit-identical to what
+// (pLow <= pHigh) of vals. Each result is bit-identical to what
 // PercentileScratch returns for the same p.
+//
+// A tail pair — each percentile reads at most tailScanMax values from its
+// end, as p1/p99 over up to ~3,000 samples do — is answered from what one
+// scan keeps of each end (tailScan). Other pairs, and the rare tail pair
+// the scan cannot settle, are selected from a single copy: once the high
+// rank is in place everything left of it is no larger, so the low rank is
+// selected inside that part alone.
 func PercentilePairScratch(vals []float64, pLow, pHigh float64, scratch *[]float64) (low, high float64, err error) {
 	if len(vals) == 0 {
 		return 0, 0, ErrEmpty
 	}
+	n := len(vals)
+	loH, fracH := closestRank(n, pHigh)
+	loL, fracL := closestRank(n, pLow)
+	// The low percentile reads the loL+1 smallest values (one more when it
+	// interpolates), the high one the n-loH largest.
+	nLow, nHigh := loL+1, n-loH
+	if fracL != 0 {
+		nLow++
+	}
+	if nLow <= tailScanMax && nHigh <= tailScanMax {
+		if cap(*scratch) < 2*n {
+			*scratch = make([]float64, 2*n)
+		}
+		if lows, highs, ok := tailScan(vals, nLow, nHigh, (*scratch)[:2*n]); ok {
+			return pick(lows, loL, fracL), pick(highs, len(highs)-nHigh, fracH), nil
+		}
+	}
 	buf := append((*scratch)[:0], vals...)
 	*scratch = buf
-	loH, fracH := closestRank(len(buf), pHigh)
-	loL, fracL := closestRank(len(buf), pLow)
 	high = pick(buf, loH, fracH)
 	if loL+1 < loH {
 		// Both ranks the low percentile reads lie strictly below loH, and
@@ -52,6 +72,62 @@ func PercentilePairScratch(vals []float64, pLow, pHigh float64, scratch *[]float
 		buf = buf[:loH]
 	}
 	return pick(buf, loL, fracL), high, nil
+}
+
+// tailScanMax is the largest count of values at one end a percentile may
+// read for PercentilePairScratch to try tailScan.
+const tailScanMax = 32
+
+// tailSample is the most values tailScan samples to place its bars.
+const tailSample = 128
+
+// tailScan keeps, in one branch-free pass over vals, every value at or
+// below a low bar in lows and every value at or above a high bar in highs
+// (buf holds 2·len(vals) values). The bars are order statistics of an
+// evenly strided sample of vals, placed so that each side keeps about three
+// times the nLow smallest (nHigh largest) values it must contain. ok is
+// false when a side kept fewer than that, which an unlucky sample or NaNs
+// can cause; then nothing is known. When ok, lows holds every value no
+// larger than the nLow-th smallest and highs every value no smaller than
+// the nHigh-th largest, so as order statistics the nLow smallest of lows
+// and the nHigh largest of highs are the values a full sort would put at
+// the two ends, and a rank picked among them carries the same bits.
+func tailScan(vals []float64, nLow, nHigh int, buf []float64) (lows, highs []float64, ok bool) {
+	n := len(vals)
+	stride := (n + tailSample - 1) / tailSample
+	sample := buf[:(n+stride-1)/stride]
+	for i := range sample {
+		sample[i] = vals[i*stride]
+	}
+	s := len(sample)
+	kLow := min(s-1, (3*nLow*s+n-1)/n)
+	kHigh := s - 1 - min(s-1, (3*nHigh*s+n-1)/n)
+	selectNth(sample, kLow)
+	lowBar := sample[kLow]
+	selectNth(sample, kHigh)
+	highBar := sample[kHigh]
+
+	lows, highs = buf[:n], buf[n:]
+	nl, nh := 0, 0
+	for _, v := range vals {
+		lows[nl] = v
+		highs[nh] = v
+		// Conditional assignments of constants, as in split: the
+		// comparisons feed additions, not branches.
+		stepLow, stepHigh := 0, 0
+		if v <= lowBar {
+			stepLow = 1
+		}
+		if v >= highBar {
+			stepHigh = 1
+		}
+		nl += stepLow
+		nh += stepHigh
+	}
+	if nl < nLow || nh < nHigh {
+		return nil, nil, false
+	}
+	return lows[:nl], highs[:nh], true
 }
 
 // closestRank locates the p-th percentile (clamped to [0, 100]) among n

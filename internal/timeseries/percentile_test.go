@@ -196,11 +196,95 @@ func TestPercentileScratchMatchesSort(t *testing.T) {
 			}
 		}
 	}
+	// Tail pairs take the scan (tailScan) while both percentiles read
+	// within tailScanMax values of their end, and selection beyond: every
+	// n up to 300, and a few sizes either side of each pair's switch-over.
+	for _, pp := range tailPairs {
+		sizes := make([]int, 0, 310)
+		for n := 1; n <= 300; n++ {
+			sizes = append(sizes, n)
+		}
+		if last, ok := lastTailScanSize(pp[0], pp[1]); ok {
+			for n := last - 2; n <= last+3; n++ {
+				sizes = append(sizes, n)
+			}
+		}
+		for _, in := range selectionInputs {
+			for _, n := range sizes {
+				vals := in.gen(n, rng)
+				low, high, err := PercentilePairScratch(vals, pp[0], pp[1], &scratch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wl, wh := sortPercentile(vals, pp[0]), sortPercentile(vals, pp[1]); !sameFloat(low, wl) || !sameFloat(high, wh) {
+					t.Fatalf("%s n=%d tail pair %v: got (%v, %v), sorted (%v, %v)", in.name, n, pp, low, high, wl, wh)
+				}
+			}
+		}
+	}
 	if _, err := PercentileScratch(nil, 50, &scratch); err != ErrEmpty {
 		t.Fatalf("empty input: err = %v, want ErrEmpty", err)
 	}
 	if _, _, err := PercentilePairScratch(nil, 1, 99, &scratch); err != ErrEmpty {
 		t.Fatalf("empty input pair: err = %v, want ErrEmpty", err)
+	}
+}
+
+// tailPairs are the symmetric and asymmetric tail percentile pairs the
+// scan path is held to the sort reference on.
+var tailPairs = [][2]float64{{1, 99}, {0, 100}, {0, 99}, {1, 100}, {0.3, 99.9}, {2.5, 97}, {5, 99.5}, {10, 90}}
+
+// lastTailScanSize is the largest n at which PercentilePairScratch answers
+// (pLow, pHigh) with the tail scan rather than selection: the count of
+// values each percentile reads from its end, as closestRank places it, is
+// at most tailScanMax. ok is false when the pair never switches over below
+// 8192 values ({0, 100} reads one value at each end at every size).
+func lastTailScanSize(pLow, pHigh float64) (last int, ok bool) {
+	const limit = 8192
+	for n := 1; n <= limit; n++ {
+		loL, fracL := closestRank(n, pLow)
+		loH, _ := closestRank(n, pHigh)
+		nLow := loL + 1
+		if fracL != 0 {
+			nLow++
+		}
+		if nLow <= tailScanMax && n-loH <= tailScanMax {
+			last = n
+		}
+	}
+	return last, last < limit
+}
+
+// TestTailScanFallback: a sample that lands only on the smallest values sets
+// the low bar too low, tailScan reports that it cannot settle the pair, and
+// PercentilePairScratch still matches the sort reference by selecting.
+func TestTailScanFallback(t *testing.T) {
+	var scratch []float64
+	for _, n := range []int{600, 1339, 3000} {
+		stride := (n + tailSample - 1) / tailSample
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(n + i)
+			if i%stride == 0 {
+				vals[i] = float64(i) // every sampled value is below every other
+			}
+		}
+		loL, fracL := closestRank(n, 1)
+		loH, _ := closestRank(n, 99)
+		nLow := loL + 1
+		if fracL != 0 {
+			nLow++
+		}
+		if _, _, ok := tailScan(vals, nLow, n-loH, make([]float64, 2*n)); ok {
+			t.Fatalf("n=%d: the scan settled a pair its sample misplaced", n)
+		}
+		low, high, err := PercentilePairScratch(vals, 1, 99, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wl, wh := sortPercentile(vals, 1), sortPercentile(vals, 99); !sameFloat(low, wl) || !sameFloat(high, wh) {
+			t.Fatalf("n=%d: got (%v, %v), sorted (%v, %v)", n, low, high, wl, wh)
+		}
 	}
 }
 
@@ -282,6 +366,9 @@ func FuzzPercentileScratch(f *testing.F) {
 		var scratch []float64
 		got, err := PercentileScratch(vals, p, &scratch)
 		low, high, perr := PercentilePairScratch(vals, 100-p, p, &scratch)
+		// A pair whose low end is pinned at the minimum: near p=100 both
+		// ends are tails, so this is the scan path on short inputs.
+		lowMin, highP, merr := PercentilePairScratch(vals, 0, p, &scratch)
 		for i := range vals {
 			if math.Float64bits(vals[i]) != math.Float64bits(orig[i]) {
 				t.Fatalf("input mutated at %d", i)
@@ -293,8 +380,8 @@ func FuzzPercentileScratch(f *testing.F) {
 			}
 			return
 		}
-		if err != nil || perr != nil {
-			t.Fatalf("unexpected errors %v, %v", err, perr)
+		if err != nil || perr != nil || merr != nil {
+			t.Fatalf("unexpected errors %v, %v, %v", err, perr, merr)
 		}
 		if !clean {
 			return
@@ -304,6 +391,9 @@ func FuzzPercentileScratch(f *testing.F) {
 		}
 		if want := sortPercentile(vals, 100-p); !sameFloat(low, want) {
 			t.Fatalf("p=%v: pair low %v, sorted %v", 100-p, low, want)
+		}
+		if wl, wh := sortPercentile(vals, 0), sortPercentile(vals, p); !sameFloat(lowMin, wl) || !sameFloat(highP, wh) {
+			t.Fatalf("pair (0, %v): got (%v, %v), sorted (%v, %v)", p, lowMin, highP, wl, wh)
 		}
 	})
 }
