@@ -289,10 +289,24 @@ func BenchmarkModuleSeriesInto(b *testing.B) {
 // warm. Walking 768 streams per second is what the per-stream layer
 // benchmarks (BenchmarkModuleMonitoring replays one component with its
 // state in L1) do not see. An op is one virtual second; ns/sample is the
-// number to compare, and steady state allocates nothing.
+// number to compare. The batch and streaming sub-benchmarks run it with
+// Config.Streaming off and on; batch allocates nothing at steady state,
+// while the streaming accumulators' deques re-grow now and then.
 func BenchmarkIngestTimeMajor(b *testing.B) {
+	for _, mode := range []struct {
+		name      string
+		streaming bool
+	}{{"batch", false}, {"streaming", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := fchain.DefaultConfig()
+			cfg.Streaming = mode.streaming
+			benchIngestTimeMajor(b, cfg)
+		})
+	}
+}
+
+func benchIngestTimeMajor(b *testing.B, cfg fchain.Config) {
 	const components = 128
-	cfg := fchain.DefaultConfig()
 	names := make([]string, components)
 	for i := range names {
 		names[i] = fmt.Sprintf("c%03d", i)

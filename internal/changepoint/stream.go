@@ -23,11 +23,9 @@ import "math"
 // one per metric on every Observe, exposing the warm-state statistics that
 // /metrics and StreamingStats report and giving the differential tests an
 // incremental CUSUM to pit against the batch scan. The selection kernel's
-// verdict bits never depend on it — byte-equality between streaming and
-// batch mode is anchored on the sorted context windows and the threshold
-// tables, both of which are arithmetic-identical to the batch path, while
-// the accumulator's floating point (windowed sums maintained by
-// subtraction) is only telemetry-grade.
+// verdict bits never depend on it — streaming and batch mode run the same
+// kernel arithmetic, while the accumulator's floating point (windowed sums
+// maintained by subtraction) is only telemetry-grade.
 //
 // The zero value is unusable; construct with NewStream. Not safe for
 // concurrent use.

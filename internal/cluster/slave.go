@@ -1014,8 +1014,10 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 			truncated++
 		}
 	}
+	// Streaming stats take every shard lock and rank every accumulator, so
+	// they are gathered only when a registry or a journal will read them.
 	var sst core.StreamingStats
-	if s.cfg.Streaming {
+	if s.cfg.Streaming && (s.obs.Registry() != nil || s.obs.EventJournal() != nil) {
 		for _, m := range monitors {
 			sst.Merge(m.StreamingStats())
 		}
@@ -1046,7 +1048,7 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 			// registry counter stays a counter across overlapping analyzes.
 			if prev := s.streamColds.Swap(sst.Colds); sst.Colds > prev {
 				reg.Counter("fchain_streaming_cold_total",
-					"Analyses that fell back to the batch kernel on cold streaming state.").
+					"Streaming analyses the kernel memo did not answer, run by the batch kernel.").
 					Add(int64(sst.Colds - prev))
 			}
 		}

@@ -125,16 +125,14 @@ type Config struct {
 	// probe re-admits the stream; another panic re-trips the quarantine.
 	QuarantineCooldown time.Duration
 
-	// Streaming enables always-on streaming selection (stream.go): every
-	// Observe pays a small constant extra cost to keep per-metric sorted
-	// context multisets, an incremental CUSUM accumulator, and FFT/kernel
-	// memos warm, and Localize at the stream head then runs in roughly the
-	// cost of diagnosis alone. Output is bit-identical with the flag on or
-	// off — the fast paths substitute provably equal arithmetic and fall
-	// back to the batch kernel whenever the state is cold (after a restore,
-	// a collection gap, a look-back override, or an analysis at a
-	// historical tv). Off by default: pure-batch deployments that localize
-	// rarely keep the cheapest possible Observe.
+	// Streaming enables streaming selection (stream.go): every Observe
+	// feeds a per-metric incremental CUSUM accumulator (the hot-stream
+	// telemetry), and analyses consult per-metric kernel and FFT memos, so
+	// re-localizing an unchanged stream replays its verdict. Output is
+	// bit-identical with the flag on or off: the memos replay batch-kernel
+	// bits, and every analysis they cannot answer runs the batch kernel.
+	// Off by default: pure-batch deployments keep the cheapest possible
+	// Observe.
 	Streaming bool
 
 	// Parallelism bounds the analysis worker pool that fans abnormal change

@@ -63,9 +63,6 @@ type metricShard struct {
 func (sh *metricShard) push(t int64, v float64) {
 	predErr, _ := sh.model.Observe(v)
 	prevLast, prevHas := sh.lastT, sh.hasLast
-	if sh.stream != nil {
-		sh.stream.beforePush(sh)
-	}
 	sh.samples.Push(t, v)
 	sh.errs.Push(t, predErr)
 	sh.lastT = t

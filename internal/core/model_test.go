@@ -73,33 +73,48 @@ func TestMonitorResidentBytes(t *testing.T) {
 		}
 	})
 	t.Run("diurnal", func(t *testing.T) {
-		// A healthy mesh: meshgen's diurnal and short-cycle workload with
-		// AR(1) noise, run through cloudsim past one diurnal period.
-		const until = 2100
-		mesh, err := meshgen.Generate(meshgen.Params{Components: 64, FanOut: 4, Depth: 5, Seed: 21})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := cloudsim.New(mesh.SpecWithTrace(1), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.RunUntil(until)
-		comps := sim.Components()
-		cols := make([][metric.NumKinds + 1][]float64, len(comps))
-		for i, c := range comps {
-			for _, k := range metric.Kinds {
-				s, err := sim.Series(c, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				v := s.Values()
-				cols[i][k] = v[len(v)-until:]
-			}
-		}
-		healthy := func(i int, ts int64, k metric.Kind) float64 { return cols[i][k][ts] }
-		checkResidentBytes(t, cfg, len(comps), until, healthy, 185_000)
+		comps, healthy := diurnalFeed(t)
+		checkResidentBytes(t, cfg, comps, diurnalUntil, healthy, 185_000)
 	})
+	t.Run("streaming", func(t *testing.T) {
+		// The diurnal feed again, with the streaming state on top.
+		scfg := cfg
+		scfg.Streaming = true
+		comps, healthy := diurnalFeed(t)
+		checkResidentBytes(t, scfg, comps, diurnalUntil, healthy, 213_300*105/100) // measured + 5 %
+	})
+}
+
+// diurnalUntil is the horizon of diurnalFeed: past one diurnal period.
+const diurnalUntil = 2100
+
+// diurnalFeed is a healthy mesh: meshgen's diurnal and short-cycle workload
+// with AR(1) noise, run through cloudsim for diurnalUntil seconds. It
+// returns the component count and the value of (component, ts, kind).
+func diurnalFeed(t *testing.T) (int, func(int, int64, metric.Kind) float64) {
+	t.Helper()
+	mesh, err := meshgen.Generate(meshgen.Params{Components: 64, FanOut: 4, Depth: 5, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := cloudsim.New(mesh.SpecWithTrace(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunUntil(diurnalUntil)
+	comps := sim.Components()
+	cols := make([][metric.NumKinds + 1][]float64, len(comps))
+	for i, c := range comps {
+		for _, k := range metric.Kinds {
+			s, err := sim.Series(c, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := s.Values()
+			cols[i][k] = v[len(v)-diurnalUntil:]
+		}
+	}
+	return len(comps), func(i int, ts int64, k metric.Kind) float64 { return cols[i][k][ts] }
 }
 
 // checkResidentBytes feeds monitors value(monitor, ts, kind) for ts in

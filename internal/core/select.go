@@ -346,10 +346,10 @@ const (
 //
 // Under Config.Streaming the kernel consults the shard's streaming state
 // (stream.go): a whole-kernel memo hit returns the cached verdict outright,
-// and a warm state answers the context percentiles in O(1) from the sorted
-// multisets. Both substitutions are bit-identical to the batch arithmetic,
-// so streaming changes timings, never outputs. Traced runs and active
-// fault-injection hooks always execute the real kernel.
+// and the FFT memo replays burst thresholds already computed. Both replay
+// bits the batch arithmetic produced, so streaming changes timings, never
+// outputs. Traced runs and active fault-injection hooks always execute the
+// real kernel.
 func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, abnormal bool) {
 	memoEligible := tr == nil && analyzeHook.Load() == nil
 	sv, se, facts := m.materializeStream(tv, k, cfg, a, memoEligible)
@@ -466,7 +466,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 		// the first one that needs them.
 		if !haveCtx {
 			ctxSeries := se.ViewRange(se.Start(), lookbackStart)
-			ctx = contextStatsOf(cvSeries.ValuesView(), ctxSeries.ValuesView(), smoothed, &facts, a)
+			ctx = contextStatsOf(cvSeries.ValuesView(), ctxSeries.ValuesView(), smoothed, a)
 			haveCtx = true
 		}
 		pe := predictionErrorNear(&errsSeries, p.Index)
@@ -601,10 +601,10 @@ type contextStats struct {
 }
 
 // contextStatsOf computes them from the context values cv, the context
-// prediction errors errs and the smoothed analysis window. With warm
-// streaming facts the percentiles are O(1) reads of the sorted multisets:
-// same multiset, same interpolation, same bits as the selection.
-func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, a *arena) contextStats {
+// prediction errors errs and the smoothed analysis window, selecting the
+// percentiles on the arena's scratch. Batch and streaming analyses both run
+// it.
+func contextStatsOf(cv, errs, smoothed []float64, a *arena) contextStats {
 	// Self-calibration: all retained history before the look-back window
 	// characterizes how predictable this metric was before the anomaly
 	// manifested. A metric whose model already erred badly (inherently
@@ -614,9 +614,7 @@ func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, a *arena) 
 	cs := contextStats{p1: math.Inf(-1), p99: math.Inf(1)}
 	if len(cv) >= 8 {
 		cs.valueStd = timeseries.Std(cv)
-		if facts.fast {
-			cs.p99, cs.p1 = facts.p99, facts.p1
-		} else if p1, p99, err := timeseries.PercentilePairScratch(cv, 1, 99, &a.pctile); err == nil {
+		if p1, p99, err := timeseries.PercentilePairScratch(cv, 1, 99, &a.pctile); err == nil {
 			cs.p1, cs.p99 = p1, p99
 		}
 	}
@@ -629,20 +627,13 @@ func contextStatsOf(cv, errs, smoothed []float64, facts *streamFacts, a *arena) 
 		cs.dwellLow++
 	}
 	if len(errs) >= 8 {
-		if facts.fast {
-			cs.floor = selfCalibration * facts.p90
-			if f := contextMaxFactor * facts.maxE; f > cs.floor {
+		p90, err := timeseries.PercentileScratch(errs, 90, &a.pctile)
+		if err == nil {
+			cs.floor = selfCalibration * p90
+		}
+		if _, hi, err := timeseries.MinMax(errs); err == nil {
+			if f := contextMaxFactor * hi; f > cs.floor {
 				cs.floor = f
-			}
-		} else {
-			p90, err := timeseries.PercentileScratch(errs, 90, &a.pctile)
-			if err == nil {
-				cs.floor = selfCalibration * p90
-			}
-			if _, hi, err := timeseries.MinMax(errs); err == nil {
-				if f := contextMaxFactor * hi; f > cs.floor {
-					cs.floor = f
-				}
 			}
 		}
 	}

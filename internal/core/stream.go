@@ -6,38 +6,26 @@ import (
 	"fchain/internal/timeseries"
 )
 
-// Streaming selection (Config.Streaming): instead of paying the whole
-// selection burst at tv — percentile selections over ~1.3k context samples
-// and a per-candidate FFT, per metric, per Localize — the shard folds a
-// constant slice of that work into every Observe and the tv-time kernel
-// assembles cached pieces:
+// Streaming selection (Config.Streaming): the shard keeps a little state
+// beside its rings so that the tv-time kernel can reuse work an earlier
+// analysis already did:
 //
-//   - sorted context multisets: the values and prediction errors of the ring
-//     positions before the look-back window are kept as incrementally
-//     maintained sorted multisets, so the kernel's context percentiles
-//     (p1/p99 of values, p90/max of errors) are O(1) lookups instead of
-//     O(n) selections. Percentile interpolation over a sorted multiset is
-//     the batch select-then-interpolate arithmetic (one shared helper in
-//     timeseries), so the fast path changes no output bit;
+//   - a kernel memo: the full per-metric verdict keyed by the ring mutation
+//     sequence numbers (timeseries.Ring.Seq), tv, and config, so
+//     re-localizing an unchanged stream skips the kernel outright;
 //   - an FFT memo: ExpectedError keyed by the burst window's absolute
 //     position and the spectral knobs. Ring content for retained positions
 //     is immutable, so a hit replays the exact float the batch path would
 //     recompute;
-//   - a kernel memo: the full per-metric verdict keyed by the ring mutation
-//     sequence numbers (timeseries.Ring.Seq), tv, and config, so
-//     re-localizing an unchanged stream skips the kernel outright;
 //   - a changepoint.Stream accumulator per metric: the O(1) incremental
 //     CUSUM/Welford counterpart of the batch detector. It powers the
 //     hot-stream telemetry and the incremental-vs-batch differential tests;
 //     verdict bits never come from it (see changepoint.Stream).
 //
-// Cold fallback: the fast path is used only when the multisets provably
-// cover exactly the context region the batch kernel would select over — the
-// counts derived from (tv, LookBack, ring) must match the cursors. Any mismatch
-// (analysis at a historical tv, an overridden look-back window, state
-// freshly reset by a collection gap, Restore, or Predictor.Break)
-// silently takes the batch path and bumps the cold counter. Correctness
-// never depends on the state being warm.
+// Every analysis the kernel memo does not answer runs the batch kernel,
+// context statistics and all, and counts as cold. Both memos replay bits
+// the batch kernel produced, so streaming changes timings, never outputs,
+// and correctness never depends on the state being warm.
 
 // fftKey identifies one burst-window ExpectedError computation: the window's
 // absolute start time and length. Positions map stably to times only while
@@ -68,30 +56,20 @@ type selMemo struct {
 // streamState is the per-(component, metric) streaming state, owned by its
 // metricShard and guarded by the shard mutex.
 type streamState struct {
-	lookBack int
-
-	// Sorted multisets over ring positions [0, cursor) — exactly the
-	// context region [ring start, lastT−LookBack) the batch kernel reads.
-	ctxVals timeseries.SortedWindow
-	ctxErrs timeseries.SortedWindow
-	cursor  int // sample-ring positions folded into ctxVals
-	cursorE int // error-ring positions folded into ctxErrs
-
 	acc   *changepoint.Stream
 	fft   map[fftKey]float64
 	dense bool // every push so far advanced time by exactly 1
 	memo  selMemo
 
-	colds    uint64 // fast-path misses that fell back to the batch kernel
+	colds    uint64 // analyses the kernel memo missed, run by the batch kernel
 	resets   uint64 // full state resets (gap, Break, Restore)
 	memoHits uint64
 }
 
 func newStreamState(cfg Config) *streamState {
 	return &streamState{
-		lookBack: cfg.LookBack,
-		acc:      changepoint.NewStream(cfg.LookBack),
-		dense:    true,
+		acc:   changepoint.NewStream(cfg.LookBack),
+		dense: true,
 	}
 }
 
@@ -99,9 +77,6 @@ func newStreamState(cfg Config) *streamState {
 // dense history is severed (collection gap, Clear, model Break) and by
 // rebuild after Restore. Caller holds the shard lock.
 func (st *streamState) resetState() {
-	st.ctxVals.Reset()
-	st.ctxErrs.Reset()
-	st.cursor, st.cursorE = 0, 0
 	st.acc.Reset()
 	st.fft = nil
 	st.dense = true
@@ -109,63 +84,16 @@ func (st *streamState) resetState() {
 	st.resets++
 }
 
-// beforePush removes the about-to-be-evicted front samples from the context
-// multisets while the ring still holds them. Caller holds the shard lock.
-func (st *streamState) beforePush(sh *metricShard) {
-	if sh.samples.Len() == sh.samples.Cap() && st.cursor > 0 {
-		st.ctxVals.Remove(sh.samples.Value(0))
-		st.cursor--
-	}
-	if sh.errs.Len() == sh.errs.Cap() && st.cursorE > 0 {
-		st.ctxErrs.Remove(sh.errs.Value(0))
-		st.cursorE--
-	}
-}
-
-// afterPush advances the context boundary to the new lastT and feeds the
-// accumulator. prevLast/prevHas are the shard's lastT/hasLast from before
-// the push. Caller holds the shard lock.
+// afterPush feeds the accumulator. prevLast/prevHas are the shard's
+// lastT/hasLast from before the push. Caller holds the shard lock.
 func (st *streamState) afterPush(sh *metricShard, v float64, prevLast int64, prevHas bool) {
 	if prevHas && sh.lastT != prevLast+1 {
 		// A time jump breaks the position↔time mapping the FFT memo keys
-		// rely on; the positional multisets are unaffected.
+		// rely on.
 		st.dense = false
 		st.fft = nil
 	}
-	st.syncCursors(sh)
 	st.acc.Push(v)
-}
-
-// syncCursors moves both context cursors to the boundary the batch kernel
-// would use for an analysis at tv == lastT: position count
-// (lastT − LookBack) − firstTime, clamped to the ring. Caller holds the
-// shard lock.
-func (st *streamState) syncCursors(sh *metricShard) {
-	st.cursor = syncOne(sh.samples, &st.ctxVals, st.cursor, sh.lastT, st.lookBack)
-	st.cursorE = syncOne(sh.errs, &st.ctxErrs, st.cursorE, sh.lastT, st.lookBack)
-}
-
-func syncOne(r *timeseries.Ring, w *timeseries.SortedWindow, cursor int, lastT int64, lookBack int) int {
-	if r.Len() == 0 {
-		return 0
-	}
-	want64 := lastT - int64(lookBack) - r.First()
-	want := 0
-	if want64 > 0 {
-		want = int(want64)
-	}
-	if want > r.Len() {
-		want = r.Len()
-	}
-	for cursor > want {
-		cursor--
-		w.Remove(r.Value(cursor))
-	}
-	for cursor < want {
-		w.Insert(r.Value(cursor))
-		cursor++
-	}
-	return cursor
 }
 
 // rebuild reconstructs the streaming state deterministically from the
@@ -187,40 +115,28 @@ func (st *streamState) rebuild(sh *metricShard) {
 		st.acc.Push(v)
 	}
 	st.dense = dense
-	if sh.hasLast {
-		st.syncCursors(sh)
-	}
 }
 
 // bytes approximates the state's retained heap memory.
 func (st *streamState) bytes() int64 {
-	return st.ctxVals.Bytes() + st.ctxErrs.Bytes() + st.acc.Bytes() +
-		int64(len(st.fft))*int64(32)
+	return st.acc.Bytes() + int64(len(st.fft))*int64(32)
 }
 
 // streamFacts is what materializeStream extracts under the shard lock beyond
-// the plain series copies: either a whole-kernel memo hit, or the O(1)
-// context statistics for the percentile fast path, or neither (cold).
+// the plain series copies: a whole-kernel memo hit, or the ring sequence
+// numbers a batch-kernel verdict is memoized under.
 type streamFacts struct {
 	memoHit bool
 	memoCh  AbnormalChange
 	memoOK  bool
 
-	fast  bool // context multisets cover exactly [start, tv−LookBack)
-	nVals int  // context value count (== batch len(cv))
-	p99   float64
-	p1    float64
-	nErrs int // context error count (== batch len(ctx))
-	p90   float64
-	maxE  float64
-
 	seq  uint64 // ring sequence numbers at materialization time,
 	eseq uint64 // for storing the kernel memo afterwards
 }
 
-// materializeStream is materialize plus the streaming lookups, all under one
-// shard lock acquisition. With streaming disabled (or the state cold) it
-// degrades to a plain materialize; misses of a warm state count as colds.
+// materializeStream is materialize plus the kernel memo lookup, all under one
+// shard lock acquisition. With streaming disabled it is a plain materialize;
+// with it on, every analysis the memo does not answer counts as cold.
 // memoEligible is false for traced runs and active fault-injection hooks —
 // both must execute the real kernel.
 func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, a *arena, memoEligible bool) (sv, se *timeseries.Series, facts streamFacts) {
@@ -244,46 +160,8 @@ func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, a *aren
 		facts.memoOK = st.memo.ok
 		return sv, se, facts
 	}
-	// The multisets cover ring positions [0, cursor); the batch kernel reads
-	// positions [0, (tv−LookBack)−start). Equality of the counts is
-	// sufficient: whenever they agree, the multiset holds exactly the batch
-	// context multiset, whichever (tv, LookBack) maintained it.
-	lookbackStart := tv - int64(cfg.LookBack)
-	wantV := contextLen(sv, lookbackStart)
-	wantE := contextLen(se, lookbackStart)
-	if wantV != st.ctxVals.Len() || wantE != st.ctxErrs.Len() {
-		st.colds++
-		return sv, se, facts
-	}
-	facts.fast = true
-	facts.nVals = wantV
-	facts.nErrs = wantE
-	if wantV >= minContext {
-		facts.p99, _ = st.ctxVals.Percentile(99)
-		facts.p1, _ = st.ctxVals.Percentile(1)
-	}
-	if wantE >= minContext {
-		facts.p90, _ = st.ctxErrs.Percentile(90)
-		facts.maxE, _ = st.ctxErrs.Max()
-	}
+	st.colds++
 	return sv, se, facts
-}
-
-// minContext is the batch kernel's minimum context length for the
-// self-calibration statistics (select.go's len >= 8 guards).
-const minContext = 8
-
-// contextLen is the length of s.ViewRange(s.Start(), lookbackStart) without
-// building the view.
-func contextLen(s *timeseries.Series, lookbackStart int64) int {
-	n := int(lookbackStart - s.Start())
-	if n < 0 {
-		n = 0
-	}
-	if n > s.Len() {
-		n = s.Len()
-	}
-	return n
 }
 
 // storeMemo records a finished kernel verdict for the exact ring state it
@@ -345,8 +223,8 @@ type StreamingStats struct {
 	Streams int `json:"streams,omitempty"`
 	// Bytes approximates the heap retained by all streaming state.
 	Bytes int64 `json:"bytes,omitempty"`
-	// Colds counts analyses that found the fast path unusable (cold state,
-	// historical tv, overridden window) and fell back to the batch kernel.
+	// Colds counts analyses that ran the batch kernel: every analysis the
+	// kernel memo did not answer.
 	Colds uint64 `json:"colds,omitempty"`
 	// Resets counts full state resets: collection gaps, model breaks,
 	// checkpoint restores.

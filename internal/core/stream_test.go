@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -71,8 +72,8 @@ func signalAt(k metric.Kind, ts, inject int64, rng *rand.Rand) float64 {
 }
 
 // TestStreamingMatchesBatchEveryStep is the headline equality property:
-// analyses at every advancing stream head — warm fast path, FFT memo hits,
-// and all — marshal to exactly the bytes the batch kernel produces.
+// analyses at every advancing stream head — FFT memo hits and all —
+// marshal to exactly the bytes the batch kernel produces.
 func TestStreamingMatchesBatchEveryStep(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newStreamPair(cfg)
@@ -104,8 +105,9 @@ func TestStreamingMatchesBatchEveryStep(t *testing.T) {
 	}
 }
 
-// TestStreamingColdFallbacks: historical tv and overridden look-back windows
-// must take the batch path (cold counter moves) and still match batch bytes.
+// TestStreamingColdFallbacks: analyses at a historical tv and with an
+// overridden look-back window miss the kernel memo, so they run the batch
+// kernel (cold counter moves) and must match batch bytes.
 func TestStreamingColdFallbacks(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newStreamPair(cfg)
@@ -117,7 +119,7 @@ func TestStreamingColdFallbacks(t *testing.T) {
 	}
 	before := p.stream.StreamingStats().Colds
 
-	// Historical tv: the multisets track the stream head, not tv=450.
+	// Historical tv: no memo entry exists for tv=450.
 	rs, _ := AnalyzeMonitors([]*Monitor{p.stream}, 450, 0, 1)
 	rb, _ := AnalyzeMonitors([]*Monitor{p.batch}, 450, 0, 1)
 	js, _ := json.Marshal(rs)
@@ -126,7 +128,7 @@ func TestStreamingColdFallbacks(t *testing.T) {
 		t.Fatalf("historical tv: streaming %s != batch %s", js, jb)
 	}
 
-	// Overridden look-back: boundary arithmetic no longer matches the state.
+	// Overridden look-back: a config no memo entry was stored under.
 	rs, _ = AnalyzeMonitors([]*Monitor{p.stream}, 500, cfg.LookBack*2, 1)
 	rb, _ = AnalyzeMonitors([]*Monitor{p.batch}, 500, cfg.LookBack*2, 1)
 	js, _ = json.Marshal(rs)
@@ -292,4 +294,119 @@ func TestStreamingSerialMatchesParallel(t *testing.T) {
 	if string(j1) != string(j4) {
 		t.Fatalf("streaming serial != parallel\nserial:   %s\nparallel: %s", j1, j4)
 	}
+}
+
+// FuzzStreamingMatchesBatch is the equality contract under a dirty feed: the
+// fuzz bytes script a streaming monitor's and a batch monitor's Ingest —
+// reordered seconds, duplicates, short gaps the sanitizer fills, long gaps
+// that sever the history, and NaN — and the two must then report the same
+// bytes at the head, at a historical tv and with an overridden look-back.
+// Every analysis runs twice, and the repeat must be served by the kernel memo.
+func FuzzStreamingMatchesBatch(f *testing.F) {
+	f.Add(int64(1), []byte{0})
+	f.Add(int64(2), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(3), []byte{0, 0, 0, 4, 0, 0, 5, 0, 0, 0, 0x2e, 0, 0, 0, 0, 0x66, 0, 0x85})
+	f.Add(int64(4), append(make([]byte, 200), 7)) // one late long gap
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		const steps, inject = 360, 300
+		cfg := DefaultConfig()
+		p := newStreamPair(cfg)
+		ingest := func(ts int64, k metric.Kind, v float64) {
+			if err := p.stream.Ingest(ts, k, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.batch.Ingest(ts, k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		second := func(ts int64, nan metric.Kind) {
+			for _, k := range metric.Kinds {
+				v := fuzzSignal(seed, k, ts, inject)
+				if k == nan {
+					v = math.NaN()
+				}
+				ingest(ts, k, v)
+			}
+		}
+		ts := int64(1)
+		for i := 0; i < steps; i++ {
+			op := script[i%len(script)]
+			// Bits 5–7 pick a metric whose sample this second is NaN; 0 and 7
+			// pick none.
+			nan := metric.Kind(op >> 5)
+			switch op & 7 {
+			case 4: // the next second arrives before this one
+				second(ts+1, nan)
+				second(ts, 0)
+				ts++
+			case 5: // this second arrives twice
+				second(ts, nan)
+				second(ts, 0)
+			case 6: // a short gap the sanitizer fills
+				ts += 1 + int64(op>>3&3)
+				second(ts, nan)
+			case 7: // a gap long enough to sever the history
+				ts += int64(cfg.MaxFillGap) + 1 + int64(op>>3&3)
+				second(ts, nan)
+			default:
+				second(ts, nan)
+			}
+			ts++
+		}
+		head := ts - 1
+		for _, q := range []struct {
+			what     string
+			tv       int64
+			lookBack int
+		}{
+			{"head", head, 0},
+			{"look-back override", head, 2 * cfg.LookBack},
+			{"historical", head - 40, 0},
+		} {
+			for round := 0; round < 2; round++ {
+				hits := p.stream.StreamingStats().MemoHits
+				rs, _ := AnalyzeMonitors([]*Monitor{p.stream}, q.tv, q.lookBack, 1)
+				rb, _ := AnalyzeMonitors([]*Monitor{p.batch}, q.tv, q.lookBack, 1)
+				js, err := json.Marshal(rs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jb, err := json.Marshal(rb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(js) != string(jb) {
+					t.Fatalf("%s (tv=%d, round %d): streaming report differs from batch\nstreaming: %s\nbatch:     %s", q.what, q.tv, round, js, jb)
+				}
+				if got := p.stream.StreamingStats().MemoHits - hits; round == 1 && got != uint64(len(metric.Kinds)) {
+					t.Fatalf("%s (tv=%d): repeat analysis hit %d kernel memos, want %d", q.what, q.tv, got, len(metric.Kinds))
+				}
+			}
+		}
+	})
+}
+
+// fuzzSignal is signalAt's workload shape with hash noise in place of a
+// seeded generator, so a fuzz execution allocates nothing per sample.
+func fuzzSignal(seed int64, k metric.Kind, ts, inject int64) float64 {
+	x := uint64(seed) ^ uint64(k)<<56 ^ uint64(ts)*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	noise := float64(x>>11)/(1<<53) - 0.5
+	v := float64(40+ts%23) + float64(ts%7) + noise
+	if ts >= inject {
+		switch k {
+		case metric.CPU:
+			v += 45
+		case metric.Memory:
+			v += float64(ts-inject) * 1.5
+		}
+	}
+	return v
 }

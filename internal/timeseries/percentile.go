@@ -133,9 +133,9 @@ func tailScan(vals []float64, nLow, nHigh int, buf []float64) (lows, highs []flo
 // closestRank locates the p-th percentile (clamped to [0, 100]) among n
 // sorted values: it lies frac of the way from the lo-th smallest value to
 // the next one. Together with interpolate it is the only copy of the
-// percentile arithmetic; the selecting (PercentileScratch) and the
-// maintained-sorted (SortedPercentile) paths both go through these two
-// functions, which is what keeps them bit-identical.
+// percentile arithmetic: PercentileScratch, PercentilePairScratch and its
+// tail scan all go through these two functions, which is what keeps them
+// bit-identical.
 func closestRank(n int, p float64) (lo int, frac float64) {
 	if p < 0 {
 		p = 0

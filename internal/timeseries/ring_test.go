@@ -249,3 +249,35 @@ func TestRingPushAllocFree(t *testing.T) {
 		t.Fatalf("Push on a full dense ring allocates %.1f per call; want 0", allocs)
 	}
 }
+
+func TestRingSeqAndAt(t *testing.T) {
+	r := NewRing(4)
+	if r.Seq() != 0 {
+		t.Fatal("fresh ring should start at seq 0")
+	}
+	for i := int64(0); i < 6; i++ {
+		before := r.Seq()
+		r.Push(i, float64(i)*2)
+		if r.Seq() != before+1 {
+			t.Fatalf("push %d did not advance seq", i)
+		}
+	}
+	// Capacity 4, pushed 6: retains t=2..5 oldest-first.
+	for i := 0; i < r.Len(); i++ {
+		ts, v := r.At(i)
+		if want := int64(2 + i); ts != want || v != float64(want)*2 {
+			t.Fatalf("At(%d) = (%d, %v), want (%d, %v)", i, ts, v, want, float64(want)*2)
+		}
+	}
+	seq := r.Seq()
+	r.Clear()
+	if r.Seq() != seq+1 {
+		t.Fatal("Clear did not advance seq")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At out of range should panic")
+		}
+	}()
+	r.At(0)
+}
