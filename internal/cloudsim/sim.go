@@ -59,6 +59,9 @@ type Comp struct {
 	diskReadMB   float64
 	diskWrite    float64
 	cpuPct       float64
+
+	idx  int     // position in Sim.names
+	down []*Comp // Spec.Downstream targets, edge for edge
 }
 
 func (c *Comp) resetOverlays() {
@@ -78,7 +81,9 @@ func (c *Comp) resetOverlays() {
 type Fault interface {
 	// Name identifies the fault type (e.g. "memleak").
 	Name() string
-	// Targets lists the ground-truth faulty components.
+	// Targets lists the ground-truth faulty components. The simulator
+	// reads it when the fault is injected and when the simulation is
+	// cloned, so it must not change over time.
 	Targets() []string
 	// Start is the injection time (tick).
 	Start() int64
@@ -107,6 +112,20 @@ type Sim struct {
 	completedRecent []float64 // ring of per-tick completions for progress SLO
 	baselineRate    float64   // learned pre-fault throughput
 	baselineN       int
+
+	// The index a tick walks instead of the name-keyed maps. It points into
+	// this Sim's own components and history, so Clone rebuilds it.
+	byName  []*Comp // components in names order
+	hist    []*[metric.NumKinds + 1]*timeseries.Series
+	byOrder []*Comp   // components in processing order
+	entries []*Comp   // spec.Entries
+	targets [][]*Comp // per fault, its Targets()
+
+	// Per-tick scratch, cleared and reused, never shared with a clone.
+	balanced []int     // indices of a component's balanced edges
+	slots    []slot    // dispatchBalanced's targets
+	e2e      []float64 // endToEndLatency's memo, by Comp.idx
+	e2eDone  []bool
 }
 
 // New constructs a simulator for the given application spec.
@@ -145,7 +164,41 @@ func New(spec AppSpec, seed int64) (*Sim, error) {
 	s.latency = timeseries.New(0, nil)
 	s.progress = timeseries.New(0, nil)
 	s.violated = timeseries.New(0, nil)
+	s.buildIndex()
 	return s, nil
+}
+
+// buildIndex resolves every name a tick would look up to this Sim's own
+// components and history, and sizes the latency memo.
+func (s *Sim) buildIndex() {
+	s.byName = make([]*Comp, len(s.names))
+	s.hist = make([]*[metric.NumKinds + 1]*timeseries.Series, len(s.names))
+	for i, name := range s.names {
+		c := s.comps[name]
+		c.idx = i
+		c.down = make([]*Comp, len(c.Spec.Downstream))
+		for j, e := range c.Spec.Downstream {
+			c.down[j] = s.comps[e.To]
+		}
+		s.byName[i] = c
+		s.hist[i] = s.history[name]
+	}
+	s.byOrder = s.resolve(s.order)
+	s.entries = s.resolve(s.spec.Entries)
+	s.targets = make([][]*Comp, len(s.faults))
+	for i, f := range s.faults {
+		s.targets[i] = s.resolve(f.Targets())
+	}
+	s.e2e = make([]float64, len(s.names))
+	s.e2eDone = make([]bool, len(s.names))
+}
+
+func (s *Sim) resolve(names []string) []*Comp {
+	out := make([]*Comp, len(names))
+	for i, name := range names {
+		out[i] = s.comps[name]
+	}
+	return out
 }
 
 // reverseTopoOrder sorts components so that every component appears after
@@ -203,6 +256,7 @@ func (s *Sim) Inject(f Fault) error {
 		}
 	}
 	s.faults = append(s.faults, f)
+	s.targets = append(s.targets, s.resolve(f.Targets()))
 	return nil
 }
 
@@ -233,33 +287,33 @@ func (s *Sim) tick() {
 	// 1. External arrivals.
 	rate := s.spec.Trace.Rate(t)
 	share := rate / float64(len(s.spec.Entries))
-	for _, e := range s.spec.Entries {
-		s.comps[e].arrivals += share
+	for _, c := range s.entries {
+		c.arrivals += share
 	}
 
 	// 2. Fault perturbation (and per-tick counters).
-	for _, c := range s.comps {
+	for _, c := range s.byName {
 		c.resetOverlays()
 		c.netInboundMB = 0
 	}
-	for _, f := range s.faults {
+	for i, f := range s.faults {
 		if t < f.Start() {
 			continue
 		}
-		for _, tgt := range f.Targets() {
-			f.Apply(t, s.comps[tgt])
+		for _, c := range s.targets[i] {
+			f.Apply(t, c)
 		}
 	}
 
 	// 3. Process components, sinks first, so downstream free space reflects
 	// this tick's drain and each hop of propagation costs one tick.
 	var completed float64
-	for _, name := range s.order {
-		completed += s.processComponent(name)
+	for _, c := range s.byOrder {
+		completed += s.processComponent(c)
 	}
 
 	// 4. Move dispatched requests into queues for the next tick.
-	for _, c := range s.comps {
+	for _, c := range s.byName {
 		c.Queue += c.inboxNext
 		c.inboxNext = 0
 		c.arrivals = 0
@@ -287,8 +341,7 @@ func (s *Sim) tick() {
 
 // processComponent runs one tick of request service for a component and
 // returns the completed work units it finalized (work completed at sinks).
-func (s *Sim) processComponent(name string) float64 {
-	c := s.comps[name]
+func (s *Sim) processComponent(c *Comp) float64 {
 	sp := c.Spec
 
 	// Merge this tick's external arrivals; drop on overflow.
@@ -410,14 +463,14 @@ func (s *Sim) processComponent(name string) float64 {
 	var dispatched float64
 	if toSend > 0 {
 		// Balanced edges: waterfill by weight, capped by free space.
-		var balanced []Edge
-		for _, e := range c.Spec.Downstream {
+		s.balanced = s.balanced[:0]
+		for i, e := range c.Spec.Downstream {
 			fan := e.Fanout
 			if fan <= 0 {
 				fan = 1
 			}
 			if e.Kind == EdgeAll {
-				d := s.comps[e.To]
+				d := c.down[i]
 				amount := toSend * fan
 				d.inboxNext += amount
 				d.netInboundMB += amount * d.Spec.NetInPerReq
@@ -427,10 +480,10 @@ func (s *Sim) processComponent(name string) float64 {
 				dispatched += amount
 				continue
 			}
-			balanced = append(balanced, e)
+			s.balanced = append(s.balanced, i)
 		}
-		if len(balanced) > 0 {
-			dispatched += s.dispatchBalanced(c, balanced, toSend)
+		if len(s.balanced) > 0 {
+			dispatched += s.dispatchBalanced(c, s.balanced, toSend)
 		}
 	}
 	c.dispatched = dispatched
@@ -467,9 +520,8 @@ func (s *Sim) downstreamSpace(c *Comp) float64 {
 	space := math.Inf(1)
 	var balancedFree float64
 	hasBalanced := false
-	for _, e := range c.Spec.Downstream {
-		d := s.comps[e.To]
-		dfree := freeSpace(d, c.Spec.Name)
+	for i, e := range c.Spec.Downstream {
+		dfree := freeSpace(c.down[i], c.Spec.Name)
 		fan := e.Fanout
 		if fan <= 0 {
 			fan = 1
@@ -509,21 +561,24 @@ func freeSpace(d *Comp, src string) float64 {
 	return f
 }
 
-// dispatchBalanced distributes processed requests among balanced downstream
-// edges proportionally to their (possibly overridden) weights, spilling to
-// edges with remaining space when a preferred target is full. Returns the
-// dispatched amount.
-func (s *Sim) dispatchBalanced(c *Comp, edges []Edge, processed float64) float64 {
-	type slot struct {
-		d      *Comp
-		weight float64
-		fanout float64
-		free   float64
-	}
-	slots := make([]slot, 0, len(edges))
+// slot is one balanced downstream target during dispatchBalanced.
+type slot struct {
+	d      *Comp
+	weight float64
+	fanout float64
+	free   float64
+}
+
+// dispatchBalanced distributes processed requests among c's balanced
+// downstream edges (indices into its Spec.Downstream) proportionally to
+// their (possibly overridden) weights, spilling to edges with remaining
+// space when a preferred target is full. Returns the dispatched amount.
+func (s *Sim) dispatchBalanced(c *Comp, edges []int, processed float64) float64 {
+	slots := s.slots[:0]
 	var totalW float64
-	for _, e := range edges {
-		d := s.comps[e.To]
+	for _, i := range edges {
+		e := c.Spec.Downstream[i]
+		d := c.down[i]
 		w := e.Weight
 		if w <= 0 {
 			w = 1
@@ -539,6 +594,7 @@ func (s *Sim) dispatchBalanced(c *Comp, edges []Edge, processed float64) float64
 		slots = append(slots, slot{d: d, weight: w, fanout: fan, free: dfree / fan})
 		totalW += w
 	}
+	s.slots = slots
 	if totalW == 0 {
 		return 0
 	}
@@ -581,48 +637,49 @@ func (s *Sim) dispatchBalanced(c *Comp, edges []Edge, processed float64) float64
 // downstream paths (balanced edges contribute the weighted mean of their
 // targets, fan-out edges the maximum).
 func (s *Sim) endToEndLatency() float64 {
-	memo := make(map[string]float64, len(s.comps))
-	var walk func(name string, depth int) float64
-	walk = func(name string, depth int) float64 {
-		if v, ok := memo[name]; ok {
-			return v
-		}
-		if depth > len(s.comps)+1 { // cycle guard
-			return 0
-		}
-		c := s.comps[name]
-		total := c.latency
-		var balancedSum, balancedW, allMax float64
-		for _, e := range c.Spec.Downstream {
-			child := walk(e.To, depth+1)
-			if e.Kind == EdgeAll {
-				if child > allMax {
-					allMax = child
-				}
-				continue
-			}
-			w := e.Weight
-			if w <= 0 {
-				w = 1
-			}
-			if ov, ok := c.WeightOverride[e.To]; ok {
-				w = ov
-			}
-			balancedSum += child * w
-			balancedW += w
-		}
-		if balancedW > 0 {
-			total += balancedSum / balancedW
-		}
-		total += allMax
-		memo[name] = total
-		return total
-	}
+	clear(s.e2eDone)
 	var sum float64
-	for _, e := range s.spec.Entries {
-		sum += walk(e, 0)
+	for _, c := range s.entries {
+		sum += s.pathLatency(c, 0)
 	}
-	return sum / float64(len(s.spec.Entries))
+	return sum / float64(len(s.entries))
+}
+
+// pathLatency is c's latency plus that of its downstream paths, memoized
+// per tick in s.e2e.
+func (s *Sim) pathLatency(c *Comp, depth int) float64 {
+	if s.e2eDone[c.idx] {
+		return s.e2e[c.idx]
+	}
+	if depth > len(s.comps)+1 { // cycle guard
+		return 0
+	}
+	total := c.latency
+	var balancedSum, balancedW, allMax float64
+	for i, e := range c.Spec.Downstream {
+		child := s.pathLatency(c.down[i], depth+1)
+		if e.Kind == EdgeAll {
+			if child > allMax {
+				allMax = child
+			}
+			continue
+		}
+		w := e.Weight
+		if w <= 0 {
+			w = 1
+		}
+		if ov, ok := c.WeightOverride[e.To]; ok {
+			w = ov
+		}
+		balancedSum += child * w
+		balancedW += w
+	}
+	if balancedW > 0 {
+		total += balancedSum / balancedW
+	}
+	total += allMax
+	s.e2e[c.idx], s.e2eDone[c.idx] = total, true
+	return total
 }
 
 // recordMetrics appends this tick's noisy metric samples to the history.
@@ -638,9 +695,8 @@ func (s *Sim) recordMetrics(t int64) {
 		}
 		return out
 	}
-	for _, name := range s.names {
-		c := s.comps[name]
-		h := s.history[name]
+	for i, c := range s.byName {
+		h := s.hist[i]
 		h[metric.CPU].Append(noise(c.cpuPct))
 		h[metric.Memory].Append(noise(c.memUsedMB))
 		h[metric.NetIn].Append(noise(c.netInMB + c.netInboundMB))
@@ -871,5 +927,6 @@ func (s *Sim) Clone() *Sim {
 		}
 		out.history[name] = &hist
 	}
+	out.buildIndex()
 	return out
 }

@@ -1,7 +1,10 @@
 package depgraph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Packet is one passively observed network packet between two components.
@@ -77,7 +80,8 @@ func (c DiscoverConfig) withDefaults() DiscoverConfig {
 }
 
 // ExtractFlows groups packets into flows per (src,dst) pair using the
-// configured inter-packet gap threshold.
+// configured inter-packet gap threshold. Flows come sorted by start, then
+// source, then destination; a NaN packet time leaves that order undefined.
 func ExtractFlows(packets []Packet, cfg DiscoverConfig) []Flow {
 	cfg = cfg.withDefaults()
 	type pair struct{ src, dst string }
@@ -86,9 +90,20 @@ func ExtractFlows(packets []Packet, cfg DiscoverConfig) []Flow {
 		k := pair{p.Src, p.Dst}
 		byPair[k] = append(byPair[k], p.Time)
 	}
-	var flows []Flow
-	for k, times := range byPair {
+	// Size the result before filling it: a flow ends wherever consecutive
+	// times are more than GapThreshold apart.
+	n := 0
+	for _, times := range byPair {
 		sort.Float64s(times)
+		n++
+		for i := 1; i < len(times); i++ {
+			if times[i]-times[i-1] > cfg.GapThreshold {
+				n++
+			}
+		}
+	}
+	flows := make([]Flow, 0, n)
+	for k, times := range byPair {
 		cur := Flow{Src: k.src, Dst: k.dst, Start: times[0], End: times[0], Count: 1}
 		for _, t := range times[1:] {
 			if t-cur.End > cfg.GapThreshold {
@@ -101,14 +116,17 @@ func ExtractFlows(packets []Packet, cfg DiscoverConfig) []Flow {
 		}
 		flows = append(flows, cur)
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Start != flows[j].Start {
-			return flows[i].Start < flows[j].Start
+	slices.SortFunc(flows, func(a, b Flow) int {
+		if a.Start != b.Start {
+			if a.Start < b.Start {
+				return -1
+			}
+			return 1
 		}
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
+		if c := strings.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return flows[i].Dst < flows[j].Dst
+		return strings.Compare(a.Dst, b.Dst)
 	})
 	return flows
 }
@@ -120,6 +138,11 @@ func ExtractFlows(packets []Packet, cfg DiscoverConfig) []Flow {
 // Continuous streaming traffic (no inter-packet gaps) yields a single
 // unbounded flow per pair; such flows are discarded, so a pure streaming
 // application produces an empty graph.
+//
+// The co-occurrence scan costs O(F log F) in the F usable flows: each
+// component's outbound flows are sorted by start once, and each inbound
+// flow into X binary-searches X's outbound flows for the window
+// [in.Start, in.Start+Delay].
 func Discover(packets []Packet, cfg DiscoverConfig) *Graph {
 	cfg = cfg.withDefaults()
 	flows := ExtractFlows(packets, cfg)
@@ -135,70 +158,94 @@ func Discover(packets []Packet, cfg DiscoverConfig) *Graph {
 		}
 	}
 	usable = dropReplies(usable, cfg.ReplyWindow)
-	// Index outbound flows by source for the co-occurrence scan.
-	outBySrc := make(map[string][]Flow)
-	for _, f := range usable {
-		outBySrc[f.Src] = append(outBySrc[f.Src], f)
+	// Index each source's outbound flows and distinct destinations.
+	srcs := make(map[string]*source)
+	get := func(name string) *source {
+		s := srcs[name]
+		if s == nil {
+			s = &source{slot: make(map[string]int)}
+			srcs[name] = s
+		}
+		return s
 	}
-	// For each inbound flow into X, check whether X emits a flow to each
-	// candidate Y within the delay window.
-	inCount := make(map[string]int)                // X -> inbound flows
-	coCount := make(map[[2]string]int)             // (X,Y) -> co-occurrences
-	candidates := make(map[string]map[string]bool) // X -> {Y}
+	widest := 0
 	for _, f := range usable {
-		for _, out := range outBySrc[f.Dst] {
-			if candidates[f.Dst] == nil {
-				candidates[f.Dst] = make(map[string]bool)
+		s := get(f.Src)
+		k, ok := s.slot[f.Dst]
+		if !ok {
+			k = len(s.dsts)
+			s.slot[f.Dst] = k
+			s.dsts = append(s.dsts, f.Dst)
+			s.flows = append(s.flows, 0)
+			s.co = append(s.co, 0)
+			widest = max(widest, len(s.dsts))
+		}
+		s.flows[k]++
+		s.outs = append(s.outs, outFlow{start: f.Start, dst: k})
+	}
+	for _, s := range srcs {
+		// Usable flows have finite starts (End-Start <= MaxFlowDuration is
+		// false for NaN and ±Inf), so this order is total, unlike the one
+		// ExtractFlows returns when a packet time is not finite.
+		slices.SortFunc(s.outs, func(a, b outFlow) int { return cmp.Compare(a.start, b.start) })
+	}
+	// For each inbound flow into X, count every destination Y that X opens
+	// a flow to within the delay window: the outbound flow must start after
+	// (or with) the inbound request and no later than Delay after it.
+	seen := make([]int, widest) // per destination slot, the last inbound flow (1-based) that hit it
+	for i, in := range usable {
+		x := get(in.Dst)
+		x.inbound++
+		j := sort.Search(len(x.outs), func(k int) bool { return x.outs[k].start >= in.Start })
+		end := in.Start + cfg.Delay
+		for hits := 0; j < len(x.outs) && x.outs[j].start <= end && hits < len(x.dsts); j++ {
+			if k := x.outs[j].dst; seen[k] != i+1 {
+				seen[k] = i + 1
+				x.co[k]++
+				hits++
 			}
-			candidates[f.Dst][out.Dst] = true
 		}
 	}
-	for _, in := range usable {
-		x := in.Dst
-		inCount[x]++
-		seen := make(map[string]bool)
-		for _, out := range outBySrc[x] {
-			if seen[out.Dst] {
+	for x, s := range srcs {
+		if s.inbound > 0 {
+			if s.inbound < cfg.MinFlows {
 				continue
 			}
-			// The outbound flow must start after (or with) the inbound
-			// request and within the delay window.
-			if out.Start >= in.Start && out.Start <= in.Start+cfg.Delay {
-				coCount[[2]string{x, out.Dst}]++
-				seen[out.Dst] = true
+			for k, y := range s.dsts {
+				conf := float64(s.co[k]) / float64(s.inbound)
+				if conf >= cfg.MinConfidence {
+					g.AddEdge(x, y, conf)
+				}
 			}
-		}
-	}
-	for x, ys := range candidates {
-		if inCount[x] < cfg.MinFlows {
 			continue
 		}
-		for y := range ys {
-			conf := float64(coCount[[2]string{x, y}]) / float64(inCount[x])
-			if conf >= cfg.MinConfidence {
-				g.AddEdge(x, y, conf)
-			}
-		}
-	}
-	// Entry components receive no inbound flows, but their outbound edges
-	// are directly observable: if X never appears as a destination yet
-	// repeatedly opens flows to Y, record the edge with confidence from
-	// flow count.
-	for x, outs := range outBySrc {
-		if inCount[x] > 0 {
-			continue
-		}
-		perDst := make(map[string]int)
-		for _, f := range outs {
-			perDst[f.Dst]++
-		}
-		for y, n := range perDst {
-			if n >= cfg.MinFlows {
+		// Entry components receive no inbound flows, but their outbound
+		// edges are directly observable: if X never appears as a
+		// destination yet repeatedly opens flows to Y, record the edge with
+		// confidence from flow count.
+		for k, y := range s.dsts {
+			if s.flows[k] >= cfg.MinFlows {
 				g.AddEdge(x, y, 1.0)
 			}
 		}
 	}
 	return g
+}
+
+// source is one component's side of the co-occurrence scan.
+type source struct {
+	outs    []outFlow      // usable outbound flows, sorted by start
+	dsts    []string       // distinct destinations of outs
+	slot    map[string]int // destination -> index into dsts
+	flows   []int          // per destination, outbound flows to it
+	co      []int          // per destination, inbound flows followed by one
+	inbound int            // usable flows into the component
+}
+
+// outFlow is one usable outbound flow as the co-occurrence scan reads it.
+type outFlow struct {
+	start float64
+	dst   int // index into source.dsts
 }
 
 // dropReplies removes flows that are responses to a just-started flow in
