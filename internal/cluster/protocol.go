@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -190,12 +191,35 @@ func (w *connWriter) write(env *envelope, timeout time.Duration) error {
 	return writeFrame(w.conn, env, timeout)
 }
 
+// errStateNewline refuses a State that would end its frame early.
+var errStateNewline = errors.New("cluster: frame state contains a newline")
+
 // writeFrame marshals and writes one newline-terminated JSON frame. Callers
 // sharing a connection across goroutines must go through connWriter.
+//
+// A non-empty State is appended verbatim after the rest of the envelope
+// rather than handed to encoding/json, which would scan and compact it
+// again: it is always either json.Marshal's own output (a slave's ship) or
+// part of a line readFrame has already validated (the master's relay). A
+// State holding a newline would split the frame and is refused.
 func writeFrame(conn net.Conn, env *envelope, timeout time.Duration) error {
+	state := env.State
+	if bytes.IndexByte(state, '\n') >= 0 {
+		return errStateNewline
+	}
+	if len(state) > 0 {
+		head := *env
+		head.State = nil
+		env = &head
+	}
 	data, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("cluster: marshal frame: %w", err)
+	}
+	if len(state) > 0 {
+		data = append(data[:len(data)-1], `,"state":`...) // reopen the object
+		data = append(data, state...)
+		data = append(data, '}')
 	}
 	data = append(data, '\n')
 	if timeout > 0 {

@@ -495,11 +495,7 @@ func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Mo
 		if fullLast != nil {
 			s.replFloors[comp] = fullLast
 		} else if floors != nil {
-			for name, samples := range buf.Samples {
-				if len(samples) > 0 {
-					floors[name] = samples[len(samples)-1].T
-				}
-			}
+			buf.AdvanceFloors(floors)
 		}
 		s.replMu.Unlock()
 	}

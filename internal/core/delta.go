@@ -3,7 +3,8 @@ package core
 // Replication deltas for warm-standby owners. A primary slave ships each
 // component's state to its standby on a batched interval; rather than
 // re-serializing the full MonitorSnapshot every tick, the steady-state frame
-// carries only the samples observed since the previous ship, and the standby
+// carries only the samples observed since the previous ship, as runs of
+// consecutive seconds whose values travel as raw IEEE-754 bits, and the standby
 // replays them through its shadow monitor's strict Observe path. Monitor
 // state is a pure function of the observed sample sequence plus the config
 // (the same invariant the checkpoint-restore and handoff paths already rely
@@ -20,8 +21,11 @@ package core
 // at any time and the channel self-heals on the next tick.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"fchain/internal/ingest"
 	"fchain/internal/metric"
@@ -33,10 +37,24 @@ import (
 // snapshot.
 var ErrReplGap = errors.New("core: replication gap")
 
-// ReplSample is one (timestamp, value) observation inside a delta.
-type ReplSample struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
+// ReplRun is a run of samples at consecutive timestamps T0, T0+1, … inside
+// a delta. V holds each value's IEEE-754 bits, little-endian, 8 bytes per
+// sample: encoding/json writes a []byte as base64, so a value crosses the
+// wire bit-exact and is neither formatted nor parsed as a decimal.
+type ReplRun struct {
+	T0 int64  `json:"t0"`
+	V  []byte `json:"v"`
+}
+
+// n returns the number of samples in the run.
+func (r *ReplRun) n() int { return len(r.V) / 8 }
+
+// last returns the run's last timestamp.
+func (r *ReplRun) last() int64 { return r.T0 + int64(r.n()) - 1 }
+
+// value returns the run's i-th value.
+func (r *ReplRun) value(i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.V[8*i:]))
 }
 
 // ReplDelta is one replication frame's payload. Exactly one of two shapes is
@@ -51,7 +69,7 @@ type ReplDelta struct {
 	Component  string                  `json:"component"`
 	Full       *MonitorSnapshot        `json:"full,omitempty"`
 	Base       map[string]int64        `json:"base,omitempty"`
-	Samples    map[string][]ReplSample `json:"samples,omitempty"`
+	Samples    map[string][]ReplRun    `json:"samples,omitempty"`
 	Sanitizers map[string]ingest.State `json:"sanitizers,omitempty"`
 }
 
@@ -77,7 +95,7 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		d.Base = make(map[string]int64, metric.NumKinds)
 	}
 	if d.Samples == nil {
-		d.Samples = make(map[string][]ReplSample, metric.NumKinds)
+		d.Samples = make(map[string][]ReplRun, metric.NumKinds)
 	}
 	for _, k := range metric.Kinds {
 		name := k.String()
@@ -132,12 +150,20 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 				hi = mid
 			}
 		}
-		buf := d.Samples[name][:0]
+		// Runs and their value buffers are reused from the previous call;
+		// a timestamp jump (a restored gap, or the strict path) opens a run.
+		runs := d.Samples[name][:0]
+		var cur *ReplRun
 		for i := lo; i < n; i++ {
 			t, v := ring.At(i)
-			buf = append(buf, ReplSample{T: t, V: v})
+			if cur == nil || t != cur.last()+1 {
+				runs = slices.Grow(runs, 1)[:len(runs)+1]
+				cur = &runs[len(runs)-1]
+				cur.T0, cur.V = t, cur.V[:0]
+			}
+			cur.V = binary.LittleEndian.AppendUint64(cur.V, math.Float64bits(v))
 		}
-		d.Samples[name] = buf
+		d.Samples[name] = runs
 		d.Base[name] = floor
 		changed = true
 		sh.mu.Unlock()
@@ -145,12 +171,26 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 	return changed, true
 }
 
+// AdvanceFloors moves each metric's floor to the last timestamp d ships
+// for it: the primary's bookkeeping once the frame is handed to the
+// transport. Metrics d ships nothing for keep their floors.
+func (d *ReplDelta) AdvanceFloors(floors map[string]int64) {
+	for name, runs := range d.Samples {
+		if len(runs) > 0 {
+			floors[name] = runs[len(runs)-1].last()
+		}
+	}
+}
+
 // ApplyDelta applies one replication frame to this (shadow) monitor. A Full
-// frame replaces the state wholesale via Restore. An incremental frame first
-// verifies every metric's Base precondition against the shadow's last
-// accepted timestamps — any mismatch returns ErrReplGap without mutating
-// anything — then replays the samples through the strict Observe path,
-// which reproduces the primary's post-ship state exactly.
+// frame replaces the state wholesale via Restore. An incremental frame is
+// checked whole before anything is mutated: every metric's Base
+// precondition against the shadow's last accepted timestamps, and every run
+// (whole 8-byte values, at least one, finite, no timestamp overflow, each
+// starting past the previous run's end and past Base). Any failure returns
+// ErrReplGap with the shadow untouched; otherwise the samples replay through
+// the strict Observe path, which reproduces the primary's post-ship state
+// exactly.
 //
 // Concurrent ApplyDelta calls for the same monitor are the caller's problem:
 // the replication channel delivers one component's frames in order.
@@ -175,18 +215,48 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 			return fmt.Errorf("%w: %s shadow at t=%d (present=%v), delta base t=%d (present=%v)",
 				ErrReplGap, name, last, has, base, haveBase)
 		}
+		if err := checkRuns(d.Samples[name], base, haveBase); err != nil {
+			return fmt.Errorf("%w: %s: %v", ErrReplGap, name, err)
+		}
 	}
 	for _, k := range metric.Kinds {
 		name := k.String()
-		for _, s := range d.Samples[name] {
-			if err := m.Observe(s.T, k, s.V); err != nil {
-				return fmt.Errorf("%w: replay %s: %v", ErrReplGap, k, err)
+		for _, r := range d.Samples[name] {
+			for i := range r.n() {
+				if err := m.Observe(r.T0+int64(i), k, r.value(i)); err != nil {
+					return fmt.Errorf("%w: replay %s: %v", ErrReplGap, k, err)
+				}
 			}
 		}
 		sh := &m.shards[k]
 		sh.mu.Lock()
 		sh.sanitizer.SetState(d.Sanitizers[name])
 		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// checkRuns reports why one metric's runs could not replay through Observe
+// on a shard whose last accepted timestamp is base (none when !haveBase).
+func checkRuns(runs []ReplRun, base int64, haveBase bool) error {
+	end, haveEnd := base, haveBase
+	for i := range runs {
+		r := &runs[i]
+		n := r.n()
+		switch {
+		case len(r.V) == 0 || len(r.V)%8 != 0:
+			return fmt.Errorf("run at t0=%d carries %d value bytes, not a positive multiple of 8", r.T0, len(r.V))
+		case r.T0 > math.MaxInt64-int64(n-1):
+			return fmt.Errorf("run at t0=%d of %d samples overflows the timestamp", r.T0, n)
+		case haveEnd && r.T0 <= end:
+			return fmt.Errorf("run at t0=%d does not start after t=%d", r.T0, end)
+		}
+		for j := range n {
+			if v := r.value(j); math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: %v at t=%d", ErrBadSample, v, r.T0+int64(j))
+			}
+		}
+		end, haveEnd = r.last(), true
 	}
 	return nil
 }

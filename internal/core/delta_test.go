@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"maps"
+	"math"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"fchain/internal/metric"
@@ -32,14 +37,14 @@ func monitorJSON(t *testing.T, m *Monitor) []byte {
 	return raw
 }
 
-// advanceFloors mimics the primary slave's bookkeeping: after a delta is
-// shipped, each metric's floor moves to its last shipped sample.
-func advanceFloors(floors map[string]int64, d *ReplDelta) {
-	for name, samples := range d.Samples {
-		if len(samples) > 0 {
-			floors[name] = samples[len(samples)-1].T
-		}
+// bitsRun builds the run of vs at consecutive timestamps from t0, encoded
+// as DeltaInto encodes it.
+func bitsRun(t0 int64, vs ...float64) ReplRun {
+	r := ReplRun{T0: t0}
+	for _, v := range vs {
+		r.V = binary.LittleEndian.AppendUint64(r.V, math.Float64bits(v))
 	}
+	return r
 }
 
 // TestReplDeltaRoundTrip drives the full replication cycle — full snapshot,
@@ -90,7 +95,7 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		if err := shadow.ApplyDelta(&wire); err != nil {
 			t.Fatalf("round %d: incremental apply: %v", round, err)
 		}
-		advanceFloors(floors, &d)
+		d.AdvanceFloors(floors)
 		if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
 			t.Fatalf("round %d: shadow diverged from primary after incremental apply", round)
 		}
@@ -183,7 +188,7 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 	t.Run("empty shadow, incremental delta", func(t *testing.T) {
 		shadow := NewMonitor("c", cfg)
 		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(10),
-			Samples: map[string][]ReplSample{"cpu": {{T: 11, V: 1}}}})
+			Samples: map[string][]ReplRun{"cpu": {bitsRun(11, 1)}}})
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
@@ -193,7 +198,7 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 		shadow := build(10)
 		before := monitorJSON(t, shadow)
 		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(5),
-			Samples: map[string][]ReplSample{"cpu": {{T: 6, V: 1}}}})
+			Samples: map[string][]ReplRun{"cpu": {bitsRun(6, 1)}}})
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
@@ -217,6 +222,158 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 			t.Fatalf("err = %v, want a non-gap component mismatch", err)
 		}
 	})
+}
+
+// TestReplDeltaApplyRejectsBadRuns pins that ApplyDelta checks every run of
+// every metric before it replays any: a malformed run on the last metric is
+// refused with ErrReplGap and leaves the shadow untouched, although the
+// metrics before it carry good runs.
+func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
+	last := metric.Kinds[len(metric.Kinds)-1].String()
+	good := map[string][]ReplRun{}
+	base := map[string]int64{}
+	for _, k := range metric.Kinds {
+		good[k.String()] = []ReplRun{bitsRun(11, 1, 2)}
+		base[k.String()] = 10
+	}
+	nan := bitsRun(11, 1)
+	binary.LittleEndian.PutUint64(nan.V, 0x7ff8000000000001)
+	for _, tc := range []struct {
+		name string
+		runs []ReplRun
+	}{
+		{"ragged value bytes", []ReplRun{{T0: 11, V: make([]byte, 12)}}},
+		{"empty run", []ReplRun{{T0: 11}}},
+		{"timestamp overflow", []ReplRun{{T0: math.MaxInt64 - 1, V: make([]byte, 24)}}},
+		{"run at base", []ReplRun{bitsRun(10, 1)}},
+		{"run before base", []ReplRun{bitsRun(5, 1)}},
+		{"overlapping runs", []ReplRun{bitsRun(11, 1, 2, 3), bitsRun(13, 4)}},
+		{"descending runs", []ReplRun{bitsRun(20, 1), bitsRun(15, 2)}},
+		{"non-finite value", []ReplRun{nan}},
+		{"infinite value", []ReplRun{bitsRun(11, 1, math.Inf(-1))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shadow := NewMonitor("c", Config{})
+			for ts := int64(1); ts <= 10; ts++ {
+				feedAll(t, shadow, ts)
+			}
+			before := monitorJSON(t, shadow)
+			samples := maps.Clone(good)
+			samples[last] = tc.runs
+			err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples})
+			if !errors.Is(err, ErrReplGap) {
+				t.Fatalf("err = %v, want ErrReplGap", err)
+			}
+			if !bytes.Equal(before, monitorJSON(t, shadow)) {
+				t.Fatal("rejected delta mutated the shadow")
+			}
+		})
+	}
+
+	t.Run("two runs across a gap", func(t *testing.T) {
+		primary, shadow := NewMonitor("c", Config{}), NewMonitor("c", Config{})
+		for ts := int64(1); ts <= 10; ts++ {
+			feedAll(t, primary, ts)
+			feedAll(t, shadow, ts)
+		}
+		samples := maps.Clone(good)
+		samples[last] = []ReplRun{bitsRun(11, 1, 2), bitsRun(20, 3)}
+		for name, runs := range samples {
+			k, err := metric.ParseKind(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range runs {
+				for i := range r.n() {
+					if err := primary.Observe(r.T0+int64(i), k, r.value(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+			t.Fatal("shadow differs from the primary that observed the same runs")
+		}
+	})
+}
+
+// TestReplRunsCarryExactBits sends values whose decimal form is delicate
+// (negative zero, the smallest subnormal, one whose shortest decimal needs
+// 17 digits, and the largest finite value) through DeltaInto → JSON →
+// ApplyDelta and requires the shadow to hold the primary's bits and state.
+// The largest finite value goes last, in its own ship: it grows the Markov
+// range to +Inf, which no snapshot JSON can carry, so after it the two
+// snapshots are compared as values.
+func TestReplRunsCarryExactBits(t *testing.T) {
+	const digits17 = 0.30000000000000004
+	if got := strconv.FormatFloat(digits17, 'g', -1, 64); len(got) != len("0.")+17 {
+		t.Fatalf("%s is not a 17-digit shortest decimal", got)
+	}
+	primary, shadow := NewMonitor("c", Config{}), NewMonitor("c", Config{})
+	for ts := int64(1); ts <= 10; ts++ {
+		feedAll(t, primary, ts)
+	}
+	snap := primary.Snapshot()
+	if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Full: snap}); err != nil {
+		t.Fatal(err)
+	}
+	floors := maps.Clone(snap.LastT)
+	ts := int64(11)
+	ship := func(vs ...float64) {
+		t.Helper()
+		for _, v := range vs {
+			for _, k := range metric.Kinds {
+				if err := primary.Observe(ts, k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ts++
+		}
+		var d ReplDelta
+		if changed, ok := primary.DeltaInto(&d, floors); !changed || !ok {
+			t.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
+		}
+		raw, err := json.Marshal(&d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire ReplDelta
+		if err := json.Unmarshal(raw, &wire); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.ApplyDelta(&wire); err != nil {
+			t.Fatal(err)
+		}
+		d.AdvanceFloors(floors)
+		for _, k := range metric.Kinds {
+			p, s := primary.shards[k].samples, shadow.shards[k].samples
+			if p.Len() != s.Len() {
+				t.Fatalf("%s: shadow holds %d samples, primary %d", k, s.Len(), p.Len())
+			}
+			for i := range p.Len() {
+				if a, b := math.Float64bits(p.Value(i)), math.Float64bits(s.Value(i)); a != b {
+					t.Fatalf("%s sample %d: shadow bits %#x, primary %#x", k, i, b, a)
+				}
+			}
+			for i, v := range vs {
+				if got := s.Value(s.Len() - len(vs) + i); math.Float64bits(got) != math.Float64bits(v) {
+					t.Errorf("%s: shadow holds %#x, sent %#x", k, math.Float64bits(got), math.Float64bits(v))
+				}
+			}
+		}
+	}
+
+	ship(math.Copysign(0, -1), math.SmallestNonzeroFloat64, digits17)
+	if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+		t.Fatal("shadow snapshot JSON differs from the primary's")
+	}
+	ship(math.MaxFloat64)
+	if !reflect.DeepEqual(primary.Snapshot(), shadow.Snapshot()) {
+		t.Fatal("shadow snapshot differs from the primary's")
+	}
 }
 
 // TestReplDeltaSteadyStateAllocs is the perf ratchet on the extraction path:

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"testing"
 
@@ -35,7 +36,25 @@ func FuzzApplyDelta(f *testing.F) {
 	if changed, ok := primary.DeltaInto(&inc, floors); !changed || !ok {
 		f.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
 	}
-	for _, d := range []*ReplDelta{{Component: "db", Full: primary.Snapshot()}, &inc} {
+	// Malformed and edge-case runs on cpu, the rest of inc unchanged: ragged
+	// value bytes, a run ending exactly at MaxInt64, one that would run past
+	// it, and two runs across a gap.
+	withCPU := func(runs ...ReplRun) *ReplDelta {
+		d := inc
+		d.Samples = maps.Clone(inc.Samples)
+		d.Samples["cpu"] = runs
+		return &d
+	}
+	cpu := inc.Samples["cpu"][0]
+	seeds := []*ReplDelta{
+		{Component: "db", Full: primary.Snapshot()},
+		&inc,
+		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:len(cpu.V)-3]}),
+		withCPU(ReplRun{T0: math.MaxInt64 - int64(cpu.n()-1), V: cpu.V}),
+		withCPU(ReplRun{T0: math.MaxInt64 - 1, V: cpu.V}),
+		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:16]}, ReplRun{T0: cpu.T0 + 5, V: cpu.V[16:]}),
+	}
+	for _, d := range seeds {
 		raw, err := json.Marshal(d)
 		if err != nil {
 			f.Fatal(err)

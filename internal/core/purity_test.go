@@ -83,7 +83,7 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 					floors[name] = last
 				}
 			} else {
-				advanceFloors(floors, &d)
+				d.AdvanceFloors(floors)
 			}
 			ships++
 		}

@@ -202,12 +202,11 @@ func TestCheckpointFormatPinned(t *testing.T) {
 	if changed, ok := m.DeltaInto(&d, floors); !changed || !ok {
 		t.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
 	}
-	want := map[string][]ReplSample{
-		"cpu":    {{104, 40}, {105, 40.5}, {110, 42.5}, {111, 42}, {112, 42.25}, {113, 42.5}, {114, 42}, {115, 42.25}},
-		"memory": {{136, 61.5}, {137, 63}, {138, 64.5}, {139, 66}},
-		"net_in": {{118, 12}, {119, 13}},
-		"disk_read": {{128, 7}, {129, 8}, {140, 7}, {141, 8}, {142, 9}, {143, 10},
-			{144, 5}, {145, 6}, {146, 7}, {147, 8}, {148, 9}, {149, 10}},
+	want := map[string][]ReplRun{
+		"cpu":        {bitsRun(104, 40, 40.5), bitsRun(110, 42.5, 42, 42.25, 42.5, 42, 42.25)},
+		"memory":     {bitsRun(136, 61.5, 63, 64.5, 66)},
+		"net_in":     {bitsRun(118, 12, 13)},
+		"disk_read":  {bitsRun(128, 7, 8), bitsRun(140, 7, 8, 9, 10, 5, 6, 7, 8, 9, 10)},
 		"net_out":    nil,
 		"disk_write": nil,
 	}
@@ -216,6 +215,10 @@ func TestCheckpointFormatPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d.Base, floors) {
 		t.Errorf("DeltaInto base = %v, want %v", d.Base, floors)
+	}
+	d.AdvanceFloors(floors)
+	if want := map[string]int64{"cpu": 115, "memory": 139, "disk_read": 149, "net_in": 119}; !reflect.DeepEqual(floors, want) {
+		t.Errorf("advanced floors = %v, want %v", floors, want)
 	}
 }
 
