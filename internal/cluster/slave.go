@@ -447,7 +447,7 @@ func (s *Slave) replicateOnce() {
 
 // ship sends one replication frame for each named component that has
 // anything to say: an incremental delta (samples since the shipped floors),
-// or a full snapshot (first ship, or after a gap, NAK or ReplReset). Floors
+// or a full frame (first ship, or after a gap, NAK or ReplReset). Floors
 // advance optimistically after each successful write; the master's per-frame
 // response only matters when it is a codeReplFull NAK, which serveLoop
 // answers by deleting the component's floors. It reports false when the
@@ -465,22 +465,11 @@ func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Mo
 		floors := s.replFloors[comp]
 		seq := s.replSeq[comp] + 1
 		s.replMu.Unlock()
-		var (
-			payload  []byte
-			err      error
-			fullLast map[string]int64
-		)
-		changed, incremental := mon.DeltaInto(buf, floors)
-		switch {
-		case incremental && !changed:
+		full, changed := mon.FrameInto(buf, floors)
+		if !changed {
 			continue // nothing new to ship
-		case incremental:
-			payload, err = json.Marshal(buf)
-		default:
-			snap := mon.Snapshot()
-			payload, err = json.Marshal(&core.ReplDelta{Component: comp, Full: snap})
-			fullLast = snap.LastT
 		}
+		payload, err := json.Marshal(buf)
 		if err != nil {
 			s.obs.Logger().Warn("replication delta marshal failed", "slave", s.name, "component", comp, "err", err)
 			continue
@@ -492,9 +481,9 @@ func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Mo
 		}
 		s.replMu.Lock()
 		s.replSeq[comp] = seq
-		if fullLast != nil {
-			s.replFloors[comp] = fullLast
-		} else if floors != nil {
+		if full != nil {
+			s.replFloors[comp] = full
+		} else {
 			buf.AdvanceFloors(floors)
 		}
 		s.replMu.Unlock()
@@ -519,7 +508,7 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 			Err: fmt.Sprintf("slave %s: replicate %q: %v", s.name, comp, why)}, 10*time.Second)
 	}
 	var delta core.ReplDelta
-	if err := json.Unmarshal(env.State, &delta); err != nil {
+	if err := core.DecodeDelta(env.State, &delta); err != nil {
 		refuse(err)
 		return
 	}
@@ -531,7 +520,7 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope) {
 	case owned:
 		refuse("still owned here")
 		return
-	case mon == nil && delta.Full == nil:
+	case mon == nil && len(delta.Full) == 0:
 		refuse("no shadow")
 		return
 	case mon == nil:

@@ -267,7 +267,9 @@ func TestOldOwnerFrameAcrossRebalance(t *testing.T) {
 	}
 
 	// The previous owner's frame, dequeued only now.
-	state := mustJSON(t, &core.ReplDelta{Component: moved, Full: core.NewMonitor(moved, core.Config{}).Snapshot()})
+	var full core.ReplDelta
+	core.NewMonitor(moved, core.Config{}).FrameInto(&full, nil)
+	state := mustJSON(t, &full)
 	master.mu.Lock()
 	old := master.slaves[before[moved]]
 	master.mu.Unlock()

@@ -2,39 +2,45 @@ package core
 
 // Replication deltas for warm-standby owners. A primary slave ships each
 // component's state to its standby on a batched interval; rather than
-// re-serializing the full MonitorSnapshot every tick, the steady-state frame
-// carries only the samples observed since the previous ship, as runs of
-// consecutive seconds whose values travel as raw IEEE-754 bits, and the standby
-// replays them through its shadow monitor's strict Observe path. Monitor
-// state is a pure function of the observed sample sequence plus the config
-// (the same invariant the checkpoint-restore and handoff paths already rely
-// on), so replay reproduces the primary's model, ring, and streaming state
-// byte-identically — there is no separate "apply a model diff" code path to
-// keep in sync with Observe.
+// re-serializing the component's whole state every tick, the steady-state
+// frame carries only the samples observed since the previous ship, as runs
+// of consecutive seconds whose values travel as raw IEEE-754 bits, and the
+// standby replays them through its shadow monitor's strict Observe path.
+// Monitor state is a pure function of the observed sample sequence plus the
+// config (the same invariant the checkpoint-restore and handoff paths
+// already rely on), so replay reproduces the primary's model, ring, and
+// streaming state byte-identically — there is no separate "apply a model
+// diff" code path to keep in sync with Observe.
 //
 // The incremental path is only sound while the primary's bounded ring still
 // retains every sample past the shipped floor. Eviction past the floor, a
-// gap sever (Clear), or a brand-new metric all force a full-snapshot frame;
-// the standby likewise rejects any delta whose Base precondition does not
-// match its shadow state (ErrReplGap), and the primary answers a rejection
-// by resending the full snapshot. Either endpoint can therefore lose state
-// at any time and the channel self-heals on the next tick.
+// gap sever (Clear), or a brand-new metric all force a full frame, which
+// carries every metric's model, last timestamp and both rings, the rings as
+// the same runs of bits; the standby likewise rejects any delta whose Base
+// precondition does not match its shadow state (ErrReplGap), and the
+// primary answers a rejection by resending a full frame. Either endpoint can
+// therefore lose state at any time and the channel self-heals on the next
+// tick.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"fchain/internal/ingest"
+	"fchain/internal/markov"
 	"fchain/internal/metric"
+	"fchain/internal/timeseries"
 )
 
-// ErrReplGap rejects a replication delta whose Base precondition does not
-// match the shadow monitor's state: samples are missing between the two, so
-// replay would silently diverge. The primary resolves it by shipping a full
-// snapshot.
+// ErrReplGap rejects a replication frame the shadow monitor cannot apply:
+// an incremental delta whose Base precondition does not match the shadow's
+// state (samples are missing between the two, so replay would silently
+// diverge), or a malformed or undecodable frame. The primary resolves it by
+// shipping a full frame.
 var ErrReplGap = errors.New("core: replication gap")
 
 // ReplRun is a run of samples at consecutive timestamps T0, T0+1, … inside
@@ -57,20 +63,124 @@ func (r *ReplRun) value(i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(r.V[8*i:]))
 }
 
-// ReplDelta is one replication frame's payload. Exactly one of two shapes is
-// meaningful: Full carries a complete MonitorSnapshot (first ship, or
-// recovery after a gap), or Base+Samples carry an incremental sample replay.
-// Base records, per metric name, the primary's last-shipped timestamp — the
-// precondition the standby's shadow must match before replaying Samples;
-// metrics the primary has never observed are absent from Base. Sanitizers
-// carries the primary's sanitizer state as of the same instant: replay goes
-// through Observe, which never feeds the shadow's own sanitizers.
+// ReplDelta is one replication frame's payload, in one of two shapes. A full
+// frame (first ship, or recovery after a gap) carries every metric's
+// complete state in Full. An incremental frame carries Base+Samples, a
+// sample replay: Base records, per metric name, the primary's last-shipped
+// timestamp — the precondition the standby's shadow must match before
+// replaying Samples; metrics the primary has never observed are absent from
+// Base. Sanitizers carries the primary's sanitizer state as of the same
+// instant in either shape: replay goes through Observe, which never feeds
+// the shadow's own sanitizers.
+//
+// The JSON key "full" holds an array. A previous version decoded that key
+// as a decimal MonitorSnapshot object, so each version fails to decode the
+// other's full frame and NAKs it into a resend; neither ever restores a
+// snapshot it only half understood.
 type ReplDelta struct {
 	Component  string                  `json:"component"`
-	Full       *MonitorSnapshot        `json:"full,omitempty"`
+	Full       []ReplMetric            `json:"full,omitempty"`
 	Base       map[string]int64        `json:"base,omitempty"`
 	Samples    map[string][]ReplRun    `json:"samples,omitempty"`
 	Sanitizers map[string]ingest.State `json:"sanitizers,omitempty"`
+}
+
+// ReplMetric is one metric's complete state inside a full frame: its Markov
+// model, its last accepted timestamp (absent if it never accepted one), and
+// its retained sample and prediction-error rings, oldest first, as runs.
+type ReplMetric struct {
+	Metric  string           `json:"metric"`
+	Model   *markov.Snapshot `json:"model"`
+	LastT   *int64           `json:"last_t,omitempty"`
+	Samples []ReplRun        `json:"samples,omitempty"`
+	Errs    []ReplRun        `json:"errs,omitempty"`
+}
+
+// DecodeDelta decodes one replication frame's payload into d. A payload
+// this version cannot decode, a previous version's decimal full frame among
+// them, is refused with ErrReplGap like any other frame the shadow cannot
+// apply.
+func DecodeDelta(raw []byte, d *ReplDelta) error {
+	if err := json.Unmarshal(raw, d); err != nil {
+		return fmt.Errorf("%w: undecodable frame: %v", ErrReplGap, err)
+	}
+	return nil
+}
+
+// FrameInto fills d with the frame that brings a standby holding this
+// monitor's samples up to floors level with it: an incremental delta while
+// DeltaInto's path is sound, a full frame otherwise. changed=false means
+// there is nothing to send. d's buffers are reused across calls.
+//
+// For a full frame FrameInto returns the floors the frame establishes, to
+// replace the caller's once the frame is handed to the transport; for an
+// incremental one it returns nil, and the caller moves its floors with
+// AdvanceFloors after the send.
+func (m *Monitor) FrameInto(d *ReplDelta, floors map[string]int64) (full map[string]int64, changed bool) {
+	if changed, ok := m.DeltaInto(d, floors); ok {
+		return nil, changed
+	}
+	return m.fullInto(d), true
+}
+
+// fullInto fills d with a full frame, reading each metric's state under its
+// shard lock, and returns the frame's floors: each metric's last accepted
+// timestamp.
+func (m *Monitor) fullInto(d *ReplDelta) map[string]int64 {
+	d.Component = m.component
+	clear(d.Base)
+	clear(d.Samples)
+	floors := make(map[string]int64, metric.NumKinds)
+	d.Full = make([]ReplMetric, metric.NumKinds)
+	for i, k := range metric.Kinds {
+		name := k.String()
+		f := &d.Full[i]
+		sh := &m.shards[k]
+		sh.mu.Lock()
+		d.setSanitizer(name, sh.sanitizer.State())
+		f.Metric = name
+		f.Model = sh.model.Snapshot()
+		if sh.hasLast {
+			last := sh.lastT
+			f.LastT = &last
+			floors[name] = last
+		}
+		f.Samples = appendRuns(nil, sh.samples, 0)
+		f.Errs = appendRuns(nil, sh.errs, 0)
+		sh.mu.Unlock()
+	}
+	return floors
+}
+
+// setSanitizer records one metric's sanitizer state in d, omitting a fresh
+// one.
+func (d *ReplDelta) setSanitizer(name string, st ingest.State) {
+	if st == (ingest.State{}) {
+		delete(d.Sanitizers, name)
+		return
+	}
+	if d.Sanitizers == nil {
+		d.Sanitizers = make(map[string]ingest.State, metric.NumKinds)
+	}
+	d.Sanitizers[name] = st
+}
+
+// appendRuns appends ring's samples from the from-th on to runs, a run per
+// stretch of consecutive timestamps, reusing the runs and value buffers in
+// runs' spare capacity; a buffer that must grow is sized for every sample
+// left. The caller holds the ring's shard lock.
+func appendRuns(runs []ReplRun, ring *timeseries.Ring, from int) []ReplRun {
+	var cur *ReplRun
+	for i := from; i < ring.Len(); i++ {
+		t, v := ring.At(i)
+		if cur == nil || t != cur.last()+1 {
+			runs = slices.Grow(runs, 1)[:len(runs)+1]
+			cur = &runs[len(runs)-1]
+			cur.T0, cur.V = t, slices.Grow(cur.V[:0], 8*(ring.Len()-i))
+		}
+		cur.V = binary.LittleEndian.AppendUint64(cur.V, math.Float64bits(v))
+	}
+	return runs
 }
 
 // DeltaInto fills d with the samples observed since floors (metric name →
@@ -78,9 +188,9 @@ type ReplDelta struct {
 // and reports whether anything new was extracted. ok=false means the
 // incremental path is unsound — nil floors (nothing shipped yet), a metric
 // that gained its first samples since the last ship, a gap sever, or ring
-// eviction past the floor — and the caller must ship a full Snapshot
-// instead. d's maps and slices are reused across calls, so steady-state
-// extraction allocates nothing (see the alloc guard test).
+// eviction past the floor — and the caller must ship a full frame instead
+// (FrameInto does both). d's maps and slices are reused across calls, so
+// steady-state extraction allocates nothing (see the alloc guard test).
 //
 // DeltaInto does not advance floors; the caller advances them only after the
 // frame is handed to the transport, so a failed send re-extracts the same
@@ -90,6 +200,9 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		return false, false
 	}
 	d.Component = m.component
+	// A full frame's ring-sized buffers are not kept once the channel is
+	// back on the incremental path: a standby resync is rare, and they would
+	// stay resident beside the monitors.
 	d.Full = nil
 	if d.Base == nil {
 		d.Base = make(map[string]int64, metric.NumKinds)
@@ -101,14 +214,7 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		name := k.String()
 		sh := &m.shards[k]
 		sh.mu.Lock()
-		if st := sh.sanitizer.State(); st != (ingest.State{}) {
-			if d.Sanitizers == nil {
-				d.Sanitizers = make(map[string]ingest.State, metric.NumKinds)
-			}
-			d.Sanitizers[name] = st
-		} else {
-			delete(d.Sanitizers, name)
-		}
+		d.setSanitizer(name, sh.sanitizer.State())
 		floor, haveFloor := floors[name]
 		if !sh.hasLast {
 			sh.mu.Unlock()
@@ -152,18 +258,7 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		}
 		// Runs and their value buffers are reused from the previous call;
 		// a timestamp jump (a restored gap, or the strict path) opens a run.
-		runs := d.Samples[name][:0]
-		var cur *ReplRun
-		for i := lo; i < n; i++ {
-			t, v := ring.At(i)
-			if cur == nil || t != cur.last()+1 {
-				runs = slices.Grow(runs, 1)[:len(runs)+1]
-				cur = &runs[len(runs)-1]
-				cur.T0, cur.V = t, cur.V[:0]
-			}
-			cur.V = binary.LittleEndian.AppendUint64(cur.V, math.Float64bits(v))
-		}
-		d.Samples[name] = runs
+		d.Samples[name] = appendRuns(d.Samples[name][:0], ring, lo)
 		d.Base[name] = floor
 		changed = true
 		sh.mu.Unlock()
@@ -171,9 +266,9 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 	return changed, true
 }
 
-// AdvanceFloors moves each metric's floor to the last timestamp d ships
-// for it: the primary's bookkeeping once the frame is handed to the
-// transport. Metrics d ships nothing for keep their floors.
+// AdvanceFloors moves each metric's floor to the last timestamp the
+// incremental frame d ships for it: the primary's bookkeeping once the frame
+// is handed to the transport. Metrics d ships nothing for keep their floors.
 func (d *ReplDelta) AdvanceFloors(floors map[string]int64) {
 	for name, runs := range d.Samples {
 		if len(runs) > 0 {
@@ -182,15 +277,16 @@ func (d *ReplDelta) AdvanceFloors(floors map[string]int64) {
 	}
 }
 
-// ApplyDelta applies one replication frame to this (shadow) monitor. A Full
-// frame replaces the state wholesale via Restore. An incremental frame is
-// checked whole before anything is mutated: every metric's Base
-// precondition against the shadow's last accepted timestamps, and every run
-// (whole 8-byte values, at least one, finite, no timestamp overflow, each
-// starting past the previous run's end and past Base). Any failure returns
-// ErrReplGap with the shadow untouched; otherwise the samples replay through
-// the strict Observe path, which reproduces the primary's post-ship state
-// exactly.
+// ApplyDelta applies one replication frame to this (shadow) monitor. A full
+// frame's runs are checked and its rings rebuilt, and the state replaces the
+// shadow's wholesale through Restore, which validates the rest. An
+// incremental frame is checked whole before anything is mutated: every
+// metric's Base precondition against the shadow's last accepted timestamps,
+// and every run (whole 8-byte values, at least one, finite, no timestamp
+// overflow, each starting past the previous run's end and past Base). Any
+// failure leaves the shadow untouched; a malformed or mismatched frame is
+// refused with ErrReplGap. Otherwise the samples replay through the strict
+// Observe path, which reproduces the primary's post-ship state exactly.
 //
 // Concurrent ApplyDelta calls for the same monitor are the caller's problem:
 // the replication channel delivers one component's frames in order.
@@ -198,11 +294,11 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 	if d == nil {
 		return fmt.Errorf("core: nil replication delta")
 	}
-	if d.Full != nil {
-		return m.Restore(d.Full)
-	}
 	if d.Component != m.component {
 		return fmt.Errorf("core: delta is for component %q, monitor is %q", d.Component, m.component)
+	}
+	if len(d.Full) > 0 {
+		return m.applyFull(d)
 	}
 	for _, k := range metric.Kinds {
 		name := k.String()
@@ -234,6 +330,66 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// applyFull checks a full frame's runs, rebuilds its rings and restores the
+// result. Restore refuses an unknown metric, an invalid model, error times
+// that differ from the sample times, and a last_t that is not the newest
+// sample's.
+func (m *Monitor) applyFull(d *ReplDelta) error {
+	if len(d.Base) > 0 || len(d.Samples) > 0 {
+		return fmt.Errorf("%w: frame carries both a full state and incremental samples", ErrReplGap)
+	}
+	s := &MonitorSnapshot{
+		Component:  d.Component,
+		Models:     make(map[string]*markov.Snapshot, len(d.Full)),
+		Samples:    make(map[string]timeseries.RingSnapshot, len(d.Full)),
+		Errs:       make(map[string]timeseries.RingSnapshot, len(d.Full)),
+		LastT:      make(map[string]int64, len(d.Full)),
+		Sanitizers: d.Sanitizers,
+	}
+	for i := range d.Full {
+		f := &d.Full[i]
+		if _, dup := s.Models[f.Metric]; dup {
+			return fmt.Errorf("%w: %s appears twice", ErrReplGap, f.Metric)
+		}
+		samples, err := ringOf(f.Samples)
+		if err != nil {
+			return fmt.Errorf("%w: %s samples: %v", ErrReplGap, f.Metric, err)
+		}
+		errs, err := ringOf(f.Errs)
+		if err != nil {
+			return fmt.Errorf("%w: %s errors: %v", ErrReplGap, f.Metric, err)
+		}
+		s.Models[f.Metric] = f.Model
+		s.Samples[f.Metric], s.Errs[f.Metric] = samples, errs
+		if f.LastT != nil {
+			s.LastT[f.Metric] = *f.LastT
+		}
+	}
+	if err := m.Restore(s); err != nil {
+		return fmt.Errorf("%w: %v", ErrReplGap, err)
+	}
+	return nil
+}
+
+// ringOf checks one ring's runs and expands them into the ring's snapshot.
+func ringOf(runs []ReplRun) (timeseries.RingSnapshot, error) {
+	if err := checkRuns(runs, 0, false); err != nil {
+		return timeseries.RingSnapshot{}, err
+	}
+	n := 0
+	for i := range runs {
+		n += runs[i].n()
+	}
+	r := timeseries.RingSnapshot{Times: make([]int64, 0, n), Vals: make([]float64, 0, n)}
+	for i := range runs {
+		for j := range runs[i].n() {
+			r.Times = append(r.Times, runs[i].T0+int64(j))
+			r.Vals = append(r.Vals, runs[i].value(j))
+		}
+	}
+	return r, nil
 }
 
 // checkRuns reports why one metric's runs could not replay through Observe

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"fchain/internal/metric"
+	"fchain/internal/timeseries"
 )
 
 // feedAll observes one sample per metric kind at time t, derived
@@ -62,7 +65,9 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		feedAll(t, primary, ts)
 	}
 	snap := primary.Snapshot()
-	if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Full: snap}); err != nil {
+	var full ReplDelta
+	primary.FrameInto(&full, nil)
+	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatalf("full apply: %v", err)
 	}
 	if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
@@ -305,8 +310,8 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 // 17 digits, and the largest finite value) through DeltaInto → JSON →
 // ApplyDelta and requires the shadow to hold the primary's bits and state.
 // The largest finite value goes last, in its own ship: it grows the Markov
-// range to +Inf, which no snapshot JSON can carry, so after it the two
-// snapshots are compared as values.
+// range as far as a finite sample can, and the snapshot JSON must still
+// carry it.
 func TestReplRunsCarryExactBits(t *testing.T) {
 	const digits17 = 0.30000000000000004
 	if got := strconv.FormatFloat(digits17, 'g', -1, 64); len(got) != len("0.")+17 {
@@ -316,11 +321,11 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 	for ts := int64(1); ts <= 10; ts++ {
 		feedAll(t, primary, ts)
 	}
-	snap := primary.Snapshot()
-	if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Full: snap}); err != nil {
+	var full ReplDelta
+	floors, _ := primary.FrameInto(&full, nil)
+	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatal(err)
 	}
-	floors := maps.Clone(snap.LastT)
 	ts := int64(11)
 	ship := func(vs ...float64) {
 		t.Helper()
@@ -371,8 +376,188 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 		t.Fatal("shadow snapshot JSON differs from the primary's")
 	}
 	ship(math.MaxFloat64)
-	if !reflect.DeepEqual(primary.Snapshot(), shadow.Snapshot()) {
-		t.Fatal("shadow snapshot differs from the primary's")
+	if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+		t.Fatal("shadow snapshot JSON differs from the primary's")
+	}
+}
+
+// pinnedMonitor restores testdata/two_column_snapshot.json (RingCapacity
+// 16: a time gap, wrapped rings, a sanitized stream and never-observed
+// metrics) after setting one sample and one prediction error of cpu to -0
+// and two to the smallest subnormal, values whose decimal form is delicate.
+func pinnedMonitor(t *testing.T) (*Monitor, Config) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "two_column_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap MonitorSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, ring := range []map[string]timeseries.RingSnapshot{snap.Samples, snap.Errs} {
+		vals := ring["cpu"].Vals
+		vals[0], vals[1], vals[len(vals)-1] = math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64
+	}
+	cfg := DefaultConfig()
+	cfg.RingCapacity = 16
+	m := NewMonitor("db", cfg)
+	if err := m.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return m, cfg
+}
+
+// receive is a standby's handling of one frame's payload: decode, then
+// apply.
+func receive(shadow *Monitor, raw []byte) error {
+	var d ReplDelta
+	if err := DecodeDelta(raw, &d); err != nil {
+		return err
+	}
+	return shadow.ApplyDelta(&d)
+}
+
+// TestReplFullFrameEquivalence ships the pinned monitor as a full frame
+// through JSON into a shadow that already holds other state. The shadow's
+// snapshot JSON must equal the primary's byte for byte, every value of both
+// rings must carry the primary's bits, and the floors FrameInto returns
+// must be the primary's last timestamps.
+func TestReplFullFrameEquivalence(t *testing.T) {
+	primary, cfg := pinnedMonitor(t)
+	var d ReplDelta
+	floors, changed := primary.FrameInto(&d, nil)
+	if !changed || len(d.Full) != metric.NumKinds {
+		t.Fatalf("FrameInto(nil floors) = changed %v with %d metrics, want a full frame", changed, len(d.Full))
+	}
+	if want := primary.Snapshot().LastT; !reflect.DeepEqual(floors, want) {
+		t.Errorf("full frame floors = %v, want %v", floors, want)
+	}
+	raw, err := json.Marshal(&d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := NewMonitor("db", cfg)
+	for ts := int64(1); ts <= 40; ts++ {
+		feedAll(t, shadow, ts)
+	}
+	if err := receive(shadow, raw); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
+		t.Fatalf("shadow snapshot differs from the primary's:\ngot  %s\nwant %s", b, a)
+	}
+	for _, k := range metric.Kinds {
+		p, s := &primary.shards[k], &shadow.shards[k]
+		for _, rings := range [][2]*timeseries.Ring{{p.samples, s.samples}, {p.errs, s.errs}} {
+			if rings[0].Len() != rings[1].Len() {
+				t.Fatalf("%s: shadow ring holds %d values, primary %d", k, rings[1].Len(), rings[0].Len())
+			}
+			for i := range rings[0].Len() {
+				if a, b := math.Float64bits(rings[0].Value(i)), math.Float64bits(rings[1].Value(i)); a != b {
+					t.Errorf("%s value %d: shadow bits %#x, primary %#x", k, i, b, a)
+				}
+			}
+		}
+	}
+}
+
+// TestReplFullFrameMixedVersions pins that the full frame changed shape in
+// a way both versions notice. This version refuses a previous version's
+// decimal full frame with ErrReplGap and leaves the shadow as it was; the
+// previous version's decoder fails on this version's full frame, even an
+// empty monitor's, so it never restores a snapshot without its rings.
+func TestReplFullFrameMixedVersions(t *testing.T) {
+	primary, cfg := pinnedMonitor(t)
+	shadow := NewMonitor("db", cfg)
+	for ts := int64(1); ts <= 10; ts++ {
+		feedAll(t, shadow, ts)
+	}
+	before := monitorJSON(t, shadow)
+	decimal, err := json.Marshal(map[string]any{"component": "db", "full": primary.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := receive(shadow, decimal); !errors.Is(err, ErrReplGap) {
+		t.Fatalf("previous-version full frame: err = %v, want ErrReplGap", err)
+	}
+	if !bytes.Equal(before, monitorJSON(t, shadow)) {
+		t.Fatal("refused frame changed the shadow")
+	}
+
+	// The previous version's frame type, as it decoded a payload.
+	type previousReplDelta struct {
+		Component string               `json:"component"`
+		Full      *MonitorSnapshot     `json:"full,omitempty"`
+		Base      map[string]int64     `json:"base,omitempty"`
+		Samples   map[string][]ReplRun `json:"samples,omitempty"`
+	}
+	for _, m := range []*Monitor{primary, NewMonitor("db", cfg)} {
+		var d ReplDelta
+		m.FrameInto(&d, nil)
+		raw, err := json.Marshal(&d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old previousReplDelta
+		if err := json.Unmarshal(raw, &old); err == nil {
+			t.Errorf("the previous version decodes this version's full frame (snapshot %+v)", old.Full)
+		}
+	}
+}
+
+// TestReplFullFrameRejects bends one part of a valid full frame at a time:
+// each must be refused with ErrReplGap and leave the shadow untouched.
+func TestReplFullFrameRejects(t *testing.T) {
+	primary := NewMonitor("c", Config{})
+	for ts := int64(1); ts <= 30; ts++ {
+		feedAll(t, primary, ts)
+	}
+	cpu := func(d *ReplDelta) *ReplMetric {
+		for i := range d.Full {
+			if d.Full[i].Metric == "cpu" {
+				return &d.Full[i]
+			}
+		}
+		t.Fatal("full frame has no cpu entry")
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		bend func(d *ReplDelta)
+	}{
+		{"ragged error run", func(d *ReplDelta) { f := cpu(d); f.Errs[0].V = f.Errs[0].V[:12] }},
+		{"error times off the sample times", func(d *ReplDelta) { cpu(d).Errs[0].T0++ }},
+		{"sample run overflowing the timestamp", func(d *ReplDelta) { cpu(d).Samples[0].T0 = math.MaxInt64 - 1 }},
+		{"non-finite sample", func(d *ReplDelta) {
+			binary.LittleEndian.PutUint64(cpu(d).Samples[0].V, math.Float64bits(math.Inf(1)))
+		}},
+		{"last_t behind the newest sample", func(d *ReplDelta) { *cpu(d).LastT-- }},
+		{"samples without last_t", func(d *ReplDelta) { cpu(d).LastT = nil }},
+		{"missing model", func(d *ReplDelta) { cpu(d).Model = nil }},
+		{"unknown metric", func(d *ReplDelta) { cpu(d).Metric = "gpu" }},
+		{"metric twice", func(d *ReplDelta) { d.Full[len(d.Full)-1] = *cpu(d) }},
+		{"incremental samples beside it", func(d *ReplDelta) {
+			d.Base = map[string]int64{"cpu": 30}
+			d.Samples = map[string][]ReplRun{"cpu": {bitsRun(31, 1)}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d ReplDelta
+			primary.FrameInto(&d, nil)
+			tc.bend(&d)
+			shadow := NewMonitor("c", Config{})
+			for ts := int64(1); ts <= 10; ts++ {
+				feedAll(t, shadow, ts)
+			}
+			before := monitorJSON(t, shadow)
+			if err := shadow.ApplyDelta(&d); !errors.Is(err, ErrReplGap) {
+				t.Fatalf("err = %v, want ErrReplGap", err)
+			}
+			if !bytes.Equal(before, monitorJSON(t, shadow)) {
+				t.Fatal("refused frame changed the shadow")
+			}
+		})
 	}
 }
 
@@ -434,19 +619,21 @@ func TestSanitizerStateTravels(t *testing.T) {
 	for ts := int64(1); ts <= 100; ts++ {
 		ingestAll(twin, ts)
 	}
-	full := wire(&ReplDelta{Component: "c", Full: twin.Snapshot()})
+	var frame ReplDelta
+	floors, _ := twin.FrameInto(&frame, nil)
+	full := wire(&frame)
+	var snap MonitorSnapshot
+	if err := json.Unmarshal(monitorJSON(t, twin), &snap); err != nil {
+		t.Fatal(err)
+	}
 
 	restored := NewMonitor("c", Config{})
-	if err := restored.Restore(full.Full); err != nil {
+	if err := restored.Restore(&snap); err != nil {
 		t.Fatal(err)
 	}
 	shadow := NewMonitor("c", Config{})
 	if err := shadow.ApplyDelta(full); err != nil {
 		t.Fatal(err)
-	}
-	floors := make(map[string]int64)
-	for name, last := range full.Full.LastT {
-		floors[name] = last
 	}
 	for ts := int64(101); ts <= 120; ts++ {
 		ingestAll(twin, ts)

@@ -18,7 +18,10 @@ import (
 // ascending after it, and the Snapshot restores into a fresh monitor and
 // snapshots back to the same bytes.
 func FuzzApplyDelta(f *testing.F) {
-	cfg := Config{RingCapacity: 24}
+	// Eight bins keep the full-frame seeds under 7 KB: the fuzzer minimizes
+	// every new interesting input, and with 40-bin models a 15 KB full
+	// frame took whole short runs to minimize.
+	cfg := Config{RingCapacity: 24, MarkovBins: 8}
 	primary := NewMonitor("db", cfg)
 	ts := int64(1)
 	for ; ts <= 30; ts++ {
@@ -46,8 +49,25 @@ func FuzzApplyDelta(f *testing.F) {
 		return &d
 	}
 	cpu := inc.Samples["cpu"][0]
+	// Full frames, whole and with cpu's entry bent: a ragged error-ring
+	// run, error times one second off the sample times, a sample run
+	// overflowing the timestamp, and last_t with no runs at all.
+	fullWith := func(bend func(f *ReplMetric)) *ReplDelta {
+		var d ReplDelta
+		primary.FrameInto(&d, nil)
+		for i := range d.Full {
+			if d.Full[i].Metric == "cpu" {
+				bend(&d.Full[i])
+			}
+		}
+		return &d
+	}
 	seeds := []*ReplDelta{
-		{Component: "db", Full: primary.Snapshot()},
+		fullWith(func(*ReplMetric) {}),
+		fullWith(func(f *ReplMetric) { f.Errs[0].V = f.Errs[0].V[:len(f.Errs[0].V)-3] }),
+		fullWith(func(f *ReplMetric) { f.Errs[0].T0++ }),
+		fullWith(func(f *ReplMetric) { f.Samples[0].T0 = math.MaxInt64 - 1 }),
+		fullWith(func(f *ReplMetric) { f.Samples, f.Errs = nil, nil }),
 		&inc,
 		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:len(cpu.V)-3]}),
 		withCPU(ReplRun{T0: math.MaxInt64 - int64(cpu.n()-1), V: cpu.V}),

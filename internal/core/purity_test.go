@@ -63,9 +63,7 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 			if shadow == nil {
 				shadow, floors = NewMonitor("c", cfg), nil
 			}
-			if _, ok := subject.DeltaInto(&d, floors); !ok {
-				d = ReplDelta{Component: "c", Full: subject.Snapshot()}
-			}
+			full, _ := subject.FrameInto(&d, floors)
 			raw, err := json.Marshal(&d)
 			if err != nil {
 				t.Fatal(err)
@@ -77,11 +75,8 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 			if err := shadow.ApplyDelta(&wire); err != nil {
 				t.Fatalf("seed %d t=%d: apply: %v", seed, ts, err)
 			}
-			if d.Full != nil {
-				floors = make(map[string]int64, len(d.Full.LastT))
-				for name, last := range d.Full.LastT {
-					floors[name] = last
-				}
+			if full != nil {
+				floors = full
 			} else {
 				d.AdvanceFloors(floors)
 			}

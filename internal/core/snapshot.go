@@ -137,19 +137,19 @@ func (m *Monitor) Restore(s *MonitorSnapshot) error {
 		sh := &m.shards[k]
 		sh.mu.Lock()
 		sh.samples = r
+		// checkHistory admits last_t only beside the rings, and a metric
+		// with rings but no last_t was never observed: a restored metric
+		// keeps no last timestamp of the monitor's own.
+		sh.lastT, sh.hasLast = 0, false
+		if t, ok := lastT[k]; ok {
+			sh.lastT, sh.hasLast = t, true
+		}
 		sh.mu.Unlock()
 	}
 	for k, r := range errRings {
 		sh := &m.shards[k]
 		sh.mu.Lock()
 		sh.errs = r
-		sh.mu.Unlock()
-	}
-	for k, t := range lastT {
-		sh := &m.shards[k]
-		sh.mu.Lock()
-		sh.lastT = t
-		sh.hasLast = true
 		sh.mu.Unlock()
 	}
 	// Rebuild streaming state from the restored rings. The rebuild is a pure

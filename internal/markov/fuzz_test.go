@@ -22,6 +22,11 @@ func FuzzPredictorSnapshot(f *testing.F) {
 		}
 		seeds = append(seeds, p)
 	}
+	// A trained range grown as far as finite samples can grow it.
+	extreme := trainedPredictor(2, 100)
+	extreme.Observe(math.MaxFloat64)
+	extreme.Observe(-math.MaxFloat64)
+	seeds = append(seeds, extreme)
 	for _, p := range seeds {
 		raw, err := json.Marshal(p.Snapshot())
 		if err != nil {

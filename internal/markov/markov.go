@@ -166,17 +166,16 @@ func (p *Predictor) Range() (lo, hi float64) { return p.lo, p.hi }
 
 // binOf maps a value to its bin index, clamping to the range edges.
 func (p *Predictor) binOf(v float64) int {
-	if p.hi <= p.lo {
+	// The edge tests come first: past a capped range (see maxEdge), v−lo
+	// can overflow.
+	if p.hi <= p.lo || v <= p.lo {
 		return 0
 	}
-	idx := int((v - p.lo) / (p.hi - p.lo) * float64(p.bins))
-	if idx < 0 {
-		idx = 0
+	if v >= p.hi {
+		return p.bins - 1
 	}
-	if idx >= p.bins {
-		idx = p.bins - 1
-	}
-	return idx
+	// lo < v < hi, but rounding can still carry v to bins.
+	return min(int((v-p.lo)/(p.hi-p.lo)*float64(p.bins)), p.bins-1)
 }
 
 // binCenter returns the representative value of bin i.
@@ -188,17 +187,24 @@ func (p *Predictor) binCenter(i int) float64 {
 	return p.lo + (float64(i)+0.5)*w
 }
 
+// maxEdge bounds how far from zero ensureRange moves a range edge. With
+// both edges inside ±MaxFloat64/2 the width hi−lo is finite too, so a
+// finite sample can never grow the range to ±Inf (which no snapshot JSON
+// can carry); a sample beyond the cap lands in the edge bin.
+const maxEdge = math.MaxFloat64 / 2
+
 // ensureRange grows the discretization range to cover v, remapping existing
 // transition counts onto the new bins (approximately, by bin centers).
 func (p *Predictor) ensureRange(v float64) {
 	if !p.rangeSet {
 		// Seed a small symmetric range around the first value so early
 		// samples land in distinct bins once fluctuation begins.
-		span := math.Abs(v) * 0.5
+		c := min(max(v, -maxEdge), maxEdge)
+		span := math.Abs(c) * 0.5
 		if span == 0 {
 			span = 1
 		}
-		p.lo, p.hi = v-span, v+span
+		p.lo, p.hi = max(c-span, -maxEdge), min(c+span, maxEdge)
 		p.rangeSet = true
 		return
 	}
@@ -210,14 +216,20 @@ func (p *Predictor) ensureRange(v float64) {
 	// Grow generously to avoid frequent remaps under a trending metric. Each
 	// step moves the edge by at least one ulp: a range narrower than half
 	// an ulp of its edge (only a crafted snapshot has one) would otherwise
-	// round every step back onto the same edge and never cover v.
-	for v < newLo {
-		newLo = min(newLo-span, math.Nextafter(newLo, math.Inf(-1)))
+	// round every step back onto the same edge and never cover v. An edge
+	// stops at maxEdge, or at MaxFloat64 from the other edge when a restored
+	// range already reaches past maxEdge (that subtraction is exact).
+	lowest, highest := max(-maxEdge, newHi-math.MaxFloat64), min(maxEdge, newLo+math.MaxFloat64)
+	for v < newLo && newLo > lowest {
+		newLo = max(min(newLo-span, math.Nextafter(newLo, math.Inf(-1))), lowest)
 		span = newHi - newLo
 	}
-	for v > newHi {
-		newHi = max(newHi+span, math.Nextafter(newHi, math.Inf(1)))
+	for v > newHi && newHi < highest {
+		newHi = min(max(newHi+span, math.Nextafter(newHi, math.Inf(1))), highest)
 		span = newHi - newLo
+	}
+	if newLo == p.lo && newHi == p.hi {
+		return // already at the cap
 	}
 	p.remapRange(newLo, newHi)
 }
@@ -314,12 +326,14 @@ func (p *Predictor) Observe(v float64) (predErr float64, predicted bool) {
 	if hadPrev {
 		prevCenter = p.binCenter(p.lastBin)
 	}
+	// Both differences are of finite values; the cap keeps an error between
+	// values near ±MaxFloat64 from overflowing to +Inf.
 	pred, ok := p.Predict()
 	if ok {
-		predErr = math.Abs(pred - v)
+		predErr = min(math.Abs(pred-v), math.MaxFloat64)
 		predicted = true
 	} else if hadPrev {
-		predErr = math.Abs(prevCenter - v)
+		predErr = min(math.Abs(prevCenter-v), math.MaxFloat64)
 	}
 	// Learn the transition prev -> current. Decay is applied lazily: new
 	// counts carry exponentially growing weight instead of shrinking the

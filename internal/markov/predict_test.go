@@ -43,8 +43,11 @@ func (d *denseModel) add(i, j int, c float64) {
 }
 
 func (d *denseModel) binOf(v float64) int {
-	if d.hi <= d.lo {
+	switch {
+	case d.hi <= d.lo || v <= d.lo:
 		return 0
+	case v >= d.hi:
+		return d.bins - 1
 	}
 	return min(max(int((v-d.lo)/(d.hi-d.lo)*float64(d.bins)), 0), d.bins-1)
 }
@@ -58,11 +61,12 @@ func (d *denseModel) binCenter(i int) float64 {
 
 func (d *denseModel) ensureRange(v float64) {
 	if !d.rangeSet {
-		span := math.Abs(v) * 0.5
+		c := min(max(v, -maxEdge), maxEdge)
+		span := math.Abs(c) * 0.5
 		if span == 0 {
 			span = 1
 		}
-		d.lo, d.hi, d.rangeSet = v-span, v+span, true
+		d.lo, d.hi, d.rangeSet = max(c-span, -maxEdge), min(c+span, maxEdge), true
 		return
 	}
 	if v >= d.lo && v <= d.hi {
@@ -70,13 +74,17 @@ func (d *denseModel) ensureRange(v float64) {
 	}
 	newLo, newHi := d.lo, d.hi
 	span := d.hi - d.lo
-	for v < newLo {
-		newLo = min(newLo-span, math.Nextafter(newLo, math.Inf(-1)))
+	lowest, highest := max(-maxEdge, newHi-math.MaxFloat64), min(maxEdge, newLo+math.MaxFloat64)
+	for v < newLo && newLo > lowest {
+		newLo = max(min(newLo-span, math.Nextafter(newLo, math.Inf(-1))), lowest)
 		span = newHi - newLo
 	}
-	for v > newHi {
-		newHi = max(newHi+span, math.Nextafter(newHi, math.Inf(1)))
+	for v > newHi && newHi < highest {
+		newHi = min(max(newHi+span, math.Nextafter(newHi, math.Inf(1))), highest)
 		span = newHi - newLo
+	}
+	if newLo == d.lo && newHi == d.hi {
+		return
 	}
 	// Re-add every non-zero count at the bins of its old bin centers, in
 	// ascending [from][to] order.
@@ -124,9 +132,9 @@ func (d *denseModel) observe(v float64) (predErr float64, predicted bool) {
 		prevCenter = d.binCenter(d.lastBin)
 	}
 	if pred, ok := d.predict(); ok {
-		predErr, predicted = math.Abs(pred-v), true
+		predErr, predicted = min(math.Abs(pred-v), math.MaxFloat64), true
 	} else if hadPrev {
-		predErr = math.Abs(prevCenter - v)
+		predErr = min(math.Abs(prevCenter-v), math.MaxFloat64)
 	}
 	cur := d.binOf(v)
 	if hadPrev {
@@ -235,7 +243,7 @@ func (pp *predictorPair) fail(format string, args ...any) {
 		append([]any{pp.ref.bins, pp.ref.decay, pp.nops, pp.label}, args...)...)
 }
 
-func (pp *predictorPair) observe(v float64) {
+func (pp *predictorPair) observe(v float64) (predErr float64) {
 	pp.tb.Helper()
 	pp.nops++
 	pp.label = "observe"
@@ -246,6 +254,7 @@ func (pp *predictorPair) observe(v float64) {
 	}
 	pp.check(v)
 	pp.prev = v
+	return e
 }
 
 func (pp *predictorPair) brk() {
@@ -397,5 +406,43 @@ func TestPredictMatchesDenseWalk(t *testing.T) {
 					bins, decay, remaps, renorms, breaks, restores)
 			}
 		}
+	}
+}
+
+// TestExtremeSamplesKeepRangeFinite feeds finite samples at and near
+// ±MaxFloat64, first and after training, through the predictor and the
+// dense reference. The range edges, its width and every prediction error
+// stay finite, and the snapshot marshals and round-trips (restore checks
+// the JSON bytes against the reference's and decodes them).
+func TestExtremeSamplesKeepRangeFinite(t *testing.T) {
+	const huge = math.MaxFloat64
+	for _, tc := range []struct {
+		name    string
+		trained bool
+		vs      []float64
+	}{
+		{"MaxFloat64 first", false, []float64{huge, -huge, huge, 1, -huge}},
+		{"-MaxFloat64 first", false, []float64{-huge, huge, 0, huge / 3}},
+		{"trained, then both", true, []float64{huge, -huge, 50, -huge, huge, huge}},
+		{"trained, near the cap", true, []float64{huge / 1.5, -huge / 1.5, huge / 2, -huge / 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			pp := &predictorPair{tb: t, p: NewDefault(), ref: newDenseModel(DefaultBins, DefaultDecay), rng: rng}
+			if tc.trained {
+				for i := range 200 {
+					pp.observe(50 + 10*math.Sin(float64(i)/9))
+				}
+			}
+			for _, v := range tc.vs {
+				if e := pp.observe(v); math.IsInf(e, 0) {
+					t.Fatalf("%v: prediction error %v", v, e)
+				}
+				if lo, hi := pp.p.Range(); math.IsInf(lo, 0) || math.IsInf(hi, 0) || math.IsInf(hi-lo, 0) || hi <= lo {
+					t.Fatalf("%v: range [%v, %v]", v, lo, hi)
+				}
+				pp.restore()
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Snapshot is the complete serializable state of a Predictor. A slave
@@ -71,7 +72,7 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	if s.Decay <= 0 || s.Decay > 1 || math.IsNaN(s.Decay) {
 		return nil, fmt.Errorf("markov: snapshot decay %v out of (0,1]", s.Decay)
 	}
-	if s.RangeSet && (s.Hi <= s.Lo || math.IsNaN(s.Lo) || math.IsNaN(s.Hi) || math.IsInf(s.Lo, 0) || math.IsInf(s.Hi, 0)) {
+	if s.RangeSet && (s.Hi <= s.Lo || math.IsNaN(s.Lo) || math.IsNaN(s.Hi) || math.IsInf(s.Hi-s.Lo, 0)) {
 		return nil, fmt.Errorf("markov: snapshot range [%v, %v] invalid", s.Lo, s.Hi)
 	}
 	if s.HasLast && (s.LastBin < 0 || s.LastBin >= s.Bins) {
@@ -90,6 +91,15 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 		return nil, fmt.Errorf("markov: snapshot has %d row sums for %d bins", len(s.RowSums), s.Bins)
 	}
 	p := New(s.Bins, s.Decay)
+	// Size counts for every row a count will occupy at once: grow would
+	// otherwise copy the matrix once per row.
+	rows := 0
+	for _, row := range s.Counts {
+		if slices.ContainsFunc(row, func(c float64) bool { return c > 0 }) {
+			rows++
+		}
+	}
+	p.counts = make([]float64, 0, rows*s.Bins)
 	p.lo, p.hi = s.Lo, s.Hi
 	p.rangeSet = s.RangeSet
 	p.lastBin = s.LastBin
