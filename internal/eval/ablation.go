@@ -4,51 +4,32 @@ import (
 	"fmt"
 	"strings"
 
-	"fchain/internal/apps"
 	"fchain/internal/baseline"
 	"fchain/internal/core"
 	"fchain/internal/depgraph"
 )
 
-// ablationVariant is one FChain configuration with a design choice removed
+// ablationColumns are FChain configurations with one design choice removed
 // or altered.
-type ablationVariant struct {
-	name string
-	// cfg tweaks the FChain configuration.
-	cfg core.Config
-	// dropDeps removes the dependency graph from the trials.
-	dropDeps bool
-}
-
-func ablationVariants() []ablationVariant {
-	return []ablationVariant{
-		{name: "full"},
-		{
-			// A near-zero fixed threshold admits every outlier change
-			// point: the pipeline without the predictability filter.
-			name: "no-predictability-filter",
-			cfg:  core.Config{FixedThreshold: 1e-9},
-		},
-		{
-			name: "no-rollback",
-			cfg:  core.Config{DisableRollback: true},
-		},
-		{
-			name:     "no-dependency",
-			dropDeps: true,
-		},
-		{
-			name: "no-smoothing",
-			cfg:  core.Config{SmoothWindow: 1},
-		},
-		{
-			name: "adaptive-lookback",
-			cfg:  core.Config{AdaptiveLookBack: true},
-		},
-		{
-			name: "adaptive-smoothing",
-			cfg:  core.Config{AdaptiveSmoothing: true},
-		},
+func ablationColumns() []Column {
+	fchain := func(name string, cfg core.Config) Column {
+		return Column{Name: name, Scheme: &baseline.FChain{Config: cfg}}
+	}
+	noDeps := fchain("no-dependency", core.Config{})
+	noDeps.Trial = func(tr baseline.Trial) baseline.Trial {
+		tr.Deps = depgraph.NewGraph()
+		return tr
+	}
+	return []Column{
+		fchain("full", core.Config{}),
+		// A near-zero fixed threshold admits every outlier change point:
+		// the pipeline without the predictability filter.
+		fchain("no-predictability-filter", core.Config{FixedThreshold: 1e-9}),
+		fchain("no-rollback", core.Config{DisableRollback: true}),
+		noDeps,
+		fchain("no-smoothing", core.Config{SmoothWindow: 1}),
+		fchain("adaptive-lookback", core.Config{AdaptiveLookBack: true}),
+		fchain("adaptive-smoothing", core.Config{AdaptiveSmoothing: true}),
 	}
 }
 
@@ -58,46 +39,21 @@ func ablationVariants() []ablationVariant {
 // (back-pressure), the System S MemLeak (no dependency information
 // available), and the Hadoop concurrent DiskHog (slow manifestation, W=100
 // here so the adaptive look-back variant has room to help).
-func AblationTable(runs int, cfg RunConfig) (string, error) {
+func AblationTable(runs int, cfg RunConfig) (Report, error) {
 	bs := Benchmarks()
 	diskhog := bs[2].Faults[2]
 	diskhog.LookBack = 0 // deliberately leave W at the 100 s default
-	cases := []struct {
-		b  Benchmark
-		fc apps.FaultCase
-	}{
-		{bs[0], bs[0].Faults[1]}, // rubis cpuhog
-		{bs[1], bs[1].Faults[0]}, // systems memleak
-		{bs[2], diskhog},         // hadoop concurrent-diskhog at W=100
+	s := Sweep{
+		Rows: []Row{
+			{Bench: bs[0], Fault: bs[0].Faults[1]}, // rubis cpuhog
+			{Bench: bs[1], Fault: bs[1].Faults[0]}, // systems memleak
+			{Bench: bs[2], Fault: diskhog},         // hadoop concurrent-diskhog at W=100
+		},
+		Columns: ablationColumns(),
+		Runs:    runs,
+		Config:  cfg,
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ablation: contribution of FChain design choices, %d runs per fault\n", runs)
-	for _, c := range cases {
-		trials, skipped, err := Campaign(c.b, c.fc, runs, cfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "%s/%s (%d trials, %d skipped):\n", c.b.Name, c.fc.Name, len(trials), skipped)
-		if len(trials) == 0 {
-			continue
-		}
-		for _, v := range ablationVariants() {
-			var total Outcome
-			for _, tb := range trials {
-				trial := *tb.Trial
-				if v.dropDeps {
-					trial.Deps = depgraph.NewGraph()
-				}
-				scheme := &baseline.FChain{Config: v.cfg}
-				pinned, err := scheme.Localize(&trial)
-				if err != nil {
-					return "", err
-				}
-				total.Add(Score(pinned, tb.Truth))
-			}
-			fmt.Fprintf(&sb, "  %-26s P=%.2f R=%.2f (tp=%d fp=%d fn=%d)\n",
-				v.name, total.Precision(), total.Recall(), total.TP, total.FP, total.FN)
-		}
-	}
-	return sb.String(), nil
+	return s.report(fmt.Sprintf("Ablation: contribution of FChain design choices, %d runs per fault\n", runs),
+		"%s/%s (%d trials, %d skipped):\n",
+		func(sb *strings.Builder, rs []SchemeResult) { writePoints(sb, 26, rs) })
 }

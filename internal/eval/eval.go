@@ -1,7 +1,8 @@
 // Package eval is the experiment harness that regenerates every table and
-// figure of the FChain paper's evaluation (§III): it runs fault-injection
-// campaigns on the simulated benchmarks, applies each localization scheme
-// to identical trial data, and aggregates precision/recall.
+// figure of the FChain paper's evaluation (§III): one Sweep runs the
+// fault-injection trials on the simulated benchmarks, applies each
+// localization scheme to identical trial data, and aggregates
+// precision/recall; each artifact is a sweep spec plus its renderer.
 package eval
 
 import (
@@ -9,7 +10,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 
 	"fchain/internal/apps"
 	"fchain/internal/baseline"
@@ -127,19 +127,15 @@ type RunConfig struct {
 	SustainSec int
 	// DepTraceSec is the offline dependency-capture duration (default 600).
 	DepTraceSec int
-	// Workers bounds how many fault-injection runs of a campaign execute
-	// concurrently: 0 uses GOMAXPROCS, 1 forces serial execution, and any
-	// other value is the cap. Every run is seeded independently and results
-	// are assembled in seed order, so the output is identical at any worker
-	// count.
+	// Workers bounds how many trials of a sweep execute concurrently: 0
+	// uses GOMAXPROCS, 1 runs one trial at a time, and any other value is
+	// the cap. Every trial is seeded independently and results are
+	// assembled in (row, seed) order, so the output is identical at any
+	// worker count.
 	Workers int
-	// OmitTiming drops wall-clock measurement lines from figure reports so
-	// that output is byte-stable across machines and worker counts (used by
-	// the parallel-equivalence tests and regression diffs).
-	OmitTiming bool
 }
 
-// workers resolves the effective campaign concurrency. Zero means "all
+// workers resolves the effective sweep concurrency. Zero means "all
 // cores, decided now": the zero value is never rewritten by withDefaults, so
 // a serialized RunConfig does not pin the core count of the machine that
 // wrote it.
@@ -173,7 +169,7 @@ func (c RunConfig) withDefaults() RunConfig {
 }
 
 // ErrNoViolation reports a run whose fault never produced a detectable SLO
-// violation within the horizon; campaigns count and skip such runs.
+// violation within the horizon; sweeps count and skip such runs.
 type ErrNoViolation struct {
 	Fault string
 	Seed  int64
@@ -241,106 +237,10 @@ func RunTrial(b Benchmark, fc apps.FaultCase, seed int64, cfg RunConfig) (*Trial
 	}, nil
 }
 
-// Campaign runs N seeds of one fault case, returning the completed trials
-// (skipping runs without violations) and the skip count.
-//
-// Runs are independent — each is a pure function of (benchmark, fault,
-// seed, cfg) — so they execute on cfg.Workers goroutines. Results are
-// collected per seed and assembled in seed order afterwards, which makes
-// the returned trials, skip count, and any error exactly what a serial
-// loop would have produced.
-func Campaign(b Benchmark, fc apps.FaultCase, runs int, cfg RunConfig) ([]*TrialBundle, int, error) {
-	workers := cfg.workers()
-	if workers > runs {
-		workers = runs
-	}
-	type slot struct {
-		tb  *TrialBundle
-		err error
-	}
-	results := make([]slot, runs)
-	if workers <= 1 {
-		for seed := int64(1); seed <= int64(runs); seed++ {
-			tb, err := RunTrial(b, fc, seed, cfg)
-			results[seed-1] = slot{tb: tb, err: err}
-		}
-	} else {
-		seeds := make(chan int64)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for seed := range seeds {
-					tb, err := RunTrial(b, fc, seed, cfg)
-					results[seed-1] = slot{tb: tb, err: err}
-				}
-			}()
-		}
-		for seed := int64(1); seed <= int64(runs); seed++ {
-			seeds <- seed
-		}
-		close(seeds)
-		wg.Wait()
-	}
-	// Seed-order assembly replays serial semantics: a hard error at seed s
-	// returns with only the skips observed before s, exactly as the serial
-	// loop would have stopped there.
-	var out []*TrialBundle
-	skipped := 0
-	for _, r := range results {
-		if r.err != nil {
-			var nv *ErrNoViolation
-			if asNoViolation(r.err, &nv) {
-				skipped++
-				continue
-			}
-			return nil, skipped, r.err
-		}
-		out = append(out, r.tb)
-	}
-	return out, skipped, nil
-}
-
-func asNoViolation(err error, target **ErrNoViolation) bool {
-	nv, ok := err.(*ErrNoViolation)
-	if ok {
-		*target = nv
-	}
-	return ok
-}
-
-// EvaluateScheme applies one scheme to every trial and aggregates the
-// outcome.
-func EvaluateScheme(s baseline.Scheme, trials []*TrialBundle) (Outcome, error) {
-	var total Outcome
-	for _, tb := range trials {
-		pinned, err := s.Localize(tb.Trial)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("eval: %s on %s/seed %d: %w", s.Name(), tb.Fault, tb.Seed, err)
-		}
-		total.Add(Score(pinned, tb.Truth))
-	}
-	return total, nil
-}
-
 // SchemeResult pairs a scheme with its aggregate outcome.
 type SchemeResult struct {
 	Scheme  string
 	Outcome Outcome
-}
-
-// EvaluateAll applies several schemes to the same trials.
-func EvaluateAll(schemes []baseline.Scheme, trials []*TrialBundle) ([]SchemeResult, error) {
-	out := make([]SchemeResult, 0, len(schemes))
-	for _, s := range schemes {
-		o, err := EvaluateScheme(s, trials)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SchemeResult{Scheme: s.Name(), Outcome: o})
-	}
-	return out, nil
 }
 
 // BestOf returns, for a swept scheme family, the result with the highest

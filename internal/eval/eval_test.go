@@ -174,30 +174,35 @@ func TestRunTrialDeterministic(t *testing.T) {
 
 func TestCampaignSkipsNoViolation(t *testing.T) {
 	// With a tiny horizon no violation can be reached, so every run is
-	// counted as skipped rather than failing the campaign.
+	// counted as skipped rather than failing the sweep.
 	b := Benchmarks()[0]
-	trials, skipped, err := Campaign(b, b.Faults[0], 2, RunConfig{Horizon: 5})
+	s := Sweep{
+		Rows:    faultRows(b, b.Faults[0]),
+		Columns: schemeColumns(&baseline.FChain{}),
+		Runs:    2,
+		Config:  RunConfig{Horizon: 5},
+	}
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trials) != 0 || skipped != 2 {
-		t.Errorf("expected all runs skipped: trials=%d skipped=%d", len(trials), skipped)
+	if rr := res.Rows[0]; rr.Trials != 0 || rr.Skipped != 2 {
+		t.Errorf("expected all runs skipped: trials=%d skipped=%d", rr.Trials, rr.Skipped)
 	}
 }
 
 func TestEvaluateSchemeAggregates(t *testing.T) {
 	b := Benchmarks()[0]
-	trials, skipped, err := Campaign(b, b.Faults[1], 2, RunConfig{})
+	s := Sweep{Rows: faultRows(b, b.Faults[1]), Columns: schemeColumns(&baseline.FChain{}), Runs: 2}
+	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped > 0 || len(trials) != 2 {
-		t.Fatalf("campaign trials=%d skipped=%d", len(trials), skipped)
+	rr := res.Rows[0]
+	if rr.Skipped > 0 || rr.Trials != 2 {
+		t.Fatalf("sweep trials=%d skipped=%d", rr.Trials, rr.Skipped)
 	}
-	o, err := EvaluateScheme(&baseline.FChain{}, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := rr.Cells[0].Outcome
 	if o.TP+o.FN != 2 {
 		t.Errorf("two single-fault trials should have TP+FN=2, got %+v", o)
 	}

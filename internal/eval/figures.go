@@ -48,84 +48,70 @@ func rocLine(name string, results []SchemeResult) string {
 	return sb.String()
 }
 
-func pointLine(r SchemeResult) string {
-	return fmt.Sprintf("  %-12s P=%.2f R=%.2f (tp=%d fp=%d fn=%d)",
-		r.Scheme, r.Outcome.Precision(), r.Outcome.Recall(),
-		r.Outcome.TP, r.Outcome.FP, r.Outcome.FN)
+// writePoints renders one line per result, its name padded to width.
+func writePoints(sb *strings.Builder, width int, results []SchemeResult) {
+	for _, r := range results {
+		fmt.Fprintf(sb, "  %-*s P=%.2f R=%.2f (tp=%d fp=%d fn=%d)\n",
+			width, r.Scheme, r.Outcome.Precision(), r.Outcome.Recall(),
+			r.Outcome.TP, r.Outcome.FP, r.Outcome.FN)
+	}
+}
+
+// faultRows makes one sweep row per fault case of a benchmark.
+func faultRows(b Benchmark, faults ...apps.FaultCase) []Row {
+	rows := make([]Row, len(faults))
+	for i, fc := range faults {
+		rows[i] = Row{Bench: b, Fault: fc}
+	}
+	return rows
 }
 
 // AccuracyFigure reproduces one ROC comparison figure (Figs. 6-10): for each
 // fault of the benchmark subset it evaluates every scheme on the same
 // trials and renders precision/recall.
-func AccuracyFigure(title string, b Benchmark, faults []apps.FaultCase, runs int, cfg RunConfig) (string, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — %s, %d runs per fault\n", title, b.Name, runs)
-	for _, fc := range faults {
-		trials, skipped, err := Campaign(b, fc, runs, cfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "fault %s (%d trials, %d without violation):\n", fc.Name, len(trials), skipped)
-		if len(trials) == 0 {
-			continue
-		}
-		start := time.Now()
-		single, err := EvaluateAll(ComparisonSchemes(), trials)
-		if err != nil {
-			return "", err
-		}
-		perTrial := time.Since(start) / time.Duration(len(trials)*len(ComparisonSchemes()))
-		for _, r := range single {
-			sb.WriteString(pointLine(r) + "\n")
-		}
-		// The wall-time line is the only machine-dependent text in the
-		// accuracy figures; OmitTiming drops it so parallel and serial
-		// regenerations can be compared byte for byte.
-		if !cfg.OmitTiming {
-			fmt.Fprintf(&sb, "  localization wall time: %v per trial (paper: \"within a few seconds\")\n",
-				perTrial.Round(time.Millisecond))
-		}
-		hist, err := EvaluateAll(baseline.HistogramSweep(DefaultHistogramThresholds), trials)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(rocLine("histogram", hist) + "\n")
-		nm, err := EvaluateAll(baseline.NetMedicSweep(DefaultNetMedicDeltas), trials)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(rocLine("netmedic", nm) + "\n")
-	}
-	return sb.String(), nil
+func AccuracyFigure(title string, b Benchmark, faults []apps.FaultCase, runs int, cfg RunConfig) (Report, error) {
+	single := len(ComparisonSchemes())
+	hist := single + len(DefaultHistogramThresholds)
+	cols := schemeColumns(ComparisonSchemes()...)
+	cols = append(cols, schemeColumns(baseline.HistogramSweep(DefaultHistogramThresholds)...)...)
+	cols = append(cols, schemeColumns(baseline.NetMedicSweep(DefaultNetMedicDeltas)...)...)
+	s := Sweep{Rows: faultRows(b, faults...), Columns: cols, Runs: runs, Config: cfg}
+	return s.report(fmt.Sprintf("%s — %s, %d runs per fault\n", title, b.Name, runs),
+		"fault %[2]s (%[3]d trials, %[4]d without violation):\n",
+		func(sb *strings.Builder, rs []SchemeResult) {
+			writePoints(sb, 12, rs[:single])
+			sb.WriteString(rocLine("histogram", rs[single:hist]) + "\n")
+			sb.WriteString(rocLine("netmedic", rs[hist:]) + "\n")
+		})
 }
 
 // Figure6 — RUBiS single-component faults (MemLeak, CpuHog, NetHog).
-func Figure6(runs int, cfg RunConfig) (string, error) {
+func Figure6(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[0]
 	return AccuracyFigure("Figure 6: single-component fault localization accuracy", b, b.Faults[:3], runs, cfg)
 }
 
 // Figure7 — System S single-component faults (MemLeak, CpuHog, Bottleneck).
-func Figure7(runs int, cfg RunConfig) (string, error) {
+func Figure7(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[1]
 	return AccuracyFigure("Figure 7: single-component fault localization accuracy", b, b.Faults[:3], runs, cfg)
 }
 
 // Figure8 — RUBiS multi-component faults (OffloadBug, LBBug).
-func Figure8(runs int, cfg RunConfig) (string, error) {
+func Figure8(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[0]
 	return AccuracyFigure("Figure 8: multi-component fault localization accuracy", b, b.Faults[3:], runs, cfg)
 }
 
 // Figure9 — System S multi-component faults (concurrent MemLeak/CpuHog).
-func Figure9(runs int, cfg RunConfig) (string, error) {
+func Figure9(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[1]
 	return AccuracyFigure("Figure 9: multi-component fault localization accuracy", b, b.Faults[3:], runs, cfg)
 }
 
 // Figure10 — Hadoop multi-component faults (concurrent MemLeak, CpuHog,
 // DiskHog on all map nodes).
-func Figure10(runs int, cfg RunConfig) (string, error) {
+func Figure10(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[2]
 	return AccuracyFigure("Figure 10: multi-component fault localization accuracy", b, b.Faults, runs, cfg)
 }
@@ -350,128 +336,75 @@ func Figure5(seed int64) (string, error) {
 // Figure11 reproduces the online validation study on the two hardest
 // System S faults (Bottleneck and concurrent CpuHog): FChain with and
 // without validation.
-func Figure11(runs int, cfg RunConfig) (string, error) {
+func Figure11(runs int, cfg RunConfig) (Report, error) {
 	b := Benchmarks()[1]
-	hard := []apps.FaultCase{b.Faults[2], b.Faults[4]} // bottleneck, concurrent-cpuhog
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 11: online validation effectiveness — %s, %d runs per fault\n", b.Name, runs)
-	for _, fc := range hard {
-		trials, skipped, err := Campaign(b, fc, runs, cfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "fault %s (%d trials, %d skipped):\n", fc.Name, len(trials), skipped)
-		if len(trials) == 0 {
-			continue
-		}
-		schemes := []baseline.Scheme{&baseline.FChain{}, &baseline.FChain{Validate: true}}
-		results, err := EvaluateAll(schemes, trials)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range results {
-			sb.WriteString(pointLine(r) + "\n")
-		}
+	s := Sweep{
+		Rows:    faultRows(b, b.Faults[2], b.Faults[4]), // bottleneck, concurrent-cpuhog
+		Columns: schemeColumns(&baseline.FChain{}, &baseline.FChain{Validate: true}),
+		Runs:    runs,
+		Config:  cfg,
 	}
-	return sb.String(), nil
+	return s.report(fmt.Sprintf("Figure 11: online validation effectiveness — %s, %d runs per fault\n", b.Name, runs),
+		"fault %[2]s (%[3]d trials, %[4]d skipped):\n",
+		func(sb *strings.Builder, rs []SchemeResult) { writePoints(sb, 12, rs) })
 }
 
 // Figure12 reproduces the Fixed-Filtering comparison on LBBug (RUBiS) and
 // DiskHog (Hadoop): the fixed threshold sweep against adaptive FChain.
-func Figure12(runs int, cfg RunConfig) (string, error) {
+func Figure12(runs int, cfg RunConfig) (Report, error) {
 	rubis := Benchmarks()[0]
 	hadoop := Benchmarks()[2]
-	cases := []struct {
-		b  Benchmark
-		fc apps.FaultCase
-	}{
-		{rubis, rubis.Faults[4]},   // lbbug
-		{hadoop, hadoop.Faults[2]}, // concurrent-diskhog
+	s := Sweep{
+		Rows: []Row{
+			{Bench: rubis, Fault: rubis.Faults[4]},   // lbbug
+			{Bench: hadoop, Fault: hadoop.Faults[2]}, // concurrent-diskhog
+		},
+		Columns: append(schemeColumns(&baseline.FChain{}),
+			schemeColumns(baseline.FixedFilterSweep(DefaultFixedThresholds)...)...),
+		Runs:   runs,
+		Config: cfg,
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 12: Fixed-Filtering threshold sensitivity, %d runs per fault\n", runs)
-	for _, c := range cases {
-		trials, skipped, err := Campaign(c.b, c.fc, runs, cfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "fault %s/%s (%d trials, %d skipped):\n", c.b.Name, c.fc.Name, len(trials), skipped)
-		if len(trials) == 0 {
-			continue
-		}
-		fc, err := EvaluateScheme(&baseline.FChain{}, trials)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString(pointLine(SchemeResult{Scheme: "fchain", Outcome: fc}) + "\n")
-		fixed, err := EvaluateAll(baseline.FixedFilterSweep(DefaultFixedThresholds), trials)
-		if err != nil {
-			return "", err
-		}
-		for _, r := range fixed {
-			sb.WriteString(pointLine(r) + "\n")
-		}
-	}
-	return sb.String(), nil
+	return s.report(fmt.Sprintf("Figure 12: Fixed-Filtering threshold sensitivity, %d runs per fault\n", runs),
+		"fault %s/%s (%d trials, %d skipped):\n",
+		func(sb *strings.Builder, rs []SchemeResult) { writePoints(sb, 12, rs) })
 }
 
 // Table1 reproduces the sensitivity study: precision/recall of FChain under
 // different look-back windows and concurrency thresholds, on NetHog
 // (RUBiS), CpuHog (System S), and DiskHog (Hadoop).
-func Table1(runs int, cfg RunConfig) (string, error) {
+func Table1(runs int, cfg RunConfig) (Report, error) {
 	bs := Benchmarks()
-	cases := []struct {
-		b  Benchmark
-		fc apps.FaultCase
-	}{
-		{bs[0], bs[0].Faults[2]}, // nethog
-		{bs[1], bs[1].Faults[1]}, // cpuhog
-		{bs[2], bs[2].Faults[2]}, // concurrent-diskhog
+	var cols []Column
+	for _, w := range []int{100, 300, 500} {
+		cols = append(cols, Column{
+			Name:   fmt.Sprintf("W=%d", w),
+			Scheme: &baseline.FChain{},
+			Trial:  func(tr baseline.Trial) baseline.Trial { tr.LookBack = w; return tr },
+		})
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table I: sensitivity to W and the concurrency threshold, %d runs per cell\n", runs)
-	for _, c := range cases {
-		trials, skipped, err := Campaign(c.b, c.fc, runs, cfg)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&sb, "%s/%s (%d trials, %d skipped):\n", c.b.Name, c.fc.Name, len(trials), skipped)
-		if len(trials) == 0 {
-			continue
-		}
-		for _, w := range []int{100, 300, 500} {
-			o, err := evaluateWithOverride(trials, func(tr *baseline.Trial) { tr.LookBack = w }, core.Config{})
-			if err != nil {
-				return "", err
+	for _, ct := range []int64{2, 5, 10} {
+		cols = append(cols, Column{
+			Name:   fmt.Sprintf("concurrency=%d", ct),
+			Scheme: &baseline.FChain{Config: core.Config{ConcurrencyThreshold: ct}},
+		})
+	}
+	s := Sweep{
+		Rows: []Row{
+			{Bench: bs[0], Fault: bs[0].Faults[2]}, // nethog
+			{Bench: bs[1], Fault: bs[1].Faults[1]}, // cpuhog
+			{Bench: bs[2], Fault: bs[2].Faults[2]}, // concurrent-diskhog
+		},
+		Columns: cols,
+		Runs:    runs,
+		Config:  cfg,
+	}
+	return s.report(fmt.Sprintf("Table I: sensitivity to W and the concurrency threshold, %d runs per cell\n", runs),
+		"%s/%s (%d trials, %d skipped):\n",
+		func(sb *strings.Builder, rs []SchemeResult) {
+			for _, r := range rs {
+				fmt.Fprintf(sb, "  %-17s P=%.2f R=%.2f\n", r.Scheme, r.Outcome.Precision(), r.Outcome.Recall())
 			}
-			fmt.Fprintf(&sb, "  W=%-4d            P=%.2f R=%.2f\n", w, o.Precision(), o.Recall())
-		}
-		for _, ct := range []int64{2, 5, 10} {
-			o, err := evaluateWithOverride(trials, nil, core.Config{ConcurrencyThreshold: ct})
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&sb, "  concurrency=%-4d  P=%.2f R=%.2f\n", ct, o.Precision(), o.Recall())
-		}
-	}
-	return sb.String(), nil
-}
-
-func evaluateWithOverride(trials []*TrialBundle, mutate func(*baseline.Trial), cfg core.Config) (Outcome, error) {
-	var total Outcome
-	for _, tb := range trials {
-		trial := *tb.Trial
-		if mutate != nil {
-			mutate(&trial)
-		}
-		s := &baseline.FChain{Config: cfg}
-		pinned, err := s.Localize(&trial)
-		if err != nil {
-			return Outcome{}, err
-		}
-		total.Add(Score(pinned, tb.Truth))
-	}
-	return total, nil
+		})
 }
 
 // Table2 measures the CPU cost of each FChain module, mirroring the

@@ -3,72 +3,57 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"fchain/internal/golden"
 )
 
-// TestAccuracyFigures smoke-runs every campaign figure at a small run count
-// and checks the report structure: every scheme present, counts consistent.
+// TestAccuracyFigures pins every campaign experiment — Figs. 6-12, Table I
+// and the ablation — at 2 runs in testdata/golden/campaigns_runs2.txt.
+// Each subtest also checks its report's structure (every scheme, variant
+// and case present), so an -update regeneration cannot silently drop one.
+// Regenerate with `go test ./internal/eval -run TestAccuracyFigures -update`.
 func TestAccuracyFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments")
 	}
-	figs := map[string]func(int, RunConfig) (string, error){
-		"fig6": Figure6, "fig7": Figure7, "fig8": Figure8,
-		"fig9": Figure9, "fig10": Figure10,
+	roc := []string{"fchain", "topology", "dependency", "pal", "histogram", "netmedic", "fault "}
+	artifacts := []struct {
+		name string
+		run  func(int, RunConfig) (Report, error)
+		want []string
+	}{
+		{"fig6", Figure6, roc},
+		{"fig7", Figure7, roc},
+		{"fig8", Figure8, roc},
+		{"fig9", Figure9, roc},
+		{"fig10", Figure10, roc},
+		{"fig11", Figure11, []string{"fchain+val", "bottleneck"}},
+		{"fig12", Figure12, []string{"fixed(t=", "lbbug"}},
+		{"table1", Table1, []string{"W=100", "W=500", "concurrency=2", "concurrency=10"}},
+		{"ablation", AblationTable, []string{
+			"full", "no-predictability-filter", "no-rollback", "no-dependency",
+			"no-smoothing", "adaptive-lookback", "adaptive-smoothing",
+			"rubis/cpuhog", "systems/memleak", "hadoop/concurrent-diskhog",
+		}},
 	}
-	for name, fn := range figs {
-		name, fn := name, fn
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			out, err := fn(2, RunConfig{})
+	var all strings.Builder
+	ran := 0
+	for _, a := range artifacts {
+		t.Run(a.name, func(t *testing.T) {
+			r, err := a.run(2, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, want := range []string{"fchain", "topology", "dependency", "pal", "histogram", "netmedic", "fault "} {
-				if !strings.Contains(out, want) {
-					t.Errorf("%s report missing %q:\n%s", name, want, out)
+			for _, want := range a.want {
+				if !strings.Contains(r.Text, want) {
+					t.Errorf("%s report missing %q:\n%s", a.name, want, r.Text)
 				}
 			}
+			all.WriteString(r.Text)
+			ran++
 		})
 	}
-}
-
-func TestFigure11Structure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign experiment")
-	}
-	out, err := Figure11(2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "fchain+val") || !strings.Contains(out, "bottleneck") {
-		t.Errorf("figure 11 report malformed:\n%s", out)
-	}
-}
-
-func TestFigure12Structure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign experiment")
-	}
-	out, err := Figure12(2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "fixed(t=") || !strings.Contains(out, "lbbug") {
-		t.Errorf("figure 12 report malformed:\n%s", out)
-	}
-}
-
-func TestTable1Structure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign experiment")
-	}
-	out, err := Table1(2, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"W=100", "W=500", "concurrency=2", "concurrency=10"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table 1 report missing %q:\n%s", want, out)
-		}
+	if ran == len(artifacts) && !t.Failed() {
+		golden.Assert(t, golden.Path("campaigns_runs2.txt"), []byte(all.String()))
 	}
 }

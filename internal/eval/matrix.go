@@ -2,9 +2,8 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
+	"time"
 
 	"fchain/internal/baseline"
 	"fchain/internal/cloudsim"
@@ -28,9 +27,9 @@ type MatrixConfig struct {
 	Templates []faultlib.Template
 	// Runs is the number of seeded trials per cell (default 2).
 	Runs int
-	// Run is the per-cell campaign configuration. OmitTiming is forced so
-	// the rendered matrix is byte-stable; Workers applies within each cell
-	// and the rendered output is identical at any worker count.
+	// Run configures every trial; Workers bounds the trials the whole
+	// matrix runs at once, and the rendered output is identical at any
+	// worker count.
 	Run RunConfig
 }
 
@@ -69,7 +68,6 @@ func (c MatrixConfig) withDefaults() MatrixConfig {
 	if c.Run.DepTraceSec <= 0 {
 		c.Run.DepTraceSec = 2400
 	}
-	c.Run.OmitTiming = true
 	return c
 }
 
@@ -90,22 +88,7 @@ type CellResult struct {
 	Trap     bool
 	Trials   int // completed (violating) trials
 	Skipped  int // runs without an SLO violation
-	Outcome  Outcome
-	// FalseAlarms counts trap trials on which at least one culprit was
-	// blamed (the trap's failure mode).
-	FalseAlarms int
-	// OnsetErrSum/OnsetErrN accumulate |earliest true-culprit onset −
-	// injection| over trials with at least one true positive.
-	OnsetErrSum float64
-	OnsetErrN   int
-}
-
-// OnsetErr returns the mean onset error and whether any trial produced one.
-func (c CellResult) OnsetErr() (float64, bool) {
-	if c.OnsetErrN == 0 {
-		return 0, false
-	}
-	return c.OnsetErrSum / float64(c.OnsetErrN), true
+	Cell
 }
 
 // MatrixResult is the full campaign output.
@@ -115,142 +98,47 @@ type MatrixResult struct {
 	// MeshSummaries holds one generated-mesh description per mesh case.
 	MeshSummaries []string
 	Runs          int
+	perTrial      time.Duration
 }
 
-// Cell finds a cell by mesh and template name.
-func (r *MatrixResult) Cell(mesh, template string) (CellResult, bool) {
-	for _, c := range r.Cells {
-		if c.Mesh == mesh && c.Template == template {
-			return c, true
-		}
-	}
-	return CellResult{}, false
-}
-
-// MatrixCampaign runs the (topology-size × fault-template) accuracy matrix:
-// for every cell it generates the mesh, binds the template to it, runs the
-// existing parallel Campaign over cfg.Runs seeds, and diagnoses every trial
-// with FChain (external-factor spread widened to faultlib.MeshExternalSpread
-// — mesh depth stretches how long a mesh-wide shift takes to manifest
-// everywhere). Cells execute concurrently; results are assembled in cell
-// order, so the output is deterministic at any parallelism.
+// MatrixCampaign runs the (topology-size × fault-template) accuracy matrix
+// as one sweep: a row per (mesh, template) cell, its one column FChain with
+// the mesh profile (external-factor spread widened to
+// faultlib.MeshExternalSpread — mesh depth stretches how long a mesh-wide
+// shift takes to manifest everywhere).
 func MatrixCampaign(cfg MatrixConfig) (*MatrixResult, error) {
 	cfg = cfg.withDefaults()
-
-	type cellJob struct {
-		meshIdx, tplIdx int
+	res := &MatrixResult{Meshes: cfg.Meshes, Runs: cfg.Runs}
+	s := Sweep{
+		Columns: schemeColumns(&baseline.FChain{Config: faultlib.MeshProfile(core.Config{})}),
+		Runs:    cfg.Runs,
+		Config:  cfg.Run,
 	}
-	var jobs []cellJob
-	for mi := range cfg.Meshes {
-		for ti := range cfg.Templates {
-			jobs = append(jobs, cellJob{mi, ti})
-		}
-	}
-
-	meshes := make([]*meshgen.Mesh, len(cfg.Meshes))
-	summaries := make([]string, len(cfg.Meshes))
-	for i, mc := range cfg.Meshes {
+	for _, mc := range cfg.Meshes {
 		m, err := meshgen.Generate(mc.Params)
 		if err != nil {
 			return nil, fmt.Errorf("eval: matrix mesh %s: %w", mc.Name, err)
 		}
-		meshes[i] = m
-		summaries[i] = m.String()
-	}
-
-	cells := make([]CellResult, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobCh {
-				job := jobs[idx]
-				cells[idx], errs[idx] = runMatrixCell(
-					cfg.Meshes[job.meshIdx].Name, meshes[job.meshIdx],
-					cfg.Templates[job.tplIdx], cfg.Runs, cfg.Run)
-			}
-		}()
-	}
-	for idx := range jobs {
-		jobCh <- idx
-	}
-	close(jobCh)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		res.MeshSummaries = append(res.MeshSummaries, m.String())
+		bench := Benchmark{
+			Name:  mc.Name,
+			Build: func(seed int64) cloudsim.AppSpec { return m.SpecWithTrace(seed) },
+		}
+		for _, tpl := range cfg.Templates {
+			s.Rows = append(s.Rows, Row{Bench: bench, Fault: faultlib.FaultCase(tpl, m), SustainSec: tpl.SustainSec})
+			res.Cells = append(res.Cells, CellResult{Mesh: mc.Name, Template: tpl.Name, Trap: tpl.Trap})
 		}
 	}
-	return &MatrixResult{
-		Cells:         cells,
-		Meshes:        cfg.Meshes,
-		MeshSummaries: summaries,
-		Runs:          cfg.Runs,
-	}, nil
-}
-
-// runMatrixCell executes one cell: Campaign over the seeds, then FChain
-// diagnosis and scoring per trial.
-func runMatrixCell(meshName string, m *meshgen.Mesh, tpl faultlib.Template, runs int, run RunConfig) (CellResult, error) {
-	bench := Benchmark{
-		Name:  meshName,
-		Build: func(seed int64) cloudsim.AppSpec { return m.SpecWithTrace(seed) },
-	}
-	fc := faultlib.FaultCase(tpl, m)
-	if tpl.SustainSec > 0 {
-		run.SustainSec = tpl.SustainSec
-	}
-	trials, skipped, err := Campaign(bench, fc, runs, run)
+	sr, err := s.Run()
 	if err != nil {
-		return CellResult{}, fmt.Errorf("eval: matrix cell %s/%s: %w", meshName, tpl.Name, err)
+		return nil, fmt.Errorf("eval: matrix: %w", err)
 	}
-	cell := CellResult{
-		Mesh:     meshName,
-		Template: tpl.Name,
-		Trap:     tpl.Trap,
-		Trials:   len(trials),
-		Skipped:  skipped,
+	for i, rr := range sr.Rows {
+		c := &res.Cells[i]
+		c.Trials, c.Skipped, c.Cell = rr.Trials, rr.Skipped, rr.Cells[0]
 	}
-	scheme := &baseline.FChain{Config: faultlib.MeshProfile(core.Config{})}
-	for _, tb := range trials {
-		diag, err := scheme.Diagnose(tb.Trial)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("eval: matrix diagnose %s/%s seed %d: %w", meshName, tpl.Name, tb.Seed, err)
-		}
-		cell.Outcome.Add(Score(diag.CulpritNames(), tb.Truth))
-		if tpl.Trap && len(diag.Culprits) > 0 {
-			cell.FalseAlarms++
-		}
-		truth := make(map[string]bool, len(tb.Truth))
-		for _, c := range tb.Truth {
-			truth[c] = true
-		}
-		best, found := int64(0), false
-		for _, cu := range diag.Culprits {
-			if !truth[cu.Component] {
-				continue
-			}
-			e := cu.Onset - tb.Inject
-			if e < 0 {
-				e = -e
-			}
-			if !found || e < best {
-				best, found = e, true
-			}
-		}
-		if found {
-			cell.OnsetErrSum += float64(best)
-			cell.OnsetErrN++
-		}
-	}
-	return cell, nil
+	res.perTrial = sr.PerTrial
+	return res, nil
 }
 
 // Render formats the matrix as the committed league-style artifact. Every
@@ -290,10 +178,10 @@ func (r *MatrixResult) Render() string {
 // MatrixReport runs the default matrix and renders it — the entry point the
 // scenario facade and cmd/fchain-bench use to (re)generate
 // results_matrix.txt.
-func MatrixReport(runs int, run RunConfig) (string, error) {
+func MatrixReport(runs int, run RunConfig) (Report, error) {
 	res, err := MatrixCampaign(MatrixConfig{Runs: runs, Run: run})
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
-	return res.Render(), nil
+	return Report{Text: res.Render(), PerTrial: res.perTrial}, nil
 }

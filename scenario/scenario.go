@@ -240,38 +240,43 @@ type RunOptions struct {
 	// faster); it is ignored by the walk-through figures. <=0 means 10.
 	Runs int
 	// Workers bounds how many fault-injection runs execute concurrently:
-	// 0 uses all cores, 1 forces serial execution. The report text is
-	// identical at any worker count — runs are independently seeded and
-	// results assembled in seed order.
+	// 0 uses all cores, 1 runs one at a time. The report text is identical
+	// at any worker count — runs are independently seeded and results
+	// assembled in seed order.
 	Workers int
-	// OmitTiming drops wall-clock measurement lines so the report is
-	// byte-stable across machines and worker counts.
-	OmitTiming bool
 }
+
+// Report is a regenerated experiment. Text is byte-stable across machines
+// and worker counts, except Table II's, which is a wall-clock measurement;
+// PerTrial is the mean wall time one scheme took to localize one trial
+// (zero for experiments that run no fault-injection trials).
+type Report = eval.Report
 
 // Run regenerates one of the paper's tables or figures and returns its
 // textual report, using all cores. runs is the number of fault-injection
 // runs per fault for the accuracy experiments; see RunOptions.Runs.
 func Run(id string, runs int) (string, error) {
-	return RunWith(id, RunOptions{Runs: runs})
+	r, err := RunWith(id, RunOptions{Runs: runs})
+	return r.Text, err
 }
 
-// RunWith is Run with explicit concurrency and output options.
-func RunWith(id string, opts RunOptions) (string, error) {
+// RunWith is Run with explicit concurrency, returning the full report.
+func RunWith(id string, opts RunOptions) (Report, error) {
 	runs := opts.Runs
 	if runs <= 0 {
 		runs = 10
 	}
-	cfg := eval.RunConfig{Workers: opts.Workers, OmitTiming: opts.OmitTiming}
+	cfg := eval.RunConfig{Workers: opts.Workers}
+	text := func(s string, err error) (Report, error) { return Report{Text: s}, err }
 	switch id {
 	case Figure2:
-		return eval.Figure2(2)
+		return text(eval.Figure2(2))
 	case Figure3:
-		return eval.Figure3(1)
+		return text(eval.Figure3(1))
 	case Figure4:
-		return eval.Figure4(1)
+		return text(eval.Figure4(1))
 	case Figure5:
-		return eval.Figure5(1)
+		return text(eval.Figure5(1))
 	case Figure6:
 		return eval.Figure6(runs, cfg)
 	case Figure7:
@@ -289,7 +294,7 @@ func RunWith(id string, opts RunOptions) (string, error) {
 	case TableI:
 		return eval.Table1(runs, cfg)
 	case TableII:
-		return eval.Table2()
+		return text(eval.Table2())
 	case Ablation:
 		return eval.AblationTable(runs, cfg)
 	case Matrix:
@@ -297,6 +302,6 @@ func RunWith(id string, opts RunOptions) (string, error) {
 		// caller's raw value rather than the 10-run accuracy default.
 		return eval.MatrixReport(opts.Runs, cfg)
 	default:
-		return "", fmt.Errorf("scenario: unknown experiment %q (want one of %v)", id, Experiments())
+		return Report{}, fmt.Errorf("scenario: unknown experiment %q (want one of %v)", id, Experiments())
 	}
 }
