@@ -37,7 +37,7 @@ func TestCLIGoldenSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, _, _ := buildBinaries(t)
+	simBin, _, _ := binaries()
 	out, err := exec.Command(simBin,
 		"-app", "rubis", "-fault", "cpuhog", "-seed", "1", "-inject", "1700",
 		"-parallel", "1").CombinedOutput()
@@ -55,7 +55,7 @@ func TestCLIGoldenMeshSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, _, _ := buildBinaries(t)
+	simBin, _, _ := binaries()
 	out, err := exec.Command(simBin,
 		"-mesh", "n=60,fanout=3,depth=4,seed=14", "-fault", "gray-disk",
 		"-seed", "2", "-parallel", "1").CombinedOutput()
@@ -92,7 +92,7 @@ func TestCLIGoldenMasterConsole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, masterBin, slaveBin := buildBinaries(t)
+	simBin, masterBin, slaveBin := binaries()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "metrics.csv")
 	depsPath := filepath.Join(dir, "deps.json")
@@ -248,7 +248,7 @@ func TestCLIGoldenMeshMasterConsole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, masterBin, slaveBin := buildBinaries(t)
+	simBin, masterBin, slaveBin := binaries()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "metrics.csv")
 	depsPath := filepath.Join(dir, "deps.json")

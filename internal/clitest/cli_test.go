@@ -6,6 +6,7 @@ package clitest
 import (
 	"bufio"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -53,39 +54,56 @@ func waitFeedsDrained(t *testing.T, logs []*syncLog) {
 	}
 }
 
-// buildBinaries compiles the three commands once per test run.
-func buildBinaries(t *testing.T) (simBin, masterBin, slaveBin string) {
-	t.Helper()
-	dir := t.TempDir()
-	return buildCommand(t, dir, "fchain-sim"), buildCommand(t, dir, "fchain-master"), buildCommand(t, dir, "fchain-slave")
+// commands lists every binary a test here runs.
+var commands = []string{"fchain-sim", "fchain-master", "fchain-slave", "fchain-aggregator"}
+
+// binDir holds the commands TestMain built; it stays empty under -short,
+// where every test that runs a binary skips.
+var binDir string
+
+// TestMain builds every command once per package run, in one go build, and
+// removes the binaries when the tests are done.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if !testing.Short() {
+		dir, err := os.MkdirTemp("", "fchain-clitest-")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		args := []string{"build", "-o", dir + string(filepath.Separator)}
+		for _, name := range commands {
+			args = append(args, "./cmd/"+name)
+		}
+		cmd := exec.Command("go", args...)
+		cmd.Dir = filepath.Join("..", "..") // internal/clitest -> repo root
+		if out, err := cmd.CombinedOutput(); err != nil {
+			fmt.Fprintf(os.Stderr, "build commands: %v\n%s", err, out)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
+		binDir = dir
+	}
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
 }
 
-// buildCommand compiles cmd/<name> into dir and returns the binary's path.
-func buildCommand(t *testing.T, dir, name string) string {
-	t.Helper()
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "fchain/cmd/"+name)
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
-	}
-	return bin
+// binaries returns the paths of the sim, master and slave binaries.
+func binaries() (simBin, masterBin, slaveBin string) {
+	return binary("fchain-sim"), binary("fchain-master"), binary("fchain-slave")
 }
 
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Dir(filepath.Dir(wd)) // internal/clitest -> repo root
-}
+// binary returns the path of the cmd/<name> binary TestMain built.
+func binary(name string) string { return filepath.Join(binDir, name) }
 
 func TestCLIPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, masterBin, slaveBin := buildBinaries(t)
+	simBin, masterBin, slaveBin := binaries()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "metrics.csv")
 	depsPath := filepath.Join(dir, "deps.json")
@@ -229,7 +247,7 @@ func TestMasterRefusesInertFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	masterBin := buildCommand(t, t.TempDir(), "fchain-master")
+	masterBin := binary("fchain-master")
 	for _, tc := range []struct {
 		args []string
 		want string

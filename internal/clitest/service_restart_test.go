@@ -90,7 +90,7 @@ func TestServiceKillAndRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	simBin, masterBin, slaveBin := buildBinaries(t)
+	simBin, masterBin, slaveBin := binaries()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "metrics.csv")
 	depsPath := filepath.Join(dir, "deps.json")

@@ -560,3 +560,65 @@ func TestReplicationMetricsJournalReconcile(t *testing.T) {
 		}
 	}
 }
+
+// TestReplFullFramesCountedByCause drives one owner's ships through every
+// reason a frame goes out full and reads fchain_repl_full_total back: the
+// first ship, a metric's first samples, eviction past a floor, a long gap
+// that severs the history, a standby's NAK and a placement reset. An
+// incremental ship between them counts nothing.
+func TestReplFullFramesCountedByCause(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := core.Config{RingCapacity: 8}
+	s := NewSlave("s1", nil, cfg, WithSlaveObs(&obs.Sink{Metrics: reg}))
+	t.Cleanup(func() { s.Close() })
+	mon := core.NewMonitor("db", cfg)
+	monitors := map[string]*core.Monitor{"db": mon}
+	var wire bufConn
+	w := newConnWriter(&wire)
+	ts := int64(0)
+	ingest := func(n int, kinds ...metric.Kind) {
+		for range n {
+			ts++
+			for _, k := range kinds {
+				if err := mon.Ingest(ts, k, float64(ts%5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mon.FlushIngest(ts)
+	}
+	counts := map[string]int64{}
+	ship := func(cause string) {
+		t.Helper()
+		if !s.ship(w, []string{"db"}, monitors) {
+			t.Fatal("ship failed")
+		}
+		if cause != "" {
+			counts[cause]++
+		}
+		for _, c := range []string{"first", "new_metric", "sever", "eviction", "nak", "reset"} {
+			got := reg.CounterWith("fchain_repl_full_total", "", map[string]string{"cause": c}).Value()
+			if got != counts[c] {
+				t.Fatalf("after a ship expected to count %q: fchain_repl_full_total{cause=%s} = %d, want %d",
+					cause, c, got, counts[c])
+			}
+		}
+	}
+	ingest(3, metric.CPU)
+	ship("first")
+	ingest(1, metric.CPU)
+	ship("")
+	ingest(1, metric.CPU, metric.Memory)
+	ship("new_metric")
+	ingest(9, metric.CPU, metric.Memory)
+	ship("eviction")
+	ts += 100
+	ingest(1, metric.CPU, metric.Memory)
+	ship("sever")
+	s.forgetFloors([]string{"db"}, core.FullNAK)
+	ship("nak")
+	s.forgetFloors([]string{"db"}, core.FullReset)
+	ship("reset")
+	ingest(1, metric.CPU, metric.Memory)
+	ship("")
+}

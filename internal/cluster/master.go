@@ -458,13 +458,14 @@ func replAnswer(primary *slaveConn, env *envelope, nak string) {
 }
 
 // relayReplicate forwards one replication frame from the component's owner to
-// its replication target and answers the owner: an ack advances the acked
-// sequence, a NAK makes the owner resend the full snapshot. A frame whose
-// sender no longer owns the component, or whose component has no target, is
-// acked and dropped; a target that is expected but unreachable is NAKed, so
-// the owner keeps offering the full snapshot — which is what warms a
-// late-assigned or recovered standby when no new samples arrive. A clean-tick
-// marker (empty Component) timestamps the slave's round for the lag bound.
+// its replication target, the body bytes as they arrived, and answers the
+// owner: an ack advances the acked sequence, a NAK makes the owner resend the
+// full snapshot. A frame whose sender no longer owns the component, or whose
+// component has no target, is acked and dropped; a target that is expected
+// but unreachable is NAKed, so the owner keeps offering the full snapshot —
+// which is what warms a late-assigned or recovered standby when no new
+// samples arrive. A clean-tick marker (empty Component) timestamps the
+// slave's round for the lag bound.
 func (m *Master) relayReplicate(primary *slaveConn, env *envelope) {
 	if env.Component == "" {
 		now := time.Now()

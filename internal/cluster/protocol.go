@@ -4,19 +4,21 @@
 // the slaves when a performance anomaly is detected, gathers their
 // per-component reports, and runs the integrated fault diagnosis.
 //
-// The wire protocol is newline-delimited JSON over TCP, 11 frame types in
-// all: a slave dials the master, registers the components it monitors, and
-// then answers analyze requests. The paper relies on NTP to keep host
-// clocks within a few milliseconds (§II-B fn. 2); collector clocks are not
-// corrected here.
+// The wire protocol runs over TCP, 11 frame types in all: a slave dials the
+// master, registers the components it monitors, and then answers analyze
+// requests. Every frame is a newline-terminated JSON header; a replicate
+// frame that carries model state adds a body of state_len raw bytes after
+// the header's newline, the binary encoding of a core.ReplDelta. The paper
+// relies on NTP to keep host clocks within a few milliseconds (§II-B fn. 2);
+// collector clocks are not corrected here.
 package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -42,12 +44,12 @@ const (
 	typeAssign = "assign"
 	typeAck    = "ack"
 	// Replication frame, the one carrier of model state between slaves. An
-	// owner ships one component's state delta (a core.ReplDelta in State,
-	// sequenced by Seq) upstream; the master relays it to the component's
-	// replication target — its warm standby, or the recipient a rebalance is
-	// moving it to — over the target's own connection and echoes the target's
-	// ack (or a codeReplFull error asking for a full resend) back to the
-	// owner. A replicate frame with an empty Component is the owner's
+	// owner ships one component's state delta (a core.ReplDelta, encoded in
+	// State, sequenced by Seq) upstream; the master relays it to the
+	// component's replication target — its warm standby, or the recipient a
+	// rebalance is moving it to — over the target's own connection and
+	// echoes the target's ack (or a codeReplFull error asking for a full
+	// resend) back to the owner. A replicate frame with an empty Component is the owner's
 	// clean-tick marker: every delta of this replication round precedes it,
 	// so the master can track per-slave replication lag from marker arrivals.
 	typeReplicate = "replicate"
@@ -90,13 +92,17 @@ type envelope struct {
 	Sub     []subAnswer `json:"sub,omitempty"`
 
 	// Replicate fields: Component names the model, State carries its
-	// core.ReplDelta, and Seq is the owner's per-component replication
-	// sequence number, which the master records as sent on arrival and acked
-	// on the target's response; a component is warm-promotable only while the
-	// two match.
-	Component string          `json:"component,omitempty"`
-	State     json.RawMessage `json:"state,omitempty"`
-	Seq       uint64          `json:"seq,omitempty"`
+	// core.ReplDelta's binary encoding, and Seq is the owner's per-component
+	// replication sequence number, which the master records as sent on
+	// arrival and acked on the target's response; a component is
+	// warm-promotable only while the two match. State travels as the frame's
+	// body, not in the header: writeFrame sets StateLen to its length and
+	// readFrame reads that many bytes after the header, so a frame without a
+	// State is the same JSON line it always was.
+	Component string `json:"component,omitempty"`
+	State     []byte `json:"-"`
+	StateLen  int    `json:"state_len,omitempty"`
+	Seq       uint64 `json:"seq,omitempty"`
 
 	// Shadow lists, on an assign frame, the components this slave stands by
 	// for: it keeps (or will receive) shadow monitors for them and drops
@@ -161,21 +167,21 @@ const (
 	codeNoService     = "no_service"
 )
 
-// frameLimit bounds a single frame to keep a misbehaving peer from forcing
-// unbounded allocation; readFrame ends the connection past it. The largest
-// frames measured: 336,420 bytes for an aggregator's merged reports frame in
-// TestScaleTenThousandComponents (5,000 components per subtree; its
-// full-snapshot replicate frames are 1,602 bytes, the monitors hold no
-// history), and 459,484 bytes for a full-snapshot replicate frame of a
-// default-config component with a full ring (the benchmark's failover-churn
-// workload). The limit keeps more than 8x headroom over both.
+// frameLimit bounds a single frame, header and body together, to keep a
+// misbehaving peer from forcing unbounded allocation; readFrame ends the
+// connection past it. The largest frames measured: 336,420 bytes for an
+// aggregator's merged reports frame in TestScaleTenThousandComponents (5,000
+// components per subtree), and 202,630 bytes for a full-snapshot replicate
+// frame of a default-config component with every ring full
+// (BenchmarkModuleReplicate). The limit keeps more than 12x headroom over
+// both.
 const frameLimit = 4 << 20
 
 // connWriter serializes frame writes to a shared net.Conn. Both daemons
 // write one connection from several goroutines (the master's Localize
 // fan-out races its serveConn pong path; the slave's report path races
 // Ping): without whole-frame serialization those writes can interleave on
-// the wire and corrupt the newline-framed stream, especially once the TCP
+// the wire and corrupt the framed stream, especially once the TCP
 // stack splits a large frame across partial writes.
 type connWriter struct {
 	mu   sync.Mutex
@@ -191,37 +197,22 @@ func (w *connWriter) write(env *envelope, timeout time.Duration) error {
 	return writeFrame(w.conn, env, timeout)
 }
 
-// errStateNewline refuses a State that would end its frame early.
-var errStateNewline = errors.New("cluster: frame state contains a newline")
-
-// writeFrame marshals and writes one newline-terminated JSON frame. Callers
+// writeFrame writes one frame: the envelope as a newline-terminated JSON
+// header, then its State, if any, as the body, all in one Write so a frame
+// never interleaves with another and leaves the socket whole. Callers
 // sharing a connection across goroutines must go through connWriter.
-//
-// A non-empty State is appended verbatim after the rest of the envelope
-// rather than handed to encoding/json, which would scan and compact it
-// again: it is always either json.Marshal's own output (a slave's ship) or
-// part of a line readFrame has already validated (the master's relay). A
-// State holding a newline would split the frame and is refused.
 func writeFrame(conn net.Conn, env *envelope, timeout time.Duration) error {
-	state := env.State
-	if bytes.IndexByte(state, '\n') >= 0 {
-		return errStateNewline
-	}
-	if len(state) > 0 {
+	if env.StateLen != len(env.State) {
 		head := *env
-		head.State = nil
+		head.StateLen = len(env.State)
 		env = &head
 	}
 	data, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("cluster: marshal frame: %w", err)
 	}
-	if len(state) > 0 {
-		data = append(data[:len(data)-1], `,"state":`...) // reopen the object
-		data = append(data, state...)
-		data = append(data, '}')
-	}
 	data = append(data, '\n')
+	data = append(data, env.State...)
 	if timeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return fmt.Errorf("cluster: set write deadline: %w", err)
@@ -233,16 +224,18 @@ func writeFrame(conn net.Conn, env *envelope, timeout time.Duration) error {
 	return nil
 }
 
-// errFrameTooLarge ends a connection whose peer sent a line longer than
+// errFrameTooLarge ends a connection whose peer sent a frame longer than
 // frameLimit.
 var errFrameTooLarge = fmt.Errorf("cluster: frame exceeds %d bytes", frameLimit)
 
-// readFrame reads one newline-terminated JSON frame of at most frameLimit
-// bytes. A line that fits the reader's buffer is decoded in place (the
-// decoded envelope keeps no reference to it: json.Unmarshal copies strings
-// and RawMessages); a longer one is collected, and a peer that keeps sending
-// past the limit without a newline gets errFrameTooLarge instead of
-// unbounded buffering.
+// readFrame reads one frame of at most frameLimit bytes: a newline-terminated
+// JSON header and, when the header has a state_len, that many body bytes
+// into State. A header that fits the reader's buffer is decoded in place
+// (the decoded envelope keeps no reference to it: json.Unmarshal copies
+// strings); a longer one is collected, and a peer that keeps sending past the
+// limit without a newline gets errFrameTooLarge instead of unbounded
+// buffering. A state_len that is negative or would take the frame past the
+// limit ends the connection before anything is allocated for the body.
 func readFrame(r *bufio.Reader) (*envelope, error) {
 	line, err := r.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {
@@ -262,6 +255,21 @@ func readFrame(r *bufio.Reader) (*envelope, error) {
 	var env envelope
 	if err := json.Unmarshal(line, &env); err != nil {
 		return nil, fmt.Errorf("cluster: malformed frame: %w", err)
+	}
+	switch n := env.StateLen; {
+	case n < 0:
+		return nil, fmt.Errorf("cluster: malformed frame: state_len %d", n)
+	case n > frameLimit-len(line):
+		return nil, fmt.Errorf("%w: %d-byte header, %d-byte body", errFrameTooLarge, len(line), n)
+	case n > 0:
+		env.State = make([]byte, n)
+		if _, err := io.ReadFull(r, env.State); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("cluster: frame body: %w", err)
+		}
+		env.StateLen = 0
 	}
 	return &env, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // BenchmarkModuleReplicate times replication frames of one default-config
 // component on the path a frame takes through the cluster, minus the
-// sockets: the owner builds and marshals the frame and writeFrame sends it;
+// sockets: the owner builds and encodes the frame and writeFrame sends it;
 // the master's readFrame and relay writeFrame; the standby's readFrame,
 // DecodeDelta and ApplyDelta. The incremental case is one tick of 600 new
 // seconds of all six metrics on a warm monitor, reported per sample; the
@@ -83,6 +83,7 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		shadow := core.NewMonitor("db", core.Config{})
 		var (
 			d          core.ReplDelta
+			enc        []byte
 			frameBytes int
 		)
 		for range b.N {
@@ -94,12 +95,12 @@ func BenchmarkModuleReplicate(b *testing.B) {
 			if changed, ok := primary.DeltaInto(&d, base.LastT); !changed || !ok {
 				b.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
 			}
-			payload, err := json.Marshal(&d)
-			if err != nil {
+			var err error
+			if enc, err = d.AppendBinary(enc[:0]); err != nil {
 				b.Fatal(err)
 			}
 			var state []byte
-			frameBytes, state = hop(payload)
+			frameBytes, state = hop(enc)
 			apply(shadow, state)
 		}
 		b.StopTimer()
@@ -117,10 +118,10 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		)
 		b.ReportAllocs()
 		for range b.N {
-			if full, changed := primary.FrameInto(&d, nil); full == nil || !changed {
+			if full, _, changed := primary.FrameInto(&d, nil); full == nil || !changed {
 				b.Fatal("FrameInto(nil floors) built no full frame")
 			}
-			payload, err := json.Marshal(&d)
+			payload, err := d.AppendBinary(nil)
 			if err != nil {
 				b.Fatal(err)
 			}

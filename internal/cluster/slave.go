@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -116,18 +115,22 @@ type Slave struct {
 	// replFloors holds, per component, the last-shipped timestamp per metric
 	// (the incremental extraction floor; no entry forces a full snapshot) and
 	// replSeq the per-component frame sequence. Floors advance optimistically
-	// on send; a NAK (codeReplFull) deletes them so the next ship is full.
-	// shipMu serializes ships (a tick and a push must not number the same
-	// component's frames concurrently) and guards replBuf, the extraction
-	// buffer reused so steady-state replication allocates only its frames.
+	// on send; a NAK (codeReplFull) deletes them so the next ship is full,
+	// and replForgot records why floors were forgotten, for the full frame's
+	// cause. shipMu serializes ships (a tick and a push must not number the
+	// same component's frames concurrently) and guards replBuf and replEnc,
+	// the extraction and encoding buffers reused so steady-state replication
+	// allocates only its frames.
 	replInterval time.Duration
 	stop         chan struct{} // closed by Close; ends the checkpoint and replication loops
 	replID       atomic.Uint64 // frame IDs for slave-originated replicate frames
 	shipMu       sync.Mutex
 	replBuf      core.ReplDelta
+	replEnc      []byte
 	replMu       sync.Mutex
 	replFloors   map[string]map[string]int64
 	replSeq      map[string]uint64
+	replForgot   map[string]core.FullCause
 
 	// analyzeGate bounds concurrent analyze work; nil admits everything.
 	analyzeGate *gate
@@ -287,6 +290,7 @@ func NewSlave(name string, components []string, cfg core.Config, opts ...SlaveOp
 		stop:       make(chan struct{}),
 		replFloors: make(map[string]map[string]int64),
 		replSeq:    make(map[string]uint64),
+		replForgot: make(map[string]core.FullCause),
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -437,6 +441,7 @@ func (s *Slave) replicateOnce() {
 		if _, owned := monitors[comp]; !owned {
 			delete(s.replFloors, comp)
 			delete(s.replSeq, comp)
+			delete(s.replForgot, comp)
 		}
 	}
 	s.replMu.Unlock()
@@ -447,11 +452,12 @@ func (s *Slave) replicateOnce() {
 
 // ship sends one replication frame for each named component that has
 // anything to say: an incremental delta (samples since the shipped floors),
-// or a full frame (first ship, or after a gap, NAK or ReplReset). Floors
-// advance optimistically after each successful write; the master's per-frame
-// response only matters when it is a codeReplFull NAK, which serveLoop
-// answers by deleting the component's floors. It reports false when the
-// connection failed mid-way; the next ship retries on whatever link is up.
+// or a full frame (first ship, or after a gap, NAK or ReplReset), counted by
+// cause in fchain_repl_full_total. Floors advance optimistically after each
+// successful write; the master's per-frame response only matters when it is
+// a codeReplFull NAK, which serveLoop answers by deleting the component's
+// floors. It reports false when the connection failed mid-way; the next ship
+// retries on whatever link is up.
 func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Monitor) bool {
 	s.shipMu.Lock()
 	defer s.shipMu.Unlock()
@@ -464,18 +470,16 @@ func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Mo
 		s.replMu.Lock()
 		floors := s.replFloors[comp]
 		seq := s.replSeq[comp] + 1
+		forgot := s.replForgot[comp]
 		s.replMu.Unlock()
-		full, changed := mon.FrameInto(buf, floors)
+		full, cause, changed := mon.FrameInto(buf, floors)
 		if !changed {
 			continue // nothing new to ship
 		}
-		payload, err := json.Marshal(buf)
-		if err != nil {
-			s.obs.Logger().Warn("replication delta marshal failed", "slave", s.name, "component", comp, "err", err)
-			continue
-		}
+		// AppendBinary fails on nothing FrameInto builds.
+		s.replEnc, _ = buf.AppendBinary(s.replEnc[:0])
 		frame := &envelope{Type: typeReplicate, ID: s.replID.Add(1), Slave: s.name,
-			Component: comp, Seq: seq, State: payload}
+			Component: comp, Seq: seq, State: s.replEnc}
 		if err := w.write(frame, 10*time.Second); err != nil {
 			return false
 		}
@@ -483,10 +487,22 @@ func (s *Slave) ship(w *connWriter, names []string, monitors map[string]*core.Mo
 		s.replSeq[comp] = seq
 		if full != nil {
 			s.replFloors[comp] = full
+			delete(s.replForgot, comp)
 		} else {
 			buf.AdvanceFloors(floors)
 		}
 		s.replMu.Unlock()
+		if full != nil {
+			if cause == core.FullFirst && forgot != "" {
+				cause = forgot
+			}
+			s.obs.Registry().CounterWith("fchain_repl_full_total",
+				"Full replication frames shipped, by why the incremental path could not be used.",
+				map[string]string{"cause": string(cause)}).Inc()
+			// A full frame's ring-sized encoding is not kept: a resync is
+			// rare, and the buffer would stay resident beside the monitors.
+			s.replEnc = nil
+		}
 	}
 	return true
 }
@@ -782,7 +798,7 @@ func (s *Slave) serveLoop(peer *slaveConn) error {
 			// frames; a codeReplFull response means the standby needs a full
 			// resend, which forgetting the floors arranges next tick.
 			if env.Code == codeReplFull && env.Component != "" {
-				s.forgetFloors([]string{env.Component})
+				s.forgetFloors([]string{env.Component}, core.FullNAK)
 			}
 		case typePing:
 			// Master-initiated liveness probe.
@@ -825,7 +841,7 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 		// snapshots now, with or without a periodic tick configured. Shipping
 		// before the ack is what tells the master that every frame this
 		// request caused has reached it once the ack has.
-		s.forgetFloors(env.ReplReset)
+		s.forgetFloors(env.ReplReset, core.FullReset)
 		_, monitors := s.owned()
 		s.ship(w, env.ReplReset, monitors)
 		_ = w.write(ack, 10*time.Second)
@@ -906,15 +922,19 @@ func (s *Slave) handleAssign(w *connWriter, env *envelope) {
 	// the floors makes the next replication tick re-ship a full snapshot even
 	// when no new samples have arrived, which is the only way a quiet
 	// component's new standby ever warms up.
-	s.forgetFloors(env.ReplReset)
+	s.forgetFloors(env.ReplReset, core.FullReset)
 	_ = w.write(ack, 10*time.Second)
 }
 
-// forgetFloors makes the next ship of each named component a full snapshot.
-func (s *Slave) forgetFloors(comps []string) {
+// forgetFloors makes the next ship of each named component a full snapshot,
+// counted under cause unless its floors were already forgotten.
+func (s *Slave) forgetFloors(comps []string, cause core.FullCause) {
 	s.replMu.Lock()
 	for _, comp := range comps {
-		delete(s.replFloors, comp)
+		if _, ok := s.replFloors[comp]; ok {
+			delete(s.replFloors, comp)
+			s.replForgot[comp] = cause
+		}
 	}
 	s.replMu.Unlock()
 }

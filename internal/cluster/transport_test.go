@@ -269,7 +269,10 @@ func TestOldOwnerFrameAcrossRebalance(t *testing.T) {
 	// The previous owner's frame, dequeued only now.
 	var full core.ReplDelta
 	core.NewMonitor(moved, core.Config{}).FrameInto(&full, nil)
-	state := mustJSON(t, &full)
+	state, err := full.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	master.mu.Lock()
 	old := master.slaves[before[moved]]
 	master.mu.Unlock()

@@ -24,7 +24,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -45,11 +44,12 @@ var ErrReplGap = errors.New("core: replication gap")
 
 // ReplRun is a run of samples at consecutive timestamps T0, T0+1, … inside
 // a delta. V holds each value's IEEE-754 bits, little-endian, 8 bytes per
-// sample: encoding/json writes a []byte as base64, so a value crosses the
-// wire bit-exact and is neither formatted nor parsed as a decimal.
+// sample, which the wire encoding (replwire.go) carries as they are: a value
+// crosses the wire bit-exact and is neither formatted nor parsed as a
+// decimal.
 type ReplRun struct {
-	T0 int64  `json:"t0"`
-	V  []byte `json:"v"`
+	T0 int64
+	V  []byte
 }
 
 // n returns the number of samples in the run.
@@ -71,41 +71,49 @@ func (r *ReplRun) value(i int) float64 {
 // replaying Samples; metrics the primary has never observed are absent from
 // Base. Sanitizers carries the primary's sanitizer state as of the same
 // instant in either shape: replay goes through Observe, which never feeds
-// the shadow's own sanitizers.
-//
-// The JSON key "full" holds an array. A previous version decoded that key
-// as a decimal MonitorSnapshot object, so each version fails to decode the
-// other's full frame and NAKs it into a resend; neither ever restores a
-// snapshot it only half understood.
+// the shadow's own sanitizers. AppendBinary and DecodeDelta (replwire.go)
+// carry it on the wire.
 type ReplDelta struct {
-	Component  string                  `json:"component"`
-	Full       []ReplMetric            `json:"full,omitempty"`
-	Base       map[string]int64        `json:"base,omitempty"`
-	Samples    map[string][]ReplRun    `json:"samples,omitempty"`
-	Sanitizers map[string]ingest.State `json:"sanitizers,omitempty"`
+	Component  string
+	Full       []ReplMetric
+	Base       map[string]int64
+	Samples    map[string][]ReplRun
+	Sanitizers map[string]ingest.State
 }
 
 // ReplMetric is one metric's complete state inside a full frame: its Markov
 // model, its last accepted timestamp (absent if it never accepted one), and
 // its retained sample and prediction-error rings, oldest first, as runs.
 type ReplMetric struct {
-	Metric  string           `json:"metric"`
-	Model   *markov.Snapshot `json:"model"`
-	LastT   *int64           `json:"last_t,omitempty"`
-	Samples []ReplRun        `json:"samples,omitempty"`
-	Errs    []ReplRun        `json:"errs,omitempty"`
+	Metric  string
+	Model   *markov.Snapshot
+	LastT   *int64
+	Samples []ReplRun
+	Errs    []ReplRun
 }
 
-// DecodeDelta decodes one replication frame's payload into d. A payload
-// this version cannot decode, a previous version's decimal full frame among
-// them, is refused with ErrReplGap like any other frame the shadow cannot
-// apply.
-func DecodeDelta(raw []byte, d *ReplDelta) error {
-	if err := json.Unmarshal(raw, d); err != nil {
-		return fmt.Errorf("%w: undecodable frame: %v", ErrReplGap, err)
-	}
-	return nil
-}
+// FullCause says why FrameInto built a full frame rather than an
+// incremental one.
+type FullCause string
+
+const (
+	// FullFirst: the caller holds no floors, so nothing has been shipped
+	// since it last forgot them.
+	FullFirst FullCause = "first"
+	// FullNewMetric: a metric gained its first samples since the last ship.
+	FullNewMetric FullCause = "new_metric"
+	// FullSever: a metric's history no longer reaches back to its floor
+	// for a reason other than eviction: a long gap severed it, or the
+	// monitor holds less than was shipped.
+	FullSever FullCause = "sever"
+	// FullEviction: a full ring evicted samples past a metric's floor.
+	FullEviction FullCause = "eviction"
+	// FullNAK and FullReset are why a caller forgot its floors, which
+	// FrameInto then reports as FullFirst: the standby refused a frame, or
+	// a placement change reset the channel.
+	FullNAK   FullCause = "nak"
+	FullReset FullCause = "reset"
+)
 
 // FrameInto fills d with the frame that brings a standby holding this
 // monitor's samples up to floors level with it: an incremental delta while
@@ -113,14 +121,15 @@ func DecodeDelta(raw []byte, d *ReplDelta) error {
 // there is nothing to send. d's buffers are reused across calls.
 //
 // For a full frame FrameInto returns the floors the frame establishes, to
-// replace the caller's once the frame is handed to the transport; for an
-// incremental one it returns nil, and the caller moves its floors with
-// AdvanceFloors after the send.
-func (m *Monitor) FrameInto(d *ReplDelta, floors map[string]int64) (full map[string]int64, changed bool) {
-	if changed, ok := m.DeltaInto(d, floors); ok {
-		return nil, changed
+// replace the caller's once the frame is handed to the transport, and why
+// the frame is full; for an incremental one it returns nil and "", and the
+// caller moves its floors with AdvanceFloors after the send.
+func (m *Monitor) FrameInto(d *ReplDelta, floors map[string]int64) (full map[string]int64, cause FullCause, changed bool) {
+	changed, cause = m.deltaInto(d, floors)
+	if cause == "" {
+		return nil, "", changed
 	}
-	return m.fullInto(d), true
+	return m.fullInto(d), cause, true
 }
 
 // fullInto fills d with a full frame, reading each metric's state under its
@@ -196,8 +205,15 @@ func appendRuns(runs []ReplRun, ring *timeseries.Ring, from int) []ReplRun {
 // frame is handed to the transport, so a failed send re-extracts the same
 // samples next tick.
 func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok bool) {
+	changed, cause := m.deltaInto(d, floors)
+	return changed, cause == ""
+}
+
+// deltaInto is DeltaInto, naming why the incremental path is unsound instead
+// of reporting ok=false; "" means it is sound.
+func (m *Monitor) deltaInto(d *ReplDelta, floors map[string]int64) (changed bool, cause FullCause) {
 	if floors == nil {
-		return false, false
+		return false, FullFirst
 	}
 	d.Component = m.component
 	// A full frame's ring-sized buffers are not kept once the channel is
@@ -221,15 +237,19 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 			if haveFloor {
 				// The shadow holds samples for a metric we no longer have any
 				// state for; only a full snapshot can reconcile that.
-				return false, false
+				return false, FullSever
 			}
 			delete(d.Base, name)
 			d.Samples[name] = d.Samples[name][:0]
 			continue
 		}
-		if !haveFloor || sh.lastT < floor {
+		if !haveFloor {
 			sh.mu.Unlock()
-			return false, false
+			return false, FullNewMetric
+		}
+		if sh.lastT < floor {
+			sh.mu.Unlock()
+			return false, FullSever
 		}
 		if sh.lastT == floor {
 			d.Base[name] = floor
@@ -241,9 +261,14 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		n := ring.Len()
 		if n == 0 || ring.First() > floor {
 			// Eviction or a gap sever dropped samples past the floor; the
-			// replay sequence is broken.
+			// replay sequence is broken. A ring evicts only once it is full,
+			// so a ring with room left lost its samples to a sever.
+			cause := FullSever
+			if n == ring.Cap() {
+				cause = FullEviction
+			}
 			sh.mu.Unlock()
-			return false, false
+			return false, cause
 		}
 		// Binary search for the first retained sample newer than the floor
 		// (timestamps are strictly ascending within a ring).
@@ -263,7 +288,7 @@ func (m *Monitor) DeltaInto(d *ReplDelta, floors map[string]int64) (changed, ok 
 		changed = true
 		sh.mu.Unlock()
 	}
-	return changed, true
+	return changed, ""
 }
 
 // AdvanceFloors moves each metric's floor to the last timestamp the

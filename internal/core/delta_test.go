@@ -50,8 +50,28 @@ func bitsRun(t0 int64, vs ...float64) ReplRun {
 	return r
 }
 
+// wireBytes encodes d as a replicate frame's body.
+func wireBytes(t testing.TB, d *ReplDelta) []byte {
+	t.Helper()
+	raw, err := d.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// overWire returns what a standby decodes from d's encoding.
+func overWire(t testing.TB, d *ReplDelta) *ReplDelta {
+	t.Helper()
+	var out ReplDelta
+	if err := DecodeDelta(wireBytes(t, d), &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 // TestReplDeltaRoundTrip drives the full replication cycle — full snapshot,
-// then repeated incremental deltas across a JSON wire trip — and requires the
+// then repeated incremental deltas across a wire trip — and requires the
 // shadow monitor to match the primary byte-identically after every apply.
 // This is the property warm promotion rests on: a promoted shadow must answer
 // analyze exactly as the dead primary would have.
@@ -87,17 +107,9 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		if !ok || !changed {
 			t.Fatalf("round %d: DeltaInto = (changed=%v, ok=%v), want incremental delta", round, changed, ok)
 		}
-		// Wire trip: the standby applies what JSON decoding reconstructs, not
-		// the primary's in-memory buffers.
-		raw, err := json.Marshal(&d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire ReplDelta
-		if err := json.Unmarshal(raw, &wire); err != nil {
-			t.Fatal(err)
-		}
-		if err := shadow.ApplyDelta(&wire); err != nil {
+		// Wire trip: the standby applies what decoding reconstructs, not the
+		// primary's in-memory buffers.
+		if err := shadow.ApplyDelta(overWire(t, &d)); err != nil {
 			t.Fatalf("round %d: incremental apply: %v", round, err)
 		}
 		d.AdvanceFloors(floors)
@@ -114,9 +126,17 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 }
 
 // TestReplDeltaFullFallbacks enumerates the conditions under which the
-// incremental path must refuse (ok=false) and force a full-snapshot ship.
+// incremental path must refuse (ok=false) and force a full-snapshot ship,
+// and the cause FrameInto names for each.
 func TestReplDeltaFullFallbacks(t *testing.T) {
 	cfg := Config{RingCapacity: 8}
+	causes := func(t *testing.T, m *Monitor, floors map[string]int64, want FullCause) {
+		t.Helper()
+		var d ReplDelta
+		if full, cause, _ := m.FrameInto(&d, floors); full == nil || cause != want {
+			t.Fatalf("FrameInto built a full frame %v with cause %q, want one with %q", full != nil, cause, want)
+		}
+	}
 
 	t.Run("nil floors", func(t *testing.T) {
 		m := NewMonitor("c", cfg)
@@ -125,6 +145,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 		if _, ok := m.DeltaInto(&d, nil); ok {
 			t.Fatal("nil floors must force a full ship")
 		}
+		causes(t, m, nil, FullFirst)
 	})
 
 	t.Run("first samples since last ship", func(t *testing.T) {
@@ -135,6 +156,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 		if _, ok := m.DeltaInto(&d, floors); ok {
 			t.Fatal("a metric's first samples must force a full ship")
 		}
+		causes(t, m, floors, FullNewMetric)
 	})
 
 	t.Run("eviction past the floor", func(t *testing.T) {
@@ -153,6 +175,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 		if _, ok := m.DeltaInto(&d, floors); ok {
 			t.Fatal("eviction past the floor must force a full ship")
 		}
+		causes(t, m, floors, FullEviction)
 	})
 
 	t.Run("floor ahead of the monitor", func(t *testing.T) {
@@ -166,6 +189,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 		if _, ok := m.DeltaInto(&d, floors); ok {
 			t.Fatal("a floor ahead of the monitor's history must force a full ship")
 		}
+		causes(t, m, floors, FullSever)
 	})
 }
 
@@ -307,11 +331,11 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 
 // TestReplRunsCarryExactBits sends values whose decimal form is delicate
 // (negative zero, the smallest subnormal, one whose shortest decimal needs
-// 17 digits, and the largest finite value) through DeltaInto → JSON →
-// ApplyDelta and requires the shadow to hold the primary's bits and state.
-// The largest finite value goes last, in its own ship: it grows the Markov
-// range as far as a finite sample can, and the snapshot JSON must still
-// carry it.
+// 17 digits, and the largest finite value) through DeltaInto → AppendBinary
+// → DecodeDelta → ApplyDelta and requires the shadow to hold the primary's
+// bits and state. The largest finite value goes last, in its own ship: it
+// grows the Markov range as far as a finite sample can, and the snapshot
+// JSON must still carry it.
 func TestReplRunsCarryExactBits(t *testing.T) {
 	const digits17 = 0.30000000000000004
 	if got := strconv.FormatFloat(digits17, 'g', -1, 64); len(got) != len("0.")+17 {
@@ -322,7 +346,7 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 		feedAll(t, primary, ts)
 	}
 	var full ReplDelta
-	floors, _ := primary.FrameInto(&full, nil)
+	floors, _, _ := primary.FrameInto(&full, nil)
 	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +365,7 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 		if changed, ok := primary.DeltaInto(&d, floors); !changed || !ok {
 			t.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
 		}
-		raw, err := json.Marshal(&d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire ReplDelta
-		if err := json.Unmarshal(raw, &wire); err != nil {
-			t.Fatal(err)
-		}
-		if err := shadow.ApplyDelta(&wire); err != nil {
+		if err := shadow.ApplyDelta(overWire(t, &d)); err != nil {
 			t.Fatal(err)
 		}
 		d.AdvanceFloors(floors)
@@ -419,24 +435,22 @@ func receive(shadow *Monitor, raw []byte) error {
 }
 
 // TestReplFullFrameEquivalence ships the pinned monitor as a full frame
-// through JSON into a shadow that already holds other state. The shadow's
-// snapshot JSON must equal the primary's byte for byte, every value of both
-// rings must carry the primary's bits, and the floors FrameInto returns
-// must be the primary's last timestamps.
+// over the wire encoding into a shadow that already holds other state. The
+// shadow's snapshot JSON must equal the primary's byte for byte, every value
+// of both rings must carry the primary's bits, and the floors FrameInto
+// returns must be the primary's last timestamps.
 func TestReplFullFrameEquivalence(t *testing.T) {
 	primary, cfg := pinnedMonitor(t)
 	var d ReplDelta
-	floors, changed := primary.FrameInto(&d, nil)
-	if !changed || len(d.Full) != metric.NumKinds {
-		t.Fatalf("FrameInto(nil floors) = changed %v with %d metrics, want a full frame", changed, len(d.Full))
+	floors, cause, changed := primary.FrameInto(&d, nil)
+	if !changed || len(d.Full) != metric.NumKinds || cause != FullFirst {
+		t.Fatalf("FrameInto(nil floors) = changed %v, cause %q with %d metrics, want a first full frame",
+			changed, cause, len(d.Full))
 	}
 	if want := primary.Snapshot().LastT; !reflect.DeepEqual(floors, want) {
 		t.Errorf("full frame floors = %v, want %v", floors, want)
 	}
-	raw, err := json.Marshal(&d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := wireBytes(t, &d)
 	shadow := NewMonitor("db", cfg)
 	for ts := int64(1); ts <= 40; ts++ {
 		feedAll(t, shadow, ts)
@@ -462,11 +476,12 @@ func TestReplFullFrameEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplFullFrameMixedVersions pins that the full frame changed shape in
-// a way both versions notice. This version refuses a previous version's
-// decimal full frame with ErrReplGap and leaves the shadow as it was; the
-// previous version's decoder fails on this version's full frame, even an
-// empty monitor's, so it never restores a snapshot without its rings.
+// TestReplFullFrameMixedVersions pins that a peer of the previous version,
+// whose replication payloads were JSON, and this version fail closed against
+// each other. This version refuses a JSON payload, full or incremental, with
+// ErrReplGap and leaves the shadow as it was; a body of this version, even an
+// empty monitor's, is not JSON, so the previous version can neither decode it
+// as a payload nor parse it as its next frame.
 func TestReplFullFrameMixedVersions(t *testing.T) {
 	primary, cfg := pinnedMonitor(t)
 	shadow := NewMonitor("db", cfg)
@@ -474,34 +489,29 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 		feedAll(t, shadow, ts)
 	}
 	before := monitorJSON(t, shadow)
-	decimal, err := json.Marshal(map[string]any{"component": "db", "full": primary.Snapshot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := receive(shadow, decimal); !errors.Is(err, ErrReplGap) {
-		t.Fatalf("previous-version full frame: err = %v, want ErrReplGap", err)
+	for name, payload := range map[string]any{
+		"full": map[string]any{"component": "db", "full": primary.Snapshot()},
+		"incremental": map[string]any{"component": "db", "base": map[string]int64{"cpu": 10},
+			"samples": map[string]any{"cpu": []map[string]any{{"t0": 11, "v": "AAAAAAAA8D8="}}}},
+	} {
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := receive(shadow, raw); !errors.Is(err, ErrReplGap) {
+			t.Fatalf("previous-version %s payload: err = %v, want ErrReplGap", name, err)
+		}
 	}
 	if !bytes.Equal(before, monitorJSON(t, shadow)) {
 		t.Fatal("refused frame changed the shadow")
 	}
 
-	// The previous version's frame type, as it decoded a payload.
-	type previousReplDelta struct {
-		Component string               `json:"component"`
-		Full      *MonitorSnapshot     `json:"full,omitempty"`
-		Base      map[string]int64     `json:"base,omitempty"`
-		Samples   map[string][]ReplRun `json:"samples,omitempty"`
-	}
 	for _, m := range []*Monitor{primary, NewMonitor("db", cfg)} {
 		var d ReplDelta
 		m.FrameInto(&d, nil)
-		raw, err := json.Marshal(&d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var old previousReplDelta
-		if err := json.Unmarshal(raw, &old); err == nil {
-			t.Errorf("the previous version decodes this version's full frame (snapshot %+v)", old.Full)
+		var old map[string]any
+		if err := json.Unmarshal(wireBytes(t, &d), &old); err == nil {
+			t.Errorf("a JSON decoder reads this version's full frame as %v", old)
 		}
 	}
 }
@@ -604,24 +614,13 @@ func TestSanitizerStateTravels(t *testing.T) {
 		}
 		m.FlushIngest(ts)
 	}
-	wire := func(d *ReplDelta) *ReplDelta {
-		raw, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out ReplDelta
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		return &out
-	}
 	twin := NewMonitor("c", Config{})
 	for ts := int64(1); ts <= 100; ts++ {
 		ingestAll(twin, ts)
 	}
 	var frame ReplDelta
-	floors, _ := twin.FrameInto(&frame, nil)
-	full := wire(&frame)
+	floors, _, _ := twin.FrameInto(&frame, nil)
+	full := overWire(t, &frame)
 	var snap MonitorSnapshot
 	if err := json.Unmarshal(monitorJSON(t, twin), &snap); err != nil {
 		t.Fatal(err)
@@ -643,7 +642,7 @@ func TestSanitizerStateTravels(t *testing.T) {
 	if changed, ok := twin.DeltaInto(&d, floors); !changed || !ok {
 		t.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
 	}
-	if err := shadow.ApplyDelta(wire(&d)); err != nil {
+	if err := shadow.ApplyDelta(overWire(t, &d)); err != nil {
 		t.Fatal(err)
 	}
 

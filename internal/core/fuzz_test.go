@@ -11,12 +11,14 @@ import (
 	"fchain/internal/timeseries"
 )
 
-// FuzzApplyDelta decodes arbitrary bytes as a replication frame and applies
-// it to a trained shadow. Whatever the frame, ApplyDelta must not panic, and
-// a frame it accepts must leave a history Observe could have built: the
-// next second is accepted on every observed metric, every ring is strictly
-// ascending after it, and the Snapshot restores into a fresh monitor and
-// snapshots back to the same bytes.
+// FuzzApplyDelta decodes arbitrary bytes as a replication body and applies
+// it to a trained shadow. Whatever the bytes, neither DecodeDelta nor
+// ApplyDelta may panic. A body DecodeDelta accepts must survive decode →
+// encode → decode unchanged, and a frame ApplyDelta accepts must leave a
+// history Observe could have built: the next second is accepted on every
+// observed metric, every ring is strictly ascending after it, and the
+// Snapshot restores into a fresh monitor and snapshots back to the same
+// bytes.
 func FuzzApplyDelta(f *testing.F) {
 	// Eight bins keep the full-frame seeds under 7 KB: the fuzzer minimizes
 	// every new interesting input, and with 40-bin models a 15 KB full
@@ -73,19 +75,24 @@ func FuzzApplyDelta(f *testing.F) {
 		withCPU(ReplRun{T0: math.MaxInt64 - int64(cpu.n()-1), V: cpu.V}),
 		withCPU(ReplRun{T0: math.MaxInt64 - 1, V: cpu.V}),
 		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:16]}, ReplRun{T0: cpu.T0 + 5, V: cpu.V[16:]}),
+		// A full frame naming a metric this version does not know: the
+		// encoding carries it, Restore refuses it.
+		fullWith(func(f *ReplMetric) { f.Metric = "gpu" }),
 	}
 	for _, d := range seeds {
-		raw, err := json.Marshal(d)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
+		f.Add(wireBytes(f, d))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d ReplDelta
-		if json.Unmarshal(data, &d) != nil {
+		if DecodeDelta(data, &d) != nil {
 			return
+		}
+		// Compared as encodings: a NaN field is equal to nothing, itself
+		// included, but its bits are.
+		once := wireBytes(t, &d)
+		if again := wireBytes(t, overWire(t, &d)); !bytes.Equal(again, once) {
+			t.Fatalf("decode → encode → decode changed the frame:\nonce  %x\nagain %x", once, again)
 		}
 		shadow := NewMonitor("db", cfg)
 		if err := shadow.Restore(base); err != nil {

@@ -14,13 +14,13 @@ import (
 // transport leans on: a monitor's state is a pure function of the accepted
 // sample sequence. A subject is fed through Ingest with short and long
 // collection gaps, and at random points its state moves to a fresh monitor,
-// either by Snapshot → JSON → Restore or by DeltaInto → JSON → ApplyDelta
-// into a shadow that is later promoted. A twin gets the same Ingest calls
-// and never moves. After every move, and at the end, the two must encode to
-// the same snapshot bytes, and their next 50 prediction errors must carry
-// the same bits. A restored model stores its rows in ascending bin order,
-// the twin's in the order they were first touched, so this also pins that
-// the storage order never reaches the state.
+// either by Snapshot → JSON → Restore or by FrameInto → AppendBinary →
+// DecodeDelta → ApplyDelta into a shadow that is later promoted. A twin gets
+// the same Ingest calls and never moves. After every move, and at the end,
+// the two must encode to the same snapshot bytes, and their next 50
+// prediction errors must carry the same bits. A restored model stores its
+// rows in ascending bin order, the twin's in the order they were first
+// touched, so this also pins that the storage order never reaches the state.
 func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 	cfg := Config{RingCapacity: 64}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -63,16 +63,8 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 			if shadow == nil {
 				shadow, floors = NewMonitor("c", cfg), nil
 			}
-			full, _ := subject.FrameInto(&d, floors)
-			raw, err := json.Marshal(&d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wire ReplDelta
-			if err := json.Unmarshal(raw, &wire); err != nil {
-				t.Fatal(err)
-			}
-			if err := shadow.ApplyDelta(&wire); err != nil {
+			full, _, _ := subject.FrameInto(&d, floors)
+			if err := shadow.ApplyDelta(overWire(t, &d)); err != nil {
 				t.Fatalf("seed %d t=%d: apply: %v", seed, ts, err)
 			}
 			if full != nil {
