@@ -17,8 +17,11 @@
 // values are dropped, short gaps are interpolated, and every repair is
 // counted against the component's data quality, which the master surfaces
 // with each diagnosis. With -checkpoint-dir set, the daemon periodically
-// checkpoints its learned models (and ring tails) and restores them on the
-// next start, so a crash costs only the samples since the last checkpoint.
+// writes each component's state (learned models, ring tails and sanitizer
+// state, as the full frame replication ships) to a checksummed file and
+// restores it on the next start, so a crash costs only the samples since
+// the last checkpoint. A file it cannot use, such as one written by a build
+// with the previous checkpoint format, cold-starts that component.
 //
 // Usage:
 //

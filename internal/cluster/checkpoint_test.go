@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -147,5 +148,51 @@ func TestRestoredComponentsSorted(t *testing.T) {
 	defer second.Close()
 	if got, want := second.RestoredComponents(), []string{"app1", "db", "web"}; !slices.Equal(got, want) {
 		t.Errorf("RestoredComponents = %v, want %v", got, want)
+	}
+}
+
+// TestVersion1CheckpointColdStartsOnce: a checkpoint directory written by an
+// earlier build holds a version-1 file. The slave cold-starts that component
+// and still ingests and analyzes; Close rewrites the file in the current
+// format, which the next slave restores.
+func TestVersion1CheckpointColdStartsOnce(t *testing.T) {
+	dir := t.TempDir()
+	v1, err := os.ReadFile(filepath.Join("..", "core", "testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, apps.DB+".ckpt")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
+	if got := second.RestoredComponents(); len(got) != 0 {
+		t.Fatalf("version-1 checkpoint restored: %v", got)
+	}
+	for ts := int64(1); ts <= 50; ts++ {
+		if err := second.Observe(apps.DB, ts, metric.CPU, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second.Analyze(50)
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("FCHAINCK")) {
+		t.Fatalf("Close left %.20q, not a current checkpoint", raw)
+	}
+
+	third := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
+	defer third.Close()
+	if got := third.RestoredComponents(); !slices.Equal(got, []string{apps.DB}) {
+		t.Fatalf("rewritten checkpoint restored %v, want [%s]", got, apps.DB)
+	}
+	if err := third.Observe(apps.DB, 50, metric.CPU, 50); err == nil {
+		t.Error("the restored slave accepted a sample it had already observed")
 	}
 }

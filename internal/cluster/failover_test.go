@@ -35,15 +35,7 @@ func shadowMatches(t *testing.T, owner, standby *Slave, comp string) bool {
 	if pm == nil || sm == nil {
 		return false
 	}
-	a, err := json.Marshal(pm.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(sm.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bytes.Equal(a, b)
+	return bytes.Equal(fullFrame(t, pm), fullFrame(t, sm))
 }
 
 // waitReplicated blocks until every registered component has a caught-up

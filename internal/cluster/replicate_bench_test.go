@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -36,7 +35,8 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		}
 	}
 	feed(1, history)
-	base := primary.Snapshot()
+	var base core.ReplDelta
+	floors, _, _ := primary.FrameInto(&base, nil)
 	feed(history+1, history+tick)
 
 	var wire bufConn
@@ -73,8 +73,7 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		}
 	}
 	same := func(shadow *core.Monitor) {
-		want, _ := json.Marshal(primary.Snapshot())
-		if got, _ := json.Marshal(shadow.Snapshot()); !bytes.Equal(got, want) {
+		if !bytes.Equal(fullFrame(b, shadow), fullFrame(b, primary)) {
 			b.Fatal("the standby's shadow differs from the primary after the frame")
 		}
 	}
@@ -88,11 +87,11 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		)
 		for range b.N {
 			b.StopTimer()
-			if err := shadow.Restore(base); err != nil {
+			if err := shadow.ApplyDelta(&base); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if changed, ok := primary.DeltaInto(&d, base.LastT); !changed || !ok {
+			if changed, ok := primary.DeltaInto(&d, floors); !changed || !ok {
 				b.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
 			}
 			var err error

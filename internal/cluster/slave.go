@@ -333,20 +333,17 @@ func (s *Slave) checkpointPath(component string) string {
 // component's checkpoint file when the slave has a checkpoint directory,
 // and reports whether the restore happened. Every way a component arrives
 // without replicated state — construction, or an assign with no shadow to
-// promote — goes through here. Restore is best-effort by design: a missing
-// file, bad checksum, wrong version or invalid state leaves the monitor
-// fresh (Restore changes nothing it rejects), because a slave that refuses
-// to start over a stale checkpoint is worse than one that relearns.
+// promote — goes through here. The restore is best-effort by design: a
+// missing file, bad checksum, another format or version, or invalid state
+// leaves the monitor fresh (LoadCheckpoint changes nothing it rejects),
+// because a slave that refuses to start over a stale checkpoint is worse
+// than one that relearns.
 func (s *Slave) coldStart(component string) (*core.Monitor, bool) {
 	mon := core.NewMonitor(component, s.cfg)
 	if s.checkpointDir == "" {
 		return mon, false
 	}
-	snap, err := core.LoadCheckpoint(s.checkpointPath(component))
-	if err != nil {
-		return mon, false
-	}
-	return mon, mon.Restore(snap) == nil
+	return mon, mon.LoadCheckpoint(s.checkpointPath(component)) == nil
 }
 
 // RestoredComponents returns the components whose state was successfully
@@ -355,9 +352,8 @@ func (s *Slave) RestoredComponents() []string {
 	return append([]string(nil), s.restored...)
 }
 
-// CheckpointNow snapshots every monitor and writes the checkpoints
-// atomically, returning the first error encountered (the remaining
-// components are still attempted).
+// CheckpointNow writes every monitor's checkpoint atomically, returning the
+// first error encountered (the remaining components are still attempted).
 func (s *Slave) CheckpointNow() error {
 	if s.checkpointDir == "" {
 		return fmt.Errorf("cluster: slave %s has no checkpoint directory", s.name)
@@ -368,7 +364,7 @@ func (s *Slave) CheckpointNow() error {
 	var firstErr error
 	_, monitors := s.owned()
 	for comp, mon := range monitors {
-		if err := core.SaveCheckpoint(s.checkpointPath(comp), mon.Snapshot()); err != nil && firstErr == nil {
+		if err := mon.SaveCheckpoint(s.checkpointPath(comp)); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -149,6 +149,20 @@ func mustJSON(t *testing.T, v any) []byte {
 	return raw
 }
 
+// fullFrame encodes m's full replication frame: two monitors with equal
+// bytes here hold byte-identical models, histories, sanitizer and streaming
+// state.
+func fullFrame(t testing.TB, m *core.Monitor) []byte {
+	t.Helper()
+	var d core.ReplDelta
+	m.FrameInto(&d, nil)
+	raw, err := d.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func ownedMonitor(t *testing.T, sl *Slave, comp string) *core.Monitor {
 	t.Helper()
 	sl.mu.Lock()
@@ -161,13 +175,12 @@ func ownedMonitor(t *testing.T, sl *Slave, comp string) *core.Monitor {
 }
 
 // TestTransportEquivalence: whichever way the state travelled, the recipient's
-// snapshot and its analysis of the window are byte-identical to the twin's.
+// full frame and its analysis of the window are byte-identical to the twin's.
 func TestTransportEquivalence(t *testing.T) {
 	eachTransport(t, func(t *testing.T, transport string, cfg core.Config) {
 		for _, mv := range runTransport(t, transport, cfg) {
-			got, want := ownedMonitor(t, mv.owner, mv.comp).Snapshot(), mv.twin.Snapshot()
-			if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-				t.Errorf("%s: snapshot differs from the never-moved twin", mv.comp)
+			if !bytes.Equal(fullFrame(t, ownedMonitor(t, mv.owner, mv.comp)), fullFrame(t, mv.twin)) {
+				t.Errorf("%s: state differs from the never-moved twin", mv.comp)
 			}
 			wantRep, _ := core.AnalyzeMonitors([]*core.Monitor{mv.twin}, transportTV, 0, 1)
 			var gotRep []core.ComponentReport
@@ -206,7 +219,7 @@ func TestSanitizerStateSurvivesEveryTransport(t *testing.T) {
 			if got, want := mon.Quality(), mv.twin.Quality(); got != want {
 				t.Errorf("%s: quality after the outlier = %+v, twin has %+v", mv.comp, got, want)
 			}
-			if !bytes.Equal(mustJSON(t, mon.Snapshot()), mustJSON(t, mv.twin.Snapshot())) {
+			if !bytes.Equal(fullFrame(t, mon), fullFrame(t, mv.twin)) {
 				t.Errorf("%s: rings differ from the never-moved twin after a clamped outlier", mv.comp)
 			}
 		}

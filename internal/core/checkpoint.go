@@ -1,71 +1,135 @@
 package core
 
+// A checkpoint file is a fixed header followed by the component's full
+// replication frame exactly as AppendBinary writes it (replwire.go), so disk
+// and the replication channel share one encoding and one decoder:
+//
+//	file    = magic version crc body
+//	magic   = the 8 bytes "FCHAINCK"
+//	version = u32 CheckpointVersion, little-endian
+//	crc     = u32 IEEE CRC-32 of body, little-endian
+//	body    = a full frame
+//
+// The file carries no save time: its modification time says when it was
+// written. A version-1 file, a JSON envelope around decimal rings, fails the
+// magic check like any other unreadable file, and the slave cold-starts.
+
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
-	"time"
 
+	"fchain/internal/ingest"
+	"fchain/internal/markov"
 	"fchain/internal/obs"
 )
 
-// CheckpointVersion is the on-disk checkpoint format version. Load rejects
+// CheckpointVersion is the on-disk checkpoint format version. Load refuses
 // any other version instead of guessing: a model restored from a
 // misinterpreted checkpoint silently corrupts every later diagnosis, which
 // is strictly worse than a cold start.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
-// checkpointFile is the on-disk envelope: a version, a CRC32 of the payload
-// so torn or bit-rotted files are detected, and the payload itself.
-type checkpointFile struct {
-	Version  int             `json:"version"`
-	SavedAt  int64           `json:"saved_at"` // unix seconds, informational
-	Checksum uint32          `json:"checksum"` // IEEE CRC32 of Payload
-	Payload  json.RawMessage `json:"payload"`
+const (
+	checkpointMagic  = "FCHAINCK"
+	checkpointHeader = len(checkpointMagic) + 8 // magic, version, crc
+)
+
+// SaveCheckpoint writes the monitor's state as a checkpoint at path through
+// obs.WriteFileAtomic, so a crash mid-write leaves either the previous
+// checkpoint or none — never a torn one.
+func (m *Monitor) SaveCheckpoint(path string) error {
+	return obs.WriteFileAtomic(path, m.encodeCheckpoint())
 }
 
-// SaveCheckpoint writes snap as a versioned, checksummed checkpoint at path
-// through obs.WriteFileAtomic, so a crash mid-write leaves either the
-// previous checkpoint or none — never a torn one.
-func SaveCheckpoint(path string, snap *MonitorSnapshot) error {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("core: marshal checkpoint: %w", err)
-	}
-	raw, err := json.Marshal(checkpointFile{
-		Version:  CheckpointVersion,
-		SavedAt:  time.Now().Unix(),
-		Checksum: crc32.ChecksumIEEE(payload),
-		Payload:  payload,
-	})
-	if err != nil {
-		return fmt.Errorf("core: marshal checkpoint envelope: %w", err)
-	}
-	return obs.WriteFileAtomic(path, raw)
+// encodeCheckpoint returns the monitor's checkpoint file.
+func (m *Monitor) encodeCheckpoint() []byte {
+	var d ReplDelta
+	m.fullInto(&d)
+	b := binary.LittleEndian.AppendUint32([]byte(checkpointMagic), CheckpointVersion)
+	b, _ = d.AppendBinary(append(b, 0, 0, 0, 0)) // crc, filled in below
+	binary.LittleEndian.PutUint32(b[checkpointHeader-4:], crc32.ChecksumIEEE(b[checkpointHeader:]))
+	return b
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint, verifying the
-// format version and the payload checksum first. Callers should treat any
-// error as "no usable checkpoint" and cold-start.
-func LoadCheckpoint(path string) (*MonitorSnapshot, error) {
+// LoadCheckpoint replaces the monitor's state with the checkpoint at path,
+// written by SaveCheckpoint for the same component. On any error — a missing
+// or unreadable file, another format or version, a checksum mismatch, or a
+// state applyFull refuses — the monitor is unchanged, and callers should
+// cold-start.
+func (m *Monitor) LoadCheckpoint(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("core: parse checkpoint %s: %w", path, err)
+	var d ReplDelta
+	if err = decodeCheckpoint(raw, &d); err == nil {
+		err = m.applyFull(&d)
 	}
-	if f.Version != CheckpointVersion {
-		return nil, fmt.Errorf("core: checkpoint %s has version %d, want %d", path, f.Version, CheckpointVersion)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint %s: %w", path, err)
 	}
-	if sum := crc32.ChecksumIEEE(f.Payload); sum != f.Checksum {
-		return nil, fmt.Errorf("core: checkpoint %s checksum mismatch: payload %08x, recorded %08x", path, sum, f.Checksum)
+	return nil
+}
+
+// decodeCheckpoint checks a checkpoint file's header and checksum and
+// decodes its body into d. It refuses a body SaveCheckpoint could not have
+// written, so that an accepted file saves back byte for byte: one that is
+// not a full frame or does not re-encode to itself, lists a fresh sanitizer
+// state, or holds an entry canonical refuses. The decoded runs alias raw.
+func decodeCheckpoint(raw []byte, d *ReplDelta) error {
+	if len(raw) < checkpointHeader || string(raw[:len(checkpointMagic)]) != checkpointMagic {
+		return errors.New("not a checkpoint file")
 	}
-	snap := new(MonitorSnapshot)
-	if err := json.Unmarshal(f.Payload, snap); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint %s payload: %w", path, err)
+	header := raw[len(checkpointMagic):checkpointHeader]
+	if v := binary.LittleEndian.Uint32(header); v != CheckpointVersion {
+		return fmt.Errorf("version %d, want %d", v, CheckpointVersion)
 	}
-	return snap, nil
+	body := raw[checkpointHeader:]
+	if sum, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(header[4:]); sum != want {
+		return fmt.Errorf("checksum mismatch: body %08x, recorded %08x", sum, want)
+	}
+	if err := DecodeDelta(body, d); err != nil {
+		return err
+	}
+	if len(d.Full) == 0 {
+		return errors.New("body is an incremental frame, not a full one")
+	}
+	if again, _ := d.AppendBinary(nil); !bytes.Equal(again, body) {
+		return errors.New("body is not in the encoding SaveCheckpoint writes")
+	}
+	for name, st := range d.Sanitizers {
+		if st == (ingest.State{}) {
+			return fmt.Errorf("%s: fresh sanitizer state listed", name)
+		}
+	}
+	for i := range d.Full {
+		if err := d.Full[i].canonical(); err != nil {
+			return fmt.Errorf("%s: %v", d.Full[i].Metric, err)
+		}
+	}
+	return nil
+}
+
+// canonical reports why f is not what fullInto writes for the state it
+// would restore: two runs that meet without a gap, which a ring merges, or
+// a model that does not survive a restore unchanged. Neither harms a
+// monitor, so applyFull, which peers' frames also pass, does not check them.
+func (f *ReplMetric) canonical() error {
+	for i := 1; i < len(f.Samples); i++ {
+		if t := f.Samples[i].T0; t == f.Samples[i-1].last()+1 {
+			return fmt.Errorf("runs meet at t=%d without a gap", t)
+		}
+	}
+	p, err := markov.FromSnapshot(f.Model)
+	if err != nil {
+		return fmt.Errorf("model: %v", err)
+	}
+	if !bytes.Equal(appendModel(nil, p.Snapshot()), appendModel(nil, f.Model)) {
+		return errors.New("model does not re-encode to its own bytes")
+	}
+	return nil
 }

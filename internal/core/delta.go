@@ -303,8 +303,7 @@ func (d *ReplDelta) AdvanceFloors(floors map[string]int64) {
 }
 
 // ApplyDelta applies one replication frame to this (shadow) monitor. A full
-// frame's runs are checked and its rings rebuilt, and the state replaces the
-// shadow's wholesale through Restore, which validates the rest. An
+// frame replaces the shadow's state wholesale through applyFull. An
 // incremental frame is checked whole before anything is mutated: every
 // metric's Base precondition against the shadow's last accepted timestamps,
 // and every run (whole 8-byte values, at least one, finite, no timestamp
@@ -323,7 +322,10 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 		return fmt.Errorf("core: delta is for component %q, monitor is %q", d.Component, m.component)
 	}
 	if len(d.Full) > 0 {
-		return m.applyFull(d)
+		if err := m.applyFull(d); err != nil {
+			return fmt.Errorf("%w: %v", ErrReplGap, err)
+		}
+		return nil
 	}
 	for _, k := range metric.Kinds {
 		name := k.String()
@@ -357,64 +359,99 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 	return nil
 }
 
-// applyFull checks a full frame's runs, rebuilds its rings and restores the
-// result. Restore refuses an unknown metric, an invalid model, error times
-// that differ from the sample times, and a last_t that is not the newest
-// sample's.
+// applyFull replaces the monitor's state with a full frame's: each metric's
+// model, rings, last accepted timestamp and sanitizer state. It is the one
+// way state from disk or from a peer enters a monitor, so it refuses any
+// state the monitor could not have built, and checks the whole frame before
+// it changes anything: the frame is for this component, carries no
+// incremental samples and lists every metric once, in metric.Kinds order
+// (see ReplMetric.check for each entry). Ring capacities follow the monitor's
+// configuration, not the frame's: a monitor with a smaller RingCapacity
+// keeps only the newest samples. Streaming state is rebuilt from the
+// installed rings; the rebuild is a pure function of the retained samples,
+// so a restarted daemon's analysis matches what any other process
+// installing the same frame computes.
 func (m *Monitor) applyFull(d *ReplDelta) error {
-	if len(d.Base) > 0 || len(d.Samples) > 0 {
-		return fmt.Errorf("%w: frame carries both a full state and incremental samples", ErrReplGap)
+	switch {
+	case d.Component != m.component:
+		return fmt.Errorf("frame is for component %q, monitor is %q", d.Component, m.component)
+	case len(d.Base) > 0 || len(d.Samples) > 0:
+		return errors.New("frame carries both a full state and incremental samples")
+	case len(d.Full) != metric.NumKinds:
+		return fmt.Errorf("full frame lists %d metrics, want %d", len(d.Full), metric.NumKinds)
 	}
-	s := &MonitorSnapshot{
-		Component:  d.Component,
-		Models:     make(map[string]*markov.Snapshot, len(d.Full)),
-		Samples:    make(map[string]timeseries.RingSnapshot, len(d.Full)),
-		Errs:       make(map[string]timeseries.RingSnapshot, len(d.Full)),
-		LastT:      make(map[string]int64, len(d.Full)),
-		Sanitizers: d.Sanitizers,
-	}
-	for i := range d.Full {
+	var models [metric.NumKinds]*markov.Predictor
+	for i, k := range metric.Kinds {
 		f := &d.Full[i]
-		if _, dup := s.Models[f.Metric]; dup {
-			return fmt.Errorf("%w: %s appears twice", ErrReplGap, f.Metric)
+		if f.Metric != k.String() {
+			return fmt.Errorf("full frame entry %d is %q, want %q", i, f.Metric, k)
 		}
-		samples, err := ringOf(f.Samples)
+		p, err := f.check()
 		if err != nil {
-			return fmt.Errorf("%w: %s samples: %v", ErrReplGap, f.Metric, err)
+			return fmt.Errorf("%s: %v", f.Metric, err)
 		}
-		errs, err := ringOf(f.Errs)
-		if err != nil {
-			return fmt.Errorf("%w: %s errors: %v", ErrReplGap, f.Metric, err)
-		}
-		s.Models[f.Metric] = f.Model
-		s.Samples[f.Metric], s.Errs[f.Metric] = samples, errs
-		if f.LastT != nil {
-			s.LastT[f.Metric] = *f.LastT
-		}
+		models[i] = p
 	}
-	if err := m.Restore(s); err != nil {
-		return fmt.Errorf("%w: %v", ErrReplGap, err)
+	for i, k := range metric.Kinds {
+		f := &d.Full[i]
+		samples, errs := ringOf(f.Samples, m.cfg.RingCapacity), ringOf(f.Errs, m.cfg.RingCapacity)
+		sh := &m.shards[k]
+		sh.mu.Lock()
+		sh.model, sh.samples, sh.errs = models[i], samples, errs
+		sh.lastT, sh.hasLast = 0, f.LastT != nil
+		if sh.hasLast {
+			sh.lastT = *f.LastT
+		}
+		sh.sanitizer.SetState(d.Sanitizers[f.Metric])
+		if sh.stream != nil {
+			sh.stream.rebuild(sh)
+		}
+		sh.mu.Unlock()
 	}
 	return nil
 }
 
-// ringOf checks one ring's runs and expands them into the ring's snapshot.
-func ringOf(runs []ReplRun) (timeseries.RingSnapshot, error) {
-	if err := checkRuns(runs, 0, false); err != nil {
-		return timeseries.RingSnapshot{}, err
+// check validates one metric of a full frame and returns its model. It
+// enforces the history Observe maintains and DeltaInto's binary search
+// relies on: the sample runs are valid (checkRuns), the error runs carry
+// exactly the sample runs' timestamps, and last_t is present and equal to
+// the newest sample whenever there are samples. Without these a restored
+// monitor could accept a sample older than its newest.
+func (f *ReplMetric) check() (*markov.Predictor, error) {
+	if err := checkRuns(f.Samples, 0, false); err != nil {
+		return nil, fmt.Errorf("samples: %v", err)
 	}
-	n := 0
-	for i := range runs {
-		n += runs[i].n()
+	if err := checkRuns(f.Errs, 0, false); err != nil {
+		return nil, fmt.Errorf("errors: %v", err)
 	}
-	r := timeseries.RingSnapshot{Times: make([]int64, 0, n), Vals: make([]float64, 0, n)}
-	for i := range runs {
-		for j := range runs[i].n() {
-			r.Times = append(r.Times, runs[i].T0+int64(j))
-			r.Vals = append(r.Vals, runs[i].value(j))
+	if len(f.Errs) != len(f.Samples) {
+		return nil, errors.New("error ring times differ from its sample times")
+	}
+	for i := range f.Samples {
+		s, e := &f.Samples[i], &f.Errs[i]
+		if e.T0 != s.T0 || len(e.V) != len(s.V) {
+			return nil, errors.New("error ring times differ from its sample times")
 		}
 	}
-	return r, nil
+	if n := len(f.Samples); n > 0 && (f.LastT == nil || *f.LastT != f.Samples[n-1].last()) {
+		return nil, fmt.Errorf("last_t does not match its newest sample t=%d", f.Samples[n-1].last())
+	}
+	p, err := markov.FromSnapshot(f.Model)
+	if err != nil {
+		return nil, fmt.Errorf("model: %v", err)
+	}
+	return p, nil
+}
+
+// ringOf pushes checked runs into a new ring of the given capacity.
+func ringOf(runs []ReplRun, capacity int) *timeseries.Ring {
+	r := timeseries.NewRing(capacity)
+	for i := range runs {
+		for j := range runs[i].n() {
+			r.Push(runs[i].T0+int64(j), runs[i].value(j))
+		}
+	}
+	return r
 }
 
 // checkRuns reports why one metric's runs could not replay through Observe

@@ -29,15 +29,13 @@ func feedAll(t testing.TB, m *Monitor, ts int64) {
 	}
 }
 
-// monitorJSON snapshots m and marshals it: two monitors with equal bytes here
-// hold byte-identical model, history, and streaming state.
-func monitorJSON(t *testing.T, m *Monitor) []byte {
+// frameBytes encodes m's full frame: two monitors with equal bytes here hold
+// byte-identical models, histories, sanitizer and streaming state.
+func frameBytes(t testing.TB, m *Monitor) []byte {
 	t.Helper()
-	raw, err := json.Marshal(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	var d ReplDelta
+	m.fullInto(&d)
+	return wireBytes(t, &d)
 }
 
 // bitsRun builds the run of vs at consecutive timestamps from t0, encoded
@@ -84,18 +82,13 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 	for ; ts <= 50; ts++ {
 		feedAll(t, primary, ts)
 	}
-	snap := primary.Snapshot()
 	var full ReplDelta
-	primary.FrameInto(&full, nil)
+	floors, _, _ := primary.FrameInto(&full, nil)
 	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatalf("full apply: %v", err)
 	}
-	if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
+	if a, b := frameBytes(t, primary), frameBytes(t, shadow); !bytes.Equal(a, b) {
 		t.Fatal("shadow differs from primary after full snapshot apply")
-	}
-	floors := make(map[string]int64, len(snap.LastT))
-	for name, last := range snap.LastT {
-		floors[name] = last
 	}
 
 	var d ReplDelta
@@ -113,7 +106,7 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: incremental apply: %v", round, err)
 		}
 		d.AdvanceFloors(floors)
-		if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
+		if a, b := frameBytes(t, primary), frameBytes(t, shadow); !bytes.Equal(a, b) {
 			t.Fatalf("round %d: shadow diverged from primary after incremental apply", round)
 		}
 	}
@@ -225,13 +218,13 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 
 	t.Run("base behind the shadow", func(t *testing.T) {
 		shadow := build(10)
-		before := monitorJSON(t, shadow)
+		before := frameBytes(t, shadow)
 		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(5),
 			Samples: map[string][]ReplRun{"cpu": {bitsRun(6, 1)}}})
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
-		if !bytes.Equal(before, monitorJSON(t, shadow)) {
+		if !bytes.Equal(before, frameBytes(t, shadow)) {
 			t.Fatal("rejected delta mutated the shadow")
 		}
 	})
@@ -286,14 +279,14 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 			for ts := int64(1); ts <= 10; ts++ {
 				feedAll(t, shadow, ts)
 			}
-			before := monitorJSON(t, shadow)
+			before := frameBytes(t, shadow)
 			samples := maps.Clone(good)
 			samples[last] = tc.runs
 			err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples})
 			if !errors.Is(err, ErrReplGap) {
 				t.Fatalf("err = %v, want ErrReplGap", err)
 			}
-			if !bytes.Equal(before, monitorJSON(t, shadow)) {
+			if !bytes.Equal(before, frameBytes(t, shadow)) {
 				t.Fatal("rejected delta mutated the shadow")
 			}
 		})
@@ -323,7 +316,7 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 		if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+		if !bytes.Equal(frameBytes(t, primary), frameBytes(t, shadow)) {
 			t.Fatal("shadow differs from the primary that observed the same runs")
 		}
 	})
@@ -388,37 +381,40 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 	}
 
 	ship(math.Copysign(0, -1), math.SmallestNonzeroFloat64, digits17)
-	if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+	if !bytes.Equal(frameBytes(t, primary), frameBytes(t, shadow)) {
 		t.Fatal("shadow snapshot JSON differs from the primary's")
 	}
 	ship(math.MaxFloat64)
-	if !bytes.Equal(monitorJSON(t, primary), monitorJSON(t, shadow)) {
+	if !bytes.Equal(frameBytes(t, primary), frameBytes(t, shadow)) {
 		t.Fatal("shadow snapshot JSON differs from the primary's")
 	}
 }
 
-// pinnedMonitor restores testdata/two_column_snapshot.json (RingCapacity
-// 16: a time gap, wrapped rings, a sanitized stream and never-observed
-// metrics) after setting one sample and one prediction error of cpu to -0
-// and two to the smallest subnormal, values whose decimal form is delicate.
+// pinnedMonitor loads testdata/checkpoint_v2.ckpt (RingCapacity 16: a time
+// gap, wrapped rings, a sanitized stream and never-observed metrics) after
+// setting one sample and one prediction error of cpu to -0 and two to the
+// smallest subnormal, values whose decimal form is delicate.
 func pinnedMonitor(t *testing.T) (*Monitor, Config) {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "two_column_snapshot.json"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap MonitorSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	var d ReplDelta
+	if err := decodeCheckpoint(raw, &d); err != nil {
 		t.Fatal(err)
 	}
-	for _, ring := range []map[string]timeseries.RingSnapshot{snap.Samples, snap.Errs} {
-		vals := ring["cpu"].Vals
-		vals[0], vals[1], vals[len(vals)-1] = math.Copysign(0, -1), math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64
+	cpu := cpuEntry(&d)
+	for _, runs := range [][]ReplRun{cpu.Samples, cpu.Errs} {
+		first, last := runs[0].V, runs[len(runs)-1].V
+		binary.LittleEndian.PutUint64(first, math.Float64bits(math.Copysign(0, -1)))
+		binary.LittleEndian.PutUint64(first[8:], math.Float64bits(math.SmallestNonzeroFloat64))
+		binary.LittleEndian.PutUint64(last[len(last)-8:], math.Float64bits(math.SmallestNonzeroFloat64))
 	}
 	cfg := DefaultConfig()
 	cfg.RingCapacity = 16
 	m := NewMonitor("db", cfg)
-	if err := m.Restore(&snap); err != nil {
+	if err := m.applyFull(&d); err != nil {
 		t.Fatal(err)
 	}
 	return m, cfg
@@ -447,7 +443,7 @@ func TestReplFullFrameEquivalence(t *testing.T) {
 		t.Fatalf("FrameInto(nil floors) = changed %v, cause %q with %d metrics, want a first full frame",
 			changed, cause, len(d.Full))
 	}
-	if want := primary.Snapshot().LastT; !reflect.DeepEqual(floors, want) {
+	if want := map[string]int64{"cpu": 115, "disk_read": 149, "memory": 139, "net_in": 119}; !reflect.DeepEqual(floors, want) {
 		t.Errorf("full frame floors = %v, want %v", floors, want)
 	}
 	raw := wireBytes(t, &d)
@@ -458,8 +454,8 @@ func TestReplFullFrameEquivalence(t *testing.T) {
 	if err := receive(shadow, raw); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := monitorJSON(t, primary), monitorJSON(t, shadow); !bytes.Equal(a, b) {
-		t.Fatalf("shadow snapshot differs from the primary's:\ngot  %s\nwant %s", b, a)
+	if a, b := frameBytes(t, primary), frameBytes(t, shadow); !bytes.Equal(a, b) {
+		t.Fatalf("shadow frame differs from the primary's:\ngot  %x\nwant %x", b, a)
 	}
 	for _, k := range metric.Kinds {
 		p, s := &primary.shards[k], &shadow.shards[k]
@@ -488,9 +484,15 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 	for ts := int64(1); ts <= 10; ts++ {
 		feedAll(t, shadow, ts)
 	}
-	before := monitorJSON(t, shadow)
+	before := frameBytes(t, shadow)
+	// The previous version's full payload carried the decimal snapshot this
+	// fixture holds.
+	snapshot, err := os.ReadFile(filepath.Join("testdata", "two_column_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, payload := range map[string]any{
-		"full": map[string]any{"component": "db", "full": primary.Snapshot()},
+		"full": map[string]any{"component": "db", "full": json.RawMessage(snapshot)},
 		"incremental": map[string]any{"component": "db", "base": map[string]int64{"cpu": 10},
 			"samples": map[string]any{"cpu": []map[string]any{{"t0": 11, "v": "AAAAAAAA8D8="}}}},
 	} {
@@ -502,7 +504,7 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 			t.Fatalf("previous-version %s payload: err = %v, want ErrReplGap", name, err)
 		}
 	}
-	if !bytes.Equal(before, monitorJSON(t, shadow)) {
+	if !bytes.Equal(before, frameBytes(t, shadow)) {
 		t.Fatal("refused frame changed the shadow")
 	}
 
@@ -560,11 +562,11 @@ func TestReplFullFrameRejects(t *testing.T) {
 			for ts := int64(1); ts <= 10; ts++ {
 				feedAll(t, shadow, ts)
 			}
-			before := monitorJSON(t, shadow)
+			before := frameBytes(t, shadow)
 			if err := shadow.ApplyDelta(&d); !errors.Is(err, ErrReplGap) {
 				t.Fatalf("err = %v, want ErrReplGap", err)
 			}
-			if !bytes.Equal(before, monitorJSON(t, shadow)) {
+			if !bytes.Equal(before, frameBytes(t, shadow)) {
 				t.Fatal("refused frame changed the shadow")
 			}
 		})
@@ -621,13 +623,8 @@ func TestSanitizerStateTravels(t *testing.T) {
 	var frame ReplDelta
 	floors, _, _ := twin.FrameInto(&frame, nil)
 	full := overWire(t, &frame)
-	var snap MonitorSnapshot
-	if err := json.Unmarshal(monitorJSON(t, twin), &snap); err != nil {
-		t.Fatal(err)
-	}
-
 	restored := NewMonitor("c", Config{})
-	if err := restored.Restore(&snap); err != nil {
+	if err := loadBytes(restored, twin.encodeCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	shadow := NewMonitor("c", Config{})
@@ -655,9 +652,9 @@ func TestSanitizerStateTravels(t *testing.T) {
 	if q := twin.Quality(); q.Clamped != 1 {
 		t.Fatalf("twin clamped %d samples, want the outlier clamped once", q.Clamped)
 	}
-	want := monitorJSON(t, twin)
+	want := frameBytes(t, twin)
 	for name, m := range map[string]*Monitor{"restored": restored, "shadow": shadow} {
-		if got := monitorJSON(t, m); !bytes.Equal(got, want) {
+		if got := frameBytes(t, m); !bytes.Equal(got, want) {
 			t.Errorf("%s monitor differs from its never-moved twin after a clamped outlier", name)
 		}
 		if got, want := m.Quality(), twin.Quality(); got != want {

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"hash/crc32"
 	"maps"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fchain/internal/metric"
-	"fchain/internal/timeseries"
 )
 
 // FuzzApplyDelta decodes arbitrary bytes as a replication body and applies
@@ -16,9 +18,9 @@ import (
 // ApplyDelta may panic. A body DecodeDelta accepts must survive decode →
 // encode → decode unchanged, and a frame ApplyDelta accepts must leave a
 // history Observe could have built: the next second is accepted on every
-// observed metric, every ring is strictly ascending after it, and the
-// Snapshot restores into a fresh monitor and snapshots back to the same
-// bytes.
+// observed metric, every ring is strictly ascending after it with the error
+// ring at the sample ring's times, and the full frame applies to a fresh
+// monitor, which encodes its own full frame to the same bytes.
 func FuzzApplyDelta(f *testing.F) {
 	// Eight bins keep the full-frame seeds under 7 KB: the fuzzer minimizes
 	// every new interesting input, and with 40-bin models a 15 KB full
@@ -29,11 +31,8 @@ func FuzzApplyDelta(f *testing.F) {
 	for ; ts <= 30; ts++ {
 		feedAll(f, primary, ts)
 	}
-	base := primary.Snapshot()
-	floors := make(map[string]int64, len(base.LastT))
-	for name, t := range base.LastT {
-		floors[name] = t
-	}
+	var base ReplDelta
+	floors := primary.fullInto(&base)
 	for ; ts <= 34; ts++ {
 		feedAll(f, primary, ts)
 	}
@@ -95,44 +94,137 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("decode → encode → decode changed the frame:\nonce  %x\nagain %x", once, again)
 		}
 		shadow := NewMonitor("db", cfg)
-		if err := shadow.Restore(base); err != nil {
+		if err := shadow.ApplyDelta(&base); err != nil {
 			t.Fatal(err)
 		}
 		if shadow.ApplyDelta(&d) != nil {
 			return
 		}
-		for name, last := range shadow.Snapshot().LastT {
-			k, err := metric.ParseKind(name)
-			if err != nil {
-				t.Fatal(err)
+		for _, k := range metric.Kinds {
+			sh := &shadow.shards[k]
+			if !sh.hasLast || sh.lastT == math.MaxInt64 {
+				continue // never observed, or no later second exists
 			}
-			if last == math.MaxInt64 {
-				continue // no later second exists
-			}
-			if err := shadow.Observe(last+1, k, 1); err != nil {
-				t.Fatalf("Observe after last_t %d: %v", last, err)
+			if err := shadow.Observe(sh.lastT+1, k, 1); err != nil {
+				t.Fatalf("Observe after last_t %d: %v", sh.lastT, err)
 			}
 		}
-		snap := shadow.Snapshot()
-		for _, rings := range []map[string]timeseries.RingSnapshot{snap.Samples, snap.Errs} {
-			for name, r := range rings {
-				for i := 1; i < len(r.Times); i++ {
-					if r.Times[i] <= r.Times[i-1] {
-						t.Fatalf("%s ring times %v do not ascend", name, r.Times)
-					}
+		for _, k := range metric.Kinds {
+			samples, errs := shadow.shards[k].samples, shadow.shards[k].errs
+			if samples.Len() != errs.Len() {
+				t.Fatalf("%s holds %d samples and %d errors", k, samples.Len(), errs.Len())
+			}
+			var prev int64
+			for i := range samples.Len() {
+				ts, _ := samples.At(i)
+				if i > 0 && ts <= prev {
+					t.Fatalf("%s ring times %d, %d do not ascend", k, prev, ts)
 				}
+				if te, _ := errs.At(i); te != ts {
+					t.Fatalf("%s error %d at t=%d, sample at t=%d", k, i, te, ts)
+				}
+				prev = ts
 			}
 		}
-		want, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var full ReplDelta
+		shadow.fullInto(&full)
+		want := wireBytes(t, &full)
 		fresh := NewMonitor("db", cfg)
-		if err := fresh.Restore(snap); err != nil {
-			t.Fatalf("accepted state does not restore: %v", err)
+		if err := fresh.ApplyDelta(&full); err != nil {
+			t.Fatalf("accepted state does not apply as a full frame: %v", err)
 		}
-		if got := monitorJSON(t, fresh); !bytes.Equal(got, want) {
-			t.Fatalf("Snapshot → Restore → Snapshot differs:\ngot  %s\nwant %s", got, want)
+		if got := frameBytes(t, fresh); !bytes.Equal(got, want) {
+			t.Fatalf("full frame → ApplyDelta → full frame differs:\ngot  %x\nwant %x", got, want)
 		}
 	})
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader,
+// decodeCheckpoint then applyFull, twice: as they are, and resealed with
+// the checksum their body needs, so that mutations reach the frame decoder
+// and applyFull instead of stopping at the checksum. Whatever the bytes,
+// nothing may panic. A refused file leaves a fresh monitor's full frame
+// unchanged. An accepted one saves back to the identical bytes, unless one
+// of its rings held more samples than the monitor's RingCapacity, which
+// keeps only the newest: that save must then load and save back to itself.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := Config{RingCapacity: 24, MarkovBins: 8}
+	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), v2...)
+	flipped[checkpointHeader-1] ^= 0x80
+	primary := NewMonitor("db", cfg)
+	for ts := int64(1); ts <= 20; ts++ {
+		feedAll(f, primary, ts)
+	}
+	floors := primary.fullInto(&ReplDelta{})
+	for ts := int64(21); ts <= 24; ts++ {
+		feedAll(f, primary, ts)
+	}
+	var inc ReplDelta
+	if changed, ok := primary.DeltaInto(&inc, floors); !changed || !ok {
+		f.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
+	}
+	for _, seed := range [][]byte{v1, v2, v2[:len(v2)/2], flipped, sealCheckpoint(wireBytes(f, &inc)), primary.encodeCheckpoint()} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		check := func(raw []byte) {
+			m := NewMonitor("db", cfg)
+			fresh := frameBytes(t, m)
+			var d ReplDelta
+			err := decodeCheckpoint(raw, &d)
+			if err == nil {
+				err = m.applyFull(&d)
+			}
+			if err != nil {
+				if !bytes.Equal(frameBytes(t, m), fresh) {
+					t.Fatalf("refused checkpoint (%v) changed the monitor", err)
+				}
+				return
+			}
+			saved := m.encodeCheckpoint()
+			if bytes.Equal(saved, raw) {
+				return
+			}
+			if !overCapacity(&d, cfg.RingCapacity) {
+				t.Fatalf("accepted checkpoint saves back differently:\ngot  %x\nwant %x", saved, raw)
+			}
+			again := NewMonitor("db", cfg)
+			if err := loadBytes(again, saved); err != nil {
+				t.Fatalf("a trimmed checkpoint's save does not load: %v", err)
+			}
+			if !bytes.Equal(again.encodeCheckpoint(), saved) {
+				t.Fatal("a trimmed checkpoint's save does not save back to itself")
+			}
+		}
+		check(raw)
+		if len(raw) >= checkpointHeader {
+			resealed := append([]byte(nil), raw...)
+			binary.LittleEndian.PutUint32(resealed[checkpointHeader-4:], crc32.ChecksumIEEE(resealed[checkpointHeader:]))
+			check(resealed)
+		}
+	})
+}
+
+// overCapacity reports whether a full frame holds a ring of more than
+// capacity samples.
+func overCapacity(d *ReplDelta, capacity int) bool {
+	for i := range d.Full {
+		n := 0
+		for _, r := range d.Full[i].Samples {
+			n += r.n()
+		}
+		if n > capacity {
+			return true
+		}
+	}
+	return false
 }

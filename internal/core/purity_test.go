@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,10 +13,10 @@ import (
 // transport leans on: a monitor's state is a pure function of the accepted
 // sample sequence. A subject is fed through Ingest with short and long
 // collection gaps, and at random points its state moves to a fresh monitor,
-// either by Snapshot → JSON → Restore or by FrameInto → AppendBinary →
-// DecodeDelta → ApplyDelta into a shadow that is later promoted. A twin gets
-// the same Ingest calls and never moves. After every move, and at the end,
-// the two must encode to the same snapshot bytes, and their next 50
+// either through its checkpoint file's bytes or by FrameInto → AppendBinary
+// → DecodeDelta → ApplyDelta into a shadow that is later promoted. A twin
+// gets the same Ingest calls and never moves. After every move, and at the
+// end, the two must encode to the same full-frame bytes, and their next 50
 // prediction errors must carry the same bits. A restored model stores its
 // rows in ascending bin order, the twin's in the order they were first
 // touched, so this also pins that the storage order never reaches the state.
@@ -49,13 +48,13 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 			}
 		}
 		// same flushes both sanitizers' reorder buffers, which releases the
-		// same samples either way, and compares the snapshot bytes.
+		// same samples either way, and compares the full-frame bytes.
 		same := func(step string) {
 			t.Helper()
 			subject.FlushIngest(ts)
 			twin.FlushIngest(ts)
-			if a, b := monitorJSON(t, subject), monitorJSON(t, twin); !bytes.Equal(a, b) {
-				t.Fatalf("seed %d t=%d after %s: subject snapshot differs from the twin's", seed, ts, step)
+			if a, b := frameBytes(t, subject), frameBytes(t, twin); !bytes.Equal(a, b) {
+				t.Fatalf("seed %d t=%d after %s: subject state differs from the twin's", seed, ts, step)
 			}
 		}
 		ship := func() {
@@ -89,16 +88,9 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 			switch r := rng.Float64(); {
 			case r < 0.02:
 				same("ingest")
-				raw, err := json.Marshal(subject.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				var snap MonitorSnapshot
-				if err := json.Unmarshal(raw, &snap); err != nil {
-					t.Fatal(err)
-				}
+				raw := subject.encodeCheckpoint()
 				subject = NewMonitor("c", cfg)
-				if err := subject.Restore(&snap); err != nil {
+				if err := loadBytes(subject, raw); err != nil {
 					t.Fatalf("seed %d t=%d: restore: %v", seed, ts, err)
 				}
 				moves++

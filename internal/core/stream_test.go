@@ -191,9 +191,8 @@ func TestStreamingRestoreMatchesBatch(t *testing.T) {
 
 	// Kill: checkpoint the streaming monitor mid-manifestation; restart: a
 	// fresh streaming monitor restores it and the feed resumes.
-	snap := p.stream.Snapshot()
 	restored := NewMonitor("comp", scfg)
-	if err := restored.Restore(snap); err != nil {
+	if err := loadBytes(restored, p.stream.encodeCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	if got := restored.StreamingStats().Resets; got == 0 {

@@ -7,11 +7,13 @@ import (
 	"slices"
 )
 
-// Snapshot is the complete serializable state of a Predictor. A slave
-// checkpoints its predictors through this so a restarted daemon resumes
-// with its learned normal-fluctuation model instead of cold-starting
-// through the self-calibration period — without the model, every change
-// after the restart is "never seen before" and would be flagged abnormal.
+// Snapshot is the complete serializable state of a Predictor. A monitor's
+// full replication frame carries one per metric (internal/core encodes its
+// fields as bits), and a slave's checkpoint file is that frame, so a
+// restarted daemon or a promoted standby resumes with the learned
+// normal-fluctuation model instead of cold-starting through the
+// self-calibration period — without the model, every change after the
+// restart is "never seen before" and would be flagged abnormal.
 type Snapshot struct {
 	Bins     int         `json:"bins"`
 	Decay    float64     `json:"decay"`

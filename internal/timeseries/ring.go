@@ -1,7 +1,5 @@
 package timeseries
 
-import "errors"
-
 // Ring is a fixed-capacity ring buffer of timestamped samples used by the
 // FChain slave daemon to retain a bounded history of each metric. The slave
 // only ever needs the look-back window [tv-W, tv] plus the burst-extraction
@@ -190,43 +188,4 @@ func (r *Ring) Clear() {
 	r.runs = r.runs[:0]
 	r.head = 0
 	r.size = 0
-}
-
-// RingSnapshot is the serializable state of a Ring: the retained samples,
-// oldest first, plus the capacity to rebuild it.
-type RingSnapshot struct {
-	Cap   int       `json:"cap"`
-	Times []int64   `json:"times,omitempty"`
-	Vals  []float64 `json:"vals,omitempty"`
-}
-
-// Snapshot captures the ring's retained samples for checkpointing.
-func (r *Ring) Snapshot() RingSnapshot {
-	s := RingSnapshot{Cap: len(r.vals)}
-	if r.size == 0 {
-		return s
-	}
-	s.Times = make([]int64, 0, r.size)
-	for _, ru := range r.runs {
-		for t := range int64(ru.n) {
-			s.Times = append(s.Times, ru.t0+t)
-		}
-	}
-	s.Vals = make([]float64, r.size)
-	unwrap(s.Vals, r.vals, r.head)
-	return s
-}
-
-// RingFromSnapshot rebuilds a ring from a snapshot, validating its shape.
-// A snapshot holding more samples than its capacity keeps only the newest;
-// times that do not step by one second become one run each.
-func RingFromSnapshot(s RingSnapshot) (*Ring, error) {
-	if len(s.Times) != len(s.Vals) {
-		return nil, errors.New("timeseries: ring snapshot times/vals length mismatch")
-	}
-	r := NewRing(s.Cap)
-	for i := range s.Vals {
-		r.Push(s.Times[i], s.Vals[i])
-	}
-	return r, nil
 }

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -46,28 +45,14 @@ func (r *twoColumnRing) clear() {
 	r.head, r.size = 0, 0
 }
 
-func (r *twoColumnRing) snapshot() RingSnapshot {
-	s := RingSnapshot{Cap: len(r.vals)}
-	if r.size == 0 {
-		return s
-	}
+// contents returns the retained samples, oldest first.
+func (r *twoColumnRing) contents() (times []int64, vals []float64) {
 	for i := 0; i < r.size; i++ {
 		t, v := r.at(i)
-		s.Times = append(s.Times, t)
-		s.Vals = append(s.Vals, v)
+		times = append(times, t)
+		vals = append(vals, v)
 	}
-	return s
-}
-
-func twoColumnFromSnapshot(s RingSnapshot) (*twoColumnRing, error) {
-	if len(s.Times) != len(s.Vals) {
-		return nil, errors.New("length mismatch")
-	}
-	r := newTwoColumnRing(s.Cap)
-	for i := range s.Vals {
-		r.push(s.Times[i], s.Vals[i])
-	}
-	return r, nil
+	return times, vals
 }
 
 // ringPair drives a Ring and the reference through the same operations and
@@ -88,8 +73,9 @@ func newRingPair(tb testing.TB, capacity int) *ringPair {
 
 // apply performs one operation chosen by op, with arg as its parameter:
 // mostly one-second steps, some forward gaps, some arbitrary steps
-// (including backwards and repeated times), Clear, a snapshot round trip,
-// and a crafted snapshot whose times need not increase.
+// (including backwards and repeated times), Clear, a rebuild of both rings
+// from the retained samples, and a rebuild from crafted samples whose times
+// need not increase.
 func (p *ringPair) apply(op, arg byte) {
 	p.nops++
 	switch op % 16 {
@@ -104,19 +90,20 @@ func (p *ringPair) apply(op, arg byte) {
 		p.r.Clear()
 		p.ref.clear()
 	case 14:
-		p.label = "snapshot round trip"
-		p.restore(p.ref.snapshot())
+		p.label = "rebuild"
+		p.rebuild(p.ref.contents())
 	case 15:
-		p.label = "crafted snapshot"
-		s := RingSnapshot{Cap: p.r.Cap()}
+		p.label = "crafted rebuild"
+		var times []int64
+		var vals []float64
 		x := uint32(arg)*2654435761 + 1
 		for i := 0; i < int(arg)%(p.r.Cap()+3); i++ {
 			x = x*1103515245 + 12345
 			p.t += int64(x>>16)%5 - 2
-			s.Times = append(s.Times, p.t)
-			s.Vals = append(s.Vals, float64(x>>8)*0.125)
+			times = append(times, p.t)
+			vals = append(vals, float64(x>>8)*0.125)
 		}
-		p.restore(s)
+		p.rebuild(times, vals)
 	}
 	p.check()
 }
@@ -129,16 +116,15 @@ func (p *ringPair) push(step int64, arg byte) {
 	p.ref.push(p.t, v)
 }
 
-func (p *ringPair) restore(s RingSnapshot) {
-	r, err := RingFromSnapshot(s)
-	if err != nil {
-		p.tb.Fatal(err)
+// rebuild replaces both rings with new ones of the same capacity holding
+// the given samples, pushed oldest first: how a monitor installs a ring it
+// received.
+func (p *ringPair) rebuild(times []int64, vals []float64) {
+	p.r, p.ref = NewRing(p.r.Cap()), newTwoColumnRing(p.r.Cap())
+	for i := range times {
+		p.r.Push(times[i], vals[i])
+		p.ref.push(times[i], vals[i])
 	}
-	ref, err := twoColumnFromSnapshot(s)
-	if err != nil {
-		p.tb.Fatal(err)
-	}
-	p.r, p.ref = r, ref
 }
 
 func (p *ringPair) check() {
@@ -173,18 +159,14 @@ func (p *ringPair) check() {
 			fail("First = %d, want %d", r.First(), first)
 		}
 	}
-	snap := ref.snapshot()
-	if got := r.Snapshot(); got.Cap != snap.Cap || !slices.Equal(got.Times, snap.Times) ||
-		!slices.EqualFunc(got.Vals, snap.Vals, sameBits) || (got.Times == nil) != (snap.Times == nil) {
-		fail("Snapshot = %+v, want %+v", got, snap)
-	}
+	times, vals := ref.contents()
 	var start int64
 	if ref.size > 0 {
-		start = snap.Times[0]
+		start = times[0]
 	}
 	for _, s := range []*Series{r.Series(), r.SeriesInto(&p.dst)} {
-		if s.Start() != start || !slices.EqualFunc(s.Values(), snap.Vals, sameBits) {
-			fail("series start %d vals %v, want %d %v", s.Start(), s.Values(), start, snap.Vals)
+		if s.Start() != start || !slices.EqualFunc(s.Values(), vals, sameBits) {
+			fail("series start %d vals %v, want %d %v", s.Start(), s.Values(), start, vals)
 		}
 	}
 }

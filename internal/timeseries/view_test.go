@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"encoding/json"
 	"testing"
 )
 
@@ -118,47 +117,5 @@ func TestRingClear(t *testing.T) {
 	s := r.Series()
 	if s.Len() != 1 || s.Start() != 100 {
 		t.Fatalf("post-Clear push broken: %v", s)
-	}
-}
-
-func TestRingSnapshotRoundTrip(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 25; i++ { // wrap
-		r.Push(int64(i), float64(i)*1.5)
-	}
-	raw, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var snap RingSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	restored, err := RingFromSnapshot(snap)
-	if err != nil {
-		t.Fatalf("RingFromSnapshot: %v", err)
-	}
-	a, b := r.Series(), restored.Series()
-	if a.Start() != b.Start() || a.Len() != b.Len() {
-		t.Fatalf("restored (%d,%d) != original (%d,%d)", b.Start(), b.Len(), a.Start(), a.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
-			t.Fatalf("idx %d: %v != %v", i, b.At(i), a.At(i))
-		}
-	}
-	if restored.Cap() != r.Cap() {
-		t.Errorf("cap %d != %d", restored.Cap(), r.Cap())
-	}
-}
-
-func TestRingSnapshotRejectsMismatch(t *testing.T) {
-	if _, err := RingFromSnapshot(RingSnapshot{Cap: 4, Times: []int64{1}, Vals: nil}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	// Empty snapshot restores an empty usable ring.
-	r, err := RingFromSnapshot(RingSnapshot{Cap: 4})
-	if err != nil || r.Len() != 0 || r.Cap() != 4 {
-		t.Errorf("empty snapshot: r=%v err=%v", r, err)
 	}
 }
