@@ -1035,10 +1035,10 @@ func (m *Master) instrumentLocalize(tv int64, tenantName, app string, res *core.
 	}
 	sel := res.Stats.Select
 	reg.Histogram("fchain_selection_latency_ns", "Abnormal change point selection latency.").
-		MergeLog2(sel.Buckets[:], sel.Count, sel.SumNS, sel.MaxNS)
+		Merge(sel)
 	diag := res.Stats.Diagnose
 	reg.Histogram("fchain_diagnose_latency_ns", "Integrated diagnosis latency.").
-		MergeLog2(diag.Buckets[:], diag.Count, diag.SumNS, diag.MaxNS)
+		Merge(diag)
 	m.obs.Logger().Info("localize complete",
 		"tv", tv,
 		"verdict", res.Diagnosis.String(),

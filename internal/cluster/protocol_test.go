@@ -101,8 +101,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"reports","id":2,"reports":[{"component":"a"}]}`+"\n{"), uint16(3))
 	f.Add([]byte(`{"type":"analyze","tv":5,"budget_ms":100,"subtree":["a","b"]}`), uint16(2))
 	f.Add(bytes.Repeat([]byte("x"), 128), uint16(0xffff))
-	d := core.ReplDelta{Component: "db", Base: map[string]int64{"cpu": 30},
-		Samples: map[string][]core.ReplRun{"cpu": {{T0: 31, V: []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}}}}}
+	d := core.ReplDelta{Component: "db"}
+	d.Metrics[0].LastT, d.Metrics[0].HasLast = 30, true
+	d.Metrics[0].Runs = []core.ReplRun{{T0: 31, V: []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}}}
 	body, _ := d.AppendBinary(nil)
 	replicate := func(stateLen int) []byte {
 		return fmt.Appendf(nil, `{"type":"replicate","id":3,"slave":"s","component":"db","state_len":%d,"seq":9}`+"\n", stateLen)
@@ -191,14 +192,19 @@ func relayFrame(t testing.TB, env *envelope) *envelope {
 // newline.
 func TestWriteFrameStateVerbatim(t *testing.T) {
 	m := core.NewMonitor("db", core.Config{})
+	var d core.ReplDelta
+	floors := new(core.Floors)
 	for ts := int64(1); ts <= 40; ts++ {
 		if err := m.Observe(ts, metric.CPU, float64(ts)/3); err != nil {
 			t.Fatal(err)
 		}
+		if ts == 20 {
+			m.FrameInto(&d, floors)
+			d.AdvanceFloors(floors)
+		}
 	}
-	var d core.ReplDelta
-	if _, ok := m.DeltaInto(&d, map[string]int64{"cpu": 20}); !ok {
-		t.Fatal("DeltaInto fell off the incremental path")
+	if m.FrameInto(&d, floors); d.Full {
+		t.Fatal("FrameInto fell off the incremental path")
 	}
 	delta, err := d.AppendBinary(nil)
 	if err != nil {

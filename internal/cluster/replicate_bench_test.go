@@ -36,7 +36,9 @@ func BenchmarkModuleReplicate(b *testing.B) {
 	}
 	feed(1, history)
 	var base core.ReplDelta
-	floors, _, _ := primary.FrameInto(&base, nil)
+	floors := new(core.Floors)
+	primary.FrameInto(&base, floors)
+	base.AdvanceFloors(floors)
 	feed(history+1, history+tick)
 
 	var wire bufConn
@@ -63,8 +65,8 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		}
 		return frameBytes, got.State
 	}
+	var delta core.ReplDelta // the standby's, reused as its connection reuses one
 	apply := func(shadow *core.Monitor, state []byte) {
-		var delta core.ReplDelta
 		if err := core.DecodeDelta(state, &delta); err != nil {
 			b.Fatal(err)
 		}
@@ -91,8 +93,8 @@ func BenchmarkModuleReplicate(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if changed, ok := primary.DeltaInto(&d, floors); !changed || !ok {
-				b.Fatalf("DeltaInto = (%v, %v), want an incremental delta", changed, ok)
+			if _, changed := primary.FrameInto(&d, floors); !changed || d.Full {
+				b.Fatalf("FrameInto = (changed %v, full %v), want an incremental delta", changed, d.Full)
 			}
 			var err error
 			if enc, err = d.AppendBinary(enc[:0]); err != nil {
@@ -117,8 +119,8 @@ func BenchmarkModuleReplicate(b *testing.B) {
 		)
 		b.ReportAllocs()
 		for range b.N {
-			if full, _, changed := primary.FrameInto(&d, nil); full == nil || !changed {
-				b.Fatal("FrameInto(nil floors) built no full frame")
+			if _, changed := primary.FrameInto(&d, new(core.Floors)); !d.Full || !changed {
+				b.Fatal("FrameInto on fresh floors built no full frame")
 			}
 			payload, err := d.AppendBinary(nil)
 			if err != nil {

@@ -155,7 +155,7 @@ func mustJSON(t *testing.T, v any) []byte {
 func fullFrame(t testing.TB, m *core.Monitor) []byte {
 	t.Helper()
 	var d core.ReplDelta
-	m.FrameInto(&d, nil)
+	m.FrameInto(&d, new(core.Floors))
 	raw, err := d.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestOldOwnerFrameAcrossRebalance(t *testing.T) {
 
 	// The previous owner's frame, dequeued only now.
 	var full core.ReplDelta
-	core.NewMonitor(moved, core.Config{}).FrameInto(&full, nil)
+	core.NewMonitor(moved, core.Config{}).FrameInto(&full, new(core.Floors))
 	state, err := full.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ import (
 	"hash/crc32"
 	"os"
 
-	"fchain/internal/ingest"
 	"fchain/internal/markov"
+	"fchain/internal/metric"
 	"fchain/internal/obs"
 )
 
@@ -78,8 +78,9 @@ func (m *Monitor) LoadCheckpoint(path string) error {
 // decodeCheckpoint checks a checkpoint file's header and checksum and
 // decodes its body into d. It refuses a body SaveCheckpoint could not have
 // written, so that an accepted file saves back byte for byte: one that is
-// not a full frame or does not re-encode to itself, lists a fresh sanitizer
-// state, or holds an entry canonical refuses. The decoded runs alias raw.
+// not a full frame or does not re-encode to itself (a fresh sanitizer state
+// listed, say), or holds a metric canonical refuses. The decoded runs alias
+// raw.
 func decodeCheckpoint(raw []byte, d *ReplDelta) error {
 	if len(raw) < checkpointHeader || string(raw[:len(checkpointMagic)]) != checkpointMagic {
 		return errors.New("not a checkpoint file")
@@ -95,40 +96,35 @@ func decodeCheckpoint(raw []byte, d *ReplDelta) error {
 	if err := DecodeDelta(body, d); err != nil {
 		return err
 	}
-	if len(d.Full) == 0 {
+	if !d.Full {
 		return errors.New("body is an incremental frame, not a full one")
 	}
 	if again, _ := d.AppendBinary(nil); !bytes.Equal(again, body) {
 		return errors.New("body is not in the encoding SaveCheckpoint writes")
 	}
-	for name, st := range d.Sanitizers {
-		if st == (ingest.State{}) {
-			return fmt.Errorf("%s: fresh sanitizer state listed", name)
-		}
-	}
-	for i := range d.Full {
-		if err := d.Full[i].canonical(); err != nil {
-			return fmt.Errorf("%s: %v", d.Full[i].Metric, err)
+	for i, k := range metric.Kinds {
+		if err := d.Metrics[i].canonical(); err != nil {
+			return fmt.Errorf("%s: %v", k, err)
 		}
 	}
 	return nil
 }
 
-// canonical reports why f is not what fullInto writes for the state it
+// canonical reports why s is not what fullInto writes for the state it
 // would restore: two runs that meet without a gap, which a ring merges, or
 // a model that does not survive a restore unchanged. Neither harms a
 // monitor, so applyFull, which peers' frames also pass, does not check them.
-func (f *ReplMetric) canonical() error {
-	for i := 1; i < len(f.Samples); i++ {
-		if t := f.Samples[i].T0; t == f.Samples[i-1].last()+1 {
+func (s *ReplMetric) canonical() error {
+	for i := 1; i < len(s.Runs); i++ {
+		if t := s.Runs[i].T0; t == s.Runs[i-1].last()+1 {
 			return fmt.Errorf("runs meet at t=%d without a gap", t)
 		}
 	}
-	p, err := markov.FromSnapshot(f.Model)
+	p, err := markov.FromSnapshot(s.Model)
 	if err != nil {
 		return fmt.Errorf("model: %v", err)
 	}
-	if !bytes.Equal(appendModel(nil, p.Snapshot()), appendModel(nil, f.Model)) {
+	if !bytes.Equal(appendModel(nil, p.Snapshot()), appendModel(nil, s.Model)) {
 		return errors.New("model does not re-encode to its own bytes")
 	}
 	return nil

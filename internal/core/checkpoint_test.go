@@ -105,7 +105,7 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 	if !bytes.Equal(before, frameBytes(t, web)) {
 		t.Error("refused checkpoint changed the monitor")
 	}
-	assertRestoreRejects(t, func(d *ReplDelta) { d.Full[0].Metric = "bogus_metric" })
+	assertRestoreRejectsBody(t, func(p *fullParts) { p.names[0] = "bogus_metric" })
 	if err := m.ApplyDelta(nil); err == nil {
 		t.Error("nil frame accepted")
 	}
@@ -223,7 +223,7 @@ func TestCheckpointFormatPinned(t *testing.T) {
 		}
 	}
 
-	floors := map[string]int64{"cpu": 103, "memory": 135, "disk_read": 127, "net_in": 117}
+	floors := floorsOf(map[string]int64{"cpu": 103, "memory": 135, "disk_read": 127, "net_in": 117})
 	var d ReplDelta
 	if changed, ok := m.DeltaInto(&d, floors); !changed || !ok {
 		t.Fatalf("DeltaInto changed=%v ok=%v, want true true", changed, ok)
@@ -236,15 +236,18 @@ func TestCheckpointFormatPinned(t *testing.T) {
 		"net_out":    nil,
 		"disk_write": nil,
 	}
-	if !reflect.DeepEqual(d.Samples, want) {
-		t.Errorf("DeltaInto samples = %v, want %v", d.Samples, want)
-	}
-	if !reflect.DeepEqual(d.Base, floors) {
-		t.Errorf("DeltaInto base = %v, want %v", d.Base, floors)
+	for i, k := range metric.Kinds {
+		s := &d.Metrics[i]
+		if !reflect.DeepEqual(s.Runs, want[k.String()]) {
+			t.Errorf("DeltaInto %s samples = %v, want %v", k, s.Runs, want[k.String()])
+		}
+		if s.HasLast != floors.has[i] || s.LastT != floors.t[i] {
+			t.Errorf("DeltaInto %s base = %d (present %v), want the floor", k, s.LastT, s.HasLast)
+		}
 	}
 	d.AdvanceFloors(floors)
-	if want := map[string]int64{"cpu": 115, "memory": 139, "disk_read": 149, "net_in": 119}; !reflect.DeepEqual(floors, want) {
-		t.Errorf("advanced floors = %v, want %v", floors, want)
+	if got, want := floorMap(floors), map[string]int64{"cpu": 115, "memory": 139, "disk_read": 149, "net_in": 119}; !reflect.DeepEqual(got, want) {
+		t.Errorf("advanced floors = %v, want %v", got, want)
 	}
 }
 
@@ -256,9 +259,27 @@ func assertRestoreRejects(t *testing.T, bend func(d *ReplDelta)) {
 	var d ReplDelta
 	trainedMonitor(t, -1).fullInto(&d)
 	bend(&d)
+	assertRestoreRefuses(t, wireBytes(t, &d))
+}
+
+// assertRestoreRejectsBody is assertRestoreRejects for the parts of a body
+// a ReplDelta cannot hold.
+func assertRestoreRejectsBody(t *testing.T, bend func(p *fullParts)) {
+	t.Helper()
+	var d ReplDelta
+	trainedMonitor(t, -1).fullInto(&d)
+	p := splitFull(t, &d)
+	bend(p)
+	assertRestoreRefuses(t, p.join(&d))
+}
+
+// assertRestoreRefuses requires loading a checkpoint of body to fail
+// without touching the target monitor.
+func assertRestoreRefuses(t *testing.T, body []byte) {
+	t.Helper()
 	target := NewMonitor("db", DefaultConfig())
 	before := frameBytes(t, target)
-	if err := loadBytes(target, sealCheckpoint(wireBytes(t, &d))); err == nil {
+	if err := loadBytes(target, sealCheckpoint(body)); err == nil {
 		t.Fatal("a checkpoint holding a history Observe could not have built was accepted")
 	}
 	if !bytes.Equal(before, frameBytes(t, target)) {
@@ -267,29 +288,28 @@ func assertRestoreRejects(t *testing.T, bend func(d *ReplDelta)) {
 }
 
 // cpuEntry returns the cpu entry of a full frame.
-func cpuEntry(d *ReplDelta) *ReplMetric { return &d.Full[slices.Index(metric.Kinds, metric.CPU)] }
+func cpuEntry(d *ReplDelta) *ReplMetric { return &d.Metrics[slices.Index(metric.Kinds, metric.CPU)] }
 
 func TestRestoreRejectsUnorderedSampleTimes(t *testing.T) {
 	assertRestoreRejects(t, func(d *ReplDelta) {
 		f := cpuEntry(d)
 		// The first sample moved after the rest, in both rings.
-		s, e := f.Samples[0], f.Errs[0]
-		f.Samples = []ReplRun{{T0: s.T0 + 1, V: s.V[8:]}, {T0: s.T0, V: s.V[:8]}}
-		f.Errs = []ReplRun{{T0: e.T0 + 1, V: e.V[8:]}, {T0: e.T0, V: e.V[:8]}}
-		*f.LastT = s.T0
+		r := f.Runs[0]
+		f.Runs = []ReplRun{{T0: r.T0 + 1, V: r.V[8:], E: r.E[8:]}, {T0: r.T0, V: r.V[:8], E: r.E[:8]}}
+		f.LastT = r.T0
 	})
 }
 
 func TestRestoreRejectsMisalignedErrorTimes(t *testing.T) {
-	assertRestoreRejects(t, func(d *ReplDelta) { cpuEntry(d).Errs[0].T0-- })
+	assertRestoreRejectsBody(t, func(p *fullParts) { p.errs[0][0].T0-- })
 }
 
 func TestRestoreRejectsStaleLastT(t *testing.T) {
-	assertRestoreRejects(t, func(d *ReplDelta) { *cpuEntry(d).LastT -= 100 })
+	assertRestoreRejects(t, func(d *ReplDelta) { cpuEntry(d).LastT -= 100 })
 }
 
 func TestRestoreRejectsMissingLastT(t *testing.T) {
-	assertRestoreRejects(t, func(d *ReplDelta) { cpuEntry(d).LastT = nil })
+	assertRestoreRejects(t, func(d *ReplDelta) { cpuEntry(d).HasLast = false })
 }
 
 // TestCheckpointEnvelopePinned refuses the version-1 fixture, an earlier

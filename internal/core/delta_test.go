@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -58,6 +57,54 @@ func wireBytes(t testing.TB, d *ReplDelta) []byte {
 	return raw
 }
 
+// shipped returns the floors a standby holds once frame d arrives on a
+// channel that has shipped nothing.
+func shipped(d *ReplDelta) *Floors {
+	floors := new(Floors)
+	d.AdvanceFloors(floors)
+	return floors
+}
+
+// floorsOf returns live floors at the listed metrics' timestamps.
+func floorsOf(at map[string]int64) *Floors {
+	f := &Floors{live: true}
+	for i, k := range metric.Kinds {
+		f.t[i], f.has[i] = at[k.String()]
+	}
+	return f
+}
+
+// floorsAt returns live floors at ts for every metric.
+func floorsAt(ts int64) *Floors {
+	at := map[string]int64{}
+	for _, k := range metric.Kinds {
+		at[k.String()] = ts
+	}
+	return floorsOf(at)
+}
+
+// floorMap lists f's floors by metric name.
+func floorMap(f *Floors) map[string]int64 {
+	at := map[string]int64{}
+	for i, k := range metric.Kinds {
+		if f.has[i] {
+			at[k.String()] = f.t[i]
+		}
+	}
+	return at
+}
+
+// incrementalAt returns an incremental frame for component c whose every
+// metric's base is ts, with runs on cpu.
+func incrementalAt(ts int64, cpu ...ReplRun) *ReplDelta {
+	d := &ReplDelta{Component: "c"}
+	for i := range d.Metrics {
+		d.Metrics[i].LastT, d.Metrics[i].HasLast = ts, true
+	}
+	d.Metrics[0].Runs = cpu
+	return d
+}
+
 // overWire returns what a standby decodes from d's encoding.
 func overWire(t testing.TB, d *ReplDelta) *ReplDelta {
 	t.Helper()
@@ -83,7 +130,8 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 		feedAll(t, primary, ts)
 	}
 	var full ReplDelta
-	floors, _, _ := primary.FrameInto(&full, nil)
+	primary.FrameInto(&full, new(Floors))
+	floors := shipped(&full)
 	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatalf("full apply: %v", err)
 	}
@@ -123,27 +171,50 @@ func TestReplDeltaRoundTrip(t *testing.T) {
 // and the cause FrameInto names for each.
 func TestReplDeltaFullFallbacks(t *testing.T) {
 	cfg := Config{RingCapacity: 8}
-	causes := func(t *testing.T, m *Monitor, floors map[string]int64, want FullCause) {
+	causes := func(t *testing.T, m *Monitor, floors *Floors, want FullCause) {
 		t.Helper()
 		var d ReplDelta
-		if full, cause, _ := m.FrameInto(&d, floors); full == nil || cause != want {
-			t.Fatalf("FrameInto built a full frame %v with cause %q, want one with %q", full != nil, cause, want)
+		if cause, _ := m.FrameInto(&d, floors); !d.Full || cause != want {
+			t.Fatalf("FrameInto built a full frame %v with cause %q, want one with %q", d.Full, cause, want)
 		}
+	}
+	full := func(m *Monitor) *ReplDelta {
+		var d ReplDelta
+		m.fullInto(&d)
+		return &d
 	}
 
 	t.Run("nil floors", func(t *testing.T) {
 		m := NewMonitor("c", cfg)
 		feedAll(t, m, 1)
 		var d ReplDelta
-		if _, ok := m.DeltaInto(&d, nil); ok {
+		if _, ok := m.DeltaInto(&d, new(Floors)); ok {
 			t.Fatal("nil floors must force a full ship")
 		}
-		causes(t, m, nil, FullFirst)
+		causes(t, m, new(Floors), FullFirst)
+	})
+
+	t.Run("forgotten floors", func(t *testing.T) {
+		m := NewMonitor("c", cfg)
+		feedAll(t, m, 1)
+		floors := shipped(full(m))
+		floors.Forget(FullNAK)
+		floors.Forget(FullReset) // already forgotten: the first cause stands
+		causes(t, m, floors, FullNAK)
+		var d ReplDelta
+		incremental := *full(m)
+		incremental.Full = false
+		incremental.AdvanceFloors(floors) // an incremental frame cannot bring them back
+		causes(t, m, floors, FullNAK)
+		full(m).AdvanceFloors(floors)
+		if _, ok := m.DeltaInto(&d, floors); !ok {
+			t.Fatal("a full frame's floors must reopen the incremental path")
+		}
 	})
 
 	t.Run("first samples since last ship", func(t *testing.T) {
 		m := NewMonitor("c", cfg)
-		floors := map[string]int64{} // shipped while the monitor was empty
+		floors := shipped(full(m)) // shipped while the monitor was empty
 		feedAll(t, m, 1)
 		var d ReplDelta
 		if _, ok := m.DeltaInto(&d, floors); ok {
@@ -155,10 +226,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 	t.Run("eviction past the floor", func(t *testing.T) {
 		m := NewMonitor("c", cfg)
 		feedAll(t, m, 1)
-		floors := make(map[string]int64)
-		for _, k := range metric.Kinds {
-			floors[k.String()] = 1
-		}
+		floors := shipped(full(m))
 		// RingCapacity is 8: twenty more samples evict t=2, the first sample
 		// past the floor.
 		for ts := int64(2); ts <= 21; ts++ {
@@ -174,10 +242,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 	t.Run("floor ahead of the monitor", func(t *testing.T) {
 		m := NewMonitor("c", cfg)
 		feedAll(t, m, 5)
-		floors := make(map[string]int64)
-		for _, k := range metric.Kinds {
-			floors[k.String()] = 9 // claims a ship the monitor never saw
-		}
+		floors := floorsAt(9) // claims a ship the monitor never saw
 		var d ReplDelta
 		if _, ok := m.DeltaInto(&d, floors); ok {
 			t.Fatal("a floor ahead of the monitor's history must force a full ship")
@@ -187,7 +252,7 @@ func TestReplDeltaFullFallbacks(t *testing.T) {
 }
 
 // TestReplDeltaApplyRejectsGaps pins the standby-side safety net: a delta
-// whose Base precondition does not match the shadow's state is refused with
+// whose base precondition does not match the shadow's state is refused with
 // ErrReplGap before any mutation, so a NAK-and-full-resend always recovers.
 func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 	cfg := Config{}
@@ -199,18 +264,10 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 		}
 		return m
 	}
-	baseAt := func(ts int64) map[string]int64 {
-		out := make(map[string]int64)
-		for _, k := range metric.Kinds {
-			out[k.String()] = ts
-		}
-		return out
-	}
 
 	t.Run("empty shadow, incremental delta", func(t *testing.T) {
 		shadow := NewMonitor("c", cfg)
-		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(10),
-			Samples: map[string][]ReplRun{"cpu": {bitsRun(11, 1)}}})
+		err := shadow.ApplyDelta(incrementalAt(10, bitsRun(11, 1)))
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
@@ -219,8 +276,7 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 	t.Run("base behind the shadow", func(t *testing.T) {
 		shadow := build(10)
 		before := frameBytes(t, shadow)
-		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(5),
-			Samples: map[string][]ReplRun{"cpu": {bitsRun(6, 1)}}})
+		err := shadow.ApplyDelta(incrementalAt(5, bitsRun(6, 1)))
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
@@ -231,7 +287,7 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 
 	t.Run("base ahead of the shadow", func(t *testing.T) {
 		shadow := build(10)
-		err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: baseAt(20)})
+		err := shadow.ApplyDelta(incrementalAt(20))
 		if !errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want ErrReplGap", err)
 		}
@@ -239,7 +295,9 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 
 	t.Run("wrong component", func(t *testing.T) {
 		shadow := build(3)
-		err := shadow.ApplyDelta(&ReplDelta{Component: "other", Base: baseAt(3)})
+		d := incrementalAt(3)
+		d.Component = "other"
+		err := shadow.ApplyDelta(d)
 		if err == nil || errors.Is(err, ErrReplGap) {
 			t.Fatalf("err = %v, want a non-gap component mismatch", err)
 		}
@@ -251,12 +309,14 @@ func TestReplDeltaApplyRejectsGaps(t *testing.T) {
 // refused with ErrReplGap and leaves the shadow untouched, although the
 // metrics before it carry good runs.
 func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
-	last := metric.Kinds[len(metric.Kinds)-1].String()
-	good := map[string][]ReplRun{}
-	base := map[string]int64{}
-	for _, k := range metric.Kinds {
-		good[k.String()] = []ReplRun{bitsRun(11, 1, 2)}
-		base[k.String()] = 10
+	last := len(metric.Kinds) - 1
+	good := func(lastRuns ...ReplRun) *ReplDelta {
+		d := incrementalAt(10)
+		for i := range d.Metrics {
+			d.Metrics[i].Runs = []ReplRun{bitsRun(11, 1, 2)}
+		}
+		d.Metrics[last].Runs = lastRuns
+		return d
 	}
 	nan := bitsRun(11, 1)
 	binary.LittleEndian.PutUint64(nan.V, 0x7ff8000000000001)
@@ -280,9 +340,7 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 				feedAll(t, shadow, ts)
 			}
 			before := frameBytes(t, shadow)
-			samples := maps.Clone(good)
-			samples[last] = tc.runs
-			err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples})
+			err := shadow.ApplyDelta(good(tc.runs...))
 			if !errors.Is(err, ErrReplGap) {
 				t.Fatalf("err = %v, want ErrReplGap", err)
 			}
@@ -298,14 +356,9 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 			feedAll(t, primary, ts)
 			feedAll(t, shadow, ts)
 		}
-		samples := maps.Clone(good)
-		samples[last] = []ReplRun{bitsRun(11, 1, 2), bitsRun(20, 3)}
-		for name, runs := range samples {
-			k, err := metric.ParseKind(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range runs {
+		d := good(bitsRun(11, 1, 2), bitsRun(20, 3))
+		for i, k := range metric.Kinds {
+			for _, r := range d.Metrics[i].Runs {
 				for i := range r.n() {
 					if err := primary.Observe(r.T0+int64(i), k, r.value(i)); err != nil {
 						t.Fatal(err)
@@ -313,7 +366,7 @@ func TestReplDeltaApplyRejectsBadRuns(t *testing.T) {
 				}
 			}
 		}
-		if err := shadow.ApplyDelta(&ReplDelta{Component: "c", Base: base, Samples: samples}); err != nil {
+		if err := shadow.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(frameBytes(t, primary), frameBytes(t, shadow)) {
@@ -339,7 +392,8 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 		feedAll(t, primary, ts)
 	}
 	var full ReplDelta
-	floors, _, _ := primary.FrameInto(&full, nil)
+	primary.FrameInto(&full, new(Floors))
+	floors := shipped(&full)
 	if err := shadow.ApplyDelta(&full); err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +458,10 @@ func pinnedMonitor(t *testing.T) (*Monitor, Config) {
 	if err := decodeCheckpoint(raw, &d); err != nil {
 		t.Fatal(err)
 	}
-	cpu := cpuEntry(&d)
-	for _, runs := range [][]ReplRun{cpu.Samples, cpu.Errs} {
-		first, last := runs[0].V, runs[len(runs)-1].V
+	runs := cpuEntry(&d).Runs
+	first, last := &runs[0], &runs[len(runs)-1]
+	for _, bits := range [][2][]byte{{first.V, last.V}, {first.E, last.E}} {
+		first, last := bits[0], bits[1]
 		binary.LittleEndian.PutUint64(first, math.Float64bits(math.Copysign(0, -1)))
 		binary.LittleEndian.PutUint64(first[8:], math.Float64bits(math.SmallestNonzeroFloat64))
 		binary.LittleEndian.PutUint64(last[len(last)-8:], math.Float64bits(math.SmallestNonzeroFloat64))
@@ -438,12 +493,12 @@ func receive(shadow *Monitor, raw []byte) error {
 func TestReplFullFrameEquivalence(t *testing.T) {
 	primary, cfg := pinnedMonitor(t)
 	var d ReplDelta
-	floors, cause, changed := primary.FrameInto(&d, nil)
-	if !changed || len(d.Full) != metric.NumKinds || cause != FullFirst {
-		t.Fatalf("FrameInto(nil floors) = changed %v, cause %q with %d metrics, want a first full frame",
-			changed, cause, len(d.Full))
+	cause, changed := primary.FrameInto(&d, new(Floors))
+	if !changed || !d.Full || cause != FullFirst {
+		t.Fatalf("FrameInto(nil floors) = changed %v, cause %q, full %v, want a first full frame",
+			changed, cause, d.Full)
 	}
-	if want := map[string]int64{"cpu": 115, "disk_read": 149, "memory": 139, "net_in": 119}; !reflect.DeepEqual(floors, want) {
+	if floors, want := floorMap(shipped(&d)), map[string]int64{"cpu": 115, "disk_read": 149, "memory": 139, "net_in": 119}; !reflect.DeepEqual(floors, want) {
 		t.Errorf("full frame floors = %v, want %v", floors, want)
 	}
 	raw := wireBytes(t, &d)
@@ -510,7 +565,7 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 
 	for _, m := range []*Monitor{primary, NewMonitor("db", cfg)} {
 		var d ReplDelta
-		m.FrameInto(&d, nil)
+		m.FrameInto(&d, new(Floors))
 		var old map[string]any
 		if err := json.Unmarshal(wireBytes(t, &d), &old); err == nil {
 			t.Errorf("a JSON decoder reads this version's full frame as %v", old)
@@ -519,51 +574,55 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 }
 
 // TestReplFullFrameRejects bends one part of a valid full frame at a time:
-// each must be refused with ErrReplGap and leave the shadow untouched.
+// each must be refused with ErrReplGap and leave the shadow untouched. A
+// part a ReplDelta cannot hold — a metric's name or position, error run
+// times, incremental sections beside the full state — is bent in the body
+// the standby receives, the rest in memory.
 func TestReplFullFrameRejects(t *testing.T) {
 	primary := NewMonitor("c", Config{})
 	for ts := int64(1); ts <= 30; ts++ {
 		feedAll(t, primary, ts)
 	}
-	cpu := func(d *ReplDelta) *ReplMetric {
-		for i := range d.Full {
-			if d.Full[i].Metric == "cpu" {
-				return &d.Full[i]
-			}
-		}
-		t.Fatal("full frame has no cpu entry")
-		return nil
-	}
 	for _, tc := range []struct {
 		name string
 		bend func(d *ReplDelta)
+		body func(p *fullParts)
 	}{
-		{"ragged error run", func(d *ReplDelta) { f := cpu(d); f.Errs[0].V = f.Errs[0].V[:12] }},
-		{"error times off the sample times", func(d *ReplDelta) { cpu(d).Errs[0].T0++ }},
-		{"sample run overflowing the timestamp", func(d *ReplDelta) { cpu(d).Samples[0].T0 = math.MaxInt64 - 1 }},
-		{"non-finite sample", func(d *ReplDelta) {
-			binary.LittleEndian.PutUint64(cpu(d).Samples[0].V, math.Float64bits(math.Inf(1)))
+		{name: "ragged error run", bend: func(d *ReplDelta) { f := cpuEntry(d); f.Runs[0].E = f.Runs[0].E[:12] }},
+		{name: "error times off the sample times", body: func(p *fullParts) { p.errs[0][0].T0++ }},
+		{name: "sample run overflowing the timestamp", bend: func(d *ReplDelta) { cpuEntry(d).Runs[0].T0 = math.MaxInt64 - 1 }},
+		{name: "non-finite sample", bend: func(d *ReplDelta) {
+			binary.LittleEndian.PutUint64(cpuEntry(d).Runs[0].V, math.Float64bits(math.Inf(1)))
 		}},
-		{"last_t behind the newest sample", func(d *ReplDelta) { *cpu(d).LastT-- }},
-		{"samples without last_t", func(d *ReplDelta) { cpu(d).LastT = nil }},
-		{"missing model", func(d *ReplDelta) { cpu(d).Model = nil }},
-		{"unknown metric", func(d *ReplDelta) { cpu(d).Metric = "gpu" }},
-		{"metric twice", func(d *ReplDelta) { d.Full[len(d.Full)-1] = *cpu(d) }},
-		{"incremental samples beside it", func(d *ReplDelta) {
-			d.Base = map[string]int64{"cpu": 30}
-			d.Samples = map[string][]ReplRun{"cpu": {bitsRun(31, 1)}}
+		{name: "last_t behind the newest sample", bend: func(d *ReplDelta) { cpuEntry(d).LastT-- }},
+		{name: "samples without last_t", bend: func(d *ReplDelta) { cpuEntry(d).HasLast = false }},
+		{name: "missing model", bend: func(d *ReplDelta) { cpuEntry(d).Model = nil }},
+		{name: "unknown metric", body: func(p *fullParts) { p.names[0] = "gpu" }},
+		{name: "metric twice", body: func(p *fullParts) { p.names[len(p.names)-1] = "cpu" }},
+		{name: "metric missing", body: func(p *fullParts) { p.names = p.names[:len(p.names)-1] }},
+		{name: "incremental samples beside it", body: func(p *fullParts) {
+			p.tail = append([]byte{1, 0, 60, 1, 0}, appendRunsBinary(nil, []ReplRun{bitsRun(31, 1)}, false)...)
+			p.tail = append(p.tail, 0)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var d ReplDelta
-			primary.FrameInto(&d, nil)
-			tc.bend(&d)
+			primary.FrameInto(&d, new(Floors))
 			shadow := NewMonitor("c", Config{})
 			for ts := int64(1); ts <= 10; ts++ {
 				feedAll(t, shadow, ts)
 			}
 			before := frameBytes(t, shadow)
-			if err := shadow.ApplyDelta(&d); !errors.Is(err, ErrReplGap) {
+			var err error
+			if tc.bend != nil {
+				tc.bend(&d)
+				err = shadow.ApplyDelta(&d)
+			} else {
+				p := splitFull(t, &d)
+				tc.body(p)
+				err = receive(shadow, p.join(&d))
+			}
+			if !errors.Is(err, ErrReplGap) {
 				t.Fatalf("err = %v, want ErrReplGap", err)
 			}
 			if !bytes.Equal(before, frameBytes(t, shadow)) {
@@ -582,10 +641,7 @@ func TestReplDeltaSteadyStateAllocs(t *testing.T) {
 	for ts := int64(1); ts <= 100; ts++ {
 		feedAll(t, m, ts)
 	}
-	floors := make(map[string]int64)
-	for _, k := range metric.Kinds {
-		floors[k.String()] = 60 // every tick re-extracts the same 40-sample tail
-	}
+	floors := floorsAt(60) // every tick re-extracts the same 40-sample tail
 	var d ReplDelta
 	if changed, ok := m.DeltaInto(&d, floors); !changed || !ok {
 		t.Fatalf("warm-up DeltaInto = (%v, %v), want (true, true)", changed, ok)
@@ -621,7 +677,8 @@ func TestSanitizerStateTravels(t *testing.T) {
 		ingestAll(twin, ts)
 	}
 	var frame ReplDelta
-	floors, _, _ := twin.FrameInto(&frame, nil)
+	twin.FrameInto(&frame, new(Floors))
+	floors := shipped(&frame)
 	full := overWire(t, &frame)
 	restored := NewMonitor("c", Config{})
 	if err := loadBytes(restored, twin.encodeCheckpoint()); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -32,7 +31,8 @@ func FuzzApplyDelta(f *testing.F) {
 		feedAll(f, primary, ts)
 	}
 	var base ReplDelta
-	floors := primary.fullInto(&base)
+	primary.fullInto(&base)
+	floors := shipped(&base)
 	for ; ts <= 34; ts++ {
 		feedAll(f, primary, ts)
 	}
@@ -43,43 +43,41 @@ func FuzzApplyDelta(f *testing.F) {
 	// Malformed and edge-case runs on cpu, the rest of inc unchanged: ragged
 	// value bytes, a run ending exactly at MaxInt64, one that would run past
 	// it, and two runs across a gap.
-	withCPU := func(runs ...ReplRun) *ReplDelta {
+	withCPU := func(runs ...ReplRun) []byte {
 		d := inc
-		d.Samples = maps.Clone(inc.Samples)
-		d.Samples["cpu"] = runs
-		return &d
+		d.Metrics[0].Runs = runs
+		return wireBytes(f, &d)
 	}
-	cpu := inc.Samples["cpu"][0]
+	cpu := inc.Metrics[0].Runs[0]
 	// Full frames, whole and with cpu's entry bent: a ragged error-ring
 	// run, error times one second off the sample times, a sample run
-	// overflowing the timestamp, and last_t with no runs at all.
-	fullWith := func(bend func(f *ReplMetric)) *ReplDelta {
+	// overflowing the timestamp, last_t with no runs at all, and a metric
+	// this version does not know, which the decoder refuses.
+	fullWith := func(bend func(s *ReplMetric), bendBody func(p *fullParts)) []byte {
 		var d ReplDelta
-		primary.FrameInto(&d, nil)
-		for i := range d.Full {
-			if d.Full[i].Metric == "cpu" {
-				bend(&d.Full[i])
-			}
-		}
-		return &d
+		primary.FrameInto(&d, new(Floors))
+		bend(cpuEntry(&d))
+		p := splitFull(f, &d)
+		bendBody(p)
+		return p.join(&d)
 	}
-	seeds := []*ReplDelta{
-		fullWith(func(*ReplMetric) {}),
-		fullWith(func(f *ReplMetric) { f.Errs[0].V = f.Errs[0].V[:len(f.Errs[0].V)-3] }),
-		fullWith(func(f *ReplMetric) { f.Errs[0].T0++ }),
-		fullWith(func(f *ReplMetric) { f.Samples[0].T0 = math.MaxInt64 - 1 }),
-		fullWith(func(f *ReplMetric) { f.Samples, f.Errs = nil, nil }),
-		&inc,
+	same := func(*ReplMetric) {}
+	whole := func(*fullParts) {}
+	seeds := [][]byte{
+		fullWith(same, whole),
+		fullWith(func(s *ReplMetric) { s.Runs[0].E = s.Runs[0].E[:len(s.Runs[0].E)-3] }, whole),
+		fullWith(same, func(p *fullParts) { p.errs[0][0].T0++ }),
+		fullWith(func(s *ReplMetric) { s.Runs[0].T0 = math.MaxInt64 - 1 }, whole),
+		fullWith(func(s *ReplMetric) { s.Runs = nil }, whole),
+		wireBytes(f, &inc),
 		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:len(cpu.V)-3]}),
 		withCPU(ReplRun{T0: math.MaxInt64 - int64(cpu.n()-1), V: cpu.V}),
 		withCPU(ReplRun{T0: math.MaxInt64 - 1, V: cpu.V}),
 		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:16]}, ReplRun{T0: cpu.T0 + 5, V: cpu.V[16:]}),
-		// A full frame naming a metric this version does not know: the
-		// encoding carries it, Restore refuses it.
-		fullWith(func(f *ReplMetric) { f.Metric = "gpu" }),
+		fullWith(same, func(p *fullParts) { p.names[0] = "gpu" }),
 	}
-	for _, d := range seeds {
-		f.Add(wireBytes(f, d))
+	for _, seed := range seeds {
+		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -163,7 +161,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for ts := int64(1); ts <= 20; ts++ {
 		feedAll(f, primary, ts)
 	}
-	floors := primary.fullInto(&ReplDelta{})
+	var base ReplDelta
+	primary.fullInto(&base)
+	floors := shipped(&base)
 	for ts := int64(21); ts <= 24; ts++ {
 		feedAll(f, primary, ts)
 	}
@@ -217,9 +217,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // overCapacity reports whether a full frame holds a ring of more than
 // capacity samples.
 func overCapacity(d *ReplDelta, capacity int) bool {
-	for i := range d.Full {
+	for i := range d.Metrics {
 		n := 0
-		for _, r := range d.Full[i].Samples {
+		for _, r := range d.Metrics[i].Runs {
 			n += r.n()
 		}
 		if n > capacity {

@@ -26,7 +26,7 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		subject, twin := NewMonitor("c", cfg), NewMonitor("c", cfg)
 		var shadow *Monitor
-		var floors map[string]int64
+		var floors *Floors
 		var d ReplDelta
 		var level [metric.NumKinds + 1]float64
 		var moves, ships, promotions, longGaps int
@@ -60,17 +60,13 @@ func TestMonitorStateIsPureFunctionOfSamples(t *testing.T) {
 		ship := func() {
 			t.Helper()
 			if shadow == nil {
-				shadow, floors = NewMonitor("c", cfg), nil
+				shadow, floors = NewMonitor("c", cfg), new(Floors)
 			}
-			full, _, _ := subject.FrameInto(&d, floors)
+			subject.FrameInto(&d, floors)
 			if err := shadow.ApplyDelta(overWire(t, &d)); err != nil {
 				t.Fatalf("seed %d t=%d: apply: %v", seed, ts, err)
 			}
-			if full != nil {
-				floors = full
-			} else {
-				d.AdvanceFloors(floors)
-			}
+			d.AdvanceFloors(floors)
 			ships++
 		}
 

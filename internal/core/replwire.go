@@ -6,7 +6,7 @@ package core
 //	body       = format component full base samples sanitizers
 //	format     = u8 1
 //	component  = string
-//	full       = uvarint n (≤ 6), n × (string metric, opt model, opt varint last_t, runs samples, runs errs)
+//	full       = uvarint n (0 or 6), n × (string metric, opt model, opt varint last_t, runs samples, runs errs)
 //	base       = uvarint n (≤ 6), n × (u8 kind, varint t)
 //	samples    = uvarint n (≤ 6), n × (u8 kind, runs)
 //	sanitizers = uvarint n (≤ 6), n × (u8 kind, state)
@@ -21,16 +21,20 @@ package core
 //	opt x      = bool present, x if present
 //	bool       = u8 0 or 1;  f64 = 8 bytes of IEEE-754 bits;  kind = index into metric.Kinds
 //
-// The map sections are written in metric.Kinds order, so one delta always
-// encodes to the same bytes. The format byte is not one a JSON text can
-// begin with: a peer of the previous version, whose replicate frames were a
-// single JSON line, reads a body as its next frame, fails to parse it and
-// drops the connection, so it never applies part of a frame.
+// A full frame lists every metric by name in metric.Kinds order, with errs
+// runs at its samples runs' times, and empty base and samples sections; an
+// incremental frame lists every metric in samples. Sections are written in
+// metric.Kinds order, fresh sanitizer states omitted, so one frame always
+// encodes to the same bytes. The format byte is not one a JSON
+// text can begin with: a peer of the previous version, whose replicate
+// frames were a single JSON line, reads a body as its next frame, fails to
+// parse it and drops the connection, so it never applies part of a frame.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"fchain/internal/ingest"
 	"fchain/internal/markov"
@@ -41,44 +45,85 @@ import (
 const replFormat byte = 1
 
 // AppendBinary appends d's wire encoding to b, implementing
-// encoding.BinaryAppender. Map entries keyed by a name outside
-// metric.Kinds, which ApplyDelta ignores, are not encoded; nothing else is
-// dropped, so a malformed delta encodes to a body that fails as it would
-// have in memory. It never returns an error.
+// encoding.BinaryAppender. Nothing is checked or dropped, so a malformed
+// frame encodes to a body that fails as it would have in memory. It never
+// returns an error. A keyed section lists at most six entries, so its count
+// is one byte, counted up as the entries are written.
 func (d *ReplDelta) AppendBinary(b []byte) ([]byte, error) {
-	b = append(b, replFormat)
-	b = appendString(b, d.Component)
-	b = binary.AppendUvarint(b, uint64(len(d.Full)))
-	for i := range d.Full {
-		b = d.Full[i].appendBinary(b)
+	b = appendString(append(b, replFormat), d.Component)
+	if d.Full {
+		b = append(b, metric.NumKinds)
+		for i, k := range metric.Kinds {
+			s := &d.Metrics[i]
+			if b = appendBool(appendString(b, k.String()), s.Model != nil); s.Model != nil {
+				b = appendModel(b, s.Model)
+			}
+			if b = appendBool(b, s.HasLast); s.HasLast {
+				b = binary.AppendVarint(b, s.LastT)
+			}
+			b = appendRunsBinary(appendRunsBinary(b, s.Runs, false), s.Runs, true)
+		}
+		b = append(b, 0, 0) // no base, no samples
+	} else {
+		base := len(b) + 1
+		b = append(b, 0, 0) // no full state, and the base count
+		for i := range d.Metrics {
+			if s := &d.Metrics[i]; s.HasLast {
+				b = binary.AppendVarint(append(b, byte(i)), s.LastT)
+				b[base]++
+			}
+		}
+		b = append(b, metric.NumKinds)
+		for i := range d.Metrics {
+			b = appendRunsBinary(append(b, byte(i)), d.Metrics[i].Runs, false)
+		}
 	}
-	b = appendByKind(b, d.Base, binary.AppendVarint)
-	b = appendByKind(b, d.Samples, appendRunsBinary)
-	return appendByKind(b, d.Sanitizers, appendState), nil
+	sanitizers := len(b)
+	b = append(b, 0)
+	for i := range d.Metrics {
+		if s := &d.Metrics[i]; s.Sanitizer != (ingest.State{}) {
+			b = appendState(append(b, byte(i)), s.Sanitizer)
+			b[sanitizers]++
+		}
+	}
+	return b, nil
 }
 
-// DecodeDelta decodes one replication body into d, replacing its contents.
-// The decoded runs alias raw, which the caller must not modify while d is
-// in use. A body this version cannot decode — truncated, with trailing
-// bytes, a count larger than the bytes left, or a previous version's JSON
-// payload — is refused with ErrReplGap like any other frame the shadow
-// cannot apply.
+// DecodeDelta decodes one replication body into d, replacing its contents
+// but reusing its runs slices, so a standby that decodes every frame of a
+// connection into one ReplDelta allocates nothing for a steady incremental
+// frame. The decoded runs alias raw, which the caller must not modify while
+// d is in use. Keyed sections may list their metrics in any order, and an
+// incremental frame's samples may leave some out. A body this version
+// cannot decode or a ReplDelta cannot hold — truncated, with trailing
+// bytes, a count larger than the bytes left, a full frame that does not
+// list the metrics in order with error runs at its sample times or that
+// carries incremental sections, or a previous version's JSON payload — is
+// refused with ErrReplGap like any other frame the shadow cannot apply.
 func DecodeDelta(raw []byte, d *ReplDelta) error {
-	*d = ReplDelta{}
 	r := &wireReader{b: raw}
 	if f := r.u8(); r.err == nil && f != replFormat {
 		r.fail("format %d, want %d", f, replFormat)
 	}
-	d.Component = r.string()
-	if n := r.count(metric.NumKinds, 5); n > 0 {
-		d.Full = make([]ReplMetric, n)
-		for i := range d.Full {
-			d.Full[i].decode(r)
-		}
+	d.Component = r.string(d.Component)
+	for i := range d.Metrics {
+		s := &d.Metrics[i]
+		s.Model, s.LastT, s.HasLast, s.Runs, s.Sanitizer = nil, 0, false, s.Runs[:0], ingest.State{}
 	}
-	d.Base = decodeByKind(r, 1, (*wireReader).varint)
-	d.Samples = decodeByKind(r, 1, (*wireReader).runs)
-	d.Sanitizers = decodeByKind(r, 36, (*wireReader).state)
+	switch n := r.count(metric.NumKinds, 5); n {
+	case 0:
+		d.Full = false
+	case metric.NumKinds:
+		d.Full = true
+		for i, k := range metric.Kinds {
+			d.Metrics[i].decodeFull(r, k)
+		}
+	default:
+		r.fail("full frame lists %d metrics, want %d", n, metric.NumKinds)
+	}
+	r.section(d, true, 1, func(s *ReplMetric) { s.LastT, s.HasLast = r.varint(), true })
+	r.section(d, true, 1, func(s *ReplMetric) { s.Runs = r.runs(s.Runs) })
+	r.section(d, false, 36, func(s *ReplMetric) { s.Sanitizer = r.state() })
 	if r.err == nil && len(r.b) > 0 {
 		r.fail("%d trailing bytes", len(r.b))
 	}
@@ -89,85 +134,72 @@ func DecodeDelta(raw []byte, d *ReplDelta) error {
 	return nil
 }
 
-func (f *ReplMetric) appendBinary(b []byte) []byte {
-	b = appendString(b, f.Metric)
-	b = appendBool(b, f.Model != nil)
-	if f.Model != nil {
-		b = appendModel(b, f.Model)
-	}
-	b = appendBool(b, f.LastT != nil)
-	if f.LastT != nil {
-		b = binary.AppendVarint(b, *f.LastT)
-	}
-	b = appendRunsBinary(b, f.Samples)
-	return appendRunsBinary(b, f.Errs)
-}
-
-func (f *ReplMetric) decode(r *wireReader) {
-	f.Metric = r.string()
-	if r.bool() {
-		f.Model = r.model()
+// decodeFull reads metric k's entry of a full frame into s.
+func (s *ReplMetric) decodeFull(r *wireReader, k metric.Kind) {
+	if name := r.take(r.count(math.MaxInt, 1)); r.err == nil && string(name) != k.String() {
+		r.fail("full frame entry %q, want %q", name, k)
 	}
 	if r.bool() {
-		last := r.varint()
-		f.LastT = &last
+		s.Model = r.model()
 	}
-	f.Samples = r.runs()
-	f.Errs = r.runs()
+	if s.HasLast = r.bool(); s.HasLast {
+		s.LastT = r.varint()
+	}
+	s.Runs = r.runs(s.Runs)
+	if n := r.count(math.MaxInt, 2); r.err == nil && n != len(s.Runs) {
+		r.fail("%s: %d error runs for %d sample runs", k, n, len(s.Runs))
+		return
+	}
+	for i := range s.Runs {
+		run := &s.Runs[i]
+		t0, e := r.varint(), r.take(r.count(math.MaxInt, 1))
+		if r.err == nil && (t0 != run.T0 || len(e) != len(run.V)) {
+			r.fail("%s: error ring times differ from its sample times", k)
+		}
+		run.E = e
+	}
 }
 
-// appendByKind appends m's entries in metric.Kinds order, each as its kind's
-// index followed by enc's encoding of the value.
-func appendByKind[V any](b []byte, m map[string]V, enc func([]byte, V) []byte) []byte {
-	n := 0
-	for _, k := range metric.Kinds {
-		if _, ok := m[k.String()]; ok {
-			n++
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(n))
-	for i, k := range metric.Kinds {
-		if v, ok := m[k.String()]; ok {
-			b = enc(append(b, byte(i)), v)
-		}
-	}
-	return b
-}
-
-// decodeByKind reads one appendByKind section whose values take at least
-// minSize bytes each. An empty section decodes to nil; a kind index out of
-// range or repeated is refused.
-func decodeByKind[V any](r *wireReader, minSize int, dec func(*wireReader) V) map[string]V {
+// section reads one keyed section of d whose values take at least minSize
+// bytes each, handing each listed kind's slot to dec. A kind index out of
+// range or repeated is refused, and so is an incremental section's entry in
+// a full frame.
+func (r *wireReader) section(d *ReplDelta, incremental bool, minSize int, dec func(*ReplMetric)) {
 	n := r.count(metric.NumKinds, 1+minSize)
-	if n == 0 {
-		return nil
+	if incremental && d.Full && n > 0 {
+		r.fail("full frame carries incremental samples")
+		return
 	}
-	m := make(map[string]V, n)
+	var seen [metric.NumKinds]bool
 	for range n {
 		i := int(r.u8())
 		switch {
 		case r.err != nil:
-			return nil
+			return
 		case i >= metric.NumKinds:
 			r.fail("metric index %d out of range", i)
-			return nil
+			return
+		case seen[i]:
+			r.fail("%s appears twice", metric.Kinds[i])
+			return
 		}
-		name := metric.Kinds[i].String()
-		if _, dup := m[name]; dup {
-			r.fail("%s appears twice", name)
-			return nil
-		}
-		m[name] = dec(r)
+		seen[i] = true
+		dec(&d.Metrics[i])
 	}
-	return m
 }
 
-func appendRunsBinary(b []byte, runs []ReplRun) []byte {
+// appendRunsBinary appends runs, with each run's error bits in place of its
+// value bits when errs is set.
+func appendRunsBinary(b []byte, runs []ReplRun, errs bool) []byte {
 	b = binary.AppendUvarint(b, uint64(len(runs)))
 	for i := range runs {
+		bits := runs[i].V
+		if errs {
+			bits = runs[i].E
+		}
 		b = binary.AppendVarint(b, runs[i].T0)
-		b = binary.AppendUvarint(b, uint64(len(runs[i].V)))
-		b = append(b, runs[i].V...)
+		b = binary.AppendUvarint(b, uint64(len(bits)))
+		b = append(b, bits...)
 	}
 	return b
 }
@@ -320,8 +352,13 @@ func (r *wireReader) count(limit, minSize int) int {
 	return int(n)
 }
 
-func (r *wireReader) string() string {
-	return string(r.take(r.count(math.MaxInt, 1)))
+// string reads a string, returning old when it reads the same bytes, so
+// decoding one component's frames allocates no string.
+func (r *wireReader) string(old string) string {
+	if b := r.take(r.count(math.MaxInt, 1)); string(b) != old {
+		return string(b)
+	}
+	return old
 }
 
 // f64s reads n floats, or nil when n is zero.
@@ -337,19 +374,16 @@ func (r *wireReader) f64s() []float64 {
 	return vs
 }
 
-// runs reads one runs section; each run's values alias the body.
-func (r *wireReader) runs() []ReplRun {
+// runs reads one runs section into dst's storage; each run's values alias
+// the body.
+func (r *wireReader) runs(dst []ReplRun) []ReplRun {
 	n := r.count(math.MaxInt, 2)
-	if n == 0 {
-		return nil
-	}
-	runs := make([]ReplRun, n)
+	runs := slices.Grow(dst[:0], n)[:n]
 	for i := range runs {
-		runs[i].T0 = r.varint()
-		runs[i].V = r.take(r.count(math.MaxInt, 1))
+		runs[i] = ReplRun{T0: r.varint(), V: r.take(r.count(math.MaxInt, 1))}
 	}
 	if r.err != nil {
-		return nil
+		return runs[:0]
 	}
 	return runs
 }

@@ -2,118 +2,14 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
+
+	"fchain/internal/obs"
 )
 
-// latencyBuckets is the number of log2 histogram buckets: bucket i counts
-// durations in [2^i, 2^(i+1)) ns, so 40 buckets span 1 ns to ~18 minutes.
-const latencyBuckets = 40
-
-// LatencyHist is a fixed-size log2-bucketed nanosecond histogram. It is a
-// plain value (no pointers, no locks): workers accumulate into private
-// copies and Merge them, so recording on the hot path costs one increment
-// and no allocation.
-type LatencyHist struct {
-	Buckets [latencyBuckets]int64 `json:"buckets"`
-	Count   int64                 `json:"count"`
-	SumNS   int64                 `json:"sum_ns"`
-	MaxNS   int64                 `json:"max_ns"`
-}
-
-// Observe records one duration in nanoseconds.
-func (h *LatencyHist) Observe(ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	b := bits.Len64(uint64(ns))
-	if b > 0 {
-		b-- // bits.Len64(1<<i) == i+1; bucket index is i
-	}
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	h.Buckets[b]++
-	h.Count++
-	h.SumNS += ns
-	if ns > h.MaxNS {
-		h.MaxNS = ns
-	}
-}
-
-// Merge folds another histogram into h.
-func (h *LatencyHist) Merge(o LatencyHist) {
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-	h.Count += o.Count
-	h.SumNS += o.SumNS
-	if o.MaxNS > h.MaxNS {
-		h.MaxNS = o.MaxNS
-	}
-}
-
-// MeanNS returns the mean recorded duration in nanoseconds (0 when empty).
-func (h LatencyHist) MeanNS() int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.SumNS / h.Count
-}
-
-// QuantileNS returns an upper bound on the q-quantile (q in [0,1]) of the
-// recorded durations: the top edge of the bucket holding the q-th
-// observation. Log2 buckets bound the estimate within 2x of the true value.
-func (h LatencyHist) QuantileNS(q float64) int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(h.Count-1))
-	var seen int64
-	for i, c := range h.Buckets {
-		seen += c
-		if seen > rank {
-			edge := int64(1)<<(i+1) - 1
-			// The recorded maximum is always a valid upper bound and is
-			// tighter whenever the bucket edge overshoots it — and for the
-			// overflow bucket, whose nominal edge can sit *below* the
-			// largest observation, it is the only correct answer.
-			if i == latencyBuckets-1 || edge > h.MaxNS {
-				edge = h.MaxNS
-			}
-			return edge
-		}
-	}
-	return h.MaxNS
-}
-
-// String renders a compact "n=12 mean=1.2ms p99<=4.1ms max=3.9ms" summary.
-func (h LatencyHist) String() string {
-	if h.Count == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%s p99<=%s max=%s",
-		h.Count, fmtNS(h.MeanNS()), fmtNS(h.QuantileNS(0.99)), fmtNS(h.MaxNS))
-}
-
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
-}
+// LatencyHist is the log2-bucketed nanosecond histogram inside PoolStats,
+// the registry's histogram layout (obs.LatencyHist).
+type LatencyHist = obs.LatencyHist
 
 // PoolStats reports how the analysis engine spent its time on one localize
 // call: the worker pool shape plus per-phase latency histograms. Select

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"fchain/internal/obs"
 )
 
 func TestLatencyHistEmpty(t *testing.T) {
@@ -65,7 +67,7 @@ func TestLatencyHistOverflowBucket(t *testing.T) {
 	var h LatencyHist
 	huge := int64(1) << 45 // far beyond the last bucket's nominal edge
 	h.Observe(huge)
-	if h.Buckets[latencyBuckets-1] != 1 {
+	if h.Buckets[obs.HistBuckets-1] != 1 {
 		t.Fatalf("overflow observation not in last bucket: %+v", h.Buckets)
 	}
 	if h.MaxNS != huge {

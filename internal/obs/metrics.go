@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strings"
@@ -11,12 +12,114 @@ import (
 	"sync/atomic"
 )
 
-// HistBuckets is the number of log2 histogram buckets, matching
-// core.LatencyHist: bucket i counts durations in [2^i, 2^(i+1)) ns, so 40
-// buckets span 1 ns to ~18 minutes. Keeping the layouts identical lets the
-// analysis engine's per-call PoolStats histograms merge straight into the
-// registry without rebucketing.
+// HistBuckets is the number of log2 histogram buckets: bucket i counts
+// durations in [2^i, 2^(i+1)) ns, so 40 buckets span 1 ns to ~18 minutes.
 const HistBuckets = 40
+
+// LatencyHist is a fixed-size log2-bucketed nanosecond histogram. It is a
+// plain value (no pointers, no locks): workers accumulate into private
+// copies and Merge them, so recording on the hot path costs one increment
+// and no allocation. Histogram is the registry's concurrent one.
+type LatencyHist struct {
+	Buckets [HistBuckets]int64 `json:"buckets"`
+	Count   int64              `json:"count"`
+	SumNS   int64              `json:"sum_ns"`
+	MaxNS   int64              `json:"max_ns"`
+}
+
+// log2Bucket returns the bucket index for a nanosecond duration.
+func log2Bucket(ns int64) int {
+	b := bits.Len64(uint64(max(ns, 0)))
+	if b > 0 {
+		b-- // bits.Len64(1<<i) == i+1; bucket index is i
+	}
+	return min(b, HistBuckets-1)
+}
+
+// Observe records one duration in nanoseconds; a negative one counts as 0.
+func (h *LatencyHist) Observe(ns int64) {
+	ns = max(ns, 0)
+	h.Buckets[log2Bucket(ns)]++
+	h.Count++
+	h.SumNS += ns
+	if ns > h.MaxNS {
+		h.MaxNS = ns
+	}
+}
+
+// Merge folds another histogram into h.
+func (h *LatencyHist) Merge(o LatencyHist) {
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	h.Count += o.Count
+	h.SumNS += o.SumNS
+	if o.MaxNS > h.MaxNS {
+		h.MaxNS = o.MaxNS
+	}
+}
+
+// MeanNS returns the mean recorded duration in nanoseconds (0 when empty).
+func (h LatencyHist) MeanNS() int64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return h.SumNS / h.Count
+}
+
+// QuantileNS returns an upper bound on the q-quantile (q in [0,1]) of the
+// recorded durations: the top edge of the bucket holding the q-th
+// observation. Log2 buckets bound the estimate within 2x of the true value.
+func (h LatencyHist) QuantileNS(q float64) int64 {
+	if h.Count == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	rank := int64(q * float64(h.Count-1))
+	var seen int64
+	for i, c := range h.Buckets {
+		seen += c
+		if seen > rank {
+			edge := int64(1)<<(i+1) - 1
+			// The recorded maximum is always a valid upper bound and is
+			// tighter whenever the bucket edge overshoots it — and for the
+			// overflow bucket, whose nominal edge can sit *below* the
+			// largest observation, it is the only correct answer.
+			if i == HistBuckets-1 || edge > h.MaxNS {
+				edge = h.MaxNS
+			}
+			return edge
+		}
+	}
+	return h.MaxNS
+}
+
+// String renders a compact "n=12 mean=1.2ms p99<=4.1ms max=3.9ms" summary.
+func (h LatencyHist) String() string {
+	if h.Count == 0 {
+		return "n=0"
+	}
+	return fmt.Sprintf("n=%d mean=%s p99<=%s max=%s",
+		h.Count, fmtNS(h.MeanNS()), fmtNS(h.QuantileNS(0.99)), fmtNS(h.MaxNS))
+}
+
+func fmtNS(ns int64) string {
+	switch {
+	case ns >= 1e9:
+		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
+	case ns >= 1e6:
+		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
+	}
+}
 
 // Counter is a monotonically increasing metric. The zero value is ready;
 // every method on a nil *Counter is a no-op, so uninstrumented paths cost a
@@ -67,29 +170,11 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a log2-bucketed nanosecond histogram with the same bucket
-// layout as core.LatencyHist. It is safe for concurrent use.
+// Histogram is a LatencyHist behind a mutex: safe for concurrent use, and
+// every method on a nil *Histogram is a no-op.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [HistBuckets]int64
-	count   int64
-	sumNS   int64
-	maxNS   int64
-}
-
-// log2Bucket returns the bucket index for a nanosecond duration.
-func log2Bucket(ns int64) int {
-	if ns < 0 {
-		ns = 0
-	}
-	b := 0
-	for v := uint64(ns); v > 1; v >>= 1 {
-		b++
-	}
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	return b
+	mu sync.Mutex
+	h  LatencyHist
 }
 
 // Observe records one duration in nanoseconds.
@@ -97,40 +182,19 @@ func (h *Histogram) Observe(ns int64) {
 	if h == nil {
 		return
 	}
-	if ns < 0 {
-		ns = 0
-	}
-	b := log2Bucket(ns)
 	h.mu.Lock()
-	h.buckets[b]++
-	h.count++
-	h.sumNS += ns
-	if ns > h.maxNS {
-		h.maxNS = ns
-	}
+	h.h.Observe(ns)
 	h.mu.Unlock()
 }
 
-// MergeLog2 folds an externally accumulated log2 histogram (e.g. a
-// core.LatencyHist's fields) into h. buckets longer than HistBuckets are
-// folded into the overflow bucket; shorter ones align from bucket 0.
-func (h *Histogram) MergeLog2(buckets []int64, count, sumNS, maxNS int64) {
+// Merge folds a histogram accumulated elsewhere, such as the analysis
+// engine's per-call PoolStats, into h.
+func (h *Histogram) Merge(o LatencyHist) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	for i, c := range buckets {
-		j := i
-		if j >= HistBuckets {
-			j = HistBuckets - 1
-		}
-		h.buckets[j] += c
-	}
-	h.count += count
-	h.sumNS += sumNS
-	if maxNS > h.maxNS {
-		h.maxNS = maxNS
-	}
+	h.h.Merge(o)
 	h.mu.Unlock()
 }
 
@@ -139,19 +203,14 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	return h.snapshot().Count
 }
 
-// snapshot copies the histogram state under the lock.
-func (h *Histogram) snapshot() (buckets [HistBuckets]int64, count, sumNS int64) {
+// snapshot copies the histogram under the lock.
+func (h *Histogram) snapshot() LatencyHist {
 	h.mu.Lock()
-	buckets = h.buckets
-	count = h.count
-	sumNS = h.sumNS
-	h.mu.Unlock()
-	return buckets, count, sumNS
+	defer h.mu.Unlock()
+	return h.h
 }
 
 // metricKind tags a registered family for the Prometheus TYPE line.
@@ -329,9 +388,9 @@ func writeSeries(w io.Writer, f *family, sig string) error {
 		_, err := fmt.Fprintf(w, "%s%s %g\n", f.name, sig, m.Value())
 		return err
 	case *Histogram:
-		buckets, count, sumNS := m.snapshot()
+		snap := m.snapshot()
 		cum := int64(0)
-		for i, c := range buckets {
+		for i, c := range snap.Buckets {
 			cum += c
 			if c == 0 && i < HistBuckets-1 {
 				// Keep the exposition compact: emit only buckets that
@@ -343,13 +402,13 @@ func writeSeries(w io.Writer, f *family, sig string) error {
 				return err
 			}
 		}
-		if err := writeBucket(w, f.name, sig, "+Inf", count); err != nil {
+		if err := writeBucket(w, f.name, sig, "+Inf", snap.Count); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", f.name, sig, float64(sumNS)/1e9); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", f.name, sig, float64(snap.SumNS)/1e9); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, sig, count)
+		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, sig, snap.Count)
 		return err
 	}
 	return nil

@@ -168,11 +168,12 @@ func TestHistogramObserveAndMerge(t *testing.T) {
 	if got := h.Count(); got != 3 {
 		t.Fatalf("Count = %d, want 3", got)
 	}
-	ext := make([]int64, 45) // longer than HistBuckets: tail folds into overflow
-	ext[2] = 4
-	ext[44] = 1
-	h.MergeLog2(ext, 5, 12345, 99999)
-	buckets, count, _ := h.snapshot()
+	ext := LatencyHist{Count: 5, SumNS: 12345, MaxNS: 99999}
+	ext.Buckets[2] = 4
+	ext.Buckets[HistBuckets-1] = 1
+	h.Merge(ext)
+	snap := h.snapshot()
+	buckets, count := snap.Buckets, snap.Count
 	if count != 8 {
 		t.Fatalf("merged count = %d, want 8", count)
 	}
@@ -181,7 +182,7 @@ func TestHistogramObserveAndMerge(t *testing.T) {
 	}
 	var nilH *Histogram
 	nilH.Observe(1)
-	nilH.MergeLog2(ext, 1, 1, 1)
+	nilH.Merge(ext)
 	if nilH.Count() != 0 {
 		t.Error("nil histogram non-zero")
 	}

@@ -1,5 +1,11 @@
 package timeseries
 
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+)
+
 // Ring is a fixed-capacity ring buffer of timestamped samples used by the
 // FChain slave daemon to retain a bounded history of each metric. The slave
 // only ever needs the look-back window [tv-W, tv] plus the burst-extraction
@@ -57,6 +63,34 @@ func (r *Ring) At(i int) (t int64, v float64) {
 			return ru.t0 + int64(i), v
 		}
 		i -= ru.n
+	}
+	panic("timeseries: ring runs do not cover its samples")
+}
+
+// AppendStretch appends to b the IEEE-754 bits, 8 little-endian bytes
+// each, of the retained samples from the i-th to the end of its stretch of
+// consecutive timestamps, copied out of the backing array as unwrap does,
+// and returns the stretch's first timestamp and length. It has At's bounds
+// contract.
+func (r *Ring) AppendStretch(b []byte, i int) (_ []byte, t0 int64, n int) {
+	if i < 0 || i >= r.size {
+		panic("timeseries: ring index out of range")
+	}
+	j := i
+	for _, ru := range r.runs {
+		if j < ru.n {
+			n = ru.n - j
+			start := r.slot(i)
+			head := min(n, len(r.vals)-start)
+			b = slices.Grow(b, 8*n)
+			for _, vs := range [...][]float64{r.vals[start : start+head], r.vals[:n-head]} {
+				for _, v := range vs {
+					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+				}
+			}
+			return b, ru.t0 + int64(j), n
+		}
+		j -= ru.n
 	}
 	panic("timeseries: ring runs do not cover its samples")
 }

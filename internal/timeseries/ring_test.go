@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -163,6 +164,23 @@ func (p *ringPair) check() {
 	var start int64
 	if ref.size > 0 {
 		start = times[0]
+	}
+	// Stretch by stretch, AppendStretch yields every sample's time and bits.
+	var stretchT []int64
+	var stretchV []float64
+	for i, n := 0, 0; i < r.Len(); i += n {
+		var bits []byte
+		var t0 int64
+		if bits, t0, n = r.AppendStretch(nil, i); n < 1 || len(bits) != 8*n {
+			fail("AppendStretch(%d) = %d bytes for %d samples", i, len(bits), n)
+		}
+		for j := range n {
+			stretchT = append(stretchT, t0+int64(j))
+			stretchV = append(stretchV, math.Float64frombits(binary.LittleEndian.Uint64(bits[8*j:])))
+		}
+	}
+	if !slices.Equal(stretchT, times) || !slices.EqualFunc(stretchV, vals, sameBits) {
+		fail("stretches hold %v %v, want %v %v", stretchT, stretchV, times, vals)
 	}
 	for _, s := range []*Series{r.Series(), r.SeriesInto(&p.dst)} {
 		if s.Start() != start || !slices.EqualFunc(s.Values(), vals, sameBits) {
