@@ -4,8 +4,8 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> <n> [first-seed]
 #
-# The parent is checked out in a git worktree under a temporary directory,
-# removed on exit. Pair i runs seed first-seed+i (default first seed 1) on
+# The parent is exported with git archive into a temporary directory,
+# removed on exit, so the repository's worktree list is never touched. Pair i runs seed first-seed+i (default first seed 1) on
 # both sides, the parent first in even pairs and the working tree first in
 # odd ones. For each of the four end-to-end metrics the script prints every
 # pair (parent -> change, change/parent ratio), the pairs the change wins
@@ -22,13 +22,9 @@ fi
 parent_rev=$1 workload=$2 n=$3 seed0=${4:-1}
 root="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	git -C "$root" worktree prune
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$tmp/parent" "$parent_rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git -C "$root" archive "$parent_rev" | tar -x -C "$tmp/parent"
 
 # run <checkout> <seed> prints the driver's JSON line, the last line of
 # run.sh's standard output. run.sh exits non-zero on an incorrect run; the
