@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -613,4 +614,34 @@ func TestReplFullFramesCountedByCause(t *testing.T) {
 	ship("reset")
 	ingest(1, metric.CPU, metric.Memory)
 	ship("")
+}
+
+// TestStandbyKeepsNoFullFrame: a standby decodes every replicate frame of a
+// connection into one reused ReplDelta, whose runs alias the frame's body.
+// After a full frame, ring-sized and rare, that delta must hold nothing, or
+// each connection would keep its last full frame's body and models alive.
+func TestStandbyKeepsNoFullFrame(t *testing.T) {
+	cfg := core.Config{RingCapacity: 8}
+	s := NewSlave("s2", nil, cfg)
+	t.Cleanup(func() { s.Close() })
+	primary := core.NewMonitor("db", cfg)
+	for ts := int64(1); ts <= 8; ts++ {
+		if err := primary.ObserveVector(ts, &metric.Vector{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wire bufConn
+	w := newConnWriter(&wire)
+	var delta core.ReplDelta
+	s.handleReplicate(w, &envelope{Type: typeReplicate, ID: 1, Component: "db", Seq: 1,
+		State: fullFrame(t, primary)}, &delta)
+	s.mu.Lock()
+	shadow := s.shadows["db"]
+	s.mu.Unlock()
+	if shadow == nil || !bytes.Equal(fullFrame(t, shadow), fullFrame(t, primary)) {
+		t.Fatal("the full frame did not build the primary's shadow")
+	}
+	if !reflect.DeepEqual(delta, core.ReplDelta{}) {
+		t.Error("the connection's delta still holds the full frame")
+	}
 }
