@@ -145,7 +145,7 @@ func run(cfg config) error {
 		fchain.WithHeartbeat(cfg.heartbeat),
 		fchain.WithLocalizeTimeout(cfg.timeout),
 		fchain.WithQuorum(cfg.quorum),
-		fchain.WithAdmission(cfg.inflight, 0),
+		fchain.WithAdmission(cfg.inflight),
 		fchain.WithMasterObs(sink),
 	}
 	if cfg.vnodes > 0 {

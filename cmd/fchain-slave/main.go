@@ -145,7 +145,7 @@ func run(cfg config) error {
 		opts = append(opts, fchain.WithCheckpointDir(cfg.ckptDir))
 	}
 	if cfg.inflight > 0 {
-		opts = append(opts, fchain.WithSlaveAdmission(cfg.inflight, 0))
+		opts = append(opts, fchain.WithSlaveAdmission(cfg.inflight))
 	}
 	if cfg.via != "" {
 		opts = append(opts, fchain.WithVia(cfg.via))

@@ -319,9 +319,8 @@ func WithBreaker(threshold int, cooldown time.Duration) MasterOption {
 func WithQuorum(frac float64) MasterOption { return cluster.WithQuorum(frac) }
 
 // WithAdmission bounds concurrent Localize calls on the master: at most
-// limit run at once, at most queue more wait (LIFO, newest first; overflow
-// sheds the oldest waiter). Shed calls fail fast with ErrOverloaded.
-func WithAdmission(limit, queue int) MasterOption { return cluster.WithAdmission(limit, queue) }
+// limit run at once, and calls past the limit fail fast with ErrOverloaded.
+func WithAdmission(limit int) MasterOption { return cluster.WithAdmission(limit) }
 
 // Sentinel errors surfaced by the overload-resilient control plane. Use
 // errors.Is to test for them.
@@ -335,9 +334,9 @@ var (
 )
 
 // OverloadedError is the concrete error behind ErrOverloaded sheds: it
-// carries the RetryAfter backoff hint derived from the admission queue depth
-// at shed time, reconstructed on the client side of the wire. Match with
-// errors.Is(err, ErrOverloaded) and extract with errors.As.
+// carries the RetryAfter backoff hint (a fixed 250 ms, capped at the
+// master's localize timeout), reconstructed on the client side of the wire.
+// Match with errors.Is(err, ErrOverloaded) and extract with errors.As.
 type OverloadedError = cluster.OverloadedError
 
 // WithSharding puts the master in charge of component placement: components
@@ -467,12 +466,9 @@ func WithStateCallback(fn func(state ConnState, err error)) SlaveOption {
 }
 
 // WithSlaveAdmission bounds concurrent analyze work on the slave: at most
-// limit requests analyze at once, at most queue more wait (LIFO); shed or
-// deadline-expired requests are answered with a structured "overloaded"
-// error frame so the master fails fast.
-func WithSlaveAdmission(limit, queue int) SlaveOption {
-	return cluster.WithSlaveAdmission(limit, queue)
-}
+// limit requests analyze at once, and requests past the limit are answered
+// with a structured "overloaded" error frame so the master fails fast.
+func WithSlaveAdmission(limit int) SlaveOption { return cluster.WithSlaveAdmission(limit) }
 
 // WithSlaveObs attaches an observability sink to the slave: ingest and
 // analyze counters, per-request selection latency histograms, analysis

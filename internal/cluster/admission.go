@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,15 +8,13 @@ import (
 )
 
 // ErrOverloaded reports that admission control shed the request before any
-// analysis ran: the in-flight limit was reached and the bounded wait queue
-// was full (or waiting was pointless because the caller's deadline expired
-// first). Callers should back off rather than retry immediately.
+// analysis ran: the in-flight limit was reached. Callers should back off
+// rather than retry immediately.
 var ErrOverloaded = errors.New("cluster: overloaded, request shed")
 
-// OverloadedError is an overload shed carrying a backoff hint: RetryAfter
-// scales with the admission queue depth at shed time, so a saturated daemon
-// tells its clients how long to stay away instead of being hot-looped back
-// into the ground. errors.Is(err, ErrOverloaded) matches it.
+// OverloadedError is an overload shed carrying a backoff hint, so a
+// saturated daemon tells its clients how long to stay away instead of being
+// hot-looped back into the ground. errors.Is(err, ErrOverloaded) matches it.
 type OverloadedError struct {
 	RetryAfter time.Duration
 }
@@ -29,65 +26,35 @@ func (e *OverloadedError) Error() string {
 // Is lets errors.Is treat every OverloadedError as ErrOverloaded.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
-// retryAfterQuantum is the per-queued-waiter backoff unit behind Retry-After
-// hints: each request already waiting ahead is charged one quantum.
-const retryAfterQuantum = 250 * time.Millisecond
-
-// retryAfterHint derives the backoff hint from the gate's backlog, capped at
-// max (<= 0 leaves the hint uncapped).
-func (g *gate) retryAfterHint(max time.Duration) time.Duration {
-	hint := time.Duration(g.depth()+1) * retryAfterQuantum
-	if max > 0 && hint > max {
-		hint = max
-	}
-	return hint
-}
+// retryAfter is the Retry-After hint attached to every shed: a gate never
+// queues, so a slot frees within one request's run and the hint carries no
+// backlog to scale with.
+const retryAfter = 250 * time.Millisecond
 
 // ErrQuorumNotMet reports that fewer slaves answered before the deadline
 // than the configured quorum requires, so no diagnosis was produced.
 var ErrQuorumNotMet = errors.New("cluster: quorum not met")
 
-// gate is a bounded admission controller: at most limit requests run
-// concurrently, at most queueCap more wait, and waiters are served LIFO.
-// LIFO is deliberate under overload — the newest request has the freshest
-// deadline and the most budget left, while the oldest waiter is closest to
-// timing out anyway; when the queue overflows, the oldest waiter is shed.
-// A nil *gate admits everything (the unlimited default).
+// gate is a non-waiting admission controller: at most limit requests run
+// concurrently and the rest are shed at once, because a verdict that queues
+// behind others arrives after the moment it was asked for. A nil *gate
+// admits everything (the unlimited default).
 type gate struct {
 	mu       sync.Mutex
 	inflight int
 	limit    int
-	queueCap int
-	waiters  []*gateWaiter // stack: top (newest) at the end
 }
 
-type gateWaiter struct {
-	ch chan bool // true = slot granted, false = shed
-}
-
-// newGate returns a gate admitting limit concurrent requests with queueCap
-// waiting slots. limit <= 0 returns nil (unlimited).
-func newGate(limit, queueCap int) *gate {
+// newGate returns a gate admitting limit concurrent requests. limit <= 0
+// returns nil (unlimited).
+func newGate(limit int) *gate {
 	if limit <= 0 {
 		return nil
 	}
-	if queueCap < 0 {
-		queueCap = 0
-	}
-	return &gate{limit: limit, queueCap: queueCap}
+	return &gate{limit: limit}
 }
 
-// depth returns the number of queued waiters (0 for a nil gate).
-func (g *gate) depth() int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.waiters)
-}
-
-// tryAcquire claims a slot without waiting.
+// tryAcquire claims a slot, reporting false when all limit are held.
 func (g *gate) tryAcquire() bool {
 	if g == nil {
 		return true
@@ -101,73 +68,13 @@ func (g *gate) tryAcquire() bool {
 	return false
 }
 
-// acquire claims a slot, waiting in the LIFO queue until granted, shed, or
-// ctx expires. It returns nil on success, ErrOverloaded when shed (queue
-// full, or queueCap is zero), or ctx.Err() when the context wins.
-func (g *gate) acquire(ctx context.Context) error {
-	if g == nil {
-		return nil
-	}
-	g.mu.Lock()
-	if g.inflight < g.limit {
-		g.inflight++
-		g.mu.Unlock()
-		return nil
-	}
-	if g.queueCap == 0 {
-		g.mu.Unlock()
-		return ErrOverloaded
-	}
-	w := &gateWaiter{ch: make(chan bool, 1)}
-	if len(g.waiters) >= g.queueCap {
-		// Shed the oldest waiter (bottom of the stack) to make room.
-		old := g.waiters[0]
-		copy(g.waiters, g.waiters[1:])
-		g.waiters[len(g.waiters)-1] = w
-		old.ch <- false
-	} else {
-		g.waiters = append(g.waiters, w)
-	}
-	g.mu.Unlock()
-
-	select {
-	case granted := <-w.ch:
-		if !granted {
-			return ErrOverloaded
-		}
-		return nil
-	case <-ctx.Done():
-		g.mu.Lock()
-		for i, q := range g.waiters {
-			if q == w {
-				g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-				g.mu.Unlock()
-				return ctx.Err()
-			}
-		}
-		g.mu.Unlock()
-		// Already popped by release or shed: consume the pending signal so
-		// a granted slot is not leaked.
-		if granted := <-w.ch; granted {
-			return nil
-		}
-		return ctx.Err()
-	}
-}
-
-// release returns a slot, handing it to the newest waiter if any.
+// release returns a slot.
 func (g *gate) release() {
 	if g == nil {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if n := len(g.waiters); n > 0 {
-		w := g.waiters[n-1]
-		g.waiters = g.waiters[:n-1]
-		w.ch <- true
-		return
-	}
 	if g.inflight > 0 {
 		g.inflight--
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,9 +15,6 @@ func TestGateNilAdmitsEverything(t *testing.T) {
 		if !g.tryAcquire() {
 			t.Fatal("nil gate refused tryAcquire")
 		}
-		if err := g.acquire(context.Background()); err != nil {
-			t.Fatalf("nil gate acquire: %v", err)
-		}
 	}
 	g.release() // must not panic
 }
@@ -27,7 +22,7 @@ func TestGateNilAdmitsEverything(t *testing.T) {
 // TestGateLimit: tryAcquire admits exactly limit callers, and release frees
 // a slot for the next.
 func TestGateLimit(t *testing.T) {
-	g := newGate(2, 0)
+	g := newGate(2)
 	if !g.tryAcquire() || !g.tryAcquire() {
 		t.Fatal("gate refused within its limit")
 	}
@@ -41,145 +36,19 @@ func TestGateLimit(t *testing.T) {
 }
 
 // TestGateZeroQueueShedsImmediately: with no waiting room, a full gate sheds
-// the caller synchronously with ErrOverloaded.
+// the caller synchronously.
 func TestGateZeroQueueShedsImmediately(t *testing.T) {
-	g := newGate(1, 0)
-	if err := g.acquire(context.Background()); err != nil {
-		t.Fatal(err)
+	g := newGate(1)
+	if !g.tryAcquire() {
+		t.Fatal("empty gate refused")
 	}
 	start := time.Now()
-	err := g.acquire(context.Background())
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("acquire on a full zero-queue gate = %v, want ErrOverloaded", err)
+	if g.tryAcquire() {
+		t.Fatal("tryAcquire on a full gate admitted")
 	}
 	if time.Since(start) > 100*time.Millisecond {
 		t.Error("zero-queue shed was not immediate")
 	}
-}
-
-// TestGateLIFOGrantOrder: release hands the freed slot to the NEWEST waiter —
-// the one with the freshest deadline — not the oldest.
-func TestGateLIFOGrantOrder(t *testing.T) {
-	g := newGate(1, 4)
-	if err := g.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var order []int
-	var mu sync.Mutex
-	var entered sync.WaitGroup
-	var done sync.WaitGroup
-	// Queue three waiters one at a time so their stack order is fixed.
-	for i := 1; i <= 3; i++ {
-		i := i
-		entered.Add(1)
-		done.Add(1)
-		go func() {
-			// Signal "about to block" just before acquire; the sleep below
-			// serializes actual queue entry.
-			entered.Done()
-			if err := g.acquire(context.Background()); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			done.Done()
-		}()
-		entered.Wait()
-		waitFor(t, 2*time.Second, func() bool {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return len(g.waiters) == i
-		}, "waiter to enqueue")
-	}
-	// Drain: each release grants one waiter; grant order must be 3, 2, 1.
-	for i := 0; i < 3; i++ {
-		g.release()
-		waitFor(t, 2*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return len(order) == i+1
-		}, "waiter to be granted")
-	}
-	done.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if order[0] != 3 || order[1] != 2 || order[2] != 1 {
-		t.Errorf("grant order = %v, want LIFO [3 2 1]", order)
-	}
-	g.release() // the last granted waiter's slot
-}
-
-// TestGateOverflowShedsOldest: when the queue is full, a new waiter displaces
-// the OLDEST queued one, which returns ErrOverloaded.
-func TestGateOverflowShedsOldest(t *testing.T) {
-	g := newGate(1, 1)
-	if err := g.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	oldErr := make(chan error, 1)
-	go func() { oldErr <- g.acquire(context.Background()) }()
-	waitFor(t, 2*time.Second, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.waiters) == 1
-	}, "first waiter to enqueue")
-
-	newErr := make(chan error, 1)
-	go func() { newErr <- g.acquire(context.Background()) }()
-	// The overflow sheds the old waiter immediately.
-	select {
-	case err := <-oldErr:
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("displaced waiter got %v, want ErrOverloaded", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("displaced waiter never shed")
-	}
-	// The new waiter is granted once the slot frees.
-	g.release()
-	select {
-	case err := <-newErr:
-		if err != nil {
-			t.Fatalf("surviving waiter got %v, want grant", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("surviving waiter never granted")
-	}
-	g.release()
-}
-
-// TestGateContextCancelWhileQueued: a waiter whose context expires leaves the
-// queue with ctx.Err() and does not leak a slot.
-func TestGateContextCancelWhileQueued(t *testing.T) {
-	g := newGate(1, 2)
-	if err := g.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() { errCh <- g.acquire(ctx) }()
-	waitFor(t, 2*time.Second, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.waiters) == 1
-	}, "waiter to enqueue")
-	cancel()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled waiter got %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled waiter never returned")
-	}
-	// The slot was not consumed by the canceled waiter: releasing once must
-	// leave the gate fully free again.
-	g.release()
-	if !g.tryAcquire() {
-		t.Fatal("slot leaked to a canceled waiter")
-	}
-	g.release()
 }
 
 // TestGateConcurrentStress hammers one small gate from many goroutines and
@@ -187,7 +56,7 @@ func TestGateContextCancelWhileQueued(t *testing.T) {
 // and that every successful acquire is paired with a release. Run with -race.
 func TestGateConcurrentStress(t *testing.T) {
 	const limit = 3
-	g := newGate(limit, 2)
+	g := newGate(limit)
 	var holders, maxHolders, granted, shed atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -195,10 +64,7 @@ func TestGateConcurrentStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-				err := g.acquire(ctx)
-				cancel()
-				if err != nil {
+				if !g.tryAcquire() {
 					shed.Add(1)
 					continue
 				}

@@ -143,12 +143,10 @@ func WithQuorum(frac float64) MasterOption {
 }
 
 // WithAdmission bounds concurrent Localize calls: at most limit run at
-// once, at most queue more wait (LIFO, newest first — the freshest deadline
-// wins; an overflowing queue sheds its oldest waiter). Shed calls return
-// ErrOverloaded immediately with Overloaded set on the result. limit <= 0
-// (the default) admits everything.
-func WithAdmission(limit, queue int) MasterOption {
-	return func(m *Master) { m.admit = newGate(limit, queue) }
+// once, and a call past the limit returns ErrOverloaded immediately with
+// Overloaded set on the result. limit <= 0 (the default) admits everything.
+func WithAdmission(limit int) MasterOption {
+	return func(m *Master) { m.admit = newGate(limit) }
 }
 
 // WithMasterObs attaches an observability sink: every Localize records a
@@ -775,7 +773,7 @@ func (m *Master) localize(ctx context.Context, tv int64, tenantName, app string)
 		ctx, cancel = context.WithTimeout(ctx, m.localizeTO)
 		defer cancel()
 	}
-	if err := m.admitLocalize(ctx, tv, &res); err != nil {
+	if err := m.admitLocalize(tv, &res); err != nil {
 		return res, err
 	}
 	defer m.admit.release()
@@ -821,26 +819,19 @@ func (m *Master) countLocalize(outcome string) {
 }
 
 // admitLocalize passes the call through admission control: under overload it
-// waits in the LIFO queue (bounded by its own deadline) or is shed before any
-// fan-out happens.
-func (m *Master) admitLocalize(ctx context.Context, tv int64, res *core.LocalizeResult) error {
-	err := m.admit.acquire(ctx)
-	if err == nil {
+// is shed before any fan-out happens.
+func (m *Master) admitLocalize(tv int64, res *core.LocalizeResult) error {
+	if m.admit.tryAcquire() {
 		return nil
 	}
 	res.Overloaded = true
 	m.countLocalize("shed")
-	m.obs.Logger().Warn("localize shed by admission control", "tv", tv, "err", err)
+	m.obs.Logger().Warn("localize shed by admission control", "tv", tv, "err", ErrOverloaded)
 	_ = m.obs.EventJournal().Record("localize_shed", map[string]any{"tv": tv})
-	if errors.Is(err, ErrOverloaded) {
-		// Retry-After hint: each request already queued ahead is one
-		// quantum of delay; the hint never exceeds the localize deadline
-		// (waiting longer than one full cycle is never necessary).
-		hint := m.admit.retryAfterHint(m.localizeTO)
-		res.RetryAfterMS = hint.Milliseconds()
-		return &OverloadedError{RetryAfter: hint}
-	}
-	return err
+	// Waiting longer than one full localize cycle is never necessary.
+	hint := min(retryAfter, m.localizeTO)
+	res.RetryAfterMS = hint.Milliseconds()
+	return &OverloadedError{RetryAfter: hint}
 }
 
 // localizePlan is what one Localize runs over: the membership and placement

@@ -227,7 +227,7 @@ func TestQuorumNotMetRefuses(t *testing.T) {
 // calls are fast-rejected with ErrOverloaded and a flagged result.
 func TestMasterAdmissionSheds(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithAdmission(1, 0))
+		WithAdmission(1))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSlaveAdmissionSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	sl := NewSlave("h", []string{"a"}, core.Config{}, WithSlaveAdmission(1, 0))
+	sl := NewSlave("h", []string{"a"}, core.Config{}, WithSlaveAdmission(1))
 	for ts := int64(0); ts < 300; ts++ {
 		for _, k := range metric.Kinds {
 			if err := sl.Observe("a", ts, k, float64(40+ts%13)); err != nil {
@@ -556,76 +556,5 @@ func TestMasterPropagatesTruncationAndQuarantine(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "TRUNCATED") {
 		t.Errorf("result string %q does not mark truncation", s)
-	}
-}
-
-// TestLocalizeShedsWhileQueuedDeadlineExpires: a Localize waiting in the
-// admission queue whose context dies returns that context error (not a hang,
-// not a leaked slot).
-func TestLocalizeShedsWhileQueuedDeadlineExpires(t *testing.T) {
-	master := NewMaster(core.Config{}, nil,
-		WithAdmission(1, 2))
-	if err := master.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	conn, w := fakeSlave(t, master.Addr(), "slow", []string{"s"})
-	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 1 }, "registration")
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	go func() {
-		r := newReader(conn)
-		for {
-			env, err := readFrame(r)
-			if err != nil {
-				return
-			}
-			if env.Type != typeAnalyze {
-				continue
-			}
-			started <- struct{}{}
-			go func(id uint64) {
-				<-release
-				_ = w.write(&envelope{Type: typeReports, ID: id,
-					Reports: []core.ComponentReport{{Component: "s"}}}, 2*time.Second)
-			}(env.ID)
-		}
-	}()
-
-	// First call occupies the slot until we release the scripted slave; only
-	// issue the second once the first is provably past admission (its analyze
-	// request reached the slave).
-	first := make(chan error, 1)
-	go func() {
-		_, err := master.Localize(context.Background(), 100)
-		first <- err
-	}()
-	select {
-	case <-started:
-	case <-time.After(2 * time.Second):
-		t.Fatal("first localize never reached the slave")
-	}
-	// Second call queues behind it with a context that expires in the queue.
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	res, err := master.Localize(ctx, 100)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued localize = %v, want DeadlineExceeded", err)
-	}
-	if !res.Overloaded {
-		t.Error("queue-expired result must set Overloaded")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("queued call held for %v past its deadline", elapsed)
-	}
-	close(release)
-	if err := <-first; err != nil {
-		t.Fatalf("admitted localize failed: %v", err)
-	}
-	// The expired waiter must not have leaked the slot.
-	res2, err := master.Localize(context.Background(), 100)
-	if err != nil || res2.SlavesAnswered != 1 {
-		t.Fatalf("post-expiry localize = %+v, %v; want clean success", res2, err)
 	}
 }

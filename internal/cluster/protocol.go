@@ -132,9 +132,8 @@ type envelope struct {
 	// react without parsing Err ("overloaded" = shed by slave admission
 	// control, "panic" = the analyze handler recovered a panic, and the
 	// service-mode intake codes below). RetryAfterMS accompanies
-	// codeOverloaded sheds with the daemon's backoff hint, derived from its
-	// admission queue depth, so clients stop hot-looping into a saturated
-	// peer.
+	// codeOverloaded sheds with the daemon's fixed backoff hint, so clients
+	// stop hot-looping into a saturated peer.
 	Err          string `json:"err,omitempty"`
 	Code         string `json:"code,omitempty"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`

@@ -24,8 +24,8 @@ import (
 //
 //   - Per-tenant namespaces and token-bucket quotas (internal/tenant) shed a
 //     flooding tenant's excess before any slave budget is spent, so a noisy
-//     tenant cannot starve a quiet one. This layers on the PR 5 LIFO
-//     admission gates, which still bound the master's total concurrency.
+//     tenant cannot starve a quiet one. This layers on the master's
+//     admission gate, which still bounds its total concurrency.
 //   - A violation identical to an in-flight one — same tenant, app and tv —
 //     joins it as a waiter: one cluster fan-out serves them all, and the
 //     verdict fans back out. Any other violation leads its own
@@ -55,12 +55,10 @@ type ServiceConfig struct {
 	// Tenants lists the tenant names the service accepts. Empty leaves the
 	// namespace open: any non-empty tenant name is admitted.
 	Tenants []string
-	// QuotaPerMinute is each tenant's sustained violation budget
-	// (violations per minute, token bucket); <= 0 is unlimited.
+	// QuotaPerMinute is each tenant's violation budget: a token bucket
+	// refilling at this many violations per minute and holding at most as
+	// many; <= 0 is unlimited.
 	QuotaPerMinute float64
-	// QuotaBurst is the bucket capacity (back-to-back violations after an
-	// idle stretch); <= 0 defaults to QuotaPerMinute.
-	QuotaBurst float64
 }
 
 // Sentinel errors surfaced by the service-mode intake. Use errors.Is; the
@@ -82,7 +80,7 @@ var (
 func NewService(m *Master, cfg ServiceConfig) *Service {
 	s := &Service{
 		m:       m,
-		tenants: tenant.NewRegistry(cfg.Tenants, tenant.Quota{PerMinute: cfg.QuotaPerMinute, Burst: cfg.QuotaBurst}),
+		tenants: tenant.NewRegistry(cfg.Tenants, cfg.QuotaPerMinute),
 		flights: make(map[flightKey]*flight),
 	}
 	s.localizeFn = s.m.localize

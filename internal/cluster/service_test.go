@@ -329,8 +329,7 @@ func TestServiceWaiterCancellation(t *testing.T) {
 func TestServiceQuotaFairness(t *testing.T) {
 	h := newServiceHarness(t, "", ServiceConfig{
 		Tenants:        []string{"loud", "quiet"},
-		QuotaPerMinute: 60,
-		QuotaBurst:     5,
+		QuotaPerMinute: 5,
 	})
 	now := time.Unix(90_000, 0)
 	h.svc.SetClock(func() time.Time { return now }) // static: no refill
@@ -506,8 +505,7 @@ func assertReplayServed(t *testing.T, journalPath string, seq, tv int64) {
 func TestServiceWireProtocol(t *testing.T) {
 	h := newServiceHarness(t, "", ServiceConfig{
 		Tenants:        []string{"t1"},
-		QuotaPerMinute: 60,
-		QuotaBurst:     2,
+		QuotaPerMinute: 2,
 	})
 	now := time.Unix(80_000, 0)
 	h.svc.SetClock(func() time.Time { return now })
@@ -585,11 +583,10 @@ func TestServiceSoak(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	h := newServiceHarness(t, "", ServiceConfig{
-		QuotaPerMinute: 60,
-		QuotaBurst:     10,
+		QuotaPerMinute: 10,
 	})
 	now := time.Unix(100_000, 0)
-	h.svc.SetClock(func() time.Time { return now }) // static: quota = burst exactly
+	h.svc.SetClock(func() time.Time { return now }) // static: no refill, exactly 10 admitted
 	h.svc.localizeFn = func(ctx context.Context, tv int64, tenantName, app string) (core.LocalizeResult, error) {
 		time.Sleep(time.Millisecond) // keep flights overlapping
 		return h.fakeLocalize(ctx, tv, tenantName, app)
@@ -603,7 +600,7 @@ func TestServiceSoak(t *testing.T) {
 	for ti := 0; ti < tenants; ti++ {
 		n := 30
 		if ti == tenants-1 {
-			n = 5 // the quiet tenant stays under its burst
+			n = 5 // the quiet tenant stays under its quota
 		}
 		submissions[ti] = n
 		for i := 0; i < n; i++ {
@@ -687,7 +684,7 @@ func TestServiceSoak(t *testing.T) {
 			t.Errorf("%s: %d accepted seqs but %d covered by verdicts", name, tl.accepted, tl.servedSeqs)
 		}
 		// Fair shedding: the static clock makes each bucket exactly its
-		// burst, so flooders shed all but 10 and the quiet tenant sheds 0.
+		// quota, so flooders shed all but 10 and the quiet tenant sheds 0.
 		wantShed := submissions[ti] - 10
 		if wantShed < 0 {
 			wantShed = 0

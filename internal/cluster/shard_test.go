@@ -567,7 +567,7 @@ func TestMembershipJournalMetricsReconcile(t *testing.T) {
 // ErrOverloaded) whose hint is derived from the queue depth and mirrored on
 // the result.
 func TestOverloadRetryAfterHint(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithAdmission(1, 0),
+	master := NewMaster(core.Config{}, nil, WithAdmission(1),
 		WithLocalizeTimeout(3*time.Second))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -613,7 +613,7 @@ func TestOverloadRetryAfterHint(t *testing.T) {
 // violate wire protocol: a shed Violate reconstructs an OverloadedError with
 // the master's hint on the client side.
 func TestServiceRetryAfterOverTheWire(t *testing.T) {
-	master := NewMaster(core.Config{}, nil, WithAdmission(1, 0),
+	master := NewMaster(core.Config{}, nil, WithAdmission(1),
 		WithLocalizeTimeout(3*time.Second))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

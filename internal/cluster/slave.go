@@ -243,14 +243,11 @@ func WithReplication(interval time.Duration) SlaveOption {
 }
 
 // WithSlaveAdmission bounds concurrent analyze work on the slave: at most
-// limit requests analyze at once, at most queue more wait (LIFO — the
-// request with the freshest deadline budget is served first; an overflowing
-// queue sheds its oldest waiter). Shed or deadline-expired requests are
-// answered with a structured "overloaded" error frame so the master can
-// fail fast instead of burning its budget. limit <= 0 (the default) admits
-// everything.
-func WithSlaveAdmission(limit, queue int) SlaveOption {
-	return slaveOptionFunc(func(s *Slave) { s.analyzeGate = newGate(limit, queue) })
+// limit requests analyze at once, and a request past the limit is answered
+// with a structured "overloaded" error frame so the master can fail fast
+// instead of burning its budget. limit <= 0 (the default) admits everything.
+func WithSlaveAdmission(limit int) SlaveOption {
+	return slaveOptionFunc(func(s *Slave) { s.analyzeGate = newGate(limit) })
 }
 
 // WithVia tags the slave's registrations with the name of the aggregator it
@@ -964,25 +961,16 @@ func (s *Slave) handleAnalyze(w *connWriter, env *envelope) {
 	if env.BudgetMS > 0 {
 		deadline = time.Now().Add(time.Duration(env.BudgetMS) * time.Millisecond)
 	}
-	if s.analyzeGate != nil {
-		ctx := context.Background()
-		if !deadline.IsZero() {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
-			defer cancel()
-		}
-		if err := s.analyzeGate.acquire(ctx); err != nil {
-			s.obs.Registry().Counter("fchain_analyze_shed_total",
-				"Analyze requests shed by slave admission control.").Inc()
-			_ = s.obs.EventJournal().Record("analyze_shed", map[string]any{"slave": s.name, "tv": env.TV})
-			hint := s.analyzeGate.retryAfterHint(30 * time.Second)
-			_ = w.write(&envelope{Type: typeError, ID: env.ID, Code: codeOverloaded,
-				Err:          fmt.Sprintf("slave %s overloaded", s.name),
-				RetryAfterMS: hint.Milliseconds()}, 10*time.Second)
-			return
-		}
-		defer s.analyzeGate.release()
+	if !s.analyzeGate.tryAcquire() {
+		s.obs.Registry().Counter("fchain_analyze_shed_total",
+			"Analyze requests shed by slave admission control.").Inc()
+		_ = s.obs.EventJournal().Record("analyze_shed", map[string]any{"slave": s.name, "tv": env.TV})
+		_ = w.write(&envelope{Type: typeError, ID: env.ID, Code: codeOverloaded,
+			Err:          fmt.Sprintf("slave %s overloaded", s.name),
+			RetryAfterMS: retryAfter.Milliseconds()}, 10*time.Second)
+		return
 	}
+	defer s.analyzeGate.release()
 	if hook := slaveAnalyzeHook.Load(); hook != nil {
 		(*hook)(s.name, env.TV)
 	}

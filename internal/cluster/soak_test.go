@@ -207,7 +207,7 @@ func TestChaosSoak(t *testing.T) {
 // story end to end: work still completes, some calls are shed, every shed
 // call carries the Overloaded flag, the shed outcome counter and journal
 // reconcile exactly with the callers' own tally, and no admission slot
-// leaks. Run with -race: the LIFO waiter stack is the contended structure.
+// leaks. Run with -race: the gate's slot counter is the contended structure.
 func TestAdmissionShedSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second soak")
@@ -225,7 +225,7 @@ func TestAdmissionShedSoak(t *testing.T) {
 	}
 	master := NewMaster(core.Config{}, nil,
 		WithMasterObs(sink),
-		WithAdmission(2, 2))
+		WithAdmission(2))
 	tv := overloadCluster(t, master, nil)
 	waitFor(t, 5*time.Second, func() bool { return len(master.Slaves()) == 4 }, "registrations")
 
@@ -244,8 +244,7 @@ func TestAdmissionShedSoak(t *testing.T) {
 				case err == nil:
 					ok.Add(1)
 				case res.Overloaded:
-					// Shed either synchronously (queue overflow) or by the
-					// caller's deadline expiring while queued.
+					// Shed synchronously: both slots were held.
 					shed.Add(1)
 					if !errors.Is(err, ErrOverloaded) && !errors.Is(err, context.DeadlineExceeded) {
 						t.Errorf("overloaded result with unexpected error: %v", err)
@@ -262,7 +261,7 @@ func TestAdmissionShedSoak(t *testing.T) {
 		t.Error("no Localize completed under admission pressure")
 	}
 	if shed.Load() == 0 {
-		t.Error("8 callers against a limit-2/queue-2 gate shed nothing")
+		t.Error("8 callers against a limit-2 gate shed nothing")
 	}
 	if n := sink.Registry().CounterWith("fchain_localize_total", "",
 		map[string]string{"outcome": "shed"}).Value(); n != shed.Load() {

@@ -49,8 +49,7 @@ type LocalizeResult struct {
 	Overloaded bool `json:"overloaded,omitempty"`
 
 	// RetryAfterMS is the backoff hint attached to an overload shed (0
-	// otherwise): how long the caller should wait before retrying, derived
-	// from the admission queue depth at shed time.
+	// otherwise): how long the caller should wait before retrying.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 
 	// Quarantined maps components to the metric streams skipped because a

@@ -59,11 +59,10 @@ func ParseLevel(s string) Level {
 // everything, which is how library code carries an optional logger without
 // branching.
 type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	level  Level
-	clock  func() time.Time
-	fields []Attr
+	mu    sync.Mutex
+	w     io.Writer
+	level Level
+	clock func() time.Time
 }
 
 // NewLogger returns a logger writing lines at or above level to w.
@@ -80,24 +79,6 @@ func (l *Logger) SetClock(clock func() time.Time) {
 	l.mu.Lock()
 	l.clock = clock
 	l.mu.Unlock()
-}
-
-// With returns a logger that appends the given key/value pairs to every
-// line (e.g. slave name). The receiver is unchanged.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	child := &Logger{w: l.w, level: l.level, clock: l.clock}
-	child.fields = append(append([]Attr(nil), l.fields...), pairs(kv)...)
-	return child
-}
-
-// Enabled reports whether lines at the given level would be written.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.level
 }
 
 // Debug logs a debug-level line; kv is alternating keys and values.
@@ -125,39 +106,20 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	b.WriteString(level.String())
 	b.WriteString(" msg=")
 	b.WriteString(quoteValue(msg))
-	for _, f := range l.fields {
-		writePair(&b, f.Key, f.Val)
-	}
-	for _, f := range pairs(kv) {
-		writePair(&b, f.Key, f.Val)
-	}
-	b.WriteByte('\n')
-	_, _ = io.WriteString(l.w, b.String())
-}
-
-// pairs folds alternating key/value arguments into attributes; a dangling
-// key gets an empty value rather than being dropped.
-func pairs(kv []any) []Attr {
-	if len(kv) == 0 {
-		return nil
-	}
-	out := make([]Attr, 0, (len(kv)+1)/2)
+	// kv alternates keys and values; a dangling key gets an empty value
+	// rather than being dropped.
 	for i := 0; i < len(kv); i += 2 {
-		key := fmt.Sprint(kv[i])
 		val := ""
 		if i+1 < len(kv) {
 			val = formatValue(kv[i+1])
 		}
-		out = append(out, Attr{Key: key, Val: val})
+		b.WriteByte(' ')
+		b.WriteString(fmt.Sprint(kv[i]))
+		b.WriteByte('=')
+		b.WriteString(quoteValue(val))
 	}
-	return out
-}
-
-func writePair(b *strings.Builder, key, val string) {
-	b.WriteByte(' ')
-	b.WriteString(key)
-	b.WriteByte('=')
-	b.WriteString(quoteValue(val))
+	b.WriteByte('\n')
+	_, _ = io.WriteString(l.w, b.String())
 }
 
 // formatValue renders a logged value compactly.

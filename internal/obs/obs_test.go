@@ -454,26 +454,6 @@ func TestLoggerFormatAndLevels(t *testing.T) {
 	if !strings.Contains(out, `err="connection refused"`) {
 		t.Errorf("value with space not quoted: %q", out)
 	}
-	if !l.Enabled(LevelWarn) || l.Enabled(LevelDebug) {
-		t.Error("Enabled wrong")
-	}
-}
-
-func TestLoggerWithFields(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug)
-	fixed := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
-	l.SetClock(func() time.Time { return fixed })
-	child := l.With("slave", "host2")
-	child.Info("up")
-	if !strings.Contains(buf.String(), "slave=host2") {
-		t.Errorf("With field missing: %q", buf.String())
-	}
-	buf.Reset()
-	l.Info("plain")
-	if strings.Contains(buf.String(), "slave=") {
-		t.Error("With mutated the parent logger")
-	}
 }
 
 func TestLoggerNilSafe(t *testing.T) {
@@ -483,12 +463,6 @@ func TestLoggerNilSafe(t *testing.T) {
 	l.Warn("x")
 	l.Error("x")
 	l.SetClock(time.Now)
-	if l.With("k", "v") != nil {
-		t.Error("nil With != nil")
-	}
-	if l.Enabled(LevelError) {
-		t.Error("nil logger enabled")
-	}
 }
 
 func TestParseLevel(t *testing.T) {

@@ -5,10 +5,10 @@
 // has quota — before any cluster fan-out spends slave budget on it.
 //
 // Quotas are per-tenant token buckets: each tenant refills at a configured
-// violations-per-minute rate up to a burst cap, and every admitted violation
-// spends one token. Buckets are independent, so shedding is fair by
-// construction — a flooding tenant drains only its own bucket and a quiet
-// tenant's violations keep localizing at full rate.
+// violations-per-minute rate up to that same rate (a minute's worth), and
+// every admitted violation spends one token. Buckets are independent, so
+// shedding is fair by construction — a flooding tenant drains only its own
+// bucket and a quiet tenant's violations keep localizing at full rate.
 package tenant
 
 import (
@@ -27,26 +27,6 @@ var ErrUnknown = errors.New("tenant: unknown tenant")
 // empty: the tenant exceeded its violations-per-minute quota.
 var ErrQuota = errors.New("tenant: quota exceeded")
 
-// Quota is one tenant's admission budget. PerMinute is the sustained
-// violation rate; Burst is the bucket capacity (how many violations may
-// arrive back to back after an idle stretch). Burst <= 0 defaults to
-// PerMinute, and PerMinute <= 0 means unlimited.
-type Quota struct {
-	PerMinute float64
-	Burst     float64
-}
-
-// unlimited reports whether the quota admits everything.
-func (q Quota) unlimited() bool { return q.PerMinute <= 0 }
-
-// cap returns the effective bucket capacity.
-func (q Quota) cap() float64 {
-	if q.Burst > 0 {
-		return q.Burst
-	}
-	return q.PerMinute
-}
-
 // bucket is one tenant's token bucket state.
 type bucket struct {
 	tokens float64
@@ -59,18 +39,19 @@ type bucket struct {
 type Registry struct {
 	mu      sync.Mutex
 	allowed map[string]bool // nil = open namespace (any non-empty name)
-	quota   Quota
+	rate    float64         // violations per minute and bucket capacity; <= 0 = unlimited
 	clock   func() time.Time
 	buckets map[string]*bucket
 }
 
 // NewRegistry builds a registry. allowed lists the tenants the service
 // accepts; empty means the namespace is open and any non-empty tenant name is
-// admitted (its bucket is created on first use). quota applies to every
-// tenant independently.
-func NewRegistry(allowed []string, quota Quota) *Registry {
+// admitted (its bucket is created on first use). Every tenant gets its own
+// bucket refilling at perMinute violations per minute up to perMinute
+// tokens; perMinute <= 0 is unlimited.
+func NewRegistry(allowed []string, perMinute float64) *Registry {
 	r := &Registry{
-		quota:   quota,
+		rate:    perMinute,
 		clock:   time.Now,
 		buckets: make(map[string]*bucket),
 	}
@@ -113,48 +94,23 @@ func (r *Registry) Admit(tenant string) error {
 	if !ok {
 		// Created even under an unlimited quota, so Tenants() reports every
 		// open-namespace tenant ever admitted.
-		b = &bucket{tokens: r.quota.cap(), last: now}
+		b = &bucket{tokens: r.rate, last: now}
 		r.buckets[tenant] = b
 	}
-	if r.quota.unlimited() {
+	if r.rate <= 0 {
 		return nil
 	}
 	if ok {
 		if dt := now.Sub(b.last); dt > 0 {
-			b.tokens += dt.Seconds() * r.quota.PerMinute / 60
-			if max := r.quota.cap(); b.tokens > max {
-				b.tokens = max
-			}
+			b.tokens = min(b.tokens+dt.Seconds()*r.rate/60, r.rate)
 		}
 		b.last = now
 	}
 	if b.tokens < 1 {
-		return fmt.Errorf("%w: tenant %q over %.3g/min", ErrQuota, tenant, r.quota.PerMinute)
+		return fmt.Errorf("%w: tenant %q over %.3g/min", ErrQuota, tenant, r.rate)
 	}
 	b.tokens--
 	return nil
-}
-
-// Tokens returns tenant's current bucket level without charging it (refill
-// applied up to now). Unlimited quotas report +Inf-like behavior as the cap 0.
-func (r *Registry) Tokens(tenant string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.quota.unlimited() {
-		return 0
-	}
-	b, ok := r.buckets[tenant]
-	if !ok {
-		return r.quota.cap()
-	}
-	tokens := b.tokens
-	if dt := r.clock().Sub(b.last); dt > 0 {
-		tokens += dt.Seconds() * r.quota.PerMinute / 60
-		if max := r.quota.cap(); tokens > max {
-			tokens = max
-		}
-	}
-	return tokens
 }
 
 // Tenants returns every tenant the registry has state for — the configured

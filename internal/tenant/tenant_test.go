@@ -8,7 +8,7 @@ import (
 )
 
 func TestOpenNamespaceAdmitsAnyName(t *testing.T) {
-	r := NewRegistry(nil, Quota{})
+	r := NewRegistry(nil, 0)
 	for _, name := range []string{"a", "team-x", "z"} {
 		if err := r.Admit(name); err != nil {
 			t.Errorf("Admit(%q) in open namespace: %v", name, err)
@@ -20,7 +20,7 @@ func TestOpenNamespaceAdmitsAnyName(t *testing.T) {
 }
 
 func TestClosedNamespaceRejectsOutsiders(t *testing.T) {
-	r := NewRegistry([]string{"alpha", "beta"}, Quota{})
+	r := NewRegistry([]string{"alpha", "beta"}, 0)
 	if err := r.Admit("alpha"); err != nil {
 		t.Errorf("Admit(alpha): %v", err)
 	}
@@ -31,7 +31,7 @@ func TestClosedNamespaceRejectsOutsiders(t *testing.T) {
 
 func TestQuotaBucketRefillsOverTime(t *testing.T) {
 	now := time.Unix(1000, 0)
-	r := NewRegistry(nil, Quota{PerMinute: 60, Burst: 2}) // 1 token/s, bucket of 2
+	r := NewRegistry(nil, 2) // one token per 30 s, bucket of 2
 	r.SetClock(func() time.Time { return now })
 
 	for i := 0; i < 2; i++ {
@@ -43,23 +43,28 @@ func TestQuotaBucketRefillsOverTime(t *testing.T) {
 		t.Fatalf("bucket empty, Admit = %v, want ErrQuota", err)
 	}
 
-	now = now.Add(1 * time.Second) // refills exactly one token
+	now = now.Add(30 * time.Second) // refills exactly one token
 	if err := r.Admit("t"); err != nil {
-		t.Fatalf("after 1s refill: %v", err)
+		t.Fatalf("after 30s refill: %v", err)
 	}
 	if err := r.Admit("t"); !errors.Is(err, ErrQuota) {
 		t.Fatalf("token spent again, Admit = %v, want ErrQuota", err)
 	}
 
 	now = now.Add(time.Hour) // refill far past the cap
-	if got := r.Tokens("t"); got > 2 {
-		t.Fatalf("bucket overfilled past burst cap: %v tokens", got)
+	for i := 0; i < 2; i++ {
+		if err := r.Admit("t"); err != nil {
+			t.Fatalf("refilled admit %d: %v", i, err)
+		}
+	}
+	if err := r.Admit("t"); !errors.Is(err, ErrQuota) {
+		t.Fatalf("bucket overfilled past its cap of 2, Admit = %v, want ErrQuota", err)
 	}
 }
 
 func TestQuotaIsPerTenant(t *testing.T) {
 	now := time.Unix(0, 0)
-	r := NewRegistry(nil, Quota{PerMinute: 60, Burst: 1})
+	r := NewRegistry(nil, 1)
 	r.SetClock(func() time.Time { return now })
 	if err := r.Admit("loud"); err != nil {
 		t.Fatal(err)
@@ -74,12 +79,12 @@ func TestQuotaIsPerTenant(t *testing.T) {
 }
 
 func TestTenantsListsNamespaceAndSeen(t *testing.T) {
-	r := NewRegistry([]string{"beta", "alpha"}, Quota{})
+	r := NewRegistry([]string{"beta", "alpha"}, 0)
 	_ = r.Admit("beta")
 	if got, want := r.Tenants(), []string{"alpha", "beta"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Tenants() = %v, want %v", got, want)
 	}
-	open := NewRegistry(nil, Quota{})
+	open := NewRegistry(nil, 0)
 	_ = open.Admit("zeta")
 	_ = open.Admit("eta")
 	if got, want := open.Tenants(), []string{"eta", "zeta"}; !reflect.DeepEqual(got, want) {
