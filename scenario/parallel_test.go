@@ -1,10 +1,34 @@
 package scenario_test
 
 import (
+	"sync"
 	"testing"
 
 	"fchain/scenario"
 )
+
+// serialRuns memoizes each experiment's one-worker report at two runs, so
+// every test below asserts on the report TestRunWithParallelEquivalence
+// builds instead of regenerating the experiment.
+var serialRuns sync.Map // id → *serialRun
+
+type serialRun struct {
+	once sync.Once
+	text string
+	err  error
+}
+
+// serialReport returns experiment id's one-worker report, building it on
+// first use.
+func serialReport(id string) (string, error) {
+	v, _ := serialRuns.LoadOrStore(id, new(serialRun))
+	r := v.(*serialRun)
+	r.once.Do(func() {
+		rep, err := scenario.RunWith(id, scenario.RunOptions{Runs: 2, Workers: 1})
+		r.text, r.err = rep.Text, err
+	})
+	return r.text, r.err
+}
 
 // TestRunWithParallelEquivalence is the end-to-end determinism contract of
 // the sweep engine: regenerating any figure, Table I or the ablation with
@@ -24,7 +48,7 @@ func TestRunWithParallelEquivalence(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			serial, err := scenario.RunWith(id, scenario.RunOptions{Runs: 2, Workers: 1})
+			serial, err := serialReport(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,10 +56,10 @@ func TestRunWithParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if serial.Text != parallel.Text {
-				t.Errorf("parallel report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial.Text, parallel.Text)
+			if serial != parallel.Text {
+				t.Errorf("parallel report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel.Text)
 			}
-			if len(serial.Text) == 0 {
+			if len(serial) == 0 {
 				t.Error("empty report")
 			}
 		})

@@ -71,7 +71,7 @@ func TestRunFigureSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")
 	}
-	out, err := scenario.Run(scenario.Figure12, 2)
+	out, err := serialReport(scenario.Figure12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRunFigureSmall(t *testing.T) {
 
 func TestRunWalkthroughs(t *testing.T) {
 	for _, id := range []string{scenario.Figure2, scenario.Figure3, scenario.Figure4, scenario.Figure5} {
-		out, err := scenario.Run(id, 1)
+		out, err := serialReport(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -98,7 +98,7 @@ func TestRunAblationSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")
 	}
-	out, err := scenario.Run(scenario.Ablation, 1)
+	out, err := serialReport(scenario.Ablation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRunCampaignExperiments(t *testing.T) {
 		scenario.Figure6, scenario.Figure7, scenario.Figure8, scenario.Figure9,
 		scenario.Figure10, scenario.Figure11, scenario.TableI,
 	} {
-		out, err := scenario.Run(id, 1)
+		out, err := serialReport(id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
