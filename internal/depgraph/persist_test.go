@@ -2,7 +2,9 @@ package depgraph
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,4 +130,59 @@ func TestPersistRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzReadGraph feeds the -deps file reader arbitrary documents: it must not
+// panic, and every document it accepts must survive Write → ReadGraph with
+// the same nodes, edges and confidence bits.
+func FuzzReadGraph(f *testing.F) {
+	g := NewGraph()
+	g.AddEdge("web", "app1", 0.58)
+	g.AddEdge("web", "app2", 0.51)
+	g.AddEdge("app1", "db", 1.0)
+	g.AddNode("lonely")
+	var written bytes.Buffer
+	if err := g.Write(&written); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		written.String(),
+		"hello",
+		`{"version": 99, "nodes": [], "edges": []}`,
+		`{"version": 1, "nodes": [""], "edges": []}`,
+		`{"version": 1, "nodes": ["a"], "edges": [{"from":"","to":"a","confidence":1}]}`,
+		`{"version": 1, "nodes": ["a","b"], "edges": [{"from":"a","to":"b","confidence":7}]}`,
+		`{"version": 1, "edges": [{"from":"a","to":"b","confidence":0.25},{"from":"a","to":"b","confidence":0.5},{"from":"b","to":"b","confidence":1}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		g, err := ReadGraph(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.Write(&buf); err != nil {
+			t.Fatalf("accepted graph does not write: %v", err)
+		}
+		back, err := ReadGraph(&buf)
+		if err != nil {
+			t.Fatalf("written graph does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if got, want := back.Nodes(), g.Nodes(); !slices.Equal(got, want) {
+			t.Fatalf("nodes %q, read back as %q", want, got)
+		}
+		if back.Edges() != g.Edges() {
+			t.Fatalf("%d edges, read back as %d", g.Edges(), back.Edges())
+		}
+		for _, from := range g.Nodes() {
+			for _, to := range g.Successors(from) {
+				if !back.HasEdge(from, to) ||
+					math.Float64bits(back.Confidence(from, to)) != math.Float64bits(g.Confidence(from, to)) {
+					t.Fatalf("edge %q->%q confidence %v, read back as %v (present %v)",
+						from, to, g.Confidence(from, to), back.Confidence(from, to), back.HasEdge(from, to))
+				}
+			}
+		}
+	})
 }
