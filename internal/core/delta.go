@@ -342,8 +342,10 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 // model, rings, last accepted timestamp and sanitizer state. It is the one
 // way state from disk or from a peer enters a monitor, so it refuses any
 // state the monitor could not have built, and checks every slot (see
-// ReplMetric.check) before it changes anything. Ring capacities follow the
-// monitor's configuration, not the frame's: a monitor with a smaller
+// ReplMetric.check) before it changes anything. The frame's samples are
+// then pushed into the monitor's own rings, cleared under the shard lock,
+// so installing a frame allocates no ring storage. Ring capacities follow
+// the monitor's configuration, not the frame's: a monitor with a smaller
 // RingCapacity keeps only the newest samples. Streaming state is rebuilt
 // from the installed rings; the rebuild is a pure function of the retained
 // samples, so a restarted daemon's analysis matches what any other process
@@ -362,10 +364,19 @@ func (m *Monitor) applyFull(d *ReplDelta) error {
 	}
 	for i, k := range metric.Kinds {
 		s := &d.Metrics[i]
-		samples, errs := ringsOf(s.Runs, m.cfg.RingCapacity)
 		sh := &m.shards[k]
 		sh.mu.Lock()
-		sh.model, sh.samples, sh.errs = models[i], samples, errs
+		sh.model = models[i]
+		sh.samples.Clear()
+		sh.errs.Clear()
+		for j := range s.Runs {
+			r := &s.Runs[j]
+			for x := range r.n() {
+				t := r.T0 + int64(x)
+				sh.samples.Push(t, r.value(x))
+				sh.errs.Push(t, bitsAt(r.E, x))
+			}
+		}
 		sh.lastT, sh.hasLast = 0, s.HasLast
 		if sh.hasLast {
 			sh.lastT = s.LastT
@@ -396,21 +407,6 @@ func (s *ReplMetric) check() (*markov.Predictor, error) {
 		return nil, fmt.Errorf("model: %v", err)
 	}
 	return p, nil
-}
-
-// ringsOf pushes checked runs into new sample and error rings of the given
-// capacity.
-func ringsOf(runs []ReplRun, capacity int) (samples, errs *timeseries.Ring) {
-	samples, errs = timeseries.NewRing(capacity), timeseries.NewRing(capacity)
-	for i := range runs {
-		r := &runs[i]
-		for j := range r.n() {
-			t := r.T0 + int64(j)
-			samples.Push(t, r.value(j))
-			errs.Push(t, bitsAt(r.E, j))
-		}
-	}
-	return samples, errs
 }
 
 // checkRuns reports why one metric's runs could not replay through Observe

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -653,6 +654,53 @@ func TestReplDeltaSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state DeltaInto allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestApplyFullRingsAllocFree guards the full-frame install (a checkpoint
+// load, a promoted standby's frames): the frame's samples are pushed into
+// the monitor's own rings, so applying it allocates no ring storage — less
+// than one ring's values per apply, where new rings would take twelve — and
+// leaves the monitor byte-identical to the frame's source, with none of its
+// own earlier samples.
+func TestApplyFullRingsAllocFree(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	primary, shadow := NewMonitor("c", cfg), NewMonitor("c", cfg)
+	for ts := int64(1); ts <= int64(cfg.RingCapacity)+100; ts++ {
+		feedAll(t, primary, ts)
+	}
+	for ts := int64(5000); ts < 5050; ts++ {
+		feedAll(t, shadow, ts)
+	}
+	var frame ReplDelta
+	primary.fullInto(&frame)
+	cpu := &shadow.shards[metric.CPU]
+	samples, errs := cpu.samples, cpu.errs
+	if err := shadow.ApplyDelta(&frame); err != nil {
+		t.Fatal(err)
+	}
+	if cpu.samples != samples || cpu.errs != errs {
+		t.Fatal("applying a full frame replaced the shard's rings")
+	}
+	if !bytes.Equal(frameBytes(t, shadow), frameBytes(t, primary)) {
+		t.Fatal("the monitor a full frame was applied to differs from the frame's source")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const applies = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range applies {
+		if err := shadow.ApplyDelta(&frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perApply := (after.TotalAlloc - before.TotalAlloc) / applies
+	t.Logf("%d bytes allocated per full-frame apply", perApply)
+	if ring := uint64(cfg.RingCapacity) * 8; perApply >= ring {
+		t.Fatalf("a full-frame apply allocates %d bytes, want less than one ring's %d", perApply, ring)
 	}
 }
 

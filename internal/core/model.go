@@ -123,11 +123,13 @@ type Monitor struct {
 func NewMonitor(component string, cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{component: component, cfg: cfg}
-	for _, k := range metric.Kinds {
+	// Every ring lives as long as the monitor, so all twelve share one
+	// backing array (timeseries.NewRings); applyFull refills them in place.
+	rings := timeseries.NewRings(2*metric.NumKinds, cfg.RingCapacity)
+	for i, k := range metric.Kinds {
 		sh := &m.shards[k]
 		sh.model = markov.New(cfg.MarkovBins, cfg.MarkovDecay)
-		sh.samples = timeseries.NewRing(cfg.RingCapacity)
-		sh.errs = timeseries.NewRing(cfg.RingCapacity)
+		sh.samples, sh.errs = &rings[2*i], &rings[2*i+1]
 		sh.sanitizer = ingest.NewSanitizer(cfg.ingestConfig())
 		if cfg.Streaming {
 			sh.stream = newStreamState(cfg)
@@ -229,18 +231,4 @@ func (m *Monitor) ObserveVector(t int64, vec *metric.Vector) error {
 		}
 	}
 	return nil
-}
-
-// materialize snapshots metric k's retained samples and prediction errors
-// into the arena's series under the shard lock, returning both. All window
-// and context queries of one analysis pass take zero-copy views of these;
-// the views are invalidated by the arena's next materialize. Once the copy
-// is out, analysis proceeds without blocking the collection path.
-func (m *Monitor) materialize(k metric.Kind, a *arena) (sv, se *timeseries.Series) {
-	sh := &m.shards[k]
-	sh.mu.Lock()
-	sv = sh.samples.SeriesInto(&a.vals)
-	se = sh.errs.SeriesInto(&a.errs)
-	sh.mu.Unlock()
-	return sv, se
 }

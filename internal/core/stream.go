@@ -134,9 +134,13 @@ type streamFacts struct {
 	eseq uint64 // for storing the kernel memo afterwards
 }
 
-// materializeStream is materialize plus the kernel memo lookup, all under one
-// shard lock acquisition. With streaming disabled it is a plain materialize;
-// with it on, every analysis the memo does not answer counts as cold.
+// materializeStream copies metric k's retained samples and prediction errors
+// into the arena's series under the shard lock, and looks up the kernel memo
+// under the same lock acquisition. Every window and context query of one
+// analysis pass takes zero-copy views of the two series, which the arena's
+// next copy invalidates; once the copy is out, analysis proceeds without
+// blocking the collection path. With streaming on, every analysis the memo
+// does not answer counts as cold.
 // memoEligible is false for traced runs and active fault-injection hooks —
 // both must execute the real kernel.
 func (m *Monitor) materializeStream(tv int64, k metric.Kind, cfg Config, a *arena, memoEligible bool) (sv, se *timeseries.Series, facts streamFacts) {

@@ -17,7 +17,7 @@ import (
 // slave's ring holds one run; a gap pushed through the strict path opens
 // another.
 //
-// The zero value is not usable; construct with NewRing.
+// The zero value is not usable; construct with NewRing or NewRings.
 type Ring struct {
 	vals []float64
 	runs []run // retained timestamps, oldest run first
@@ -34,11 +34,22 @@ type run struct {
 
 // NewRing returns a ring holding at most capacity samples. Capacities < 1
 // are raised to 1.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
+func NewRing(capacity int) *Ring { return &NewRings(1, capacity)[0] }
+
+// NewRings returns n rings of one capacity laid over a single backing array,
+// each ring's values a capped slice of it, so no ring can grow into its
+// neighbour. A monitor's rings live exactly as long as the monitor, and one
+// array rounds up to the allocator's size classes once instead of once per
+// ring: at 1,440 samples a ring alone takes 12,288 bytes for its 11,520.
+// Capacities < 1 are raised to 1.
+func NewRings(n, capacity int) []Ring {
+	capacity = max(capacity, 1)
+	vals := make([]float64, n*capacity)
+	rings := make([]Ring, n)
+	for i := range rings {
+		rings[i].vals = vals[i*capacity : (i+1)*capacity : (i+1)*capacity]
 	}
-	return &Ring{vals: make([]float64, capacity)}
+	return rings
 }
 
 // Cap returns the ring's capacity.

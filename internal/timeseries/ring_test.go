@@ -57,11 +57,14 @@ func (r *twoColumnRing) contents() (times []int64, vals []float64) {
 }
 
 // ringPair drives a Ring and the reference through the same operations and
-// compares every read after each one.
+// compares every read after each one. The ring is the middle one of three
+// that NewRings lays over one array; its neighbours are filled once and
+// must never change.
 type ringPair struct {
 	tb    testing.TB
 	r     *Ring
 	ref   *twoColumnRing
+	nbrs  [2]*Ring
 	t     int64
 	dst   Series
 	nops  int
@@ -69,8 +72,18 @@ type ringPair struct {
 }
 
 func newRingPair(tb testing.TB, capacity int) *ringPair {
-	return &ringPair{tb: tb, r: NewRing(capacity), ref: newTwoColumnRing(capacity), t: 1000}
+	rings := NewRings(3, capacity)
+	p := &ringPair{tb: tb, r: &rings[1], ref: newTwoColumnRing(capacity), nbrs: [2]*Ring{&rings[0], &rings[2]}, t: 1000}
+	for i, nb := range p.nbrs {
+		for j := range nb.Cap() {
+			nb.Push(int64(j), neighbourValue(i, j))
+		}
+	}
+	return p
 }
+
+// neighbourValue is the j-th value of ringPair's i-th neighbour ring.
+func neighbourValue(i, j int) float64 { return -float64(1+i) - float64(j)/4 }
 
 // apply performs one operation chosen by op, with arg as its parameter:
 // mostly one-second steps, some forward gaps, some arbitrary steps
@@ -117,11 +130,11 @@ func (p *ringPair) push(step int64, arg byte) {
 	p.ref.push(p.t, v)
 }
 
-// rebuild replaces both rings with new ones of the same capacity holding
-// the given samples, pushed oldest first: how a monitor installs a ring it
-// received.
+// rebuild clears both rings and pushes the given samples, oldest first: how
+// a monitor installs a ring it received.
 func (p *ringPair) rebuild(times []int64, vals []float64) {
-	p.r, p.ref = NewRing(p.r.Cap()), newTwoColumnRing(p.r.Cap())
+	p.r.Clear()
+	p.ref.clear()
 	for i := range times {
 		p.r.Push(times[i], vals[i])
 		p.ref.push(times[i], vals[i])
@@ -185,6 +198,16 @@ func (p *ringPair) check() {
 	for _, s := range []*Series{r.Series(), r.SeriesInto(&p.dst)} {
 		if s.Start() != start || !slices.EqualFunc(s.Values(), vals, sameBits) {
 			fail("series start %d vals %v, want %d %v", s.Start(), s.Values(), start, vals)
+		}
+	}
+	for i, nb := range p.nbrs {
+		if nb.Len() != nb.Cap() {
+			fail("neighbour %d holds %d of %d samples", i, nb.Len(), nb.Cap())
+		}
+		for j := range nb.Len() {
+			if t, v := nb.At(j); t != int64(j) || v != neighbourValue(i, j) {
+				fail("neighbour %d At(%d) = (%d, %v), want (%d, %v)", i, j, t, v, j, neighbourValue(i, j))
+			}
 		}
 	}
 }
