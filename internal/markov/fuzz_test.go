@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -86,29 +88,77 @@ func FuzzPredictorSnapshot(f *testing.F) {
 	})
 }
 
-// checkOccupancy fails unless p, restored from s, stores exactly the rows of
-// s that hold a count — every non-nil row, except a zero row a restored
-// total carries — and its slab has no spare capacity.
+// checkOccupancy fails unless p, restored from s, stores exactly the
+// positive counts of s — one cell per count, at the mask bit of its row and
+// column — and its cells have no spare capacity beyond the allocator's size
+// class for them.
 func checkOccupancy(t *testing.T, p *Predictor, s *Snapshot) {
 	t.Helper()
-	rows := 0
-	for i, slot := range p.slot {
-		var row []float64
-		if i < len(s.Counts) {
-			row = s.Counts[i]
-		}
-		holds := false
-		for _, c := range row {
-			holds = holds || c > 0
-		}
-		if (slot != 0) != holds {
-			t.Fatalf("row %d: stored=%v, snapshot row %v", i, slot != 0, row)
-		}
-		if slot != 0 {
-			rows++
+	cells := 0
+	for i := range p.bins {
+		for j := range p.bins {
+			var c float64
+			if i < len(s.Counts) && j < len(s.Counts[i]) {
+				c = s.Counts[i][j]
+			}
+			set := p.mask[i*p.words+j>>6]&(1<<(j&63)) != 0
+			if set != (c > 0) {
+				t.Fatalf("[%d][%d]: stored=%v, snapshot count %v", i, j, set, c)
+			}
+			if set {
+				cells++
+			}
 		}
 	}
-	if len(p.counts) != rows*p.bins || cap(p.counts) != len(p.counts) {
-		t.Fatalf("%d rows stored in len %d cap %d, want %d", rows, len(p.counts), cap(p.counts), rows*p.bins)
+	if want := cap(slices.Grow([]float64(nil), cells)); len(p.cells) != cells || cap(p.cells) != want {
+		t.Fatalf("%d counts stored in len %d cap %d, want cap %d", cells, len(p.cells), cap(p.cells), want)
 	}
+}
+
+// FuzzPredictorMatchesDense decodes bytes into a discretization, a decay
+// and a sequence of operations, and drives the packed predictor and the
+// dense reference (predict_test.go) through them side by side: samples
+// around a level, excursions that grow the range past either edge (remaps),
+// Break, and snapshot restores. Decay 0.5 renormalizes every ~40 samples.
+// After every operation each Observe error, Predict, TransitionProb,
+// RowDistribution and Snapshot must be bit-equal between the two.
+func FuzzPredictorMatchesDense(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 10, 0, 20, 0, 30, 0, 25, 15, 3, 0, 200, 13, 0, 0, 9, 14, 0, 0, 40})
+	f.Add([]byte{2, 1, 0, 128, 0, 127, 15, 250, 0, 1, 0, 255, 15, 7, 0, 64, 13, 0, 0, 100, 0, 3})
+	// Decay 0.5 around one level: several renormalizations of rows with
+	// many cells. Then the same with a Break, a restore and an excursion
+	// every 29 operations.
+	steady, mixed := []byte{1, 1}, []byte{1, 1}
+	for i := range 120 {
+		steady = append(steady, 0, byte(i*37))
+		mixed = append(mixed, byte(i%29), byte(i*37))
+	}
+	f.Add(steady)
+	f.Add(mixed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		bins := [...]int{2, 40, 65}[int(data[0])%3]
+		decay := [...]float64{DefaultDecay, 0.5, 1}[int(data[1])%3]
+		pp := &predictorPair{tb: t, p: New(bins, decay), ref: newDenseModel(bins, decay),
+			rng: rand.New(rand.NewSource(int64(len(data))))}
+		level := 10.0
+		for i := 2; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			switch op % 16 {
+			case 13:
+				pp.brk()
+			case 14:
+				pp.restore()
+			case 15:
+				// An excursion: the level moves up to 9× away, either sign,
+				// staying finite.
+				level *= float64(1+arg%8) * float64(1-2*int(arg>>7))
+				level = min(max(level, -math.MaxFloat64), math.MaxFloat64)
+			default:
+				pp.observe(level + level*float64(int8(arg))/64)
+			}
+		}
+	})
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -43,17 +44,19 @@ type Predictor struct {
 	lo, hi   float64 // current discretization range
 	rangeSet bool
 
-	// counts holds the decayed transition counts of the occupied rows only,
-	// bins per row, in the order the rows were first touched: most of a
-	// stream's bins are never the source of a transition, so a dense
-	// bins×bins matrix would be mostly zeros. slot[from] is one plus the
-	// position of row from in counts, counted in rows, and 0 while the row
-	// is empty; a byte could not number MaxBins rows. rowSum and mask stay
-	// dense. mask has words uint64s per row: bit to of row from is set once
-	// a count has been added at [from][to], so a row's non-zero counts are a
-	// subset of its set bits and Predict visits only those.
-	counts  []float64
-	slot    []uint16
+	// mask has words uint64s per row: bit to of row from is set once a
+	// count has been added at [from][to]. cells holds the decayed count of
+	// each set bit and nothing else, rows in bin order and each row's
+	// columns ascending: most bins are never the source of a transition and
+	// most rows lead to a few bins, so a bins×bins matrix, or even its
+	// occupied rows, would be mostly zeros. start[from] counts the cells of
+	// the rows before from, which is where row from's cells begin; a full
+	// MaxBins matrix has 65,536 cells, one past what a uint16 holds.
+	// rowSum and mask stay dense. A cell can decay to 0 but never goes away
+	// before the next remap, so a row's non-zero counts are a subset of its
+	// cells.
+	cells   []float64
+	start   []uint32
 	rowSum  []float64
 	mask    []uint64
 	words   int // ceil(bins/64)
@@ -70,16 +73,17 @@ type Predictor struct {
 	observations int
 }
 
-// zeroRow is what row returns for a bin no transition has left yet. It is
-// shared by every predictor and must never be written.
-var zeroRow [MaxBins]float64
+// remapScratch is what remapRange copies the cells, the old bin centers and
+// the mask into before clearing the matrix.
+type remapScratch struct {
+	vals []float64 // cells, then bin centers
+	mask []uint64
+}
 
-// remapPool lends remapRange the scratch it copies the occupied rows, the
-// old bin centers and the row slots into before clearing the matrix. A
-// remap is rare once a predictor's range has settled, so predictors share
-// these buffers instead of each keeping a spare matrix resident, and a warm
-// remap allocates nothing. It holds *[]float64 so Put does not box a slice
-// header.
+// remapPool lends remapRange its *remapScratch. A remap is rare once a
+// predictor's range has settled, so predictors share these buffers instead
+// of each keeping a spare matrix resident, and a warm remap allocates
+// nothing.
 var remapPool sync.Pool
 
 // New returns a predictor with the given number of value bins and decay
@@ -102,60 +106,90 @@ func New(bins int, decay float64) *Predictor {
 // NewDefault returns a predictor with default parameters.
 func NewDefault() *Predictor { return New(DefaultBins, DefaultDecay) }
 
-// reset empties the matrix. counts keeps its capacity, so the rows a remap
-// re-adds reuse it.
+// reset empties the matrix. cells keeps its capacity, so the transitions a
+// remap re-adds reuse it.
 func (p *Predictor) reset() {
 	if p.rowSum == nil {
-		p.slot = make([]uint16, p.bins)
+		p.start = make([]uint32, p.bins)
 		p.rowSum = make([]float64, p.bins)
 		p.mask = make([]uint64, p.bins*p.words)
 	} else {
-		clear(p.slot)
+		clear(p.start)
 		clear(p.rowSum)
 		clear(p.mask)
 	}
-	p.counts = p.counts[:0]
+	p.cells = p.cells[:0]
 	p.hasLast = false
 	p.incWeight = 1
 }
 
-// add adds c to the count of transition i -> j and marks it occupied,
-// giving row i a place in counts the first time a transition leaves it.
+// cell returns the index in cells that transition i -> j has, or takes
+// when it is first seen, and whether it has been seen: the row's start plus
+// the set bits before column j.
+func (p *Predictor) cell(i, j int) (k int, seen bool) {
+	w, bit := i*p.words+j>>6, uint64(1)<<(j&63)
+	k = int(p.start[i]) + bits.OnesCount64(p.mask[w]&(bit-1))
+	for _, m := range p.mask[i*p.words : w] {
+		k += bits.OnesCount64(m)
+	}
+	return k, p.mask[w]&bit != 0
+}
+
+// add adds c to the count of transition i -> j, inserting its cell the
+// first time the transition is seen.
 func (p *Predictor) add(i, j int, c float64) {
-	s := int(p.slot[i])
-	if s == 0 {
-		s = p.grow()
-		p.slot[i] = uint16(s)
+	k, seen := p.cell(i, j)
+	if !seen {
+		p.insert(k)
+		p.mask[i*p.words+j>>6] |= 1 << (j & 63)
+		for r := i + 1; r < p.bins; r++ {
+			p.start[r]++
+		}
 	}
-	p.counts[(s-1)*p.bins+j] += c
+	p.cells[k] += c
 	p.rowSum[i] += c
-	p.mask[i*p.words+j>>6] |= 1 << (j & 63)
 }
 
-// grow appends one zero row to counts and returns its slot. Past the
-// capacity it reallocates to exactly one more row rather than letting
-// append double it: the point of storing only occupied rows is that the
-// heap holds no more than them.
-func (p *Predictor) grow() int {
-	n := len(p.counts)
-	if n+p.bins > cap(p.counts) {
-		counts := make([]float64, n, n+p.bins)
-		copy(counts, p.counts)
-		p.counts = counts
+// insert opens a zero cell at index k. Past the capacity it grows cells to
+// the allocator's size class for one more cell, not by append's doubling:
+// the point of storing only the transitions seen is that the heap holds no
+// more than them.
+func (p *Predictor) insert(k int) {
+	n := len(p.cells)
+	if n == cap(p.cells) {
+		cells := slices.Grow([]float64(nil), n+1)
+		p.cells = cells[:copy(cells[:n], p.cells)]
 	}
-	p.counts = p.counts[:n+p.bins]
-	clear(p.counts[n:])
-	return len(p.counts) / p.bins
+	p.cells = p.cells[:n+1]
+	copy(p.cells[k+1:], p.cells[k:n])
+	p.cells[k] = 0
 }
 
-// row returns the counts of transitions out of bin i, or a shared zero row
-// when none has left it. The result is read-only.
-func (p *Predictor) row(i int) []float64 {
-	s := int(p.slot[i])
-	if s == 0 {
-		return zeroRow[:p.bins:p.bins]
+// rowCells returns row i's mask words and its cells, one per set bit in
+// ascending column order. The cells alias the predictor's.
+func (p *Predictor) rowCells(i int) (mask []uint64, cells []float64) {
+	mask = p.mask[i*p.words : (i+1)*p.words]
+	n := 0
+	for _, m := range mask {
+		n += bits.OnesCount64(m)
 	}
-	return p.counts[(s-1)*p.bins : s*p.bins]
+	k := int(p.start[i])
+	return mask, p.cells[k : k+n]
+}
+
+// appendRow appends row i's counts to dst densely, bins of them.
+func (p *Predictor) appendRow(dst []float64, i int) []float64 {
+	n := len(dst)
+	dst = append(dst, make([]float64, p.bins)...)
+	mask, cells := p.rowCells(i)
+	k := 0
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			dst[n+w<<6+bits.TrailingZeros64(m)] = cells[k]
+			k++
+		}
+	}
+	return dst
 }
 
 // Observations returns the number of samples the model has consumed.
@@ -235,26 +269,22 @@ func (p *Predictor) ensureRange(v float64) {
 }
 
 // remapRange moves the learned counts onto the range [newLo, newHi]: it
-// copies the occupied rows, their slots and the old bin centers aside,
-// clears the matrix in place, and re-adds each non-zero count at the bins of
-// its old bin centers, in ascending [from][to] order whatever order the rows
-// were first touched in.
+// copies the cells, the mask and the old bin centers aside, clears the
+// matrix in place, and re-adds each non-zero count at the bins of its old
+// bin centers, in ascending [from][to] order. Bin centers keep their order
+// under the new range, so each re-added cell lands at or after the last.
 func (p *Predictor) remapRange(newLo, newHi float64) {
-	buf, _ := remapPool.Get().(*[]float64)
-	if buf == nil {
-		buf = new([]float64)
+	sc, _ := remapPool.Get().(*remapScratch)
+	if sc == nil {
+		sc = new(remapScratch)
 	}
-	scratch := append((*buf)[:0], p.counts...)
-	oldBins := p.bins
-	w := (p.hi - p.lo) / float64(oldBins)
-	for i := range oldBins {
-		scratch = append(scratch, p.lo+(float64(i)+0.5)*w)
+	vals := append(sc.vals[:0], p.cells...)
+	width := (p.hi - p.lo) / float64(p.bins)
+	for i := range p.bins {
+		vals = append(vals, p.lo+(float64(i)+0.5)*width)
 	}
-	for _, s := range p.slot {
-		scratch = append(scratch, float64(s)) // exact: a slot is at most MaxBins
-	}
-	n := len(p.counts)
-	old, centers, slot := scratch[:n], scratch[n:n+oldBins], scratch[n+oldBins:]
+	mask := append(sc.mask[:0], p.mask...)
+	old, centers := vals[:len(p.cells)], vals[len(p.cells):]
 	hadLast := p.hasLast
 	var lastCenter float64
 	if hadLast {
@@ -262,14 +292,15 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 	}
 	p.lo, p.hi = newLo, newHi
 	p.reset()
-	for i, s := range slot {
-		if s == 0 {
-			continue
-		}
-		to := p.binOf(centers[i])
-		for j, c := range old[(int(s)-1)*oldBins : int(s)*oldBins] {
-			if c != 0 {
-				p.add(to, p.binOf(centers[j]), c)
+	k := 0
+	for i := range p.bins {
+		from := p.binOf(centers[i])
+		for w, m := range mask[i*p.words : (i+1)*p.words] {
+			for ; m != 0; m &= m - 1 {
+				if c := old[k]; c != 0 {
+					p.add(from, p.binOf(centers[w<<6+bits.TrailingZeros64(m)]), c)
+				}
+				k++
 			}
 		}
 	}
@@ -281,8 +312,8 @@ func (p *Predictor) remapRange(newLo, newHi float64) {
 		p.lastBin = p.binOf(lastCenter)
 	}
 	p.hasLast = hadLast
-	*buf = scratch
-	remapPool.Put(buf)
+	sc.vals, sc.mask = vals, mask
+	remapPool.Put(sc)
 }
 
 // Predict returns the model's prediction for the *next* value given the
@@ -299,16 +330,16 @@ func (p *Predictor) Predict() (v float64, ok bool) {
 	}
 	// Only columns whose bit is set can hold a count, and the bits are
 	// visited in ascending column order, so this sums exactly the terms a
-	// walk over the whole row would, in the same order, without loading the
-	// empty columns.
-	row := p.row(p.lastBin)
+	// walk over the whole row would, in the same order.
+	mask, cells := p.rowCells(p.lastBin)
 	var acc float64
-	for w, m := range p.mask[p.lastBin*p.words : (p.lastBin+1)*p.words] {
+	k := 0
+	for w, m := range mask {
 		for ; m != 0; m &= m - 1 {
-			j := w<<6 + bits.TrailingZeros64(m)
-			if c := row[j]; c > 0 {
-				acc += c / sum * p.binCenter(j)
+			if c := cells[k]; c > 0 {
+				acc += c / sum * p.binCenter(w<<6+bits.TrailingZeros64(m))
 			}
+			k++
 		}
 	}
 	return acc, true
@@ -365,23 +396,21 @@ func (p *Predictor) Break() {
 }
 
 // renormalize rescales all counts so the incremental weight returns to 1,
-// preserving every ratio.
+// preserving every ratio. A row's total is re-added over its cells only:
+// adding the zeros of the columns between them would change no bit. A
+// restored total with no cells under it (within Validate's tolerance)
+// becomes 0.
 func (p *Predictor) renormalize() {
 	inv := 1 / p.incWeight
-	for i, s := range p.slot {
+	for i := range p.rowSum {
 		if p.rowSum[i] == 0 {
 			continue
 		}
 		p.rowSum[i] = 0
-		if s == 0 {
-			// A restored total with no counts under it (within Validate's
-			// tolerance) has nothing to scale.
-			continue
-		}
-		row := p.counts[(int(s)-1)*p.bins : int(s)*p.bins]
-		for j := range row {
-			row[j] *= inv
-			p.rowSum[i] += row[j]
+		_, cells := p.rowCells(i)
+		for k := range cells {
+			cells[k] *= inv
+			p.rowSum[i] += cells[k]
 		}
 	}
 	p.incWeight = 1
@@ -413,7 +442,11 @@ func (p *Predictor) TransitionProb(a, b float64) float64 {
 	if p.rowSum[i] <= 0 {
 		return 0
 	}
-	return p.row(i)[j] / p.rowSum[i]
+	k, seen := p.cell(i, j)
+	if !seen {
+		return 0
+	}
+	return p.cells[k] / p.rowSum[i]
 }
 
 // RowDistribution returns the transition distribution out of the bin
@@ -426,18 +459,29 @@ func (p *Predictor) RowDistribution(v float64) []float64 {
 	if p.rowSum[i] <= 0 {
 		return nil
 	}
-	out := make([]float64, p.bins)
-	for j, c := range p.row(i) {
-		out[j] = c / p.rowSum[i]
+	out := p.appendRow(nil, i)
+	for j := range out {
+		out[j] /= p.rowSum[i]
 	}
 	return out
 }
 
 // Validate checks internal invariants; it is used by property tests.
 func (p *Predictor) Validate() error {
+	next := 0
 	for i := range p.rowSum {
+		n := 0
+		for _, m := range p.mask[i*p.words : (i+1)*p.words] {
+			n += bits.OnesCount64(m)
+		}
+		if int(p.start[i]) != next || next+n > len(p.cells) {
+			return fmt.Errorf("markov: row %d of %d cells starts at cell %d of %d, want %d",
+				i, n, p.start[i], len(p.cells), next)
+		}
+		cells := p.cells[next : next+n]
+		next += n
 		var sum float64
-		for _, c := range p.row(i) {
+		for _, c := range cells {
 			if c < 0 {
 				return fmt.Errorf("markov: negative count in row %d", i)
 			}
@@ -446,6 +490,9 @@ func (p *Predictor) Validate() error {
 		if !(math.Abs(sum-p.rowSum[i]) <= 1e-6*(1+sum)) { // negated so a NaN total fails too
 			return fmt.Errorf("markov: row %d sum mismatch: %v vs cached %v", i, sum, p.rowSum[i])
 		}
+	}
+	if next != len(p.cells) {
+		return fmt.Errorf("markov: %d cells for %d set transitions", len(p.cells), next)
 	}
 	if p.rangeSet && p.hi <= p.lo {
 		return errors.New("markov: inverted range")

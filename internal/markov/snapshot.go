@@ -47,15 +47,16 @@ func (p *Predictor) Snapshot() *Snapshot {
 		IncWeight:    p.incWeight,
 		Observations: p.observations,
 	}
-	// Only non-empty rows are stored, as the predictor itself stores them: a
-	// full 40×40 matrix, the every-row-occupied upper bound, would bloat every
-	// checkpoint with zeros. nil rows restore as empty rows.
+	// Only rows with a non-zero total are stored, each expanded to bins
+	// columns: a full 40×40 matrix, the every-row-occupied upper bound,
+	// would bloat every checkpoint with zeros. nil rows restore as empty
+	// rows.
 	s.Counts = make([][]float64, p.bins)
 	for i := range s.Counts {
 		if p.rowSum[i] == 0 {
 			continue
 		}
-		s.Counts[i] = append([]float64(nil), p.row(i)...)
+		s.Counts[i] = p.appendRow(nil, i)
 	}
 	s.RowSums = append([]float64(nil), p.rowSum...)
 	return s
@@ -93,15 +94,19 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 		return nil, fmt.Errorf("markov: snapshot has %d row sums for %d bins", len(s.RowSums), s.Bins)
 	}
 	p := New(s.Bins, s.Decay)
-	// Size counts for every row a count will occupy at once: grow would
-	// otherwise copy the matrix once per row.
-	rows := 0
+	// Size cells for every positive count at once, to the allocator's size
+	// class as insert grows it: insert would otherwise copy them once per
+	// size class. Counts are added in ascending [from][to] order, so each
+	// cell lands at the end.
+	n := 0
 	for _, row := range s.Counts {
-		if slices.ContainsFunc(row, func(c float64) bool { return c > 0 }) {
-			rows++
+		for _, c := range row[:min(len(row), s.Bins)] {
+			if c > 0 {
+				n++
+			}
 		}
 	}
-	p.counts = make([]float64, 0, rows*s.Bins)
+	p.cells = slices.Grow(p.cells, n)
 	p.lo, p.hi = s.Lo, s.Hi
 	p.rangeSet = s.RangeSet
 	p.lastBin = s.LastBin
