@@ -40,7 +40,8 @@ func (g *Graph) AddNode(name string) {
 }
 
 // AddEdge records a dependency from→to with the given confidence, keeping
-// the maximum confidence when the edge already exists.
+// the maximum confidence when the edge already exists. A self-loop is not
+// recorded, nor is an edge whose confidence is not above 0.
 func (g *Graph) AddEdge(from, to string, confidence float64) {
 	if from == to {
 		return

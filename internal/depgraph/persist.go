@@ -54,7 +54,10 @@ func (g *Graph) Write(w io.Writer) error {
 	return nil
 }
 
-// ReadGraph deserializes a graph written by Write.
+// ReadGraph deserializes a graph written by Write. It refuses an edge the
+// graph could not hold (see AddEdge): one whose confidence is not in (0, 1]
+// or whose endpoints are the same node. An edge listed more than once keeps
+// its highest confidence.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	var doc persistedGraph
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -74,8 +77,11 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 		if e.From == "" || e.To == "" {
 			return nil, fmt.Errorf("depgraph: edge with empty endpoint")
 		}
-		if e.Confidence < 0 || e.Confidence > 1 {
-			return nil, fmt.Errorf("depgraph: edge %s->%s has confidence %v outside [0,1]", e.From, e.To, e.Confidence)
+		if e.Confidence <= 0 || e.Confidence > 1 {
+			return nil, fmt.Errorf("depgraph: edge %s->%s has confidence %v outside (0,1]", e.From, e.To, e.Confidence)
+		}
+		if e.From == e.To {
+			return nil, fmt.Errorf("depgraph: edge %s->%s is a self-loop", e.From, e.To)
 		}
 		g.AddEdge(e.From, e.To, e.Confidence)
 	}

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"slices"
@@ -83,17 +84,23 @@ func TestReadGraphRejectsGarbage(t *testing.T) {
 	tests := []struct {
 		name string
 		give string
+		want string // the error names this, when set
 	}{
-		{"not json", "hello"},
-		{"wrong version", `{"version": 99, "nodes": [], "edges": []}`},
-		{"empty node", `{"version": 1, "nodes": [""], "edges": []}`},
-		{"empty endpoint", `{"version": 1, "nodes": ["a"], "edges": [{"from":"","to":"a","confidence":1}]}`},
-		{"bad confidence", `{"version": 1, "nodes": ["a","b"], "edges": [{"from":"a","to":"b","confidence":7}]}`},
+		{"not json", "hello", ""},
+		{"wrong version", `{"version": 99, "nodes": [], "edges": []}`, ""},
+		{"empty node", `{"version": 1, "nodes": [""], "edges": []}`, ""},
+		{"empty endpoint", `{"version": 1, "nodes": ["a"], "edges": [{"from":"","to":"a","confidence":1}]}`, ""},
+		{"bad confidence", `{"version": 1, "nodes": ["a","b"], "edges": [{"from":"a","to":"b","confidence":7}]}`, ""},
+		// The graph cannot hold these two, so reading one must not yield a
+		// graph that silently lacks it.
+		{"zero confidence", `{"version": 1, "edges": [{"from":"a","to":"b","confidence":0.5},{"from":"a","to":"c","confidence":0}]}`, "a->c"},
+		{"self-loop", `{"version": 1, "edges": [{"from":"a","to":"b","confidence":0.5},{"from":"b","to":"b","confidence":0.5}]}`, "b->b"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadGraph(strings.NewReader(tt.give)); err == nil {
-				t.Errorf("ReadGraph(%q) should error", tt.give)
+			_, err := ReadGraph(strings.NewReader(tt.give))
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("ReadGraph(%q) = %v, want an error naming %q", tt.give, err, tt.want)
 			}
 		})
 	}
@@ -133,8 +140,9 @@ func TestPersistRoundTripProperty(t *testing.T) {
 }
 
 // FuzzReadGraph feeds the -deps file reader arbitrary documents: it must not
-// panic, and every document it accepts must survive Write → ReadGraph with
-// the same nodes, edges and confidence bits.
+// panic, every edge a document it accepts lists must be in the graph at the
+// highest confidence listed for it, and the graph must survive Write →
+// ReadGraph with the same nodes, edges and confidence bits.
 func FuzzReadGraph(f *testing.F) {
 	g := NewGraph()
 	g.AddEdge("web", "app1", 0.58)
@@ -160,6 +168,24 @@ func FuzzReadGraph(f *testing.F) {
 		g, err := ReadGraph(bytes.NewReader(doc))
 		if err != nil {
 			return
+		}
+		var listed persistedGraph
+		if err := json.NewDecoder(bytes.NewReader(doc)).Decode(&listed); err != nil {
+			t.Fatalf("accepted document does not decode: %v", err)
+		}
+		best := map[[2]string]float64{}
+		for _, e := range listed.Edges {
+			k := [2]string{e.From, e.To}
+			best[k] = max(best[k], e.Confidence)
+		}
+		for k, c := range best {
+			if !g.HasEdge(k[0], k[1]) || math.Float64bits(g.Confidence(k[0], k[1])) != math.Float64bits(c) {
+				t.Fatalf("listed edge %q->%q at confidence %v, read as %v (present %v)",
+					k[0], k[1], c, g.Confidence(k[0], k[1]), g.HasEdge(k[0], k[1]))
+			}
+		}
+		if g.Edges() != len(best) {
+			t.Fatalf("%d distinct edges listed, %d read", len(best), g.Edges())
 		}
 		var buf bytes.Buffer
 		if err := g.Write(&buf); err != nil {
