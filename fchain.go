@@ -138,7 +138,7 @@ var (
 // Localizer is the whole FChain pipeline behind two calls: Observe for
 // every metric sample, Localize when a performance anomaly is detected.
 // Monitor state is sharded per (component, metric), so concurrent Observe
-// calls and a concurrent Analyze/Localize are safe; analysis itself fans
+// calls and a concurrent Localize are safe; analysis itself fans
 // out over a bounded worker pool sized by Config.Parallelism.
 type Localizer struct {
 	inner *core.Localizer
@@ -149,42 +149,13 @@ func NewLocalizer(cfg Config, components []string) *Localizer {
 	return &Localizer{inner: core.NewLocalizer(cfg, components)}
 }
 
-// Components returns the monitored component names, sorted.
-func (l *Localizer) Components() []string { return l.inner.Components() }
-
-// Config returns the effective configuration after defaulting.
-func (l *Localizer) Config() Config { return l.inner.Config() }
-
 // Observe feeds one sample: component, sample time (seconds), metric kind,
 // and value. This is the strict path: NaN/Inf values fail with ErrBadSample
 // and timestamps must strictly advance per metric (ErrTimeRegression
-// otherwise). Use Ingest for feeds that cannot make those guarantees.
+// otherwise). A slave (NewSlave) ingests feeds that cannot make those
+// guarantees through its sanitizer.
 func (l *Localizer) Observe(component string, t int64, k Kind, v float64) error {
 	return l.inner.Observe(component, t, k, v)
-}
-
-// Ingest feeds one sample through the sanitizing path: out-of-order
-// samples are buffered and reordered, duplicates and non-finite values
-// dropped, magnitude outliers clamped, short gaps interpolated and long
-// gaps marked so stale model state is discarded. Every repair is counted
-// and surfaced as the component's DataQuality.
-func (l *Localizer) Ingest(component string, t int64, k Kind, v float64) error {
-	return l.inner.Ingest(component, t, k, v)
-}
-
-// Quality returns each component's accumulated data quality over the
-// sanitizing ingest path. Components fed only via Observe score 1.
-func (l *Localizer) Quality() map[string]DataQuality { return l.inner.Quality() }
-
-// Analyze returns every component's abnormal change point report for the
-// look-back window ending at tv, without running the diagnosis step.
-func (l *Localizer) Analyze(tv int64) []ComponentReport { return l.inner.Analyze(tv) }
-
-// AnalyzeInto is Analyze appending into dst (reset to length 0 first);
-// reusing the slice across calls keeps the steady-state analysis path
-// allocation-free.
-func (l *Localizer) AnalyzeInto(dst []ComponentReport, tv int64) []ComponentReport {
-	return l.inner.AnalyzeInto(dst, tv)
 }
 
 // StreamingStats is the aggregated telemetry of the streaming selection
@@ -230,13 +201,6 @@ func (l *Localizer) LocalizeTraced(tv int64, deps *DependencyGraph) (Diagnosis, 
 // recent traces, and a JSONL event journal. Any field may be nil; nil
 // components discard their input at negligible cost.
 type ObservabilitySink = obs.Sink
-
-// Diagnose runs only the master-side integrated diagnosis over
-// already-computed component reports (as the distributed master does).
-// totalComponents is the application's component count.
-func Diagnose(reports []ComponentReport, totalComponents int, deps *DependencyGraph, cfg Config) Diagnosis {
-	return core.Diagnose(reports, totalComponents, deps, cfg)
-}
 
 // DependencyGraph is a directed inter-component dependency graph.
 type DependencyGraph = depgraph.Graph
@@ -303,12 +267,6 @@ func WithHeartbeat(interval time.Duration) MasterOption { return cluster.WithHea
 // WithLocalizeTimeout sets the overall Localize deadline used when the
 // caller's context has none (default 30s).
 func WithLocalizeTimeout(d time.Duration) MasterOption { return cluster.WithLocalizeTimeout(d) }
-
-// WithBreaker tunes the per-slave circuit breaker: after threshold
-// consecutive analyze failures a slave is skipped until cooldown elapses.
-func WithBreaker(threshold int, cooldown time.Duration) MasterOption {
-	return cluster.WithBreaker(threshold, cooldown)
-}
 
 // WithQuorum sets the slave answer quorum as a fraction in (0, 1]: Localize
 // diagnoses as soon as that fraction of slaves answered (stragglers are
@@ -425,9 +383,6 @@ type SlaveOption = cluster.SlaveOption
 // ~initial, doubling to max, jittered ±50%).
 func WithBackoff(initial, max time.Duration) SlaveOption { return cluster.WithBackoff(initial, max) }
 
-// WithReconnect toggles the slave's automatic reconnection (default on).
-func WithReconnect(on bool) SlaveOption { return cluster.WithReconnect(on) }
-
 // WithReplication enables warm-standby replication: every interval the
 // slave ships each owned component's state delta (new samples since the
 // last acked ship, or a full snapshot after a gap) upstream for relay to
@@ -443,27 +398,11 @@ func WithReplication(interval time.Duration) SlaveOption {
 // constructed, so a restarted slave resumes with warm models.
 func WithCheckpointDir(dir string) SlaveOption { return cluster.WithCheckpointDir(dir) }
 
-// ConnState describes the slave's link to the master.
-type ConnState = cluster.ConnState
-
-// Slave connection states reported through WithStateCallback.
-const (
-	StateConnected    = cluster.StateConnected
-	StateDisconnected = cluster.StateDisconnected
-	StateReconnecting = cluster.StateReconnecting
-	StateClosed       = cluster.StateClosed
-)
-
 // WithVia names the aggregator this slave reports through: the slave
 // registers the name with the master (which then routes analyze requests for
 // it via that aggregator) and should additionally Connect to the
 // aggregator's own address.
 func WithVia(aggregator string) SlaveOption { return cluster.WithVia(aggregator) }
-
-// WithStateCallback registers a connection-state observer on the slave.
-func WithStateCallback(fn func(state ConnState, err error)) SlaveOption {
-	return cluster.WithStateCallback(fn)
-}
 
 // WithSlaveAdmission bounds concurrent analyze work on the slave: at most
 // limit requests analyze at once, and requests past the limit are answered

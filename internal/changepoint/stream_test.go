@@ -5,7 +5,15 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"fchain/internal/timeseries"
 )
+
+// tableConfidence is the table-driven counterpart of bootstrapConfidence
+// for a whole segment whose CUSUM range is sdiff.
+func tableConfidence(vals []float64, sdiff float64, k int) float64 {
+	return rankConfidence(sdiff, timeseries.Std(vals), len(vals), nullTable(len(vals), k))
+}
 
 // shadowStream replays Stream's exact arithmetic from plain slices, so the
 // deque-based sliding extrema can be checked for bit-equality against a

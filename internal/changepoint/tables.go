@@ -76,12 +76,6 @@ func nullTable(n, k int) []float64 {
 	return stored.([]float64)
 }
 
-// tableConfidence is the table-driven counterpart of bootstrapConfidence
-// for a whole segment whose CUSUM range is sdiff.
-func tableConfidence(vals []float64, sdiff float64, k int) float64 {
-	return rankConfidence(sdiff, timeseries.Std(vals), len(vals), nullTable(len(vals), k))
-}
-
 // rankConfidence is the fraction of the null samples tbl (for segments of
 // length n) whose normalized CUSUM range falls below the observed one, sdiff
 // over a segment with standard deviation sd. Degenerate segments (zero range

@@ -3,7 +3,6 @@ package cloudsim
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // baseFault carries the common fault fields. Faults are stateless: every
@@ -440,13 +439,4 @@ func (n *Named) GroundTruth() []string {
 		return gt.GroundTruth()
 	}
 	return n.Fault.Targets()
-}
-
-// ConcurrentName builds the conventional "concurrent-<fault>" label used in
-// the evaluation for multi-target variants.
-func ConcurrentName(name string) string {
-	if strings.HasPrefix(name, "concurrent-") {
-		return name
-	}
-	return "concurrent-" + name
 }

@@ -83,15 +83,6 @@ func TestLBBugGroundTruth(t *testing.T) {
 	}
 }
 
-func TestConcurrentName(t *testing.T) {
-	if got := ConcurrentName("memleak"); got != "concurrent-memleak" {
-		t.Errorf("ConcurrentName = %q", got)
-	}
-	if got := ConcurrentName("concurrent-memleak"); got != "concurrent-memleak" {
-		t.Errorf("ConcurrentName should be idempotent, got %q", got)
-	}
-}
-
 func TestFaultAccessors(t *testing.T) {
 	f := NewMemLeak(42, 10, "a", "b")
 	if f.Name() != "memleak" || f.Start() != 42 {

@@ -227,9 +227,6 @@ func (s *Sim) reverseTopoOrder() []string {
 	return order
 }
 
-// Spec returns the application spec the simulation was built from.
-func (s *Sim) Spec() AppSpec { return s.spec }
-
 // Now returns the current simulation time (seconds since start).
 func (s *Sim) Now() int64 { return s.now }
 
@@ -238,13 +235,6 @@ func (s *Sim) Components() []string {
 	out := make([]string, len(s.names))
 	copy(out, s.names)
 	return out
-}
-
-// Component exposes the runtime state of a component, primarily for faults
-// and tests.
-func (s *Sim) Component(name string) (*Comp, bool) {
-	c, ok := s.comps[name]
-	return c, ok
 }
 
 // Inject registers a fault. Faults may be injected at any time before their
@@ -258,13 +248,6 @@ func (s *Sim) Inject(f Fault) error {
 	s.faults = append(s.faults, f)
 	s.targets = append(s.targets, s.resolve(f.Targets()))
 	return nil
-}
-
-// Faults returns the registered faults.
-func (s *Sim) Faults() []Fault {
-	out := make([]Fault, len(s.faults))
-	copy(out, s.faults)
-	return out
 }
 
 // Step advances the simulation by n ticks.
@@ -764,16 +747,6 @@ func (s *Sim) Series(component string, k metric.Kind) (*timeseries.Series, error
 	return timeseries.New(src.Start(), src.Values()), nil
 }
 
-// LatencySeries returns the end-to-end latency per tick.
-func (s *Sim) LatencySeries() *timeseries.Series {
-	return timeseries.New(s.latency.Start(), s.latency.Values())
-}
-
-// ProgressSeries returns cumulative completed work per tick.
-func (s *Sim) ProgressSeries() *timeseries.Series {
-	return timeseries.New(s.progress.Start(), s.progress.Values())
-}
-
 // FirstViolation returns the first tick >= after at which the SLO was
 // violated for minSustain consecutive ticks, or ok=false.
 func (s *Sim) FirstViolation(after int64, minSustain int) (int64, bool) {
@@ -825,20 +798,6 @@ func (s *Sim) SLOMetric(from, to int64) float64 {
 	return timeseries.Mean(w.Values())
 }
 
-// ViolationRatio returns the fraction of ticks in [from, to) with a
-// violated SLO.
-func (s *Sim) ViolationRatio(from, to int64) float64 {
-	w := s.violated.Window(from, to)
-	if w.Len() == 0 {
-		return 0
-	}
-	var n float64
-	for i := 0; i < w.Len(); i++ {
-		n += w.At(i)
-	}
-	return n / float64(w.Len())
-}
-
 // ScaleResource adjusts a component's capacity for the resource underlying
 // metric kind k by the given factor (>1 scales up). This is the hook used
 // by FChain's online pinpointing validation (paper §II-A): scaling the
@@ -863,16 +822,6 @@ func (s *Sim) ScaleResource(component string, k metric.Kind, factor float64) err
 	default:
 		return fmt.Errorf("cloudsim: invalid metric kind %v", k)
 	}
-	return nil
-}
-
-// ResetScaling reverts all validation-time scaling on a component.
-func (s *Sim) ResetScaling(component string) error {
-	c, ok := s.comps[component]
-	if !ok {
-		return fmt.Errorf("cloudsim: unknown component %q", component)
-	}
-	c.ScaleCPU, c.ScaleMem, c.ScaleNet, c.ScaleDisk = 1, 1, 1, 1
 	return nil
 }
 

@@ -6,8 +6,39 @@ import (
 
 	"fchain/internal/depgraph"
 	"fchain/internal/metric"
+	"fchain/internal/timeseries"
 	"fchain/internal/workload"
 )
+
+// Component exposes the runtime state of a component.
+func (s *Sim) Component(name string) (*Comp, bool) {
+	c, ok := s.comps[name]
+	return c, ok
+}
+
+// LatencySeries returns the end-to-end latency per tick.
+func (s *Sim) LatencySeries() *timeseries.Series {
+	return timeseries.New(s.latency.Start(), s.latency.Values())
+}
+
+// ProgressSeries returns cumulative completed work per tick.
+func (s *Sim) ProgressSeries() *timeseries.Series {
+	return timeseries.New(s.progress.Start(), s.progress.Values())
+}
+
+// ViolationRatio returns the fraction of ticks in [from, to) with a
+// violated SLO.
+func (s *Sim) ViolationRatio(from, to int64) float64 {
+	w := s.violated.Window(from, to)
+	if w.Len() == 0 {
+		return 0
+	}
+	var n float64
+	for i := 0; i < w.Len(); i++ {
+		n += w.At(i)
+	}
+	return n / float64(w.Len())
+}
 
 // threeTier builds a small web -> {app1, app2} -> db application sized so
 // that the steady workload runs at moderate utilization.
@@ -336,9 +367,6 @@ func TestScaleResourceErrors(t *testing.T) {
 	}
 	if err := sim.ScaleResource("db", metric.CPU, 0); err == nil {
 		t.Error("zero factor should error")
-	}
-	if err := sim.ResetScaling("ghost"); err == nil {
-		t.Error("reset on unknown component should error")
 	}
 }
 

@@ -90,7 +90,7 @@ func TestSlaveReconnectsAfterDrop(t *testing.T) {
 		opts := []SlaveOption{WithBackoff(20*time.Millisecond, 200*time.Millisecond)}
 		addr := master.Addr()
 		if comp == apps.DB {
-			opts = append(opts, WithStateCallback(rec.record))
+			opts = append(opts, slaveOptionFunc(func(s *Slave) { s.onState = rec.record })) // observe the severed link
 			addr = proxy.Addr()
 		}
 		sl := NewSlave("host-"+comp, []string{comp}, core.Config{}, opts...)
@@ -306,7 +306,8 @@ func TestLocalizeAsksEachSlaveOnce(t *testing.T) {
 // uses up the deadline and the result carries the miss.
 func TestLocalizeFailureReportsPartialCoverage(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
-		WithLocalizeTimeout(time.Second), WithBreaker(0, 0))
+		WithLocalizeTimeout(time.Second),
+		func(m *Master) { m.brThreshold = 0 }) // every call must ask the mute slave
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func answerAnalyzes(conn net.Conn, w *connWriter, component string) {
 func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
 		WithLocalizeTimeout(300*time.Millisecond),
-		WithBreaker(1, time.Minute))
+		func(m *Master) { m.brThreshold, m.brCooldown = 1, time.Minute }) // open on the first failure, stay open
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,8 @@ func TestBreakerSkipsRepeatedlyFailingSlave(t *testing.T) {
 func TestBreakerChargedWhenGatherGivesUp(t *testing.T) {
 	master := NewMaster(core.Config{}, nil,
 		WithLocalizeTimeout(time.Second),
-		WithQuorum(0.5), WithBreaker(1, time.Minute))
+		WithQuorum(0.5),
+		func(m *Master) { m.brThreshold, m.brCooldown = 1, time.Minute }) // open on the first failure, stay open
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +592,8 @@ func TestSlaveObservesAcrossOutage(t *testing.T) {
 	defer proxy.Close()
 	rec := &stateRecorder{}
 	sl := NewSlave("h", []string{"a"}, core.Config{},
-		WithBackoff(15*time.Millisecond, 120*time.Millisecond), WithStateCallback(rec.record))
+		WithBackoff(15*time.Millisecond, 120*time.Millisecond),
+		slaveOptionFunc(func(s *Slave) { s.onState = rec.record })) // observe every reconnect
 	if err := sl.Connect(proxy.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,39 @@ import (
 	"fchain/internal/depgraph"
 	"fchain/internal/metric"
 )
+
+// SetClock overrides the tenant registry's time source (quota refill); tests
+// pin it.
+func (s *Service) SetClock(clock func() time.Time) {
+	if clock == nil {
+		return
+	}
+	s.tenants.SetClock(clock)
+}
+
+// Monitored returns the components this slave currently monitors, sorted.
+// In sharded mode the set follows the master's assignment pushes.
+func (s *Slave) Monitored() []string {
+	names, _ := s.owned()
+	return slices.Clone(names)
+}
+
+// Connected reports whether the slave currently holds at least one live
+// registered upstream connection.
+func (s *Slave) Connected() bool { return s.livePeer() != nil }
+
+// Ping verifies the master connection is alive: it sends a heartbeat and
+// waits up to timeout for the response.
+func (s *Slave) Ping(timeout time.Duration) error {
+	peer := s.livePeer()
+	if peer == nil {
+		return fmt.Errorf("cluster: slave %s is not connected", s.name)
+	}
+	if _, err := peer.request(&envelope{Type: typePing}, timeout, nil); err != nil {
+		return fmt.Errorf("cluster: ping to master: %w", err)
+	}
+	return nil
+}
 
 // startCluster boots a master plus one slave per component of the given
 // simulation and feeds all recorded samples up to tv.

@@ -357,7 +357,7 @@ func TestDoubleFailureFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestLaggingStandbyFallsBackCold pins the WithReplMaxLag gate: a standby that
+// TestLaggingStandbyFallsBackCold pins the replMaxLag gate: a standby that
 // is otherwise caught up but whose primary's last clean replication tick is
 // older than the bound must NOT be promoted — the master journals
 // replica_lagging and takes the cold path instead, which the shared
@@ -376,7 +376,8 @@ func TestLaggingStandbyFallsBackCold(t *testing.T) {
 	master, slaves, tv := shardedScenarioCluster(t, 5, 3,
 		[]SlaveOption{WithReplication(20 * time.Millisecond), WithReconnect(false),
 			WithCheckpointDir(shared)},
-		WithStandby(true), WithReplMaxLag(time.Nanosecond), WithMasterObs(sink))
+		WithStandby(true), WithMasterObs(sink),
+		func(m *Master) { m.replMaxLag = time.Nanosecond }) // the gate is off outside tests
 
 	comps := make([]string, 0)
 	for _, owned := range master.Assignments() {

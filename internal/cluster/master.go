@@ -35,8 +35,11 @@ type Master struct {
 
 	ln net.Listener
 
-	hbInterval  time.Duration
-	localizeTO  time.Duration
+	hbInterval time.Duration
+	localizeTO time.Duration
+	// The per-slave circuit breaker: after brThreshold consecutive analyze
+	// failures the slave is skipped until brCooldown elapses (threshold
+	// <= 0 disables it). Fixed at 3 failures / 10 s; tests set the fields.
 	brThreshold int
 	brCooldown  time.Duration
 
@@ -46,6 +49,9 @@ type Master struct {
 	// Sharded mode (shard.go): vnodes > 0 places every known component on a
 	// consistent-hash ring over the registered slaves, and membership
 	// changes trigger incremental rebalancing that moves state with them.
+	// handoffTimeout bounds each wait of a rebalance: an assignment ack, a
+	// relayed replication frame's ack, and how long a batch of live moves
+	// may go without one more component landing on its recipient (5 s).
 	shardVnodes    int
 	handoffTimeout time.Duration
 	autoRebalance  bool
@@ -62,9 +68,10 @@ type Master struct {
 	// replAcked are the per-component sequence numbers received from the
 	// current owner and acked by the target; a component is warm-promotable
 	// only while the two match. replTickAt records each slave's last clean
-	// replication tick, bounding how stale its standbys can be (replMaxLag;
-	// 0 = no bound). replAck is poked on every target ack so a rebalance can
-	// wait for moves to land. replMu may be taken under mu, never the reverse.
+	// replication tick. replMaxLag > 0 bounds how stale a standby may be and
+	// still be promoted warm; it is 0, no bound, outside tests. replAck is
+	// poked on every target ack so a rebalance can wait for moves to land.
+	// replMu may be taken under mu, never the reverse.
 	standbyOn  bool
 	replMaxLag time.Duration
 	replMu     sync.Mutex
@@ -110,18 +117,6 @@ func WithLocalizeTimeout(d time.Duration) MasterOption {
 	return func(m *Master) {
 		if d > 0 {
 			m.localizeTO = d
-		}
-	}
-}
-
-// WithBreaker tunes the per-slave circuit breaker: after threshold
-// consecutive analyze failures the slave is skipped until cooldown elapses
-// (threshold <= 0 disables the breaker).
-func WithBreaker(threshold int, cooldown time.Duration) MasterOption {
-	return func(m *Master) {
-		m.brThreshold = threshold
-		if cooldown > 0 {
-			m.brCooldown = cooldown
 		}
 	}
 }
@@ -172,17 +167,6 @@ func WithSharding(vnodes int) MasterOption {
 	}
 }
 
-// WithHandoffTimeout bounds each wait of a rebalance — an assignment ack, a
-// relayed replication frame's ack, and how long a batch of live moves may go
-// without one more component landing on its recipient (default 5s).
-func WithHandoffTimeout(d time.Duration) MasterOption {
-	return func(m *Master) {
-		if d > 0 {
-			m.handoffTimeout = d
-		}
-	}
-}
-
 // WithStandby gives every placed component a warm standby owner (sharded
 // mode only): rebalancing assigns each component a second, distinct slave on
 // the ring, slaves replicate state deltas to it through the master (see
@@ -192,18 +176,6 @@ func WithHandoffTimeout(d time.Duration) MasterOption {
 // when the standby is gone, behind on acks, or past the lag bound.
 func WithStandby(on bool) MasterOption {
 	return func(m *Master) { m.standbyOn = on }
-}
-
-// WithReplMaxLag bounds how stale a standby may be and still be promoted
-// warm: promotion requires the dead primary's last clean replication tick to
-// be at most d old. d <= 0 (the default) disables the bound — promotion then
-// only requires every relayed frame to be acked.
-func WithReplMaxLag(d time.Duration) MasterOption {
-	return func(m *Master) {
-		if d > 0 {
-			m.replMaxLag = d
-		}
-	}
 }
 
 // WithAutoRebalance controls whether membership changes trigger rebalancing

@@ -86,42 +86,6 @@ func (r *Ring) Add(member string) bool {
 	return true
 }
 
-// Remove deletes a member and its points, reporting whether it was present.
-func (r *Ring) Remove(member string) bool {
-	if !r.members[member] {
-		return false
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-	return true
-}
-
-// Has reports whether member is on the ring.
-func (r *Ring) Has(member string) bool { return r.members[member] }
-
-// Size returns the member count.
-func (r *Ring) Size() int { return len(r.members) }
-
-// Owner returns the member owning key — the first point at or clockwise
-// after the key's hash. ok is false on an empty ring.
-func (r *Ring) Owner(key string) (owner string, ok bool) {
-	if len(r.points) == 0 {
-		return "", false
-	}
-	h := ringHash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap past the highest point to the ring's first
-	}
-	return r.points[i].member, true
-}
-
 // BalanceBound is the load factor enforced by AssignBounded: no member owns
 // more than ceil(BalanceBound × keys/members) keys.
 const BalanceBound = 1.25

@@ -57,9 +57,9 @@ func TestRingBalance(t *testing.T) {
 }
 
 // TestRingMinimalMovement verifies the incremental-rebalance property: a
-// join moves about 1/(n+1) of the components (never more than twice that),
-// and every component that moves on a leave belonged to the removed member
-// or rebalanced under the recomputed load cap.
+// join moves about 1/(n+1) of the components (never more than twice that).
+// A leave needs no check of its own: the master rebuilds the ring from the
+// member set, and placement is a pure function of it (TestRingDeterminism).
 func TestRingMinimalMovement(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{3, 8, 20, 49} {
@@ -82,16 +82,6 @@ func TestRingMinimalMovement(t *testing.T) {
 		}
 		if toNewcomer == 0 {
 			t.Errorf("join at n=%d moved nothing to the new member", n)
-		}
-		// Leave: removing the newcomer must restore the original placement
-		// exactly (assignment is a pure function of the member set).
-		r := ringWith(joined...)
-		r.Remove(newcomer)
-		restored := r.AssignBounded(keys, BalanceBound)
-		for k, owner := range before {
-			if restored[k] != owner {
-				t.Fatalf("leave at n=%d: %s owned by %s, was %s before the join", n, k, restored[k], owner)
-			}
 		}
 	}
 }
@@ -116,17 +106,13 @@ func TestRingDeterminism(t *testing.T) {
 		}
 	}
 	// Cross-process determinism reduces to hash stability: pin a few owners.
-	want := map[string]string{}
+	again := ringWith("a", "b", "c", "d", "e").AssignBounded(keys, BalanceBound)
 	for _, k := range []string{"comp-00000", "comp-00123", "comp-00499"} {
-		owner, ok := forward.Owner(k)
+		owner, ok := base[k]
 		if !ok {
 			t.Fatalf("no owner for %s", k)
 		}
-		want[k] = owner
-	}
-	again := ringWith("a", "b", "c", "d", "e")
-	for k, owner := range want {
-		if got, _ := again.Owner(k); got != owner {
+		if got := again[k]; got != owner {
 			t.Fatalf("recomputed owner of %s differs: %s != %s", k, got, owner)
 		}
 	}
@@ -150,7 +136,7 @@ func TestRingStandbyDistinctAndBalanced(t *testing.T) {
 			if st == primary[key] {
 				t.Fatalf("n=%d: key %s has standby == primary (%s)", n, key, st)
 			}
-			if !r.Has(st) {
+			if !r.members[st] {
 				t.Fatalf("n=%d: key %s assigned to non-member standby %q", n, key, st)
 			}
 			load[st]++
@@ -170,9 +156,8 @@ func TestRingStandbyDistinctAndBalanced(t *testing.T) {
 // TestRingStandbyMinimalMovement verifies standby placement stays incremental:
 // a join re-homes about 1/(n+1) of the standbys (never more than three times
 // that — a standby can move either because its own arc changed or because its
-// key's primary moved onto it), and a leave restores the pre-join placement
-// exactly, because the assignment is a pure function of (members, keys,
-// primaries).
+// key's primary moved onto it). As for primaries, a leave is the ring rebuilt
+// from the smaller member set.
 func TestRingStandbyMinimalMovement(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{3, 8, 20, 49} {
@@ -194,16 +179,6 @@ func TestRingStandbyMinimalMovement(t *testing.T) {
 		ideal := float64(len(keys)) / float64(n+1)
 		if float64(moved) > 3*ideal {
 			t.Errorf("join at n=%d moved %d standbys, ideal ~%.0f (cap 3x)", n, moved, ideal)
-		}
-
-		r := ringWith(joined...)
-		r.Remove(joined[n])
-		restoredPrimary := r.AssignBounded(keys, BalanceBound)
-		restoredStandby := r.AssignStandby(keys, restoredPrimary, BalanceBound)
-		for k, st := range beforeStandby {
-			if restoredStandby[k] != st {
-				t.Fatalf("leave at n=%d: %s stood by by %s, was %s before the join", n, k, restoredStandby[k], st)
-			}
 		}
 	}
 }
@@ -277,14 +252,11 @@ func TestRingStandbyDegenerate(t *testing.T) {
 // startup and total-eviction windows.
 func TestRingEmptyAndSingle(t *testing.T) {
 	r := NewRing(0)
-	if _, ok := r.Owner("x"); ok {
-		t.Fatal("empty ring claimed an owner")
-	}
 	if got := r.AssignBounded([]string{"x"}, BalanceBound); len(got) != 0 {
 		t.Fatalf("empty ring assigned %v", got)
 	}
 	r.Add("only")
-	if !r.Has("only") || r.Size() != 1 {
+	if !r.members["only"] || len(r.members) != 1 {
 		t.Fatal("Add did not register the member")
 	}
 	if r.Add("only") {
@@ -298,8 +270,5 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	}
 	if len(asg) != 50 {
 		t.Fatalf("single member owns %d of 50 keys", len(asg))
-	}
-	if !r.Remove("only") || r.Remove("only") {
-		t.Fatal("Remove bookkeeping wrong")
 	}
 }

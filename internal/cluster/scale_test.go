@@ -34,7 +34,7 @@ func TestScaleTenThousandComponents(t *testing.T) {
 	reg := obs.NewRegistry()
 	master := NewMaster(cfg, nil,
 		WithSharding(0), WithAutoRebalance(false),
-		WithHandoffTimeout(500*time.Millisecond),
+		func(m *Master) { m.handoffTimeout = 500 * time.Millisecond }, // fail fast on a stalled move
 		WithStandby(true), WithMasterObs(&obs.Sink{Metrics: reg}))
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

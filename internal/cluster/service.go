@@ -88,15 +88,6 @@ func NewService(m *Master, cfg ServiceConfig) *Service {
 	return s
 }
 
-// SetClock overrides the tenant registry's time source (quota refill); tests
-// pin it.
-func (s *Service) SetClock(clock func() time.Time) {
-	if clock == nil {
-		return
-	}
-	s.tenants.SetClock(clock)
-}
-
 // Verdict is one served localization verdict. Diagnosis is the canonical
 // JSON encoding of the core.Diagnosis — kept raw so the journal holds the
 // exact bytes served.
@@ -300,9 +291,6 @@ func (s *Service) Drain(timeout time.Duration) int {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// Tenants exposes the tenant registry state (sorted names).
-func (s *Service) Tenants() []string { return s.tenants.Tenants() }
 
 // ReplayStats summarizes one journal replay.
 type ReplayStats struct {

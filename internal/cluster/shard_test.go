@@ -338,7 +338,7 @@ func TestKillAndRebalanceRestoresOnsetExactly(t *testing.T) {
 // must land every component on a live owner.
 func TestKillSlaveMidHandoff(t *testing.T) {
 	master := NewMaster(core.Config{}, nil, WithSharding(0), WithAutoRebalance(false),
-		WithHandoffTimeout(time.Second))
+		func(m *Master) { m.handoffTimeout = time.Second }) // bound the wait on the killed donor
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

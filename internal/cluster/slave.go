@@ -20,8 +20,8 @@ import (
 	"fchain/internal/obs"
 )
 
-// ConnState describes the slave's link to the master, reported through the
-// WithStateCallback option.
+// ConnState describes the slave's link to the master, reported to the
+// logger and the journal.
 type ConnState int
 
 const (
@@ -83,7 +83,7 @@ type Slave struct {
 	backoffInitial time.Duration
 	backoffMax     time.Duration
 	reconnect      bool
-	onState        func(ConnState, error)
+	onState        func(ConnState, error) // a test's observer; nil otherwise
 
 	// Observability sink plus pre-resolved hot-path metrics: the per-sample
 	// ingest counters are looked up once at construction so feeding a sample
@@ -202,13 +202,6 @@ func WithBackoff(initial, max time.Duration) SlaveOption {
 // Connect is called again.
 func WithReconnect(on bool) SlaveOption {
 	return slaveOptionFunc(func(s *Slave) { s.reconnect = on })
-}
-
-// WithStateCallback registers a connection-state observer. The callback runs
-// on the connection manager goroutine — keep it fast and do not call back
-// into the Slave from it. err is non-nil for StateDisconnected.
-func WithStateCallback(fn func(state ConnState, err error)) SlaveOption {
-	return slaveOptionFunc(func(s *Slave) { s.onState = fn })
 }
 
 // WithDialer overrides how the slave dials the master; chaos tests inject
@@ -543,13 +536,6 @@ func (s *Slave) handleReplicate(w *connWriter, env *envelope, delta *core.ReplDe
 // Name returns the slave's registration name.
 func (s *Slave) Name() string { return s.name }
 
-// Monitored returns the components this slave currently monitors, sorted.
-// In sharded mode the set follows the master's assignment pushes.
-func (s *Slave) Monitored() []string {
-	names, _ := s.owned()
-	return slices.Clone(names)
-}
-
 // Observe feeds one metric sample into the slave's models through the
 // strict path (finite values, strictly advancing timestamps — see
 // core.Monitor.Observe). It may be called before, after, or between
@@ -600,10 +586,6 @@ func (s *Slave) Quality() map[string]core.DataQuality {
 func (s *Slave) Analyze(tv int64) []core.ComponentReport {
 	return s.analyzeBudget(tv, 0, time.Time{})
 }
-
-// Connected reports whether the slave currently holds at least one live
-// registered upstream connection.
-func (s *Slave) Connected() bool { return s.livePeer() != nil }
 
 // Connect dials an upstream (the master — or, in a tree topology, also an
 // aggregator: each Connect call adds an independently managed link, and the
@@ -1066,19 +1048,6 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 	}
 	_ = s.obs.EventJournal().Record("analyze", ev)
 	return reports
-}
-
-// Ping verifies the master connection is alive: it sends a heartbeat and
-// waits up to timeout for the response.
-func (s *Slave) Ping(timeout time.Duration) error {
-	peer := s.livePeer()
-	if peer == nil {
-		return fmt.Errorf("cluster: slave %s is not connected", s.name)
-	}
-	if _, err := peer.request(&envelope{Type: typePing}, timeout, nil); err != nil {
-		return fmt.Errorf("cluster: ping to master: %w", err)
-	}
-	return nil
 }
 
 // Close terminates the slave's connection, stops reconnection and the

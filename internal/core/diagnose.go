@@ -226,24 +226,6 @@ func NewLocalizer(cfg Config, components []string) *Localizer {
 	return l
 }
 
-// Config returns the effective configuration.
-func (l *Localizer) Config() Config { return l.cfg }
-
-// Components returns the monitored component names, sorted.
-func (l *Localizer) Components() []string {
-	out := make([]string, len(l.monitors))
-	for i, m := range l.monitors {
-		out[i] = m.component
-	}
-	return out
-}
-
-// Monitor returns the monitor for one component.
-func (l *Localizer) Monitor(component string) (*Monitor, bool) {
-	m, ok := l.byName[component]
-	return m, ok
-}
-
 // Observe feeds one sample.
 func (l *Localizer) Observe(component string, t int64, k metric.Kind, v float64) error {
 	m, ok := l.byName[component]
@@ -283,17 +265,12 @@ func (l *Localizer) StreamingStats() StreamingStats {
 	return st
 }
 
-// Analyze asks every monitor for its look-back report at tv. With more than
-// one component and cfg.Parallelism allowing it, the per-metric selection
-// tasks run on a bounded worker pool; the reports are bit-identical to the
-// serial order either way.
-func (l *Localizer) Analyze(tv int64) []ComponentReport {
-	return l.AnalyzeInto(nil, tv)
-}
-
-// AnalyzeInto is Analyze appending into dst (reset to length 0 first): a
-// caller reusing the slice across calls makes the steady-state analysis
-// path allocation-free.
+// AnalyzeInto asks every monitor for its look-back report at tv, appending
+// into dst (reset to length 0 first): a caller reusing the slice across
+// calls makes the steady-state analysis path allocation-free. With more
+// than one component and cfg.Parallelism allowing it, the per-metric
+// selection tasks run on a bounded worker pool; the reports are
+// bit-identical to the serial order either way.
 func (l *Localizer) AnalyzeInto(dst []ComponentReport, tv int64) []ComponentReport {
 	reports, _ := analyze(dst, l.monitors, tv, l.cfg.LookBack, l.cfg.Parallelism, nil, -1, time.Time{})
 	return reports

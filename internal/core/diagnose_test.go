@@ -8,6 +8,24 @@ import (
 	"fchain/internal/timeseries"
 )
 
+// Config returns the effective configuration.
+func (l *Localizer) Config() Config { return l.cfg }
+
+// Components returns the monitored component names, sorted.
+func (l *Localizer) Components() []string {
+	out := make([]string, len(l.monitors))
+	for i, m := range l.monitors {
+		out[i] = m.component
+	}
+	return out
+}
+
+// Monitor returns the monitor for one component.
+func (l *Localizer) Monitor(component string) (*Monitor, bool) {
+	m, ok := l.byName[component]
+	return m, ok
+}
+
 func report(comp string, onset int64, dir timeseries.Trend) ComponentReport {
 	before, after := 10.0, 20.0
 	if dir == timeseries.TrendDown {

@@ -54,7 +54,6 @@ type metricShard struct {
 	// panicked is skipped until the cooldown elapses, then probed once.
 	quarantined   bool
 	quarantinedAt time.Time
-	panicMsg      string
 }
 
 // push commits one validated sample to the shard's model and histories, and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +40,7 @@ const defaultQuarantineCooldown = 30 * time.Second
 
 // tripQuarantine marks metric k's stream quarantined after a selection
 // panic. The stream is skipped until the cooldown elapses, then probed.
-func (m *Monitor) tripQuarantine(k metric.Kind, msg string) {
+func (m *Monitor) tripQuarantine(k metric.Kind) {
 	sh := m.shard(k)
 	if sh == nil {
 		return
@@ -49,7 +48,6 @@ func (m *Monitor) tripQuarantine(k metric.Kind, msg string) {
 	sh.mu.Lock()
 	sh.quarantined = true
 	sh.quarantinedAt = time.Now()
-	sh.panicMsg = msg
 	sh.mu.Unlock()
 }
 
@@ -75,31 +73,6 @@ func (m *Monitor) quarantineBlocked(k metric.Kind, cooldown time.Duration) bool 
 		return false
 	}
 	return true
-}
-
-// QuarantinedMetrics returns the metrics currently under panic quarantine,
-// sorted, with the panic message that tripped each.
-func (m *Monitor) QuarantinedMetrics() map[string]string {
-	out := make(map[string]string)
-	for _, k := range metric.Kinds {
-		sh := &m.shards[k]
-		sh.mu.Lock()
-		if sh.quarantined {
-			out[k.String()] = sh.panicMsg
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// sortedKeys is a tiny helper for deterministic iteration in reports.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // analyzeHook, when set, runs at the start of every selection task. It

@@ -104,9 +104,8 @@ func TestPanicQuarantine(t *testing.T) {
 	if len(reports[1].Changes) == 0 {
 		t.Error("c1 produced no changes; the panic leaked past its stream")
 	}
-	qm := mon.QuarantinedMetrics()
-	if qm[metric.CPU.String()] != "injected kernel fault" {
-		t.Errorf("QuarantinedMetrics = %v, want cpu: injected kernel fault", qm)
+	if !mon.shards[metric.CPU].quarantined {
+		t.Error("cpu stream not quarantined after its panic")
 	}
 
 	// While quarantined, the stream is skipped without re-running the hook
@@ -127,8 +126,10 @@ func TestPanicQuarantine(t *testing.T) {
 	if len(reports[0].Quarantined) != 0 || stats.Panics != 0 {
 		t.Errorf("post-cooldown Quarantined = %v Panics = %d, want clean re-admission", reports[0].Quarantined, stats.Panics)
 	}
-	if len(mon.QuarantinedMetrics()) != 0 {
-		t.Errorf("QuarantinedMetrics after re-admission = %v, want empty", mon.QuarantinedMetrics())
+	for _, k := range metric.Kinds {
+		if mon.shards[k].quarantined {
+			t.Errorf("%s still quarantined after re-admission", k)
+		}
 	}
 }
 
@@ -159,7 +160,9 @@ func TestQuarantineReTrip(t *testing.T) {
 	if stats.Panics != 1 {
 		t.Errorf("probe pass Panics = %d, want 1 (re-trip)", stats.Panics)
 	}
-	if len(mon.QuarantinedMetrics()) != 1 {
-		t.Errorf("stream not re-quarantined after failing probe: %v", mon.QuarantinedMetrics())
+	for _, k := range metric.Kinds {
+		if got, want := mon.shards[k].quarantined, k == metric.Memory; got != want {
+			t.Errorf("%s quarantined = %v after the failing probe, want %v", k, got, want)
+		}
 	}
 }

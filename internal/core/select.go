@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -269,7 +268,7 @@ func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, t
 func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, ok bool, st metricStatus) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.tripQuarantine(k, fmt.Sprint(r))
+			m.tripQuarantine(k)
 			a.reset()
 			ch, ok, st = AbnormalChange{}, false, metricPanicked
 		}

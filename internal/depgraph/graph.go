@@ -104,21 +104,13 @@ func (g *Graph) Successors(n string) []string {
 	return out
 }
 
-// HasPath reports whether to is reachable from from following directed
-// edges in either direction of interaction (a dependency path exists between
-// the two components regardless of who is client and who is server). FChain
-// uses paths to decide whether an anomaly *could* have propagated between
-// two components: propagation travels downstream via requests and upstream
-// via back-pressure, so any chain of interaction edges suffices
-// (paper §II-C). Callers asking many such questions of one graph label it
-// once with Connectivity instead.
-func (g *Graph) HasPath(from, to string) bool {
-	return g.Connectivity().Connected(from, to)
-}
-
 // Connectivity labels every node with its connected component in the
-// undirected interaction graph: two nodes share a label exactly when
-// HasPath holds between them. Labelling costs O(V+E) once; every query
+// undirected interaction graph: two nodes share a label exactly when a
+// chain of interaction edges joins them, whichever side is client and
+// which server. FChain uses this to decide whether an anomaly *could* have
+// propagated between two components: propagation travels downstream via
+// requests and upstream via back-pressure, so any chain of interaction
+// edges suffices (paper §II-C). Labelling costs O(V+E) once; every query
 // after it is two map reads.
 type Connectivity map[string]string
 
@@ -150,18 +142,6 @@ func (g *Graph) Connectivity() Connectivity {
 	return labels
 }
 
-// Connected reports whether a path of interaction edges joins a and b.
-// Every node is connected to itself, including one the graph does not
-// hold; such a node is connected to nothing else.
-func (c Connectivity) Connected(a, b string) bool {
-	if a == b {
-		return true
-	}
-	la, okA := c[a]
-	lb, okB := c[b]
-	return okA && okB && la == lb
-}
-
 // HasDirectedPath reports whether to is reachable from from following edge
 // direction only (request direction). The Topology/Dependency baselines use
 // directed reachability.
@@ -185,35 +165,6 @@ func (g *Graph) HasDirectedPath(from, to string) bool {
 		}
 	}
 	return false
-}
-
-// IsAcyclic reports whether the graph contains no directed cycle. The mesh
-// generator uses it to prove that a cycle-probability of zero yields a DAG
-// (and that a positive one eventually does not).
-func (g *Graph) IsAcyclic() bool {
-	state := make(map[string]int, len(g.nodes)) // 0=unseen 1=visiting 2=done
-	var visit func(n string) bool
-	visit = func(n string) bool {
-		state[n] = 1
-		for next := range g.edges[n] {
-			switch state[next] {
-			case 1:
-				return false
-			case 0:
-				if !visit(next) {
-					return false
-				}
-			}
-		}
-		state[n] = 2
-		return true
-	}
-	for n := range g.nodes {
-		if state[n] == 0 && !visit(n) {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone returns a deep copy of the graph.

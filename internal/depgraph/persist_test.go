@@ -29,7 +29,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if back.String() != g.String() {
 		t.Errorf("roundtrip mismatch:\n got %s\nwant %s", back, g)
 	}
-	// Isolated nodes must survive too (they matter for HasPath).
+	// Isolated nodes must survive too (they matter for Connectivity).
 	found := false
 	for _, n := range back.Nodes() {
 		if n == "lonely" {

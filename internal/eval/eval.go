@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 
 	"fchain/internal/apps"
 	"fchain/internal/baseline"
@@ -257,17 +256,4 @@ func BestOf(results []SchemeResult) SchemeResult {
 		}
 	}
 	return best
-}
-
-// SortResults orders results by descending precision+recall for stable
-// reporting.
-func SortResults(results []SchemeResult) {
-	sort.SliceStable(results, func(i, j int) bool {
-		si := results[i].Outcome.Precision() + results[i].Outcome.Recall()
-		sj := results[j].Outcome.Precision() + results[j].Outcome.Recall()
-		if si != sj {
-			return si > sj
-		}
-		return results[i].Scheme < results[j].Scheme
-	})
 }

@@ -211,17 +211,13 @@ func TestEvaluateSchemeAggregates(t *testing.T) {
 	}
 }
 
-func TestBestOfAndSort(t *testing.T) {
+func TestBestOf(t *testing.T) {
 	rs := []SchemeResult{
 		{Scheme: "bad", Outcome: Outcome{TP: 1, FP: 9, FN: 9}},
 		{Scheme: "good", Outcome: Outcome{TP: 9, FP: 1, FN: 1}},
 	}
 	if best := BestOf(rs); best.Scheme != "good" {
 		t.Errorf("BestOf = %s", best.Scheme)
-	}
-	SortResults(rs)
-	if rs[0].Scheme != "good" {
-		t.Errorf("SortResults order wrong: %v", rs)
 	}
 	if BestOf(nil).Scheme != "" {
 		t.Error("BestOf(nil) should be zero")

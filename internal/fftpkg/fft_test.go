@@ -1,11 +1,68 @@
 package fftpkg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// FFT computes the discrete Fourier transform of x using an iterative
+// radix-2 Cooley-Tukey algorithm. The input is zero-padded to the next power
+// of two; the returned slice has that padded length.
+func FFT(x []float64) ([]complex128, error) {
+	if len(x) == 0 {
+		return nil, ErrEmpty
+	}
+	n := nextPow2(len(x))
+	buf := make([]complex128, n)
+	for i, v := range x {
+		buf[i] = complex(v, 0)
+	}
+	transform(buf, false)
+	return buf, nil
+}
+
+// IFFT computes the inverse discrete Fourier transform, returning the real
+// part of the time-domain signal. The input length must be a power of two
+// (as produced by FFT).
+func IFFT(freq []complex128) ([]float64, error) {
+	if len(freq) == 0 {
+		return nil, ErrEmpty
+	}
+	if len(freq)&(len(freq)-1) != 0 {
+		return nil, errors.New("fftpkg: IFFT input length must be a power of two")
+	}
+	buf := make([]complex128, len(freq))
+	copy(buf, freq)
+	transform(buf, true)
+	out := make([]float64, len(buf))
+	inv := 1 / float64(len(buf))
+	for i, c := range buf {
+		out[i] = real(c) * inv
+	}
+	return out, nil
+}
+
+// BurstSignal isolates the high-frequency component of x. Frequencies are
+// ranked by index (distance from DC); the top highFrac fraction of the
+// spectrum (e.g. 0.9 keeps the 90% highest frequencies, discarding the
+// slow-moving 10%) is retained and transformed back to the time domain.
+// The result has the same length as x.
+func BurstSignal(x []float64, highFrac float64) ([]float64, error) {
+	if len(x) == 0 {
+		return nil, ErrEmpty
+	}
+	sc := scratchPool.Get().(*scratch)
+	buf := burstInto(sc, x, highFrac)
+	out := make([]float64, len(x))
+	for i := range out {
+		out[i] = real(buf[i])
+	}
+	scratchPool.Put(sc)
+	return out, nil
+}
 
 func TestFFTEmpty(t *testing.T) {
 	if _, err := FFT(nil); err == nil {

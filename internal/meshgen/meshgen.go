@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"fchain/internal/cloudsim"
-	"fchain/internal/depgraph"
 	"fchain/internal/workload"
 )
 
@@ -503,37 +502,6 @@ func (m *Mesh) SpecWithTrace(seed int64) cloudsim.AppSpec {
 	return spec
 }
 
-// Topology returns the ground-truth dependency graph, feedback edges
-// included.
-func (m *Mesh) Topology() *depgraph.Graph {
-	g := depgraph.NewGraph()
-	for _, c := range m.Spec.Components {
-		g.AddNode(c.Name)
-		for _, e := range c.Downstream {
-			g.AddEdge(c.Name, e.To, 1)
-		}
-	}
-	return g
-}
-
-// ForwardTopology returns the dependency graph without the feedback edges —
-// the DAG skeleton the generator guarantees.
-func (m *Mesh) ForwardTopology() *depgraph.Graph {
-	g := depgraph.NewGraph()
-	for _, c := range m.Spec.Components {
-		g.AddNode(c.Name)
-		for _, e := range c.Downstream {
-			if e.Kind == cloudsim.EdgeBalanced {
-				g.AddEdge(c.Name, e.To, 1)
-			}
-		}
-	}
-	return g
-}
-
-// Entry returns the entry gateway component name.
-func (m *Mesh) Entry() string { return EntryName }
-
 // Components returns every component name in layer order.
 func (m *Mesh) Components() []string {
 	out := make([]string, 0, len(m.Spec.Components))
@@ -622,36 +590,4 @@ func (m *Mesh) String() string {
 	return fmt.Sprintf("mesh n=%d layers=%d (requested depth %d) fanout<=%d cycle-edges=%d hosts=%d slo=%.3fs seed=%d",
 		m.Params.Components, len(m.Layers), m.Params.Depth, m.Params.FanOut,
 		m.CycleEdges, m.Params.Hosts, m.Spec.SLO.Threshold, m.Params.Seed)
-}
-
-// Fingerprint renders the entire mesh — knobs, layers, SLO, every component
-// with its sizing, edges, flow, and host — as canonical text. Two meshes are
-// identical iff their fingerprints are byte-equal; the property tests and
-// the matrix artifact rest on this.
-func (m *Mesh) Fingerprint() []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "params: %s\n", m.Params)
-	fmt.Fprintf(&sb, "layers:")
-	for _, layer := range m.Layers {
-		fmt.Fprintf(&sb, " %d", len(layer))
-	}
-	fmt.Fprintf(&sb, "\nslo: kind=%d threshold=%.6f\n", m.Spec.SLO.Kind, m.Spec.SLO.Threshold)
-	fmt.Fprintf(&sb, "cycle-edges: %d\n", m.CycleEdges)
-	for _, c := range m.Spec.Components {
-		fmt.Fprintf(&sb, "comp %s host=%s flow=%.6f cpu=%.6f svc=%.6f cores=%g mem=%g net=%g disk=%g edges=[",
-			c.Name, m.HostOf[c.Name], m.Flow[c.Name], c.CPUCostPerReq, c.ServiceTime,
-			c.CPUCores, c.MemoryMB, c.NetMBps, c.DiskMBps)
-		for i, e := range c.Downstream {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			kind := "bal"
-			if e.Kind == cloudsim.EdgeAll {
-				kind = "all"
-			}
-			fmt.Fprintf(&sb, "%s:%s", kind, e.To)
-		}
-		fmt.Fprintf(&sb, "]\n")
-	}
-	return []byte(sb.String())
 }

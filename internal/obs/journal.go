@@ -125,17 +125,6 @@ func generationPaths(path string, keep int) []string {
 	return out
 }
 
-// SetClock overrides the journal's timestamp source (tests pin it for
-// deterministic journals).
-func (j *Journal) SetClock(clock func() int64) {
-	if j == nil || clock == nil {
-		return
-	}
-	j.mu.Lock()
-	j.clock = clock
-	j.mu.Unlock()
-}
-
 // Path returns the journal's file path.
 func (j *Journal) Path() string {
 	if j == nil {
@@ -229,19 +218,6 @@ func (j *Journal) rotateLocked() error {
 	j.w = bufio.NewWriter(f)
 	j.size = 0
 	return nil
-}
-
-// Sync flushes buffered events and fsyncs the journal file.
-func (j *Journal) Sync() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	return j.f.Sync()
 }
 
 // Close flushes and closes the journal.

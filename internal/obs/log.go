@@ -70,17 +70,6 @@ func NewLogger(w io.Writer, level Level) *Logger {
 	return &Logger{w: w, level: level, clock: time.Now}
 }
 
-// SetClock overrides the timestamp source (tests pin it for deterministic
-// output).
-func (l *Logger) SetClock(clock func() time.Time) {
-	if l == nil || clock == nil {
-		return
-	}
-	l.mu.Lock()
-	l.clock = clock
-	l.mu.Unlock()
-}
-
 // Debug logs a debug-level line; kv is alternating keys and values.
 func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
 

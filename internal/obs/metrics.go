@@ -198,14 +198,6 @@ func (h *Histogram) Merge(o LatencyHist) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.snapshot().Count
-}
-
 // snapshot copies the histogram under the lock.
 func (h *Histogram) snapshot() LatencyHist {
 	h.mu.Lock()

@@ -14,7 +14,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -92,8 +91,7 @@ func (r *Registry) Admit(tenant string) error {
 	now := r.clock()
 	b, ok := r.buckets[tenant]
 	if !ok {
-		// Created even under an unlimited quota, so Tenants() reports every
-		// open-namespace tenant ever admitted.
+		// Created even under an unlimited quota, which never reads it.
 		b = &bucket{tokens: r.rate, last: now}
 		r.buckets[tenant] = b
 	}
@@ -111,24 +109,4 @@ func (r *Registry) Admit(tenant string) error {
 	}
 	b.tokens--
 	return nil
-}
-
-// Tenants returns every tenant the registry has state for — the configured
-// namespace plus any open-namespace tenants seen so far — sorted.
-func (r *Registry) Tenants() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool, len(r.allowed)+len(r.buckets))
-	for name := range r.allowed {
-		seen[name] = true
-	}
-	for name := range r.buckets {
-		seen[name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

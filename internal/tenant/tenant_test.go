@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -75,19 +74,5 @@ func TestQuotaIsPerTenant(t *testing.T) {
 	// A different tenant's bucket is untouched by loud's spending.
 	if err := r.Admit("quiet"); err != nil {
 		t.Fatalf("quiet tenant sheds with loud's bucket empty: %v", err)
-	}
-}
-
-func TestTenantsListsNamespaceAndSeen(t *testing.T) {
-	r := NewRegistry([]string{"beta", "alpha"}, 0)
-	_ = r.Admit("beta")
-	if got, want := r.Tenants(), []string{"alpha", "beta"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Tenants() = %v, want %v", got, want)
-	}
-	open := NewRegistry(nil, 0)
-	_ = open.Admit("zeta")
-	_ = open.Admit("eta")
-	if got, want := open.Tenants(), []string{"eta", "zeta"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("open Tenants() = %v, want %v", got, want)
 	}
 }

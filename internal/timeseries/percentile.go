@@ -5,18 +5,11 @@ import (
 	"sort"
 )
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of the values by
-// linear interpolation between the two closest ranks. It returns ErrEmpty
-// for empty input.
-func Percentile(vals []float64, p float64) (float64, error) {
-	var scratch []float64
-	return PercentileScratch(vals, p, &scratch)
-}
-
-// PercentileScratch is Percentile with a caller-owned work buffer: vals is
-// copied into *scratch (grown as needed and written back), so a reused
-// scratch makes repeated percentile queries allocation-free. The input is
-// never mutated.
+// PercentileScratch returns the p-th percentile (0 <= p <= 100) of vals by
+// linear interpolation between the two closest ranks, or ErrEmpty for empty
+// input. vals is copied into *scratch (grown as needed and written back), so
+// a reused scratch makes repeated percentile queries allocation-free. The
+// input is never mutated.
 //
 // The copy is partially ordered by selection, not sorted: the two closest
 // ranks are order statistics of the multiset of values, so they are the

@@ -217,14 +217,6 @@ func (r *Ring) SeriesInto(dst *Series) *Series {
 	return dst
 }
 
-// WindowBefore returns up to w samples with timestamps in (end-w, end],
-// oldest first, as a Series. It is the primitive behind FChain's look-back
-// window query.
-func (r *Ring) WindowBefore(end int64, w int) *Series {
-	s := r.Series()
-	return s.Window(end-int64(w)+1, end+1)
-}
-
 // Clear discards every retained sample. The slave severs a metric's dense
 // history this way after a long collection gap: the pre-gap samples would
 // otherwise be misaligned with the post-gap dense indexing.

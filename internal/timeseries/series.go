@@ -57,24 +57,6 @@ func (s *Series) At(i int) float64 { return s.vals[i] }
 // TimeAt returns the timestamp of the i-th sample.
 func (s *Series) TimeAt(i int) int64 { return s.start + int64(i) }
 
-// IndexOf returns the sample index holding timestamp t, and whether t lies
-// within the series.
-func (s *Series) IndexOf(t int64) (int, bool) {
-	if t < s.start || t >= s.End() {
-		return 0, false
-	}
-	return int(t - s.start), true
-}
-
-// ValueAt returns the value recorded at timestamp t.
-func (s *Series) ValueAt(t int64) (float64, bool) {
-	i, ok := s.IndexOf(t)
-	if !ok {
-		return 0, false
-	}
-	return s.vals[i], true
-}
-
 // Append adds a value at the end of the series.
 func (s *Series) Append(v float64) { s.vals = append(s.vals, v) }
 
@@ -139,26 +121,6 @@ func (s *Series) ViewRange(from, to int64) Series {
 	lo := int(from - s.start)
 	hi := int(to - s.start)
 	return Series{start: from, vals: s.vals[lo:hi:hi]}
-}
-
-// Tail returns a sub-series holding the last n samples (or the whole series
-// when it is shorter than n).
-func (s *Series) Tail(n int) *Series {
-	if n >= len(s.vals) {
-		return New(s.start, s.vals)
-	}
-	lo := len(s.vals) - n
-	return New(s.start+int64(lo), s.vals[lo:])
-}
-
-// TailView is Tail without the copy: the returned sub-series shares the
-// receiver's storage, with the same invalidation caveat as WindowView.
-func (s *Series) TailView(n int) *Series {
-	if n >= len(s.vals) {
-		return &Series{start: s.start, vals: s.vals}
-	}
-	lo := len(s.vals) - n
-	return &Series{start: s.start + int64(lo), vals: s.vals[lo:]}
 }
 
 // ValuesView returns the sample values without copying. The caller must
@@ -297,31 +259,4 @@ func (t Trend) String() string {
 	default:
 		return "flat"
 	}
-}
-
-// TrendOf classifies the direction of vals by comparing the means of its
-// first and last thirds against the series' noise level. A difference below
-// noiseFrac (fraction of the standard deviation, e.g. 0.5) is flat.
-func TrendOf(vals []float64, noiseFrac float64) Trend {
-	if len(vals) < 3 {
-		return TrendFlat
-	}
-	third := len(vals) / 3
-	head := Mean(vals[:third])
-	tail := Mean(vals[len(vals)-third:])
-	sd := Std(vals)
-	if sd == 0 {
-		sd = math.Abs(head)
-		if sd == 0 {
-			sd = 1
-		}
-	}
-	diff := tail - head
-	if math.Abs(diff) < noiseFrac*sd {
-		return TrendFlat
-	}
-	if diff > 0 {
-		return TrendUp
-	}
-	return TrendDown
 }

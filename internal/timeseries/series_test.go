@@ -41,36 +41,6 @@ func TestSeriesCopiesInput(t *testing.T) {
 	}
 }
 
-func TestSeriesIndexOf(t *testing.T) {
-	s := New(10, []float64{5, 6, 7})
-	tests := []struct {
-		give   int64
-		want   int
-		wantOK bool
-	}{
-		{10, 0, true},
-		{12, 2, true},
-		{9, 0, false},
-		{13, 0, false},
-	}
-	for _, tt := range tests {
-		got, ok := s.IndexOf(tt.give)
-		if ok != tt.wantOK || (ok && got != tt.want) {
-			t.Errorf("IndexOf(%d) = %d,%v, want %d,%v", tt.give, got, ok, tt.want, tt.wantOK)
-		}
-	}
-}
-
-func TestSeriesValueAt(t *testing.T) {
-	s := New(10, []float64{5, 6, 7})
-	if v, ok := s.ValueAt(11); !ok || v != 6 {
-		t.Errorf("ValueAt(11) = %v,%v, want 6,true", v, ok)
-	}
-	if _, ok := s.ValueAt(100); ok {
-		t.Error("ValueAt(100) should report not found")
-	}
-}
-
 func TestSeriesWindow(t *testing.T) {
 	s := New(0, []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	w := s.Window(3, 6)
@@ -86,17 +56,6 @@ func TestSeriesWindow(t *testing.T) {
 	w = s.Window(8, 3)
 	if w.Len() != 0 {
 		t.Errorf("inverted window should be empty, got len %d", w.Len())
-	}
-}
-
-func TestSeriesTail(t *testing.T) {
-	s := New(0, []float64{0, 1, 2, 3, 4})
-	tl := s.Tail(2)
-	if tl.Len() != 2 || tl.Start() != 3 || tl.At(0) != 3 {
-		t.Errorf("Tail(2) wrong: start=%d values=%v", tl.Start(), tl.Values())
-	}
-	if got := s.Tail(100); got.Len() != 5 {
-		t.Errorf("Tail(100) should return whole series, got %d", got.Len())
 	}
 }
 
@@ -120,6 +79,12 @@ func TestMeanStd(t *testing.T) {
 	if Mean(nil) != 0 || Std(nil) != 0 {
 		t.Error("Mean/Std of empty input should be 0")
 	}
+}
+
+// Percentile is PercentileScratch with a fresh buffer.
+func Percentile(vals []float64, p float64) (float64, error) {
+	var scratch []float64
+	return PercentileScratch(vals, p, &scratch)
 }
 
 func TestPercentile(t *testing.T) {
@@ -219,27 +184,6 @@ func TestSlopeAtDegenerate(t *testing.T) {
 	}
 }
 
-func TestTrendOf(t *testing.T) {
-	up := FromFunc(0, 60, func(i int) float64 { return float64(i) }).Values()
-	down := FromFunc(0, 60, func(i int) float64 { return -float64(i) }).Values()
-	flat := make([]float64, 60)
-	for i := range flat {
-		flat[i] = 5
-	}
-	if got := TrendOf(up, 0.5); got != TrendUp {
-		t.Errorf("up trend = %v", got)
-	}
-	if got := TrendOf(down, 0.5); got != TrendDown {
-		t.Errorf("down trend = %v", got)
-	}
-	if got := TrendOf(flat, 0.5); got != TrendFlat {
-		t.Errorf("flat trend = %v", got)
-	}
-	if got := TrendOf(nil, 0.5); got != TrendFlat {
-		t.Errorf("empty trend = %v", got)
-	}
-}
-
 func TestTrendString(t *testing.T) {
 	if TrendUp.String() != "up" || TrendDown.String() != "down" || TrendFlat.String() != "flat" {
 		t.Error("Trend.String mismatch")
@@ -275,17 +219,6 @@ func TestRingEviction(t *testing.T) {
 		if s.At(i) != w {
 			t.Errorf("ring[%d] = %v, want %v", i, s.At(i), w)
 		}
-	}
-}
-
-func TestRingWindowBefore(t *testing.T) {
-	r := NewRing(100)
-	for i := int64(0); i < 50; i++ {
-		r.Push(i, float64(i))
-	}
-	w := r.WindowBefore(49, 10)
-	if w.Len() != 10 || w.Start() != 40 || w.At(9) != 49 {
-		t.Errorf("WindowBefore wrong: start=%d len=%d last=%v", w.Start(), w.Len(), w.At(w.Len()-1))
 	}
 }
 

@@ -22,22 +22,6 @@ func TestWindowViewMatchesWindow(t *testing.T) {
 	}
 }
 
-func TestTailViewMatchesTail(t *testing.T) {
-	s := FromFunc(7, 20, func(i int) float64 { return float64(i) })
-	for _, n := range []int{0, 1, 5, 20, 100} {
-		w := s.Tail(n)
-		v := s.TailView(n)
-		if w.Start() != v.Start() || w.Len() != v.Len() {
-			t.Fatalf("tail %d: view (%d,%d) != copy (%d,%d)", n, v.Start(), v.Len(), w.Start(), w.Len())
-		}
-		for i := 0; i < w.Len(); i++ {
-			if w.At(i) != v.At(i) {
-				t.Fatalf("tail %d idx %d mismatch", n, i)
-			}
-		}
-	}
-}
-
 func TestViewSharesStorage(t *testing.T) {
 	s := FromFunc(0, 10, func(i int) float64 { return float64(i) })
 	v := s.WindowView(2, 8)
@@ -61,8 +45,7 @@ func TestViewsAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		m := r.SeriesInto(scratch)
 		w := m.WindowView(200, 400)
-		tl := w.TailView(50)
-		for _, v := range tl.ValuesView() {
+		for _, v := range w.ValuesView() {
 			sink += v
 		}
 		_ = s.WindowView(10, 900)
@@ -70,7 +53,7 @@ func TestViewsAllocationFree(t *testing.T) {
 	if sink == 0 {
 		t.Fatal("sink untouched")
 	}
-	// WindowView/TailView return a new *Series header (1 small alloc each);
+	// WindowView returns a new *Series header (1 small alloc each);
 	// the guard is that no O(n) value copies happen per iteration.
 	if allocs > 4 {
 		t.Errorf("hot path allocates %v objects per run, want <= 4 headers", allocs)

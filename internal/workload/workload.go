@@ -94,12 +94,6 @@ func ClarkNet() Profile {
 	}
 }
 
-// Steady returns a low-variance profile, useful for tests that need a
-// predictable load.
-func Steady(base float64) Profile {
-	return Profile{Name: "steady", Base: base, NoiseFrac: 0.01, NoisePhi: 0.5}
-}
-
 // Synthetic is a deterministic pseudo-random trace realized from a Profile
 // and a seed. Rates for every second of the horizon are materialized up
 // front so that repeated queries are consistent and cheap.
@@ -153,9 +147,6 @@ func NewSynthetic(p Profile, horizon int, seed int64) *Synthetic {
 // Name returns the profile name the trace was realized from.
 func (s *Synthetic) Name() string { return s.name }
 
-// Horizon returns the number of materialized seconds.
-func (s *Synthetic) Horizon() int { return len(s.rates) }
-
 // Rate implements Trace. Queries beyond the horizon wrap around, so long
 // runs remain well defined.
 func (s *Synthetic) Rate(t int64) float64 {
@@ -176,28 +167,6 @@ var _ Trace = Constant(0)
 
 // Rate implements Trace.
 func (c Constant) Rate(int64) float64 { return float64(c) }
-
-// Scaled wraps a trace, multiplying every rate by Factor. It models
-// workload-increase external factors (paper §II-C) without changing the
-// trace's shape.
-type Scaled struct {
-	Inner  Trace
-	Factor float64
-	// From restricts scaling to t >= From, modelling a workload surge
-	// beginning mid-run.
-	From int64
-}
-
-var _ Trace = (*Scaled)(nil)
-
-// Rate implements Trace.
-func (s *Scaled) Rate(t int64) float64 {
-	r := s.Inner.Rate(t)
-	if t >= s.From {
-		return r * s.Factor
-	}
-	return r
-}
 
 // Replay is a trace loaded from external data (e.g. a real IRCache-derived
 // per-second request count file).
@@ -240,9 +209,6 @@ func LoadCSV(r io.Reader) (*Replay, error) {
 	}
 	return &Replay{rates: rates}, nil
 }
-
-// Horizon returns the number of loaded seconds.
-func (r *Replay) Horizon() int { return len(r.rates) }
 
 // Rate implements Trace, wrapping past the horizon.
 func (r *Replay) Rate(t int64) float64 {

@@ -9,6 +9,12 @@ import (
 	"fchain/internal/timeseries"
 )
 
+// Steady returns a low-variance profile, useful for tests that need a
+// predictable load.
+func Steady(base float64) Profile {
+	return Profile{Name: "steady", Base: base, NoiseFrac: 0.01, NoisePhi: 0.5}
+}
+
 func TestSyntheticDeterministic(t *testing.T) {
 	a := NewSynthetic(NASA(), 600, 42)
 	b := NewSynthetic(NASA(), 600, 42)
@@ -79,8 +85,8 @@ func TestSyntheticWraps(t *testing.T) {
 
 func TestSyntheticMinHorizon(t *testing.T) {
 	tr := NewSynthetic(Steady(5), 0, 1)
-	if tr.Horizon() != 1 {
-		t.Errorf("horizon = %d, want 1", tr.Horizon())
+	if len(tr.rates) != 1 {
+		t.Errorf("horizon = %d, want 1", len(tr.rates))
 	}
 }
 
@@ -91,24 +97,14 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	tr := &Scaled{Inner: Constant(10), Factor: 3, From: 100}
-	if got := tr.Rate(50); got != 10 {
-		t.Errorf("pre-surge rate = %v, want 10", got)
-	}
-	if got := tr.Rate(100); got != 30 {
-		t.Errorf("post-surge rate = %v, want 30", got)
-	}
-}
-
 func TestLoadCSV(t *testing.T) {
 	in := "# comment\n10\n 20.5 \n\n1630000000,30\n"
 	r, err := LoadCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Horizon() != 3 {
-		t.Fatalf("horizon = %d, want 3", r.Horizon())
+	if len(r.rates) != 3 {
+		t.Fatalf("horizon = %d, want 3", len(r.rates))
 	}
 	want := []float64{10, 20.5, 30}
 	for i, w := range want {

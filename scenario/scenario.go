@@ -65,20 +65,6 @@ type Trace = workload.Trace
 // New builds a simulation from a custom application spec.
 func New(spec AppSpec, seed int64) (*System, error) { return cloudsim.New(spec, seed) }
 
-// ConstantTrace returns a fixed-rate workload trace.
-func ConstantTrace(rate float64) Trace { return workload.Constant(rate) }
-
-// NASATrace and ClarkNetTrace realize the built-in synthetic equivalents of
-// the paper's IRCache workload traces over the given horizon (seconds).
-func NASATrace(horizon int, seed int64) Trace {
-	return workload.NewSynthetic(workload.NASA(), horizon, seed)
-}
-
-// ClarkNetTrace is the ClarkNet-like counterpart of NASATrace.
-func ClarkNetTrace(horizon int, seed int64) Trace {
-	return workload.NewSynthetic(workload.ClarkNet(), horizon, seed)
-}
-
 // LoadTraceCSV reads a replay trace: one per-second arrival rate per line
 // (optionally "timestamp,rate"; '#' comments allowed). Use it to drive the
 // simulations with real measured workloads — e.g. the actual NASA/ClarkNet
@@ -149,10 +135,6 @@ func Mesh(spec string, seed int64) (*GeneratedMesh, *System, error) {
 	}
 	return m, sys, nil
 }
-
-// FaultTemplates lists the fault-template library's names, usable with
-// MeshFault (gray failures, cascades, noisy neighbors, false-alarm traps).
-func FaultTemplates() []string { return faultlib.Names() }
 
 // MeshFault instantiates a named fault template against a generated mesh at
 // the given injection time. Target selection draws from the seed, so the

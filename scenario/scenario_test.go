@@ -126,14 +126,6 @@ func TestRunCampaignExperiments(t *testing.T) {
 }
 
 func TestTraceHelpers(t *testing.T) {
-	if got := scenario.ConstantTrace(42).Rate(5); got != 42 {
-		t.Errorf("ConstantTrace = %v", got)
-	}
-	nasa := scenario.NASATrace(100, 1)
-	clark := scenario.ClarkNetTrace(100, 1)
-	if nasa.Rate(10) <= 0 || clark.Rate(10) <= 0 {
-		t.Error("synthetic traces should be positive")
-	}
 	path := t.TempDir() + "/trace.csv"
 	if err := os.WriteFile(path, []byte("10\n20\n30\n"), 0o644); err != nil {
 		t.Fatal(err)
