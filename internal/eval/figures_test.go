@@ -2,10 +2,39 @@ package eval
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"fchain/internal/apps"
 	"fchain/internal/golden"
 )
+
+// memoTrials makes every sweep the test runs build each distinct trial
+// once: the figures, Table I and the ablation share 18 of their 46 trials.
+// Schemes only read a bundle (validation clones its simulation), so sharing
+// one changes no report byte, which the golden below confirms.
+func memoTrials(t *testing.T) {
+	type key struct {
+		bench, fault string
+		lookBack     int
+		seed         int64
+		cfg          RunConfig
+	}
+	type entry struct {
+		once sync.Once
+		tb   *TrialBundle
+		err  error
+	}
+	var memo sync.Map // key → *entry
+	runTrial = func(b Benchmark, fc apps.FaultCase, seed int64, cfg RunConfig) (*TrialBundle, error) {
+		cfg.Workers = 0 // how many trials run at once does not shape one
+		v, _ := memo.LoadOrStore(key{b.Name, fc.Name, fc.LookBack, seed, cfg}, new(entry))
+		e := v.(*entry)
+		e.once.Do(func() { e.tb, e.err = RunTrial(b, fc, seed, cfg) })
+		return e.tb, e.err
+	}
+	t.Cleanup(func() { runTrial = RunTrial })
+}
 
 // TestAccuracyFigures pins every campaign experiment — Figs. 6-12, Table I
 // and the ablation — at 2 runs in testdata/golden/campaigns_runs2.txt.
@@ -16,6 +45,7 @@ func TestAccuracyFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiments")
 	}
+	memoTrials(t)
 	roc := []string{"fchain", "topology", "dependency", "pal", "histogram", "netmedic", "fault "}
 	artifacts := []struct {
 		name string

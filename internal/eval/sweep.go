@@ -147,6 +147,10 @@ func (s Sweep) Run() (*SweepResult, error) {
 	return res, nil
 }
 
+// runTrial is how a sweep builds a trial; it is RunTrial, which tests
+// replace with a memo so that sweeps sharing a trial build it once.
+var runTrial = RunTrial
+
 // trial runs one seed of a row and scores it against every column,
 // returning one single-trial cell per column and the time the schemes took.
 func (s Sweep) trial(row Row, seed int64) ([]Cell, time.Duration, error) {
@@ -154,7 +158,7 @@ func (s Sweep) trial(row Row, seed int64) ([]Cell, time.Duration, error) {
 	if row.SustainSec > 0 {
 		cfg.SustainSec = row.SustainSec
 	}
-	tb, err := RunTrial(row.Bench, row.Fault, seed, cfg)
+	tb, err := runTrial(row.Bench, row.Fault, seed, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
