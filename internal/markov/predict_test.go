@@ -95,7 +95,9 @@ func (d *denseModel) ensureRange(v float64) {
 	}
 	hadLast, lastCenter := d.hasLast, centers[d.lastBin]
 	d.lo, d.hi = newLo, newHi
+	inc := d.incWeight
 	d.reset()
+	d.incWeight = inc
 	for ij, c := range old {
 		if c != 0 {
 			d.add(d.binOf(centers[ij/d.bins]), d.binOf(centers[ij%d.bins]), c)
