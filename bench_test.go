@@ -154,37 +154,6 @@ func BenchmarkModuleSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkModuleSelectionStreaming measures selection in the streaming
-// engine's operating mode: one fresh second observed, then a full analysis
-// at the new stream head, so every iteration pays the honest incremental
-// cost (the memoized verdict never answers at an advancing head). Compare
-// with BenchmarkModuleSelection for what the per-violation burst costs when
-// the whole look-back context must be processed at tv-time.
-func BenchmarkModuleSelectionStreaming(b *testing.B) {
-	cfg := fchain.DefaultConfig()
-	cfg.Streaming = true
-	loc := fchain.NewLocalizer(cfg, []string{"c"})
-	kinds := fchain.Kinds()
-	for t := int64(0); t < 2000; t++ {
-		for _, k := range kinds {
-			if err := loc.Observe("c", t, k, float64(40+t%23)+float64(t%7)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var reports []fchain.ComponentReport
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := int64(2000 + i)
-		for _, k := range kinds {
-			if err := loc.Observe("c", ts, k, float64(40+ts%23)+float64(ts%7)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reports = loc.AnalyzeInto(reports, ts)
-	}
-}
-
 // BenchmarkModuleDiagnosis measures the integrated fault diagnosis over a
 // seven-component report set (Table II: "integrated fault diagnosis").
 func BenchmarkModuleDiagnosis(b *testing.B) {
@@ -289,24 +258,10 @@ func BenchmarkModuleSeriesInto(b *testing.B) {
 // warm. Walking 768 streams per second is what the per-stream layer
 // benchmarks (BenchmarkModuleMonitoring replays one component with its
 // state in L1) do not see. An op is one virtual second; ns/sample is the
-// number to compare. The batch and streaming sub-benchmarks run it with
-// Config.Streaming off and on; batch allocates nothing at steady state,
-// while the streaming accumulators' deques re-grow now and then.
+// number to compare, and nothing is allocated at steady state.
 func BenchmarkIngestTimeMajor(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		streaming bool
-	}{{"batch", false}, {"streaming", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := fchain.DefaultConfig()
-			cfg.Streaming = mode.streaming
-			benchIngestTimeMajor(b, cfg)
-		})
-	}
-}
-
-func benchIngestTimeMajor(b *testing.B, cfg fchain.Config) {
 	const components = 128
+	cfg := fchain.DefaultConfig()
 	names := make([]string, components)
 	for i := range names {
 		names[i] = fmt.Sprintf("c%03d", i)

@@ -31,18 +31,17 @@ import (
 
 func main() {
 	var (
-		app       = flag.String("app", "rubis", "benchmark application: rubis, systems, hadoop")
-		mesh      = flag.String("mesh", "", `generated mesh parameters, e.g. "n=200,fanout=3,depth=5,seed=7" (overrides -app; -fault names a template)`)
-		fault     = flag.String("fault", "", "fault: memleak, cpuhog, nethog, diskhog, bottleneck, lbbug, offloadbug (default cpuhog); with -mesh, a template name (default gray-disk)")
-		target    = flag.String("target", "", "faulty component (default: the paper's usual target)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		inject    = flag.Int64("inject", 0, "fault injection time (seconds; default 1500, or 2000 with -mesh)")
-		validate  = flag.Bool("validate", false, "run online pinpointing validation")
-		saveDeps  = flag.String("save-deps", "", "write the discovered dependency graph to this file")
-		emitCSV   = flag.String("emit-csv", "", "write the collected metric samples (component,time,metric,value) to this file — feedable to fchain-slave")
-		parallel  = flag.Int("parallel", 0, "analysis workers (0 = all cores, 1 = serial; the diagnosis is identical either way)")
-		traceOut  = flag.String("trace-out", "", "write the localization's full evidence trace (JSON span tree) to this file")
-		streaming = flag.Bool("streaming", false, "maintain streaming selection state on every sample (localization output is bit-identical either way)")
+		app      = flag.String("app", "rubis", "benchmark application: rubis, systems, hadoop")
+		mesh     = flag.String("mesh", "", `generated mesh parameters, e.g. "n=200,fanout=3,depth=5,seed=7" (overrides -app; -fault names a template)`)
+		fault    = flag.String("fault", "", "fault: memleak, cpuhog, nethog, diskhog, bottleneck, lbbug, offloadbug (default cpuhog); with -mesh, a template name (default gray-disk)")
+		target   = flag.String("target", "", "faulty component (default: the paper's usual target)")
+		seed     = flag.Int64("seed", 1, "simulation seed")
+		inject   = flag.Int64("inject", 0, "fault injection time (seconds; default 1500, or 2000 with -mesh)")
+		validate = flag.Bool("validate", false, "run online pinpointing validation")
+		saveDeps = flag.String("save-deps", "", "write the discovered dependency graph to this file")
+		emitCSV  = flag.String("emit-csv", "", "write the collected metric samples (component,time,metric,value) to this file — feedable to fchain-slave")
+		parallel = flag.Int("parallel", 0, "analysis workers (0 = all cores, 1 = serial; the diagnosis is identical either way)")
+		traceOut = flag.String("trace-out", "", "write the localization's full evidence trace (JSON span tree) to this file")
 	)
 	flag.Parse()
 	if *fault == "" {
@@ -62,7 +61,7 @@ func main() {
 			*inject = 1500
 		}
 	}
-	if err := run(*app, *mesh, *fault, *target, *seed, *inject, *validate, *saveDeps, *emitCSV, *parallel, *traceOut, *streaming); err != nil {
+	if err := run(*app, *mesh, *fault, *target, *seed, *inject, *validate, *saveDeps, *emitCSV, *parallel, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "fchain-sim:", err)
 		os.Exit(1)
 	}
@@ -132,7 +131,7 @@ func buildFault(name, target string, inject int64, rng *rand.Rand) (scenario.Fau
 	}
 }
 
-func run(app, mesh, faultName, target string, seed, inject int64, validate bool, saveDeps, emitCSV string, parallel int, traceOut string, streaming bool) error {
+func run(app, mesh, faultName, target string, seed, inject int64, validate bool, saveDeps, emitCSV string, parallel int, traceOut string) error {
 	var (
 		sys          *scenario.System
 		fault        scenario.Fault
@@ -214,7 +213,6 @@ func run(app, mesh, faultName, target string, seed, inject int64, validate bool,
 	}
 
 	cfg.Parallelism = parallel
-	cfg.Streaming = streaming
 	loc := fchain.NewLocalizer(cfg, sys.Components())
 	for _, comp := range sys.Components() {
 		for _, k := range fchain.Kinds() {

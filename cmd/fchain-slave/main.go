@@ -75,7 +75,6 @@ type config struct {
 	sharded     bool
 	via         string
 	aggAddr     string
-	streaming   bool
 	replEvery   time.Duration
 	meshProfile bool
 }
@@ -97,7 +96,6 @@ func main() {
 	flag.BoolVar(&cfg.sharded, "sharded", false, "start with no components of your own: the master assigns them over its consistent-hash ring (requires a master started with -vnodes)")
 	flag.StringVar(&cfg.via, "via", "", "aggregator name this slave reports through (tree topology)")
 	flag.StringVar(&cfg.aggAddr, "aggregator", "", "aggregator address to also connect to (required with -via)")
-	flag.BoolVar(&cfg.streaming, "streaming", false, "maintain streaming selection state on every sample so analyze answers in ~O(diagnose); falls back to the batch kernel (bit-identically) whenever the state is cold")
 	flag.DurationVar(&cfg.replEvery, "repl-interval", 0, "ship owned components' state deltas to their warm standbys every interval (0 disables; requires a master started with -standby)")
 	flag.BoolVar(&cfg.meshProfile, "mesh-profile", false, "apply the generated-mesh monitoring profile (wider external-factor spread, relative-magnitude selection floor) instead of the paper defaults")
 	flag.Parse()
@@ -159,7 +157,6 @@ func run(cfg config) error {
 	}
 	coreCfg.ReorderWindow = cfg.reorder
 	coreCfg.Parallelism = cfg.parallel
-	coreCfg.Streaming = cfg.streaming
 	slave := fchain.NewSlave(name, comps, coreCfg, opts...)
 	if restored := slave.RestoredComponents(); len(restored) > 0 {
 		fmt.Printf("restored checkpointed models for %v\n", restored)

@@ -158,16 +158,6 @@ func (l *Localizer) Observe(component string, t int64, k Kind, v float64) error 
 	return l.inner.Observe(component, t, k, v)
 }
 
-// StreamingStats is the aggregated telemetry of the streaming selection
-// engine (Config.Streaming): live stream count, resident state bytes, warm
-// streams whose accumulator already sees a confident change, and the cold
-// fallback / state reset / memo hit counters. All zero when streaming is off.
-type StreamingStats = core.StreamingStats
-
-// StreamingStats aggregates streaming-selection telemetry across all
-// monitored components.
-func (l *Localizer) StreamingStats() StreamingStats { return l.inner.StreamingStats() }
-
 // Localize runs the full pipeline at SLO-violation time tv. deps is the
 // inter-component dependency graph from offline discovery and may be nil
 // or empty (FChain then relies on propagation order alone, as it must for

@@ -112,7 +112,7 @@ type chainEntry struct {
 // runGoldenScenario replays one scenario end to end — simulate, detect the
 // SLO violation, discover dependencies, feed the localizer, localize with
 // tracing — and renders the report bytes compared against the golden.
-func runGoldenScenario(t *testing.T, sc goldenScenario, parallelism int, streaming bool) []byte {
+func runGoldenScenario(t *testing.T, sc goldenScenario, parallelism int) []byte {
 	t.Helper()
 	cfg := fchain.DefaultConfig()
 	depTraceSec := 600
@@ -154,7 +154,6 @@ func runGoldenScenario(t *testing.T, sc goldenScenario, parallelism int, streami
 	deps := fchain.DiscoverDependencies(sys.DependencyTrace(depTraceSec, sc.seed), fchain.DiscoverConfig{})
 
 	cfg.Parallelism = parallelism
-	cfg.Streaming = streaming
 	loc := fchain.NewLocalizer(cfg, sys.Components())
 	for _, comp := range sys.Components() {
 		for _, k := range fchain.Kinds() {
@@ -212,9 +211,8 @@ func runGoldenScenario(t *testing.T, sc goldenScenario, parallelism int, streami
 
 // TestGoldenEndToEnd pins the pipeline's end-to-end behavior: each
 // canonical fault scenario must reproduce its committed verdict and
-// evidence trace exactly, across the full execution matrix — serial and
-// 4-way-parallel analysis, batch and streaming selection — all four
-// producing byte-identical reports. Regenerate with
+// evidence trace exactly, serial and 4-way-parallel analysis producing
+// byte-identical reports. Regenerate with
 // `go test ./... -update` after an intentional pipeline change.
 func TestGoldenEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -224,19 +222,9 @@ func TestGoldenEndToEnd(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			serial := runGoldenScenario(t, sc, 1, false)
-			for _, v := range []struct {
-				name        string
-				parallelism int
-				streaming   bool
-			}{
-				{"parallel", 4, false},
-				{"streaming-serial", 1, true},
-				{"streaming-parallel", 4, true},
-			} {
-				if got := runGoldenScenario(t, sc, v.parallelism, v.streaming); !bytes.Equal(serial, got) {
-					t.Fatalf("%s report differs from serial batch: determinism contract broken", v.name)
-				}
+			serial := runGoldenScenario(t, sc, 1)
+			if got := runGoldenScenario(t, sc, 4); !bytes.Equal(serial, got) {
+				t.Fatal("parallel report differs from serial: determinism contract broken")
 			}
 			golden.Assert(t, golden.Path(sc.name+".json"), serial)
 		})

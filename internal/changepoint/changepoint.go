@@ -47,9 +47,8 @@ type Config struct {
 	// range is normalized by σ̂√n and ranked against Thresholds fixed-seed
 	// simulated null samples for the segment's length. Detection then does
 	// no resampling and no RNG draws at query time — it is a pure function
-	// of the window contents, which is the property streaming selection
-	// relies on — at the same 1/Thresholds confidence granularity the
-	// bootstrap had. Zero keeps the classic bootstrap (the PAL/CUSUM
+	// of the window contents — at the same 1/Thresholds confidence
+	// granularity the bootstrap had. Zero keeps the classic bootstrap (the PAL/CUSUM
 	// baselines stay on it so the paper-faithful comparison schemes are
 	// untouched).
 	Thresholds int

@@ -97,66 +97,3 @@ func FuzzDetect(f *testing.F) {
 		}
 	})
 }
-
-// FuzzStream feeds adversarial bit patterns through the streaming
-// accumulator. Contract: no panic ever; on finite input the deque-maintained
-// window extrema agree exactly with a direct scan, and confidence stays in
-// [0,1].
-func FuzzStream(f *testing.F) {
-	f.Add([]byte{}, uint8(8))
-	step := make([]byte, 0, 40*8)
-	var buf [8]byte
-	for i := 0; i < 40; i++ {
-		v := 5.0
-		if i >= 20 {
-			v = 50.0
-		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		step = append(step, buf[:]...)
-	}
-	f.Add(step, uint8(10))
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(math.NaN()))
-	f.Add(append(append([]byte{}, buf[:]...), step...), uint8(3))
-
-	f.Fuzz(func(t *testing.T, data []byte, window uint8) {
-		vals := fuzzSeries(data, 256)
-		finite := true
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				finite = false
-				break
-			}
-		}
-		s := NewStream(int(window))
-		w := s.Window()
-		for i, v := range vals {
-			s.Push(v)
-			if conf, ok := s.Confidence(25); ok && finite && (conf < 0 || conf > 1) {
-				t.Fatalf("step %d: confidence %v outside [0,1]", i, conf)
-			}
-			if !finite {
-				continue // NaN poisons comparisons; no-panic is the contract
-			}
-			lo := i + 1 - w
-			if lo < 0 {
-				lo = 0
-			}
-			win := vals[lo : i+1]
-			wantLo, wantHi := win[0], win[0]
-			for _, x := range win[1:] {
-				wantLo = math.Min(wantLo, x)
-				wantHi = math.Max(wantHi, x)
-			}
-			gotLo, gotHi, ok := s.WindowMinMax()
-			if !ok || gotLo != wantLo || gotHi != wantHi {
-				t.Fatalf("step %d: min/max (%v,%v) want (%v,%v)", i, gotLo, gotHi, wantLo, wantHi)
-			}
-		}
-		s.Rebase()
-		s.Push(1)
-		s.Reset()
-		if s.Count() != 0 {
-			t.Fatal("reset left samples behind")
-		}
-	})
-}

@@ -26,9 +26,8 @@ import (
 // normal sequences with a fixed seed, sorted, and cached process-wide;
 // afterwards every detection query is a closed-form normalization plus one
 // binary search — no RNG, no resampling, identical across goroutines,
-// processes, and query times. This is what makes streaming selection
-// possible at all: the legacy bootstrap reseeded per (component, metric,
-// tv), so no per-query work could ever be hoisted to ingest time.
+// processes, and query times, where the legacy bootstrap reseeded per
+// (component, metric, tv).
 //
 // The resample count stays in the key so configurations with different
 // Bootstraps never share quantiles, and so confidence retains the same 1/k

@@ -92,11 +92,6 @@ type Slave struct {
 	ingestSamples *obs.Counter
 	ingestErrors  *obs.Counter
 
-	// streamColds holds the last exported value of the monotone streaming
-	// cold-fallback total, so concurrent analyzes each export only their own
-	// delta into the registry counter.
-	streamColds atomic.Uint64
-
 	// Crash-safe model persistence: with a checkpoint directory set, every
 	// coldStart restores the monitor from its last checkpoint, and the slave
 	// re-checkpoints every checkpointInterval until Close.
@@ -984,14 +979,6 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 			truncated++
 		}
 	}
-	// Streaming stats take every shard lock and rank every accumulator, so
-	// they are gathered only when a registry or a journal will read them.
-	var sst core.StreamingStats
-	if s.cfg.Streaming && (s.obs.Registry() != nil || s.obs.EventJournal() != nil) {
-		for _, m := range monitors {
-			sst.Merge(m.StreamingStats())
-		}
-	}
 	if reg := s.obs.Registry(); reg != nil {
 		reg.Counter("fchain_analyze_requests_total", "Analyze requests served.").Inc()
 		reg.Counter("fchain_selection_tasks_total", "Per-metric selection tasks executed.").
@@ -1007,21 +994,6 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 			reg.Counter("fchain_quarantine_trips_total",
 				"Metric streams quarantined after selection kernel panics.").Add(int64(stats.Panics))
 		}
-		if s.cfg.Streaming {
-			reg.Gauge("fchain_streaming_bytes",
-				"Resident bytes of streaming-selection state across all streams.").
-				Set(float64(sst.Bytes))
-			reg.Gauge("fchain_streaming_hot",
-				"Streams whose change-point accumulator currently sees a confident shift.").
-				Set(float64(sst.Hot))
-			// Colds is a monotone total inside core; export the delta so the
-			// registry counter stays a counter across overlapping analyzes.
-			if prev := s.streamColds.Swap(sst.Colds); sst.Colds > prev {
-				reg.Counter("fchain_streaming_cold_total",
-					"Streaming analyses the kernel memo did not answer, run by the batch kernel.").
-					Add(int64(sst.Colds - prev))
-			}
-		}
 	}
 	if stats.Panics > 0 {
 		streams := make(map[string]any)
@@ -1032,6 +1004,7 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 		}
 		_ = s.obs.EventJournal().Record("quarantine", map[string]any{
 			"slave": s.name, "tv": tv, "panics": stats.Panics, "streams": streams,
+			"panic": stats.FirstPanic,
 		})
 	}
 	ev := map[string]any{
@@ -1039,12 +1012,6 @@ func (s *Slave) analyzeBudget(tv int64, lookBack int, deadline time.Time) []core
 	}
 	if truncated > 0 {
 		ev["truncated"] = truncated
-	}
-	if s.cfg.Streaming {
-		// Journaled alongside the registry export so the two can be
-		// reconciled after the fact.
-		ev["streaming_bytes"] = sst.Bytes
-		ev["streaming_cold_total"] = sst.Colds
 	}
 	_ = s.obs.EventJournal().Record("analyze", ev)
 	return reports

@@ -125,14 +125,12 @@ type Config struct {
 	// probe re-admits the stream; another panic re-trips the quarantine.
 	QuarantineCooldown time.Duration
 
-	// Streaming enables streaming selection (stream.go): every Observe
-	// feeds a per-metric incremental CUSUM accumulator (the hot-stream
-	// telemetry), and analyses consult per-metric kernel and FFT memos, so
-	// re-localizing an unchanged stream replays its verdict. Output is
-	// bit-identical with the flag on or off: the memos replay batch-kernel
-	// bits, and every analysis they cannot answer runs the batch kernel.
-	// Off by default: pure-batch deployments keep the cheapest possible
-	// Observe.
+	// Streaming is ignored: selection always runs the batch kernel, once,
+	// when an analysis asks for it.
+	//
+	// Deprecated: the streaming selection engine is deleted; the field stays
+	// only so the benchmark harness compiles, and ROADMAP item 13(a) removes
+	// it with the harness's streaming pass.
 	Streaming bool
 
 	// Parallelism bounds the analysis worker pool that fans abnormal change

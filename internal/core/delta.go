@@ -8,9 +8,9 @@ package core
 // standby replays them through its shadow monitor's strict Observe path.
 // Monitor state is a pure function of the observed sample sequence plus the
 // config (the same invariant the checkpoint-restore and handoff paths
-// already rely on), so replay reproduces the primary's model, ring, and
-// streaming state byte-identically — there is no separate "apply a model
-// diff" code path to keep in sync with Observe.
+// already rely on), so replay reproduces the primary's model and rings
+// byte-identically — there is no separate "apply a model diff" code path to
+// keep in sync with Observe.
 //
 // The incremental path is only sound while the primary's bounded ring still
 // retains every sample past the shipped floor. Eviction past the floor, a
@@ -346,10 +346,7 @@ func (m *Monitor) ApplyDelta(d *ReplDelta) error {
 // then pushed into the monitor's own rings, cleared under the shard lock,
 // so installing a frame allocates no ring storage. Ring capacities follow
 // the monitor's configuration, not the frame's: a monitor with a smaller
-// RingCapacity keeps only the newest samples. Streaming state is rebuilt
-// from the installed rings; the rebuild is a pure function of the retained
-// samples, so a restarted daemon's analysis matches what any other process
-// installing the same frame computes.
+// RingCapacity keeps only the newest samples.
 func (m *Monitor) applyFull(d *ReplDelta) error {
 	if d.Component != m.component {
 		return fmt.Errorf("frame is for component %q, monitor is %q", d.Component, m.component)
@@ -382,9 +379,6 @@ func (m *Monitor) applyFull(d *ReplDelta) error {
 			sh.lastT = s.LastT
 		}
 		sh.sanitizer.SetState(s.Sanitizer)
-		if sh.stream != nil {
-			sh.stream.rebuild(sh)
-		}
 		sh.mu.Unlock()
 	}
 	return nil

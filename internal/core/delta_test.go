@@ -30,7 +30,7 @@ func feedAll(t testing.TB, m *Monitor, ts int64) {
 }
 
 // frameBytes encodes m's full frame: two monitors with equal bytes here hold
-// byte-identical models, histories, sanitizer and streaming state.
+// byte-identical models, histories and sanitizer state.
 func frameBytes(t testing.TB, m *Monitor) []byte {
 	t.Helper()
 	var d ReplDelta

@@ -255,16 +255,6 @@ func (l *Localizer) Quality() map[string]DataQuality {
 	return out
 }
 
-// StreamingStats aggregates the streaming-selection telemetry across every
-// monitored component. All counters are zero when Config.Streaming is off.
-func (l *Localizer) StreamingStats() StreamingStats {
-	var st StreamingStats
-	for _, m := range l.monitors {
-		st.Merge(m.StreamingStats())
-	}
-	return st
-}
-
 // AnalyzeInto asks every monitor for its look-back report at tv, appending
 // into dst (reset to length 0 first): a caller reusing the slice across
 // calls makes the steady-state analysis path allocation-free. With more

@@ -92,6 +92,7 @@ func analyzePool(dst []ComponentReport, monitors []*Monitor, tv int64, lookBack,
 		ch      AbnormalChange
 		ok      bool
 		st      metricStatus
+		panic   string
 		skipped bool
 		sub     *obs.Trace // per-task sub-trace, grafted at assembly
 	}
@@ -117,9 +118,9 @@ func analyzePool(dst []ComponentReport, monitors []*Monitor, tv int64, lookBack,
 				}
 				t0 := time.Now()
 				skipped := pastDeadline(deadline, t0)
-				ch, ok, st := mon.analyzeMetric(tv, k, mon.config(lookBack), a, sub, -1, skipped)
+				ch, ok, st, panicMsg := mon.analyzeMetric(tv, k, mon.config(lookBack), a, sub, -1, skipped)
 				hist.Observe(time.Since(t0).Nanoseconds())
-				results[idx] = taskResult{ch: ch, ok: ok, st: st, skipped: skipped, sub: sub}
+				results[idx] = taskResult{ch: ch, ok: ok, st: st, panic: panicMsg, skipped: skipped, sub: sub}
 			}
 			statsMu.Lock()
 			stats.Select.Merge(hist)
@@ -146,7 +147,7 @@ func analyzePool(dst []ComponentReport, monitors []*Monitor, tv int64, lookBack,
 			if tr != nil {
 				tr.Graft(comp, r.sub)
 			}
-			accumulateMetric(&rep, r.ch, r.ok, r.st, r.skipped, metric.Kinds[ki], &stats)
+			accumulateMetric(&rep, r.ch, r.ok, r.st, r.panic, r.skipped, metric.Kinds[ki], &stats)
 		}
 		finishReport(&rep)
 		if tr != nil {

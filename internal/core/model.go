@@ -46,29 +46,20 @@ type metricShard struct {
 	lastT    int64
 	hasLast  bool
 
-	// stream is the per-metric streaming-selection state (stream.go), nil
-	// unless Config.Streaming is on.
-	stream *streamState
-
 	// Panic quarantine (overload.go): a stream whose selection kernel
 	// panicked is skipped until the cooldown elapses, then probed once.
 	quarantined   bool
 	quarantinedAt time.Time
 }
 
-// push commits one validated sample to the shard's model and histories, and
-// advances the streaming state when one is attached. The caller holds the
-// shard's lock.
+// push commits one validated sample to the shard's model and histories. The
+// caller holds the shard's lock.
 func (sh *metricShard) push(t int64, v float64) {
 	predErr, _ := sh.model.Observe(v)
-	prevLast, prevHas := sh.lastT, sh.hasLast
 	sh.samples.Push(t, v)
 	sh.errs.Push(t, predErr)
 	sh.lastT = t
 	sh.hasLast = true
-	if sh.stream != nil {
-		sh.stream.afterPush(sh, v, prevLast, prevHas)
-	}
 }
 
 // apply commits one sanitized sample, severing the metric's dense history
@@ -81,11 +72,6 @@ func (sh *metricShard) apply(s ingest.Sample) {
 		sh.samples.Clear()
 		sh.errs.Clear()
 		sh.model.Break()
-		if sh.stream != nil {
-			// Everything the streaming state accumulated describes the
-			// severed pre-gap history; restart cold.
-			sh.stream.resetState()
-		}
 	}
 	sh.push(s.T, s.V)
 }
@@ -130,9 +116,6 @@ func NewMonitor(component string, cfg Config) *Monitor {
 		sh.model = markov.New(cfg.MarkovBins, cfg.MarkovDecay)
 		sh.samples, sh.errs = &rings[2*i], &rings[2*i+1]
 		sh.sanitizer = ingest.NewSanitizer(cfg.ingestConfig())
-		if cfg.Streaming {
-			sh.stream = newStreamState(cfg)
-		}
 	}
 	return m
 }

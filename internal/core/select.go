@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -151,9 +152,9 @@ func (m *Monitor) analyzeComponent(tv int64, lookBack int, a *arena, stats *Pool
 	for _, k := range metric.Kinds {
 		t0 := time.Now()
 		skipped := pastDeadline(deadline, t0)
-		ch, ok, st := m.analyzeMetric(tv, k, cfg, a, tr, comp, skipped)
+		ch, ok, st, panicMsg := m.analyzeMetric(tv, k, cfg, a, tr, comp, skipped)
 		stats.Select.Observe(time.Since(t0).Nanoseconds())
-		accumulateMetric(&report, ch, ok, st, skipped, k, stats)
+		accumulateMetric(&report, ch, ok, st, panicMsg, skipped, k, stats)
 	}
 	finishReport(&report)
 	if tr != nil {
@@ -165,15 +166,16 @@ func (m *Monitor) analyzeComponent(tv int64, lookBack int, a *arena, stats *Pool
 
 // accumulateMetric folds one metric task's outcome into the component
 // report; the serial path and the worker pool's canonical assembly both
-// use it so reports stay bit-identical across worker counts.
-func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, skipped bool, k metric.Kind, stats *PoolStats) {
+// use it so reports stay bit-identical across worker counts, and so the
+// panic stats keep is the first in (component, metric) order.
+func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, panicMsg string, skipped bool, k metric.Kind, stats *PoolStats) {
 	if ok {
 		report.Changes = append(report.Changes, ch)
 	}
 	if st != metricOK {
 		report.Quarantined = append(report.Quarantined, k.String())
 		if st == metricPanicked {
-			stats.Panics++
+			stats.notePanic(panicMsg)
 		}
 	}
 	if skipped {
@@ -227,15 +229,16 @@ const (
 // recording candidate change points and filter decisions; with tr == nil the
 // instrumented path costs only pointer tests. skipped (the deadline had
 // passed) runs nothing; a quarantined stream is skipped too, and a panicking
-// kernel quarantines its stream instead of unwinding past this frame.
-func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, parent int, skipped bool) (AbnormalChange, bool, metricStatus) {
+// kernel quarantines its stream instead of unwinding past this frame, and
+// returns what it panicked with as panicMsg.
+func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, parent int, skipped bool) (ch AbnormalChange, ok bool, st metricStatus, panicMsg string) {
 	if skipped {
 		if tr != nil {
 			sel := tr.Start(parent, "select:"+k.String())
 			tr.Attr(sel, "skipped", "deadline")
 			tr.End(sel)
 		}
-		return AbnormalChange{}, false, metricOK
+		return AbnormalChange{}, false, metricOK, ""
 	}
 	if m.quarantineBlocked(k, cfg.QuarantineCooldown) {
 		if tr != nil {
@@ -243,15 +246,16 @@ func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, t
 			tr.Attr(sel, "skipped", "quarantined")
 			tr.End(sel)
 		}
-		return AbnormalChange{}, false, metricQuarantined
+		return AbnormalChange{}, false, metricQuarantined, ""
 	}
 	if tr == nil {
 		return m.runKernel(tv, k, cfg, a, nil, -1)
 	}
 	sel := tr.Start(parent, "select:"+k.String())
-	ch, ok, st := m.runKernel(tv, k, cfg, a, tr, sel)
+	ch, ok, st, panicMsg = m.runKernel(tv, k, cfg, a, tr, sel)
 	if st == metricPanicked {
 		tr.Attr(sel, "skipped", "panic")
+		tr.Attr(sel, "panic", panicMsg)
 	}
 	tr.AttrBool(sel, "abnormal", ok)
 	if ok {
@@ -259,25 +263,26 @@ func (m *Monitor) analyzeMetric(tv int64, k metric.Kind, cfg Config, a *arena, t
 		tr.AttrInt(sel, "onset", ch.Onset)
 	}
 	tr.End(sel)
-	return ch, ok, st
+	return ch, ok, st, panicMsg
 }
 
 // runKernel runs the selection kernel under panic protection: a panic trips
 // the stream's quarantine, discards the possibly inconsistent arena scratch,
-// and surfaces as metricPanicked instead of unwinding the worker.
-func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, ok bool, st metricStatus) {
+// and surfaces as metricPanicked, with the panic value as panicMsg, instead
+// of unwinding the worker.
+func (m *Monitor) runKernel(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, ok bool, st metricStatus, panicMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.tripQuarantine(k)
 			a.reset()
-			ch, ok, st = AbnormalChange{}, false, metricPanicked
+			ch, ok, st, panicMsg = AbnormalChange{}, false, metricPanicked, fmt.Sprint(r)
 		}
 	}()
 	if hook := analyzeHook.Load(); hook != nil {
 		(*hook)(m.component, k)
 	}
 	ch, ok = m.selectMetric(tv, k, cfg, a, tr, sel)
-	return ch, ok, metricOK
+	return ch, ok, metricOK, ""
 }
 
 // Selection constants (paper §III-A and the filters layered on it).
@@ -340,24 +345,10 @@ const (
 // selectMetric is the abnormal change point selection kernel behind
 // analyzeMetric. All working memory comes from the caller's arena, so a
 // warmed-up analysis allocates nothing; the monitor's shard lock is held only
-// inside materializeStream, never across the analysis. sel is the enclosing
+// inside materialize, never across the analysis. sel is the enclosing
 // select:<metric> span (-1 when untraced).
-//
-// Under Config.Streaming the kernel consults the shard's streaming state
-// (stream.go): a whole-kernel memo hit returns the cached verdict outright,
-// and the FFT memo replays burst thresholds already computed. Both replay
-// bits the batch arithmetic produced, so streaming changes timings, never
-// outputs. Traced runs and active fault-injection hooks always execute the
-// real kernel.
-func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (ch AbnormalChange, abnormal bool) {
-	memoEligible := tr == nil && analyzeHook.Load() == nil
-	sv, se, facts := m.materializeStream(tv, k, cfg, a, memoEligible)
-	if facts.memoHit {
-		return facts.memoCh, facts.memoOK
-	}
-	if memoEligible {
-		defer func() { m.storeMemo(k, facts, tv, cfg, ch, abnormal) }()
-	}
+func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr *obs.Trace, sel int) (AbnormalChange, bool) {
+	sv, se := m.materialize(k, a)
 	span := cfg.LookBack + cfg.BurstWindow
 	vals := sv.ViewRange(tv-int64(span)+1, tv+1)
 	errsSeries := se.ViewRange(tv-int64(span)+1, tv+1)
@@ -386,10 +377,8 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 	points := a.cp.Detect(smoothed, changepoint.Config{
 		// Threshold tables instead of a per-query bootstrap: detection is a
 		// pure function of the window contents — no RNG, no reseeding, the
-		// same verdict whichever worker runs the task and whenever it runs.
-		// That purity is what lets streaming mode memoize kernel results,
-		// and it removes the dominant O(Bootstraps·n) term from every
-		// batch-mode query as well.
+		// same verdict whichever worker runs the task and whenever it runs,
+		// without the dominant O(Bootstraps·n) term of a bootstrap.
 		Thresholds: cfg.Bootstraps,
 		Confidence: cfg.CPConfidence,
 	})
@@ -475,7 +464,7 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 			// metric, every application (paper §III-A scheme 6).
 			exp, fftExp = cfg.FixedThreshold, cfg.FixedThreshold
 		} else {
-			e, err := m.expectedErrorCached(k, raw, p.Index, vals.Start(), cfg, a)
+			e, err := expectedErrorAt(raw, p.Index, cfg, a)
 			if err != nil {
 				if tr != nil {
 					tr.Attr(flt, "cand:"+strconv.FormatInt(t, 10), "fft-error")
@@ -589,6 +578,18 @@ func (m *Monitor) selectMetric(tv int64, k metric.Kind, cfg Config, a *arena, tr
 	}, true
 }
 
+// materialize copies metric k's retained samples and prediction errors into
+// the arena's series under the shard lock. Every window and context query of
+// one analysis pass takes zero-copy views of the two series, which the
+// arena's next copy invalidates; once the copy is out, analysis proceeds
+// without blocking the collection path.
+func (m *Monitor) materialize(k metric.Kind, a *arena) (sv, se *timeseries.Series) {
+	sh := &m.shards[k]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.samples.SeriesInto(&a.vals), sh.errs.SeriesInto(&a.errs)
+}
+
 // contextStats is what the retained history before the look-back window says
 // about a metric; the filter judges every candidate against it.
 type contextStats struct {
@@ -601,8 +602,7 @@ type contextStats struct {
 
 // contextStatsOf computes them from the context values cv, the context
 // prediction errors errs and the smoothed analysis window, selecting the
-// percentiles on the arena's scratch. Batch and streaming analyses both run
-// it.
+// percentiles on the arena's scratch.
 func contextStatsOf(cv, errs, smoothed []float64, a *arena) contextStats {
 	// Self-calibration: all retained history before the look-back window
 	// characterizes how predictable this metric was before the anomaly
@@ -757,28 +757,13 @@ func predictionErrorNear(errs *timeseries.Series, idx int) float64 {
 // high-frequency variability, and a deterministic trend would otherwise
 // leak across the spectrum.
 func expectedErrorAt(raw []float64, idx int, cfg Config, a *arena) (float64, error) {
-	lo, hi := burstBounds(idx, len(raw), cfg)
+	lo := max(idx-2*cfg.BurstWindow, 0)
+	hi := idx
+	if hi-lo < cfg.BurstWindow { // too little history before the point
+		hi = min(lo+2*cfg.BurstWindow+1, len(raw))
+	}
 	a.detrend = detrendInto(a.detrend, raw[lo:hi])
 	return fftpkg.ExpectedError(a.detrend, topFreqFrac, burstPercentile)
-}
-
-// burstBounds returns the [lo, hi) slice of the raw window that
-// expectedErrorAt feeds the FFT for a change point at idx. Factored out so
-// the streaming FFT memo can key cache entries on the exact window without
-// computing it.
-func burstBounds(idx, n int, cfg Config) (lo, hi int) {
-	hi = idx
-	lo = idx - 2*cfg.BurstWindow
-	if lo < 0 {
-		lo = 0
-	}
-	if hi-lo < cfg.BurstWindow { // too little history before the point
-		hi = lo + 2*cfg.BurstWindow + 1
-		if hi > n {
-			hi = n
-		}
-	}
-	return lo, hi
 }
 
 // detrend returns a copy of vals with the least-squares line removed.

@@ -490,37 +490,3 @@ func BenchmarkModuleSelectionNoisy(b *testing.B) {
 		reports = loc.AnalyzeInto(reports, 1999)
 	}
 }
-
-// BenchmarkModuleSelectionNoisyStreaming is BenchmarkModuleSelectionNoisy in
-// the streaming engine's operating mode: each op observes one fresh second
-// of noisyStepSignal, then analyzes at the new stream head, so the kernel
-// memo never answers. Nearly every stream has a candidate to judge at every
-// head (about 94 % of them on this signal), so each pays for the context
-// statistics. An op is one head: six streams.
-func BenchmarkModuleSelectionNoisyStreaming(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Streaming = true
-	loc := NewLocalizer(cfg, []string{"c"})
-	const warm = 2000
-	signals := make([][]float64, metric.NumKinds+1)
-	for _, k := range metric.Kinds {
-		signals[k] = noisyStepSignal(int64(k)+1, warm+b.N)
-		for t, v := range signals[k][:warm] {
-			if err := loc.Observe("c", int64(t), k, v); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var reports []ComponentReport
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := int64(warm + i)
-		for _, k := range metric.Kinds {
-			if err := loc.Observe("c", ts, k, signals[k][ts]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reports = loc.AnalyzeInto(reports, ts)
-	}
-}

@@ -29,6 +29,9 @@ type PoolStats struct {
 	// Panics counts selection tasks whose kernel panicked and whose
 	// stream was quarantined instead of taking the process down.
 	Panics int `json:"panics,omitempty"`
+	// FirstPanic is what the first of those kernels panicked with, in
+	// (component, metric) order.
+	FirstPanic string `json:"first_panic,omitempty"`
 }
 
 // Merge folds another PoolStats into s, keeping the larger pool shape.
@@ -40,6 +43,17 @@ func (s *PoolStats) Merge(o PoolStats) {
 	s.Select.Merge(o.Select)
 	s.Diagnose.Merge(o.Diagnose)
 	s.Panics += o.Panics
+	if s.FirstPanic == "" {
+		s.FirstPanic = o.FirstPanic
+	}
+}
+
+// notePanic counts one quarantined kernel panic, keeping the first message.
+func (s *PoolStats) notePanic(msg string) {
+	s.Panics++
+	if s.FirstPanic == "" {
+		s.FirstPanic = msg
+	}
 }
 
 // String renders a compact summary for CLI status lines.

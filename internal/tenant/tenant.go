@@ -88,15 +88,14 @@ func (r *Registry) Admit(tenant string) error {
 	if r.allowed != nil && !r.allowed[tenant] {
 		return fmt.Errorf("%w: %q", ErrUnknown, tenant)
 	}
+	if r.rate <= 0 {
+		return nil // unlimited: no bucket to charge or keep
+	}
 	now := r.clock()
 	b, ok := r.buckets[tenant]
 	if !ok {
-		// Created even under an unlimited quota, which never reads it.
 		b = &bucket{tokens: r.rate, last: now}
 		r.buckets[tenant] = b
-	}
-	if r.rate <= 0 {
-		return nil
 	}
 	if ok {
 		if dt := now.Sub(b.last); dt > 0 {

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -74,5 +75,19 @@ func TestQuotaIsPerTenant(t *testing.T) {
 	// A different tenant's bucket is untouched by loud's spending.
 	if err := r.Admit("quiet"); err != nil {
 		t.Fatalf("quiet tenant sheds with loud's bucket empty: %v", err)
+	}
+}
+
+// TestUnlimitedQuotaKeepsNoBuckets: under an unlimited quota nothing is
+// charged, so admitting any number of distinct names keeps no state.
+func TestUnlimitedQuotaKeepsNoBuckets(t *testing.T) {
+	r := NewRegistry(nil, 0)
+	for i := 0; i < 10_000; i++ {
+		if err := r.Admit(fmt.Sprintf("tenant-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.buckets); n != 0 {
+		t.Fatalf("%d buckets kept under an unlimited quota, want 0", n)
 	}
 }

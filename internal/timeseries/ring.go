@@ -23,7 +23,6 @@ type Ring struct {
 	runs []run // retained timestamps, oldest run first
 	head int   // index of oldest element
 	size int
-	seq  uint64 // bumped on every mutation; see Seq
 }
 
 // run is n retained samples with consecutive timestamps t0, t0+1, ….
@@ -57,12 +56,6 @@ func (r *Ring) Cap() int { return len(r.vals) }
 
 // Len returns the number of retained samples.
 func (r *Ring) Len() int { return r.size }
-
-// Seq returns the ring's mutation sequence number: it advances on every
-// Push and Clear, so two reads observing the same Seq are guaranteed to
-// have seen identical contents. Streaming selection keys its memoized
-// per-window results on it to detect when a cached result is still exact.
-func (r *Ring) Seq() uint64 { return r.seq }
 
 // At returns the i-th retained sample, oldest first. It panics if i is out
 // of [0, Len()), matching slice-indexing semantics. Finding the timestamp
@@ -136,7 +129,6 @@ func (r *Ring) First() int64 {
 // Push appends a sample, evicting the oldest when full. A timestamp one past
 // the newest extends the newest run; any other opens a new one.
 func (r *Ring) Push(t int64, v float64) {
-	r.seq++
 	if r.size == len(r.vals) {
 		r.evict()
 	}
@@ -221,7 +213,6 @@ func (r *Ring) SeriesInto(dst *Series) *Series {
 // history this way after a long collection gap: the pre-gap samples would
 // otherwise be misaligned with the post-gap dense indexing.
 func (r *Ring) Clear() {
-	r.seq++
 	r.runs = r.runs[:0]
 	r.head = 0
 	r.size = 0

@@ -16,7 +16,6 @@ type twoColumnRing struct {
 	times []int64
 	head  int
 	size  int
-	seq   uint64
 }
 
 func newTwoColumnRing(capacity int) *twoColumnRing {
@@ -30,7 +29,6 @@ func (r *twoColumnRing) at(i int) (int64, float64) {
 }
 
 func (r *twoColumnRing) push(t int64, v float64) {
-	r.seq++
 	idx := (r.head + r.size) % len(r.vals)
 	r.vals[idx] = v
 	r.times[idx] = t
@@ -42,7 +40,6 @@ func (r *twoColumnRing) push(t int64, v float64) {
 }
 
 func (r *twoColumnRing) clear() {
-	r.seq++
 	r.head, r.size = 0, 0
 }
 
@@ -148,8 +145,8 @@ func (p *ringPair) check() {
 		p.tb.Fatalf("cap %d, op %d (%s): "+format, append([]any{p.r.Cap(), p.nops, p.label}, args...)...)
 	}
 	r, ref := p.r, p.ref
-	if r.Len() != ref.size || r.Seq() != ref.seq || r.Cap() != len(ref.vals) {
-		fail("len/seq/cap %d/%d/%d, want %d/%d/%d", r.Len(), r.Seq(), r.Cap(), ref.size, ref.seq, len(ref.vals))
+	if r.Len() != ref.size || r.Cap() != len(ref.vals) {
+		fail("len/cap %d/%d, want %d/%d", r.Len(), r.Cap(), ref.size, len(ref.vals))
 	}
 	for i := 0; i < ref.size; i++ {
 		wt, wv := ref.at(i)
@@ -273,17 +270,10 @@ func TestRingPushAllocFree(t *testing.T) {
 	}
 }
 
-func TestRingSeqAndAt(t *testing.T) {
+func TestRingAt(t *testing.T) {
 	r := NewRing(4)
-	if r.Seq() != 0 {
-		t.Fatal("fresh ring should start at seq 0")
-	}
 	for i := int64(0); i < 6; i++ {
-		before := r.Seq()
 		r.Push(i, float64(i)*2)
-		if r.Seq() != before+1 {
-			t.Fatalf("push %d did not advance seq", i)
-		}
 	}
 	// Capacity 4, pushed 6: retains t=2..5 oldest-first.
 	for i := 0; i < r.Len(); i++ {
@@ -292,11 +282,7 @@ func TestRingSeqAndAt(t *testing.T) {
 			t.Fatalf("At(%d) = (%d, %v), want (%d, %v)", i, ts, v, want, float64(want)*2)
 		}
 	}
-	seq := r.Seq()
 	r.Clear()
-	if r.Seq() != seq+1 {
-		t.Fatal("Clear did not advance seq")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At out of range should panic")

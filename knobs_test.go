@@ -21,8 +21,8 @@ import (
 // every flag each binary under cmd/ declares, every exported With* option
 // of internal/cluster and of the fchain facade (which mirrors cluster's by
 // hand, so the two lists side by side show any drift), and every exported
-// field of core.Config and cluster.ServiceConfig, followed by per-kind
-// totals. Adding or removing a
+// field of core.Config and cluster.ServiceConfig (a field documented
+// Deprecated: is marked as a shim), followed by per-kind totals. Adding or removing a
 // knob fails the test until `go test . -run TestKnobInventory -update`
 // regenerates the file, so the file's history is the surface's history.
 func TestKnobInventory(t *testing.T) {
@@ -107,7 +107,7 @@ func TestKnobInventory(t *testing.T) {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,9 +124,13 @@ func TestKnobInventory(t *testing.T) {
 							continue
 						}
 						for _, field := range ts.Type.(*ast.StructType).Fields.List {
+							detail := expr(field.Type)
+							if field.Doc != nil && strings.Contains(field.Doc.Text(), "Deprecated:") {
+								detail += "  (deprecated shim)"
+							}
 							for _, id := range field.Names {
 								if id.IsExported() {
-									line("field", pkg+"."+ts.Name.Name, id.Name, expr(field.Type))
+									line("field", pkg+"."+ts.Name.Name, id.Name, detail)
 								}
 							}
 						}

@@ -109,8 +109,6 @@ func main() {
 // reason says why an unlinked function of package pkg is kept, or "none".
 func reason(pkg, name string, api bool, tests map[string]bool) string {
 	switch {
-	case strings.HasPrefix(name, "fchain/internal/changepoint.(*Stream)."), strings.HasSuffix(name, ".StreamingStats"):
-		return "roadmap-1"
 	case api:
 		return "public-api"
 	case pkg == "fchain/internal/faultnet", pkg == "fchain/internal/golden":

@@ -9,7 +9,6 @@
 #   scripts/unlinked.sh | diff -u testdata/unlinked.txt -
 #
 # The reasons (scripts/unlinked.go assigns them; "none" means delete it):
-#   roadmap-1   the streaming selection code ROADMAP item 1 deletes whole;
 #   public-api  a facade call README.md or example_test.go shows, or what
 #               such a call links (the program built from api.go below);
 #   test-infra  faultnet and golden, or linked into the test binary of a
