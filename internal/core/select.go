@@ -166,8 +166,8 @@ func (m *Monitor) analyzeComponent(tv int64, lookBack int, a *arena, stats *Pool
 
 // accumulateMetric folds one metric task's outcome into the component
 // report; the serial path and the worker pool's canonical assembly both
-// use it so reports stay bit-identical across worker counts, and so the
-// panic stats keep is the first in (component, metric) order.
+// use it so reports stay bit-identical across worker counts and
+// stats.FirstPanic is the first panic in (component, metric) order.
 func accumulateMetric(report *ComponentReport, ch AbnormalChange, ok bool, st metricStatus, panicMsg string, skipped bool, k metric.Kind, stats *PoolStats) {
 	if ok {
 		report.Changes = append(report.Changes, ch)
