@@ -31,7 +31,7 @@ const transportTV = 240
 // (and a local twin) the same seeded series through the sanitizing Ingest
 // path, moves state by the named transport, and returns the components that
 // ended up on a different slave.
-func runTransport(t *testing.T, transport string) []movedMonitor {
+func runTransport(t *testing.T, transport string, cfg core.Config) []movedMonitor {
 	t.Helper()
 	slaveOpts := []SlaveOption{WithReconnect(false)}
 	masterOpts := []MasterOption{WithSharding(0), WithAutoRebalance(false)}
@@ -44,7 +44,6 @@ func runTransport(t *testing.T, transport string) []movedMonitor {
 		masterOpts = append(masterOpts, WithStandby(true))
 		nSlaves = 3
 	}
-	var cfg core.Config
 	master := NewMaster(cfg, nil, masterOpts...)
 	if err := master.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -131,9 +130,16 @@ func runTransport(t *testing.T, transport string) []movedMonitor {
 	return moved
 }
 
-func eachTransport(t *testing.T, fn func(t *testing.T, transport string)) {
-	for _, transport := range []string{"checkpoint", "live-move", "warm-promotion"} {
-		t.Run(transport, func(t *testing.T) { fn(t, transport) })
+// eachTransport runs fn once per transport, with the deprecated
+// Config.Streaming flag off and on: the flag is ignored now, so both halves
+// must move the same batch state.
+func eachTransport(t *testing.T, fn func(t *testing.T, transport string, cfg core.Config)) {
+	for _, streaming := range []bool{false, true} {
+		for _, transport := range []string{"checkpoint", "live-move", "warm-promotion"} {
+			t.Run(fmt.Sprintf("%s/streaming=%v", transport, streaming), func(t *testing.T) {
+				fn(t, transport, core.Config{Streaming: streaming})
+			})
+		}
 	}
 }
 
@@ -173,8 +179,8 @@ func ownedMonitor(t *testing.T, sl *Slave, comp string) *core.Monitor {
 // TestTransportEquivalence: whichever way the state travelled, the recipient's
 // full frame and its analysis of the window are byte-identical to the twin's.
 func TestTransportEquivalence(t *testing.T) {
-	eachTransport(t, func(t *testing.T, transport string) {
-		for _, mv := range runTransport(t, transport) {
+	eachTransport(t, func(t *testing.T, transport string, cfg core.Config) {
+		for _, mv := range runTransport(t, transport, cfg) {
 			if !bytes.Equal(fullFrame(t, ownedMonitor(t, mv.owner, mv.comp)), fullFrame(t, mv.twin)) {
 				t.Errorf("%s: state differs from the never-moved twin", mv.comp)
 			}
@@ -197,9 +203,9 @@ func TestTransportEquivalence(t *testing.T) {
 // exactly as the twin clamps it — same ring contents, same quality counters.
 // The clamp's running statistics and the gap-repair anchor travelled too.
 func TestSanitizerStateSurvivesEveryTransport(t *testing.T) {
-	eachTransport(t, func(t *testing.T, transport string) {
+	eachTransport(t, func(t *testing.T, transport string, cfg core.Config) {
 		const at = transportTV + 1
-		for _, mv := range runTransport(t, transport) {
+		for _, mv := range runTransport(t, transport, cfg) {
 			if err := mv.owner.Ingest(mv.comp, at, metric.CPU, 1e12); err != nil {
 				t.Fatal(err)
 			}

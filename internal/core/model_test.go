@@ -76,6 +76,14 @@ func TestMonitorResidentBytes(t *testing.T) {
 		comps, healthy := diurnalFeed(t)
 		checkResidentBytes(t, cfg, comps, diurnalUntil, healthy, 152_000*105/100) // measured + 5 %
 	})
+	t.Run("streaming", func(t *testing.T) {
+		// The diurnal feed again, with the deprecated Streaming flag on: it
+		// is ignored, so the batch bound holds.
+		scfg := cfg
+		scfg.Streaming = true
+		comps, healthy := diurnalFeed(t)
+		checkResidentBytes(t, scfg, comps, diurnalUntil, healthy, 152_000*105/100) // measured + 5 %
+	})
 }
 
 // diurnalUntil is the horizon of diurnalFeed: past one diurnal period.
