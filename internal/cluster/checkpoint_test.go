@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -152,47 +153,52 @@ func TestRestoredComponentsSorted(t *testing.T) {
 }
 
 // TestVersion1CheckpointColdStartsOnce: a checkpoint directory written by an
-// earlier build holds a version-1 file. The slave cold-starts that component
-// and still ingests and analyzes; Close rewrites the file in the current
-// format, which the next slave restores.
+// earlier build holds a version-1 file (a JSON envelope) or a version-2 one
+// (dense model rows). The slave cold-starts that component and still
+// ingests and analyzes; Close rewrites the file in the current version,
+// which the next slave restores.
 func TestVersion1CheckpointColdStartsOnce(t *testing.T) {
-	dir := t.TempDir()
-	v1, err := os.ReadFile(filepath.Join("..", "core", "testdata", "checkpoint_v1.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, apps.DB+".ckpt")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, old := range []string{"checkpoint_v1.ckpt", "checkpoint_v2.ckpt"} {
+		t.Run(old, func(t *testing.T) {
+			dir := t.TempDir()
+			raw, err := os.ReadFile(filepath.Join("..", "core", "testdata", old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, apps.DB+".ckpt")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	second := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
-	if got := second.RestoredComponents(); len(got) != 0 {
-		t.Fatalf("version-1 checkpoint restored: %v", got)
-	}
-	for ts := int64(1); ts <= 50; ts++ {
-		if err := second.Observe(apps.DB, ts, metric.CPU, 50); err != nil {
-			t.Fatal(err)
-		}
-	}
-	second.Analyze(50)
-	if err := second.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(raw, []byte("FCHAINCK")) {
-		t.Fatalf("Close left %.20q, not a current checkpoint", raw)
-	}
+			second := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
+			if got := second.RestoredComponents(); len(got) != 0 {
+				t.Fatalf("%s restored: %v", old, got)
+			}
+			for ts := int64(1); ts <= 50; ts++ {
+				if err := second.Observe(apps.DB, ts, metric.CPU, 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			second.Analyze(50)
+			if err := second.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			header := binary.LittleEndian.AppendUint32([]byte("FCHAINCK"), core.CheckpointVersion)
+			if !bytes.HasPrefix(raw, header) {
+				t.Fatalf("Close left %.20q, not a version-%d checkpoint", raw, core.CheckpointVersion)
+			}
 
-	third := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
-	defer third.Close()
-	if got := third.RestoredComponents(); !slices.Equal(got, []string{apps.DB}) {
-		t.Fatalf("rewritten checkpoint restored %v, want [%s]", got, apps.DB)
-	}
-	if err := third.Observe(apps.DB, 50, metric.CPU, 50); err == nil {
-		t.Error("the restored slave accepted a sample it had already observed")
+			third := NewSlave("h", []string{apps.DB}, core.Config{}, WithCheckpointDir(dir))
+			defer third.Close()
+			if got := third.RestoredComponents(); !slices.Equal(got, []string{apps.DB}) {
+				t.Fatalf("rewritten checkpoint restored %v, want [%s]", got, apps.DB)
+			}
+			if err := third.Observe(apps.DB, 50, metric.CPU, 50); err == nil {
+				t.Error("the restored slave accepted a sample it had already observed")
+			}
+		})
 	}
 }

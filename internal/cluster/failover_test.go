@@ -357,90 +357,6 @@ func TestDoubleFailureFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestLaggingStandbyFallsBackCold pins the replMaxLag gate: a standby that
-// is otherwise caught up but whose primary's last clean replication tick is
-// older than the bound must NOT be promoted — the master journals
-// replica_lagging and takes the cold path instead, which the shared
-// checkpoint keeps byte-exact.
-func TestLaggingStandbyFallsBackCold(t *testing.T) {
-	journalPath := t.TempDir() + "/lagging.journal"
-	journal, err := obs.OpenJournal(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &obs.Sink{Metrics: obs.NewRegistry(), Journal: journal}
-
-	shared := t.TempDir()
-	// A nanosecond bound makes every standby "lagging" by the time the
-	// rebalance evaluates the gate, whatever the test host's timing.
-	master, slaves, tv := shardedScenarioCluster(t, 5, 3,
-		[]SlaveOption{WithReplication(20 * time.Millisecond), WithReconnect(false),
-			WithCheckpointDir(shared)},
-		WithStandby(true), WithMasterObs(sink),
-		func(m *Master) { m.replMaxLag = time.Nanosecond }) // the gate is off outside tests
-
-	comps := make([]string, 0)
-	for _, owned := range master.Assignments() {
-		comps = append(comps, owned...)
-	}
-	waitReplicated(t, master, slaves, comps)
-	want, err := master.Localize(context.Background(), tv)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	victimName, _ := master.Owner(apps.DB)
-	victimOwned := append([]string(nil), master.Assignments()[victimName]...)
-	if err := slaves[victimName].Close(); err != nil { // clean close: final checkpoints land
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, func() bool { return len(master.Slaves()) == 2 }, "victim eviction")
-	if _, err := master.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := master.Localize(context.Background(), tv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Coverage() != 1 {
-		t.Fatalf("post-failover coverage = %v, want 1", got.Coverage())
-	}
-	if a, b := diagnosisJSON(t, want), diagnosisJSON(t, got); !bytes.Equal(a, b) {
-		t.Errorf("diagnosis changed across lag-gated cold failover:\n before: %s\n after:  %s", a, b)
-	}
-
-	if err := master.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events := journalEvents(t, journalPath)
-	cold := make(map[string]bool)
-	for _, ev := range events["failover"] {
-		if ev["mode"] == "warm" {
-			t.Errorf("lag-gated failover promoted warm: %v", ev)
-			continue
-		}
-		cold[ev["component"].(string)] = true
-	}
-	for _, comp := range victimOwned {
-		if !cold[comp] {
-			t.Errorf("no cold failover event for %s", comp)
-		}
-	}
-	lagging := make(map[string]bool)
-	for _, ev := range events["replica_lagging"] {
-		lagging[ev["component"].(string)] = true
-	}
-	for _, comp := range victimOwned {
-		if !lagging[comp] {
-			t.Errorf("no replica_lagging event for %s", comp)
-		}
-	}
-}
-
 // TestReplicationMetricsJournalReconcile churns membership under replication
 // and reconciles the registry against the journal exactly: failover counters
 // against failover events by mode, promotion counters against

@@ -68,12 +68,10 @@ type Master struct {
 	// replAcked are the per-component sequence numbers received from the
 	// current owner and acked by the target; a component is warm-promotable
 	// only while the two match. replTickAt records each slave's last clean
-	// replication tick. replMaxLag > 0 bounds how stale a standby may be and
-	// still be promoted warm; it is 0, no bound, outside tests. replAck is
-	// poked on every target ack so a rebalance can wait for moves to land.
+	// replication tick. replAck is poked on every target ack so a rebalance
+	// can wait for moves to land.
 	// replMu may be taken under mu, never the reverse.
 	standbyOn  bool
-	replMaxLag time.Duration
 	replMu     sync.Mutex
 	standbyOf  map[string]string
 	moveTo     map[string]string

@@ -269,14 +269,13 @@ func (m *Master) pushAssign(push map[string]*envelope, conns map[string]*slaveCo
 // ring's choice — want is edited accordingly. The standby's shadow monitor
 // already holds the donor's replicated state, so phase 1 has nothing to
 // transfer and the slave's handleAssign adopts the shadow without touching
-// the checkpoint directory. A missing, dead, or lagging standby falls back to
-// the cold path.
+// the checkpoint directory. A missing or dead standby, or one that has not
+// acked everything its primary shipped, falls back to the cold path.
 func (m *Master) promoteStandbys(comps []string, oldOwner, want map[string]string, live func(string) bool) (promoted map[string]bool) {
 	promoted = make(map[string]bool)
 	if !m.standbyOn {
 		return promoted
 	}
-	now := time.Now()
 	for _, comp := range comps {
 		from := oldOwner[comp]
 		if from == "" || from == want[comp] || live(from) {
@@ -285,16 +284,10 @@ func (m *Master) promoteStandbys(comps []string, oldOwner, want map[string]strin
 		m.replMu.Lock()
 		st := m.standbyOf[comp]
 		caughtUp := m.replSent[comp] > 0 && m.replAcked[comp] == m.replSent[comp]
-		lag := now.Sub(m.replTickAt[from])
 		m.replMu.Unlock()
-		warm := live(st) && caughtUp
 		mode := "cold"
-		switch {
-		case warm && (m.replMaxLag <= 0 || lag <= m.replMaxLag):
+		if live(st) && caughtUp {
 			want[comp], promoted[comp], mode = st, true, "warm"
-		case warm:
-			_ = m.obs.EventJournal().Record("replica_lagging", map[string]any{
-				"component": comp, "standby": st, "primary": from, "lag_seconds": lag.Seconds()})
 		}
 		m.obs.Registry().CounterWith("fchain_failover_total",
 			"Dead-owner failovers by recovery mode.", map[string]string{"mode": mode}).Inc()

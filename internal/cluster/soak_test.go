@@ -203,16 +203,15 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestAdmissionShedSoak hammers a tightly-admitted master from four times as
-// many callers as it will run, for several seconds, each caller waiting out
-// the Retry-After hint after a shed, and checks the shedding
-// story end to end: work still completes, some calls are shed, every shed
-// call carries the Overloaded flag, the shed outcome counter and journal
-// reconcile exactly with the callers' own tally, and no admission slot
-// leaks. Run with -race: the gate's slot counter is the contended structure.
+// many callers as it will run, each making a fixed number of Localize calls
+// and waiting out the Retry-After hint after a shed. The callers start
+// together behind a barrier, so the first calls meet a full gate. It checks
+// the shedding story end to end: work still completes, some calls are
+// shed, every shed call carries the Overloaded flag, the shed outcome
+// counter and journal reconcile exactly with the callers' own tally, and no
+// admission slot leaks. Run with -race: the gate's slot counter is the
+// contended structure.
 func TestAdmissionShedSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second soak")
-	}
 	journalPath := filepath.Join(t.TempDir(), "shed-soak.jsonl")
 	journal, err := obs.OpenJournal(journalPath)
 	if err != nil {
@@ -230,14 +229,16 @@ func TestAdmissionShedSoak(t *testing.T) {
 	tv := overloadCluster(t, master, nil)
 	waitFor(t, 5*time.Second, func() bool { return len(master.Slaves()) == 4 }, "registrations")
 
+	const callers, calls = 8, 40
 	var ok, shed, failed atomic.Int64
 	var wg sync.WaitGroup
-	deadline := time.Now().Add(6 * time.Second)
-	for i := 0; i < 8; i++ {
+	start := make(chan struct{})
+	for range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			<-start
+			for range calls {
 				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 				res, err := master.Localize(ctx, tv)
 				cancel()
@@ -258,6 +259,7 @@ func TestAdmissionShedSoak(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 	t.Logf("shed soak: %d ok, %d shed, %d failed", ok.Load(), shed.Load(), failed.Load())
 	if ok.Load() == 0 {

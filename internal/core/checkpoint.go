@@ -12,7 +12,10 @@ package core
 //
 // The file carries no save time: its modification time says when it was
 // written. A version-1 file, a JSON envelope around decimal rings, fails the
-// magic check like any other unreadable file, and the slave cold-starts.
+// magic check like any other unreadable file, and a version-2 file, whose
+// models carried dense count rows (replication format 1), fails the version
+// check; either way the slave cold-starts once and its next checkpoint
+// rewrites the file.
 
 import (
 	"bytes"
@@ -22,7 +25,6 @@ import (
 	"hash/crc32"
 	"os"
 
-	"fchain/internal/markov"
 	"fchain/internal/metric"
 	"fchain/internal/obs"
 )
@@ -31,7 +33,7 @@ import (
 // any other version instead of guessing: a model restored from a
 // misinterpreted checkpoint silently corrupts every later diagnosis, which
 // is strictly worse than a cold start.
-const CheckpointVersion = 2
+const CheckpointVersion = 3
 
 const (
 	checkpointMagic  = "FCHAINCK"
@@ -79,8 +81,9 @@ func (m *Monitor) LoadCheckpoint(path string) error {
 // decodes its body into d. It refuses a body SaveCheckpoint could not have
 // written, so that an accepted file saves back byte for byte: one that is
 // not a full frame or does not re-encode to itself (a fresh sanitizer state
-// listed, say), or holds a metric canonical refuses. The decoded runs alias
-// raw.
+// listed, say), or holds runs that meet without a gap, which a ring merges.
+// A model needs no such check: FromSnapshot installs what it accepts as it
+// is. The decoded runs alias raw.
 func decodeCheckpoint(raw []byte, d *ReplDelta) error {
 	if len(raw) < checkpointHeader || string(raw[:len(checkpointMagic)]) != checkpointMagic {
 		return errors.New("not a checkpoint file")
@@ -103,29 +106,12 @@ func decodeCheckpoint(raw []byte, d *ReplDelta) error {
 		return errors.New("body is not in the encoding SaveCheckpoint writes")
 	}
 	for i, k := range metric.Kinds {
-		if err := d.Metrics[i].canonical(); err != nil {
-			return fmt.Errorf("%s: %v", k, err)
+		runs := d.Metrics[i].Runs
+		for j := 1; j < len(runs); j++ {
+			if t := runs[j].T0; t == runs[j-1].last()+1 {
+				return fmt.Errorf("%s: runs meet at t=%d without a gap", k, t)
+			}
 		}
-	}
-	return nil
-}
-
-// canonical reports why s is not what fullInto writes for the state it
-// would restore: two runs that meet without a gap, which a ring merges, or
-// a model that does not survive a restore unchanged. Neither harms a
-// monitor, so applyFull, which peers' frames also pass, does not check them.
-func (s *ReplMetric) canonical() error {
-	for i := 1; i < len(s.Runs); i++ {
-		if t := s.Runs[i].T0; t == s.Runs[i-1].last()+1 {
-			return fmt.Errorf("runs meet at t=%d without a gap", t)
-		}
-	}
-	p, err := markov.FromSnapshot(s.Model)
-	if err != nil {
-		return fmt.Errorf("model: %v", err)
-	}
-	if !bytes.Equal(appendModel(nil, p.Snapshot()), appendModel(nil, s.Model)) {
-		return errors.New("model does not re-encode to its own bytes")
 	}
 	return nil
 }

@@ -156,30 +156,55 @@ type pinnedRing struct {
 	Vals  []float64 `json:"vals"`
 }
 
+// pinnedModel is a model of the decimal JSON fixture: a markov.Snapshot
+// as an earlier build wrote it, with dense count rows of bins columns, nil
+// for a row whose total is 0, in place of the mask and cells.
+type pinnedModel struct {
+	markov.Snapshot
+	Counts [][]float64 `json:"counts"`
+}
+
+// packed returns the model as a predictor restored from it holds it: one
+// cell per positive count.
+func (pm *pinnedModel) packed() *markov.Snapshot {
+	s := pm.Snapshot
+	words := (s.Bins + 63) / 64
+	s.Mask = make([]uint64, s.Bins*words)
+	for i, row := range pm.Counts {
+		for j, c := range row {
+			if c > 0 {
+				s.Mask[i*words+j/64] |= 1 << (j % 64)
+				s.Cells = append(s.Cells, c)
+			}
+		}
+	}
+	return &s
+}
+
 // pinnedState is the decimal JSON fixture two_column_snapshot.json, the
 // checkpoint payload of an earlier build.
 type pinnedState struct {
-	Models     map[string]*markov.Snapshot `json:"models"`
-	Samples    map[string]pinnedRing       `json:"samples"`
-	Errs       map[string]pinnedRing       `json:"errs"`
-	LastT      map[string]int64            `json:"last_t"`
-	Sanitizers map[string]ingest.State     `json:"sanitizers"`
+	Models     map[string]*pinnedModel `json:"models"`
+	Samples    map[string]pinnedRing   `json:"samples"`
+	Errs       map[string]pinnedRing   `json:"errs"`
+	LastT      map[string]int64        `json:"last_t"`
+	Sanitizers map[string]ingest.State `json:"sanitizers"`
 }
 
-// pinnedCheckpoint loads testdata/checkpoint_v2.ckpt (RingCapacity 16),
+// pinnedCheckpoint loads testdata/checkpoint_v3.ckpt (RingCapacity 16),
 // which was generated once from testdata/two_column_snapshot.json.
 func pinnedCheckpoint(t *testing.T) *Monitor {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.RingCapacity = 16
 	m := NewMonitor("db", cfg)
-	if err := m.LoadCheckpoint(filepath.Join("testdata", "checkpoint_v2.ckpt")); err != nil {
+	if err := m.LoadCheckpoint(filepath.Join("testdata", "checkpoint_v3.ckpt")); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-// TestCheckpointFormatPinned loads the version-2 fixture, requires every
+// TestCheckpointFormatPinned loads the version-3 fixture, requires every
 // ring, last_t, model and sanitizer state it restores to equal what the
 // decimal JSON it was generated from lists, and to replicate across a gap
 // exactly what the two-column ring layout did. The fixture (RingCapacity
@@ -198,8 +223,8 @@ func TestCheckpointFormatPinned(t *testing.T) {
 	}
 	for _, k := range metric.Kinds {
 		name, sh := k.String(), &m.shards[k]
-		if got := sh.model.Snapshot(); !reflect.DeepEqual(got, listed.Models[name]) {
-			t.Errorf("%s model = %+v, want %+v", name, got, listed.Models[name])
+		if got, want := sh.model.Snapshot(), listed.Models[name].packed(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s model = %+v, want %+v", name, got, want)
 		}
 		for ring, w := range map[string]pinnedRing{"samples": listed.Samples[name], "errs": listed.Errs[name]} {
 			r := sh.samples
@@ -313,22 +338,25 @@ func TestRestoreRejectsMissingLastT(t *testing.T) {
 }
 
 // TestCheckpointEnvelopePinned refuses the version-1 fixture, an earlier
-// build's JSON envelope, leaving the monitor fresh (a slave cold-starts on
-// it), and requires a re-save of the monitor the version-2 fixture restores
-// to reproduce that file byte for byte.
+// build's JSON envelope, and the version-2 fixture, whose models carried
+// dense count rows, leaving the monitor fresh (a slave cold-starts on
+// either), and requires a re-save of the monitor the version-3 fixture
+// restores to reproduce that file byte for byte.
 func TestCheckpointEnvelopePinned(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RingCapacity = 16
 	m := NewMonitor("db", cfg)
 	fresh := frameBytes(t, m)
-	if err := m.LoadCheckpoint(filepath.Join("testdata", "checkpoint_v1.ckpt")); err == nil {
-		t.Fatal("version-1 checkpoint accepted")
-	}
-	if !bytes.Equal(fresh, frameBytes(t, m)) {
-		t.Fatal("refused version-1 checkpoint changed the monitor")
+	for _, old := range []string{"checkpoint_v1.ckpt", "checkpoint_v2.ckpt"} {
+		if err := m.LoadCheckpoint(filepath.Join("testdata", old)); err == nil {
+			t.Fatalf("%s accepted", old)
+		}
+		if !bytes.Equal(fresh, frameBytes(t, m)) {
+			t.Fatalf("refused %s changed the monitor", old)
+		}
 	}
 
-	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.ckpt"))
+	want, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}

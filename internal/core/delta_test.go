@@ -445,13 +445,13 @@ func TestReplRunsCarryExactBits(t *testing.T) {
 	}
 }
 
-// pinnedMonitor loads testdata/checkpoint_v2.ckpt (RingCapacity 16: a time
+// pinnedMonitor loads testdata/checkpoint_v3.ckpt (RingCapacity 16: a time
 // gap, wrapped rings, a sanitized stream and never-observed metrics) after
 // setting one sample and one prediction error of cpu to -0 and two to the
 // smallest subnormal, values whose decimal form is delicate.
 func pinnedMonitor(t *testing.T) (*Monitor, Config) {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.ckpt"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,12 +528,14 @@ func TestReplFullFrameEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplFullFrameMixedVersions pins that a peer of the previous version,
-// whose replication payloads were JSON, and this version fail closed against
-// each other. This version refuses a JSON payload, full or incremental, with
-// ErrReplGap and leaves the shadow as it was; a body of this version, even an
-// empty monitor's, is not JSON, so the previous version can neither decode it
-// as a payload nor parse it as its next frame.
+// TestReplFullFrameMixedVersions pins that peers of earlier versions and
+// this version fail closed against each other. This version refuses a
+// format-1 body, whose models carried dense count rows, and a JSON payload
+// of the version before that, full or incremental, with ErrReplGap and
+// leaves the shadow as it was. A body of this version opens with a format
+// byte a format-1 peer refuses, and, even an empty monitor's, is not JSON,
+// so a JSON-era peer can neither decode it as a payload nor parse it as its
+// next frame.
 func TestReplFullFrameMixedVersions(t *testing.T) {
 	primary, cfg := pinnedMonitor(t)
 	shadow := NewMonitor("db", cfg)
@@ -547,15 +549,22 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A version-2 checkpoint's body is a format-1 full frame.
+	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string][]byte{"format-1 full": v2[checkpointHeader:]}
 	for name, payload := range map[string]any{
-		"full": map[string]any{"component": "db", "full": json.RawMessage(snapshot)},
-		"incremental": map[string]any{"component": "db", "base": map[string]int64{"cpu": 10},
+		"JSON full": map[string]any{"component": "db", "full": json.RawMessage(snapshot)},
+		"JSON incremental": map[string]any{"component": "db", "base": map[string]int64{"cpu": 10},
 			"samples": map[string]any{"cpu": []map[string]any{{"t0": 11, "v": "AAAAAAAA8D8="}}}},
 	} {
-		raw, err := json.Marshal(payload)
-		if err != nil {
+		if payloads[name], err = json.Marshal(payload); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for name, raw := range payloads {
 		if err := receive(shadow, raw); !errors.Is(err, ErrReplGap) {
 			t.Fatalf("previous-version %s payload: err = %v, want ErrReplGap", name, err)
 		}
@@ -567,8 +576,12 @@ func TestReplFullFrameMixedVersions(t *testing.T) {
 	for _, m := range []*Monitor{primary, NewMonitor("db", cfg)} {
 		var d ReplDelta
 		m.FrameInto(&d, new(Floors))
+		body := wireBytes(t, &d)
+		if body[0] == 1 {
+			t.Error("this version's full frame opens with format 1")
+		}
 		var old map[string]any
-		if err := json.Unmarshal(wireBytes(t, &d), &old); err == nil {
+		if err := json.Unmarshal(body, &old); err == nil {
 			t.Errorf("a JSON decoder reads this version's full frame as %v", old)
 		}
 	}

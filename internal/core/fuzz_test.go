@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"fchain/internal/markov"
 	"fchain/internal/metric"
 )
 
@@ -76,6 +79,12 @@ func FuzzApplyDelta(f *testing.F) {
 		withCPU(ReplRun{T0: cpu.T0, V: cpu.V[:16]}, ReplRun{T0: cpu.T0 + 5, V: cpu.V[16:]}),
 		fullWith(same, func(p *fullParts) { p.names[0] = "gpu" }),
 	}
+	for _, bend := range modelBends {
+		seeds = append(seeds, fullWith(func(s *ReplMetric) { bend(s.Model) }, whole))
+	}
+	var full ReplDelta
+	primary.FrameInto(&full, new(Floors))
+	seeds = append(seeds, cellsPastBytes(f, &full))
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -155,7 +164,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	flipped := append([]byte(nil), v2...)
+	v3, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), v3...)
 	flipped[checkpointHeader-1] ^= 0x80
 	primary := NewMonitor("db", cfg)
 	for ts := int64(1); ts <= 20; ts++ {
@@ -174,6 +187,19 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, seed := range [][]byte{v1, v2, v2[:len(v2)/2], flipped, sealCheckpoint(wireBytes(f, &inc)), primary.encodeCheckpoint()} {
 		f.Add(seed)
 	}
+	for _, seed := range [][]byte{v3, v3[:len(v3)/2]} {
+		f.Add(seed)
+	}
+	// Checkpoints of bent models, sealed with the checksum their body needs.
+	for _, bend := range modelBends {
+		var d ReplDelta
+		primary.fullInto(&d)
+		bend(cpuEntry(&d).Model)
+		f.Add(sealCheckpoint(wireBytes(f, &d)))
+	}
+	var full ReplDelta
+	primary.fullInto(&full)
+	f.Add(sealCheckpoint(cellsPastBytes(f, &full)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		check := func(raw []byte) {
@@ -212,6 +238,38 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			check(resealed)
 		}
 	})
+}
+
+// modelBends bend a model of 8 bins each a way the model section's decoder
+// or markov.FromSnapshot must refuse: a mask bit at Bins (with a cell for
+// it), a mask word short, a cell more than the mask has bits, a negative,
+// a NaN and an infinite cell, a row sum short, and a row total that
+// disagrees with its cells.
+var modelBends = []func(m *markov.Snapshot){
+	func(m *markov.Snapshot) {
+		m.Cells = slices.Insert(m.Cells, bits.OnesCount64(m.Mask[0]), 0)
+		m.Mask[0] |= 1 << m.Bins
+	},
+	func(m *markov.Snapshot) { m.Mask = m.Mask[:len(m.Mask)-1] },
+	func(m *markov.Snapshot) { m.Cells = append(m.Cells, 0) },
+	func(m *markov.Snapshot) { m.Cells[0] = -1 },
+	func(m *markov.Snapshot) { m.Cells[0] = math.NaN() },
+	func(m *markov.Snapshot) { m.Cells[0] = math.Inf(1) },
+	func(m *markov.Snapshot) { m.RowSums = m.RowSums[:len(m.RowSums)-1] },
+	func(m *markov.Snapshot) { m.RowSums[len(m.RowSums)-1]++ },
+}
+
+// cellsPastBytes returns full frame d's body cut where cpu's model's cells
+// begin, there claiming 65,536 cells: within the decoder's limit, and more
+// than the bytes left.
+func cellsPastBytes(tb testing.TB, d *ReplDelta) []byte {
+	tb.Helper()
+	body, cells := wireBytes(tb, d), cpuEntry(d).Model.Cells
+	at := bytes.Index(body, appendF64(binary.AppendUvarint(nil, uint64(len(cells))), cells...))
+	if len(cells) == 0 || at < 0 {
+		tb.Fatal("no cpu cells to cut the body at")
+	}
+	return binary.AppendUvarint(body[:at:at], 1<<16)
 }
 
 // overCapacity reports whether a full frame holds a ring of more than

@@ -4,7 +4,7 @@ package core
 // ReplDelta, the body a replicate frame carries after its JSON header.
 //
 //	body       = format component full base samples sanitizers
-//	format     = u8 1
+//	format     = u8 2
 //	component  = string
 //	full       = uvarint n (0 or 6), n × (string metric, opt model, opt varint last_t, runs samples, runs errs)
 //	base       = uvarint n (≤ 6), n × (u8 kind, varint t)
@@ -12,23 +12,28 @@ package core
 //	sanitizers = uvarint n (≤ 6), n × (u8 kind, state)
 //	runs       = uvarint n, n × (varint t0, uvarint len, len bytes of value bits)
 //	model      = varint bins, f64 decay lo hi, bool range_set,
-//	             uvarint rows (≤ markov.MaxBins), rows × (uvarint n, n × f64),
-//	             opt (uvarint n, n × f64) row_sums,
+//	             uvarint n, n × u64 mask, uvarint n, n × f64 cells, uvarint n, n × f64 row_sums,
 //	             varint last_bin, bool has_last, f64 inc_weight, varint observations
 //	state      = uvarint n, f64 mean m2, varint last_out, f64 last_val, bool has_out,
 //	             9 × uvarint stats (accepted … long_gaps, in ingest.Stats order)
 //	string     = uvarint len, len bytes
 //	opt x      = bool present, x if present
-//	bool       = u8 0 or 1;  f64 = 8 bytes of IEEE-754 bits;  kind = index into metric.Kinds
+//	bool       = u8 0 or 1;  u64 = 8 bytes, little-endian;  f64 = u64 of IEEE-754 bits
+//	kind       = index into metric.Kinds
 //
 // A full frame lists every metric by name in metric.Kinds order, with errs
 // runs at its samples runs' times, and empty base and samples sections; an
 // incremental frame lists every metric in samples. Sections are written in
 // metric.Kinds order, fresh sanitizer states omitted, so one frame always
-// encodes to the same bytes. The format byte is not one a JSON
-// text can begin with: a peer of the previous version, whose replicate
-// frames were a single JSON line, reads a body as its next frame, fails to
-// parse it and drops the connection, so it never applies part of a frame.
+// encodes to the same bytes. A model is the predictor's own storage
+// (markov.Snapshot): its mask, one cell per set bit and its row totals.
+//
+// Format 1 carried each occupied model row as bins dense counts; a peer of
+// that version refuses this one's format byte, and this one refuses its,
+// with ErrReplGap. The format byte is not one a JSON text can begin with:
+// a peer of an older version still, whose replicate frames were a single
+// JSON line, reads a body as its next frame, fails to parse it and drops
+// the connection, so it never applies part of a frame.
 
 import (
 	"encoding/binary"
@@ -42,7 +47,7 @@ import (
 )
 
 // replFormat opens every replication body.
-const replFormat byte = 1
+const replFormat byte = 2
 
 // AppendBinary appends d's wire encoding to b, implementing
 // encoding.BinaryAppender. Nothing is checked or dropped, so a malformed
@@ -208,16 +213,12 @@ func appendModel(b []byte, s *markov.Snapshot) []byte {
 	b = binary.AppendVarint(b, int64(s.Bins))
 	b = appendF64(b, s.Decay, s.Lo, s.Hi)
 	b = appendBool(b, s.RangeSet)
-	b = binary.AppendUvarint(b, uint64(len(s.Counts)))
-	for _, row := range s.Counts {
-		b = binary.AppendUvarint(b, uint64(len(row)))
-		b = appendF64(b, row...)
+	b = binary.AppendUvarint(b, uint64(len(s.Mask)))
+	for _, m := range s.Mask {
+		b = binary.LittleEndian.AppendUint64(b, m)
 	}
-	b = appendBool(b, s.RowSums != nil)
-	if s.RowSums != nil {
-		b = binary.AppendUvarint(b, uint64(len(s.RowSums)))
-		b = appendF64(b, s.RowSums...)
-	}
+	b = appendF64(binary.AppendUvarint(b, uint64(len(s.Cells))), s.Cells...)
+	b = appendF64(binary.AppendUvarint(b, uint64(len(s.RowSums))), s.RowSums...)
 	b = binary.AppendVarint(b, int64(s.LastBin))
 	b = appendBool(b, s.HasLast)
 	b = appendF64(b, s.IncWeight)
@@ -301,12 +302,14 @@ func (r *wireReader) bool() bool {
 	}
 }
 
-func (r *wireReader) f64() float64 {
+func (r *wireReader) u64() uint64 {
 	if b := r.take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
 }
+
+func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *wireReader) uvarint() uint64 {
 	if r.err != nil {
@@ -361,13 +364,9 @@ func (r *wireReader) string(old string) string {
 	return old
 }
 
-// f64s reads n floats, or nil when n is zero.
-func (r *wireReader) f64s() []float64 {
-	n := r.count(math.MaxInt, 8)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]float64, n)
+// f64s reads a count of at most limit floats, then the floats.
+func (r *wireReader) f64s(limit int) []float64 {
+	vs := make([]float64, r.count(limit, 8))
 	for i := range vs {
 		vs[i] = r.f64()
 	}
@@ -389,19 +388,14 @@ func (r *wireReader) runs(dst []ReplRun) []ReplRun {
 }
 
 func (r *wireReader) model() *markov.Snapshot {
+	const maxWords = markov.MaxBins * ((markov.MaxBins + 63) / 64)
 	s := &markov.Snapshot{Bins: int(r.varint()), Decay: r.f64(), Lo: r.f64(), Hi: r.f64(), RangeSet: r.bool()}
-	if rows := r.count(markov.MaxBins, 1); rows > 0 {
-		s.Counts = make([][]float64, rows)
-		for i := range s.Counts {
-			s.Counts[i] = r.f64s()
-		}
+	s.Mask = make([]uint64, r.count(maxWords, 8))
+	for i := range s.Mask {
+		s.Mask[i] = r.u64()
 	}
-	if r.bool() {
-		s.RowSums = r.f64s()
-		if s.RowSums == nil {
-			s.RowSums = []float64{}
-		}
-	}
+	s.Cells = r.f64s(markov.MaxBins * markov.MaxBins)
+	s.RowSums = r.f64s(markov.MaxBins)
 	s.LastBin = int(r.varint())
 	s.HasLast = r.bool()
 	s.IncWeight = r.f64()

@@ -27,7 +27,7 @@ func TestReplWirePinned(t *testing.T) {
 	cpu.Sanitizer = ingest.State{N: 2, Mean: 1, Stats: ingest.Stats{Accepted: 2}}
 	body := func(samples string) string {
 		return strings.Join([]string{
-			"01",               // format
+			"02",               // format
 			"026462",           // component "db"
 			"00",               // no full state
 			"01" + "00" + "3c", // base: cpu at t=30
@@ -160,16 +160,21 @@ func (p *fullParts) join(d *ReplDelta) []byte {
 // gigabytes.
 func TestDecodeDeltaRefusesBeforeAllocating(t *testing.T) {
 	huge := "ffffffff0f" // uvarint 4,294,967,295
+	// A full frame up to cpu's model's mask: 8 bins, decay 1, range [0, 1].
+	model := "02" + "00" + "06" + "03637075" + "01" + "10" + "000000000000f03f" + "0000000000000000" + "000000000000f03f" + "01"
+	word := "01" + "0000000000000000"
 	for name, body := range map[string]string{
-		"component length": "01" + huge,
-		"full count":       "01" + "00" + "06",
-		"run count":        "01" + "00" + "00" + "00" + "01" + "00" + huge,
-		"run length":       "01" + "00" + "00" + "00" + "01" + "00" + "01" + "02" + huge,
-		"model rows":       "01" + "00" + "01" + "0163" + "01" + "50" + "000000000000f03f" + "0000000000000000" + "000000000000f03f" + "00" + huge,
-		"row values":       "01" + "00" + "01" + "0163" + "01" + "50" + "000000000000f03f" + "0000000000000000" + "000000000000f03f" + "00" + "01" + huge,
-		"sanitizer count":  "01" + "00" + "00" + "00" + "00" + "06",
-		"format":           "02" + "00" + "00" + "00" + "00" + "00",
-		"trailing bytes":   "01" + "00" + "00" + "00" + "00" + "00" + "00",
+		"component length": "02" + huge,
+		"full count":       "02" + "00" + "06",
+		"run count":        "02" + "00" + "00" + "00" + "01" + "00" + huge,
+		"run length":       "02" + "00" + "00" + "00" + "01" + "00" + "01" + "02" + huge,
+		"mask words":       model + huge,
+		"model cells":      model + word + huge,
+		"cells past bytes": model + word + "808004", // 65,536 cells, within MaxBins²
+		"row sums":         model + word + "00" + huge,
+		"sanitizer count":  "02" + "00" + "00" + "00" + "00" + "06",
+		"format":           "01" + "00" + "00" + "00" + "00" + "00",
+		"trailing bytes":   "02" + "00" + "00" + "00" + "00" + "00" + "00",
 		"json":             hex.EncodeToString([]byte(`{"component":"db"}`)),
 	} {
 		raw, err := hex.DecodeString(body)

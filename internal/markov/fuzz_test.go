@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// FuzzPredictorSnapshot feeds arbitrary bytes to the checkpoint decoder. A
-// snapshot arrives from disk or from a peer, so FromSnapshot must never
-// panic; one it accepts must hold the predictor's invariants and store
-// exactly the rows holding a count, and a Snapshot → JSON → FromSnapshot
-// round trip of it must re-encode to the same bytes and predict bit for bit
-// as it does.
+// FuzzPredictorSnapshot decodes arbitrary bytes as a snapshot's JSON and
+// restores it. A snapshot arrives from disk or from a peer, so FromSnapshot
+// must never panic; one it accepts must hold the predictor's invariants and
+// exactly the snapshot's mask and cells, and a Snapshot → JSON →
+// FromSnapshot round trip of it must re-encode to the same bytes and
+// predict bit for bit as it does.
 func FuzzPredictorSnapshot(f *testing.F) {
 	seeds := []*Predictor{NewDefault(), trainedPredictor(1, 300)}
 	for _, bins := range []int{2, 65} {
@@ -36,10 +36,24 @@ func FuzzPredictorSnapshot(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	f.Add([]byte(`{"bins":3,"decay":1,"lo":0,"hi":3,"range_set":true,"counts":[[0,1e-7,0]],"row_sums":[0,0,0],"inc_weight":1}`))
+	// A count under a zero total, and a total without counts under it, both
+	// inside Validate's tolerance.
+	f.Add([]byte(`{"bins":3,"decay":1,"lo":0,"hi":3,"range_set":true,"mask":[2,0,0],"cells":[1e-7],"row_sums":[0,0,0],"inc_weight":1}`))
 	f.Add([]byte(`{"bins":1048576,"decay":1,"inc_weight":1}`))
-	// A total restored without counts under it, inside Validate's tolerance.
-	f.Add([]byte(`{"bins":3,"decay":0.5,"lo":0,"hi":3,"range_set":true,"counts":[null,[0,0,0]],"row_sums":[1e-7,0,0],"inc_weight":1e12}`))
+	f.Add([]byte(`{"bins":3,"decay":0.5,"lo":0,"hi":3,"range_set":true,"mask":[0,5,0],"cells":[0,0],"row_sums":[1e-7,0,0],"inc_weight":1e12}`))
+	// Refused: a mask bit at bins, one mask word short, one cell more than
+	// the mask has bits, a negative cell, a row sum missing, a row sum that
+	// disagrees with its cells.
+	for _, body := range []string{
+		`"mask":[8,0,0],"cells":[1],"row_sums":[1,0,0]`,
+		`"mask":[2,0],"cells":[1],"row_sums":[1,0,0]`,
+		`"mask":[2,0,0],"cells":[1,1],"row_sums":[2,0,0]`,
+		`"mask":[2,0,0],"cells":[-1],"row_sums":[0,0,0]`,
+		`"mask":[2,0,0],"cells":[1],"row_sums":[1,0]`,
+		`"mask":[2,0,0],"cells":[1],"row_sums":[2,0,0]`,
+	} {
+		f.Add([]byte(`{"bins":3,"decay":1,"lo":0,"hi":3,"range_set":true,` + body + `,"inc_weight":1}`))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var s Snapshot
 		if json.Unmarshal(raw, &s) != nil {
@@ -88,30 +102,17 @@ func FuzzPredictorSnapshot(f *testing.F) {
 	})
 }
 
-// checkOccupancy fails unless p, restored from s, stores exactly the
-// positive counts of s — one cell per count, at the mask bit of its row and
-// column — and its cells have no spare capacity beyond the allocator's size
-// class for them.
+// checkOccupancy fails unless p, restored from s, holds exactly the mask
+// and the cells of s, bit for bit, and its cells have no spare capacity
+// beyond the allocator's size class for them.
 func checkOccupancy(t *testing.T, p *Predictor, s *Snapshot) {
 	t.Helper()
-	cells := 0
-	for i := range p.bins {
-		for j := range p.bins {
-			var c float64
-			if i < len(s.Counts) && j < len(s.Counts[i]) {
-				c = s.Counts[i][j]
-			}
-			set := p.mask[i*p.words+j>>6]&(1<<(j&63)) != 0
-			if set != (c > 0) {
-				t.Fatalf("[%d][%d]: stored=%v, snapshot count %v", i, j, set, c)
-			}
-			if set {
-				cells++
-			}
-		}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !slices.Equal(p.mask, s.Mask) || !slices.EqualFunc(p.cells, s.Cells, same) {
+		t.Fatalf("restored mask %x cells %v, snapshot mask %x cells %v", p.mask, p.cells, s.Mask, s.Cells)
 	}
-	if want := cap(slices.Grow([]float64(nil), cells)); len(p.cells) != cells || cap(p.cells) != want {
-		t.Fatalf("%d counts stored in len %d cap %d, want cap %d", cells, len(p.cells), cap(p.cells), want)
+	if want := cap(slices.Grow([]float64(nil), len(s.Cells))); cap(p.cells) != want {
+		t.Fatalf("%d cells stored in cap %d, want cap %d", len(p.cells), cap(p.cells), want)
 	}
 }
 

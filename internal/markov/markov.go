@@ -174,21 +174,6 @@ func (p *Predictor) rowCells(i int) (mask []uint64, cells []float64) {
 	return mask, p.cells[k : k+n]
 }
 
-// appendRow appends row i's counts to dst densely, bins of them.
-func (p *Predictor) appendRow(dst []float64, i int) []float64 {
-	n := len(dst)
-	dst = append(dst, make([]float64, p.bins)...)
-	mask, cells := p.rowCells(i)
-	k := 0
-	for w, m := range mask {
-		for ; m != 0; m &= m - 1 {
-			dst[n+w<<6+bits.TrailingZeros64(m)] = cells[k]
-			k++
-		}
-	}
-	return dst
-}
-
 // Range returns the current discretization range [lo, hi].
 func (p *Predictor) Range() (lo, hi float64) { return p.lo, p.hi }
 

@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,9 +52,14 @@ func (p *Predictor) RowDistribution(v float64) []float64 {
 	if p.rowSum[i] <= 0 {
 		return nil
 	}
-	out := p.appendRow(nil, i)
-	for j := range out {
-		out[j] /= p.rowSum[i]
+	out := make([]float64, p.bins)
+	mask, cells := p.rowCells(i)
+	k := 0
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			out[w<<6+bits.TrailingZeros64(m)] = cells[k] / p.rowSum[i]
+			k++
+		}
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -195,9 +196,38 @@ func (d *denseModel) rowDistribution(v float64) []float64 {
 	return out
 }
 
-func (d *denseModel) snapshot() *Snapshot {
-	s := &Snapshot{Bins: d.bins, Decay: d.decay, Lo: d.lo, Hi: d.hi, RangeSet: d.rangeSet,
-		LastBin: d.lastBin, HasLast: d.hasLast, IncWeight: d.incWeight, Observations: d.observations}
+// denseSnapshot is a snapshot in the dense reference's form: Counts holds
+// bins columns for each row whose total is not 0, and nil for the rest, in
+// place of the mask and cells.
+type denseSnapshot struct {
+	Snapshot
+	Counts [][]float64 `json:"counts,omitempty"`
+}
+
+// expand returns s in the dense reference's form.
+func expand(s *Snapshot) *denseSnapshot {
+	d := &denseSnapshot{Snapshot: *s, Counts: make([][]float64, s.Bins)}
+	d.Mask, d.Cells = nil, nil
+	words, k := (s.Bins+63)/64, 0
+	for i := range d.Counts {
+		if s.RowSums[i] != 0 {
+			d.Counts[i] = make([]float64, s.Bins)
+		}
+		for w, m := range s.Mask[i*words : (i+1)*words] {
+			for ; m != 0; m &= m - 1 {
+				if d.Counts[i] != nil {
+					d.Counts[i][w<<6+bits.TrailingZeros64(m)] = s.Cells[k]
+				}
+				k++
+			}
+		}
+	}
+	return d
+}
+
+func (d *denseModel) snapshot() *denseSnapshot {
+	s := &denseSnapshot{Snapshot: Snapshot{Bins: d.bins, Decay: d.decay, Lo: d.lo, Hi: d.hi, RangeSet: d.rangeSet,
+		LastBin: d.lastBin, HasLast: d.hasLast, IncWeight: d.incWeight, Observations: d.observations}}
 	s.Counts = make([][]float64, d.bins)
 	for i := range s.Counts {
 		if d.rowSum[i] != 0 {
@@ -209,7 +239,7 @@ func (d *denseModel) snapshot() *Snapshot {
 }
 
 // denseFromSnapshot loads a snapshot FromSnapshot has already accepted.
-func denseFromSnapshot(s *Snapshot) *denseModel {
+func denseFromSnapshot(s *denseSnapshot) *denseModel {
 	d := newDenseModel(s.Bins, s.Decay)
 	d.lo, d.hi, d.rangeSet = s.Lo, s.Hi, s.RangeSet
 	d.lastBin, d.hasLast = s.LastBin, s.HasLast
@@ -221,9 +251,7 @@ func denseFromSnapshot(s *Snapshot) *denseModel {
 			}
 		}
 	}
-	if s.RowSums != nil {
-		copy(d.rowSum, s.RowSums)
-	}
+	copy(d.rowSum, s.RowSums)
 	return d
 }
 
@@ -273,7 +301,12 @@ func (pp *predictorPair) restore() {
 	pp.tb.Helper()
 	pp.nops++
 	pp.label = "restore"
-	raw, err := json.Marshal(pp.p.Snapshot())
+	snap := pp.p.Snapshot()
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		pp.tb.Fatal(err)
+	}
+	got, err := json.Marshal(expand(snap))
 	if err != nil {
 		pp.tb.Fatal(err)
 	}
@@ -281,8 +314,8 @@ func (pp *predictorPair) restore() {
 	if err != nil {
 		pp.tb.Fatal(err)
 	}
-	if !bytes.Equal(raw, want) {
-		pp.fail("Snapshot JSON differs from the dense reference:\n got %s\nwant %s", raw, want)
+	if !bytes.Equal(got, want) {
+		pp.fail("Snapshot JSON differs from the dense reference:\n got %s\nwant %s", got, want)
 	}
 	var s Snapshot
 	if err := json.Unmarshal(raw, &s); err != nil {
@@ -291,7 +324,7 @@ func (pp *predictorPair) restore() {
 	if pp.p, err = FromSnapshot(&s); err != nil {
 		pp.fail("restore: %v", err)
 	}
-	pp.ref = denseFromSnapshot(&s)
+	pp.ref = denseFromSnapshot(expand(&s))
 	pp.check(pp.prev)
 }
 
@@ -326,7 +359,7 @@ func (pp *predictorPair) check(v float64) {
 			}
 		}
 	}
-	if err := sameSnapshot(p.Snapshot(), ref.snapshot()); err != "" {
+	if err := sameSnapshot(expand(p.Snapshot()), ref.snapshot()); err != "" {
 		pp.fail("Snapshot differs from the dense reference: %s", err)
 	}
 }
@@ -334,7 +367,7 @@ func (pp *predictorPair) check(v float64) {
 // sameSnapshot compares two snapshots field by field, floats by their bits:
 // equal snapshots encode to the same JSON bytes, and comparing the structs
 // spares the encoder on every operation. restore compares the bytes.
-func sameSnapshot(a, b *Snapshot) string {
+func sameSnapshot(a, b *denseSnapshot) string {
 	bits := math.Float64bits
 	switch {
 	case a.Bins != b.Bins || bits(a.Decay) != bits(b.Decay) || bits(a.IncWeight) != bits(b.IncWeight):

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -15,18 +16,23 @@ import (
 // self-calibration period — without the model, every change after the
 // restart is "never seen before" and would be flagged abnormal.
 type Snapshot struct {
-	Bins     int         `json:"bins"`
-	Decay    float64     `json:"decay"`
-	Lo       float64     `json:"lo"`
-	Hi       float64     `json:"hi"`
-	RangeSet bool        `json:"range_set"`
-	Counts   [][]float64 `json:"counts,omitempty"`
-	// RowSums carries the running row totals the predictor divides by. They
-	// are accumulated one transition at a time, so re-adding a row's counts
-	// left to right lands a last bit away and every later prediction error
-	// with it; a restored model must predict exactly as the one it was taken
-	// from. Absent (older checkpoints) the totals are re-added as before.
-	RowSums      []float64 `json:"row_sums,omitempty"`
+	Bins     int     `json:"bins"`
+	Decay    float64 `json:"decay"`
+	Lo       float64 `json:"lo"`
+	Hi       float64 `json:"hi"`
+	RangeSet bool    `json:"range_set"`
+	// Mask, Cells and RowSums are the transition counts as the predictor
+	// holds them: Mask has ceil(Bins/64) words per row, bit to of row from
+	// set once a count was added at [from][to], and Cells one count per set
+	// bit, rows in bin order and columns ascending, a count that decayed to
+	// 0 included. RowSums are the running row totals the predictor divides
+	// by. They are accumulated one transition at a time, so re-adding a
+	// row's cells would land a last bit away and every later prediction
+	// error with it; a restored model predicts exactly as the one it was
+	// taken from.
+	Mask         []uint64  `json:"mask"`
+	Cells        []float64 `json:"cells"`
+	RowSums      []float64 `json:"row_sums"`
 	LastBin      int       `json:"last_bin"`
 	HasLast      bool      `json:"has_last"`
 	IncWeight    float64   `json:"inc_weight"`
@@ -36,35 +42,26 @@ type Snapshot struct {
 // Snapshot captures the predictor's current state. The returned snapshot
 // shares no storage with the predictor.
 func (p *Predictor) Snapshot() *Snapshot {
-	s := &Snapshot{
+	return &Snapshot{
 		Bins:         p.bins,
 		Decay:        p.decay,
 		Lo:           p.lo,
 		Hi:           p.hi,
 		RangeSet:     p.rangeSet,
+		Mask:         slices.Clone(p.mask),
+		Cells:        slices.Clone(p.cells),
+		RowSums:      slices.Clone(p.rowSum),
 		LastBin:      p.lastBin,
 		HasLast:      p.hasLast,
 		IncWeight:    p.incWeight,
 		Observations: p.observations,
 	}
-	// Only rows with a non-zero total are stored, each expanded to bins
-	// columns: a full 40×40 matrix, the every-row-occupied upper bound,
-	// would bloat every checkpoint with zeros. nil rows restore as empty
-	// rows.
-	s.Counts = make([][]float64, p.bins)
-	for i := range s.Counts {
-		if p.rowSum[i] == 0 {
-			continue
-		}
-		s.Counts[i] = p.appendRow(nil, i)
-	}
-	s.RowSums = append([]float64(nil), p.rowSum...)
-	return s
 }
 
 // FromSnapshot rebuilds a predictor from a snapshot, validating every
 // invariant so a corrupted or hand-edited checkpoint cannot smuggle
-// NaN/negative state into the model.
+// NaN/negative state into the model. An accepted snapshot is installed as
+// it is, so the predictor's Snapshot returns it unchanged.
 func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	if s == nil {
 		return nil, errors.New("markov: nil snapshot")
@@ -87,57 +84,45 @@ func FromSnapshot(s *Snapshot) (*Predictor, error) {
 	if s.Observations < 0 {
 		return nil, fmt.Errorf("markov: snapshot observations %d negative", s.Observations)
 	}
-	if len(s.Counts) > s.Bins {
-		return nil, fmt.Errorf("markov: snapshot has %d rows for %d bins", len(s.Counts), s.Bins)
+	p := New(s.Bins, s.Decay)
+	if len(s.Mask) != len(p.mask) {
+		return nil, fmt.Errorf("markov: snapshot has %d mask words for %d bins", len(s.Mask), s.Bins)
 	}
-	if s.RowSums != nil && len(s.RowSums) != s.Bins {
+	if len(s.RowSums) != s.Bins {
 		return nil, fmt.Errorf("markov: snapshot has %d row sums for %d bins", len(s.RowSums), s.Bins)
 	}
-	p := New(s.Bins, s.Decay)
-	// Size cells for every positive count at once, to the allocator's size
-	// class as insert grows it: insert would otherwise copy them once per
-	// size class. Counts are added in ascending [from][to] order, so each
-	// cell lands at the end.
 	n := 0
-	for _, row := range s.Counts {
-		for _, c := range row[:min(len(row), s.Bins)] {
-			if c > 0 {
-				n++
-			}
+	for i := range s.Bins {
+		row := s.Mask[i*p.words : (i+1)*p.words]
+		if row[p.words-1]>>(s.Bins-(p.words-1)*64) != 0 {
+			return nil, fmt.Errorf("markov: snapshot row %d has a mask bit past %d bins", i, s.Bins)
+		}
+		p.start[i] = uint32(n)
+		for _, m := range row {
+			n += bits.OnesCount64(m)
 		}
 	}
-	p.cells = slices.Grow(p.cells, n)
+	if n != len(s.Cells) {
+		return nil, fmt.Errorf("markov: snapshot has %d cells for %d mask bits", len(s.Cells), n)
+	}
+	invalid := func(c float64) bool { return !(c >= 0) || math.IsInf(c, 0) } // negated so NaN fails too
+	if i := slices.IndexFunc(s.Cells, invalid); i >= 0 {
+		return nil, fmt.Errorf("markov: snapshot cell %d = %v invalid", i, s.Cells[i])
+	}
+	if i := slices.IndexFunc(s.RowSums, invalid); i >= 0 {
+		return nil, fmt.Errorf("markov: snapshot row %d sums to %v", i, s.RowSums[i])
+	}
+	copy(p.mask, s.Mask)
+	copy(p.rowSum, s.RowSums)
+	// One allocation, sized to the allocator's size class as insert grows
+	// cells, so a restored predictor holds what a trained one would.
+	p.cells = append(slices.Grow(p.cells, n), s.Cells...)
 	p.lo, p.hi = s.Lo, s.Hi
 	p.rangeSet = s.RangeSet
 	p.lastBin = s.LastBin
 	p.hasLast = s.HasLast
 	p.incWeight = s.IncWeight
 	p.observations = s.Observations
-	for i, row := range s.Counts {
-		if row == nil {
-			continue
-		}
-		if len(row) != s.Bins {
-			return nil, fmt.Errorf("markov: snapshot row %d has %d columns for %d bins", i, len(row), s.Bins)
-		}
-		for j, c := range row {
-			if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-				return nil, fmt.Errorf("markov: snapshot count [%d][%d]=%v invalid", i, j, c)
-			}
-			if c > 0 {
-				p.add(i, j, c)
-			}
-		}
-		// Snapshot omits a row whose total is zero, so a row holding counts
-		// under a zero total would not survive the next snapshot; a predictor
-		// never produces one.
-		if s.RowSums != nil && s.RowSums[i] == 0 && p.rowSum[i] != 0 {
-			return nil, fmt.Errorf("markov: snapshot row %d holds counts but sums to 0", i)
-		}
-	}
-	if s.RowSums != nil {
-		copy(p.rowSum, s.RowSums) // Validate holds them to the counts just loaded
-	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

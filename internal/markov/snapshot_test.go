@@ -1,10 +1,10 @@
 package markov
 
 import (
-	_ "embed"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -73,22 +73,45 @@ func TestSnapshotSharesNoStorage(t *testing.T) {
 
 func TestFromSnapshotRejectsCorruption(t *testing.T) {
 	base := trainedPredictor(5, 200)
+	// row is an occupied row of base and first the index of its first cell.
+	row := slices.IndexFunc(base.rowSum, func(sum float64) bool { return sum > 0 })
+	first := int(base.start[row])
 	cases := map[string]func(*Snapshot){
-		"nil counts row len":  func(s *Snapshot) { s.Counts[0] = []float64{1} },
-		"negative count":      func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = -1 },
-		"nan count":           func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = math.NaN() },
-		"bins too small":      func(s *Snapshot) { s.Bins = 1 },
-		"bins too large":      func(s *Snapshot) { s.Bins = MaxBins + 1 },
-		"counts, zero total":  func(s *Snapshot) { s.Counts[0] = make([]float64, s.Bins); s.Counts[0][0] = 1e-9; s.RowSums[0] = 0 },
-		"bad decay":           func(s *Snapshot) { s.Decay = 1.5 },
-		"inverted range":      func(s *Snapshot) { s.Lo, s.Hi = s.Hi, s.Lo },
-		"last bin range":      func(s *Snapshot) { s.LastBin = s.Bins },
-		"bad inc weight":      func(s *Snapshot) { s.IncWeight = math.NaN() },
-		"negative obs":        func(s *Snapshot) { s.Observations = -1 },
-		"too many count rows": func(s *Snapshot) { s.Counts = append(s.Counts, nil) },
+		"bins too small": func(s *Snapshot) { s.Bins = 1 },
+		"bins too large": func(s *Snapshot) { s.Bins = MaxBins + 1 },
+		"bad decay":      func(s *Snapshot) { s.Decay = 1.5 },
+		"inverted range": func(s *Snapshot) { s.Lo, s.Hi = s.Hi, s.Lo },
+		"last bin range": func(s *Snapshot) { s.LastBin = s.Bins },
+		"bad inc weight": func(s *Snapshot) { s.IncWeight = math.NaN() },
+		"negative obs":   func(s *Snapshot) { s.Observations = -1 },
+		// A bit at column Bins, with a zero cell for it at the end of its
+		// row, so only the bit is wrong.
+		"mask bit at bins": func(s *Snapshot) {
+			s.Cells = slices.Insert(s.Cells, int(base.start[row+1]), 0)
+			s.Mask[row] |= 1 << s.Bins
+		},
+		"mask bit at 63":        func(s *Snapshot) { s.Cells = append(s.Cells, 0); s.Mask[len(s.Mask)-1] |= 1 << 63 },
+		"mask word short":       func(s *Snapshot) { s.Mask = s.Mask[:len(s.Mask)-1] },
+		"mask word over":        func(s *Snapshot) { s.Mask = append(s.Mask, 0) },
+		"no mask":               func(s *Snapshot) { s.Mask = nil },
+		"cell past the mask":    func(s *Snapshot) { s.Cells = append(s.Cells, 0) },
+		"mask bit with no cell": func(s *Snapshot) { s.Cells = s.Cells[:len(s.Cells)-1] },
+		"negative cell":         func(s *Snapshot) { s.Cells[first] = -s.Cells[first] },
+		"nan cell":              func(s *Snapshot) { s.Cells[first] = math.NaN() },
+		"inf cell":              func(s *Snapshot) { s.Cells[first] = math.Inf(1) },
+		"row sum short":         func(s *Snapshot) { s.RowSums = s.RowSums[:len(s.RowSums)-1] },
+		"no row sums":           func(s *Snapshot) { s.RowSums = nil },
+		"row sum over cells":    func(s *Snapshot) { s.RowSums[row] *= 2 },
+		"row sum, no cells":     func(s *Snapshot) { s.RowSums[len(s.RowSums)-1] = 1 },
+		"negative row sum":      func(s *Snapshot) { s.RowSums[row] = -s.RowSums[row] },
+		"nan row sum":           func(s *Snapshot) { s.RowSums[row] = math.NaN() },
+		"inf row sum":           func(s *Snapshot) { s.RowSums[row] = math.Inf(1) },
 	}
 	for name, corrupt := range cases {
 		s := base.Snapshot()
+		if _, err := FromSnapshot(s); err != nil {
+			t.Fatalf("%s: the uncorrupted snapshot is refused: %v", name, err)
+		}
 		corrupt(s)
 		if _, err := FromSnapshot(s); err == nil {
 			t.Errorf("%s: corruption accepted", name)
@@ -160,7 +183,8 @@ func TestSnapshotRestoresPredictionsExactly(t *testing.T) {
 // by the span rounded back onto the same edge, so covering a value outside
 // the range never finished.
 func TestNarrowRangeGrows(t *testing.T) {
-	p, err := FromSnapshot(&Snapshot{Bins: 4, Decay: 1, Lo: -2, Hi: -2 + math.Ldexp(1, -52), RangeSet: true, IncWeight: 1})
+	p, err := FromSnapshot(&Snapshot{Bins: 4, Decay: 1, Lo: -2, Hi: -2 + math.Ldexp(1, -52), RangeSet: true,
+		Mask: make([]uint64, 4), RowSums: make([]float64, 4), IncWeight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,76 +204,5 @@ func TestNarrowRangeGrows(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-// legacyDriftSnapshot is a checkpointed predictor in the format written
-// before the drift state behind the retired trend hint was removed: beside
-// the model it carries three drift fields the current format no longer
-// writes.
-//
-//go:embed legacy_drift_snapshot.json
-var legacyDriftSnapshot []byte
-
-// TestSnapshotWithoutDriftFields: old checkpoints still load. A snapshot
-// carrying the retired drift fields restores and then predicts bit for bit
-// like the same snapshot with those keys removed, so the fields were never
-// part of the model.
-func TestSnapshotWithoutDriftFields(t *testing.T) {
-	restore := func(raw []byte) *Predictor {
-		t.Helper()
-		var s Snapshot
-		if err := json.Unmarshal(raw, &s); err != nil {
-			t.Fatal(err)
-		}
-		p, err := FromSnapshot(&s)
-		if err != nil {
-			t.Fatalf("FromSnapshot: %v", err)
-		}
-		return p
-	}
-	legacy := restore(legacyDriftSnapshot)
-
-	// Strip every key the current format does not write: exactly the three
-	// drift fields.
-	var fields, known map[string]json.RawMessage
-	if err := json.Unmarshal(legacyDriftSnapshot, &fields); err != nil {
-		t.Fatal(err)
-	}
-	current, err := json.Marshal(legacy.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(current, &known); err != nil {
-		t.Fatal(err)
-	}
-	var dropped []string
-	for k := range fields {
-		if _, ok := known[k]; !ok {
-			delete(fields, k)
-			dropped = append(dropped, k)
-		}
-	}
-	if len(dropped) != 3 {
-		t.Fatalf("legacy snapshot has retired fields %v, want the three drift fields", dropped)
-	}
-	stripped, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := restore(stripped)
-
-	for i := 0; i < 20; i++ {
-		pl, okl := legacy.Predict()
-		pp, okp := plain.Predict()
-		if okl != okp || math.Float64bits(pl) != math.Float64bits(pp) {
-			t.Fatalf("step %d: legacy predicts (%v, %v), stripped (%v, %v)", i, pl, okl, pp, okp)
-		}
-		v := 12 + float64(i%4)*2.5 + float64(i)*0.3
-		el, _ := legacy.Observe(v)
-		ep, _ := plain.Observe(v)
-		if math.Float64bits(el) != math.Float64bits(ep) {
-			t.Fatalf("step %d: legacy error %v, stripped %v", i, el, ep)
-		}
 	}
 }
